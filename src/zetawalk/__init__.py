@@ -63,13 +63,11 @@ from .zeta import (
     verify_expressions,
 )
 from .walk import (
-    FactorizationCalibration,
     WalkError,
     grover_discriminant,
     grover_spectrum_via_zeta,
     grover_transition,
     spectrum_deviation,
-    szegedy_charpoly_direct,
     szegedy_discriminant,
     szegedy_spectrum_via_factorization,
     szegedy_transition,

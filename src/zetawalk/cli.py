@@ -189,9 +189,7 @@ def cmd_spectrum(ns) -> tuple[str, int]:
         if not inst.prob:
             raise WalkError("szegedy spectrum needs prob lines in the instance")
         u = szegedy_transition(g, inst.prob)
-        calib = szegedy_spectrum_via_factorization(g, inst.prob, ns.tolerance)
-        rep.add("constants", f"c={calib.c} d={calib.d}")
-        derived = calib.spectrum
+        derived = szegedy_spectrum_via_factorization(g, inst.prob, ns.tolerance)
     direct = eigenvalues_numeric(u)
     rep.add("unitarity-defect", f"{unitarity_defect(u):.3e}")
     for i, z in enumerate(_sorted_spectrum(direct)):

@@ -134,14 +134,6 @@ class Digraph:
     def has_loops(self) -> bool:
         return any(a.tail == a.head for a in self.arcs)
 
-    def is_simple_loopless_graph(self) -> bool:
-        """True for a symmetric digraph of a simple graph without loops."""
-        if self.mode is not GraphMode.SYMMETRIC:
-            return False
-        if self.has_loops():
-            return False
-        return all(len(ids) <= 1 for ids in self._between.values())
-
     def phi_pairs(self) -> tuple[PhiPair, ...]:
         """Connected vertex pairs (u <= v), in lexicographic order."""
         pairs = []

@@ -71,7 +71,10 @@ def parse_instance(text: str, source: str = "<instance>") -> Instance:
     def parse_rational(tok, line_no) -> Fraction:
         if not _RATIONAL.match(tok):
             fail(line_no, f"expected a rational p/q, got {tok!r}")
-        return Fraction(tok)
+        try:
+            return Fraction(tok)
+        except ZeroDivisionError:
+            fail(line_no, f"zero denominator in {tok!r}")
 
     def parse_int(tok, line_no) -> int:
         try:
@@ -152,8 +155,14 @@ def parse_instance(text: str, source: str = "<instance>") -> Instance:
 
 
 def load_instance(path) -> Instance:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_instance(fh.read(), source=str(path))
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(str(path), line, f"not UTF-8 text (byte {exc.start})") from None
+    return parse_instance(text, source=str(path))
 
 
 def render_instance(inst: Instance) -> str:

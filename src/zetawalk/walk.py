@@ -6,32 +6,27 @@ tail vertex, the transition matrix is
 
     U[a, a'] = 2 sqrt(p(a) p(inv(a'))) [tail(a) = head(a')] - [a' = inv(a)]
 
-(the Grover walk is the uniform case p(a) = 1/deg(tail(a))).  Spectra are
-computed two ways: directly by a numeric eigensolve (the oracle), and
-through the vertex-sized discriminant matrix T, whose eigenvalues mu
-parameterize quadratic factors of the characteristic polynomial:
+(the Grover walk is the uniform case p(a) = 1/deg(tail(a))).  The paper's
+determinant expression gives its characteristic polynomial through the
+vertex-sized discriminant T[u][v] = sum_{a in A_uv} sqrt(p(a) p(inv(a))):
 
     det(lambda I - U) = (lambda^2 - 1)^(|E|-|V|)
-                        * prod_mu (lambda^2 + c - d mu lambda).
+                        * prod_mu (lambda^2 - 2 mu lambda + 1),
 
-For the Grover walk (c, d) = (1, 2) with T[u][v] = 1/deg(u) on edges.  For
-general Szegedy probabilities the per-factor constants are calibrated
-against the oracle over the candidate family c, d in {1, 2} rather than
-hard-coded; the calibration consistently selects (1, 2).
+over the eigenvalues mu of T.  The spectrum is read off this factorization;
+the CLI checks it against a direct numeric eigensolve of U (the oracle).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .algebra import CC, Poly
 from .digraph import Digraph, GraphMode
-from .linalg import eigenvalues_numeric
+from .linalg import eigenvalues_numeric  # noqa: F401  (the direct-spectrum oracle, re-exported)
 
 
 class WalkError(ValueError):
@@ -92,61 +87,24 @@ def _sqrt_product(x: Fraction, y: Fraction) -> float:
     return math.sqrt(float(prod))
 
 
-def szegedy_transition(g: Digraph, p) -> np.ndarray:
-    """The arc-indexed Szegedy transition matrix for probabilities ``p``."""
-    _require_walk_graph(g)
-    probs = validate_probability(g, p)
+def _transition(g: Digraph, probs: dict[int, Fraction]) -> np.ndarray:
+    """U for validated probabilities, visiting only adjacent arc pairs.
+
+    The arcs b with head(b) = tail(a) are the partners of the arcs leaving
+    tail(a), and inv(partner(c)) = c.
+    """
     n = g.arc_count
     u = np.zeros((n, n))
     for a in g.arcs:
         pa = probs[a.id]
-        for b in g.arcs:
-            val = 0.0
-            if a.tail == b.head:
-                val = 2.0 * _sqrt_product(pa, probs[g.partner(b.id)])
-            if b.id == g.partner(a.id):
-                val -= 1.0
-            u[a.id, b.id] = val
+        for c in g.out_arcs(a.tail):
+            u[a.id, g.partner(c)] = 2.0 * _sqrt_product(pa, probs[c])
+        u[a.id, g.partner(a.id)] -= 1.0
     return u
 
 
-def grover_transition(g: Digraph) -> np.ndarray:
-    """The Grover transition matrix 2/deg(tail(a)) on adjacencies minus the partner flip."""
-    _require_walk_graph(g)
-    n = g.arc_count
-    u = np.zeros((n, n))
-    for a in g.arcs:
-        amp = float(Fraction(2, g.degree(a.tail)))
-        for b in g.arcs:
-            val = amp if a.tail == b.head else 0.0
-            if b.id == g.partner(a.id):
-                val -= 1.0
-            u[a.id, b.id] = val
-    return u
-
-
-def unitarity_defect(u: np.ndarray) -> float:
-    """max |U U* - I|, the unitarity residual."""
-    n = u.shape[0]
-    return float(np.max(np.abs(u @ u.conj().T - np.eye(n)))) if n else 0.0
-
-
-def grover_discriminant(g: Digraph) -> np.ndarray:
-    """T[u][v] = 1/deg(u) on edges, 0 elsewhere."""
-    _require_walk_graph(g)
-    nv = g.vertex_count
-    t = np.zeros((nv, nv))
-    for u in range(nv):
-        for v in range(nv):
-            if u != v and g.arcs_between(u, v):
-                t[u, v] = 1.0 / g.degree(u)
-    return t
-
-
-def szegedy_discriminant(g: Digraph, p) -> np.ndarray:
+def _discriminant(g: Digraph, probs: dict[int, Fraction]) -> np.ndarray:
     """T[u][v] = sum over arcs a in A_uv of sqrt(p(a) p(inv(a)))."""
-    _require_walk_graph(g)
-    probs = validate_probability(g, p)
     nv = g.vertex_count
     t = np.zeros((nv, nv))
     for a in g.arcs:
@@ -154,33 +112,18 @@ def szegedy_discriminant(g: Digraph, p) -> np.ndarray:
     return t
 
 
-def _grover_mu(g: Digraph) -> np.ndarray:
-    """Eigenvalues of the Grover discriminant, via its symmetric similar twin.
-
-    T = D^-1 A is similar to D^-1/2 A D^-1/2, which is symmetric, so the
-    spectrum is real and eigvalsh applies.
-    """
-    nv = g.vertex_count
-    sym = np.zeros((nv, nv))
-    for u in range(nv):
-        for v in range(nv):
-            if u != v and g.arcs_between(u, v):
-                sym[u, v] = 1.0 / math.sqrt(g.degree(u) * g.degree(v))
-    return np.linalg.eigvalsh(sym)
-
-
-def _quadratic_roots(mu: float, c: float, d: float) -> tuple[complex, complex]:
-    """Roots of lambda^2 - d*mu*lambda + c.
+def _quadratic_roots(mu: float) -> tuple[complex, complex]:
+    """Roots of lambda^2 - 2*mu*lambda + 1.
 
     A near-zero discriminant is snapped to zero: the square root would
     amplify O(eps) eigensolver noise in mu to O(sqrt(eps)), turning exact
-    double roots (mu = +-1 for the Grover factor) into spurious complex
-    pairs.  True discriminants of desk-scale instances are either exactly
-    zero or far from the snap threshold.
+    double roots (mu = +-1) into spurious complex pairs.  True
+    discriminants of desk-scale instances are either exactly zero or far
+    from the snap threshold.
     """
-    disc = (d * mu) ** 2 - 4.0 * c
+    disc = (2.0 * mu) ** 2 - 4.0
     root = 0.0 if abs(disc) <= 1e-11 else np.sqrt(complex(disc))
-    return ((d * mu + root) / 2.0, (d * mu - root) / 2.0)
+    return ((2.0 * mu + root) / 2.0, (2.0 * mu - root) / 2.0)
 
 
 def _signed_unit_adjustment(values: list[complex], copies: int, tol: float) -> list[complex]:
@@ -205,19 +148,73 @@ def _signed_unit_adjustment(values: list[complex], copies: int, tol: float) -> l
     return out
 
 
-def grover_spectrum_via_zeta(g: Digraph, tol: float = 1e-8) -> list[complex]:
-    """Spectrum of the Grover walk from the vertex factorization.
+def _spectrum(g: Digraph, probs: dict[int, Fraction], tol: float) -> list[complex]:
+    """{+1, -1} each |E|-|V| times plus the roots of lambda^2 - 2 mu lambda + 1.
 
-    {+1, -1} each |E|-|V| times (cancelled against quadratic roots when the
-    exponent is negative) together with the roots of lambda^2 - 2 mu lambda + 1
-    for each discriminant eigenvalue mu.
+    T is symmetric (sqrt(p(a) p(inv(a))) is the same for a and inv(a)), so
+    its spectrum is real and eigvalsh applies.  When |E| < |V| the
+    prefactor divides the product, so +-1 roots are cancelled, not added.
+    """
+    roots: list[complex] = []
+    for mu in np.linalg.eigvalsh(_discriminant(g, probs)):
+        roots.extend(_quadratic_roots(float(mu)))
+    return _signed_unit_adjustment(roots, g.edge_count - g.vertex_count, tol)
+
+
+def szegedy_transition(g: Digraph, p) -> np.ndarray:
+    """The arc-indexed Szegedy transition matrix for probabilities ``p``."""
+    _require_walk_graph(g)
+    return _transition(g, validate_probability(g, p))
+
+
+def grover_transition(g: Digraph) -> np.ndarray:
+    """The Grover transition matrix 2/deg(tail(a)) on adjacencies minus the partner flip."""
+    _require_walk_graph(g)
+    return _transition(g, uniform_probability(g))
+
+
+def unitarity_defect(u: np.ndarray) -> float:
+    """max |U U* - I|, the unitarity residual."""
+    n = u.shape[0]
+    return float(np.max(np.abs(u @ u.conj().T - np.eye(n)))) if n else 0.0
+
+
+def grover_discriminant(g: Digraph) -> np.ndarray:
+    """T[u][v] = 1/deg(u) on edges, 0 elsewhere.
+
+    This is D^-1 A, similar to the symmetric Szegedy discriminant at the
+    uniform probabilities, so both have the same eigenvalues.
     """
     _require_walk_graph(g)
-    roots: list[complex] = []
-    for mu in _grover_mu(g):
-        roots.extend(_quadratic_roots(float(mu), 1.0, 2.0))
-    m = g.edge_count - g.vertex_count
-    return _signed_unit_adjustment(roots, m, tol)
+    nv = g.vertex_count
+    t = np.zeros((nv, nv))
+    for u in range(nv):
+        for v in range(nv):
+            if u != v and g.arcs_between(u, v):
+                t[u, v] = 1.0 / g.degree(u)
+    return t
+
+
+def szegedy_discriminant(g: Digraph, p) -> np.ndarray:
+    """T[u][v] = sum over arcs a in A_uv of sqrt(p(a) p(inv(a)))."""
+    _require_walk_graph(g)
+    return _discriminant(g, validate_probability(g, p))
+
+
+def grover_spectrum_via_zeta(g: Digraph, tol: float = 1e-8) -> list[complex]:
+    """Spectrum of the Grover walk from the vertex factorization."""
+    _require_walk_graph(g)
+    return _spectrum(g, uniform_probability(g), tol)
+
+
+def szegedy_spectrum_via_factorization(g: Digraph, p, tol: float = 1e-8) -> list[complex]:
+    """Spectrum of the Szegedy walk from the vertex factorization.
+
+    ``tol`` bounds the distance of a quadratic root cancelled against the
+    (lambda^2 - 1) prefactor when |E| < |V|.
+    """
+    _require_walk_graph(g)
+    return _spectrum(g, validate_probability(g, p), tol)
 
 
 def spectrum_deviation(s1, s2) -> float:
@@ -231,78 +228,3 @@ def spectrum_deviation(s1, s2) -> float:
     cost = np.abs(a[:, None] - b[None, :])
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].max())
-
-
-def szegedy_charpoly_direct(g: Digraph, p) -> Poly:
-    """Monic characteristic polynomial of the Szegedy matrix (numeric oracle)."""
-    u = szegedy_transition(g, p)
-    eigs = eigenvalues_numeric(u)
-    coeffs = np.poly(np.array(eigs)) if eigs else np.array([1.0 + 0j])
-    return Poly(CC, list(coeffs[::-1].astype(complex)))
-
-
-@dataclass(frozen=True)
-class FactorizationCalibration:
-    """Calibrated per-factor constants and the resulting spectrum."""
-
-    c: int
-    d: int
-    spectrum: list[complex]
-    residual: float
-
-
-def _assemble_candidate(mus, m_exp: int, c: int, d: int) -> tuple[np.ndarray, float]:
-    """(lambda^2-1)^m * prod(lambda^2 - d mu lambda + c) as monic coefficients.
-
-    Returns the coefficient array (highest power first) and the division
-    residual when the exponent is negative.
-    """
-    poly = np.array([1.0 + 0j])
-    for mu in mus:
-        poly = np.polymul(poly, np.array([1.0, -d * mu, c], dtype=complex))
-    residual = 0.0
-    base = np.array([1.0, 0.0, -1.0], dtype=complex)
-    if m_exp >= 0:
-        for _ in range(m_exp):
-            poly = np.polymul(poly, base)
-    else:
-        for _ in range(-m_exp):
-            poly, rem = np.polydiv(poly, base)
-            residual = max(residual, float(np.max(np.abs(rem))) if rem.size else 0.0)
-    return poly, residual
-
-
-def szegedy_spectrum_via_factorization(g: Digraph, p, tol: float = 1e-8) -> FactorizationCalibration:
-    """Fit lambda^2 + c - d mu lambda, c, d in {1, 2}, against the direct oracle.
-
-    The winning constants rebuild the full spectrum (with the |E|-|V| signed
-    unit adjustment); if no candidate reproduces the oracle characteristic
-    polynomial within ``tol``, a WalkError carrying the best residual
-    polynomial is raised.
-    """
-    _require_walk_graph(g)
-    direct = szegedy_charpoly_direct(g, p)
-    direct_coeffs = np.array(list(direct.coeffs[::-1]), dtype=complex)
-    mus = np.linalg.eigvalsh(szegedy_discriminant(g, p))
-    m_exp = g.edge_count - g.vertex_count
-    best = None
-    for c in (1, 2):
-        for d in (1, 2):
-            cand, div_residual = _assemble_candidate(mus, m_exp, c, d)
-            if cand.shape != direct_coeffs.shape:
-                continue
-            residual = max(float(np.max(np.abs(cand - direct_coeffs))), div_residual)
-            if best is None or residual < best[2]:
-                best = (c, d, residual, cand)
-    if best is None or best[2] > tol:
-        detail = Poly(CC, list((best[3] - direct_coeffs)[::-1])) if best else None
-        raise WalkError(
-            "no candidate factorization matches the oracle characteristic polynomial; "
-            f"best residual polynomial: {detail.render('lambda') if detail else 'none'}"
-        )
-    c, d, residual, _ = best
-    roots: list[complex] = []
-    for mu in mus:
-        roots.extend(_quadratic_roots(float(mu), float(c), float(d)))
-    spectrum = _signed_unit_adjustment(roots, m_exp, tol)
-    return FactorizationCalibration(c=c, d=d, spectrum=spectrum, residual=residual)

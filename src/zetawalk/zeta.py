@@ -529,11 +529,10 @@ def sato_ihara_digraph(d: Digraph, tau2=None, field=QQ) -> Poly:
         for i in range(nv)
     ]
     rhs = det_field(Matrix(rows), rone) * RatFunc.from_poly(prod_f)
-    h = hashimoto(d, w)
-    general = ihara_digraph(d, w).rhs
-    if rhs != RatFunc.from_poly(h) or rhs != general:
+    general = ihara_digraph(d, w)
+    if rhs != general.rhs:
         raise IharaIdentityError(
-            f"tau1=1 digraph expression mismatch: {rhs.render()} vs {h.render()}"
+            f"tau1=1 digraph expression mismatch: {rhs.render()} vs {general.hashimoto.render()}"
         )
     return rhs.as_poly()
 
@@ -542,49 +541,15 @@ def sato_ihara_graph(g: Digraph, tau2=None, field=QQ) -> Poly:
     """Vertex determinant at tau1 = 1 for a symmetric digraph.
 
     A[u][v] = sum_{a in A_uv} tau2(a) and D[u][u] = sum_{a in A_u*} tau2(a);
-    rhs = (1-t^2)^(|E|-|V|) det(I - t*A + t^2*(D-I)).  Must agree exactly
-    with hashimoto and the general graph expression at tau1 = 1.
+    rhs = (1-t^2)^(|E|-|V|) det(I - t*A + t^2*(D-I)).  This is the graph
+    expression at tau1 = 1, so it is checked exactly against hashimoto
+    and raises IharaIdentityError on a mismatch.
     """
     if g.mode is not GraphMode.SYMMETRIC:
         raise GraphError("sato_ihara_graph requires the symmetric digraph of a graph")
     if not field.exact:
         raise TypeError("sato operations are exact-field only")
-    w = WeightAssignment.from_maps(g, tau1=None, tau2=tau2, field=field)
-    nv = g.vertex_count
-    zero, one = field.zero, field.one
-    a_mat = [[zero] * nv for _ in range(nv)]
-    d_diag = [zero] * nv
-    for arc in g.arcs:
-        a_mat[arc.tail][arc.head] = a_mat[arc.tail][arc.head] + w.tau2[arc.id]
-        d_diag[arc.tail] = d_diag[arc.tail] + w.tau2[arc.id]
-    rows = [
-        [
-            Poly(
-                field,
-                [
-                    one if i == j else zero,
-                    -a_mat[i][j],
-                    (d_diag[i] - one) if i == j else zero,
-                ],
-            )
-            for j in range(nv)
-        ]
-        for i in range(nv)
-    ]
-    vertex_det = det_bareiss(Matrix(rows), Poly.one(field))
-    m_exp = g.edge_count - nv
-    one_minus_t2 = Poly(field, [one, zero, -one])
-    if m_exp >= 0:
-        rhs = RatFunc.from_poly(vertex_det * one_minus_t2**m_exp)
-    else:
-        rhs = RatFunc(vertex_det, one_minus_t2 ** (-m_exp))
-    h = hashimoto(g, w)
-    general = ihara_graph(g, w).rhs
-    if rhs != RatFunc.from_poly(h) or rhs != general:
-        raise IharaIdentityError(
-            f"tau1=1 graph expression mismatch: {rhs.render()} vs {h.render()}"
-        )
-    return rhs.as_poly()
+    return ihara_graph(g, WeightAssignment.from_maps(g, None, tau2, field)).rhs.as_poly()
 
 
 @dataclass(frozen=True)
@@ -631,12 +596,12 @@ def verify_expressions(d: Digraph, w: WeightAssignment, order: int | None = None
     field = w.field
     expo = exponential_truncated(d, w, order)
     eul = euler_truncated(d, w, order)
-    h = hashimoto(d, w)
-    h_series = Series.from_poly(h, order).inv()
     if d.mode is GraphMode.SYMMETRIC:
         ih = ihara_graph(d, w, check=False)
     else:
         ih = ihara_digraph(d, w, check=False)
+    h = ih.hashimoto
+    h_series = Series.from_poly(h, order).inv()
     if ih.agree:
         ihara_detail = None
     else:

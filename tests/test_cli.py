@@ -6,8 +6,10 @@ import pytest
 
 from zetawalk.algebra import Poly, QQ, RatFunc, Series
 from zetawalk.cli import exit_code_for_report, main
+from zetawalk.digraph import GraphMode
 from zetawalk.instances import (
     FIXTURES,
+    Instance,
     ParseError,
     fixture_text,
     instance_digraph,
@@ -16,6 +18,8 @@ from zetawalk.instances import (
     render_instance,
 )
 from zetawalk.zeta import Verdict, ZetaReport
+
+from conftest import random_connected_graph, random_probability
 
 
 def run_cli(*args):
@@ -169,8 +173,20 @@ def test_cli_spectrum_szegedy_constants(tmp_path):
     path = write_fixture(tmp_path, "p3")
     code, out, _ = run_cli("spectrum", path, "szegedy")
     assert code == 0
-    assert "constants c=1 d=2" in out
     assert "VERDICT spectrum agree" in out
+
+
+def test_cli_spectrum_szegedy_large_graphs(tmp_path, rng):
+    # at this size charpoly coefficients no longer agree to 1e-8; spectra must
+    for i in range(6):
+        g = random_connected_graph(rng, min_vertices=12, max_vertices=48, max_edges=96)
+        edges = tuple((g.arcs[a].tail, g.arcs[a].head) for a in range(0, g.arc_count, 2))
+        inst = Instance(GraphMode.SYMMETRIC, g.vertex_count, edges, prob=random_probability(rng, g))
+        path = tmp_path / f"large{i}.zw"
+        path.write_text(render_instance(inst), encoding="utf-8")
+        code, out, err = run_cli("spectrum", str(path), "szegedy")
+        assert code == 0, err
+        assert "VERDICT spectrum agree" in out
 
 
 def test_cli_spectrum_requires_graph_mode(tmp_path):
@@ -198,6 +214,22 @@ def test_cli_parse_error_exit_code(tmp_path):
     assert code == 2
     assert out == ""
     assert ":3:" in err
+
+
+def test_cli_zero_denominator_exit_code(tmp_path):
+    path = tmp_path / "zero.zw"
+    path.write_text("mode digraph\nvertices 1\narc 0 0 0\ntau1 0 1/0\n", encoding="utf-8")
+    code, out, err = run_cli("verify", str(path))
+    assert code == 2 and out == ""
+    assert ":4:" in err and "zero denominator" in err
+
+
+def test_cli_non_utf8_file_exit_code(tmp_path):
+    path = tmp_path / "latin1.zw"
+    path.write_bytes("mode digraph\n# caf\u00e9\nvertices 1\n".encode("latin-1"))
+    code, out, err = run_cli("verify", str(path))
+    assert code == 2 and out == ""
+    assert ":2:" in err and "UTF-8" in err
 
 
 def test_cli_missing_file_exit_code(tmp_path):
