@@ -35,6 +35,7 @@ from .linalg import (
     Matrix,
     allones_inverse_check,
     block_woodbury_check,
+    char_poly,
     char_poly_exact,
     det_bareiss,
     det_cofactor,

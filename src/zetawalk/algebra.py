@@ -350,6 +350,8 @@ class RatFunc:
 
     def __add__(self, other) -> "RatFunc":
         other = self._lift(other)
+        if self.is_zero():
+            return other
         return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__

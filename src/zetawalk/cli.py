@@ -6,12 +6,16 @@ expressions), ``spectrum`` (direct vs factorization-derived walk spectra),
 and ``fixtures`` (write a bundled instance).  Reports are byte-deterministic
 for the exact-arithmetic commands.
 
-Exit codes: 0 success / all agree, 1 mathematical mismatch, 2 input error.
+Exit codes: 0 success / all agree, 1 mathematical mismatch, 2 input error
+(including a bad flag value), 3 internal defect (two computation routes that
+must agree did not, a ``ZetaError``); errors are one ``error:`` line on
+stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .digraph import GraphError, GraphMode
@@ -33,6 +37,7 @@ from .walk import (
     unitarity_defect,
 )
 from .zeta import (
+    ZetaError,
     ZetaReport,
     euler_truncated,
     exponential_truncated,
@@ -46,6 +51,7 @@ from .linalg import eigenvalues_numeric
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_INPUT = 2
+EXIT_INTERNAL = 3
 
 
 def exit_code_for_report(report: ZetaReport) -> int:
@@ -225,6 +231,16 @@ def _positive_int(value: str) -> int:
     return n
 
 
+def _positive_tolerance(value: str) -> float:
+    try:
+        eps = float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid tolerance {value!r}") from None
+    if not (math.isfinite(eps) and eps > 0):
+        raise argparse.ArgumentTypeError("tolerance must be a positive finite number")
+    return eps
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zetawalk",
@@ -232,15 +248,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, order=False, tolerance=False):
+    def common(p, order=False):
         p.add_argument("instance", help="instance file path")
         p.add_argument("--format", choices=("text", "records"), default="text")
         if order:
             p.add_argument(
                 "--order", type=_positive_int, default=None, help="series truncation order"
             )
-        if tolerance:
-            p.add_argument("--tolerance", type=float, default=1e-8)
 
     p = sub.add_parser("verify", help="compute all expressions and compare")
     common(p, order=True)
@@ -266,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance", help="graph-mode instance file path")
     p.add_argument("walk", choices=("grover", "szegedy"))
     p.add_argument("--format", choices=("text", "records"), default="text")
-    p.add_argument("--tolerance", type=float, default=1e-8)
+    p.add_argument("--tolerance", type=_positive_tolerance, default=1e-8)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("fixtures", help="write a bundled instance file")
@@ -287,6 +301,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
+    except ZetaError as exc:
+        sys.stderr.write(f"error: internal defect: {exc}\n")
+        return EXIT_INTERNAL
     sys.stdout.write(text)
     return code
 

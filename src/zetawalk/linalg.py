@@ -1,11 +1,21 @@
 """Dense matrices over exact scalars, polynomials, and rational functions.
 
-Determinants come in three flavours: fraction-free Bareiss elimination for
-polynomial entries (keeps every intermediate value a polynomial), cofactor
-expansion (a cross-check oracle for small matrices), and Gaussian elimination
-over a field for rational-function entries.  Characteristic polynomials of
-exact scalar matrices use the Faddeev-LeVerrier recurrence.  Numeric
-eigenvalues delegate to LAPACK via numpy.
+One kernel computes every determinant the library reports: ``char_poly``,
+the characteristic polynomial of a square scalar matrix, found by reducing
+the matrix to upper Hessenberg form by similarity transforms over its field
+and running the recurrence on the leading principal minors (Cohen, *A Course
+in Computational Algebraic Number Theory*, Alg. 2.2.9).  It takes O(n^3)
+field operations and stays exact over QQ.  Two readings build on it:
+
+* ``det_one_minus_t`` -- det(I - t*m), the characteristic polynomial with
+  its coefficients reversed;
+* ``det_poly_matrix`` -- det P(t) of a polynomial matrix with P(0) = I, as
+  det(I - t*C) of a companion linearization C of P.
+
+Elimination on polynomial or rational-function entries (fraction-free
+Bareiss, field elimination, cofactor expansion) and the Faddeev-LeVerrier
+characteristic polynomial remain as independent oracles for tests and for
+the inversion checks.  Numeric eigenvalues delegate to LAPACK via numpy.
 
 Also provided are executable forms of the two inversion identities used by
 the vertex-determinant reduction: the all-ones-matrix inverse and the
@@ -304,6 +314,102 @@ def char_poly_exact(m: Matrix, field=QQ) -> Poly:
         mk = work if mk is None else work * (mk + ident.scale(cs[-1]))
         cs.append(-mk.trace() / k)
     return Poly(field, list(reversed(cs)))
+
+
+def char_poly(m: Matrix, field=QQ) -> Poly:
+    """Monic characteristic polynomial det(lambda*I - m) of a scalar matrix.
+
+    Reduces a copy of ``m`` to upper Hessenberg form H by similarity
+    transforms (pivots found with ``field.is_zero``), then expands the
+    characteristic polynomials p_k of H's leading k x k blocks:
+
+        p_k = (x - H[k-1][k-1]) p_{k-1}
+              - sum_{i<k} H[i-1][k-1] * H[i][i-1] ... H[k-1][k-2] * p_{i-1}.
+    """
+    m._require_square()
+    n = m.rows
+    zero, one = field.zero, field.one
+    h = [[field.coerce(x) for x in row] for row in m.data]
+    for k in range(1, n - 1):
+        col = k - 1
+        piv = next((i for i in range(k, n) if not field.is_zero(h[i][col])), None)
+        if piv is None:
+            continue
+        if piv != k:
+            h[k], h[piv] = h[piv], h[k]
+            for row in h:
+                row[k], row[piv] = row[piv], row[k]
+        hk = h[k]
+        pivot = hk[col]
+        for i in range(k + 1, n):
+            hi = h[i]
+            if field.is_zero(hi[col]):
+                continue
+            u = hi[col] / pivot
+            # row i -= u * row k, then column k += u * column i
+            for j in range(k, n):
+                if hk[j]:
+                    hi[j] = hi[j] - u * hk[j]
+            hi[col] = zero
+            for row in h:
+                if row[i]:
+                    row[k] = row[k] + u * row[i]
+    polys = [[one]]
+    for k in range(1, n + 1):
+        prev = polys[-1]
+        diag = h[k - 1][k - 1]
+        cur = [zero] + prev
+        for j, c in enumerate(prev):
+            cur[j] = cur[j] - diag * c
+        sub = one
+        for i in range(k - 1, 0, -1):
+            sub = sub * h[i][i - 1]
+            if not sub:
+                break
+            coef = sub * h[i - 1][k - 1]
+            if coef:
+                for j, c in enumerate(polys[i - 1]):
+                    cur[j] = cur[j] - coef * c
+        polys.append(cur)
+    return Poly(field, polys[-1])
+
+
+def det_one_minus_t(m: Matrix, field=QQ) -> Poly:
+    """det(I - t*m): the characteristic polynomial of m, coefficients reversed."""
+    return Poly(field, char_poly(m, field).coeffs[::-1])
+
+
+def det_poly_matrix(p: Matrix, field=QQ) -> Poly:
+    """det P(t) of a square matrix of polynomials with P(0) = I.
+
+    With P(t) = I + t*P_1 + ... + t^k*P_k and k_v the degree of row v,
+    det P(t) = det(I - t*C) for the companion matrix C with one index (i, v)
+    per row v and 0 <= i < k_v: row (i, v) of C holds -P_{i+1}[v][u] in
+    column (0, u) and a 1 in column (i + 1, v) when i + 1 < k_v.  C has
+    sum_v k_v rows, the degree bound of det P; rows of degree 0 drop out.
+    """
+    p._require_square()
+    n = p.rows
+    for v in range(n):
+        for u in range(n):
+            if not field.eq(p[v, u].coefficient(0), field.one if u == v else field.zero):
+                raise ValueError("det_poly_matrix needs P(0) = I")
+    degree = [max((e.degree for e in p.row(v)), default=0) for v in range(n)]
+    start = []
+    size = 0
+    for v in range(n):
+        start.append(size)
+        size += degree[v]
+    c = [[field.zero] * size for _ in range(size)]
+    for v in range(n):
+        for i in range(degree[v]):
+            row = c[start[v] + i]
+            for u in range(n):
+                if degree[u]:
+                    row[start[u]] = -p[v, u].coefficient(i + 1)
+            if i + 1 < degree[v]:
+                row[start[v] + i + 1] = field.one
+    return det_one_minus_t(Matrix(c), field)
 
 
 def eigenvalues_numeric(m) -> list[complex]:

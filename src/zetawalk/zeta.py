@@ -22,8 +22,21 @@ adjacencies), so all expressions agree:
 
       det(I - t*M) = (1 - t^2)^(|E| - |V|) * det(I - t*A + t^2*(D - I)).
 
-Every Ihara-style operation recomputes det(I - t*M) and verifies the
-identity exactly, raising IharaIdentityError with both sides on failure.
+Every determinant here is read off one scalar kernel, the Hessenberg
+characteristic polynomial of ``linalg``:
+
+* det(I - t*M) is the characteristic polynomial of M, reversed;
+* det(I - t*A + t^2*(D - I)) is det(I - t*L) for the 2V x 2V companion
+  matrix L = [[A, -(D - I)], [I, 0]] (rows of lower degree drop out);
+* the digraph vertex matrices carry 1/f denominators.  Row u is multiplied
+  by r_u, the product of the distinct f of the pairs at u, which gives a
+  polynomial matrix P(t) = I + t*P_1 + ... + t^k*P_k and
+  prod_f * det(vertex matrix) = prod_f * det(P) / prod_u r_u, with det(P)
+  the determinant of I - t*C for the block companion matrix C of P.
+
+Every Ihara-style operation computes its vertex side without det(I - t*M),
+then compares the two exactly (prod_f * det(P) == det(I - t*M) * prod_u r_u
+for a digraph), raising IharaIdentityError with both sides on failure.
 """
 
 from __future__ import annotations
@@ -32,7 +45,7 @@ from dataclasses import dataclass
 
 from .algebra import Poly, QQ, RatFunc, Series
 from .digraph import Digraph, GraphError, GraphMode, PhiPair, iter_prime_cycles
-from .linalg import Matrix, det_bareiss, det_field
+from .linalg import Matrix, det_one_minus_t, det_poly_matrix
 
 
 class ZetaError(Exception):
@@ -161,29 +174,17 @@ def structural_matrices(d: Digraph, w: WeightAssignment, arc_order=None) -> Stru
 
 def hashimoto(d: Digraph, w: WeightAssignment) -> Poly:
     """The polynomial det(I - t*M); its series inverse is the zeta function."""
-    field = w.field
-    n = d.arc_count
-    if n == 0:
-        return Poly.one(field)
-    m = _edge_matrix_data(d, w)
-    one, zero = field.one, field.zero
-    rows = [
-        [Poly(field, [one if i == j else zero, -m[i][j]]) for j in range(n)]
-        for i in range(n)
-    ]
-    return det_bareiss(Matrix(rows))
+    return det_one_minus_t(Matrix(_edge_matrix_data(d, w)), w.field)
 
 
 def _theta_rows(m: list[list]) -> list[tuple]:
     return [tuple((b, v) for b, v in enumerate(row) if v != 0) for row in m]
 
 
-def _n_k_enumerated_all(d: Digraph, w: WeightAssignment, upto: int) -> list:
+def _n_k_enumerated_all(field, m: list[list], upto: int) -> list:
     """N_1..N_upto by direct closed-path enumeration of circular products."""
-    field = w.field
-    m = _edge_matrix_data(d, w)
     rows = _theta_rows(m)
-    n = d.arc_count
+    n = len(m)
     totals = [field.zero] * (upto + 1)
     one = field.one
 
@@ -202,11 +203,9 @@ def _n_k_enumerated_all(d: Digraph, w: WeightAssignment, upto: int) -> list:
     return totals[1:]
 
 
-def _n_k_trace_all(d: Digraph, w: WeightAssignment, upto: int) -> list:
+def _n_k_trace_all(field, m: list[list], upto: int) -> list:
     """N_1..N_upto as traces of powers of the theta edge matrix."""
-    field = w.field
-    m = _edge_matrix_data(d, w)
-    n = d.arc_count
+    n = len(m)
     if n == 0:
         return [field.zero] * upto
     zero = field.zero
@@ -244,9 +243,13 @@ def n_k_all(d: Digraph, w: WeightAssignment, upto: int) -> list:
     """N_1..N_upto, computed by both routes with mandatory agreement."""
     if upto < 1:
         raise ZetaError("power-sum order must be >= 1")
-    enum_vals = _n_k_enumerated_all(d, w, upto)
-    trace_vals = _n_k_trace_all(d, w, upto)
-    _require_consistent(w.field, enum_vals, trace_vals)
+    return _n_k_all(w.field, _edge_matrix_data(d, w), upto)
+
+
+def _n_k_all(field, m: list[list], upto: int) -> list:
+    enum_vals = _n_k_enumerated_all(field, m, upto)
+    trace_vals = _n_k_trace_all(field, m, upto)
+    _require_consistent(field, enum_vals, trace_vals)
     return trace_vals
 
 
@@ -255,22 +258,29 @@ def n_k(d: Digraph, w: WeightAssignment, k: int):
     return n_k_all(d, w, k)[-1]
 
 
-def exponential_truncated(d: Digraph, w: WeightAssignment, order: int) -> Series:
-    """exp( sum_{k<=order} N_k/k t^k ), truncated at ``order``."""
+def _require_series_order(order: int) -> None:
     if order < 1:
         raise ZetaError("series order must be >= 1")
-    field = w.field
-    sums = n_k_all(d, w, order)
+
+
+def exponential_truncated(d: Digraph, w: WeightAssignment, order: int) -> Series:
+    """exp( sum_{k<=order} N_k/k t^k ), truncated at ``order``."""
+    _require_series_order(order)
+    return _exp_of_power_sums(w.field, n_k_all(d, w, order), order)
+
+
+def _exp_of_power_sums(field, sums: list, order: int) -> Series:
     coeffs = [field.zero] + [v / k for k, v in enumerate(sums, start=1)]
     return Series(field, coeffs, order).exp()
 
 
 def euler_truncated(d: Digraph, w: WeightAssignment, order: int) -> Series:
     """Product over prime cycles of 1/(1 - circ(X) t^|X|), truncated."""
-    if order < 1:
-        raise ZetaError("series order must be >= 1")
-    field = w.field
-    m = _edge_matrix_data(d, w)
+    _require_series_order(order)
+    return _euler(d, w.field, _edge_matrix_data(d, w), order)
+
+
+def _euler(d: Digraph, field, m: list[list], order: int) -> Series:
     acc = [field.one] + [field.zero] * order
     for cyc in iter_prime_cycles(d, order):
         k = len(cyc)
@@ -311,6 +321,42 @@ def _sum_over(w_vals, arc_ids, zero):
     return acc
 
 
+def _cleared_vertex_det(field, nv: int, pairs, f_polys, terms) -> tuple[Poly, Poly]:
+    """prod_f * det(I + sum of terms), as a numerator and a denominator.
+
+    Each term (u, v, c, p) adds c / f_p to entry (u, v) of the vertex
+    matrix, or c itself when p is None; every c is a polynomial.  Row u is
+    multiplied by r_u, the product of the distinct f of the pairs at u,
+    which clears its denominators and leaves a polynomial matrix P with
+    P(0) = I.  With R the product of all r_u, det(vertex matrix) = det P / R,
+    so the result is (prod_f * det P, R).
+    """
+    at = [{} for _ in range(nv)]
+    for pair, f in zip(pairs, f_polys):
+        for u in {pair.u, pair.v}:
+            at[u][f.coeffs] = f
+    one = Poly.one(field)
+
+    def product(factors):
+        acc = one
+        for f in factors:
+            acc = acc * f
+        return acc
+
+    r = [product(at[u].values()) for u in range(nv)]
+    # r_u / f for each distinct f at u
+    cofactor = [
+        {key: product(f for k, f in at[u].items() if k != key) for key in at[u]}
+        for u in range(nv)
+    ]
+    zero = Poly.zero(field)
+    rows = [[r[u] if u == v else zero for v in range(nv)] for u in range(nv)]
+    for u, v, c, p in terms:
+        mult = r[u] if p is None else cofactor[u][f_polys[p].coeffs]
+        rows[u][v] = rows[u][v] + c * mult
+    return product(f_polys) * det_poly_matrix(Matrix(rows), field), product(r)
+
+
 @dataclass(frozen=True)
 class IharaDigraph:
     """Vertex determinant data for a general digraph.
@@ -346,55 +392,53 @@ def ihara_digraph(d: Digraph, w: WeightAssignment, check: bool = True) -> IharaD
     """
     if d.mode is not GraphMode.GENERAL:
         raise GraphError("ihara_digraph requires a general-mode digraph")
+    return _ihara_digraph(d, w, hashimoto(d, w), check)
+
+
+def _ihara_digraph(d: Digraph, w: WeightAssignment, h: Poly, check: bool) -> IharaDigraph:
     field = w.field
     nv = d.vertex_count
     pairs = d.phi_pairs()
     f_polys = tuple(pair_f_poly(field, p) for p in pairs)
 
-    rzero = RatFunc.zero(field)
     a_mat = _weighted_adjacency(d, w)
+    terms = [
+        (u, v, Poly.monomial(field, 1, -a_mat[u][v]), None)
+        for u in range(nv)
+        for v in range(nv)
+        if a_mat[u][v] != 0
+    ]
+    rzero = RatFunc.zero(field)
     d_mat = [[rzero] * nv for _ in range(nv)]
     x_mat = [[rzero] * nv for _ in range(nv)]
+
+    t2, minus_t3 = Poly.monomial(field, 2), Poly.monomial(field, 3, -field.one)
+
+    def add(mat, t_power, u, v, c, p):
+        mat[u][v] = mat[u][v] + RatFunc(Poly.constant(field, c), f_polys[p])
+        terms.append((u, v, t_power.scale(c), p))
+
     zero = field.zero
-    for pair, f in zip(pairs, f_polys):
-        f_rf = RatFunc.from_poly(f)
+    for p, pair in enumerate(pairs):
         u, v = pair.u, pair.v
         if pair.is_diagonal:
             s1 = _sum_over(w.tau1, pair.arcs_uv, zero)
             s2 = _sum_over(w.tau2, pair.arcs_uv, zero)
-            d_mat[u][u] = d_mat[u][u] + RatFunc.from_poly(Poly.constant(field, s2 * s1)) / f_rf
+            add(d_mat, t2, u, u, s2 * s1, p)
         else:
             s1_uv = _sum_over(w.tau1, pair.arcs_uv, zero)
             s2_uv = _sum_over(w.tau2, pair.arcs_uv, zero)
             s1_vu = _sum_over(w.tau1, pair.arcs_vu, zero)
             s2_vu = _sum_over(w.tau2, pair.arcs_vu, zero)
             k_uv, l_vu = len(pair.arcs_uv), len(pair.arcs_vu)
-            d_mat[u][u] = d_mat[u][u] + RatFunc.from_poly(Poly.constant(field, s2_uv * s1_vu)) / f_rf
-            d_mat[v][v] = d_mat[v][v] + RatFunc.from_poly(Poly.constant(field, s2_vu * s1_uv)) / f_rf
-            x_mat[u][v] = x_mat[u][v] + RatFunc.from_poly(Poly.constant(field, l_vu * (s2_uv * s1_uv))) / f_rf
-            x_mat[v][u] = x_mat[v][u] + RatFunc.from_poly(Poly.constant(field, k_uv * (s2_vu * s1_vu))) / f_rf
+            add(d_mat, t2, u, u, s2_uv * s1_vu, p)
+            add(d_mat, t2, v, v, s2_vu * s1_uv, p)
+            add(x_mat, minus_t3, u, v, l_vu * (s2_uv * s1_uv), p)
+            add(x_mat, minus_t3, v, u, k_uv * (s2_vu * s1_vu), p)
 
-    t2 = RatFunc.from_poly(Poly.monomial(field, 2))
-    t3 = RatFunc.from_poly(Poly.monomial(field, 3))
-    rows = []
-    for i in range(nv):
-        row = []
-        for j in range(nv):
-            base = Poly(field, [field.one if i == j else field.zero, -a_mat[i][j]])
-            entry = RatFunc.from_poly(base)
-            if not d_mat[i][j].is_zero():
-                entry = entry + d_mat[i][j] * t2
-            if not x_mat[i][j].is_zero():
-                entry = entry - x_mat[i][j] * t3
-            row.append(entry)
-        rows.append(row)
-    det = det_field(Matrix(rows), RatFunc.one(field))
-    prod_f = Poly.one(field)
-    for f in f_polys:
-        prod_f = prod_f * f
-    rhs = det * RatFunc.from_poly(prod_f)
-    h = hashimoto(d, w)
-    agree = rhs == RatFunc.from_poly(h)
+    num, den = _cleared_vertex_det(field, nv, pairs, f_polys, terms)
+    agree = num == h * den
+    rhs = RatFunc.from_poly(h) if agree else RatFunc(num, den)
     if check and not agree:
         raise IharaIdentityError(
             "vertex determinant expression disagrees with det(I - t*M): "
@@ -432,6 +476,10 @@ class IharaGraph:
 def ihara_graph(g: Digraph, w: WeightAssignment, check: bool = True) -> IharaGraph:
     if g.mode is not GraphMode.SYMMETRIC:
         raise GraphError("ihara_graph requires the symmetric digraph of a graph")
+    return _ihara_graph(g, w, hashimoto(g, w), check)
+
+
+def _ihara_graph(g: Digraph, w: WeightAssignment, h: Poly, check: bool) -> IharaGraph:
     field = w.field
     nv = g.vertex_count
     a_mat = _weighted_adjacency(g, w)
@@ -453,14 +501,13 @@ def ihara_graph(g: Digraph, w: WeightAssignment, check: bool = True) -> IharaGra
         ]
         for i in range(nv)
     ]
-    vertex_det = det_bareiss(Matrix(rows), Poly.one(field))
+    vertex_det = det_poly_matrix(Matrix(rows), field)
     m_exp = g.edge_count - nv
     one_minus_t2 = Poly(field, [one, zero, -one])
     if m_exp >= 0:
         rhs = RatFunc.from_poly(vertex_det * one_minus_t2**m_exp)
     else:
         rhs = RatFunc(vertex_det, one_minus_t2 ** (-m_exp))
-    h = hashimoto(g, w)
     agree = rhs == RatFunc.from_poly(h)
     if check and not agree:
         raise IharaIdentityError(
@@ -496,45 +543,31 @@ def sato_ihara_digraph(d: Digraph, tau2=None, field=QQ) -> Poly:
     if not field.exact:
         raise TypeError("sato operations are exact-field only")
     w = WeightAssignment.from_maps(d, tau1=None, tau2=tau2, field=field)
-    nv = d.vertex_count
     pairs = d.phi_pairs()
-    rzero = RatFunc.zero(field)
-    a_mat = [[rzero] * nv for _ in range(nv)]
-    d_mat = [[rzero] * nv for _ in range(nv)]
+    f_polys = tuple(pair_f_poly(field, p) for p in pairs)
+    terms = []
     zero = field.zero
-    prod_f = Poly.one(field)
-    for pair in pairs:
-        f_rf = RatFunc.from_poly(pair_f_poly(field, pair))
-        prod_f = prod_f * pair_f_poly(field, pair)
+    for p, pair in enumerate(pairs):
         u, v = pair.u, pair.v
         if pair.is_diagonal:
             s2 = _sum_over(w.tau2, pair.arcs_uv, zero)
-            a_mat[u][u] = a_mat[u][u] + RatFunc.from_poly(Poly.constant(field, s2)) / f_rf
+            terms.append((u, u, Poly.monomial(field, 1, -s2), p))
         else:
             s2_uv = _sum_over(w.tau2, pair.arcs_uv, zero)
             s2_vu = _sum_over(w.tau2, pair.arcs_vu, zero)
             k_uv, l_vu = len(pair.arcs_uv), len(pair.arcs_vu)
-            a_mat[u][v] = a_mat[u][v] + RatFunc.from_poly(Poly.constant(field, s2_uv)) / f_rf
-            a_mat[v][u] = a_mat[v][u] + RatFunc.from_poly(Poly.constant(field, s2_vu)) / f_rf
-            d_mat[u][u] = d_mat[u][u] + RatFunc.from_poly(Poly.constant(field, l_vu * s2_uv)) / f_rf
-            d_mat[v][v] = d_mat[v][v] + RatFunc.from_poly(Poly.constant(field, k_uv * s2_vu)) / f_rf
-    t1 = RatFunc.from_poly(Poly.variable(field))
-    t2 = RatFunc.from_poly(Poly.monomial(field, 2))
-    rone = RatFunc.one(field)
-    rows = [
-        [
-            (rone if i == j else rzero) - a_mat[i][j] * t1 + d_mat[i][j] * t2
-            for j in range(nv)
-        ]
-        for i in range(nv)
-    ]
-    rhs = det_field(Matrix(rows), rone) * RatFunc.from_poly(prod_f)
+            terms.append((u, v, Poly.monomial(field, 1, -s2_uv), p))
+            terms.append((v, u, Poly.monomial(field, 1, -s2_vu), p))
+            terms.append((u, u, Poly.monomial(field, 2, l_vu * s2_uv), p))
+            terms.append((v, v, Poly.monomial(field, 2, k_uv * s2_vu), p))
+    num, den = _cleared_vertex_det(field, d.vertex_count, pairs, f_polys, terms)
     general = ihara_digraph(d, w)
-    if rhs != general.rhs:
+    if num != general.hashimoto * den:
         raise IharaIdentityError(
-            f"tau1=1 digraph expression mismatch: {rhs.render()} vs {general.hashimoto.render()}"
+            f"tau1=1 digraph expression mismatch: {RatFunc(num, den).render()} "
+            f"vs {general.hashimoto.render()}"
         )
-    return rhs.as_poly()
+    return general.hashimoto
 
 
 def sato_ihara_graph(g: Digraph, tau2=None, field=QQ) -> Poly:
@@ -589,18 +622,21 @@ def verify_expressions(d: Digraph, w: WeightAssignment, order: int | None = None
 
     Series expressions are compared coefficientwise to ``order`` (default
     max(10, arc count)); the Hashimoto and Ihara expressions are compared
-    exactly as rational functions.
+    exactly as rational functions.  The theta matrix is built once and
+    shared by the power sums, the Euler product and det(I - t*M).
     """
     if order is None:
         order = max(10, d.arc_count)
+    _require_series_order(order)
     field = w.field
-    expo = exponential_truncated(d, w, order)
-    eul = euler_truncated(d, w, order)
+    m = _edge_matrix_data(d, w)
+    expo = _exp_of_power_sums(field, _n_k_all(field, m, order), order)
+    eul = _euler(d, field, m, order)
+    h = det_one_minus_t(Matrix(m), field)
     if d.mode is GraphMode.SYMMETRIC:
-        ih = ihara_graph(d, w, check=False)
+        ih = _ihara_graph(d, w, h, check=False)
     else:
-        ih = ihara_digraph(d, w, check=False)
-    h = ih.hashimoto
+        ih = _ihara_digraph(d, w, h, check=False)
     h_series = Series.from_poly(h, order).inv()
     if ih.agree:
         ihara_detail = None

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from zetawalk.algebra import Poly, QQ, RatFunc, Series
+from zetawalk import cli
 from zetawalk.cli import exit_code_for_report, main
 from zetawalk.digraph import GraphMode
 from zetawalk.instances import (
@@ -17,7 +18,7 @@ from zetawalk.instances import (
     parse_instance,
     render_instance,
 )
-from zetawalk.zeta import Verdict, ZetaReport
+from zetawalk.zeta import ConsistencyError, IharaIdentityError, Verdict, ZetaReport
 
 from conftest import random_connected_graph, random_probability
 
@@ -242,6 +243,34 @@ def test_cli_rejects_nonpositive_order(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_cli("euler", path, "--order", "0")
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("fixture", ["triangle", "p3"])
+@pytest.mark.parametrize("tolerance", ["-1", "0", "nan", "inf", "abc"])
+def test_cli_spectrum_rejects_bad_tolerance(tmp_path, fixture, tolerance):
+    path = write_fixture(tmp_path, fixture)
+    with pytest.raises(SystemExit) as exc:
+        run_cli("spectrum", path, "szegedy" if fixture == "p3" else "grover", "--tolerance", tolerance)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "verb, target, error",
+    [
+        ("verify", "verify_expressions", ConsistencyError("N_2 mismatch: enumeration gives 1, trace gives 2")),
+        ("ihara", "ihara_digraph", IharaIdentityError("vertex determinant expression disagrees")),
+    ],
+)
+def test_cli_internal_defect_exit_code(tmp_path, monkeypatch, verb, target, error):
+    def broken(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, target, broken)
+    path = write_fixture(tmp_path, "paper-digraph")
+    code, out, err = run_cli(verb, path)
+    assert code == cli.EXIT_INTERNAL == 3
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and str(error) in err
 
 
 def test_exit_code_for_report_contract():

@@ -3,18 +3,25 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from zetawalk.algebra import Poly, QQ
+from zetawalk.algebra import CC, Poly, QQ
+from zetawalk.digraph import build_digraph
 from zetawalk.linalg import (
     Matrix,
     allones_inverse_check,
     block_woodbury_check,
+    char_poly,
     char_poly_exact,
     det_bareiss,
     det_cofactor,
     det_exact,
+    det_one_minus_t,
+    det_poly_matrix,
     eigenvalues_numeric,
 )
+from zetawalk.zeta import WeightAssignment, ihara_digraph
 
 
 def P(*coeffs):
@@ -198,3 +205,151 @@ def test_block_woodbury_random(rng):
 def test_block_woodbury_shape_mismatch():
     with pytest.raises(ValueError, match="M2 must be"):
         block_woodbury_check(frac_matrix([[1, 2]]), frac_matrix([[1, 2]]))
+
+
+def resolvent_det(m: Matrix) -> Poly:
+    """det(lambda*I - m) by fraction-free elimination on polynomial entries."""
+    n = m.rows
+    lam = Poly.variable(QQ)
+    return det_bareiss(
+        Matrix(
+            [
+                [(lam if i == j else Poly.zero(QQ)) - Poly.constant(QQ, m[i, j]) for j in range(n)]
+                for i in range(n)
+            ]
+        ),
+        Poly.one(QQ),
+    )
+
+
+def assert_char_poly(m: Matrix):
+    chi = char_poly(m)
+    assert chi == char_poly_exact(m)
+    assert chi == resolvent_det(m)
+    assert det_one_minus_t(m) == Poly(QQ, list(reversed(chi.coeffs)))
+
+
+def test_char_poly_random_rational(rng):
+    for n in range(1, 9):
+        for density in (0.3, 1.0):
+            for _ in range(4):
+                m = Matrix(
+                    [
+                        [
+                            Fraction(rng.randint(-6, 6), rng.randint(1, 6)) if rng.random() < density else Fraction(0)
+                            for _ in range(n)
+                        ]
+                        for _ in range(n)
+                    ]
+                )
+                assert_char_poly(m)
+
+
+def test_char_poly_empty_and_scalar():
+    assert char_poly(Matrix([])) == P(1)
+    assert det_one_minus_t(Matrix([])) == P(1)
+    assert char_poly(frac_matrix([[Fraction(3, 2)]])) == P(Fraction(-3, 2), 1)
+    assert det_one_minus_t(frac_matrix([[0]])) == P(1)
+
+
+def test_char_poly_zero_pivots(rng):
+    # permutations, nilpotent shifts and block-triangular matrices put zeros
+    # on the subdiagonal, so the Hessenberg reduction must swap or skip
+    for n in range(2, 8):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        assert_char_poly(frac_matrix([[1 if perm[i] == j else 0 for j in range(n)] for i in range(n)]))
+        shift = frac_matrix([[1 if j == i + 1 else 0 for j in range(n)] for i in range(n)])
+        assert_char_poly(shift)
+        assert char_poly(shift) == Poly.monomial(QQ, n, 1)
+        assert_char_poly(shift.transpose())
+        k = n // 2
+        blocks = Matrix(
+            [
+                [
+                    Fraction(0) if (i >= k and j < k) else Fraction(rng.randint(-3, 3))
+                    for j in range(n)
+                ]
+                for i in range(n)
+            ]
+        )
+        assert_char_poly(blocks)
+        assert_char_poly(blocks.transpose())
+
+
+def test_char_poly_rejects_non_square():
+    with pytest.raises(ValueError, match="square"):
+        char_poly(frac_matrix([[1, 2]]))
+
+
+def test_char_poly_complex_field():
+    m = Matrix([[1 + 1j, 2.0, 0.0], [0.5j, -1.0, 3.0], [1.0, 0.0, 2.0 - 0.5j]])
+    chi = char_poly(m, CC)
+    expected = np.poly(np.array(m.data, dtype=complex))
+    assert all(abs(a - b) < 1e-9 for a, b in zip(reversed(chi.coeffs), expected))
+
+
+def random_poly_matrix(rng, n, degree):
+    """I + t*P_1 + ... with row v of degree at most ``degree`` (some rows lower)."""
+    rows = []
+    for v in range(n):
+        dv = rng.randint(0, degree)
+        row = []
+        for u in range(n):
+            cs = [Fraction(1 if u == v else 0)]
+            cs += [Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(dv)]
+            row.append(Poly(QQ, cs))
+        rows.append(row)
+    return Matrix(rows)
+
+
+def test_companion_linearization_quadratic(rng):
+    # det(I + t*P1 + t^2*P2) against elimination on the polynomial entries
+    for n in range(1, 6):
+        for _ in range(5):
+            p1 = random_frac_matrix(rng, n, n)
+            p2 = random_frac_matrix(rng, n, n)
+            pm = Matrix(
+                [[Poly(QQ, [Fraction(i == j), p1[i, j], p2[i, j]]) for j in range(n)] for i in range(n)]
+            )
+            assert det_poly_matrix(pm) == det_bareiss(pm)
+
+
+def test_companion_linearization_mixed_row_degrees(rng):
+    for n in range(1, 5):
+        for _ in range(8):
+            pm = random_poly_matrix(rng, n, 4)
+            assert det_poly_matrix(pm) == det_bareiss(pm)
+    # a row of degree 0 is a row of the identity and drops out
+    pm = Matrix([[P(1), P(0, 2, 1)], [P(), P(1)]])
+    assert det_poly_matrix(pm) == P(1)
+
+
+def test_companion_linearization_needs_identity_at_zero():
+    with pytest.raises(ValueError, match="P\\(0\\) = I"):
+        det_poly_matrix(Matrix([[P(2, 1)]]))
+
+
+# The digraph identity, which runs the row clearing and the linearization
+# against det(I - t*M), on generated multi-digraphs with loops and parallel arcs.
+rationals = st.fractions(min_value=-6, max_value=6, max_denominator=6).filter(lambda x: x != 0)
+
+
+@st.composite
+def weighted_multidigraphs(draw):
+    nv = draw(st.integers(1, 4))
+    arcs = draw(st.lists(st.tuples(st.integers(0, nv - 1), st.integers(0, nv - 1)), max_size=9))
+    d = build_digraph(nv, arcs)
+    n = d.arc_count
+    tau1 = draw(st.lists(rationals, min_size=n, max_size=n))
+    tau2 = draw(st.lists(rationals, min_size=n, max_size=n))
+    return d, WeightAssignment.from_maps(d, dict(enumerate(tau1)), dict(enumerate(tau2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(weighted_multidigraphs())
+def test_ihara_digraph_identity_property(instance):
+    d, w = instance
+    res = ihara_digraph(d, w, check=False)
+    assert res.agree
+    assert res.rhs.as_poly() == res.hashimoto
