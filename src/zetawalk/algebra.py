@@ -18,6 +18,7 @@ smaller order.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 
 class RationalField:
@@ -40,6 +41,12 @@ class RationalField:
 
     def eq(self, a, b):
         return a == b
+
+    def clear_denominators(self, rows):
+        """(D, D * rows) for a matrix of rationals, D the lcm of the entry
+        denominators, so that every scaled entry is a Python int."""
+        scale = lcm(*(x.denominator for row in rows for x in row))
+        return scale, [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
 
 
 class ComplexField:
@@ -65,6 +72,10 @@ class ComplexField:
 
     def eq(self, a, b):
         return abs(a - b) <= self.tol
+
+    def clear_denominators(self, rows):
+        """The identity scaling (1, rows): complex entries have no denominators."""
+        return 1, rows
 
 
 QQ = RationalField()

@@ -15,11 +15,16 @@ top of the digraph; no implicit reordering ever happens.  Closed paths are
 arc sequences with cyclically matching heads and tails (arcs may repeat);
 prime cycles are rotation classes of closed paths that are not proper powers
 of shorter closed paths, represented by their lexicographically least
-rotation.
+rotation.  Those representatives are exactly the Lyndon words over the arc
+ids that are closed paths, i.e. the Lyndon words of the arc graph, and
+``iter_prime_cycles`` generates them directly with the
+Fredricksen-Kessler-Maiorana prenecklace recursion (Ruskey, Savage and Wang,
+"Generating necklaces", 1992) restricted to arc adjacencies.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 
@@ -90,9 +95,10 @@ class Digraph:
         elif pairing is not None:
             raise GraphError("pairing is only meaningful in symmetric mode")
         self.pairing = pairing
-        self._out = tuple(
-            tuple(a.id for a in self.arcs if a.tail == v) for v in range(vertex_count)
-        )
+        out = [[] for _ in range(vertex_count)]
+        for a in self.arcs:
+            out[a.tail].append(a.id)
+        self._out = tuple(map(tuple, out))
         between = {}
         for a in self.arcs:
             between.setdefault((a.tail, a.head), []).append(a.id)
@@ -221,52 +227,45 @@ def closed_paths(d: Digraph, k: int) -> list[tuple[int, ...]]:
     return found
 
 
-def _least_rotation(seq: tuple[int, ...]) -> tuple[int, ...]:
-    return min(seq[i:] + seq[:i] for i in range(len(seq)))
-
-
-def _is_proper_power(seq: tuple[int, ...]) -> bool:
-    k = len(seq)
-    for d in range(1, k):
-        if k % d:
-            continue
-        if all(seq[i] == seq[(i + d) % k] for i in range(k)):
-            return True
-    return False
-
-
 def iter_prime_cycles(d: Digraph, max_len: int):
     """Yield canonical prime-cycle representatives of length <= max_len.
 
-    A representative is the lexicographically least rotation of its class.
-    The search starts each walk at its minimal arc id and never descends
-    below it, so every class is generated; the canonical-form check
-    deduplicates classes whose minimal arc occurs more than once.
+    A representative is the lexicographically least rotation of its class,
+    which for a class that is not a proper power is a Lyndon word over the
+    arc ids.  The Fredricksen-Kessler-Maiorana recursion extends a
+    prenecklace ``w`` of length t and period p by each arc x out of the head
+    of its last arc with x >= w[t - p]; the period stays p when
+    x == w[t - p] and becomes t + 1 otherwise.  Every prefix of a Lyndon
+    closed path is such a prenecklace path, so the recursion reaches each
+    class exactly once, and it yields ``w + x`` when the period equals the
+    new length (a Lyndon word) and x ends where ``w`` starts.
     """
     if max_len < 1:
         raise GraphError("cycle length bound must be >= 1")
-    out = d._out
-    arcs = d.arcs
-    prefix: list[int] = []
+    out = d._out  # each out-arc list ascends, so bisect finds the first x >= w[t - p]
+    heads = [a.head for a in d.arcs]
+    word = [0] * max_len
 
-    def extend(head, start, start_tail):
-        depth = len(prefix)
-        if head == start_tail:
-            seq = tuple(prefix)
-            if seq == _least_rotation(seq) and not _is_proper_power(seq):
-                yield seq
-        if depth < max_len:
-            for nxt in out[head]:
-                if nxt < start:
-                    continue
-                prefix.append(nxt)
-                yield from extend(arcs[nxt].head, start, start_tail)
-                prefix.pop()
+    def extend(t, p, start_tail):
+        lower = word[t - p]
+        nxt = out[heads[word[t - 1]]]
+        for x in nxt[bisect_left(nxt, lower):]:
+            word[t] = x
+            if x == lower:
+                q = p
+            else:
+                q = t + 1
+                if heads[x] == start_tail:
+                    yield tuple(word[: t + 1])
+            if t + 1 < max_len:
+                yield from extend(t + 1, q, start_tail)
 
-    for a in arcs:
-        prefix.append(a.id)
-        yield from extend(a.head, a.id, a.tail)
-        prefix.pop()
+    for a in d.arcs:
+        word[0] = a.id
+        if a.head == a.tail:
+            yield (a.id,)
+        if max_len > 1:
+            yield from extend(1, 1, a.tail)
 
 
 def prime_cycles(d: Digraph, max_len: int) -> list[tuple[int, ...]]:

@@ -39,6 +39,10 @@ class ParseError(ValueError):
 
 _RATIONAL = re.compile(r"^-?\d+(/\d+)?$")
 
+# The largest vertex count an instance may declare.  A digraph allocates
+# per-vertex tables, so a count far above any real instance is refused.
+MAX_VERTICES = 10_000
+
 
 @dataclass
 class Instance:
@@ -119,6 +123,8 @@ def parse_instance(text: str, source: str = "<instance>") -> Instance:
             vertices = parse_int(rest[0], line_no)
             if vertices < 0:
                 fail(line_no, "vertex count must be nonnegative")
+            if vertices > MAX_VERTICES:
+                fail(line_no, f"vertex count {vertices} exceeds the limit {MAX_VERTICES}")
         elif key in ("arc", "edge"):
             if mode is None or vertices is None:
                 fail(line_no, f"{key} line before mode/vertices are declared")

@@ -37,6 +37,16 @@ characteristic polynomial of ``linalg``:
 Every Ihara-style operation computes its vertex side without det(I - t*M),
 then compares the two exactly (prod_f * det(P) == det(I - t*M) * prod_u r_u
 for a digraph), raising IharaIdentityError with both sides on failure.
+
+The two enumeration routes, closed paths for N_k and prime cycles for the
+Euler product, run on the integer matrix D*M, D the lcm of the theta
+denominators (``clear_denominators`` of the field; over CC it is M itself
+with D = 1).  A length-k term then carries D^k, and each result is divided
+back by its power of D once at the end, so the routes stay exact over QQ
+without a Fraction operation per path.  The closed-path walk also skips any
+arc from which its start arc is out of reach in the remaining length.  The
+trace route to N_k stays on field elements, and the two routes must agree
+exactly (ConsistencyError otherwise).
 """
 
 from __future__ import annotations
@@ -177,30 +187,55 @@ def hashimoto(d: Digraph, w: WeightAssignment) -> Poly:
     return det_one_minus_t(Matrix(_edge_matrix_data(d, w)), w.field)
 
 
-def _theta_rows(m: list[list]) -> list[tuple]:
-    return [tuple((b, v) for b, v in enumerate(row) if v != 0) for row in m]
-
-
 def _n_k_enumerated_all(field, m: list[list], upto: int) -> list:
-    """N_1..N_upto by direct closed-path enumeration of circular products."""
-    rows = _theta_rows(m)
-    n = len(m)
-    totals = [field.zero] * (upto + 1)
-    one = field.one
+    """N_1..N_upto by direct closed-path enumeration of circular products.
 
-    def walk(a, depth, prod, wrap_col):
+    The walk runs on D*M from ``field.clear_denominators`` (Python ints over
+    QQ), so a closed path of length k adds D^k times its circular product
+    and N_k is the total over D^k.  A walk from start arc s at depth k moves
+    on to arc b only if b leads back to s in at most upto - k steps along
+    nonzero entries; every skipped branch holds no closed path of length at
+    most ``upto`` and would contribute 0.
+    """
+    scale, im = field.clear_denominators(m)
+    n = len(im)
+    rows = [tuple((b, v) for b, v in enumerate(row) if v != 0) for row in im]
+    preds = [[] for _ in range(n)]
+    for a, row in enumerate(rows):
+        for b, _ in row:
+            preds[b].append(a)
+    totals = [0] * (upto + 1)
+
+    def walk(a, depth, prod, wrap_col, steps):
         wrap = wrap_col[a]
-        if wrap != 0:
-            totals[depth] = totals[depth] + prod * wrap
-        if depth < upto:
-            nxt = depth + 1
-            for b, v in rows[a]:
-                walk(b, nxt, prod * v, wrap_col)
+        if wrap:
+            totals[depth] += prod * wrap
+        for b, v in rows[a]:
+            if depth + steps[b] <= upto:
+                walk(b, depth + 1, prod * v, wrap_col, steps)
 
     for s in range(n):
-        wrap_col = [m[a][s] for a in range(n)]
-        walk(s, 1, one, wrap_col)
-    return totals[1:]
+        walk(s, 1, 1, [row[s] for row in im], _steps_to(preds, s, upto))
+    return [field.coerce(total) / scale**k for k, total in enumerate(totals[1:], start=1)]
+
+
+def _steps_to(preds: list[list[int]], s: int, cap: int) -> list[int]:
+    """Fewest transitions (at least one) from each arc to arc s, by a
+    breadth-first search back from s over the predecessor lists ``preds``;
+    cap + 1 where more than cap are needed."""
+    steps = [cap + 1] * len(preds)
+    frontier = [s]
+    for k in range(1, cap + 1):
+        reached = []
+        for b in frontier:
+            for a in preds[b]:
+                if steps[a] > cap:
+                    steps[a] = k
+                    reached.append(a)
+        if not reached:
+            break
+        frontier = reached
+    return steps
 
 
 def _n_k_trace_all(field, m: list[list], upto: int) -> list:
@@ -281,19 +316,22 @@ def euler_truncated(d: Digraph, w: WeightAssignment, order: int) -> Series:
 
 
 def _euler(d: Digraph, field, m: list[list], order: int) -> Series:
-    acc = [field.one] + [field.zero] * order
+    """The Euler product, accumulated as acc[i] = D^i * (coefficient i) over
+    the integer matrix D*M from ``field.clear_denominators``."""
+    scale, im = field.clear_denominators(m)
+    acc = [1] + [0] * order
     for cyc in iter_prime_cycles(d, order):
-        k = len(cyc)
-        c = field.one
-        for i, a in enumerate(cyc):
-            c = c * m[a][cyc[(i + 1) % k]]
-            if c == 0:
+        c = im[cyc[-1]][cyc[0]]
+        for a, b in zip(cyc, cyc[1:]):
+            if not c:
                 break
-        if c == 0:
+            c *= im[a][b]
+        if not c:
             continue
+        k = len(cyc)
         for i in range(k, order + 1):
-            acc[i] = acc[i] + acc[i - k] * c
-    return Series(field, acc, order)
+            acc[i] += acc[i - k] * c
+    return Series(field, [field.coerce(x) / scale**i for i, x in enumerate(acc)], order)
 
 
 def pair_f_poly(field, pair: PhiPair) -> Poly:

@@ -10,6 +10,7 @@ from zetawalk.cli import exit_code_for_report, main
 from zetawalk.digraph import GraphMode
 from zetawalk.instances import (
     FIXTURES,
+    MAX_VERTICES,
     Instance,
     ParseError,
     fixture_text,
@@ -223,6 +224,23 @@ def test_cli_zero_denominator_exit_code(tmp_path):
     code, out, err = run_cli("verify", str(path))
     assert code == 2 and out == ""
     assert ":4:" in err and "zero denominator" in err
+
+
+def test_vertex_count_limit():
+    assert MAX_VERTICES >= 1000  # the largest walk graphs have 1000 vertices
+    inst = parse_instance(f"mode graph\nvertices {MAX_VERTICES}\nedge 0 0 1\n")
+    assert instance_digraph(inst).vertex_count == MAX_VERTICES
+    with pytest.raises(ParseError) as exc:
+        parse_instance(f"mode graph\nvertices {MAX_VERTICES + 1}\n")
+    assert exc.value.line == 2 and "exceeds the limit" in str(exc.value)
+
+
+def test_cli_huge_vertex_count_exit_code(tmp_path):
+    path = tmp_path / "huge.zw"
+    path.write_text("mode digraph\nvertices 1000000000\narc 0 0 1\n", encoding="utf-8")
+    code, out, err = run_cli("verify", str(path))
+    assert code == 2 and out == ""
+    assert ":2:" in err and "exceeds the limit" in err
 
 
 def test_cli_non_utf8_file_exit_code(tmp_path):

@@ -1,6 +1,8 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zetawalk.digraph import (
     GraphError,
@@ -113,6 +115,11 @@ def test_phi_grouped_arc_order_covers_all_arcs():
     assert order == (0, 1, 2, 3, 4, 5, 8, 9, 6, 7)
 
 
+def test_out_arcs_follow_arc_order():
+    d = build_digraph(3, [(1, 0), (0, 2), (1, 1), (0, 0), (1, 2)])
+    assert [d.out_arcs(v) for v in range(3)] == [(1, 3), (0, 2, 4), ()]
+
+
 def test_closed_paths_triangle():
     g = fixture_digraph("triangle")
     assert len(closed_paths(g, 2)) == 6  # each arc followed by its partner
@@ -163,12 +170,51 @@ def test_prime_cycles_are_canonical_nonpower_representatives(rng):
             )
 
 
+# Closed paths enumerated by the brute-force checks below, summed over lengths.
+CLOSED_PATH_BUDGET = 20_000
+
+
+def budget_length(d, max_len):
+    """The largest L <= max_len whose closed paths of lengths 1..L fit the budget."""
+    b = arc_adjacency(d)
+    total = 0
+    for k in range(1, max_len + 1):
+        total += trace_power(b, k)
+        if total > CLOSED_PATH_BUDGET:
+            return k - 1
+    return max_len
+
+
+def least_rotation(seq):
+    return min(seq[i:] + seq[:i] for i in range(len(seq)))
+
+
+def is_proper_power(seq):
+    k = len(seq)
+    return any(k % step == 0 and seq == seq[step:] + seq[:step] for step in range(1, k))
+
+
+def brute_force_prime_cycles(d, max_len):
+    """Least-rotation representatives of the non-power closed paths."""
+    return {
+        least_rotation(path)
+        for k in range(1, max_len + 1)
+        for path in closed_paths(d, k)
+        if not is_proper_power(path)
+    }
+
+
 def test_closed_paths_decompose_into_prime_cycle_powers(rng):
-    # X_k is reconstructed exactly from powers of prime representatives
-    for _ in range(6):
-        d = random_digraph(rng, 3, 6)
-        reps = prime_cycles(d, 8)
-        for k in range(1, 9):
+    # X_k is reconstructed exactly from powers of prime representatives, in
+    # both modes, with loops and parallel arcs
+    graphs = [random_digraph(rng, 4, 10) for _ in range(8)]
+    graphs += [random_multigraph(rng, 4, 5) for _ in range(8)]
+    graphs += [build_digraph(2, [(0, 0), (0, 0), (0, 1), (0, 1), (1, 0), (1, 1)])]
+    graphs += [symmetric_digraph(2, [(0, 0), (0, 1), (0, 1), (1, 1)])]
+    for d in graphs:
+        max_len = budget_length(d, 8)
+        reps = prime_cycles(d, max_len)
+        for k in range(1, max_len + 1):
             expected = Counter(closed_paths(d, k))
             rebuilt = Counter()
             for rep in reps:
@@ -179,6 +225,26 @@ def test_closed_paths_decompose_into_prime_cycle_powers(rng):
                 for i in range(ell):
                     rebuilt[seq[i:] + seq[:i]] += 1
             assert rebuilt == expected
+
+
+@st.composite
+def multidigraphs(draw):
+    """A digraph with up to 10 arcs or a multigraph with up to 5 edges (10
+    arcs) on up to 4 vertices; loops and repeated pairs allowed."""
+    nv = draw(st.integers(1, 4))
+    graph_mode = draw(st.booleans())
+    pair = st.tuples(st.integers(0, nv - 1), st.integers(0, nv - 1))
+    pairs = draw(st.lists(pair, max_size=5 if graph_mode else 10))
+    return symmetric_digraph(nv, pairs) if graph_mode else build_digraph(nv, pairs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(multidigraphs(), st.integers(1, 8))
+def test_prime_cycles_match_brute_force(d, max_len):
+    max_len = budget_length(d, max_len)
+    reps = prime_cycles(d, max_len)
+    assert len(reps) == len(set(reps))
+    assert set(reps) == brute_force_prime_cycles(d, max_len)
 
 
 def test_closed_paths_rejects_nonpositive_length():

@@ -1,15 +1,20 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from zetawalk.algebra import CC, Poly, QQ, RatFunc, Series
+from zetawalk import zeta
+from zetawalk.algebra import CC, Poly, QQ, RationalField, RatFunc, Series
 from zetawalk.digraph import GraphError, build_digraph, symmetric_digraph
 from zetawalk.instances import fixture_digraph
 from zetawalk.linalg import Matrix, char_poly_exact, det_bareiss, det_field
 from zetawalk.zeta import (
     ConsistencyError,
     WeightAssignment,
+    _edge_matrix_data,
+    _n_k_enumerated_all,
+    _n_k_trace_all,
     _require_consistent,
     edge_matrix,
     euler_truncated,
@@ -189,6 +194,76 @@ def test_n_k_edgeless_and_error():
 def test_require_consistent_raises_on_fabricated_mismatch():
     with pytest.raises(ConsistencyError, match="N_2"):
         _require_consistent(QQ, [Fraction(1), Fraction(2)], [Fraction(1), Fraction(3)])
+
+
+# Mersenne primes: distinct, and their product is far above 2^200.
+LARGE_PRIMES = tuple(2**e - 1 for e in (31, 61, 89, 107, 127, 521))
+
+
+def large_denominator_weights(d):
+    """tau1(a) = (a + 2) / p_a with a distinct large prime p_a per arc, and
+    tau2(b) = 1 / tau1(a) on an inverse b of every even arc a, which makes
+    theta(a, b) = tau1(a) tau2(b) - 1 zero."""
+    tau1 = {a: Fraction(a + 2, LARGE_PRIMES[a]) for a in range(d.arc_count)}
+    tau2 = {}
+    for a in range(0, d.arc_count, 2):
+        free = sorted(set(d.inverse_set(a)) - set(tau2))
+        if free:
+            tau2[free[0]] = 1 / tau1[a]
+    return WeightAssignment.from_maps(d, tau1, tau2)
+
+
+LARGE_DENOMINATOR_GRAPHS = {
+    "triangle": lambda: fixture_digraph("triangle"),
+    "multigraph": lambda: symmetric_digraph(2, [(0, 0), (0, 1), (0, 1)]),
+    "multidigraph": lambda: build_digraph(3, [(0, 0), (0, 1), (1, 0), (1, 0), (1, 2), (2, 0)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_DENOMINATOR_GRAPHS))
+def test_power_sums_with_large_prime_denominators_and_zero_theta(name):
+    d = LARGE_DENOMINATOR_GRAPHS[name]()
+    w = large_denominator_weights(d)
+    m = _edge_matrix_data(d, w)
+    assert math.lcm(*(x.denominator for row in m for x in row)) > 2**200
+    assert any(
+        m[a][b] == 0 for a in range(d.arc_count) for b in d.inverse_set(a)
+    )  # a zeroed adjacency: the enumeration must skip it, not divide by it
+    trace = _n_k_trace_all(QQ, m, 8)
+    assert _n_k_enumerated_all(QQ, m, 8) == trace
+    assert n_k_all(d, w, 8) == trace
+    report = verify_expressions(d, w, 8)
+    assert report.all_agree
+    assert report.euler == report.hashimoto_series
+
+
+class DoubleScaledField(RationalField):
+    """QQ whose integer scaling is off by a factor of 2 on every entry."""
+
+    def clear_denominators(self, rows):
+        scale, ints = super().clear_denominators(rows)
+        return scale, [[2 * v for v in row] for row in ints]
+
+
+def test_corrupted_scaling_raises_consistency_error():
+    d = fixture_digraph("paper-digraph")
+    w = WeightAssignment.ones(d, DoubleScaledField())
+    with pytest.raises(ConsistencyError, match="N_3"):  # N_1 = N_2 = 0 here
+        n_k_all(d, w, 4)
+    with pytest.raises(ConsistencyError):
+        verify_expressions(d, w, 4)
+
+
+def test_overpruned_enumeration_raises_consistency_error(monkeypatch, rng):
+    # a distance table that overstates every return distance below 3 prunes
+    # the closed paths of lengths 3 and 4 at order 4
+    real = zeta._steps_to
+    monkeypatch.setattr(
+        zeta, "_steps_to", lambda preds, s, cap: [max(v, 3) for v in real(preds, s, cap)]
+    )
+    g = fixture_digraph("triangle")
+    with pytest.raises(ConsistencyError, match="N_3"):
+        n_k_all(g, random_weights(rng, g), 4)
 
 
 def test_exponential_and_euler_single_loop_geometric():
