@@ -9,10 +9,11 @@ Two field instances are provided:
   (default absolute tolerance 1e-9 per coefficient).
 
 Polynomials are stored densely, constant term first, with trailing zero
-coefficients stripped.  Rational functions are kept in canonical form over
-exact fields: numerator and denominator coprime, denominator monic.  Series
-carry an explicit truncation order; combining two series truncates to the
-smaller order.
+coefficients stripped; zero is the field's ``is_zero``, so over CC a
+coefficient within the tolerance is stripped too.  Rational functions are
+kept in canonical form over exact fields: numerator and denominator coprime,
+denominator monic.  Series carry an explicit truncation order; combining two
+series truncates to the smaller order.
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ class Poly:
 
     def __init__(self, field, coeffs):
         cs = [field.coerce(c) for c in coeffs]
-        while cs and cs[-1] == 0:
+        while cs and field.is_zero(cs[-1]):
             cs.pop()
         self.field = field
         self.coeffs = tuple(cs)
@@ -258,7 +259,7 @@ class Poly:
         lead = self.lead()
         return Poly(self.field, [c / lead for c in self.coeffs])
 
-    def render(self, var: str = "t") -> str:
+    def render(self) -> str:
         terms = []
         for i, c in enumerate(self.coeffs):
             if c == 0:
@@ -267,9 +268,9 @@ class Poly:
             if i == 0:
                 terms.append(cs)
             elif i == 1:
-                terms.append(f"{cs}*{var}")
+                terms.append(f"{cs}*t")
             else:
-                terms.append(f"{cs}*{var}^{i}")
+                terms.append(f"{cs}*t^{i}")
         return " + ".join(terms) if terms else "0"
 
     def __repr__(self) -> str:
@@ -387,10 +388,10 @@ class RatFunc:
     def __truediv__(self, other) -> "RatFunc":
         return self * self._lift(other).inv()
 
-    def render(self, var: str = "t") -> str:
+    def render(self) -> str:
         if self.is_poly():
-            return self.num.render(var)
-        return f"({self.num.render(var)})/({self.den.render(var)})"
+            return self.num.render()
+        return f"({self.num.render()})/({self.den.render()})"
 
     def __repr__(self) -> str:
         return f"RatFunc({self.render()})"
@@ -412,10 +413,6 @@ class Series:
         self.field = field
         self.coeffs = tuple(cs)
         self.order = order
-
-    @classmethod
-    def zero(cls, field, order):
-        return cls(field, [], order)
 
     @classmethod
     def one(cls, field, order):
@@ -520,21 +517,10 @@ class Series:
             out.append(-acc / c0)
         return Series(self.field, out, self.order)
 
-    def render(self, var: str = "t") -> str:
-        body = Poly(self.field, self.coeffs).render(var)
-        return f"{body} + O({var}^{self.order + 1})"
+    def render(self) -> str:
+        body = Poly(self.field, self.coeffs).render()
+        return f"{body} + O(t^{self.order + 1})"
 
     def __repr__(self) -> str:
         return f"Series({self.render()})"
 
-
-def series_exp(s: Series) -> Series:
-    return s.exp()
-
-
-def series_log(s: Series) -> Series:
-    return s.log()
-
-
-def series_inv(s: Series) -> Series:
-    return s.inv()

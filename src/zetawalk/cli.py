@@ -94,7 +94,8 @@ def _instance_header(rep: _Report, command: str, inst) -> None:
 
 def _load(ns):
     inst = load_instance(ns.instance)
-    return inst, instance_digraph(inst), instance_weights(inst)
+    d = instance_digraph(inst)
+    return inst, d, instance_weights(inst, d)
 
 
 def cmd_verify(ns) -> tuple[str, int]:

@@ -19,7 +19,9 @@ rotation.  Those representatives are exactly the Lyndon words over the arc
 ids that are closed paths, i.e. the Lyndon words of the arc graph, and
 ``iter_prime_cycles`` generates them directly with the
 Fredricksen-Kessler-Maiorana prenecklace recursion (Ruskey, Savage and Wang,
-"Generating necklaces", 1992) restricted to arc adjacencies.
+"Generating necklaces", 1992) restricted to arc adjacencies.  Closed paths
+themselves are walked only inside ``zeta``, on the theta matrix; the
+brute-force enumeration the tests compare against is in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -57,11 +59,6 @@ class PhiPair:
     @property
     def is_diagonal(self) -> bool:
         return self.u == self.v
-
-    def all_arcs(self) -> tuple[int, ...]:
-        if self.is_diagonal:
-            return self.arcs_uv
-        return self.arcs_uv + self.arcs_vu
 
 
 class Digraph:
@@ -137,9 +134,6 @@ class Digraph:
             return frozenset((self.pairing[arc_id],))
         return frozenset(self.arcs_between(a.head, a.tail))
 
-    def has_loops(self) -> bool:
-        return any(a.tail == a.head for a in self.arcs)
-
     def phi_pairs(self) -> tuple[PhiPair, ...]:
         """Connected vertex pairs (u <= v), in lexicographic order."""
         pairs = []
@@ -159,17 +153,6 @@ class Digraph:
             )
         pairs.sort(key=lambda p: (p.u, p.v))
         return tuple(pairs)
-
-    def phi_grouped_arc_order(self) -> tuple[int, ...]:
-        """Arc ids grouped by phi pair (A_uv first, then A_vu within a pair).
-
-        Under this order the inverse-indicator matrix is block diagonal with
-        one block per pair.
-        """
-        order = []
-        for pair in self.phi_pairs():
-            order.extend(pair.all_arcs())
-        return tuple(order)
 
 
 def build_digraph(vertex_count, arc_list) -> Digraph:
@@ -201,30 +184,6 @@ def arc_adjacency(d: Digraph) -> list[list[int]]:
         for nxt in d.out_arcs(a.head):
             b[a.id][nxt] = 1
     return b
-
-
-def closed_paths(d: Digraph, k: int) -> list[tuple[int, ...]]:
-    """All closed paths of length k, as arc-id tuples (arcs may repeat)."""
-    if k < 1:
-        raise GraphError("closed path length must be >= 1")
-    out = d._out
-    arcs = d.arcs
-    found = []
-    prefix = [0] * k
-
-    def extend(head, depth, start_tail):
-        if depth == k:
-            if head == start_tail:
-                found.append(tuple(prefix))
-            return
-        for nxt in out[head]:
-            prefix[depth] = nxt
-            extend(arcs[nxt].head, depth + 1, start_tail)
-
-    for a in arcs:
-        prefix[0] = a.id
-        extend(a.head, 1, a.tail)
-    return found
 
 
 def iter_prime_cycles(d: Digraph, max_len: int):

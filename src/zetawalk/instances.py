@@ -23,7 +23,6 @@ import re
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
-from .algebra import QQ
 from .digraph import Digraph, GraphMode, build_digraph, symmetric_digraph
 from .zeta import WeightAssignment
 
@@ -79,6 +78,8 @@ def parse_instance(text: str, source: str = "<instance>") -> Instance:
             return Fraction(tok)
         except ZeroDivisionError:
             fail(line_no, f"zero denominator in {tok!r}")
+        except ValueError:  # more digits than int() converts
+            fail(line_no, f"rational of {len(tok)} characters exceeds the integer digit limit")
 
     def parse_int(tok, line_no) -> int:
         try:
@@ -188,9 +189,9 @@ def instance_digraph(inst: Instance) -> Digraph:
     return symmetric_digraph(inst.vertex_count, inst.pairs)
 
 
-def instance_weights(inst: Instance, field=QQ) -> WeightAssignment:
-    d = instance_digraph(inst)
-    return WeightAssignment.from_maps(d, tau1=inst.tau1, tau2=inst.tau2, field=field)
+def instance_weights(inst: Instance, d: Digraph) -> WeightAssignment:
+    """The instance's tau1/tau2 over QQ on its digraph ``d``, missing weights 1."""
+    return WeightAssignment.from_maps(d, tau1=inst.tau1, tau2=inst.tau2)
 
 
 FIXTURES: dict[str, str] = {

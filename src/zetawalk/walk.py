@@ -179,22 +179,6 @@ def unitarity_defect(u: np.ndarray) -> float:
     return float(np.max(np.abs(u @ u.conj().T - np.eye(n)))) if n else 0.0
 
 
-def grover_discriminant(g: Digraph) -> np.ndarray:
-    """T[u][v] = 1/deg(u) on edges, 0 elsewhere.
-
-    This is D^-1 A, similar to the symmetric Szegedy discriminant at the
-    uniform probabilities, so both have the same eigenvalues.
-    """
-    _require_walk_graph(g)
-    nv = g.vertex_count
-    t = np.zeros((nv, nv))
-    for u in range(nv):
-        for v in range(nv):
-            if u != v and g.arcs_between(u, v):
-                t[u, v] = 1.0 / g.degree(u)
-    return t
-
-
 def szegedy_discriminant(g: Digraph, p) -> np.ndarray:
     """T[u][v] = sum over arcs a in A_uv of sqrt(p(a) p(inv(a)))."""
     _require_walk_graph(g)

@@ -26,13 +26,15 @@ Every determinant here is read off one scalar kernel, the Hessenberg
 characteristic polynomial of ``linalg``:
 
 * det(I - t*M) is the characteristic polynomial of M, reversed;
-* det(I - t*A + t^2*(D - I)) is det(I - t*L) for the 2V x 2V companion
-  matrix L = [[A, -(D - I)], [I, 0]] (rows of lower degree drop out);
-* the digraph vertex matrices carry 1/f denominators.  Row u is multiplied
-  by r_u, the product of the distinct f of the pairs at u, which gives a
+* both vertex determinants are assembled by ``_cleared_vertex_det``.  The
+  digraph vertex matrices carry 1/f denominators: row u is multiplied by
+  r_u, the product of the distinct f of the pairs at u, which gives a
   polynomial matrix P(t) = I + t*P_1 + ... + t^k*P_k and
   prod_f * det(vertex matrix) = prod_f * det(P) / prod_u r_u, with det(P)
-  the determinant of I - t*C for the block companion matrix C of P.
+  the determinant of I - t*C for the block companion matrix C of P.  The
+  graph matrix I - t*A + t^2*(D - I) has no denominators (every r_u is 1),
+  and C is the 2V x 2V companion [[A, -(D - I)], [I, 0]] (rows of lower
+  degree drop out).
 
 Every Ihara-style operation computes its vertex side without det(I - t*M),
 then compares the two exactly (prod_f * det(P) == det(I - t*M) * prod_u r_u
@@ -102,17 +104,6 @@ class WeightAssignment:
         return self.tau1[a] * self.tau2[b]
 
 
-def theta_value(d: Digraph, w: WeightAssignment, a: int, b: int):
-    """The pair weight theta(a, b)."""
-    arc_a, arc_b = d.arcs[a], d.arcs[b]
-    val = w.field.zero
-    if arc_a.head == arc_b.tail:
-        val = w.tau1[a] * w.tau2[b]
-    if b in d.inverse_set(a):
-        val = val - w.field.one
-    return val
-
-
 def edge_matrix(d: Digraph, w: WeightAssignment) -> Matrix:
     """The arc-indexed matrix M with entries theta(a, b)."""
     return Matrix(_edge_matrix_data(d, w))
@@ -131,55 +122,6 @@ def _edge_matrix_data(d: Digraph, w: WeightAssignment) -> list[list]:
         for b in d.inverse_set(a.id):
             row[b] = row[b] - one
     return m
-
-
-@dataclass(frozen=True)
-class StructuralMatrices:
-    """The inverse-indicator, head, and tail matrices, and T = I + tJ.
-
-    Satisfies M = K*L - J entrywise, where M is the theta edge matrix.
-    Rows/columns follow ``arc_order`` (construction order by default); under
-    the phi-grouped order J is block diagonal with one block per pair.
-    """
-
-    j: Matrix
-    k: Matrix
-    l: Matrix
-    t: Matrix
-    arc_order: tuple[int, ...]
-
-
-def structural_matrices(d: Digraph, w: WeightAssignment, arc_order=None) -> StructuralMatrices:
-    field = w.field
-    zero, one = field.zero, field.one
-    order = tuple(arc_order) if arc_order is not None else tuple(range(d.arc_count))
-    n, nv = len(order), d.vertex_count
-    inv_sets = [d.inverse_set(a) for a in order]
-    j = Matrix([[one if order[bj] in inv_sets[ai] else zero for bj in range(n)] for ai in range(n)])
-    k = Matrix(
-        [
-            [w.tau1[a] if d.arcs[a].head == v else zero for v in range(nv)]
-            for a in order
-        ]
-    )
-    l = Matrix(
-        [
-            [w.tau2[b] if d.arcs[b].tail == u else zero for b in order]
-            for u in range(nv)
-        ]
-    )
-    pone, pzero = Poly.one(field), Poly.zero(field)
-    t_var = Poly.variable(field)
-    t = Matrix(
-        [
-            [
-                (pone if ai == bj else pzero) + t_var.scale(j[ai, bj])
-                for bj in range(n)
-            ]
-            for ai in range(n)
-        ]
-    )
-    return StructuralMatrices(j, k, l, t, order)
 
 
 def hashimoto(d: Digraph, w: WeightAssignment) -> Poly:
@@ -286,11 +228,6 @@ def _n_k_all(field, m: list[list], upto: int) -> list:
     trace_vals = _n_k_trace_all(field, m, upto)
     _require_consistent(field, enum_vals, trace_vals)
     return trace_vals
-
-
-def n_k(d: Digraph, w: WeightAssignment, k: int):
-    """The weighted closed-path sum N_k (dual-route checked)."""
-    return n_k_all(d, w, k)[-1]
 
 
 def _require_series_order(order: int) -> None:
@@ -525,21 +462,15 @@ def _ihara_graph(g: Digraph, w: WeightAssignment, h: Poly, check: bool) -> Ihara
     for arc in g.arcs:
         d_diag[arc.tail] = d_diag[arc.tail] + w.tau1[g.partner(arc.id)] * w.tau2[arc.id]
     one, zero = field.one, field.zero
-    rows = [
-        [
-            Poly(
-                field,
-                [
-                    one if i == j else zero,
-                    -a_mat[i][j],
-                    (d_diag[i] - one) if i == j else zero,
-                ],
-            )
-            for j in range(nv)
-        ]
-        for i in range(nv)
+    # I - t*A + t^2*(D - I) as terms with no pairs: every r_u is 1
+    terms = [
+        (u, v, Poly.monomial(field, 1, -a_mat[u][v]), None)
+        for u in range(nv)
+        for v in range(nv)
+        if a_mat[u][v] != 0
     ]
-    vertex_det = det_poly_matrix(Matrix(rows), field)
+    terms += [(u, u, Poly.monomial(field, 2, d_diag[u] - one), None) for u in range(nv)]
+    vertex_det, _ = _cleared_vertex_det(field, nv, (), (), terms)
     m_exp = g.edge_count - nv
     one_minus_t2 = Poly(field, [one, zero, -one])
     if m_exp >= 0:
@@ -628,9 +559,6 @@ class Verdict:
     name: str
     agree: bool
     detail: str | None
-
-    def render(self) -> str:
-        return f"VERDICT {self.name} " + ("agree" if self.agree else f"MISMATCH {self.detail}")
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from zetawalk import Digraph, WeightAssignment, build_digraph, symmetric_digraph
+from zetawalk import Digraph, Matrix, WeightAssignment, build_digraph, symmetric_digraph
 from zetawalk.algebra import QQ
 
 
@@ -61,6 +61,21 @@ def random_probability(rng, g: Digraph) -> dict[int, Fraction]:
         for a, r in zip(out, raw):
             probs[a] = r / total
     return probs
+
+
+def inversion_inputs():
+    """The inputs of the inversion identities in acceptance criterion 5: the
+    all-ones (n, k) grid and one seeded (M1, M2) pair per block shape (k, l)."""
+    rng = random.Random(505)
+    allones = [(n, k) for n in range(1, 9) for k in range(1, 8)]
+
+    def block(rows, cols):
+        return Matrix(
+            [[Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(cols)] for _ in range(rows)]
+        )
+
+    blocks = [(block(k, ell), block(ell, k)) for k in range(1, 6) for ell in range(1, 6)]
+    return allones, blocks
 
 
 @pytest.fixture

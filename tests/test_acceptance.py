@@ -8,7 +8,6 @@ rational arithmetic; spectral criteria use the stated 1e-8 / 1e-9 bounds.
 import io
 import random
 from contextlib import redirect_stderr, redirect_stdout
-from fractions import Fraction
 
 import numpy as np
 
@@ -16,7 +15,7 @@ from zetawalk.algebra import Poly, QQ, RatFunc, Series
 from zetawalk.cli import exit_code_for_report, main
 from zetawalk.digraph import arc_adjacency, build_digraph, symmetric_digraph
 from zetawalk.instances import fixture_digraph, fixture_text
-from zetawalk.linalg import allones_inverse_check, block_woodbury_check, eigenvalues_numeric
+from zetawalk.linalg import eigenvalues_numeric
 from zetawalk.walk import (
     grover_spectrum_via_zeta,
     grover_transition,
@@ -41,6 +40,7 @@ from zetawalk.zeta import (
 )
 
 from conftest import (
+    inversion_inputs,
     random_connected_graph,
     random_digraph,
     random_multigraph,
@@ -48,6 +48,7 @@ from conftest import (
     random_rational,
     random_weights,
 )
+from oracles import allones_inverse_check, block_woodbury_check
 
 
 def report(num: int, ok: bool, desc: str):
@@ -119,7 +120,7 @@ def test_criterion_3_four_expression_agreement():
     def check(tag, d, w):
         rep = verify_expressions(d, w, 10)
         if not rep.all_agree:
-            failures.append((tag, [v.render() for v in rep.verdicts if not v.agree]))
+            failures.append((tag, [(v.name, v.detail) for v in rep.verdicts if not v.agree]))
 
     for name in ("paper-digraph", "paper-graph", "triangle", "c4"):
         d = fixture_digraph(name)
@@ -196,23 +197,9 @@ def test_criterion_4_sato_specialization():
 
 
 def test_criterion_5_inversion_identity_suite():
-    rng = random.Random(505)
-    allones_ok = all(
-        allones_inverse_check(n, k) for n in range(1, 9) for k in range(1, 8)
-    )
-    woodbury_ok = True
-    from zetawalk.linalg import Matrix
-
-    for k in range(1, 6):
-        for ell in range(1, 6):
-            m1 = Matrix(
-                [[Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(ell)] for _ in range(k)]
-            )
-            m2 = Matrix(
-                [[Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(k)] for _ in range(ell)]
-            )
-            if not block_woodbury_check(m1, m2):
-                woodbury_ok = False
+    allones, blocks = inversion_inputs()
+    allones_ok = all(allones_inverse_check(n, k) for n, k in allones)
+    woodbury_ok = all(block_woodbury_check(m1, m2) for m1, m2 in blocks)
     report(
         5,
         allones_ok and woodbury_ok,

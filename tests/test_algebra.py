@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from zetawalk.algebra import CC, Poly, QQ, RatFunc, Series, series_exp, series_inv, series_log
+from zetawalk.algebra import CC, Poly, QQ, RatFunc, Series
 
 
 def P(*coeffs):
@@ -97,11 +97,11 @@ def test_series_inv_example():
 
 def test_series_preconditions_name_constant_term():
     with pytest.raises(ValueError, match="zero constant term, got 1/2"):
-        series_exp(Series(QQ, [Fraction(1, 2), 1], 3))
+        Series(QQ, [Fraction(1, 2), 1], 3).exp()
     with pytest.raises(ValueError, match="constant term 1, got 2"):
-        series_log(Series(QQ, [2, 1], 3))
+        Series(QQ, [2, 1], 3).log()
     with pytest.raises(ValueError, match="nonzero constant term, got 0"):
-        series_inv(Series(QQ, [0, 1], 3))
+        Series(QQ, [0, 1], 3).inv()
 
 
 def test_series_mixed_orders_truncate_to_minimum():
@@ -155,6 +155,14 @@ def test_poly_render_contract():
     assert Poly(QQ, []).render() == "0"
     assert Series(QQ, [1, 0, Fraction(2, 7)], 4).render() == "1 + 2/7*t^2 + O(t^5)"
     assert RatFunc(P(0, 1), P(1, 2)).render() == "(1/2*t)/(1/2 + 1*t)"
+
+
+def test_complex_poly_strips_coefficients_within_tolerance():
+    p = Poly(CC, [1.0, 1e-12])
+    assert p.degree == 0 and p == Poly(CC, [1.0])
+    # dividing by it must not normalise by the 1e-12 coefficient
+    r = RatFunc(Poly(CC, [0.0, 1.0]), p)
+    assert r.den.degree == 0 and r.render() == "1*t"
 
 
 def test_complex_field_tolerance_equality():

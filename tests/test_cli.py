@@ -3,6 +3,8 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from zetawalk.algebra import Poly, QQ, RatFunc, Series
 from zetawalk import cli
@@ -51,7 +53,7 @@ def test_parse_weights_and_probs():
     assert inst.tau1 == {0: Fraction(3, 2)}
     assert inst.tau2 == {1: Fraction(-2)}
     d = instance_digraph(inst)
-    w = instance_weights(inst)
+    w = instance_weights(inst, d)
     assert w.tau1[0] == Fraction(3, 2) and w.tau1[1] == 1
     assert w.tau2[1] == -2 and w.tau2[0] == 1
     assert d.arc_count == 2
@@ -224,6 +226,36 @@ def test_cli_zero_denominator_exit_code(tmp_path):
     code, out, err = run_cli("verify", str(path))
     assert code == 2 and out == ""
     assert ":4:" in err and "zero denominator" in err
+
+
+def test_cli_oversized_rational_exit_code(tmp_path):
+    # more digits than Python converts to an int by default (4300)
+    path = tmp_path / "big.zw"
+    path.write_text("mode digraph\nvertices 1\narc 0 0 0\ntau1 0 " + "7" * 5000 + "\n", encoding="utf-8")
+    code, out, err = run_cli("verify", str(path))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and ":4:" in err and "digit limit" in err
+
+
+# Instance text from the directive vocabulary, well-formed or not, after a
+# valid header in most examples so that arc and weight lines are reached.
+DIRECTIVES = ("mode", "vertices", "arc", "edge", "tau1", "tau2", "prob", "node", "#")
+TOKENS = ("digraph", "graph", "0", "1", "2", "-1", "1/2", "-3/4", "1/0", "0.5", "x", "7" * 5000)
+HEADERS = ("", "mode digraph\nvertices 2\narc 0 0 1", "mode graph\nvertices 2\nedge 0 0 1")
+instance_lines = st.tuples(
+    st.sampled_from(DIRECTIVES), st.lists(st.sampled_from(TOKENS), max_size=4)
+).map(lambda line: " ".join((line[0], *line[1])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(HEADERS), st.lists(instance_lines, max_size=10))
+@example(HEADERS[1], ["tau1 0 " + "7" * 5000])
+def test_parse_instance_returns_an_instance_or_raises_parse_error(header, lines):
+    try:
+        inst = parse_instance("\n".join((header, *lines)))
+    except ParseError:
+        return
+    assert isinstance(inst, Instance)
 
 
 def test_vertex_count_limit():

@@ -8,20 +8,14 @@ from hypothesis import strategies as st
 
 from zetawalk.algebra import CC, Poly, QQ
 from zetawalk.digraph import build_digraph
-from zetawalk.linalg import (
-    Matrix,
-    allones_inverse_check,
-    block_woodbury_check,
-    char_poly,
-    char_poly_exact,
-    det_bareiss,
-    det_cofactor,
-    det_exact,
-    det_one_minus_t,
-    det_poly_matrix,
-    eigenvalues_numeric,
-)
+from zetawalk.linalg import Matrix, char_poly, det_one_minus_t, det_poly_matrix, eigenvalues_numeric
 from zetawalk.zeta import WeightAssignment, ihara_digraph
+
+from conftest import inversion_inputs
+from oracles import (
+    allones_inverse_check, allones_scaled_inverse, block_matrices, block_scaled_inverse,
+    block_woodbury_check, char_poly_exact, det_bareiss, det_cofactor, is_scaled_inverse,
+)
 
 
 def P(*coeffs):
@@ -43,23 +37,23 @@ def random_frac_matrix(rng, rows, cols):
 
 def test_det_swap_matrix_poly():
     m = Matrix([[P(1), P(0, -1)], [P(0, -1), P(1)]])
-    assert det_exact(m) == P(1, 0, -1)
+    assert det_bareiss(m) == P(1, 0, -1)
 
 
 def test_det_one_by_one():
-    assert det_exact(Matrix([[P(1, 2)]])) == P(1, 2)
+    assert det_bareiss(Matrix([[P(1, 2)]])) == P(1, 2)
 
 
 def test_det_empty_needs_one():
     empty = Matrix([])
-    assert det_exact(empty, one=P(1)) == P(1)
+    assert det_bareiss(empty, one=P(1)) == P(1)
     with pytest.raises(ValueError):
-        det_exact(empty)
+        det_bareiss(empty)
 
 
 def test_det_non_square_errors():
     with pytest.raises(ValueError, match="square"):
-        det_exact(frac_matrix([[1, 2, 3], [4, 5, 6]]))
+        det_bareiss(frac_matrix([[1, 2, 3], [4, 5, 6]]))
 
 
 def test_bareiss_equals_cofactor_small(rng):
@@ -78,7 +72,7 @@ def test_bareiss_equals_cofactor_small(rng):
 
 def test_det_singular_is_zero():
     m = frac_matrix([[1, 2], [2, 4]])
-    assert det_exact(m) == 0
+    assert det_bareiss(m) == 0
     mp = Matrix([[P(1, 1), P(1, 1)], [P(2), P(2)]])
     assert det_bareiss(mp).is_zero()
 
@@ -91,7 +85,7 @@ def test_det_commutation_identity(rng):
             y = random_frac_matrix(rng, ell, k)
             ik = Matrix.identity(k, Fraction(1), Fraction(0))
             il = Matrix.identity(ell, Fraction(1), Fraction(0))
-            assert det_exact(ik - x * y) == det_exact(il - y * x)
+            assert det_bareiss(ik - x * y) == det_bareiss(il - y * x)
 
 
 def test_char_poly_identity_matrix():
@@ -114,20 +108,13 @@ def test_char_poly_constant_term_is_signed_det(rng):
         m = random_frac_matrix(rng, n, n)
         chi = char_poly_exact(m)
         assert chi.lead() == 1 and chi.degree == n
-        assert chi.coefficient(0) == (-1) ** n * det_exact(m)
+        assert chi.coefficient(0) == (-1) ** n * det_bareiss(m)
 
 
 def test_char_poly_agrees_with_resolvent_determinant(rng):
     for n in (2, 3, 4):
         m = random_frac_matrix(rng, n, n)
-        lam = Poly.variable(QQ)
-        resolvent = Matrix(
-            [
-                [(lam if i == j else Poly.zero(QQ)) - Poly.constant(QQ, m[i, j]) for j in range(n)]
-                for i in range(n)
-            ]
-        )
-        assert char_poly_exact(m) == det_bareiss(resolvent)
+        assert char_poly_exact(m) == resolvent_det(m)
 
 
 def test_char_poly_vanishes_on_triangular_eigenvalues():
@@ -205,6 +192,29 @@ def test_block_woodbury_random(rng):
 def test_block_woodbury_shape_mismatch():
     with pytest.raises(ValueError, match="M2 must be"):
         block_woodbury_check(frac_matrix([[1, 2]]), frac_matrix([[1, 2]]))
+
+
+def corrupt_one_coefficient(m: Matrix, rng) -> Matrix:
+    """m with 1 added to one coefficient (up to one above the degree) of one entry."""
+    i, j = rng.randrange(m.rows), rng.randrange(m.cols)
+    rows = [list(row) for row in m.data]
+    rows[i][j] = rows[i][j] + Poly.monomial(QQ, rng.randint(0, rows[i][j].degree + 1))
+    return Matrix(rows)
+
+
+def test_inversion_checks_reject_a_corrupted_inverse(rng):
+    # the scaled-inverse test behind both checks of acceptance criterion 5,
+    # on the same inputs, with the claimed inverse off by one coefficient
+    allones, blocks = inversion_inputs()
+    for n, k in allones:
+        lhs, claimed, s = allones_scaled_inverse(n, k)
+        assert not is_scaled_inverse(lhs, corrupt_one_coefficient(claimed, rng), s)
+    for m1, m2 in blocks:
+        full = block_matrices(m1, m2)[0]
+        d = det_bareiss(full)
+        claimed = block_scaled_inverse(m1, m2)
+        assert is_scaled_inverse(full, claimed, d)
+        assert not is_scaled_inverse(full, corrupt_one_coefficient(claimed, rng), d)
 
 
 def resolvent_det(m: Matrix) -> Poly:

@@ -10,7 +10,6 @@ from zetawalk.instances import fixture_digraph, fixture_instance, instance_digra
 from zetawalk.linalg import eigenvalues_numeric
 from zetawalk.walk import (
     WalkError,
-    grover_discriminant,
     grover_spectrum_via_zeta,
     grover_transition,
     spectrum_deviation,
@@ -86,14 +85,6 @@ def test_star_tree_cancellation():
     derived = grover_spectrum_via_zeta(star)
     assert len(derived) == 6
     assert spectrum_deviation(eigenvalues_numeric(grover_transition(star)), derived) <= 1e-8
-
-
-def test_grover_discriminant_row_values():
-    g = fixture_digraph("p3")
-    t = grover_discriminant(g)
-    assert t[0, 1] == 1.0
-    assert t[1, 0] == 0.5 and t[1, 2] == 0.5
-    assert t[0, 2] == 0.0
 
 
 def test_szegedy_discriminant_symmetric():
