@@ -37,6 +37,7 @@ class ParseError(ValueError):
 
 
 _RATIONAL = re.compile(r"^-?\d+(/\d+)?$")
+_INTEGER = re.compile(r"[-+]?\d+")
 
 # The largest vertex count an instance may declare.  A digraph allocates
 # per-vertex tables, so a count far above any real instance is refused.
@@ -85,6 +86,8 @@ def parse_instance(text: str, source: str = "<instance>") -> Instance:
         try:
             return int(tok)
         except ValueError:
+            if _INTEGER.fullmatch(tok):  # more digits than int() converts
+                fail(line_no, f"integer of {len(tok)} characters exceeds the integer digit limit")
             fail(line_no, f"expected an integer, got {tok!r}")
 
     def arc_count() -> int:

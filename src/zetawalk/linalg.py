@@ -12,9 +12,9 @@ field operations and stays exact over QQ.  Two readings build on it:
 * ``det_poly_matrix`` -- det P(t) of a polynomial matrix with P(0) = I, as
   det(I - t*C) of a companion linearization C of P.
 
-Numeric eigenvalues delegate to LAPACK via numpy.  The elimination
-determinants and inversion identities the tests compare against live in
-``tests/oracles.py``.
+Numeric eigenvalues delegate to LAPACK's general eigensolver via numpy, in
+real arithmetic for a real matrix.  The elimination determinants and
+inversion identities the tests compare against live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -242,15 +242,21 @@ def det_poly_matrix(p: Matrix, field=QQ) -> Poly:
 def eigenvalues_numeric(m) -> list[complex]:
     """All eigenvalues (with multiplicity) of a square numeric matrix.
 
-    Accepts a Matrix, nested lists, or an ndarray; entries are coerced to
-    complex doubles.  LAPACK convergence failures are surfaced with the
-    matrix shape in the message.
+    A real double-precision general eigensolve: an ndarray goes to LAPACK
+    unchanged, so a real matrix takes the real solver (dgeev), whose complex
+    eigenvalues come in exact conjugate pairs and whose real eigenvalues have
+    imaginary part exactly 0.  A Matrix or nested lists become a float array,
+    or a complex one only when some entry is complex.  LAPACK convergence
+    failures are surfaced with the matrix shape in the message.
     """
-    rows = m.data if isinstance(m, Matrix) else m
-    rows = [[complex(x) for x in row] for row in rows]
-    if not rows:
+    if isinstance(m, np.ndarray):
+        arr = m
+    else:
+        rows = m.data if isinstance(m, Matrix) else m
+        is_complex = any(isinstance(x, (complex, np.complexfloating)) for row in rows for x in row)
+        arr = np.array(rows, dtype=complex if is_complex else float)
+    if arr.shape[:1] == (0,):
         return []
-    arr = np.array(rows, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"matrix is not square: {arr.shape}")
     try:
@@ -259,4 +265,4 @@ def eigenvalues_numeric(m) -> list[complex]:
         raise RuntimeError(
             f"eigenvalue iteration failed for {arr.shape[0]}x{arr.shape[1]} matrix: {exc}"
         ) from exc
-    return [complex(v) for v in vals]
+    return vals.astype(complex).tolist()

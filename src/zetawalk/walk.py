@@ -14,7 +14,11 @@ vertex-sized discriminant T[u][v] = sum_{a in A_uv} sqrt(p(a) p(inv(a))):
                         * prod_mu (lambda^2 - 2 mu lambda + 1),
 
 over the eigenvalues mu of T.  The spectrum is read off this factorization;
-the CLI checks it against a direct numeric eigensolve of U (the oracle).
+the CLI checks it against a direct eigensolve of U (the oracle): a real
+double-precision general eigensolve, which does not assume that U is
+orthogonal.  The entries of U and T are square roots of products of
+rational probabilities, taken in integer arithmetic and exact wherever the
+product is a rational square.
 """
 
 from __future__ import annotations
@@ -36,13 +40,17 @@ class WalkError(ValueError):
 def _require_walk_graph(g: Digraph) -> None:
     if g.mode is not GraphMode.SYMMETRIC:
         raise WalkError("walks require the symmetric digraph of a graph")
+    seen = set()
+    repeated = []
     for a in g.arcs:
         if a.tail == a.head:
             raise WalkError(f"loop arc {a.id} at vertex {a.tail}: walks need a loopless graph")
-    for v in range(g.vertex_count):
-        for u in range(v, g.vertex_count):
-            if len(g.arcs_between(v, u)) > 1:
-                raise WalkError(f"multi-edge between {v} and {u}: walks need a simple graph")
+        if (a.tail, a.head) in seen and a.tail < a.head:
+            repeated.append((a.tail, a.head))
+        seen.add((a.tail, a.head))
+    if repeated:
+        u, v = min(repeated)
+        raise WalkError(f"multi-edge between {u} and {v}: walks need a simple graph")
     if any(g.degree(v) == 0 for v in range(g.vertex_count)):
         raise WalkError("walks need minimum degree >= 1")
 
@@ -78,28 +86,42 @@ def validate_probability(g: Digraph, p) -> dict[int, Fraction]:
 
 
 def _sqrt_product(x: Fraction, y: Fraction) -> float:
-    """sqrt(x*y) with an exact path when the product is a rational square."""
-    prod = x * y
-    rn = math.isqrt(prod.numerator)
-    rd = math.isqrt(prod.denominator)
-    if rn * rn == prod.numerator and rd * rd == prod.denominator:
-        return float(Fraction(rn, rd))
-    return math.sqrt(float(prod))
+    """sqrt(x*y), exact when the product is a rational square.
+
+    With x*y = n/d, the product is a rational square exactly when n*d is a
+    perfect square, and then sqrt(x*y) = isqrt(n*d)/d.  Int true division is
+    correctly rounded, so no Fraction is built.
+    """
+    n = x.numerator * y.numerator
+    d = x.denominator * y.denominator
+    root = math.isqrt(n * d)
+    if root * root == n * d:
+        return root / d
+    return math.sqrt(n / d)
 
 
 def _transition(g: Digraph, probs: dict[int, Fraction]) -> np.ndarray:
     """U for validated probabilities, visiting only adjacent arc pairs.
 
     The arcs b with head(b) = tail(a) are the partners of the arcs leaving
-    tail(a), and inv(partner(c)) = c.
+    tail(a), and inv(partner(c)) = c.  In a simple graph no entry is set
+    twice, so U is filled by one assignment and the partner diagonal
+    takes its -1 by another.
     """
     n = g.arc_count
+    rows, cols, vals = [], [], []
+    for v in range(g.vertex_count):
+        out = g.out_arcs(v)
+        partners = [g.partner(c) for c in out]
+        for a in out:
+            pa = probs[a]
+            for c, b in zip(out, partners):
+                rows.append(a)
+                cols.append(b)
+                vals.append(2.0 * _sqrt_product(pa, probs[c]))
     u = np.zeros((n, n))
-    for a in g.arcs:
-        pa = probs[a.id]
-        for c in g.out_arcs(a.tail):
-            u[a.id, g.partner(c)] = 2.0 * _sqrt_product(pa, probs[c])
-        u[a.id, g.partner(a.id)] -= 1.0
+    u[rows, cols] = vals
+    u[np.arange(n), g.pairing] -= 1.0
     return u
 
 

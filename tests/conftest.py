@@ -52,6 +52,14 @@ def random_connected_graph(rng, min_vertices=2, max_vertices=6, max_edges=10) ->
     return symmetric_digraph(nv, sorted(edges))
 
 
+def random_walk_graph(rng, nv) -> Digraph:
+    """Random spanning tree plus random edges up to 2 * nv, as in the walk benchmark."""
+    edges = {(rng.randrange(v), v) for v in range(1, nv)}
+    while len(edges) < min(2 * nv, nv * (nv - 1) // 2):
+        edges.add(tuple(sorted(rng.sample(range(nv), 2))))
+    return symmetric_digraph(nv, sorted(edges))
+
+
 def random_probability(rng, g: Digraph) -> dict[int, Fraction]:
     probs = {}
     for v in range(g.vertex_count):

@@ -6,14 +6,18 @@ over any exact entry ring, the Faddeev-LeVerrier characteristic polynomial,
 the two inversion identities behind the vertex-determinant reduction
 (all-ones and block Woodbury-style, each checked with its denominator
 cleared, as A*B == B*A == d*I for a nonzero polynomial d), brute-force closed
-paths, the phi-grouped arc order, theta one entry at a time, and the
-structural matrices.
+paths, the phi-grouped arc order, theta one entry at a time, the
+structural matrices, and the walk matrices U and T built entry by entry
+with Fraction square roots.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from zetawalk.algebra import Poly, QQ
 from zetawalk.digraph import Digraph, GraphError, PhiPair
@@ -284,3 +288,34 @@ def structural_matrices(d: Digraph, w: WeightAssignment, arc_order=None) -> Stru
         ]
     )
     return StructuralMatrices(j, k, l, t)
+
+
+def sqrt_product(x: Fraction, y: Fraction) -> float:
+    """sqrt(x*y) through the reduced Fraction x*y, exact on rational squares."""
+    prod = x * y
+    rn = math.isqrt(prod.numerator)
+    rd = math.isqrt(prod.denominator)
+    if rn * rn == prod.numerator and rd * rd == prod.denominator:
+        return float(Fraction(rn, rd))
+    return math.sqrt(float(prod))
+
+
+def walk_transition(g: Digraph, probs: dict[int, Fraction]) -> np.ndarray:
+    """U[a, partner(c)] = 2 sqrt(p(a) p(c)) for c leaving tail(a), minus the partner flip."""
+    n = g.arc_count
+    u = np.zeros((n, n))
+    for a in g.arcs:
+        pa = probs[a.id]
+        for c in g.out_arcs(a.tail):
+            u[a.id, g.partner(c)] = 2.0 * sqrt_product(pa, probs[c])
+        u[a.id, g.partner(a.id)] -= 1.0
+    return u
+
+
+def walk_discriminant(g: Digraph, probs: dict[int, Fraction]) -> np.ndarray:
+    """T[u][v] = sum over arcs a in A_uv of sqrt(p(a) p(inv(a)))."""
+    nv = g.vertex_count
+    t = np.zeros((nv, nv))
+    for a in g.arcs:
+        t[a.tail, a.head] += sqrt_product(probs[a.id], probs[g.partner(a.id)])
+    return t

@@ -1,6 +1,8 @@
 import io
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 from zetawalk.algebra import Poly, QQ, RatFunc, Series
 from zetawalk import cli
 from zetawalk.cli import exit_code_for_report, main
-from zetawalk.digraph import GraphMode
+from zetawalk.digraph import GraphMode, symmetric_digraph
 from zetawalk.instances import (
     FIXTURES,
     MAX_VERTICES,
@@ -193,6 +195,34 @@ def test_cli_spectrum_szegedy_large_graphs(tmp_path, rng):
         assert "VERDICT spectrum agree" in out
 
 
+@st.composite
+def walk_instances(draw):
+    """A connected simple graph (spanning tree plus extra edges, up to 10
+    vertices) with rational transition probabilities p/q, q <= 9 * degree."""
+    nv = draw(st.integers(2, 10))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, nv)}
+    all_pairs = [(u, v) for v in range(nv) for u in range(v)]
+    edges |= set(draw(st.lists(st.sampled_from(all_pairs), max_size=2 * nv)))
+    g = symmetric_digraph(nv, sorted(edges))
+    prob = {}
+    for v in range(nv):
+        out = g.out_arcs(v)
+        raw = draw(st.lists(st.integers(1, 9), min_size=len(out), max_size=len(out)))
+        prob.update({a: Fraction(r, sum(raw)) for a, r in zip(out, raw)})
+    return render_instance(Instance(GraphMode.SYMMETRIC, nv, tuple(sorted(edges)), prob=prob))
+
+
+@settings(max_examples=80, deadline=None)
+@given(walk_instances(), st.sampled_from(("grover", "szegedy")))
+def test_cli_spectrum_agrees_property(text, walk):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "walk.zw"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run_cli("spectrum", str(path), walk)
+    assert code == 0, err
+    assert "VERDICT spectrum agree" in out
+
+
 def test_cli_spectrum_requires_graph_mode(tmp_path):
     path = write_fixture(tmp_path, "paper-digraph")
     code, _, err = run_cli("spectrum", path, "grover")
@@ -235,6 +265,19 @@ def test_cli_oversized_rational_exit_code(tmp_path):
     code, out, err = run_cli("verify", str(path))
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and ":4:" in err and "digit limit" in err
+
+
+@pytest.mark.parametrize(
+    "lines", [["vertices " + "7" * 5000], ["vertices 2", "edge " + "7" * 5000 + " 0 1"]],
+    ids=["vertices", "edge-id"],
+)
+def test_oversized_integer_names_the_digit_limit(lines):
+    with pytest.raises(ParseError) as exc:
+        parse_instance("\n".join(["mode graph", *lines]))
+    message = str(exc.value)
+    line_no = len(lines) + 1
+    assert exc.value.line == line_no and f":{line_no}:" in message
+    assert "digit limit" in message and len(message) < 200
 
 
 # Instance text from the directive vocabulary, well-formed or not, after a

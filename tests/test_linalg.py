@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetawalk.algebra import CC, Poly, QQ
-from zetawalk.digraph import build_digraph
+from zetawalk.digraph import build_digraph, symmetric_digraph
+from zetawalk.instances import fixture_digraph
 from zetawalk.linalg import Matrix, char_poly, det_one_minus_t, det_poly_matrix, eigenvalues_numeric
-from zetawalk.zeta import WeightAssignment, ihara_digraph
+from zetawalk.walk import grover_transition, spectrum_deviation, szegedy_transition
+from zetawalk.zeta import WeightAssignment, ihara_digraph, ihara_graph
 
-from conftest import inversion_inputs
+from conftest import inversion_inputs, random_probability, random_walk_graph
 from oracles import (
     allones_inverse_check, allones_scaled_inverse, block_matrices, block_scaled_inverse,
     block_woodbury_check, char_poly_exact, det_bareiss, det_cofactor, is_scaled_inverse,
@@ -147,6 +149,37 @@ def test_eigenvalues_match_char_poly_roots(rng):
 def test_eigenvalues_requires_square():
     with pytest.raises(ValueError, match="square"):
         eigenvalues_numeric([[1, 2, 3], [4, 5, 6]])
+
+
+def test_eigenvalues_real_input_reaches_lapack_as_float64(monkeypatch):
+    seen = []
+    eigvals = np.linalg.eigvals
+
+    def recording(a):
+        seen.append(a.dtype)
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", recording)
+    u = grover_transition(fixture_digraph("k4"))
+    eigenvalues_numeric(u)
+    eigenvalues_numeric([[0, 1], [1, 0]])
+    eigenvalues_numeric(frac_matrix([[1, 2], [3, 4]]))
+    assert seen == [np.float64] * 3
+    eigenvalues_numeric([[0, 1j], [1, 0]])
+    assert seen[-1] == np.complex128
+
+
+def test_eigenvalues_match_the_complex_route_on_walk_matrices(rng):
+    def ordered(values):
+        return sorted(values, key=lambda z: (z.real, z.imag))
+
+    for nv in (4, 8, 16, 32, 64):
+        g = random_walk_graph(rng, nv)
+        for u in (grover_transition(g), szegedy_transition(g, random_probability(rng, g))):
+            vals = eigenvalues_numeric(u)
+            assert spectrum_deviation(vals, np.linalg.eigvals(u.astype(complex))) <= 1e-12
+            # dgeev returns exact conjugate pairs and real eigenvalues with imaginary part 0
+            assert ordered(vals) == ordered(z.conjugate() for z in vals)
 
 
 def test_allones_inverse_examples():
@@ -362,4 +395,27 @@ def test_ihara_digraph_identity_property(instance):
     d, w = instance
     res = ihara_digraph(d, w, check=False)
     assert res.agree
+    assert res.rhs.as_poly() == res.hashimoto
+
+
+# The graph identity, with its (1 - t^2)^(|E|-|V|) prefactor, on generated
+# multigraphs with loops, parallel edges and isolated vertices.
+@st.composite
+def weighted_multigraphs(draw):
+    nv = draw(st.integers(1, 4))
+    edges = draw(st.lists(st.tuples(st.integers(0, nv - 1), st.integers(0, nv - 1)), max_size=5))
+    g = symmetric_digraph(nv, edges)
+    n = g.arc_count
+    tau1 = draw(st.lists(rationals, min_size=n, max_size=n))
+    tau2 = draw(st.lists(rationals, min_size=n, max_size=n))
+    return g, WeightAssignment.from_maps(g, dict(enumerate(tau1)), dict(enumerate(tau2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(weighted_multigraphs())
+def test_ihara_graph_identity_property(instance):
+    g, w = instance
+    res = ihara_graph(g, w, check=False)
+    assert res.agree
+    assert res.prefactor_exponent == g.edge_count - g.vertex_count
     assert res.rhs.as_poly() == res.hashimoto

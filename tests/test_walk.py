@@ -10,6 +10,7 @@ from zetawalk.instances import fixture_digraph, fixture_instance, instance_digra
 from zetawalk.linalg import eigenvalues_numeric
 from zetawalk.walk import (
     WalkError,
+    _sqrt_product,
     grover_spectrum_via_zeta,
     grover_transition,
     spectrum_deviation,
@@ -21,7 +22,8 @@ from zetawalk.walk import (
     validate_probability,
 )
 
-from conftest import random_connected_graph, random_probability
+from conftest import random_connected_graph, random_probability, random_walk_graph
+from oracles import sqrt_product, walk_discriminant, walk_transition
 
 
 OMEGA = cmath.exp(2j * math.pi / 3)
@@ -199,3 +201,62 @@ def test_zeta_edge_matrix_bridges_to_grover_walk():
         reversed_coeffs = np.array([float(h.coefficient(i)) for i in range(n + 1)])
         direct = np.poly(np.array(eigenvalues_numeric(u)))
         assert float(np.max(np.abs(direct - reversed_coeffs))) <= 1e-8
+
+
+def test_sqrt_product_bit_identical_to_fraction_route():
+    # squares before reduction (1/4 * 1/9), only after multiplication
+    # (2/9 * 8/9, 1/8 * 1/2) or only as n*d (2/3 * 3/8 = 6/24 = 1/4), and
+    # non-squares
+    grid = sorted({Fraction(a, b) for b in range(1, 13) for a in range(1, b + 1)})
+    for x in grid:
+        for y in grid:
+            assert _sqrt_product(x, y) == sqrt_product(x, y)
+    assert _sqrt_product(Fraction(2, 9), Fraction(8, 9)) == 4 / 9
+    assert _sqrt_product(Fraction(1, 8), Fraction(1, 2)) == 0.25
+    assert _sqrt_product(Fraction(2, 3), Fraction(3, 8)) == 0.5
+    assert _sqrt_product(Fraction(1, 3), Fraction(1, 6)) == math.sqrt(1 / 18)
+
+
+def probability_by_vertex(g, rows):
+    """p with the arcs leaving vertex v weighted by rows[v], in out-arc order."""
+    return {a: Fraction(x) for v, row in enumerate(rows) for a, x in zip(g.out_arcs(v), row)}
+
+
+def test_walk_matrices_bit_identical_on_square_products():
+    k4 = fixture_digraph("k4")
+    # out-arcs of 0: to 1, 2, 3; of 1: to 0, 2, 3; of 2: to 0, 1, 3; of 3: to 0, 1, 2
+    p = probability_by_vertex(k4, [
+        ["2/9", "4/9", "1/3"],   # T[0][1] = sqrt(2/9 * 8/9) = 4/9
+        ["8/9", "1/18", "1/18"],
+        ["1/8", "1/2", "3/8"],   # U: sqrt(1/8 * 1/2) = 1/4; T[2][3] = sqrt(3/8 * 2/3) = 1/2
+        ["1/6", "1/6", "2/3"],
+    ])
+    probs = validate_probability(k4, p)
+    u = szegedy_transition(k4, p)
+    assert np.array_equal(u, walk_transition(k4, probs))
+    assert np.array_equal(szegedy_discriminant(k4, p), walk_discriminant(k4, probs))
+    assert szegedy_discriminant(k4, p)[0, 1] == 4 / 9
+    assert szegedy_discriminant(k4, p)[2, 3] == 0.5
+
+
+def test_walk_matrices_bit_identical_to_oracle(rng):
+    graphs = [fixture_digraph(name) for name in ("triangle", "c4", "k4", "p3")]
+    graphs += [random_connected_graph(rng, 2, 12, 30) for _ in range(10)]
+    graphs += [random_walk_graph(rng, nv) for nv in range(2, 13)]
+    for g in graphs:
+        uniform = uniform_probability(g)
+        assert np.array_equal(grover_transition(g), walk_transition(g, uniform))
+        assert np.array_equal(szegedy_discriminant(g, uniform), walk_discriminant(g, uniform))
+        p = random_probability(rng, g)
+        assert np.array_equal(szegedy_transition(g, p), walk_transition(g, p))
+        assert np.array_equal(szegedy_discriminant(g, p), walk_discriminant(g, p))
+
+
+def test_walk_rejects_the_smallest_multi_edge_pair():
+    g = symmetric_digraph(4, [(2, 3), (3, 2), (1, 0), (0, 1), (0, 2)])
+    with pytest.raises(WalkError, match="multi-edge between 0 and 1:"):
+        grover_transition(g)
+    # a loop is reported before any multi-edge
+    g = symmetric_digraph(3, [(0, 1), (1, 0), (2, 2)])
+    with pytest.raises(WalkError, match="loop arc 4 at vertex 2"):
+        grover_transition(g)
