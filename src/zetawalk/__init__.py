@@ -7,7 +7,7 @@ identities on concrete instances.  The Ihara form yields characteristic
 polynomials and spectra of Szegedy/Grover walk transition matrices.
 """
 
-from .algebra import CC, ComplexField, Poly, QQ, RatFunc, RationalField, Series
+from .algebra import Poly, RatFunc, Series
 from .digraph import (
     Arc, Digraph, GraphError, GraphMode, PhiPair, arc_adjacency, build_digraph,
     prime_cycles, symmetric_digraph,
@@ -31,7 +31,7 @@ from .instances import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CC", "ComplexField", "Poly", "QQ", "RatFunc", "RationalField", "Series",
+    "Poly", "RatFunc", "Series",
     "Arc", "Digraph", "GraphError", "GraphMode", "PhiPair", "arc_adjacency",
     "build_digraph", "prime_cycles", "symmetric_digraph",
     "Matrix", "char_poly", "eigenvalues_numeric",

@@ -1,95 +1,33 @@
 """Univariate polynomials, rational functions, and truncated power series
-over a pluggable coefficient field.
+with exact rational coefficients (:class:`fractions.Fraction`).
 
-Two field instances are provided:
+Every operation is exact and equality is structural.  Polynomials are stored
+densely, constant term first, with trailing zero coefficients stripped.
+Rational functions are kept in canonical form: numerator and denominator
+coprime, denominator monic.  Series carry an explicit truncation order;
+combining two series truncates to the smaller order.
 
-* ``QQ`` -- exact rationals backed by :class:`fractions.Fraction`.  Every
-  operation is exact and equality is structural.
-* ``CC`` -- complex double precision with a tolerance-based equality
-  (default absolute tolerance 1e-9 per coefficient).
-
-Polynomials are stored densely, constant term first, with trailing zero
-coefficients stripped; zero is the field's ``is_zero``, so over CC a
-coefficient within the tolerance is stripped too.  Rational functions are
-kept in canonical form over exact fields: numerator and denominator coprime,
-denominator monic.  Series carry an explicit truncation order; combining two
-series truncates to the smaller order.
+Coefficients enter through ``as_fraction``, which accepts Fractions, ints and
+strings and refuses anything else (floats included), so no inexact value
+reaches the arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
-class RationalField:
-    """Exact rational coefficients of arbitrary precision."""
-
-    name = "QQ"
-    exact = True
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    def coerce(self, x):
-        if isinstance(x, Fraction):
-            return x
-        if isinstance(x, (int, str)):
-            return Fraction(x)
-        raise TypeError(f"cannot coerce {x!r} into QQ")
-
-    def is_zero(self, x):
-        return x == 0
-
-    def eq(self, a, b):
-        return a == b
-
-    def clear_denominators(self, rows):
-        """(D, D * rows) for a matrix of rationals, D the lcm of the entry
-        denominators, so that every scaled entry is a Python int."""
-        scale = lcm(*(x.denominator for row in rows for x in row))
-        return scale, [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
-
-
-class ComplexField:
-    """Complex double-precision coefficients with absolute tolerance ``tol``."""
-
-    name = "CC"
-    exact = False
-
-    def __init__(self, tol: float = 1e-9):
-        self.tol = float(tol)
-        self.zero = complex(0)
-        self.one = complex(1)
-
-    def coerce(self, x):
-        if isinstance(x, complex):
-            return x
-        if isinstance(x, (int, float, Fraction)):
-            return complex(x)
-        raise TypeError(f"cannot coerce {x!r} into CC")
-
-    def is_zero(self, x):
-        return abs(x) <= self.tol
-
-    def eq(self, a, b):
-        return abs(a - b) <= self.tol
-
-    def clear_denominators(self, rows):
-        """The identity scaling (1, rows): complex entries have no denominators."""
-        return 1, rows
-
-
-QQ = RationalField()
-CC = ComplexField()
-
-
-def render_scalar(field, c) -> str:
-    """Render one coefficient: rationals as ``p/q`` or ``p``, complex as ``a+bj``."""
-    if field.exact:
-        return str(c)
-    if abs(c.imag) == 0.0:
-        return f"{c.real:.12g}"
-    return f"{c.real:.12g}{c.imag:+.12g}j"
+def as_fraction(x) -> Fraction:
+    """x as a Fraction: a Fraction unchanged, an int or str converted;
+    raises TypeError on anything else."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, (int, str)):
+        return Fraction(x)
+    raise TypeError(f"{x!r} is not an exact rational (Fraction, int or str)")
 
 
 class Poly:
@@ -98,63 +36,59 @@ class Poly:
     The zero polynomial is the empty coefficient tuple and has degree -1.
     """
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, field, coeffs):
-        cs = [field.coerce(c) for c in coeffs]
-        while cs and field.is_zero(cs[-1]):
+    def __init__(self, coeffs):
+        cs = [as_fraction(c) for c in coeffs]
+        while cs and not cs[-1]:
             cs.pop()
-        self.field = field
         self.coeffs = tuple(cs)
 
     @classmethod
-    def zero(cls, field):
-        return cls(field, [])
+    def zero(cls):
+        return cls([])
 
     @classmethod
-    def one(cls, field):
-        return cls(field, [field.one])
+    def one(cls):
+        return cls([_ONE])
 
     @classmethod
-    def constant(cls, field, c):
-        return cls(field, [c])
+    def constant(cls, c):
+        return cls([c])
 
     @classmethod
-    def variable(cls, field):
-        return cls(field, [field.zero, field.one])
+    def variable(cls):
+        return cls([_ZERO, _ONE])
 
     @classmethod
-    def monomial(cls, field, k, c=1):
-        return cls(field, [field.zero] * k + [c])
+    def monomial(cls, k, c=1):
+        return cls([_ZERO] * k + [c])
 
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
     def is_zero(self) -> bool:
-        return all(self.field.is_zero(c) for c in self.coeffs)
+        return not self.coeffs
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return bool(self.coeffs)
 
     def coefficient(self, k):
-        return self.coeffs[k] if k < len(self.coeffs) else self.field.zero
+        return self.coeffs[k] if k < len(self.coeffs) else _ZERO
 
     def lead(self):
-        return self.coeffs[-1] if self.coeffs else self.field.zero
+        return self.coeffs[-1] if self.coeffs else _ZERO
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return all(
-            self.field.eq(self.coefficient(i), other.coefficient(i)) for i in range(n)
-        )
+        return self.coeffs == other.coeffs
 
     __hash__ = None
 
     def __neg__(self) -> "Poly":
-        return Poly(self.field, [-c for c in self.coeffs])
+        return Poly([-c for c in self.coeffs])
 
     def __add__(self, other) -> "Poly":
         other = self._lift(other)
@@ -164,7 +98,7 @@ class Poly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] = out[i] + c
-        return Poly(self.field, out)
+        return Poly(out)
 
     __radd__ = __add__
 
@@ -178,21 +112,21 @@ class Poly:
         other = self._lift(other)
         a, b = self.coeffs, other.coeffs
         if not a or not b:
-            return Poly.zero(self.field)
-        out = [self.field.zero] * (len(a) + len(b) - 1)
+            return Poly.zero()
+        out = [_ZERO] * (len(a) + len(b) - 1)
         for i, ci in enumerate(a):
             if ci == 0:
                 continue
             for j, cj in enumerate(b):
                 out[i + j] = out[i + j] + ci * cj
-        return Poly(self.field, out)
+        return Poly(out)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative polynomial power; use RatFunc")
-        result = Poly.one(self.field)
+        result = Poly.one()
         base = self
         while n:
             if n & 1:
@@ -201,30 +135,28 @@ class Poly:
             n >>= 1
         return result
 
-    def _lift(self, x) -> "Poly":
-        if isinstance(x, Poly):
-            return x
-        return Poly.constant(self.field, x)
+    @staticmethod
+    def _lift(x) -> "Poly":
+        return x if isinstance(x, Poly) else Poly([x])
 
     def scale(self, s) -> "Poly":
-        s = self.field.coerce(s)
-        return Poly(self.field, [c * s for c in self.coeffs])
+        s = as_fraction(s)
+        return Poly([c * s for c in self.coeffs])
 
     def evaluate(self, x):
-        acc = self.field.zero
+        acc = _ZERO
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
 
     def divmod(self, other):
-        """Long division; returns (quotient, remainder) over the field."""
+        """Long division; returns (quotient, remainder)."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        field = self.field
         rem = list(self.coeffs)
         dlead = other.lead()
         dn = other.degree
-        quot = [field.zero] * max(len(rem) - dn, 0)
+        quot = [_ZERO] * max(len(rem) - dn, 0)
         for i in range(len(rem) - dn - 1, -1, -1):
             c = rem[i + dn]
             if c == 0:
@@ -233,7 +165,7 @@ class Poly:
             quot[i] = q
             for j, dc in enumerate(other.coeffs):
                 rem[i + j] = rem[i + j] - q * dc
-        return Poly(field, quot), Poly(field, rem)
+        return Poly(quot), Poly(rem)
 
     def exact_div(self, other) -> "Poly":
         """Division known to be remainder-free; raises if a remainder is left."""
@@ -243,9 +175,7 @@ class Poly:
         return q
 
     def gcd(self, other) -> "Poly":
-        """Monic gcd via Euclid; inexact fields return 1 (no reduction)."""
-        if not self.field.exact:
-            return Poly.one(self.field)
+        """Monic gcd via Euclid."""
         a, b = self, other
         while not b.is_zero():
             a, b = b, a.divmod(b)[1]
@@ -257,20 +187,19 @@ class Poly:
         if self.is_zero():
             raise ZeroDivisionError("zero polynomial has no monic form")
         lead = self.lead()
-        return Poly(self.field, [c / lead for c in self.coeffs])
+        return Poly([c / lead for c in self.coeffs])
 
     def render(self) -> str:
         terms = []
         for i, c in enumerate(self.coeffs):
             if c == 0:
                 continue
-            cs = render_scalar(self.field, c)
             if i == 0:
-                terms.append(cs)
+                terms.append(str(c))
             elif i == 1:
-                terms.append(f"{cs}*t")
+                terms.append(f"{c}*t")
             else:
-                terms.append(f"{cs}*t^{i}")
+                terms.append(f"{c}*t^{i}")
         return " + ".join(terms) if terms else "0"
 
     def __repr__(self) -> str:
@@ -278,11 +207,10 @@ class Poly:
 
 
 class RatFunc:
-    """Quotient of two polynomials, canonicalized over exact fields.
+    """Quotient of two polynomials in canonical form.
 
-    Canonical form: gcd(num, den) = 1 and den monic, so equality of exact
-    rational functions is a structural check.  Over CC only the monic
-    normalization is applied and equality cross-multiplies.
+    Canonical form: gcd(num, den) = 1 and den monic, so equality is a
+    structural check.
     """
 
     __slots__ = ("num", "den")
@@ -290,40 +218,30 @@ class RatFunc:
     def __init__(self, num: Poly, den: Poly):
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
-        field = num.field
         if num.is_zero():
-            num, den = Poly.zero(field), Poly.one(field)
-        elif field.exact:
+            num, den = Poly.zero(), Poly.one()
+        else:
             g = num.gcd(den)
             if g.degree > 0:
                 num = num.exact_div(g)
                 den = den.exact_div(g)
             lead = den.lead()
-            if lead != field.one:
-                num = Poly(field, [c / lead for c in num.coeffs])
-                den = Poly(field, [c / lead for c in den.coeffs])
-        else:
-            lead = den.lead()
-            num = Poly(field, [c / lead for c in num.coeffs])
-            den = Poly(field, [c / lead for c in den.coeffs])
+            if lead != 1:
+                num, den = num.scale(1 / lead), den.scale(1 / lead)
         self.num = num
         self.den = den
 
-    @property
-    def field(self):
-        return self.num.field
-
     @classmethod
     def from_poly(cls, p: Poly) -> "RatFunc":
-        return cls(p, Poly.one(p.field))
+        return cls(p, Poly.one())
 
     @classmethod
-    def zero(cls, field) -> "RatFunc":
-        return cls.from_poly(Poly.zero(field))
+    def zero(cls) -> "RatFunc":
+        return cls.from_poly(Poly.zero())
 
     @classmethod
-    def one(cls, field) -> "RatFunc":
-        return cls.from_poly(Poly.one(field))
+    def one(cls) -> "RatFunc":
+        return cls.from_poly(Poly.one())
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -332,7 +250,7 @@ class RatFunc:
         return not self.is_zero()
 
     def is_poly(self) -> bool:
-        return self.den == Poly.one(self.field)
+        return self.den.degree == 0
 
     def as_poly(self) -> Poly:
         if not self.is_poly():
@@ -344,21 +262,18 @@ class RatFunc:
             other = RatFunc.from_poly(other)
         if not isinstance(other, RatFunc):
             return NotImplemented
-        if self.field.exact:
-            return self.num == other.num and self.den == other.den
-        return self.num * other.den == other.num * self.den
+        return self.num == other.num and self.den == other.den
 
     __hash__ = None
 
     def __neg__(self) -> "RatFunc":
         return RatFunc(-self.num, self.den)
 
-    def _lift(self, x) -> "RatFunc":
+    @staticmethod
+    def _lift(x) -> "RatFunc":
         if isinstance(x, RatFunc):
             return x
-        if isinstance(x, Poly):
-            return RatFunc.from_poly(x)
-        return RatFunc.from_poly(Poly.constant(self.field, x))
+        return RatFunc.from_poly(Poly._lift(x))
 
     def __add__(self, other) -> "RatFunc":
         other = self._lift(other)
@@ -400,27 +315,24 @@ class RatFunc:
 class Series:
     """Power series truncated at an explicit order ``L`` (coefficients 0..L)."""
 
-    __slots__ = ("field", "coeffs", "order")
+    __slots__ = ("coeffs", "order")
 
-    def __init__(self, field, coeffs, order=None):
-        cs = [field.coerce(c) for c in coeffs]
-        if order is None:
-            order = len(cs) - 1
+    def __init__(self, coeffs, order):
+        cs = [as_fraction(c) for c in coeffs]
         if order < 0:
             raise ValueError("series order must be >= 0")
         cs = cs[: order + 1]
-        cs += [field.zero] * (order + 1 - len(cs))
-        self.field = field
+        cs += [_ZERO] * (order + 1 - len(cs))
         self.coeffs = tuple(cs)
         self.order = order
 
     @classmethod
-    def one(cls, field, order):
-        return cls(field, [field.one], order)
+    def one(cls, order):
+        return cls([_ONE], order)
 
     @classmethod
     def from_poly(cls, p: Poly, order: int) -> "Series":
-        return cls(p.field, p.coeffs, order)
+        return cls(p.coeffs, order)
 
     def coefficient(self, k):
         return self.coeffs[k]
@@ -436,91 +348,64 @@ class Series:
         """Least k (up to the common order) where coefficients differ, else None."""
         order = min(self.order, other.order)
         for k in range(order + 1):
-            if not self.field.eq(self.coeffs[k], other.coeffs[k]):
+            if self.coeffs[k] != other.coeffs[k]:
                 return k
         return None
 
     def __neg__(self) -> "Series":
-        return Series(self.field, [-c for c in self.coeffs], self.order)
-
-    def _merge_order(self, other) -> int:
-        return min(self.order, other.order)
+        return Series([-c for c in self.coeffs], self.order)
 
     def __add__(self, other) -> "Series":
-        order = self._merge_order(other)
-        return Series(
-            self.field,
-            [self.coeffs[k] + other.coeffs[k] for k in range(order + 1)],
-            order,
-        )
+        order = min(self.order, other.order)
+        return Series([self.coeffs[k] + other.coeffs[k] for k in range(order + 1)], order)
 
     def __sub__(self, other) -> "Series":
         return self + (-other)
 
     def __mul__(self, other) -> "Series":
         if not isinstance(other, Series):
-            return Series(self.field, [c * other for c in self.coeffs], self.order)
-        order = self._merge_order(other)
-        out = [self.field.zero] * (order + 1)
+            return Series([c * other for c in self.coeffs], self.order)
+        order = min(self.order, other.order)
+        out = [_ZERO] * (order + 1)
         for i in range(order + 1):
             ci = self.coeffs[i]
             if ci == 0:
                 continue
             for j in range(order + 1 - i):
                 out[i + j] = out[i + j] + ci * other.coeffs[j]
-        return Series(self.field, out, order)
+        return Series(out, order)
 
     __rmul__ = __mul__
 
     def exp(self) -> "Series":
         c0 = self.coeffs[0]
-        if not self.field.is_zero(c0):
-            raise ValueError(
-                f"series exp requires zero constant term, got {render_scalar(self.field, c0)}"
-            )
-        s, out = self.coeffs, [self.field.one]
+        if c0:
+            raise ValueError(f"series exp requires zero constant term, got {c0}")
+        s, out = self.coeffs, [_ONE]
         for n in range(1, self.order + 1):
-            acc = self.field.zero
+            acc = _ZERO
             for j in range(1, n + 1):
                 if s[j] != 0:
                     acc = acc + j * s[j] * out[n - j]
             out.append(acc / n)
-        return Series(self.field, out, self.order)
-
-    def log(self) -> "Series":
-        c0 = self.coeffs[0]
-        if not self.field.eq(c0, self.field.one):
-            raise ValueError(
-                f"series log requires constant term 1, got {render_scalar(self.field, c0)}"
-            )
-        s, out = self.coeffs, [self.field.zero]
-        for n in range(1, self.order + 1):
-            acc = self.field.zero
-            for j in range(1, n):
-                if out[j] != 0:
-                    acc = acc + j * out[j] * s[n - j]
-            out.append(s[n] - acc / n)
-        return Series(self.field, out, self.order)
+        return Series(out, self.order)
 
     def inv(self) -> "Series":
         c0 = self.coeffs[0]
-        if self.field.is_zero(c0):
-            raise ValueError(
-                f"series inverse requires nonzero constant term, got {render_scalar(self.field, c0)}"
-            )
-        s, out = self.coeffs, [self.field.one / c0]
+        if not c0:
+            raise ValueError(f"series inverse requires nonzero constant term, got {c0}")
+        s, out = self.coeffs, [_ONE / c0]
         for n in range(1, self.order + 1):
-            acc = self.field.zero
+            acc = _ZERO
             for j in range(1, n + 1):
                 if s[j] != 0:
                     acc = acc + s[j] * out[n - j]
             out.append(-acc / c0)
-        return Series(self.field, out, self.order)
+        return Series(out, self.order)
 
     def render(self) -> str:
-        body = Poly(self.field, self.coeffs).render()
+        body = Poly(self.coeffs).render()
         return f"{body} + O(t^{self.order + 1})"
 
     def __repr__(self) -> str:
         return f"Series({self.render()})"
-

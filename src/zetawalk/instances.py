@@ -39,6 +39,9 @@ class ParseError(ValueError):
 _RATIONAL = re.compile(r"^-?\d+(/\d+)?$")
 _INTEGER = re.compile(r"[-+]?\d+")
 
+# Parse errors quote at most this many characters of an offending token.
+_ECHO_LIMIT = 40
+
 # The largest vertex count an instance may declare.  A digraph allocates
 # per-vertex tables, so a count far above any real instance is refused.
 MAX_VERTICES = 10_000
@@ -61,6 +64,14 @@ class Instance:
         return len(self.pairs)
 
 
+def _quote(tok: str) -> str:
+    """repr(tok), or the repr of its first _ECHO_LIMIT characters and its
+    length when longer, so an error line stays short whatever the input."""
+    if len(tok) <= _ECHO_LIMIT:
+        return repr(tok)
+    return f"{tok[:_ECHO_LIMIT]!r}... ({len(tok)} characters)"
+
+
 def parse_instance(text: str, source: str = "<instance>") -> Instance:
     mode = None
     vertices = None
@@ -74,11 +85,11 @@ def parse_instance(text: str, source: str = "<instance>") -> Instance:
 
     def parse_rational(tok, line_no) -> Fraction:
         if not _RATIONAL.match(tok):
-            fail(line_no, f"expected a rational p/q, got {tok!r}")
+            fail(line_no, f"expected a rational p/q, got {_quote(tok)}")
         try:
             return Fraction(tok)
         except ZeroDivisionError:
-            fail(line_no, f"zero denominator in {tok!r}")
+            fail(line_no, f"zero denominator in {_quote(tok)}")
         except ValueError:  # more digits than int() converts
             fail(line_no, f"rational of {len(tok)} characters exceeds the integer digit limit")
 
@@ -88,7 +99,7 @@ def parse_instance(text: str, source: str = "<instance>") -> Instance:
         except ValueError:
             if _INTEGER.fullmatch(tok):  # more digits than int() converts
                 fail(line_no, f"integer of {len(tok)} characters exceeds the integer digit limit")
-            fail(line_no, f"expected an integer, got {tok!r}")
+            fail(line_no, f"expected an integer, got {_quote(tok)}")
 
     def arc_count() -> int:
         return 2 * len(pairs) if mode is GraphMode.SYMMETRIC else len(pairs)
@@ -118,7 +129,7 @@ def parse_instance(text: str, source: str = "<instance>") -> Instance:
             elif rest == ["graph"]:
                 mode = GraphMode.SYMMETRIC
             else:
-                fail(line_no, f"mode must be 'digraph' or 'graph', got {' '.join(rest)!r}")
+                fail(line_no, f"mode must be 'digraph' or 'graph', got {_quote(' '.join(rest))}")
         elif key == "vertices":
             if vertices is not None:
                 fail(line_no, "duplicate vertices line")
@@ -156,7 +167,7 @@ def parse_instance(text: str, source: str = "<instance>") -> Instance:
                 fail(line_no, "prob lines are only allowed in graph mode")
             weight_line(prob, "prob", rest, line_no)
         else:
-            fail(line_no, f"unknown directive {key!r}")
+            fail(line_no, f"unknown directive {_quote(key)}")
     if mode is None:
         fail(0, "missing mode line")
     if vertices is None:

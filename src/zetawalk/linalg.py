@@ -2,10 +2,10 @@
 
 One kernel computes every determinant the library reports: ``char_poly``,
 the characteristic polynomial of a square scalar matrix, found by reducing
-the matrix to upper Hessenberg form by similarity transforms over its field
-and running the recurrence on the leading principal minors (Cohen, *A Course
-in Computational Algebraic Number Theory*, Alg. 2.2.9).  It takes O(n^3)
-field operations and stays exact over QQ.  Two readings build on it:
+the matrix to upper Hessenberg form by similarity transforms over QQ and
+running the recurrence on the leading principal minors (Cohen, *A Course in
+Computational Algebraic Number Theory*, Alg. 2.2.9).  It takes O(n^3)
+Fraction operations and is exact.  Two readings build on it:
 
 * ``det_one_minus_t`` -- det(I - t*m), the characteristic polynomial with
   its coefficients reversed;
@@ -19,9 +19,11 @@ inversion identities the tests compare against live in ``tests/oracles.py``.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 
-from .algebra import Poly, QQ
+from .algebra import Poly, as_fraction
 
 
 class Matrix:
@@ -37,14 +39,6 @@ class Matrix:
         self.rows = len(data)
         self.cols = len(data[0]) if data else 0
 
-    @classmethod
-    def zeros(cls, rows, cols, zero):
-        return cls([[zero] * cols for _ in range(rows)])
-
-    @classmethod
-    def identity(cls, n, one, zero):
-        return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
-
     def __getitem__(self, key):
         i, j = key
         return self.data[i][j]
@@ -59,65 +53,9 @@ class Matrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and all(
-                a == b for ra, rb in zip(self.data, other.data) for a, b in zip(ra, rb)
-            )
-        )
+        return self.data == other.data
 
     __hash__ = None
-
-    def __add__(self, other) -> "Matrix":
-        self._require_same_shape(other)
-        return Matrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ]
-        )
-
-    def __sub__(self, other) -> "Matrix":
-        self._require_same_shape(other)
-        return Matrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ]
-        )
-
-    def __neg__(self) -> "Matrix":
-        return Matrix([[-a for a in row] for row in self.data])
-
-    def __mul__(self, other) -> "Matrix":
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if self.cols != other.rows:
-            raise ValueError(f"cannot multiply {self.shape()} by {other.shape()}")
-        bt = tuple(zip(*other.data)) if other.data else ()
-        out = []
-        for arow in self.data:
-            out.append([_dot(arow, bcol) for bcol in bt])
-        return Matrix(out)
-
-    def scale(self, s) -> "Matrix":
-        return Matrix([[a * s for a in row] for row in self.data])
-
-    def map(self, fn) -> "Matrix":
-        return Matrix([[fn(a) for a in row] for row in self.data])
-
-    def transpose(self) -> "Matrix":
-        return Matrix(list(zip(*self.data)) if self.data else [])
-
-    def trace(self):
-        self._require_square()
-        if self.rows == 0:
-            raise ValueError("trace of an empty matrix needs an explicit zero")
-        acc = self.data[0][0]
-        for i in range(1, self.rows):
-            acc = acc + self.data[i][i]
-        return acc
 
     def shape(self):
         return (self.rows, self.cols)
@@ -126,40 +64,28 @@ class Matrix:
         if not self.is_square:
             raise ValueError(f"matrix is not square: {self.shape()}")
 
-    def _require_same_shape(self, other):
-        if self.shape() != other.shape():
-            raise ValueError(f"shape mismatch: {self.shape()} vs {other.shape()}")
-
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols})"
 
 
-def _dot(row, col):
-    it = iter(zip(row, col))
-    a, b = next(it)
-    acc = a * b
-    for a, b in it:
-        acc = acc + a * b
-    return acc
-
-
-def char_poly(m: Matrix, field=QQ) -> Poly:
+def char_poly(m: Matrix) -> Poly:
     """Monic characteristic polynomial det(lambda*I - m) of a scalar matrix.
 
     Reduces a copy of ``m`` to upper Hessenberg form H by similarity
-    transforms (pivots found with ``field.is_zero``), then expands the
-    characteristic polynomials p_k of H's leading k x k blocks:
+    transforms (the first nonzero entry below the diagonal is the pivot),
+    then expands the characteristic polynomials p_k of H's leading k x k
+    blocks:
 
         p_k = (x - H[k-1][k-1]) p_{k-1}
               - sum_{i<k} H[i-1][k-1] * H[i][i-1] ... H[k-1][k-2] * p_{i-1}.
     """
     m._require_square()
     n = m.rows
-    zero, one = field.zero, field.one
-    h = [[field.coerce(x) for x in row] for row in m.data]
+    zero, one = Fraction(0), Fraction(1)
+    h = [[as_fraction(x) for x in row] for row in m.data]
     for k in range(1, n - 1):
         col = k - 1
-        piv = next((i for i in range(k, n) if not field.is_zero(h[i][col])), None)
+        piv = next((i for i in range(k, n) if h[i][col]), None)
         if piv is None:
             continue
         if piv != k:
@@ -170,7 +96,7 @@ def char_poly(m: Matrix, field=QQ) -> Poly:
         pivot = hk[col]
         for i in range(k + 1, n):
             hi = h[i]
-            if field.is_zero(hi[col]):
+            if not hi[col]:
                 continue
             u = hi[col] / pivot
             # row i -= u * row k, then column k += u * column i
@@ -198,15 +124,15 @@ def char_poly(m: Matrix, field=QQ) -> Poly:
                 for j, c in enumerate(polys[i - 1]):
                     cur[j] = cur[j] - coef * c
         polys.append(cur)
-    return Poly(field, polys[-1])
+    return Poly(polys[-1])
 
 
-def det_one_minus_t(m: Matrix, field=QQ) -> Poly:
+def det_one_minus_t(m: Matrix) -> Poly:
     """det(I - t*m): the characteristic polynomial of m, coefficients reversed."""
-    return Poly(field, char_poly(m, field).coeffs[::-1])
+    return Poly(char_poly(m).coeffs[::-1])
 
 
-def det_poly_matrix(p: Matrix, field=QQ) -> Poly:
+def det_poly_matrix(p: Matrix) -> Poly:
     """det P(t) of a square matrix of polynomials with P(0) = I.
 
     With P(t) = I + t*P_1 + ... + t^k*P_k and k_v the degree of row v,
@@ -219,7 +145,7 @@ def det_poly_matrix(p: Matrix, field=QQ) -> Poly:
     n = p.rows
     for v in range(n):
         for u in range(n):
-            if not field.eq(p[v, u].coefficient(0), field.one if u == v else field.zero):
+            if p[v, u].coefficient(0) != (1 if u == v else 0):
                 raise ValueError("det_poly_matrix needs P(0) = I")
     degree = [max((e.degree for e in p.row(v)), default=0) for v in range(n)]
     start = []
@@ -227,7 +153,7 @@ def det_poly_matrix(p: Matrix, field=QQ) -> Poly:
     for v in range(n):
         start.append(size)
         size += degree[v]
-    c = [[field.zero] * size for _ in range(size)]
+    c = [[Fraction(0)] * size for _ in range(size)]
     for v in range(n):
         for i in range(degree[v]):
             row = c[start[v] + i]
@@ -235,8 +161,8 @@ def det_poly_matrix(p: Matrix, field=QQ) -> Poly:
                 if degree[u]:
                     row[start[u]] = -p[v, u].coefficient(i + 1)
             if i + 1 < degree[v]:
-                row[start[v] + i + 1] = field.one
-    return det_one_minus_t(Matrix(c), field)
+                row[start[v] + i + 1] = Fraction(1)
+    return det_one_minus_t(Matrix(c))
 
 
 def eigenvalues_numeric(m) -> list[complex]:

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from zetawalk import Digraph, Matrix, WeightAssignment, build_digraph, symmetric_digraph
-from zetawalk.algebra import QQ
 
 
 def random_rational(rng, allow_negative=True) -> Fraction:
@@ -18,7 +17,6 @@ def random_weights(rng, d: Digraph) -> WeightAssignment:
         d,
         {i: random_rational(rng) for i in range(n)},
         {i: random_rational(rng) for i in range(n)},
-        field=QQ,
     )
 
 
@@ -45,10 +43,8 @@ def random_connected_graph(rng, min_vertices=2, max_vertices=6, max_edges=10) ->
         edges.add((min(u, v), max(u, v)))
     candidates = [(u, v) for u in range(nv) for v in range(u + 1, nv) if (u, v) not in edges]
     rng.shuffle(candidates)
-    for pair in candidates:
-        if len(edges) >= max_edges or rng.random() < 0.5:
-            break
-        edges.add(pair)
+    extra = rng.randint(0, max(0, min(max_edges - len(edges), len(candidates))))
+    edges.update(candidates[:extra])
     return symmetric_digraph(nv, sorted(edges))
 
 

@@ -8,7 +8,9 @@ the two inversion identities behind the vertex-determinant reduction
 cleared, as A*B == B*A == d*I for a nonzero polynomial d), brute-force closed
 paths, the phi-grouped arc order, theta one entry at a time, the
 structural matrices, and the walk matrices U and T built entry by entry
-with Fraction square roots.
+with Fraction square roots.  Matrix arithmetic (sums, products, scaling,
+transposes, traces) and the series logarithm live here too, since only the
+tests use them.
 """
 
 from __future__ import annotations
@@ -19,10 +21,78 @@ from fractions import Fraction
 
 import numpy as np
 
-from zetawalk.algebra import Poly, QQ
+from zetawalk.algebra import Poly, Series, as_fraction
 from zetawalk.digraph import Digraph, GraphError, PhiPair
 from zetawalk.linalg import Matrix
 from zetawalk.zeta import WeightAssignment
+
+
+def identity(n, one, zero) -> Matrix:
+    return Matrix([[one if i == j else zero for j in range(n)] for i in range(n)])
+
+
+def zeros(rows, cols, zero) -> Matrix:
+    return Matrix([[zero] * cols for _ in range(rows)])
+
+
+def mat_map(m: Matrix, fn) -> Matrix:
+    return Matrix([[fn(a) for a in row] for row in m.data])
+
+
+def mat_scale(m: Matrix, s) -> Matrix:
+    return mat_map(m, lambda a: a * s)
+
+
+def transpose(m: Matrix) -> Matrix:
+    return Matrix(list(zip(*m.data)))
+
+
+def trace(m: Matrix):
+    m._require_square()
+    acc = m[0, 0]
+    for i in range(1, m.rows):
+        acc = acc + m[i, i]
+    return acc
+
+
+def _entrywise(a: Matrix, b: Matrix, op) -> Matrix:
+    if a.shape() != b.shape():
+        raise ValueError(f"shape mismatch: {a.shape()} vs {b.shape()}")
+    return Matrix([[op(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a.data, b.data)])
+
+
+def mat_add(a: Matrix, b: Matrix) -> Matrix:
+    return _entrywise(a, b, lambda x, y: x + y)
+
+
+def mat_sub(a: Matrix, b: Matrix) -> Matrix:
+    return _entrywise(a, b, lambda x, y: x - y)
+
+
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    if a.cols != b.rows:
+        raise ValueError(f"cannot multiply {a.shape()} by {b.shape()}")
+
+    def dot(row, col):
+        acc = row[0] * col[0]
+        for x, y in zip(row[1:], col[1:]):
+            acc = acc + x * y
+        return acc
+
+    cols = list(zip(*b.data))
+    return Matrix([[dot(row, col) for col in cols] for row in a.data])
+
+
+def series_log(s: Series) -> Series:
+    """log(s) for a series with constant term 1, from n*b_n = n*s_n - sum_{0<j<n} j*b_j*s_{n-j}."""
+    c0 = s.coeffs[0]
+    if c0 != 1:
+        raise ValueError(f"series log requires constant term 1, got {c0}")
+    out = [Fraction(0)]
+    for n in range(1, s.order + 1):
+        acc = sum((j * out[j] * s.coeffs[n - j] for j in range(1, n)), Fraction(0))
+        out.append(s.coeffs[n] - acc / n)
+    return Series(out, s.order)
 
 
 def det_bareiss(m: Matrix, one=None):
@@ -84,40 +154,38 @@ def det_cofactor(m: Matrix, one=None):
     return rec(idx, idx)
 
 
-def char_poly_exact(m: Matrix, field=QQ) -> Poly:
+def char_poly_exact(m: Matrix) -> Poly:
     """Monic characteristic polynomial via the Faddeev-LeVerrier recurrence.
 
-    Requires an exact coefficient field.  The constant coefficient equals
-    (-1)^n det(m); the result agrees with det(lambda*I - m).
+    The constant coefficient equals (-1)^n det(m); the result agrees with
+    det(lambda*I - m).
     """
-    if not field.exact:
-        raise TypeError("char_poly_exact requires an exact field")
     m._require_square()
     n = m.rows
     if n == 0:
-        return Poly.one(field)
-    work = m.map(field.coerce)
-    ident = Matrix.identity(n, field.one, field.zero)
-    cs = [field.one]
+        return Poly.one()
+    work = mat_map(m, as_fraction)
+    ident = identity(n, Fraction(1), Fraction(0))
+    cs = [Fraction(1)]
     mk = None
     for k in range(1, n + 1):
-        mk = work if mk is None else work * (mk + ident.scale(cs[-1]))
-        cs.append(-mk.trace() / k)
-    return Poly(field, list(reversed(cs)))
+        mk = work if mk is None else mat_mul(work, mat_add(mk, mat_scale(ident, cs[-1])))
+        cs.append(-trace(mk) / k)
+    return Poly(list(reversed(cs)))
 
 
 def is_scaled_inverse(a: Matrix, b: Matrix, d: Poly) -> bool:
     """a*b == b*a == d*I: for a nonzero polynomial d, b/d is the inverse of a."""
-    ident = Matrix.identity(a.rows, d, Poly.zero(QQ))
-    return a * b == ident and b * a == ident
+    ident = identity(a.rows, d, Poly.zero())
+    return mat_mul(a, b) == ident and mat_mul(b, a) == ident
 
 
 def allones_scaled_inverse(n: int, k) -> tuple[Matrix, Matrix, Poly]:
     """(I + t*k*J, (1 + t*k*n)*I - t*k*J, 1 + t*k*n) with J the n x n all-ones
     matrix: the claimed (I + t*k*J)^-1 = I - t*k/(1 + t*k*n) * J, scaled."""
     k = Fraction(k)
-    tk = Poly.monomial(QQ, 1, k)
-    s = Poly(QQ, [1, k * n])
+    tk = Poly.monomial(1, k)
+    s = Poly([1, k * n])
     lhs = Matrix([[tk + 1 if i == j else tk for j in range(n)] for i in range(n)])
     claimed = Matrix([[s - tk if i == j else -tk for j in range(n)] for i in range(n)])
     return lhs, claimed, s
@@ -129,7 +197,7 @@ def allones_inverse_check(n: int, k) -> bool:
 
 
 def _constant_polys(m: Matrix) -> Matrix:
-    return m.map(lambda x: Poly.constant(QQ, x))
+    return mat_map(m, Poly.constant)
 
 
 def _blocks(tl: Matrix, tr: Matrix, bl: Matrix, br: Matrix) -> Matrix:
@@ -143,20 +211,20 @@ def block_matrices(m1: Matrix, m2: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     k, ell = m1.rows, m1.cols
     if m2.shape() != (ell, k):
         raise ValueError(f"M2 must be {ell}x{k}, got {m2.shape()}")
-    t = Poly.variable(QQ)
-    pone, pzero = Poly.one(QQ), Poly.zero(QQ)
+    t = Poly.variable()
+    pone, pzero = Poly.one(), Poly.zero()
     p1, p2 = _constant_polys(m1), _constant_polys(m2)
-    big = _blocks(Matrix.zeros(k, k, pzero), p1.scale(t), p2.scale(t), Matrix.zeros(ell, ell, pzero))
-    full = Matrix.identity(k + ell, pone, pzero) + big
-    cap_k = Matrix.identity(k, pone, pzero) - (p1 * p2).scale(t * t)
-    cap_l = Matrix.identity(ell, pone, pzero) - (p2 * p1).scale(t * t)
+    big = _blocks(zeros(k, k, pzero), mat_scale(p1, t), mat_scale(p2, t), zeros(ell, ell, pzero))
+    full = mat_add(identity(k + ell, pone, pzero), big)
+    cap_k = mat_sub(identity(k, pone, pzero), mat_scale(mat_mul(p1, p2), t * t))
+    cap_l = mat_sub(identity(ell, pone, pzero), mat_scale(mat_mul(p2, p1), t * t))
     return full, cap_k, cap_l
 
 
 def adjugate(m: Matrix) -> Matrix:
     """adj(m) = det(m) * m^-1 over Poly, from the cofactor minors by Bareiss."""
     n = m.rows
-    one = Poly.one(QQ)
+    one = Poly.one()
 
     def minor(i, j):
         return Matrix([[m[r, c] for c in range(n) if c != j] for r in range(n) if r != i])
@@ -174,9 +242,9 @@ def block_scaled_inverse(m1: Matrix, m2: Matrix) -> Matrix:
     """
     _, cap_k, cap_l = block_matrices(m1, m2)
     adj_k, adj_l = adjugate(cap_k), adjugate(cap_l)
-    minus_t = Poly.monomial(QQ, 1, -1)
-    top_right = (_constant_polys(m1) * adj_l).scale(minus_t)
-    bottom_left = (adj_l * _constant_polys(m2)).scale(minus_t)
+    minus_t = Poly.monomial(1, -1)
+    top_right = mat_scale(mat_mul(_constant_polys(m1), adj_l), minus_t)
+    bottom_left = mat_scale(mat_mul(adj_l, _constant_polys(m2)), minus_t)
     return _blocks(adj_k, top_right, bottom_left, adj_l)
 
 
@@ -234,11 +302,11 @@ def phi_grouped_arc_order(d: Digraph) -> tuple[int, ...]:
 def theta_value(d: Digraph, w: WeightAssignment, a: int, b: int):
     """The pair weight theta(a, b)."""
     arc_a, arc_b = d.arcs[a], d.arcs[b]
-    val = w.field.zero
+    val = Fraction(0)
     if arc_a.head == arc_b.tail:
         val = w.tau1[a] * w.tau2[b]
     if b in d.inverse_set(a):
-        val = val - w.field.one
+        val = val - 1
     return val
 
 
@@ -258,8 +326,7 @@ class StructuralMatrices:
 
 
 def structural_matrices(d: Digraph, w: WeightAssignment, arc_order=None) -> StructuralMatrices:
-    field = w.field
-    zero, one = field.zero, field.one
+    zero, one = Fraction(0), Fraction(1)
     order = tuple(arc_order) if arc_order is not None else tuple(range(d.arc_count))
     n, nv = len(order), d.vertex_count
     inv_sets = [d.inverse_set(a) for a in order]
@@ -276,8 +343,8 @@ def structural_matrices(d: Digraph, w: WeightAssignment, arc_order=None) -> Stru
             for u in range(nv)
         ]
     )
-    pone, pzero = Poly.one(field), Poly.zero(field)
-    t_var = Poly.variable(field)
+    pone, pzero = Poly.one(), Poly.zero()
+    t_var = Poly.variable()
     t = Matrix(
         [
             [

@@ -11,7 +11,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 
-from zetawalk.algebra import Poly, QQ, RatFunc, Series
+from zetawalk.algebra import Poly, RatFunc, Series
 from zetawalk.cli import exit_code_for_report, main
 from zetawalk.digraph import arc_adjacency, build_digraph, symmetric_digraph
 from zetawalk.instances import fixture_digraph, fixture_text
@@ -356,14 +356,14 @@ def test_criterion_9_cli_determinism(tmp_path):
     if code != 2:
         ok = False
         notes.append(("parse-error-exit", code))
-    one = Series.one(QQ, 3)
+    one = Series.one(3)
     fabricated = ZetaReport(
         3,
         one,
         one,
-        Poly.one(QQ),
+        Poly.one(),
         one,
-        RatFunc.one(QQ),
+        RatFunc.one(),
         (Verdict("hashimoto-vs-ihara", False, "at t^1"),),
     )
     if exit_code_for_report(fabricated) != 1:

@@ -3,11 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from zetawalk.algebra import CC, Poly, QQ, RatFunc, Series
+from zetawalk.algebra import Poly, RatFunc, Series
+from zetawalk.digraph import build_digraph
+from zetawalk.zeta import WeightAssignment
+
+from oracles import series_log
 
 
 def P(*coeffs):
-    return Poly(QQ, coeffs)
+    return Poly(coeffs)
 
 
 def test_poly_product_difference_of_squares():
@@ -23,10 +27,10 @@ def test_poly_cube():
 
 
 def test_poly_normalization_strips_trailing_zeros():
-    p = Poly(QQ, [1, 2, 0, 0])
+    p = Poly([1, 2, 0, 0])
     assert p.coeffs == (1, 2)
     assert p.degree == 1
-    assert Poly(QQ, [0, 0]).degree == -1
+    assert Poly([0, 0]).degree == -1
 
 
 def test_poly_divmod_and_exact_div():
@@ -58,18 +62,18 @@ def test_ratfunc_product_cancels():
 
 def test_ratfunc_inv_zero_errors():
     with pytest.raises(ZeroDivisionError):
-        RatFunc.zero(QQ).inv()
+        RatFunc.zero().inv()
     with pytest.raises(ZeroDivisionError):
         RatFunc(P(1), P())
 
 
 def test_ratfunc_canonical_form_unique(rng):
     for _ in range(40):
-        num = Poly(QQ, [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(4)])
-        den = Poly(QQ, [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3)])
+        num = Poly([Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(4)])
+        den = Poly([Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3)])
         if den.is_zero() or num.is_zero():
             continue
-        scale = Poly(QQ, [Fraction(rng.randint(1, 9)), Fraction(rng.randint(-9, 9))])
+        scale = Poly([Fraction(rng.randint(1, 9)), Fraction(rng.randint(-9, 9))])
         a = RatFunc(num, den)
         b = RatFunc(num * scale, den * scale)
         assert a.num == b.num and a.den == b.den
@@ -81,93 +85,73 @@ def test_ratfunc_canonical_form_unique(rng):
 
 
 def test_series_exp_example():
-    s = Series(QQ, [0, 1], 4).exp()
+    s = Series([0, 1], 4).exp()
     assert s.coeffs == (1, 1, Fraction(1, 2), Fraction(1, 6), Fraction(1, 24))
 
 
 def test_series_log_of_geometric():
-    s = Series(QQ, [1, 1, 1, 1], 3).log()
+    s = series_log(Series([1, 1, 1, 1], 3))
     assert s.coeffs == (0, 1, Fraction(1, 2), Fraction(1, 3))
 
 
 def test_series_inv_example():
-    s = Series(QQ, [1, -1], 3).inv()
+    s = Series([1, -1], 3).inv()
     assert s.coeffs == (1, 1, 1, 1)
 
 
 def test_series_preconditions_name_constant_term():
     with pytest.raises(ValueError, match="zero constant term, got 1/2"):
-        Series(QQ, [Fraction(1, 2), 1], 3).exp()
+        Series([Fraction(1, 2), 1], 3).exp()
     with pytest.raises(ValueError, match="constant term 1, got 2"):
-        Series(QQ, [2, 1], 3).log()
+        series_log(Series([2, 1], 3))
     with pytest.raises(ValueError, match="nonzero constant term, got 0"):
-        Series(QQ, [0, 1], 3).inv()
+        Series([0, 1], 3).inv()
 
 
 def test_series_mixed_orders_truncate_to_minimum():
-    a = Series(QQ, [1, 1, 1], 2)
-    b = Series(QQ, [1, 2, 3, 4], 3)
+    a = Series([1, 1, 1], 2)
+    b = Series([1, 2, 3, 4], 3)
     assert (a + b).order == 2
     assert (a * b).order == 2
 
 
-def _random_series(rng, field, order, constant):
+def _random_series(rng, order, constant):
     coeffs = [constant] + [
         Fraction(rng.randint(-8, 8), rng.randint(1, 8)) for _ in range(order)
     ]
-    if not field.exact:
-        coeffs = [complex(c) for c in coeffs]
-    return Series(field, coeffs, order)
+    return Series(coeffs, order)
 
 
 def test_series_exp_log_roundtrip_exact(rng):
     for _ in range(20):
         order = rng.randint(1, 16)
-        s = _random_series(rng, QQ, order, Fraction(0))
-        assert s.exp().log() == s
-        t = _random_series(rng, QQ, order, Fraction(1))
-        assert t.log().exp() == t
+        s = _random_series(rng, order, Fraction(0))
+        assert series_log(s.exp()) == s
+        t = _random_series(rng, order, Fraction(1))
+        assert series_log(t).exp() == t
 
 
 def test_series_inverse_identity_exact(rng):
     one = None
     for _ in range(20):
         order = rng.randint(1, 16)
-        s = _random_series(rng, QQ, order, Fraction(rng.randint(1, 5)))
-        one = Series.one(QQ, order)
+        s = _random_series(rng, order, Fraction(rng.randint(1, 5)))
+        one = Series.one(order)
         assert s.inv() * s == one
-
-
-def test_series_identities_complex_tolerance(rng):
-    # coefficients decay like 2^-j so all intermediates stay O(1) through
-    # degree 32 (the tolerance contract assumes desk-scale conditioning)
-    for _ in range(10):
-        order = rng.randint(4, 32)
-        tail = [rng.uniform(-1.0, 1.0) / 2.0**j for j in range(1, order + 1)]
-        s = Series(CC, [0.0] + tail, order)
-        assert s.exp().log() == s
-        t = Series(CC, [1.0] + tail, order)
-        assert t.inv() * t == Series.one(CC, order)
 
 
 def test_poly_render_contract():
     assert P(1, Fraction(-3, 2), 0, 1).render() == "1 + -3/2*t + 1*t^3"
-    assert Poly(QQ, []).render() == "0"
-    assert Series(QQ, [1, 0, Fraction(2, 7)], 4).render() == "1 + 2/7*t^2 + O(t^5)"
+    assert Poly([]).render() == "0"
+    assert Series([1, 0, Fraction(2, 7)], 4).render() == "1 + 2/7*t^2 + O(t^5)"
     assert RatFunc(P(0, 1), P(1, 2)).render() == "(1/2*t)/(1/2 + 1*t)"
 
 
-def test_complex_poly_strips_coefficients_within_tolerance():
-    p = Poly(CC, [1.0, 1e-12])
-    assert p.degree == 0 and p == Poly(CC, [1.0])
-    # dividing by it must not normalise by the 1e-12 coefficient
-    r = RatFunc(Poly(CC, [0.0, 1.0]), p)
-    assert r.den.degree == 0 and r.render() == "1*t"
-
-
-def test_complex_field_tolerance_equality():
-    assert CC.eq(1.0 + 0j, 1.0 + 5e-10j)
-    assert not CC.eq(1.0 + 0j, 1.0 + 5e-8j)
-    p = Poly(CC, [1.0, 2.0])
-    q = Poly(CC, [1.0 + 1e-12, 2.0 - 1e-12])
-    assert p == q
+def test_floats_are_refused_at_the_boundary():
+    with pytest.raises(TypeError, match="0.5"):
+        Poly([0.5])
+    with pytest.raises(TypeError, match="0.5"):
+        Series([0.5], 2)
+    d = build_digraph(1, [(0, 0)])
+    with pytest.raises(TypeError, match="0.5"):
+        WeightAssignment.from_maps(d, {0: 0.5})

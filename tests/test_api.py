@@ -6,6 +6,7 @@ written there.
 
 import ast
 import importlib
+import inspect
 import types
 from pathlib import Path
 
@@ -34,9 +35,34 @@ WORKER_IMPORTS = [
 
 
 def test_all_is_explicit_and_has_no_modules():
-    assert len(zetawalk.__all__) == len(set(zetawalk.__all__)) == 55
+    assert len(zetawalk.__all__) == len(set(zetawalk.__all__)) == 51
     for name in zetawalk.__all__:
         assert not isinstance(getattr(zetawalk, name), types.ModuleType), name
+
+
+def _public_callables():
+    """Each callable in ``__all__`` and each public method of each class there."""
+    for name in zetawalk.__all__:
+        obj = getattr(zetawalk, name)
+        if callable(obj):
+            yield name, obj
+        if isinstance(obj, type):
+            for attr in vars(obj):
+                if not attr.startswith("_") and callable(getattr(obj, attr)):
+                    yield f"{name}.{attr}", getattr(obj, attr)
+
+
+def test_the_exact_core_has_no_field_parameter():
+    for name in ("QQ", "CC", "RationalField", "ComplexField"):
+        assert not hasattr(zetawalk, name), name
+    for name, obj in _public_callables():
+        if isinstance(obj, type):
+            assert not hasattr(obj, "field"), name
+        try:
+            params = inspect.signature(obj).parameters
+        except ValueError:  # exception classes that keep the builtin constructor
+            continue
+        assert "field" not in params, name
 
 
 @pytest.mark.parametrize("path, attr, span", PATCHES)

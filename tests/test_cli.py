@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zetawalk.algebra import Poly, QQ, RatFunc, Series
+from zetawalk.algebra import Poly, RatFunc, Series
 from zetawalk import cli
 from zetawalk.cli import exit_code_for_report, main
 from zetawalk.digraph import GraphMode, symmetric_digraph
@@ -280,6 +280,25 @@ def test_oversized_integer_names_the_digit_limit(lines):
     assert "digit limit" in message and len(message) < 200
 
 
+@pytest.mark.parametrize(
+    "lines",
+    [
+        ["mode graph", "vertices " + "x" * 5000],
+        ["mode graph", "vertices 2", "edge 0 0 1", "prob 0 " + "y" * 5000],
+        ["mode graph", "z" * 5000 + " 1"],
+        ["mode " + "m" * 5000],
+        ["mode digraph", "vertices 1", "arc 0 0 0", "tau1 0 1/" + "0" * 3000],
+    ],
+    ids=["integer", "rational", "directive", "mode", "zero-denominator"],
+)
+def test_parse_errors_clip_long_tokens(lines):
+    with pytest.raises(ParseError) as exc:
+        parse_instance("\n".join(lines))
+    message = str(exc.value)
+    assert exc.value.line == len(lines) and f":{len(lines)}:" in message
+    assert len(message) < 200 and "characters)" in message
+
+
 # Instance text from the directive vocabulary, well-formed or not, after a
 # valid header in most examples so that arc and weight lines are reached.
 DIRECTIVES = ("mode", "vertices", "arc", "edge", "tau1", "tau2", "prob", "node", "#")
@@ -299,6 +318,22 @@ def test_parse_instance_returns_an_instance_or_raises_parse_error(header, lines)
     except ParseError:
         return
     assert isinstance(inst, Instance)
+
+
+VERBS = (
+    ("verify", "--order", "4"), ("euler", "--order", "4"), ("exp", "--order", "4"),
+    ("ihara",), ("hashimoto",), ("spectrum", "grover"), ("spectrum", "szegedy"),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(HEADERS), st.lists(instance_lines, max_size=10), st.sampled_from(VERBS))
+def test_every_verb_exits_with_a_documented_code(header, lines, verb):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "instance.zw"
+        path.write_text("\n".join((header, *lines)), encoding="utf-8")
+        code, _, err = run_cli(verb[0], str(path), *verb[1:])
+    assert code in (0, 1, 2, 3) and "Traceback" not in err
 
 
 def test_vertex_count_limit():
@@ -369,8 +404,8 @@ def test_cli_internal_defect_exit_code(tmp_path, monkeypatch, verb, target, erro
 def test_exit_code_for_report_contract():
     agree = Verdict("exponential-vs-euler", True, None)
     bad = Verdict("hashimoto-vs-ihara", False, "at t^2")
-    one = Series.one(QQ, 3)
-    poly = Poly.one(QQ)
+    one = Series.one(3)
+    poly = Poly.one()
     ok_report = ZetaReport(3, one, one, poly, one, RatFunc.from_poly(poly), (agree,))
     bad_report = ZetaReport(3, one, one, poly, one, RatFunc.from_poly(poly), (agree, bad))
     assert exit_code_for_report(ok_report) == 0
