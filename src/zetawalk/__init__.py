@@ -16,7 +16,7 @@ from .linalg import Matrix, char_poly, eigenvalues_numeric
 from .zeta import (
     ConsistencyError, IharaIdentityError, WeightAssignment, ZetaError, ZetaReport,
     edge_matrix, euler_truncated, exponential_truncated, hashimoto, ihara_digraph,
-    ihara_graph, n_k_all, sato_ihara_digraph, sato_ihara_graph, verify_expressions,
+    ihara_graph, n_k_all, sato_ihara_digraph, verify_expressions,
 )
 from .walk import (
     WalkError, grover_spectrum_via_zeta, grover_transition, spectrum_deviation,
@@ -38,7 +38,7 @@ __all__ = [
     "ConsistencyError", "IharaIdentityError", "WeightAssignment", "ZetaError",
     "ZetaReport", "edge_matrix", "euler_truncated", "exponential_truncated",
     "hashimoto", "ihara_digraph", "ihara_graph", "n_k_all", "sato_ihara_digraph",
-    "sato_ihara_graph", "verify_expressions",
+    "verify_expressions",
     "WalkError", "grover_spectrum_via_zeta", "grover_transition", "spectrum_deviation",
     "szegedy_discriminant", "szegedy_spectrum_via_factorization", "szegedy_transition",
     "uniform_probability", "unitarity_defect", "validate_probability",

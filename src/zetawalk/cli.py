@@ -98,9 +98,13 @@ def _load(ns):
     return inst, d, instance_weights(inst, d)
 
 
+def _order(ns, d) -> int:
+    return ns.order if ns.order is not None else max(10, d.arc_count)
+
+
 def cmd_verify(ns) -> tuple[str, int]:
     inst, d, w = _load(ns)
-    report = verify_expressions(d, w, ns.order)
+    report = verify_expressions(d, w, _order(ns, d))
     rep = _Report(ns.format == "records")
     _instance_header(rep, "verify", inst)
     rep.add("order", report.order)
@@ -126,14 +130,14 @@ def cmd_ihara(ns) -> tuple[str, int]:
     rep = _Report(ns.format == "records")
     _instance_header(rep, "ihara", inst)
     if d.mode is GraphMode.GENERAL:
-        data = ihara_digraph(d, w, check=False)
+        data = ihara_digraph(d, w)
         for pair, f in zip(data.pairs, data.f_factors):
             rep.add(f"f({pair.u},{pair.v})", f.render())
         _matrix_entries(rep, "A", data.a)
         _matrix_entries(rep, "D", data.d_ul)
         _matrix_entries(rep, "X", data.x_ul)
     else:
-        data = ihara_graph(d, w, check=False)
+        data = ihara_graph(d, w)
         rep.add("prefactor-exponent", data.prefactor_exponent)
         _matrix_entries(rep, "A", data.a_g)
         _matrix_entries(rep, "D", data.d_g)
@@ -155,7 +159,7 @@ def cmd_hashimoto(ns) -> tuple[str, int]:
 
 def cmd_euler(ns) -> tuple[str, int]:
     inst, d, w = _load(ns)
-    order = ns.order if ns.order is not None else max(10, d.arc_count)
+    order = _order(ns, d)
     rep = _Report(ns.format == "records")
     _instance_header(rep, "euler", inst)
     rep.add("order", order)
@@ -165,7 +169,7 @@ def cmd_euler(ns) -> tuple[str, int]:
 
 def cmd_exp(ns) -> tuple[str, int]:
     inst, d, w = _load(ns)
-    order = ns.order if ns.order is not None else max(10, d.arc_count)
+    order = _order(ns, d)
     rep = _Report(ns.format == "records")
     _instance_header(rep, "exp", inst)
     rep.add("order", order)
@@ -191,12 +195,12 @@ def cmd_spectrum(ns) -> tuple[str, int]:
     rep.add("walk", ns.walk)
     if ns.walk == "grover":
         u = grover_transition(g)
-        derived = grover_spectrum_via_zeta(g, ns.tolerance)
+        derived = grover_spectrum_via_zeta(g)
     else:
         if not inst.prob:
             raise WalkError("szegedy spectrum needs prob lines in the instance")
         u = szegedy_transition(g, inst.prob)
-        derived = szegedy_spectrum_via_factorization(g, inst.prob, ns.tolerance)
+        derived = szegedy_spectrum_via_factorization(g, inst.prob)
     direct = eigenvalues_numeric(u)
     rep.add("unitarity-defect", f"{unitarity_defect(u):.3e}")
     for i, z in enumerate(_sorted_spectrum(direct)):

@@ -13,8 +13,10 @@ vertex-sized discriminant T[u][v] = sum_{a in A_uv} sqrt(p(a) p(inv(a))):
     det(lambda I - U) = (lambda^2 - 1)^(|E|-|V|)
                         * prod_mu (lambda^2 - 2 mu lambda + 1),
 
-over the eigenvalues mu of T.  The spectrum is read off this factorization;
-the CLI checks it against a direct eigensolve of U (the oracle): a real
+over the eigenvalues mu of T.  The spectrum is read off this factorization,
+with exact +-1 multiplicities: when |E| < |V| the prefactor divides out
+the extreme mu, which are exactly +-1, with no tolerance search.  The CLI
+checks the spectrum against a direct eigensolve of U (the oracle): a real
 double-precision general eigensolve, which does not assume that U is
 orthogonal.  The entries of U and T are square roots of products of
 rational probabilities, taken in integer arithmetic and exact wherever the
@@ -29,6 +31,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from .algebra import as_fraction
 from .digraph import Digraph, GraphMode
 from .linalg import eigenvalues_numeric  # noqa: F401  (the direct-spectrum oracle, re-exported)
 
@@ -61,26 +64,22 @@ def uniform_probability(g: Digraph) -> dict[int, Fraction]:
 
 
 def validate_probability(g: Digraph, p) -> dict[int, Fraction]:
-    """Check totality, positivity, and unit row sums per tail vertex.
+    """Check totality, positivity, and exact unit row sums per tail vertex.
 
-    Row sums must be exactly 1 for rational inputs; float inputs are
-    allowed a 1e-12 slack.
+    Each probability goes through ``algebra.as_fraction``, so a float
+    raises TypeError.
     """
     probs = {}
-    has_float = False
     for a in g.arcs:
         if a.id not in p:
             raise WalkError(f"missing probability for arc {a.id}")
-        raw = p[a.id]
-        has_float = has_float or isinstance(raw, float)
-        val = Fraction(raw)
+        val = as_fraction(p[a.id])
         if not 0 < val <= 1:
             raise WalkError(f"probability {val} for arc {a.id} outside (0, 1]")
         probs[a.id] = val
     for v in range(g.vertex_count):
         total = sum(probs[a] for a in g.out_arcs(v))
-        bad = abs(total - 1) > Fraction(1, 10**12) if has_float else total != 1
-        if bad:
+        if total != 1:
             raise WalkError(f"probabilities at vertex {v} sum to {total}, expected 1")
     return probs
 
@@ -148,39 +147,27 @@ def _quadratic_roots(mu: float) -> tuple[complex, complex]:
     return ((2.0 * mu + root) / 2.0, (2.0 * mu - root) / 2.0)
 
 
-def _signed_unit_adjustment(values: list[complex], copies: int, tol: float) -> list[complex]:
-    """Add (copies > 0) or cancel (copies < 0) that many +1/-1 pairs."""
-    out = list(values)
-    if copies >= 0:
-        out.extend([1.0 + 0.0j, -1.0 + 0.0j] * copies)
-        return out
-    for sign in (1.0, -1.0):
-        for _ in range(-copies):
-            best, best_err = None, None
-            for i, v in enumerate(out):
-                err = abs(v - sign)
-                if best_err is None or err < best_err:
-                    best, best_err = i, err
-            if best is None or best_err > tol:
-                raise WalkError(
-                    f"cannot cancel a {sign:+.0f} eigenvalue from the quadratic roots "
-                    f"(closest residual {best_err})"
-                )
-            out.pop(best)
-    return out
-
-
-def _spectrum(g: Digraph, probs: dict[int, Fraction], tol: float) -> list[complex]:
+def _spectrum(g: Digraph, probs: dict[int, Fraction]) -> list[complex]:
     """{+1, -1} each |E|-|V| times plus the roots of lambda^2 - 2 mu lambda + 1.
 
     T is symmetric (sqrt(p(a) p(inv(a))) is the same for a and inv(a)), so
-    its spectrum is real and eigvalsh applies.  When |E| < |V| the
-    prefactor divides the product, so +-1 roots are cancelled, not added.
+    its spectrum is real and eigvalsh applies, in ascending order.  When
+    |E| < |V| the prefactor divides the product: with cut = |V| - |E|, each
+    of the cut smallest and the cut largest mu keeps one root of its
+    double root instead of two.  Those mu are exactly -1 and +1.  Every mu
+    lies in [-1, 1] (x^T T x <= |x|^2 by AM-GM), and at least cut
+    components are trees.  A tree's chain is reversible, so its block of T
+    is similar to its transition matrix, which is irreducible and
+    bipartite and so has +1 and -1 as simple eigenvalues.
     """
+    mus = np.linalg.eigvalsh(_discriminant(g, probs))
+    cut = g.vertex_count - g.edge_count
     roots: list[complex] = []
-    for mu in np.linalg.eigvalsh(_discriminant(g, probs)):
-        roots.extend(_quadratic_roots(float(mu)))
-    return _signed_unit_adjustment(roots, g.edge_count - g.vertex_count, tol)
+    for i, mu in enumerate(mus):
+        pair = _quadratic_roots(float(mu))
+        roots.extend(pair[:1] if i < cut or i >= len(mus) - cut else pair)
+    roots.extend([1.0 + 0.0j, -1.0 + 0.0j] * max(0, -cut))
+    return roots
 
 
 def szegedy_transition(g: Digraph, p) -> np.ndarray:
@@ -207,20 +194,16 @@ def szegedy_discriminant(g: Digraph, p) -> np.ndarray:
     return _discriminant(g, validate_probability(g, p))
 
 
-def grover_spectrum_via_zeta(g: Digraph, tol: float = 1e-8) -> list[complex]:
+def grover_spectrum_via_zeta(g: Digraph) -> list[complex]:
     """Spectrum of the Grover walk from the vertex factorization."""
     _require_walk_graph(g)
-    return _spectrum(g, uniform_probability(g), tol)
+    return _spectrum(g, uniform_probability(g))
 
 
-def szegedy_spectrum_via_factorization(g: Digraph, p, tol: float = 1e-8) -> list[complex]:
-    """Spectrum of the Szegedy walk from the vertex factorization.
-
-    ``tol`` bounds the distance of a quadratic root cancelled against the
-    (lambda^2 - 1) prefactor when |E| < |V|.
-    """
+def szegedy_spectrum_via_factorization(g: Digraph, p) -> list[complex]:
+    """Spectrum of the Szegedy walk from the vertex factorization."""
     _require_walk_graph(g)
-    return _spectrum(g, validate_probability(g, p), tol)
+    return _spectrum(g, validate_probability(g, p))
 
 
 def spectrum_deviation(s1, s2) -> float:

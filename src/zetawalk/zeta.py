@@ -38,7 +38,8 @@ characteristic polynomial of ``linalg``:
 
 Every Ihara-style operation computes its vertex side without det(I - t*M),
 then compares the two exactly (prod_f * det(P) == det(I - t*M) * prod_u r_u
-for a digraph), raising IharaIdentityError with both sides on failure.
+for a digraph).  ``ihara_digraph`` and ``ihara_graph`` report the outcome
+as ``agree``; ``sato_ihara_digraph`` raises IharaIdentityError on failure.
 
 The two enumeration routes, closed paths for N_k and prime cycles for the
 Euler product, run on the integer matrix D*M, D the lcm of the theta
@@ -353,7 +354,7 @@ class IharaDigraph:
     agree: bool
 
 
-def ihara_digraph(d: Digraph, w: WeightAssignment, check: bool = True) -> IharaDigraph:
+def ihara_digraph(d: Digraph, w: WeightAssignment) -> IharaDigraph:
     """The vertex-sized determinant expression of a general digraph.
 
     Elementwise, with f = f(u,v) and sums over the arcs of one pair:
@@ -365,14 +366,14 @@ def ihara_digraph(d: Digraph, w: WeightAssignment, check: bool = True) -> IharaD
     The X form is the expansion of the per-pair block product L J^2 K (the
     inverse-indicator matrix squared); it is the only elementwise variant
     that satisfies prod_f * det(I - tA + t^2 D - t^3 X) = det(I - tM) for
-    generic weights, which ``check`` asserts exactly.
+    generic weights; ``agree`` records whether it holds exactly.
     """
     if d.mode is not GraphMode.GENERAL:
         raise GraphError("ihara_digraph requires a general-mode digraph")
-    return _ihara_digraph(d, w, hashimoto(d, w), check)
+    return _ihara_digraph(d, w, hashimoto(d, w))
 
 
-def _ihara_digraph(d: Digraph, w: WeightAssignment, h: Poly, check: bool) -> IharaDigraph:
+def _ihara_digraph(d: Digraph, w: WeightAssignment, h: Poly) -> IharaDigraph:
     nv = d.vertex_count
     pairs = d.phi_pairs()
     f_polys = tuple(pair_f_poly(p) for p in pairs)
@@ -413,19 +414,13 @@ def _ihara_digraph(d: Digraph, w: WeightAssignment, h: Poly, check: bool) -> Iha
 
     num, den = _cleared_vertex_det(nv, pairs, f_polys, terms)
     agree = num == h * den
-    rhs = RatFunc.from_poly(h) if agree else RatFunc(num, den)
-    if check and not agree:
-        raise IharaIdentityError(
-            "vertex determinant expression disagrees with det(I - t*M): "
-            f"rhs = {rhs.render()} vs hashimoto = {h.render()}"
-        )
     return IharaDigraph(
         pairs=pairs,
         f_factors=f_polys,
         a=Matrix(a_mat),
         d_ul=Matrix(d_mat),
         x_ul=Matrix(x_mat),
-        rhs=rhs,
+        rhs=RatFunc.from_poly(h) if agree else RatFunc(num, den),
         hashimoto=h,
         agree=agree,
     )
@@ -448,13 +443,13 @@ class IharaGraph:
     agree: bool
 
 
-def ihara_graph(g: Digraph, w: WeightAssignment, check: bool = True) -> IharaGraph:
+def ihara_graph(g: Digraph, w: WeightAssignment) -> IharaGraph:
     if g.mode is not GraphMode.SYMMETRIC:
         raise GraphError("ihara_graph requires the symmetric digraph of a graph")
-    return _ihara_graph(g, w, hashimoto(g, w), check)
+    return _ihara_graph(g, w, hashimoto(g, w))
 
 
-def _ihara_graph(g: Digraph, w: WeightAssignment, h: Poly, check: bool) -> IharaGraph:
+def _ihara_graph(g: Digraph, w: WeightAssignment, h: Poly) -> IharaGraph:
     nv = g.vertex_count
     a_mat = _weighted_adjacency(g, w)
     d_diag = [_ZERO] * nv
@@ -475,12 +470,6 @@ def _ihara_graph(g: Digraph, w: WeightAssignment, h: Poly, check: bool) -> Ihara
         rhs = RatFunc.from_poly(vertex_det * one_minus_t2**m_exp)
     else:
         rhs = RatFunc(vertex_det, one_minus_t2 ** (-m_exp))
-    agree = rhs == RatFunc.from_poly(h)
-    if check and not agree:
-        raise IharaIdentityError(
-            "graph vertex determinant expression disagrees with det(I - t*M): "
-            f"rhs = {rhs.render()} vs hashimoto = {h.render()}"
-        )
     return IharaGraph(
         a_g=Matrix(a_mat),
         d_g=Matrix([[d_diag[i] if i == j else _ZERO for j in range(nv)] for i in range(nv)]),
@@ -488,7 +477,7 @@ def _ihara_graph(g: Digraph, w: WeightAssignment, h: Poly, check: bool) -> Ihara
         vertex_det=vertex_det,
         rhs=rhs,
         hashimoto=h,
-        agree=agree,
+        agree=rhs == RatFunc.from_poly(h),
     )
 
 
@@ -502,8 +491,8 @@ def sato_ihara_digraph(d: Digraph, tau2=None) -> Poly:
         Au[u][v] = (sum_{a in A_uv} tau2(a)) / f(u,v),
         Du[u][u] = sum_{w != u} |A_wu| (sum_{a in A_uw} tau2(a)) / f(u,w).
 
-    Must agree exactly with hashimoto and with the general Ihara expression
-    at tau1 = 1; raises IharaIdentityError otherwise.
+    Checked exactly against hashimoto at tau1 = 1; raises
+    IharaIdentityError on a mismatch.
     """
     if d.mode is not GraphMode.GENERAL:
         raise GraphError("sato_ihara_digraph requires a general-mode digraph")
@@ -525,26 +514,13 @@ def sato_ihara_digraph(d: Digraph, tau2=None) -> Poly:
             terms.append((u, u, Poly.monomial(2, l_vu * s2_uv), p))
             terms.append((v, v, Poly.monomial(2, k_uv * s2_vu), p))
     num, den = _cleared_vertex_det(d.vertex_count, pairs, f_polys, terms)
-    general = ihara_digraph(d, w)
-    if num != general.hashimoto * den:
+    h = hashimoto(d, w)
+    if num != h * den:
         raise IharaIdentityError(
             f"tau1=1 digraph expression mismatch: {RatFunc(num, den).render()} "
-            f"vs {general.hashimoto.render()}"
+            f"vs {h.render()}"
         )
-    return general.hashimoto
-
-
-def sato_ihara_graph(g: Digraph, tau2=None) -> Poly:
-    """Vertex determinant at tau1 = 1 for a symmetric digraph.
-
-    A[u][v] = sum_{a in A_uv} tau2(a) and D[u][u] = sum_{a in A_u*} tau2(a);
-    rhs = (1-t^2)^(|E|-|V|) det(I - t*A + t^2*(D-I)).  This is the graph
-    expression at tau1 = 1, so it is checked exactly against hashimoto
-    and raises IharaIdentityError on a mismatch.
-    """
-    if g.mode is not GraphMode.SYMMETRIC:
-        raise GraphError("sato_ihara_graph requires the symmetric digraph of a graph")
-    return ihara_graph(g, WeightAssignment.from_maps(g, None, tau2)).rhs.as_poly()
+    return h
 
 
 @dataclass(frozen=True)
@@ -576,25 +552,22 @@ def _series_verdict(name: str, s1: Series, s2: Series) -> Verdict:
     return Verdict(name, k is None, None if k is None else f"at t^{k}")
 
 
-def verify_expressions(d: Digraph, w: WeightAssignment, order: int | None = None) -> ZetaReport:
+def verify_expressions(d: Digraph, w: WeightAssignment, order: int) -> ZetaReport:
     """Compute all four expressions and compare them.
 
-    Series expressions are compared coefficientwise to ``order`` (default
-    max(10, arc count)); the Hashimoto and Ihara expressions are compared
-    exactly as rational functions.  The theta matrix is built once and
-    shared by the power sums, the Euler product and det(I - t*M).
+    Series expressions are compared coefficientwise to ``order``, Hashimoto
+    and Ihara exactly as rational functions.  The theta matrix is built once
+    and shared by the power sums, the Euler product and det(I - t*M).
     """
-    if order is None:
-        order = max(10, d.arc_count)
     _require_series_order(order)
     m = _edge_matrix_data(d, w)
     expo = _exp_of_power_sums(_n_k_all(m, order), order)
     eul = _euler(d, m, order)
     h = det_one_minus_t(Matrix(m))
     if d.mode is GraphMode.SYMMETRIC:
-        ih = _ihara_graph(d, w, h, check=False)
+        ih = _ihara_graph(d, w, h)
     else:
-        ih = _ihara_digraph(d, w, h, check=False)
+        ih = _ihara_digraph(d, w, h)
     h_series = Series.from_poly(h, order).inv()
     if ih.agree:
         ihara_detail = None

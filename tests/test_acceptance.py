@@ -35,7 +35,6 @@ from zetawalk.zeta import (
     ihara_graph,
     n_k_all,
     sato_ihara_digraph,
-    sato_ihara_graph,
     verify_expressions,
 )
 
@@ -61,12 +60,12 @@ def test_criterion_1_digraph_ihara_identity_exact():
     failures = []
     d = fixture_digraph("paper-digraph")
     for trial in range(5):
-        res = ihara_digraph(d, random_weights(rng, d), check=False)
+        res = ihara_digraph(d, random_weights(rng, d))
         if not (res.agree and res.rhs.as_poly() == res.hashimoto):
             failures.append(("fixture", trial))
     for trial in range(200):
         dd = random_digraph(rng, max_vertices=4, max_arcs=10)
-        res = ihara_digraph(dd, random_weights(rng, dd), check=False)
+        res = ihara_digraph(dd, random_weights(rng, dd))
         if not (res.agree and res.rhs.as_poly() == res.hashimoto):
             failures.append(("random", trial))
     report(
@@ -82,12 +81,12 @@ def test_criterion_2_graph_ihara_identity_exact():
     failures = []
     g = fixture_digraph("paper-graph")
     for trial in range(5):
-        res = ihara_graph(g, random_weights(rng, g), check=False)
+        res = ihara_graph(g, random_weights(rng, g))
         if not res.agree:
             failures.append(("fixture", trial))
     for trial in range(200):
         gg = random_multigraph(rng, max_vertices=4, max_edges=6)
-        res = ihara_graph(gg, random_weights(rng, gg), check=False)
+        res = ihara_graph(gg, random_weights(rng, gg))
         if not res.agree:
             failures.append(("random", trial))
     report(
@@ -176,8 +175,7 @@ def test_criterion_4_sato_specialization():
             ok = (
                 sato_ihara_digraph(d, tau2_d) == hashimoto(d, wd)
                 and sato_ihara_digraph(d, tau2_d) == ihara_digraph(d, wd).rhs.as_poly()
-                and sato_ihara_graph(g, tau2_g) == hashimoto(g, wg)
-                and sato_ihara_graph(g, tau2_g) == ihara_graph(g, wg).rhs.as_poly()
+                and ihara_graph(g, wg).rhs.as_poly() == hashimoto(g, wg)
             )
         except Exception as exc:  # identity errors surface as failures
             ok = False
@@ -186,7 +184,8 @@ def test_criterion_4_sato_specialization():
     for name in ("triangle", "c4", "k4", "p3"):
         gg = fixture_digraph(name)
         tau2 = {i: random_rational(rng) for i in range(gg.arc_count)}
-        if sato_ihara_graph(gg, tau2) != hashimoto(gg, WeightAssignment.from_maps(gg, None, tau2)):
+        wgg = WeightAssignment.from_maps(gg, None, tau2)
+        if ihara_graph(gg, wgg).rhs.as_poly() != hashimoto(gg, wgg):
             failures.append(name)
     report(
         4,

@@ -35,7 +35,8 @@ WORKER_IMPORTS = [
 
 
 def test_all_is_explicit_and_has_no_modules():
-    assert len(zetawalk.__all__) == len(set(zetawalk.__all__)) == 51
+    assert len(zetawalk.__all__) == len(set(zetawalk.__all__)) == 50
+    assert not hasattr(zetawalk, "sato_ihara_graph")
     for name in zetawalk.__all__:
         assert not isinstance(getattr(zetawalk, name), types.ModuleType), name
 
@@ -53,6 +54,7 @@ def _public_callables():
 
 
 def test_the_exact_core_has_no_field_parameter():
+    """Nor a ``check`` or ``tol`` parameter, nor an ``order`` that defaults to None."""
     for name in ("QQ", "CC", "RationalField", "ComplexField"):
         assert not hasattr(zetawalk, name), name
     for name, obj in _public_callables():
@@ -62,7 +64,8 @@ def test_the_exact_core_has_no_field_parameter():
             params = inspect.signature(obj).parameters
         except ValueError:  # exception classes that keep the builtin constructor
             continue
-        assert "field" not in params, name
+        assert not {"field", "check", "tol"} & set(params), name
+        assert "order" not in params or params["order"].default is not None, name
 
 
 @pytest.mark.parametrize("path, attr, span", PATCHES)

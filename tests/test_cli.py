@@ -382,6 +382,45 @@ def test_cli_spectrum_rejects_bad_tolerance(tmp_path, fixture, tolerance):
     assert exc.value.code == 2
 
 
+FOREST = """\
+mode graph
+vertices 6
+edge 0 0 1
+edge 1 1 2
+edge 2 3 4
+edge 3 4 5
+prob 0 1
+prob 1 1/3
+prob 2 2/3
+prob 3 1
+prob 4 1
+prob 5 2/5
+prob 6 3/5
+prob 7 1
+"""
+
+
+@pytest.mark.parametrize("text", [fixture_text("p3"), FOREST], ids=["p3", "forest"])
+def test_cli_spectrum_tolerance_bounds_only_the_verdict(tmp_path, text):
+    # |E| < |V|: the +-1 roots the prefactor divides out do not depend on --tolerance
+    path = tmp_path / "tree.zw"
+    path.write_text(text, encoding="utf-8")
+    derived = lambda out: [l for l in out.splitlines() if l.startswith("derived[")]
+    code, out, err = run_cli("spectrum", str(path), "szegedy", "--tolerance", "1e-16")
+    assert code in (0, 1) and "cannot cancel" not in err, err
+    code_ref, out_ref, _ = run_cli("spectrum", str(path), "szegedy", "--tolerance", "1e-8")
+    assert code_ref == 0
+    assert derived(out) and derived(out) == derived(out_ref)
+
+
+@pytest.mark.parametrize("fixture, order", [("p3", 10), ("k4", 12)])
+@pytest.mark.parametrize("verb", ["verify", "euler", "exp"])
+def test_cli_default_order_is_max_of_10_and_arc_count(tmp_path, fixture, order, verb):
+    code, out, err = run_cli(verb, write_fixture(tmp_path, fixture))
+    assert code == 0, err
+    assert f"\norder {order}\n" in out
+
+
 @pytest.mark.parametrize(
     "verb, target, error",
     [

@@ -387,7 +387,7 @@ def weighted_multidigraphs(draw):
 @given(weighted_multidigraphs())
 def test_ihara_digraph_identity_property(instance):
     d, w = instance
-    res = ihara_digraph(d, w, check=False)
+    res = ihara_digraph(d, w)
     assert res.agree
     assert res.rhs.as_poly() == res.hashimoto
 
@@ -409,7 +409,7 @@ def weighted_multigraphs(draw):
 @given(weighted_multigraphs())
 def test_ihara_graph_identity_property(instance):
     g, w = instance
-    res = ihara_graph(g, w, check=False)
+    res = ihara_graph(g, w)
     assert res.agree
     assert res.prefactor_exponent == g.edge_count - g.vertex_count
     assert res.rhs.as_poly() == res.hashimoto

@@ -89,6 +89,35 @@ def test_star_tree_cancellation():
     assert spectrum_deviation(eigenvalues_numeric(grover_transition(star)), derived) <= 1e-8
 
 
+def random_forest(rng):
+    """2-4 components of 2-5 vertices each: random spanning trees, some with
+    an extra cycle edge, so |V| - |E| ranges over -2..4."""
+    edges, nv = [], 0
+    for _ in range(rng.randint(2, 4)):
+        n = rng.randint(2, 5)
+        comp = {(rng.randrange(v), v) for v in range(1, n)}
+        if rng.random() < 0.3:
+            comp.add(tuple(sorted(rng.sample(range(n), 2))))
+        edges += [(nv + u, nv + v) for u, v in sorted(comp)]
+        nv += n
+    return symmetric_digraph(nv, edges)
+
+
+def test_forest_spectra_cancel_exact_unit_roots(rng):
+    cuts = set()
+    for _ in range(40):
+        g = random_forest(rng)
+        cuts.add(g.vertex_count - g.edge_count)
+        p = random_probability(rng, g)
+        for u, derived in (
+            (grover_transition(g), grover_spectrum_via_zeta(g)),
+            (szegedy_transition(g, p), szegedy_spectrum_via_factorization(g, p)),
+        ):
+            assert len(derived) == 2 * g.edge_count
+            assert spectrum_deviation(eigenvalues_numeric(u), derived) <= 1e-8
+    assert {2, 3, 4} <= cuts
+
+
 def test_szegedy_discriminant_symmetric():
     g, p = p3_with_probs()
     t = szegedy_discriminant(g, p)
@@ -164,13 +193,15 @@ def test_probability_validation_errors():
         validate_probability(tri, probs)
 
 
-def test_probability_float_inputs_get_tolerance():
+def test_probability_floats_raise_type_error():
     tri = fixture_digraph("triangle")
     split = {}
     for v in range(tri.vertex_count):
         first, second = tri.out_arcs(v)
         split[first], split[second] = 0.9, 0.1
-    validate_probability(tri, split)  # 0.9 + 0.1 != 1 exactly in binary
+    with pytest.raises(TypeError, match="not an exact rational"):
+        validate_probability(tri, split)
+    # the binary values of 0.9 and 0.1, made exact, do not sum to 1
     exact_drift = {a: Fraction(x) for a, x in split.items()}
     with pytest.raises(WalkError, match="sum to"):
         validate_probability(tri, exact_drift)
