@@ -440,6 +440,29 @@ def test_cli_internal_defect_exit_code(tmp_path, monkeypatch, verb, target, erro
     assert err.count("\n") == 1 and err.startswith("error: ") and str(error) in err
 
 
+@pytest.mark.parametrize(
+    "verb, fixture, target",
+    [
+        ("verify", "paper-digraph", "verify_expressions"),
+        ("ihara", "paper-digraph", "ihara_digraph"),
+        ("ihara", "paper-graph", "ihara_graph"),
+        ("spectrum", "triangle", "grover_transition"),
+    ],
+)
+def test_cli_out_of_memory_is_an_input_error(tmp_path, monkeypatch, verb, fixture, target):
+    # an instance too large for the machine is refused like any other
+    # oversized input, not reported as a mismatch by a traceback's exit 1
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, target, exhausted)
+    args = [verb, write_fixture(tmp_path, fixture)] + (["grover"] if verb == "spectrum" else [])
+    code, out, err = run_cli(*args)
+    assert code == cli.EXIT_INPUT == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: out of memory")
+
+
 def test_exit_code_for_report_contract():
     agree = Verdict("exponential-vs-euler", True, None)
     bad = Verdict("hashimoto-vs-ihara", False, "at t^2")

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from zetawalk.algebra import Poly
 from zetawalk.digraph import build_digraph, symmetric_digraph
 from zetawalk.instances import fixture_digraph
+from zetawalk import linalg
 from zetawalk.linalg import Matrix, char_poly, det_one_minus_t, det_poly_matrix, eigenvalues_numeric
 from zetawalk.walk import grover_transition, spectrum_deviation, szegedy_transition
 from zetawalk.zeta import WeightAssignment, ihara_digraph, ihara_graph
@@ -319,6 +321,179 @@ def test_char_poly_zero_pivots(rng):
         )
         assert_char_poly(blocks)
         assert_char_poly(transpose(blocks))
+
+
+# The multimodular kernel against the Faddeev-LeVerrier and elimination
+# oracles, and its bound, prime choice and residue recombination.
+def assert_kernel(m: Matrix):
+    chi = char_poly(m)
+    assert chi == char_poly_exact(m)
+    assert chi.coefficient(0) == (-1) ** m.rows * det_bareiss(m, Fraction(1))
+
+
+def record_primes(monkeypatch) -> list[int]:
+    """The primes char_poly reduces modulo, in order, from now on."""
+    seen = []
+    per_prime = linalg._char_poly_mod
+
+    def recording(rows, dens, p):
+        seen.append(p)
+        return per_prime(rows, dens, p)
+
+    monkeypatch.setattr(linalg, "_char_poly_mod", recording)
+    return seen
+
+
+def primes_needed(m: Matrix) -> list[int]:
+    """The kernel primes not dividing Delta, up to the first whose product exceeds 2B."""
+    rows, dens = linalg._clear_row_denominators(m)
+    delta, limit = math.prod(dens), 2 * linalg._coefficient_bound(rows, dens)
+    used, modulus, i = [], 1, 0
+    while modulus <= limit:
+        p = linalg._kernel_prime(i)
+        i += 1
+        if delta % p:
+            used.append(p)
+            modulus *= p
+    return used
+
+
+def test_kernel_matches_oracles_on_random_rational_matrices(rng):
+    for n in range(11):
+        for density in (0.25, 0.6, 1.0):
+            m = Matrix(
+                [
+                    [
+                        Fraction(rng.randint(-9, 9), rng.randint(1, 9)) if rng.random() < density else Fraction(0)
+                        for _ in range(n)
+                    ]
+                    for _ in range(n)
+                ]
+            )
+            assert_kernel(m)
+
+
+def test_kernel_skips_pivots_of_zero_columns(rng):
+    # every column below the subdiagonal is zero (upper Hessenberg already),
+    # and block upper triangular matrices zero whole columns below the diagonal
+    for n in range(2, 11):
+        hess = Matrix(
+            [[Fraction(rng.randint(-5, 5), rng.randint(1, 5)) if i <= j + 1 else Fraction(0) for j in range(n)] for i in range(n)]
+        )
+        assert_kernel(hess)
+        upper = Matrix(
+            [[Fraction(rng.randint(-5, 5), rng.randint(1, 5)) if i <= j else Fraction(0) for j in range(n)] for i in range(n)]
+        )
+        assert_kernel(upper)
+        assert_kernel(transpose(upper))
+
+
+def test_kernel_on_singular_and_nilpotent_matrices(rng):
+    for n in range(2, 11):
+        # rank n - 1: the last row is a combination of the others
+        rows = [[Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(n)] for _ in range(n - 1)]
+        cs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n - 1)]
+        rows.append([sum((c * row[j] for c, row in zip(cs, rows)), Fraction(0)) for j in range(n)])
+        singular = Matrix(rows)
+        assert char_poly(singular).coefficient(0) == 0
+        assert_kernel(singular)
+        # a strictly upper triangular matrix under a dense rational similarity
+        a = [[Fraction(rng.randint(-4, 4), rng.randint(1, 4)) if j > i else Fraction(0) for j in range(n)] for i in range(n)]
+        for _ in range(2 * n):
+            i, j = rng.sample(range(n), 2)
+            c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            for col in range(n):  # row i += c * row j ...
+                a[i][col] += c * a[j][col]
+            for row in a:  # ... column j -= c * column i
+                row[j] -= c * row[i]
+        nilpotent = Matrix(a)
+        assert char_poly(nilpotent) == Poly.monomial(n, 1)
+        assert_kernel(nilpotent)
+
+
+def test_kernel_skips_a_prime_that_divides_a_denominator(rng, monkeypatch):
+    first = linalg._kernel_prime(0)
+    seen = record_primes(monkeypatch)
+    for n in range(1, 7):
+        rows = [[Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(n)] for _ in range(n)]
+        rows[rng.randrange(n)][rng.randrange(n)] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), first)
+        m = Matrix(rows)
+        seen.clear()
+        assert_kernel(m)
+        assert seen and first not in seen
+        assert seen == primes_needed(m)
+
+
+def test_kernel_with_200_bit_numerators_uses_many_primes(rng, monkeypatch):
+    seen = record_primes(monkeypatch)
+    for n in range(1, 6):
+        m = Matrix(
+            [[Fraction(rng.choice([-1, 1]) * rng.randrange(2**200, 2**201), rng.randint(1, 9)) for _ in range(n)] for _ in range(n)]
+        )
+        seen.clear()
+        assert_kernel(m)
+        assert len(seen) > 5 and seen == primes_needed(m)
+
+
+def is_prime_by_trial_division(q: int) -> bool:
+    return q > 1 and all(q % f for f in range(2, math.isqrt(q) + 1))
+
+
+def test_kernel_primes_are_the_primes_below_2_to_the_30():
+    primes = [linalg._kernel_prime(i) for i in range(12)]
+    below = [q for q in range((1 << 30) - 1, primes[-1] - 1, -1) if is_prime_by_trial_division(q)]
+    assert primes == below
+    assert all(linalg._is_prime(q) == is_prime_by_trial_division(q) for q in range(9, 20001, 2))
+    # strong pseudoprimes to base 2, to bases 2 and 3, to bases 2, 3 and 5,
+    # and a Carmichael number coprime to 2, 3, 5 and 7, which passes a Fermat test
+    for q in (2047, 1373653, 25326001, 29341):
+        assert not linalg._is_prime(q)
+
+
+def sylvester_hadamard(n: int) -> list[list[int]]:
+    h = [[1]]
+    while len(h) < n:
+        h = [row + row for row in h] + [row + [-x for x in row] for row in h]
+    return h
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_coefficient_bound_holds_where_hadamard_is_tight(n):
+    h = sylvester_hadamard(n)
+    for m in (
+        Matrix([[Fraction(x) for x in row] for row in h]),
+        Matrix([[Fraction(x, 3) for x in row] for row in h]),
+        Matrix([[Fraction(x, i + 1) for x in row] for i, row in enumerate(h)]),
+    ):
+        rows, dens = linalg._clear_row_denominators(m)
+        delta, bound = math.prod(dens), linalg._coefficient_bound(rows, dens)
+        chi = char_poly_exact(m)
+        assert chi == char_poly(m)
+        for c in chi.coeffs:
+            assert (delta * c).denominator == 1 and abs(delta * c) <= bound
+    # |det H| = n^(n/2) meets Hadamard's inequality with equality
+    assert abs(det_bareiss(Matrix([[Fraction(x) for x in row] for row in h]))) == n ** (n // 2)
+
+
+def test_every_residue_reaches_the_result(rng, monkeypatch):
+    m = Matrix([[Fraction(rng.randint(-9, 9) * 10**12 + 1, rng.randint(1, 9)) for _ in range(6)] for _ in range(6)])
+    expected = char_poly_exact(m)
+    used = primes_needed(m)
+    assert len(used) >= 3
+    per_prime = linalg._char_poly_mod
+    for target in used:
+        for k in (0, 3):
+
+            def perturbed(rows, dens, p, target=target, k=k):
+                res = per_prime(rows, dens, p)
+                if p == target:
+                    res[k] = (res[k] + 1) % p
+                return res
+
+            monkeypatch.setattr(linalg, "_char_poly_mod", perturbed)
+            assert char_poly(m) != expected
+    monkeypatch.setattr(linalg, "_char_poly_mod", per_prime)
+    assert char_poly(m) == expected
 
 
 def test_char_poly_rejects_non_square():

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from zetawalk import zeta
@@ -9,6 +10,7 @@ from zetawalk.algebra import Poly, RatFunc, Series
 from zetawalk.digraph import GraphError, build_digraph, symmetric_digraph
 from zetawalk.instances import fixture_digraph
 from zetawalk.linalg import Matrix
+from zetawalk.walk import spectrum_deviation
 from zetawalk.zeta import (
     ConsistencyError,
     WeightAssignment,
@@ -586,3 +588,49 @@ def test_theta_value_matches_edge_matrix(rng):
     for a in range(d.arc_count):
         for b in range(d.arc_count):
             assert theta_value(d, w, a, b) == m[a, b]
+
+
+# 48-arc instances: past the sizes the Fraction-only checks above reach, small
+# enough for the tier-1 suite now that char_poly is multimodular.
+def signed_small_fraction(rng) -> Fraction:
+    return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+
+
+def signed_weights(rng, d):
+    n = d.arc_count
+    return WeightAssignment.from_maps(
+        d,
+        {i: signed_small_fraction(rng) for i in range(n)},
+        {i: signed_small_fraction(rng) for i in range(n)},
+    )
+
+
+def assert_hashimoto_roots_are_eigenvalues(d, w):
+    # the reversed polynomial t^n h(1/t) is det(t*I - M); its repeated roots
+    # 0 and +-1 (the (1 - t^2)^(|E| - |V|) factor) are divided off exactly,
+    # since np.roots cannot resolve a multiple root to 1e-8
+    n = d.arc_count
+    h = hashimoto(d, w)
+    rest = Poly((list(h.coeffs) + [Fraction(0)] * (n + 1 - len(h.coeffs)))[::-1])
+    roots = []
+    for r in (0, 1, -1):
+        while rest.evaluate(Fraction(r)) == 0:
+            rest = rest.exact_div(P(-r, 1))
+            roots.append(r)
+    roots += list(np.roots([float(c) for c in reversed(rest.coeffs)]))
+    theta = np.array([[float(x) for x in row] for row in _edge_matrix_data(d, w)])
+    assert spectrum_deviation(roots, np.linalg.eigvals(theta)) <= 1e-8
+
+
+def test_48_arc_instances_prove_the_identity_and_match_numeric_eigenvalues():
+    rng = random.Random(48)
+    nv = 12
+    g = symmetric_digraph(nv, sorted(rng.sample([(u, v) for u in range(nv) for v in range(u + 1, nv)], 24)))
+    wg = signed_weights(rng, g)
+    d = build_digraph(8, [(rng.randrange(8), rng.randrange(8)) for _ in range(44)] + [(v, v) for v in range(4)])
+    wd = signed_weights(rng, d)
+    assert g.arc_count == d.arc_count == 48
+    assert ihara_graph(g, wg).agree
+    assert ihara_digraph(d, wd).agree
+    assert_hashimoto_roots_are_eigenvalues(g, wg)
+    assert_hashimoto_roots_are_eigenvalues(d, wd)
