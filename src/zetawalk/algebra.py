@@ -15,6 +15,8 @@ reaches the arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -381,13 +383,20 @@ class Series:
         c0 = self.coeffs[0]
         if c0:
             raise ValueError(f"series exp requires zero constant term, got {c0}")
-        s, out = self.coeffs, [_ONE]
+        # n e_n = sum_j j s_j e_{n-j} in Python ints: j s_j = a_j / b over the
+        # common denominator b, and e_i = num[i] / den for the e found so far
+        u = [j * c for j, c in enumerate(self.coeffs)]
+        b = lcm(*(x.denominator for x in u))
+        a = [x.numerator * (b // x.denominator) for x in u]
+        out, num, den = [_ONE], [1], 1
         for n in range(1, self.order + 1):
-            acc = _ZERO
-            for j in range(1, n + 1):
-                if s[j] != 0:
-                    acc = acc + j * s[j] * out[n - j]
-            out.append(acc / n)
+            e = Fraction(sum(map(mul, a[n:0:-1], num)), b * den * n)
+            out.append(e)
+            grow = e.denominator // gcd(den, e.denominator)
+            if grow > 1:
+                num = [x * grow for x in num]
+                den *= grow
+            num.append(e.numerator * (den // e.denominator))
         return Series(out, self.order)
 
     def inv(self) -> "Series":

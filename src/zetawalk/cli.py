@@ -15,6 +15,7 @@ not, a ``ZetaError``); errors are one ``error:`` line on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -246,7 +247,10 @@ def _positive_tolerance(value: str) -> float:
     return eps
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.  Each verb's handler
+    looks up the library functions it calls when it runs."""
     parser = argparse.ArgumentParser(
         prog="zetawalk",
         description="weighted zeta functions of multi-digraphs and quantum-walk spectra",

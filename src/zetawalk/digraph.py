@@ -16,10 +16,13 @@ arc sequences with cyclically matching heads and tails (arcs may repeat);
 prime cycles are rotation classes of closed paths that are not proper powers
 of shorter closed paths, represented by their lexicographically least
 rotation.  Those representatives are exactly the Lyndon words over the arc
-ids that are closed paths, i.e. the Lyndon words of the arc graph, and
-``iter_prime_cycles`` generates them directly with the
-Fredricksen-Kessler-Maiorana prenecklace recursion (Ruskey, Savage and Wang,
-"Generating necklaces", 1992) restricted to arc adjacencies.  Closed paths
+ids that are closed paths, i.e. the Lyndon words of the arc graph.
+``lyndon_cycles`` generates them directly with the
+Fredricksen-Kessler-Maiorana prenecklace walk (Ruskey, Savage and Wang,
+"Generating necklaces", 1992) on the nonzero pattern of a square matrix,
+iteratively, on an explicit stack.  ``iter_prime_cycles`` runs it on the 0/1
+arc-adjacency matrix, and ``zeta``'s Euler product on the integer theta
+matrix, where a cycle whose product is 0 is never reached.  Closed paths
 themselves are walked only inside ``zeta``, on the theta matrix; the
 brute-force enumeration the tests compare against is in ``tests/oracles.py``.
 """
@@ -186,45 +189,98 @@ def arc_adjacency(d: Digraph) -> list[list[int]]:
     return b
 
 
+def predecessors(succ: list[list[int]]) -> list[list[int]]:
+    """The ascending predecessor lists of the successor lists ``succ``."""
+    preds = [[] for _ in succ]
+    for a, row in enumerate(succ):
+        for b in row:
+            preds[b].append(a)
+    return preds
+
+
+def steps_to(preds: list[list[int]], s: int, cap: int, floor: int = 0) -> list[int]:
+    """Fewest transitions (at least one) from each arc to arc s through arcs
+    >= floor, by a breadth-first search back from s over the predecessor
+    lists ``preds``; cap + 1 where more than cap are needed."""
+    steps = [cap + 1] * len(preds)
+    frontier = [s]
+    for k in range(1, cap + 1):
+        reached = []
+        for b in frontier:
+            for a in preds[b]:
+                if a >= floor and steps[a] > cap:
+                    steps[a] = k
+                    reached.append(a)
+        if not reached:
+            break
+        frontier = reached
+    return steps
+
+
+def lyndon_cycles(m: list[list[int]], max_len: int):
+    """Yield ``(word, k, c)`` for each Lyndon closed path of nonzero entries
+    of the square matrix ``m``, of length k <= max_len.
+
+    ``word[:k]`` holds the arc ids (``word`` is the walk's own buffer, valid
+    until the next step) and c is the circular product m[w0][w1] ...
+    m[w_{k-1}][w0], which is nonzero.  The Fredricksen-Kessler-Maiorana
+    walk extends a prenecklace ``w`` of length t and period p by each x
+    with m[w[t-1]][x] != 0 and x >= w[t - p]; the period stays p when
+    x == w[t - p] and becomes t + 1 otherwise, and ``w + x`` is Lyndon
+    when the period equals the new length.  Every prefix of a Lyndon closed
+    path with nonzero entries is such a prenecklace, so the walk reaches
+    each one exactly once while it follows nonzero entries only.  The
+    product of the prefix is carried down the walk, which runs on an
+    explicit stack: a branch per depth, at most max_len deep.
+    """
+    if max_len < 1:
+        raise GraphError("cycle length bound must be >= 1")
+    # ascending successor ids, so bisect finds the first x >= w[t - p]
+    succ = [[b for b, v in enumerate(row) if v] for row in m]
+    entries = [[(b, v) for b, v in enumerate(row) if v] for row in m]
+    preds = predecessors(succ)
+    word = [0] * max_len
+    for s, row in enumerate(m):
+        word[0] = s
+        if row[s]:
+            yield word, 1, row[s]
+        # the letters of a Lyndon word that starts at s are all >= s; a
+        # prefix of length t + 1 ending at x closes within max_len only if
+        # t + dist[x] <= max_len
+        dist = steps_to(preds, s, max_len - 1, floor=s)
+        stack = [(1, 1, 1, iter(entries[s][bisect_left(succ[s], s):]))]
+        while stack:
+            t, p, prod, branch = stack[-1]
+            lower = word[t - p]
+            for x, v in branch:
+                if t + dist[x] > max_len:
+                    continue
+                word[t] = x
+                pv = prod * v
+                if x == lower:
+                    q = p
+                else:
+                    q = t + 1
+                    c = m[x][s]
+                    if c:
+                        yield word, q, pv * c
+                if t + 1 < max_len:
+                    i = bisect_left(succ[x], word[t + 1 - q])
+                    stack.append((t + 1, q, pv, iter(entries[x][i:])))
+                    break
+            else:
+                stack.pop()
+
+
 def iter_prime_cycles(d: Digraph, max_len: int):
     """Yield canonical prime-cycle representatives of length <= max_len.
 
     A representative is the lexicographically least rotation of its class,
     which for a class that is not a proper power is a Lyndon word over the
-    arc ids.  The Fredricksen-Kessler-Maiorana recursion extends a
-    prenecklace ``w`` of length t and period p by each arc x out of the head
-    of its last arc with x >= w[t - p]; the period stays p when
-    x == w[t - p] and becomes t + 1 otherwise.  Every prefix of a Lyndon
-    closed path is such a prenecklace path, so the recursion reaches each
-    class exactly once, and it yields ``w + x`` when the period equals the
-    new length (a Lyndon word) and x ends where ``w`` starts.
+    arc ids: ``lyndon_cycles`` on the 0/1 arc-adjacency matrix.
     """
-    if max_len < 1:
-        raise GraphError("cycle length bound must be >= 1")
-    out = d._out  # each out-arc list ascends, so bisect finds the first x >= w[t - p]
-    heads = [a.head for a in d.arcs]
-    word = [0] * max_len
-
-    def extend(t, p, start_tail):
-        lower = word[t - p]
-        nxt = out[heads[word[t - 1]]]
-        for x in nxt[bisect_left(nxt, lower):]:
-            word[t] = x
-            if x == lower:
-                q = p
-            else:
-                q = t + 1
-                if heads[x] == start_tail:
-                    yield tuple(word[: t + 1])
-            if t + 1 < max_len:
-                yield from extend(t + 1, q, start_tail)
-
-    for a in d.arcs:
-        word[0] = a.id
-        if a.head == a.tail:
-            yield (a.id,)
-        if max_len > 1:
-            yield from extend(1, 1, a.tail)
+    for word, k, _ in lyndon_cycles(arc_adjacency(d), max_len):
+        yield tuple(word[:k])
 
 
 def prime_cycles(d: Digraph, max_len: int) -> list[tuple[int, ...]]:

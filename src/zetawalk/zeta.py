@@ -41,14 +41,17 @@ then compares the two exactly (prod_f * det(P) == det(I - t*M) * prod_u r_u
 for a digraph).  ``ihara_digraph`` and ``ihara_graph`` report the outcome
 as ``agree``; ``sato_ihara_digraph`` raises IharaIdentityError on failure.
 
-The two enumeration routes, closed paths for N_k and prime cycles for the
-Euler product, run on the integer matrix D*M, D the lcm of the theta
-denominators (``_clear_denominators``).  A length-k term then carries D^k,
-and each result is divided back by its power of D once at the end, so the
-routes stay exact without a Fraction operation per path.  The closed-path
-walk also skips any arc from which its start arc is out of reach in the
-remaining length.  The trace route to N_k stays on Fractions, and the two
-routes must agree exactly (ConsistencyError otherwise).
+The series routes run in Python ints.  The two enumeration routes, closed
+paths for N_k and prime cycles for the Euler product, run on the integer
+matrix D*M, D the lcm of the theta denominators (``_clear_denominators``).
+A length-k term then carries D^k, and each result is divided back by its
+power of D once at the end, so the routes stay exact without a Fraction
+operation per path.  The closed-path walk goes level by level and skips any
+arc from which its start arc is out of reach in the remaining length; the
+prime-cycle walk (``digraph.lyndon_cycles``) follows the nonzero entries of
+D*M only.  The trace route to N_k clears the denominators on its own and
+reads each N_k off two powers of at most ceil(order/2); the two N_k routes
+must agree exactly (ConsistencyError otherwise).
 """
 
 from __future__ import annotations
@@ -56,9 +59,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from .algebra import Poly, RatFunc, Series, as_fraction
-from .digraph import Digraph, GraphError, GraphMode, PhiPair, iter_prime_cycles
+from .digraph import (
+    Digraph, GraphError, GraphMode, PhiPair, lyndon_cycles, predecessors, steps_to as _steps_to,
+)
 from .linalg import Matrix, det_one_minus_t, det_poly_matrix
 
 
@@ -143,76 +149,79 @@ def _n_k_enumerated_all(m: list[list], upto: int) -> list:
 
     The walk runs on the Python ints D*M from ``_clear_denominators``, so a
     closed path of length k adds D^k times its circular product and N_k is
-    the total over D^k.  A walk from start arc s at depth k moves
-    on to arc b only if b leads back to s in at most upto - k steps along
-    nonzero entries; every skipped branch holds no closed path of length at
-    most ``upto`` and would contribute 0.
+    the total over D^k.  From each start arc s it goes level by level: a
+    level holds, for each arc a, the list of products of the walks of the
+    current length from s to a, and each walk's product is formed on its
+    own.  A walk at depth k moves on to arc b only if b leads back to s in
+    at most upto - k steps along nonzero entries; every skipped branch
+    holds no closed path of length at most ``upto`` and would contribute 0.
+    The last level is summed as it is formed and never held, so memory is
+    the widest of the levels before it.
     """
     scale, im = _clear_denominators(m)
-    n = len(im)
     rows = [tuple((b, v) for b, v in enumerate(row) if v != 0) for row in im]
-    preds = [[] for _ in range(n)]
-    for a, row in enumerate(rows):
-        for b, _ in row:
-            preds[b].append(a)
+    preds = predecessors([[b for b, _ in row] for row in rows])
     totals = [0] * (upto + 1)
-
-    def walk(a, depth, prod, wrap_col, steps):
-        wrap = wrap_col[a]
-        if wrap:
-            totals[depth] += prod * wrap
-        for b, v in rows[a]:
-            if depth + steps[b] <= upto:
-                walk(b, depth + 1, prod * v, wrap_col, steps)
-
-    for s in range(n):
-        walk(s, 1, 1, [row[s] for row in im], _steps_to(preds, s, upto))
+    for s in range(len(im)):
+        steps = _steps_to(preds, s, upto)
+        level = {s: [1]}
+        for depth in range(1, upto + 1):
+            nxt = {}
+            for a, prods in level.items():
+                wrap = im[a][s]
+                if wrap:
+                    totals[depth] += wrap * sum(prods)
+                for b, v in rows[a]:
+                    if depth + steps[b] > upto:
+                        continue
+                    if depth + 1 == upto:
+                        # b closes at once; the last level is not held
+                        totals[upto] += im[b][s] * sum([p * v for p in prods])
+                    elif b in nxt:
+                        nxt[b] += [p * v for p in prods]
+                    else:
+                        nxt[b] = [p * v for p in prods]
+            if not nxt:
+                break
+            level = nxt
     return [Fraction(total, scale**k) for k, total in enumerate(totals[1:], start=1)]
 
 
-def _steps_to(preds: list[list[int]], s: int, cap: int) -> list[int]:
-    """Fewest transitions (at least one) from each arc to arc s, by a
-    breadth-first search back from s over the predecessor lists ``preds``;
-    cap + 1 where more than cap are needed."""
-    steps = [cap + 1] * len(preds)
-    frontier = [s]
-    for k in range(1, cap + 1):
-        reached = []
-        for b in frontier:
-            for a in preds[b]:
-                if steps[a] > cap:
-                    steps[a] = k
-                    reached.append(a)
-        if not reached:
-            break
-        frontier = reached
-    return steps
-
-
 def _n_k_trace_all(m: list[list], upto: int) -> list:
-    """N_1..N_upto as traces of powers of the theta edge matrix."""
+    """N_1..N_upto as traces of powers of the theta edge matrix.
+
+    The route clears denominators itself: P = D*M with D the lcm of the
+    entry denominators, in Python ints.  It forms P^1..P^h, h = ceil(upto/2),
+    multiplying by the sparse rows of P, and reads
+    D^k N_k = tr(P^a P^b) = sum_ij P^a[i][j] P^b[j][i], a = k//2, b = k - a.
+    """
     n = len(m)
     if n == 0:
         return [_ZERO] * upto
-    power = m
-    traces = []
-    for _ in range(upto):
-        traces.append(sum((power[i][i] for i in range(n)), _ZERO))
-        if len(traces) == upto:
-            break
-        nxt = [[_ZERO] * n for _ in range(n)]
-        for i in range(n):
-            prow = power[i]
-            orow = nxt[i]
+    scale = lcm(*(x.denominator for row in m for x in row))
+    p1 = [[x.numerator * (scale // x.denominator) for x in row] for row in m]
+    sparse = [[(j, v) for j, v in enumerate(row) if v] for row in p1]
+    powers = [p1]  # powers[a - 1] = P^a
+    for _ in range((upto + 1) // 2 - 1):
+        nxt = []
+        for prow in powers[-1]:
+            orow = [0] * n
             for x, pv in enumerate(prow):
-                if pv == 0:
-                    continue
-                mrow = m[x]
-                for jj in range(n):
-                    mv = mrow[jj]
-                    if mv != 0:
-                        orow[jj] = orow[jj] + pv * mv
-        power = nxt
+                if pv:
+                    for j, v in sparse[x]:
+                        orow[j] += pv * v
+            nxt.append(orow)
+        powers.append(nxt)
+    columns = [list(zip(*power)) for power in powers]
+    traces = []
+    for k in range(1, upto + 1):
+        a = k // 2
+        cols = columns[k - a - 1]
+        if a == 0:
+            total = sum(cols[i][i] for i in range(n))
+        else:
+            total = sum(sum(map(mul, row, col)) for row, col in zip(powers[a - 1], cols))
+        traces.append(Fraction(total, scale**k))
     return traces
 
 
@@ -257,23 +266,17 @@ def _exp_of_power_sums(sums: list, order: int) -> Series:
 def euler_truncated(d: Digraph, w: WeightAssignment, order: int) -> Series:
     """Product over prime cycles of 1/(1 - circ(X) t^|X|), truncated."""
     _require_series_order(order)
-    return _euler(d, _edge_matrix_data(d, w), order)
+    return _euler(_edge_matrix_data(d, w), order)
 
 
-def _euler(d: Digraph, m: list[list], order: int) -> Series:
+def _euler(m: list[list], order: int) -> Series:
     """The Euler product, accumulated as acc[i] = D^i * (coefficient i) over
-    the integer matrix D*M from ``_clear_denominators``."""
+    the integer matrix D*M from ``_clear_denominators``.  The prime cycles
+    are the Lyndon closed paths of D*M's nonzero entries, so the walk skips
+    every cycle whose product is 0."""
     scale, im = _clear_denominators(m)
     acc = [1] + [0] * order
-    for cyc in iter_prime_cycles(d, order):
-        c = im[cyc[-1]][cyc[0]]
-        for a, b in zip(cyc, cyc[1:]):
-            if not c:
-                break
-            c *= im[a][b]
-        if not c:
-            continue
-        k = len(cyc)
+    for _, k, c in lyndon_cycles(im, order):
         for i in range(k, order + 1):
             acc[i] += acc[i - k] * c
     return Series([Fraction(x, scale**i) for i, x in enumerate(acc)], order)
@@ -562,7 +565,7 @@ def verify_expressions(d: Digraph, w: WeightAssignment, order: int) -> ZetaRepor
     _require_series_order(order)
     m = _edge_matrix_data(d, w)
     expo = _exp_of_power_sums(_n_k_all(m, order), order)
-    eul = _euler(d, m, order)
+    eul = _euler(m, order)
     h = det_one_minus_t(Matrix(m))
     if d.mode is GraphMode.SYMMETRIC:
         ih = _ihara_graph(d, w, h)

@@ -167,6 +167,35 @@ def test_cli_single_expression_commands(tmp_path):
     assert code == 0 and "exponential 1 + 2*t^3" in out
 
 
+def test_cli_parser_is_built_once_and_calls_share_no_state(tmp_path):
+    digraph = write_fixture(tmp_path, "paper-digraph")
+    triangle = write_fixture(tmp_path, "triangle")
+    calls = [
+        ("verify", digraph, "--order", "5", "--format", "records"),
+        ("euler", triangle),
+        ("ihara", digraph),
+        ("verify", triangle, "--order", "4"),
+    ]
+    in_sequence = [run_cli(*argv) for argv in calls]
+    assert cli.build_parser() is cli.build_parser()
+    for argv, result in zip(calls, in_sequence):
+        cli.build_parser.cache_clear()  # a fresh parser, as in a new process
+        assert run_cli(*argv) == result
+
+
+@pytest.mark.parametrize("verb", ["verify", "euler", "exp"])
+def test_cli_one_loop_at_order_1200(tmp_path, verb):
+    # theta = tau1 * tau2 - 1 = 2 on the loop, so every expression is
+    # 1/(1 - 2t); the walks are 1200 arcs deep and must not recurse
+    path = tmp_path / "loop.zw"
+    path.write_text("mode digraph\nvertices 1\narc 0 0 0\ntau1 0 3\n", encoding="utf-8")
+    code, out, err = run_cli(verb, str(path), "--order", "1200")
+    assert (code, err) == (0, "")
+    assert f"{2**1200}*t^1200 + O(t^1201)" in out
+    if verb == "verify":
+        assert "overall agree" in out
+
+
 def test_cli_spectrum_grover(tmp_path):
     path = write_fixture(tmp_path, "triangle")
     code, out, _ = run_cli("spectrum", path, "grover")

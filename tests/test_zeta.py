@@ -1,5 +1,7 @@
+import inspect
 import math
 import random
+import textwrap
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 
 from zetawalk import zeta
 from zetawalk.algebra import Poly, RatFunc, Series
-from zetawalk.digraph import GraphError, build_digraph, symmetric_digraph
+from zetawalk.digraph import GraphError, build_digraph, prime_cycles, symmetric_digraph
 from zetawalk.instances import fixture_digraph
 from zetawalk.linalg import Matrix
 from zetawalk.walk import spectrum_deviation
@@ -15,6 +17,7 @@ from zetawalk.zeta import (
     ConsistencyError,
     WeightAssignment,
     _edge_matrix_data,
+    _euler,
     _n_k_enumerated_all,
     _n_k_trace_all,
     _require_consistent,
@@ -32,7 +35,8 @@ from zetawalk.zeta import (
 
 from conftest import random_digraph, random_multigraph, random_rational, random_weights
 from oracles import (
-    char_poly_exact, det_bareiss, mat_mul, mat_sub, pair_arcs, phi_grouped_arc_order,
+    char_poly_exact, closed_paths, det_bareiss, mat_mul, mat_sub, pair_arcs,
+    phi_grouped_arc_order,
     structural_matrices, theta_value,
 )
 
@@ -266,6 +270,88 @@ def test_overpruned_enumeration_raises_consistency_error(monkeypatch, rng):
     g = fixture_digraph("triangle")
     with pytest.raises(ConsistencyError, match="N_3"):
         n_k_all(g, random_weights(rng, g), 4)
+
+
+def test_corrupted_trace_scaling_raises_consistency_error(monkeypatch):
+    # the trace route clears denominators with its own scale D and divides
+    # D^k N_k back by it; a trace route that divides by (2D)^k instead must be
+    # caught by the comparison with the enumeration
+    source = textwrap.dedent(inspect.getsource(zeta._n_k_trace_all))
+    mutated = source.replace("scale**k", "(2 * scale) ** k")
+    assert mutated != source
+    namespace = dict(vars(zeta))
+    exec(compile(mutated, zeta.__file__, "exec"), namespace)
+    monkeypatch.setattr(zeta, "_n_k_trace_all", namespace["_n_k_trace_all"])
+    d = fixture_digraph("paper-digraph")
+    w = WeightAssignment.ones(d)
+    with pytest.raises(ConsistencyError, match="N_3"):  # N_1 = N_2 = 0 here
+        n_k_all(d, w, 4)
+    with pytest.raises(ConsistencyError):
+        verify_expressions(d, w, 4)
+
+
+def theta_table(d, w):
+    return [[theta_value(d, w, a, b) for b in range(d.arc_count)] for a in range(d.arc_count)]
+
+
+def circular_product(theta, path):
+    return math.prod(theta[a][b] for a, b in zip(path, path[1:] + path[:1]))
+
+
+def brute_force_power_sums(d, w, upto):
+    theta = theta_table(d, w)
+    return [
+        sum((circular_product(theta, path) for path in closed_paths(d, k)), Fraction(0))
+        for k in range(1, upto + 1)
+    ]
+
+
+def prime_cycle_product(d, w, order):
+    """prod over the structural prime cycles X of 1/(1 - circ(X) t^|X|)."""
+    theta = theta_table(d, w)
+    acc = [Fraction(1)] + [Fraction(0)] * order
+    for cycle in prime_cycles(d, order):
+        c, k = circular_product(theta, cycle), len(cycle)
+        for i in range(k, order + 1):
+            acc[i] += acc[i - k] * c
+    return Series(acc, order)
+
+
+def inverse_cancelling_weights(rng, d):
+    """Random weights with tau1(a) * tau2(b) = 1 for an inverse b of about
+    half the arcs a, which makes theta(a, b) = 0."""
+    tau1 = {a: random_rational(rng) for a in range(d.arc_count)}
+    tau2 = {a: random_rational(rng) for a in range(d.arc_count)}
+    for a in range(d.arc_count):
+        inverses = sorted(d.inverse_set(a))
+        if inverses and rng.random() < 0.5:
+            tau2[rng.choice(inverses)] = 1 / tau1[a]
+    return WeightAssignment.from_maps(d, tau1, tau2)
+
+
+def test_series_routes_match_brute_force_on_random_instances():
+    rng = random.Random(20261018)
+    for trial in range(80):
+        if trial % 2:
+            d = random_digraph(rng, max_vertices=4, max_arcs=8)
+        else:
+            d = random_multigraph(rng, max_vertices=4, max_edges=4)
+        w = inverse_cancelling_weights(rng, d) if trial % 3 else random_weights(rng, d)
+        m = _edge_matrix_data(d, w)
+        upto = rng.randint(1, 5)
+        expected = brute_force_power_sums(d, w, upto)
+        assert _n_k_enumerated_all(m, upto) == expected
+        assert _n_k_trace_all(m, upto) == expected
+        assert _euler(m, upto) == prime_cycle_product(d, w, upto)
+
+
+@pytest.mark.parametrize("name", ["paper-digraph", "paper-graph"])
+def test_pruned_euler_walk_matches_structural_prime_cycles_on_fixtures(name):
+    # at unit weights theta vanishes on every backtracking pair, so the walk
+    # over nonzero entries skips most structural prime cycles
+    d = fixture_digraph(name)
+    w = WeightAssignment.ones(d)
+    assert euler_truncated(d, w, 8) == prime_cycle_product(d, w, 8)
 
 
 def test_exponential_and_euler_single_loop_geometric():
