@@ -223,10 +223,11 @@ class RatFunc:
         if num.is_zero():
             num, den = Poly.zero(), Poly.one()
         else:
-            g = num.gcd(den)
-            if g.degree > 0:
-                num = num.exact_div(g)
-                den = den.exact_div(g)
+            if den.degree > 0:  # over a constant the gcd is 1
+                g = num.gcd(den)
+                if g.degree > 0:
+                    num = num.exact_div(g)
+                    den = den.exact_div(g)
             lead = den.lead()
             if lead != 1:
                 num, den = num.scale(1 / lead), den.scale(1 / lead)

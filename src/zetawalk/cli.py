@@ -120,10 +120,12 @@ def cmd_verify(ns) -> tuple[str, int]:
     return rep.text(), exit_code_for_report(report)
 
 
-def _matrix_entries(rep: _Report, name: str, mat) -> None:
-    for i in range(mat.rows):
-        for j in range(mat.cols):
-            rep.add(f"{name}[{i}][{j}]", mat[i, j].render() if hasattr(mat[i, j], "render") else mat[i, j])
+def _table_entries(rep: _Report, name: str, table: dict, n: int) -> None:
+    """Every entry of an n x n table given by its nonzero {(i, j): value}."""
+    for i in range(n):
+        for j in range(n):
+            x = table.get((i, j), 0)
+            rep.add(f"{name}[{i}][{j}]", x.render() if hasattr(x, "render") else x)
 
 
 def cmd_ihara(ns) -> tuple[str, int]:
@@ -134,14 +136,14 @@ def cmd_ihara(ns) -> tuple[str, int]:
         data = ihara_digraph(d, w)
         for pair, f in zip(data.pairs, data.f_factors):
             rep.add(f"f({pair.u},{pair.v})", f.render())
-        _matrix_entries(rep, "A", data.a)
-        _matrix_entries(rep, "D", data.d_ul)
-        _matrix_entries(rep, "X", data.x_ul)
+        _table_entries(rep, "A", data.a, d.vertex_count)
+        _table_entries(rep, "D", data.d_ul, d.vertex_count)
+        _table_entries(rep, "X", data.x_ul, d.vertex_count)
     else:
         data = ihara_graph(d, w)
         rep.add("prefactor-exponent", data.prefactor_exponent)
-        _matrix_entries(rep, "A", data.a_g)
-        _matrix_entries(rep, "D", data.d_g)
+        _table_entries(rep, "A", data.a_g, d.vertex_count)
+        _table_entries(rep, "D", data.d_g, d.vertex_count)
         rep.add("vertex-det", data.vertex_det.render())
     rep.add("rhs", data.rhs.render())
     rep.add("hashimoto", data.hashimoto.render())

@@ -1,18 +1,28 @@
 """Dense matrices and the one determinant kernel.
 
-One kernel computes every determinant the library reports: ``char_poly``,
-the characteristic polynomial of a square matrix over QQ, found exactly by
-multimodular arithmetic (Dumas, Pernet and Wan, ISSAC 2005):
+One kernel computes every determinant the library reports:
+``char_poly_rows``, the characteristic polynomial of m = diag(1/d) R for
+integer rows R with positive row denominators d, found exactly by
+multimodular arithmetic (Dumas, Pernet and Wan, ISSAC 2005).  Callers that
+know their rows pass them in integers (``zeta``'s Hashimoto matrix and
+every companion below); ``char_poly`` of a Fraction ``Matrix`` clears its
+rows and calls the same entry.
 
-* Row clearing.  Row i of m has denominator d_i, the lcm of its entries'
-  denominators, and integer row R_i = d_i * m_i.  With Delta = prod d_i,
-  every Delta * c_k is an integer, because a principal minor of m on the
-  rows S has a denominator dividing prod_{i in S} d_i.
+* Row clearing.  Row i of m is taken in lowest terms: d_i is the lcm of its
+  entries' reduced denominators and R_i = d_i * m_i.  With Delta =
+  prod d_i, every Delta * c_k is an integer, because a principal minor of m
+  on the rows S has a denominator dividing prod_{i in S} d_i.
 * Bound.  Delta * c_k is a sum of at most C(n, k) terms
   det R[S, S] * prod_{i not in S} d_i; by Hadamard's inequality each is at
   most prod_i max(|R_i|, d_i), so |Delta * c_k| <= B =
   2^n * prod_i max(isqrt(|R_i|^2) + 1, d_i), in integers only.
-* Per prime.  For a prime p not dividing Delta, m = diag(1/d) R is reduced
+* Rows or columns.  m^T has the charpoly of m, and its rows are m's
+  columns.  Both are cleared, and the kernel reduces whichever has the
+  smaller B (m on a tie); Delta and B are then those of the matrix
+  actually reduced.  Columns win when a few columns carry the
+  denominators, as in a companion matrix, whose shift columns hold a
+  single 1.  Choosing costs O(n^2), less than one prime.
+* Per prime.  For a prime p not dividing Delta, diag(1/d) R is reduced
   mod p, brought to upper Hessenberg form by similarity transforms, and its
   charpoly read off the leading-minor recurrence (Cohen, *A Course in
   Computational Algebraic Number Theory*, Alg. 2.2.9), all in Python ints.
@@ -23,12 +33,13 @@ multimodular arithmetic (Dumas, Pernet and Wan, ISSAC 2005):
   2B; the symmetric residues are then Delta * c_k exactly.  The loop never
   stops earlier, so the result is proved, not guessed.
 
-Two readings build on it:
-
-* ``det_one_minus_t`` -- det(I - t*m), the characteristic polynomial with
-  its coefficients reversed;
-* ``det_poly_matrix`` -- det P(t) of a polynomial matrix with P(0) = I, as
-  det(I - t*C) of a companion linearization C of P.
+det(I - t*m) is the characteristic polynomial with its coefficients
+reversed.  ``det_poly_matrix`` builds on that: det P(t) of a sparse
+polynomial matrix P = diag(1/e) Q with P(0) = I, given as
+{(v, u): integer coefficients of Q[v][u]} and the row scales e_v, is
+det(I - t*C) of a companion linearization C of P.  Rows that are absent are
+rows of the identity and never enter C; C's rows are integer rows over
+e_v, so it goes to ``char_poly_rows`` with no Fraction.
 
 Numeric eigenvalues delegate to LAPACK's general eigensolver via numpy, in
 real arithmetic for a real matrix.  The elimination determinants, the
@@ -41,7 +52,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import count
-from math import isqrt, lcm, prod
+from math import gcd, isqrt, lcm, prod
 from operator import itemgetter, mul
 
 import numpy as np
@@ -92,17 +103,30 @@ class Matrix:
 
 
 def char_poly(m: Matrix) -> Poly:
-    """Monic characteristic polynomial det(lambda*I - m) of a matrix over QQ.
-
-    The residues of Delta * c_k modulo primes that do not divide Delta are
-    combined by the Chinese remainder theorem until the modulus exceeds
-    twice ``_coefficient_bound``; the symmetric residues over Delta are the
-    exact coefficients (see the module docstring).
-    """
+    """Monic characteristic polynomial det(lambda*I - m) of a matrix over QQ."""
     m._require_square()
-    rows, dens = _clear_row_denominators(m)
+    values, delta = char_poly_rows(*_clear_row_denominators(m))
+    return Poly([Fraction(v, delta) for v in values])
+
+
+def char_poly_rows(rows: list[list[int]], dens: list[int]) -> tuple[list[int], int]:
+    """(c, Delta): c_k / Delta, constant term first, are the coefficients of
+    the charpoly of m = diag(1/d) R, for integer rows R and positive d.
+
+    m and m^T have the same charpoly.  Both are cleared row by row to
+    lowest terms, and the kernel reduces the one with the smaller bound B
+    (``_coefficient_bound``); Delta is the product of that one's row
+    denominators.  The residues of Delta * c_k modulo primes that do not
+    divide Delta are combined by the Chinese remainder theorem until the
+    modulus exceeds 2B; the symmetric residues are then Delta * c_k exactly
+    (see the module docstring).
+    """
+    bound, rows, dens = min(
+        ((_coefficient_bound(*rd), *rd) for rd in (_lowest_terms(rows, dens), _transposed(rows, dens))),
+        key=itemgetter(0),
+    )
     delta = prod(dens)
-    limit = 2 * _coefficient_bound(rows, dens)
+    limit = 2 * bound
     values = [0] * (len(rows) + 1)
     modulus = 1
     for p in map(_kernel_prime, count()):
@@ -116,7 +140,28 @@ def char_poly(m: Matrix) -> Poly:
         if modulus > limit:
             break
     half = modulus // 2
-    return Poly([Fraction(v - modulus if v > half else v, delta) for v in values])
+    return [v - modulus if v > half else v for v in values], delta
+
+
+def _lowest_terms(rows: list[list[int]], dens: list[int]) -> tuple[list[list[int]], list[int]]:
+    """diag(1/d) R with each row's common factor divided out, so that d_i is
+    the lcm of the reduced denominators of row i."""
+    out, out_dens = [], []
+    for row, d in zip(rows, dens):
+        g = gcd(d, *row)
+        out.append([x // g for x in row] if g > 1 else row)
+        out_dens.append(d // g)
+    return out, out_dens
+
+
+def _transposed(rows: list[list[int]], dens: list[int]) -> tuple[list[list[int]], list[int]]:
+    """The transpose of diag(1/d) R, cleared row by row to lowest terms."""
+    out, out_dens = [], []
+    for col in zip(*rows):
+        e = lcm(*(d // gcd(x, d) for x, d in zip(col, dens)))
+        out.append([x * e // d for x, d in zip(col, dens)])
+        out_dens.append(e)
+    return out, out_dens
 
 
 def _clear_row_denominators(m: Matrix) -> tuple[list[list[int]], list[int]]:
@@ -135,7 +180,7 @@ def _coefficient_bound(rows: list[list[int]], dens: list[int]) -> int:
     for every coefficient c_k of the charpoly (the module docstring proves it)."""
     bound = 1 << len(rows)
     for row, d in zip(rows, dens):
-        bound *= max(isqrt(sum(x * x for x in row)) + 1, d)
+        bound *= max(isqrt(sum(map(mul, row, row))) + 1, d)
     return bound
 
 
@@ -225,42 +270,47 @@ def _is_prime(q: int) -> bool:
     return True
 
 
-def det_one_minus_t(m: Matrix) -> Poly:
-    """det(I - t*m): the characteristic polynomial of m, coefficients reversed."""
-    return Poly(char_poly(m).coeffs[::-1])
+def det_poly_matrix(p: dict[tuple[int, int], list[int]], dens: dict[int, int]) -> tuple[list[int], int]:
+    """(c, Delta): det P(t) = sum_k c_k t^k / Delta for a sparse polynomial
+    matrix P = diag(1/e) Q with P(0) = I.
 
-
-def det_poly_matrix(p: Matrix) -> Poly:
-    """det P(t) of a square matrix of polynomials with P(0) = I.
-
-    With P(t) = I + t*P_1 + ... + t^k*P_k and k_v the degree of row v,
-    det P(t) = det(I - t*C) for the companion matrix C with one index (i, v)
-    per row v and 0 <= i < k_v: row (i, v) of C holds -P_{i+1}[v][u] in
-    column (0, u) and a 1 in column (i + 1, v) when i + 1 < k_v.  C has
-    sum_v k_v rows, the degree bound of det P; rows of degree 0 drop out.
+    ``p`` maps (v, u) to the integer coefficients, constant term first, of
+    Q[v][u]; ``dens`` maps v to the integer e_v (1 when absent).  A row with
+    no entry is a row of the identity.  With Q = Q_0 + t*Q_1 + ... and k_v
+    the degree of row v, det P(t) = det(I - t*C) for the companion matrix C
+    with one index (i, v) per row v and 0 <= i < k_v: row (i, v) of C holds
+    -Q_{i+1}[v][u] / e_v in column (0, u) and a 1 in column (i + 1, v) when
+    i + 1 < k_v, so e_v clears the whole row.  C has sum_v k_v rows, the
+    degree bound of det P; rows of degree 0 drop out, with their columns,
+    since det P expands along them.
     """
-    p._require_square()
-    n = p.rows
-    for v in range(n):
-        for u in range(n):
-            if p[v, u].coefficient(0) != (1 if u == v else 0):
-                raise ValueError("det_poly_matrix needs P(0) = I")
-    degree = [max((e.degree for e in p.row(v)), default=0) for v in range(n)]
-    start = []
-    size = 0
-    for v in range(n):
-        start.append(size)
-        size += degree[v]
-    c = [[Fraction(0)] * size for _ in range(size)]
-    for v in range(n):
-        for i in range(degree[v]):
-            row = c[start[v] + i]
-            for u in range(n):
-                if degree[u]:
-                    row[start[u]] = -p[v, u].coefficient(i + 1)
-            if i + 1 < degree[v]:
-                row[start[v] + i + 1] = Fraction(1)
-    return det_one_minus_t(Matrix(c))
+    degree = {}
+    for (v, u), cs in p.items():
+        if (cs[0] if cs else 0) != (dens.get(v, 1) if u == v else 0):
+            raise ValueError("det_poly_matrix needs P(0) = I")
+        degree[v] = max(degree.get(v, 0), len(cs) - 1)
+    if any((v, v) not in p for v in degree):
+        raise ValueError("det_poly_matrix needs P(0) = I")
+    start, size = {}, 0
+    for v in sorted(degree):
+        if degree[v] > 0:
+            start[v] = size
+            size += degree[v]
+    rows = [[0] * size for _ in range(size)]
+    row_dens = [0] * size
+    for (v, u), cs in p.items():
+        if v in start and u in start:
+            s = start[u]
+            for i, c in enumerate(cs[1:], start[v]):
+                rows[i][s] = -c
+    for v, s in start.items():
+        e = dens.get(v, 1)
+        for i in range(s, s + degree[v]):
+            row_dens[i] = e
+            if i + 1 < s + degree[v]:
+                rows[i][i + 1] = e
+    values, delta = char_poly_rows(rows, row_dens)
+    return values[::-1], delta
 
 
 def eigenvalues_numeric(m) -> list[complex]:

@@ -22,24 +22,36 @@ adjacencies), so all expressions agree:
 
       det(I - t*M) = (1 - t^2)^(|E| - |V|) * det(I - t*A + t^2*(D - I)).
 
-Every determinant here is read off one scalar kernel, the Hessenberg
-characteristic polynomial of ``linalg``:
+Every determinant here is read off one scalar kernel,
+``linalg.char_poly_rows``, which takes integer rows with row denominators:
 
-* det(I - t*M) is the characteristic polynomial of M, reversed;
-* both vertex determinants are assembled by ``_cleared_vertex_det``.  The
-  digraph vertex matrices carry 1/f denominators: row u is multiplied by
-  r_u, the product of the distinct f of the pairs at u, which gives a
-  polynomial matrix P(t) = I + t*P_1 + ... + t^k*P_k and
+* det(I - t*M) is the characteristic polynomial of M, reversed.  The kernel
+  reduces S M S^-1 with S = diag(1/q2), where tau = p/q, which has the same
+  charpoly; its row a, p1(a) p2(b) [b leaves head(a)] - q1(a) q2(b)
+  [b inverse of a] over q1(a) q2(a), is read straight off tau1 and tau2,
+  with no Fraction per entry.
+* both vertex determinants are assembled sparsely, in Python ints, by
+  ``_vertex_det``.  A, D and X are {(u, v): value} maps; the f factors,
+  each r_u (the product of the distinct f of the pairs at u) and each
+  r_u / f are integer coefficient lists.  Row u of the vertex matrix times
+  r_u and an integer e_u is an integer polynomial row, so
+  P(t) = diag(1/e) Q(t) has P(0) = I and
   prod_f * det(vertex matrix) = prod_f * det(P) / prod_u r_u, with det(P)
-  the determinant of I - t*C for the block companion matrix C of P.  The
-  graph matrix I - t*A + t^2*(D - I) has no denominators (every r_u is 1),
-  and C is the 2V x 2V companion [[A, -(D - I)], [I, 0]] (rows of lower
-  degree drop out).
+  the determinant of I - t*C for the companion C of P
+  (``linalg.det_poly_matrix``).  A vertex in no pair has the row e_u of the
+  identity and is never materialized.  In a graph every r_u is 1, and a
+  vertex with no arc has the row (1 - t^2) e_u: it contributes a factor
+  (1 - t^2) instead of two companion rows.
 
 Every Ihara-style operation computes its vertex side without det(I - t*M),
-then compares the two exactly (prod_f * det(P) == det(I - t*M) * prod_u r_u
-for a digraph).  ``ihara_digraph`` and ``ihara_graph`` report the outcome
-as ``agree``; ``sato_ihara_digraph`` raises IharaIdentityError on failure.
+then compares the two exactly, as integer polynomials cross-multiplied by
+their denominators (prod_f * det(P) == det(I - t*M) * prod_u r_u for a
+digraph, det(vertex matrix) * (1 - t^2)^(|E| - |V|) == det(I - t*M) for a
+graph).  On a match the reported right-hand side is det(I - t*M); only a
+mismatch builds the reduced quotient.  ``ihara_digraph`` and
+``ihara_graph`` report the outcome as ``agree``, and they alone build the
+report tables (each D and X entry as one RatFunc); ``verify_expressions``
+builds none.  ``sato_ihara_digraph`` raises IharaIdentityError on failure.
 
 The series routes run in Python ints.  The two enumeration routes, closed
 paths for N_k and prime cycles for the Euler product, run on the integer
@@ -65,7 +77,7 @@ from .algebra import Poly, RatFunc, Series, as_fraction
 from .digraph import (
     Digraph, GraphError, GraphMode, PhiPair, lyndon_cycles, predecessors, steps_to as _steps_to,
 )
-from .linalg import Matrix, det_one_minus_t, det_poly_matrix
+from .linalg import Matrix, char_poly_rows, det_poly_matrix
 
 
 _ZERO = Fraction(0)
@@ -134,7 +146,37 @@ def _edge_matrix_data(d: Digraph, w: WeightAssignment) -> list[list]:
 
 def hashimoto(d: Digraph, w: WeightAssignment) -> Poly:
     """The polynomial det(I - t*M); its series inverse is the zeta function."""
-    return det_one_minus_t(Matrix(_edge_matrix_data(d, w)))
+    return _as_poly(*_hashimoto(d, w))
+
+
+def _hashimoto(d: Digraph, w: WeightAssignment) -> tuple[list[int], int]:
+    """(H, Delta) with det(I - t*M) = sum_k H_k t^k / Delta.
+
+    The kernel reduces S M S^-1, S = diag(1/q2) with tau = p/q, which has
+    M's charpoly.  Its row a is
+
+        p1(a) p2(b) [b leaves head(a)] - q1(a) q2(b) [b inverse of a]
+
+    over the denominator q1(a) q2(a), read straight off tau1 and tau2.
+    """
+    n = d.arc_count
+    tau1, tau2 = w.tau1, w.tau2
+    rows, dens = [], []
+    for a in d.arcs:
+        t1 = tau1[a.id]
+        row = [0] * n
+        for b in d.out_arcs(a.head):
+            row[b] = t1.numerator * tau2[b].numerator
+        for b in d.inverse_set(a.id):
+            row[b] -= t1.denominator * tau2[b].denominator
+        rows.append(row)
+        dens.append(t1.denominator * tau2[a.id].denominator)
+    values, delta = char_poly_rows(rows, dens)
+    return values[::-1], delta
+
+
+def _as_poly(values: list[int], delta: int) -> Poly:
+    return Poly([Fraction(v, delta) for v in values])
 
 
 def _clear_denominators(rows: list[list]) -> tuple[int, list[list[int]]]:
@@ -284,74 +326,201 @@ def _euler(m: list[list], order: int) -> Series:
 
 def pair_f_poly(pair: PhiPair) -> Poly:
     """The per-pair factor: 1 + n*t on the diagonal, 1 - k*l*t^2 otherwise."""
+    return Poly(_pair_f(pair))
+
+
+def _pair_f(pair: PhiPair) -> list[int]:
     if pair.is_diagonal:
-        return Poly([1, len(pair.arcs_uv)])
-    return Poly([1, 0, -len(pair.arcs_uv) * len(pair.arcs_vu)])
+        return [1, len(pair.arcs_uv)]
+    return [1, 0, -len(pair.arcs_uv) * len(pair.arcs_vu)]
 
 
-def _weighted_adjacency(d: Digraph, w: WeightAssignment) -> list[list]:
-    """Vertex matrix with (u,v) entry sum of tau(a,a) over arcs a in A_uv."""
-    nv = d.vertex_count
-    a_mat = [[_ZERO] * nv for _ in range(nv)]
+def _mul(a: list[int], b: list[int]) -> list[int]:
+    """The product of two integer polynomials, constant term first."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
+def _product(polys) -> list[int]:
+    acc = [1]
+    for f in polys:
+        acc = _mul(acc, f)
+    return acc
+
+
+def _trim(a: list[int]) -> list[int]:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _one_minus_t2_power(k: int) -> list[int]:
+    """(1 - t^2)^k for k >= 0, by its binomial coefficients."""
+    out = [0] * (2 * k + 1)
+    c = 1
+    for i in range(k + 1):
+        out[2 * i] = c
+        c = -c * (k - i) // (i + 1)
+    return out
+
+
+def _f_products(pairs, fs) -> tuple[dict, dict]:
+    """r_u, the product of the distinct f of the pairs at u, and r_u / f for
+    each distinct f at u (keyed by f's coefficients), for each vertex u in a
+    pair; all integer polynomials."""
+    at = {}
+    for pair, f in zip(pairs, fs):
+        for u in {pair.u, pair.v}:
+            at.setdefault(u, {})[tuple(f)] = f
+    r = {u: _product(fu.values()) for u, fu in at.items()}
+    cofactor = {
+        u: {key: _product(f for k, f in fu.items() if k != key) for key in fu}
+        for u, fu in at.items()
+    }
+    return r, cofactor
+
+
+def _vertex_det(r: dict, cofactor: dict, fs, terms) -> tuple[list[int], int]:
+    """det P(t) as (c, Delta) from ``det_poly_matrix``, where P is the vertex
+    matrix I + sum of terms with each row u multiplied by r_u (1 when u is
+    in no pair), so that det(vertex matrix) = det P / prod_u r_u.
+
+    Each term (u, v, k, c, p) adds c t^k / f_p to entry (u, v), or c t^k
+    when p is None, for a rational c.  Row u of P times e_u, the lcm of the
+    denominators of its terms, is the integer polynomial row Q_u, with
+    Q_u(0) = e_u on the diagonal.  A vertex in no pair and no term keeps
+    the row of the identity and is never materialized.
+    """
+    by_row = {u: [] for u in r}
+    for term in terms:
+        by_row.setdefault(term[0], []).append(term)
+    q, dens = {}, {}
+    for u, row_terms in by_row.items():
+        dens[u] = e = lcm(*(c.denominator for _, _, _, c, _ in row_terms))
+        ru = r.get(u, [1])
+        q[u, u] = [e * x for x in ru]
+        for _, v, k, c, p in row_terms:
+            mult = ru if p is None else cofactor[u][tuple(fs[p])]
+            scale = c.numerator * (e // c.denominator)
+            entry = q.setdefault((u, v), [])
+            entry += [0] * (k + len(mult) - len(entry))
+            for i, x in enumerate(mult, k):
+                entry[i] += scale * x
+    q = {key: cs for key, cs in q.items() if _trim(cs) or key[0] == key[1]}
+    return det_poly_matrix(q, dens)
+
+
+def _vertex_identity(pairs, fs, terms, hk) -> tuple[bool, RatFunc]:
+    """(agree, rhs) for prod_f * det(I + sum of terms) against
+    det(I - t*M) = h = H / Delta_h, where hk = (H, Delta_h).
+
+    With det P = K / Delta and R = prod_u r_u (``_vertex_det``), the
+    identity prod_f * det P = h * R is checked as the integer polynomial
+    equation prod_f * K * Delta_h == H * R * Delta.  On a match rhs is h;
+    only a mismatch builds the reduced quotient (prod_f * det P) / R.
+    """
+    r, cofactor = _f_products(pairs, fs)
+    k_vals, delta = _vertex_det(r, cofactor, fs, terms)
+    h_vals, h_delta = hk
+    r_all = _product(r.values())
+    lhs = _mul(_product(fs), [x * h_delta for x in k_vals])
+    if _trim(lhs) == _trim(_mul(r_all, [x * delta for x in h_vals])):
+        return True, RatFunc.from_poly(_as_poly(*hk))
+    return False, RatFunc(_as_poly(lhs, delta * h_delta), Poly(r_all))
+
+
+def _weighted_adjacency(d: Digraph, w: WeightAssignment) -> dict:
+    """{(u, v): sum of tau(a, a) over the arcs a in A_uv}, nonzero entries only."""
+    a_map = {}
     for arc in d.arcs:
-        a_mat[arc.tail][arc.head] = a_mat[arc.tail][arc.head] + w.tau(arc.id, arc.id)
-    return a_mat
+        key = (arc.tail, arc.head)
+        a_map[key] = a_map.get(key, _ZERO) + w.tau(arc.id, arc.id)
+    return {key: x for key, x in a_map.items() if x}
 
 
 def _sum_over(w_vals, arc_ids):
     return sum((w_vals[a] for a in arc_ids), _ZERO)
 
 
-def _cleared_vertex_det(nv: int, pairs, f_polys, terms) -> tuple[Poly, Poly]:
-    """prod_f * det(I + sum of terms), as a numerator and a denominator.
+def _digraph_vertex_side(d: Digraph, w: WeightAssignment):
+    """The pairs, their f, A and the terms of D and X for ``ihara_digraph``:
+    D and X as {(u, v): [(c, p), ...]}, the entry being sum c / f_p, with
+    nonzero c only."""
+    pairs = d.phi_pairs()
+    fs = [_pair_f(pair) for pair in pairs]
+    d_parts, x_parts = {}, {}
 
-    Each term (u, v, c, p) adds c / f_p to entry (u, v) of the vertex
-    matrix, or c itself when p is None; every c is a polynomial.  Row u is
-    multiplied by r_u, the product of the distinct f of the pairs at u,
-    which clears its denominators and leaves a polynomial matrix P with
-    P(0) = I.  With R the product of all r_u, det(vertex matrix) = det P / R,
-    so the result is (prod_f * det P, R).
-    """
-    at = [{} for _ in range(nv)]
-    for pair, f in zip(pairs, f_polys):
-        for u in {pair.u, pair.v}:
-            at[u][f.coeffs] = f
-    one = Poly.one()
+    def add(parts, u, v, c, p):
+        if c:
+            parts.setdefault((u, v), []).append((c, p))
 
-    def product(factors):
-        acc = one
-        for f in factors:
-            acc = acc * f
-        return acc
+    for p, pair in enumerate(pairs):
+        u, v = pair.u, pair.v
+        s1_uv = _sum_over(w.tau1, pair.arcs_uv)
+        s2_uv = _sum_over(w.tau2, pair.arcs_uv)
+        if pair.is_diagonal:
+            add(d_parts, u, u, s2_uv * s1_uv, p)
+        else:
+            s1_vu = _sum_over(w.tau1, pair.arcs_vu)
+            s2_vu = _sum_over(w.tau2, pair.arcs_vu)
+            k_uv, l_vu = len(pair.arcs_uv), len(pair.arcs_vu)
+            add(d_parts, u, u, s2_uv * s1_vu, p)
+            add(d_parts, v, v, s2_vu * s1_uv, p)
+            add(x_parts, u, v, l_vu * (s2_uv * s1_uv), p)
+            add(x_parts, v, u, k_uv * (s2_vu * s1_vu), p)
+    return pairs, fs, _weighted_adjacency(d, w), d_parts, x_parts
 
-    r = [product(at[u].values()) for u in range(nv)]
-    # r_u / f for each distinct f at u
-    cofactor = [
-        {key: product(f for k, f in at[u].items() if k != key) for key in at[u]}
-        for u in range(nv)
-    ]
-    zero = Poly.zero()
-    rows = [[r[u] if u == v else zero for v in range(nv)] for u in range(nv)]
-    for u, v, c, p in terms:
-        mult = r[u] if p is None else cofactor[u][f_polys[p].coeffs]
-        rows[u][v] = rows[u][v] + c * mult
-    return product(f_polys) * det_poly_matrix(Matrix(rows)), product(r)
+
+def _digraph_identity(pairs, fs, a_map, d_parts, x_parts, hk) -> tuple[bool, RatFunc]:
+    """``_vertex_identity`` for I - t*A + t^2*D - t^3*X."""
+    terms = [(u, v, 1, -x, None) for (u, v), x in a_map.items()]
+    for k, sign, parts in ((2, 1, d_parts), (3, -1, x_parts)):
+        terms += [(u, v, k, sign * c, p) for (u, v), cps in parts.items() for c, p in cps]
+    return _vertex_identity(pairs, fs, terms, hk)
+
+
+def _digraph_tables(fs, d_parts, x_parts) -> tuple[dict, dict]:
+    """The D and X report tables {(u, v): RatFunc} of nonzero entries.  Each
+    entry sum_p c_p / f_p is formed once, over the product F of its distinct
+    f, as (sum_p c_p * F / f_p) / F: one reduction per entry, not one per
+    term."""
+
+    def entry(cps):
+        distinct = {tuple(fs[p]): fs[p] for _, p in cps}
+        num = []
+        for c, p in cps:
+            key = tuple(fs[p])
+            rest = _product(f for k, f in distinct.items() if k != key)
+            num += [_ZERO] * (len(rest) - len(num))
+            for i, x in enumerate(rest):
+                num[i] += c * x
+        return RatFunc(Poly(num), Poly(_product(distinct.values())))
+
+    tables = ({key: entry(cps) for key, cps in parts.items()} for parts in (d_parts, x_parts))
+    return tuple({key: x for key, x in table.items() if x} for table in tables)
 
 
 @dataclass(frozen=True)
 class IharaDigraph:
     """Vertex determinant data for a general digraph.
 
-    ``rhs`` is prod_f * det(I - t*A + t^2*D - t^3*X) reduced as a rational
-    function; when the identity holds (always, absent bugs) it is the
-    polynomial det(I - t*M).
+    ``a``, ``d_ul`` and ``x_ul`` hold the nonzero entries of A, D and X as
+    {(u, v): value} maps.  ``rhs`` is prod_f * det(I - t*A + t^2*D - t^3*X)
+    reduced as a rational function; when the identity holds (always, absent
+    bugs) it is the polynomial det(I - t*M).
     """
 
     pairs: tuple[PhiPair, ...]
     f_factors: tuple[Poly, ...]
-    a: Matrix
-    d_ul: Matrix
-    x_ul: Matrix
+    a: dict
+    d_ul: dict
+    x_ul: dict
     rhs: RatFunc
     hashimoto: Poly
     agree: bool
@@ -373,58 +542,18 @@ def ihara_digraph(d: Digraph, w: WeightAssignment) -> IharaDigraph:
     """
     if d.mode is not GraphMode.GENERAL:
         raise GraphError("ihara_digraph requires a general-mode digraph")
-    return _ihara_digraph(d, w, hashimoto(d, w))
-
-
-def _ihara_digraph(d: Digraph, w: WeightAssignment, h: Poly) -> IharaDigraph:
-    nv = d.vertex_count
-    pairs = d.phi_pairs()
-    f_polys = tuple(pair_f_poly(p) for p in pairs)
-
-    a_mat = _weighted_adjacency(d, w)
-    terms = [
-        (u, v, Poly.monomial(1, -a_mat[u][v]), None)
-        for u in range(nv)
-        for v in range(nv)
-        if a_mat[u][v] != 0
-    ]
-    rzero = RatFunc.zero()
-    d_mat = [[rzero] * nv for _ in range(nv)]
-    x_mat = [[rzero] * nv for _ in range(nv)]
-
-    t2, minus_t3 = Poly.monomial(2), Poly.monomial(3, -1)
-
-    def add(mat, t_power, u, v, c, p):
-        mat[u][v] = mat[u][v] + RatFunc(Poly.constant(c), f_polys[p])
-        terms.append((u, v, t_power.scale(c), p))
-
-    for p, pair in enumerate(pairs):
-        u, v = pair.u, pair.v
-        if pair.is_diagonal:
-            s1 = _sum_over(w.tau1, pair.arcs_uv)
-            s2 = _sum_over(w.tau2, pair.arcs_uv)
-            add(d_mat, t2, u, u, s2 * s1, p)
-        else:
-            s1_uv = _sum_over(w.tau1, pair.arcs_uv)
-            s2_uv = _sum_over(w.tau2, pair.arcs_uv)
-            s1_vu = _sum_over(w.tau1, pair.arcs_vu)
-            s2_vu = _sum_over(w.tau2, pair.arcs_vu)
-            k_uv, l_vu = len(pair.arcs_uv), len(pair.arcs_vu)
-            add(d_mat, t2, u, u, s2_uv * s1_vu, p)
-            add(d_mat, t2, v, v, s2_vu * s1_uv, p)
-            add(x_mat, minus_t3, u, v, l_vu * (s2_uv * s1_uv), p)
-            add(x_mat, minus_t3, v, u, k_uv * (s2_vu * s1_vu), p)
-
-    num, den = _cleared_vertex_det(nv, pairs, f_polys, terms)
-    agree = num == h * den
+    hk = _hashimoto(d, w)
+    pairs, fs, a_map, d_parts, x_parts = side = _digraph_vertex_side(d, w)
+    agree, rhs = _digraph_identity(*side, hk)
+    d_table, x_table = _digraph_tables(fs, d_parts, x_parts)
     return IharaDigraph(
         pairs=pairs,
-        f_factors=f_polys,
-        a=Matrix(a_mat),
-        d_ul=Matrix(d_mat),
-        x_ul=Matrix(x_mat),
-        rhs=RatFunc.from_poly(h) if agree else RatFunc(num, den),
-        hashimoto=h,
+        f_factors=tuple(Poly(f) for f in fs),
+        a=a_map,
+        d_ul=d_table,
+        x_ul=x_table,
+        rhs=rhs,
+        hashimoto=_as_poly(*hk),
         agree=agree,
     )
 
@@ -433,12 +562,14 @@ def _ihara_digraph(d: Digraph, w: WeightAssignment, h: Poly) -> IharaDigraph:
 class IharaGraph:
     """Vertex determinant data for the symmetric digraph of a graph.
 
-    ``rhs`` is (1-t^2)^(|E|-|V|) * det(I - t*A + t^2*(D - I)) as a reduced
-    rational function (the exponent may be negative).
+    ``a_g`` and ``d_g`` hold the nonzero entries of A and D as
+    {(u, v): value} maps.  ``rhs`` is (1-t^2)^(|E|-|V|) *
+    det(I - t*A + t^2*(D - I)) as a reduced rational function (the exponent
+    may be negative).
     """
 
-    a_g: Matrix
-    d_g: Matrix
+    a_g: dict
+    d_g: dict
     prefactor_exponent: int
     vertex_det: Poly
     rhs: RatFunc
@@ -446,41 +577,59 @@ class IharaGraph:
     agree: bool
 
 
+def _graph_vertex_side(g: Digraph, w: WeightAssignment) -> tuple[dict, dict]:
+    """A and D of ``ihara_graph`` as {(u, v): value} maps of nonzero entries;
+    D[u][u] collects tau1(inverse of a) tau2(a) over the arcs a leaving u."""
+    d_map = {}
+    for arc in g.arcs:
+        u = arc.tail
+        d_map[u, u] = d_map.get((u, u), _ZERO) + w.tau1[g.partner(arc.id)] * w.tau2[arc.id]
+    return _weighted_adjacency(g, w), {key: x for key, x in d_map.items() if x}
+
+
+def _graph_identity(g: Digraph, a_map: dict, d_map: dict, hk):
+    """(agree, (K, Delta, j)): det(I - t*A + t^2*(D - I)) = (1 - t^2)^j K / Delta.
+
+    The row of a vertex u with no arc is exactly (1 - t^2) e_u, so each
+    such vertex adds one to j and never enters the companion.  The identity
+    (1 - t^2)^(|E| - |V|) * vertex det = H / Delta_h is checked in
+    integers, with the power of (1 - t^2) on the side where it is not
+    negative.
+    """
+    used = {arc.tail for arc in g.arcs}
+    terms = [(u, v, 1, -x, None) for (u, v), x in a_map.items()]
+    terms += [(u, u, 2, d_map.get((u, u), _ZERO) - 1, None) for u in used]
+    k_vals, delta = _vertex_det({}, {}, (), terms)
+    j = g.vertex_count - len(used)
+    power = g.edge_count - len(used)
+    h_vals, h_delta = hk
+    lhs = _mul(_one_minus_t2_power(max(power, 0)), [x * h_delta for x in k_vals])
+    rhs = _mul(_one_minus_t2_power(max(-power, 0)), [x * delta for x in h_vals])
+    return _trim(lhs) == _trim(rhs), (k_vals, delta, j)
+
+
+def _graph_rhs(g: Digraph, k_vals, delta, j) -> RatFunc:
+    """(1 - t^2)^(|E| - |V| + j) * K / Delta, reduced."""
+    power = g.edge_count - g.vertex_count + j
+    num = _as_poly(_mul(_one_minus_t2_power(max(power, 0)), k_vals), delta)
+    return RatFunc(num, Poly(_one_minus_t2_power(max(-power, 0))))
+
+
 def ihara_graph(g: Digraph, w: WeightAssignment) -> IharaGraph:
     if g.mode is not GraphMode.SYMMETRIC:
         raise GraphError("ihara_graph requires the symmetric digraph of a graph")
-    return _ihara_graph(g, w, hashimoto(g, w))
-
-
-def _ihara_graph(g: Digraph, w: WeightAssignment, h: Poly) -> IharaGraph:
-    nv = g.vertex_count
-    a_mat = _weighted_adjacency(g, w)
-    d_diag = [_ZERO] * nv
-    for arc in g.arcs:
-        d_diag[arc.tail] = d_diag[arc.tail] + w.tau1[g.partner(arc.id)] * w.tau2[arc.id]
-    # I - t*A + t^2*(D - I) as terms with no pairs: every r_u is 1
-    terms = [
-        (u, v, Poly.monomial(1, -a_mat[u][v]), None)
-        for u in range(nv)
-        for v in range(nv)
-        if a_mat[u][v] != 0
-    ]
-    terms += [(u, u, Poly.monomial(2, d_diag[u] - 1), None) for u in range(nv)]
-    vertex_det, _ = _cleared_vertex_det(nv, (), (), terms)
-    m_exp = g.edge_count - nv
-    one_minus_t2 = Poly([1, 0, -1])
-    if m_exp >= 0:
-        rhs = RatFunc.from_poly(vertex_det * one_minus_t2**m_exp)
-    else:
-        rhs = RatFunc(vertex_det, one_minus_t2 ** (-m_exp))
+    hk = _hashimoto(g, w)
+    a_map, d_map = _graph_vertex_side(g, w)
+    agree, (k_vals, delta, j) = _graph_identity(g, a_map, d_map, hk)
+    h = _as_poly(*hk)
     return IharaGraph(
-        a_g=Matrix(a_mat),
-        d_g=Matrix([[d_diag[i] if i == j else _ZERO for j in range(nv)] for i in range(nv)]),
-        prefactor_exponent=m_exp,
-        vertex_det=vertex_det,
-        rhs=rhs,
+        a_g=a_map,
+        d_g=d_map,
+        prefactor_exponent=g.edge_count - g.vertex_count,
+        vertex_det=_as_poly(_mul(_one_minus_t2_power(j), k_vals), delta),
+        rhs=RatFunc.from_poly(h) if agree else _graph_rhs(g, k_vals, delta, j),
         hashimoto=h,
-        agree=rhs == RatFunc.from_poly(h),
+        agree=agree,
     )
 
 
@@ -501,27 +650,25 @@ def sato_ihara_digraph(d: Digraph, tau2=None) -> Poly:
         raise GraphError("sato_ihara_digraph requires a general-mode digraph")
     w = WeightAssignment.from_maps(d, tau1=None, tau2=tau2)
     pairs = d.phi_pairs()
-    f_polys = tuple(pair_f_poly(p) for p in pairs)
     terms = []
     for p, pair in enumerate(pairs):
         u, v = pair.u, pair.v
+        s2_uv = _sum_over(w.tau2, pair.arcs_uv)
         if pair.is_diagonal:
-            s2 = _sum_over(w.tau2, pair.arcs_uv)
-            terms.append((u, u, Poly.monomial(1, -s2), p))
+            terms.append((u, u, 1, -s2_uv, p))
         else:
-            s2_uv = _sum_over(w.tau2, pair.arcs_uv)
             s2_vu = _sum_over(w.tau2, pair.arcs_vu)
             k_uv, l_vu = len(pair.arcs_uv), len(pair.arcs_vu)
-            terms.append((u, v, Poly.monomial(1, -s2_uv), p))
-            terms.append((v, u, Poly.monomial(1, -s2_vu), p))
-            terms.append((u, u, Poly.monomial(2, l_vu * s2_uv), p))
-            terms.append((v, v, Poly.monomial(2, k_uv * s2_vu), p))
-    num, den = _cleared_vertex_det(d.vertex_count, pairs, f_polys, terms)
-    h = hashimoto(d, w)
-    if num != h * den:
+            terms.append((u, v, 1, -s2_uv, p))
+            terms.append((v, u, 1, -s2_vu, p))
+            terms.append((u, u, 2, l_vu * s2_uv, p))
+            terms.append((v, v, 2, k_uv * s2_vu, p))
+    hk = _hashimoto(d, w)
+    agree, rhs = _vertex_identity(pairs, [_pair_f(pair) for pair in pairs], terms, hk)
+    h = _as_poly(*hk)
+    if not agree:
         raise IharaIdentityError(
-            f"tau1=1 digraph expression mismatch: {RatFunc(num, den).render()} "
-            f"vs {h.render()}"
+            f"tau1=1 digraph expression mismatch: {rhs.render()} vs {h.render()}"
         )
     return h
 
@@ -566,23 +713,25 @@ def verify_expressions(d: Digraph, w: WeightAssignment, order: int) -> ZetaRepor
     m = _edge_matrix_data(d, w)
     expo = _exp_of_power_sums(_n_k_all(m, order), order)
     eul = _euler(m, order)
-    h = det_one_minus_t(Matrix(m))
+    hk = _hashimoto(d, w)
+    h = _as_poly(*hk)
     if d.mode is GraphMode.SYMMETRIC:
-        ih = _ihara_graph(d, w, h)
+        agree, vertex_det = _graph_identity(d, *_graph_vertex_side(d, w), hk)
+        ihara_rhs = RatFunc.from_poly(h) if agree else _graph_rhs(d, *vertex_det)
     else:
-        ih = _ihara_digraph(d, w, h)
+        agree, ihara_rhs = _digraph_identity(*_digraph_vertex_side(d, w), hk)
     h_series = Series.from_poly(h, order).inv()
-    if ih.agree:
+    if agree:
         ihara_detail = None
     else:
-        diff = ih.rhs - RatFunc.from_poly(h)
+        diff = ihara_rhs - RatFunc.from_poly(h)
         ks = [i for i, c in enumerate(diff.num.coeffs) if c]
         ihara_detail = f"at t^{ks[0]}" if ks else "denominator differs"
     verdicts = (
         _series_verdict("exponential-vs-euler", expo, eul),
         _series_verdict("exponential-vs-hashimoto", expo, h_series),
         _series_verdict("euler-vs-hashimoto", eul, h_series),
-        Verdict("hashimoto-vs-ihara", ih.agree, ihara_detail),
+        Verdict("hashimoto-vs-ihara", agree, ihara_detail),
     )
     return ZetaReport(
         order=order,
@@ -590,6 +739,6 @@ def verify_expressions(d: Digraph, w: WeightAssignment, order: int) -> ZetaRepor
         euler=eul,
         hashimoto=h,
         hashimoto_series=h_series,
-        ihara_rhs=ih.rhs,
+        ihara_rhs=ihara_rhs,
         verdicts=verdicts,
     )

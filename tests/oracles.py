@@ -1,14 +1,16 @@
 """Reference implementations that the tests compare the library against.
 
-The library computes every determinant with ``linalg.char_poly``; these reach
-the same quantities by independent routes: Bareiss and cofactor determinants
-over any exact entry ring, the Faddeev-LeVerrier characteristic polynomial,
-the two inversion identities behind the vertex-determinant reduction
-(all-ones and block Woodbury-style, each checked with its denominator
-cleared, as A*B == B*A == d*I for a nonzero polynomial d), brute-force closed
-paths, the phi-grouped arc order, theta one entry at a time, the
-structural matrices, and the walk matrices U and T built entry by entry
-with Fraction square roots.  Matrix arithmetic (sums, products, scaling,
+The library computes every determinant with ``linalg.char_poly_rows``; these
+reach the same quantities by independent routes: Bareiss and cofactor
+determinants over any exact entry ring (among them det(I - t*M) and the
+dense graph vertex determinant), the Faddeev-LeVerrier characteristic
+polynomial, the digraph vertex tables A, D and X summed one rational
+function at a time, the two inversion identities behind the
+vertex-determinant reduction (all-ones and block Woodbury-style, each
+checked with its denominator cleared, as A*B == B*A == d*I for a nonzero
+polynomial d), brute-force closed paths, the phi-grouped arc order, theta
+one entry at a time, the structural matrices, and the walk matrices U and
+T built entry by entry with Fraction square roots.  Matrix arithmetic (sums, products, scaling,
 transposes, traces) and the series logarithm live here too, since only the
 tests use them.
 """
@@ -21,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from zetawalk.algebra import Poly, Series, as_fraction
+from zetawalk.algebra import Poly, RatFunc, Series, as_fraction
 from zetawalk.digraph import Digraph, GraphError, PhiPair
 from zetawalk.linalg import Matrix
 from zetawalk.zeta import WeightAssignment
@@ -386,3 +388,56 @@ def walk_discriminant(g: Digraph, probs: dict[int, Fraction]) -> np.ndarray:
     for a in g.arcs:
         t[a.tail, a.head] += sqrt_product(probs[a.id], probs[g.partner(a.id)])
     return t
+
+
+def ihara_digraph_tables(d: Digraph, w: WeightAssignment) -> tuple[dict, dict, dict]:
+    """The nonzero entries of A, D and X of the digraph vertex expression as
+    {(u, v): value} maps, each D and X entry summed one RatFunc c / f at a
+    time."""
+    a, dm, xm = {}, {}, {}
+    for arc in d.arcs:
+        key = (arc.tail, arc.head)
+        a[key] = a.get(key, Fraction(0)) + w.tau1[arc.id] * w.tau2[arc.id]
+    for pair in d.phi_pairs():
+        u, v = pair.u, pair.v
+        k, l = len(pair.arcs_uv), len(pair.arcs_vu)
+        f = Poly([1, k]) if pair.is_diagonal else Poly([1, 0, -k * l])
+
+        def add(m, key, c):
+            m[key] = m.get(key, RatFunc.zero()) + RatFunc(Poly.constant(c), f)
+
+        def s(tau, arcs):
+            return sum((tau[x] for x in arcs), Fraction(0))
+
+        if pair.is_diagonal:
+            add(dm, (u, u), s(w.tau2, pair.arcs_uv) * s(w.tau1, pair.arcs_uv))
+            continue
+        add(dm, (u, u), s(w.tau2, pair.arcs_uv) * s(w.tau1, pair.arcs_vu))
+        add(dm, (v, v), s(w.tau2, pair.arcs_vu) * s(w.tau1, pair.arcs_uv))
+        add(xm, (u, v), l * s(w.tau2, pair.arcs_uv) * s(w.tau1, pair.arcs_uv))
+        add(xm, (v, u), k * s(w.tau2, pair.arcs_vu) * s(w.tau1, pair.arcs_vu))
+    return tuple({key: x for key, x in m.items() if x} for m in (a, dm, xm))
+
+
+def graph_vertex_det(g: Digraph, w: WeightAssignment) -> Poly:
+    """det(I - t*A + t^2*(D - I)) of a graph by elimination on the dense
+    Poly matrix over every vertex, isolated ones included."""
+    n = g.vertex_count
+    a = [[Fraction(0)] * n for _ in range(n)]
+    dg = [Fraction(0)] * n
+    for arc in g.arcs:
+        a[arc.tail][arc.head] += w.tau1[arc.id] * w.tau2[arc.id]
+        dg[arc.tail] += w.tau1[g.partner(arc.id)] * w.tau2[arc.id]
+    rows = [
+        [Poly([int(i == j), -a[i][j], dg[i] - 1 if i == j else 0]) for j in range(n)]
+        for i in range(n)
+    ]
+    return det_bareiss(Matrix(rows), Poly.one())
+
+
+def det_one_minus_t_by_elimination(m: Matrix) -> Poly:
+    """det(I - t*m) by elimination on the Poly matrix I - t*m."""
+    n = m.rows
+    return det_bareiss(
+        Matrix([[Poly([int(i == j), -m[i, j]]) for j in range(n)] for i in range(n)]), Poly.one()
+    )

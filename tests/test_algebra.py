@@ -84,6 +84,18 @@ def test_ratfunc_canonical_form_unique(rng):
         assert (c.num, c.den) == (a.num, a.den) or c == a
 
 
+def test_ratfunc_over_a_constant_is_the_scaled_polynomial(rng):
+    # a constant denominator is skipped by Euclid; the canonical form is
+    # still num / c over 1, the same as over any constant multiple of 1
+    for _ in range(60):
+        num = Poly([Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(rng.randint(0, 6))])
+        c = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+        r = RatFunc(num, Poly.constant(c))
+        assert (r.num, r.den) == (num.scale(1 / c), P(1))
+        assert r == RatFunc(num * P(1, 1), P(c, c)) == RatFunc.from_poly(num.scale(1 / c))
+        assert r.is_poly() and r.as_poly() == num.scale(1 / c)
+
+
 def test_series_exp_example():
     s = Series([0, 1], 4).exp()
     assert s.coeffs == (1, 1, Fraction(1, 2), Fraction(1, 6), Fraction(1, 24))

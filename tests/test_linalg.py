@@ -11,7 +11,7 @@ from zetawalk.algebra import Poly
 from zetawalk.digraph import build_digraph, symmetric_digraph
 from zetawalk.instances import fixture_digraph
 from zetawalk import linalg
-from zetawalk.linalg import Matrix, char_poly, det_one_minus_t, det_poly_matrix, eigenvalues_numeric
+from zetawalk.linalg import Matrix, char_poly, det_poly_matrix, eigenvalues_numeric
 from zetawalk.walk import grover_transition, spectrum_deviation, szegedy_transition
 from zetawalk.zeta import WeightAssignment, ihara_digraph, ihara_graph
 
@@ -272,7 +272,6 @@ def assert_char_poly(m: Matrix):
     chi = char_poly(m)
     assert chi == char_poly_exact(m)
     assert chi == resolvent_det(m)
-    assert det_one_minus_t(m) == Poly(list(reversed(chi.coeffs)))
 
 
 def test_char_poly_random_rational(rng):
@@ -293,9 +292,8 @@ def test_char_poly_random_rational(rng):
 
 def test_char_poly_empty_and_scalar():
     assert char_poly(Matrix([])) == P(1)
-    assert det_one_minus_t(Matrix([])) == P(1)
     assert char_poly(frac_matrix([[Fraction(3, 2)]])) == P(Fraction(-3, 2), 1)
-    assert det_one_minus_t(frac_matrix([[0]])) == P(1)
+    assert char_poly(frac_matrix([[0]])) == P(0, 1)
 
 
 def test_char_poly_zero_pivots(rng):
@@ -344,10 +342,23 @@ def record_primes(monkeypatch) -> list[int]:
     return seen
 
 
+def clearings(m: Matrix) -> list[tuple[int, int]]:
+    """(Delta, B) for m and for m^T, each cleared row by row."""
+    out = []
+    for a in (m, transpose(m)):
+        rows, dens = linalg._clear_row_denominators(a)
+        out.append((math.prod(dens), linalg._coefficient_bound(rows, dens)))
+    return out
+
+
 def primes_needed(m: Matrix) -> list[int]:
-    """The kernel primes not dividing Delta, up to the first whose product exceeds 2B."""
-    rows, dens = linalg._clear_row_denominators(m)
-    delta, limit = math.prod(dens), 2 * linalg._coefficient_bound(rows, dens)
+    """The kernel primes not dividing Delta, up to the first whose product
+    exceeds 2B, for whichever of m and m^T has the smaller B (m on a tie)."""
+    delta, bound = min(clearings(m), key=lambda db: db[1])
+    return primes_up_to(delta, 2 * bound)
+
+
+def primes_up_to(delta: int, limit: int) -> list[int]:
     used, modulus, i = [], 1, 0
     while modulus <= limit:
         p = linalg._kernel_prime(i)
@@ -464,15 +475,35 @@ def test_coefficient_bound_holds_where_hadamard_is_tight(n):
         Matrix([[Fraction(x) for x in row] for row in h]),
         Matrix([[Fraction(x, 3) for x in row] for row in h]),
         Matrix([[Fraction(x, i + 1) for x in row] for i, row in enumerate(h)]),
+        Matrix([[Fraction(x, j + 1) for j, x in enumerate(row)] for row in h]),
     ):
-        rows, dens = linalg._clear_row_denominators(m)
-        delta, bound = math.prod(dens), linalg._coefficient_bound(rows, dens)
         chi = char_poly_exact(m)
         assert chi == char_poly(m)
-        for c in chi.coeffs:
-            assert (delta * c).denominator == 1 and abs(delta * c) <= bound
+        # the bound holds for the row clearing of m and of m^T alike
+        for delta, bound in clearings(m):
+            for c in chi.coeffs:
+                assert (delta * c).denominator == 1 and abs(delta * c) <= bound
     # |det H| = n^(n/2) meets Hadamard's inequality with equality
     assert abs(det_bareiss(Matrix([[Fraction(x) for x in row] for row in h]))) == n ** (n // 2)
+
+
+def test_kernel_reduces_the_transpose_when_its_bound_is_smaller(rng, monkeypatch):
+    # every entry of column 0 has denominator 7^30: each row of m needs 7^30,
+    # while m^T needs it in one row only
+    seen = record_primes(monkeypatch)
+    for n in range(2, 8):
+        m = Matrix(
+            [
+                [Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), 7**30 if j == 0 else 1) for j in range(n)]
+                for _ in range(n)
+            ]
+        )
+        (row_delta, row_bound), (col_delta, col_bound) = clearings(m)
+        assert col_bound < row_bound
+        seen.clear()
+        assert_kernel(m)
+        assert seen == primes_needed(m) == primes_up_to(col_delta, 2 * col_bound)
+        assert len(seen) < len(primes_up_to(row_delta, 2 * row_bound))
 
 
 def test_every_residue_reaches_the_result(rng, monkeypatch):
@@ -515,6 +546,19 @@ def random_poly_matrix(rng, n, degree):
     return Matrix(rows)
 
 
+def det_dense_poly_matrix(pm: Matrix) -> Poly:
+    """``det_poly_matrix`` on a dense Matrix of Polys, each row cleared to
+    integers by the lcm of its coefficient denominators."""
+    p, dens = {}, {}
+    for v, row in enumerate(pm.data):
+        dens[v] = e = math.lcm(*(c.denominator for x in row for c in x.coeffs))
+        for u, x in enumerate(row):
+            if x or u == v:
+                p[v, u] = [int(c * e) for c in x.coeffs]
+    values, delta = det_poly_matrix(p, dens)
+    return Poly([Fraction(c, delta) for c in values])
+
+
 def test_companion_linearization_quadratic(rng):
     # det(I + t*P1 + t^2*P2) against elimination on the polynomial entries
     for n in range(1, 6):
@@ -524,22 +568,22 @@ def test_companion_linearization_quadratic(rng):
             pm = Matrix(
                 [[Poly([Fraction(i == j), p1[i, j], p2[i, j]]) for j in range(n)] for i in range(n)]
             )
-            assert det_poly_matrix(pm) == det_bareiss(pm)
+            assert det_dense_poly_matrix(pm) == det_bareiss(pm)
 
 
 def test_companion_linearization_mixed_row_degrees(rng):
     for n in range(1, 5):
         for _ in range(8):
             pm = random_poly_matrix(rng, n, 4)
-            assert det_poly_matrix(pm) == det_bareiss(pm)
+            assert det_dense_poly_matrix(pm) == det_bareiss(pm)
     # a row of degree 0 is a row of the identity and drops out
     pm = Matrix([[P(1), P(0, 2, 1)], [P(), P(1)]])
-    assert det_poly_matrix(pm) == P(1)
+    assert det_dense_poly_matrix(pm) == P(1)
 
 
 def test_companion_linearization_needs_identity_at_zero():
     with pytest.raises(ValueError, match="P\\(0\\) = I"):
-        det_poly_matrix(Matrix([[P(2, 1)]]))
+        det_dense_poly_matrix(Matrix([[P(2, 1)]]))
 
 
 # The digraph identity, which runs the row clearing and the linearization
