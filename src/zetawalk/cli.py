@@ -233,9 +233,13 @@ def cmd_fixtures(ns) -> tuple[str, int]:
 
 
 def _positive_int(value: str) -> int:
+    """An order from 1 to sys.maxsize - 1: a series of order n has n + 1
+    coefficients, a list length that must fit in an index."""
     n = int(value)
     if n < 1:
         raise argparse.ArgumentTypeError("order must be >= 1")
+    if n >= sys.maxsize:
+        raise argparse.ArgumentTypeError(f"order must be < {sys.maxsize}")
     return n
 
 

@@ -77,9 +77,6 @@ class Matrix:
         i, j = key
         return self.data[i][j]
 
-    def row(self, i):
-        return self.data[i]
-
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols

@@ -43,15 +43,21 @@ Every determinant here is read off one scalar kernel,
   vertex with no arc has the row (1 - t^2) e_u: it contributes a factor
   (1 - t^2) instead of two companion rows.
 
-Every Ihara-style operation computes its vertex side without det(I - t*M),
-then compares the two exactly, as integer polynomials cross-multiplied by
-their denominators (prod_f * det(P) == det(I - t*M) * prod_u r_u for a
-digraph, det(vertex matrix) * (1 - t^2)^(|E| - |V|) == det(I - t*M) for a
-graph).  On a match the reported right-hand side is det(I - t*M); only a
-mismatch builds the reduced quotient.  ``ihara_digraph`` and
-``ihara_graph`` report the outcome as ``agree``, and they alone build the
-report tables (each D and X entry as one RatFunc); ``verify_expressions``
-builds none.  ``sato_ihara_digraph`` raises IharaIdentityError on failure.
+Every Ihara-style operation builds its vertex side without det(I - t*M),
+as (num, den, det P) with num and den integer polynomials of constant term
+1: prod_f and prod_u r_u for a digraph (``_pair_side``); for a graph the
+power (1 - t^2)^(|E| - |used|), over the vertices that have arcs, in num
+when it is not negative and in den otherwise (``_graph_side``).  One check,
+``_identity``, compares num * det P with det(I - t*M) * den as integer
+polynomials cross-multiplied by their denominators.  On a match the
+reported right-hand side is det(I - t*M); a mismatch builds the reduced
+quotient num * det P / den and names the first power of t at which the two
+sides differ.  ``verify_expressions``, ``ihara_digraph``, ``ihara_graph``
+and ``sato_ihara_digraph`` all use it: the first reports the mismatch
+power, the last raises IharaIdentityError, and the two ``ihara_*`` report
+``agree`` and alone build report tables, {(u, v): value} maps of nonzero
+entries.  Those of A (both modes) and of a graph's D hold Fractions; each
+D and X entry of a digraph is one RatFunc.
 
 The series routes run in Python ints.  The two enumeration routes, closed
 paths for N_k and prime cycles for the Euler product, run on the integer
@@ -70,6 +76,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import lcm
 from operator import mul
 
@@ -121,9 +128,6 @@ class WeightAssignment:
             return tuple(vals)
 
         return cls(fill(tau1), fill(tau2))
-
-    def tau(self, a: int, b: int):
-        return self.tau1[a] * self.tau2[b]
 
 
 def edge_matrix(d: Digraph, w: WeightAssignment) -> Matrix:
@@ -370,22 +374,6 @@ def _one_minus_t2_power(k: int) -> list[int]:
     return out
 
 
-def _f_products(pairs, fs) -> tuple[dict, dict]:
-    """r_u, the product of the distinct f of the pairs at u, and r_u / f for
-    each distinct f at u (keyed by f's coefficients), for each vertex u in a
-    pair; all integer polynomials."""
-    at = {}
-    for pair, f in zip(pairs, fs):
-        for u in {pair.u, pair.v}:
-            at.setdefault(u, {})[tuple(f)] = f
-    r = {u: _product(fu.values()) for u, fu in at.items()}
-    cofactor = {
-        u: {key: _product(f for k, f in fu.items() if k != key) for key in fu}
-        for u, fu in at.items()
-    }
-    return r, cofactor
-
-
 def _vertex_det(r: dict, cofactor: dict, fs, terms) -> tuple[list[int], int]:
     """det P(t) as (c, Delta) from ``det_poly_matrix``, where P is the vertex
     matrix I + sum of terms with each row u multiplied by r_u (1 when u is
@@ -416,31 +404,53 @@ def _vertex_det(r: dict, cofactor: dict, fs, terms) -> tuple[list[int], int]:
     return det_poly_matrix(q, dens)
 
 
-def _vertex_identity(pairs, fs, terms, hk) -> tuple[bool, RatFunc]:
-    """(agree, rhs) for prod_f * det(I + sum of terms) against
-    det(I - t*M) = h = H / Delta_h, where hk = (H, Delta_h).
+def _pair_side(pairs, fs, terms) -> tuple[list[int], list[int], tuple[list[int], int]]:
+    """(prod_f, R, det P) with prod_f * det(I + sum of terms) = prod_f * det P / R.
 
-    With det P = K / Delta and R = prod_u r_u (``_vertex_det``), the
-    identity prod_f * det P = h * R is checked as the integer polynomial
-    equation prod_f * K * Delta_h == H * R * Delta.  On a match rhs is h;
-    only a mismatch builds the reduced quotient (prod_f * det P) / R.
+    r_u is the product of the distinct f of the pairs at u, R = prod_u r_u,
+    and each distinct f at u (keyed by its coefficients) has the cofactor
+    r_u / f; all are integer polynomials, and ``_vertex_det`` clears row u
+    of the vertex matrix with r_u.
     """
-    r, cofactor = _f_products(pairs, fs)
-    k_vals, delta = _vertex_det(r, cofactor, fs, terms)
-    h_vals, h_delta = hk
-    r_all = _product(r.values())
-    lhs = _mul(_product(fs), [x * h_delta for x in k_vals])
-    if _trim(lhs) == _trim(_mul(r_all, [x * delta for x in h_vals])):
-        return True, RatFunc.from_poly(_as_poly(*hk))
-    return False, RatFunc(_as_poly(lhs, delta * h_delta), Poly(r_all))
+    at = {}
+    for pair, f in zip(pairs, fs):
+        for u in {pair.u, pair.v}:
+            at.setdefault(u, {})[tuple(f)] = f
+    r = {u: _product(fu.values()) for u, fu in at.items()}
+    cofactor = {
+        u: {key: _product(f for k, f in fu.items() if k != key) for key in fu}
+        for u, fu in at.items()
+    }
+    return _product(fs), _product(r.values()), _vertex_det(r, cofactor, fs, terms)
+
+
+def _identity(num, den, kd, hk) -> tuple[Poly, RatFunc, int | None]:
+    """(h, rhs, k) for the vertex identity num * det P = h * den, where
+    kd = (K, Delta) gives det P = K / Delta and hk = (H, Delta_h) gives
+    h = det(I - t*M), returned as a Poly.
+
+    The identity is checked as the integer polynomial equation
+    num * K * Delta_h == H * den * Delta.  On a match rhs is h and k is
+    None.  Otherwise rhs is the reduced quotient num * det P / den and k the
+    first power of t at which the two sides differ; num and den have
+    constant term 1, so k is also the first nonzero coefficient of rhs - h.
+    """
+    (k_vals, delta), (h_vals, h_delta) = kd, hk
+    h = _as_poly(h_vals, h_delta)
+    lhs = _trim(_mul(num, [x * h_delta for x in k_vals]))
+    rhs = _trim(_mul(den, [x * delta for x in h_vals]))
+    if lhs == rhs:
+        return h, RatFunc.from_poly(h), None
+    k = next(i for i, (a, b) in enumerate(zip_longest(lhs, rhs, fillvalue=0)) if a != b)
+    return h, RatFunc(_as_poly(_mul(num, k_vals), delta), Poly(den)), k
 
 
 def _weighted_adjacency(d: Digraph, w: WeightAssignment) -> dict:
-    """{(u, v): sum of tau(a, a) over the arcs a in A_uv}, nonzero entries only."""
+    """{(u, v): sum of tau1(a) tau2(a) over the arcs a in A_uv}, nonzero entries only."""
     a_map = {}
     for arc in d.arcs:
         key = (arc.tail, arc.head)
-        a_map[key] = a_map.get(key, _ZERO) + w.tau(arc.id, arc.id)
+        a_map[key] = a_map.get(key, _ZERO) + w.tau1[arc.id] * w.tau2[arc.id]
     return {key: x for key, x in a_map.items() if x}
 
 
@@ -448,9 +458,10 @@ def _sum_over(w_vals, arc_ids):
     return sum((w_vals[a] for a in arc_ids), _ZERO)
 
 
-def _digraph_vertex_side(d: Digraph, w: WeightAssignment):
-    """The pairs, their f, A and the terms of D and X for ``ihara_digraph``:
-    D and X as {(u, v): [(c, p), ...]}, the entry being sum c / f_p, with
+def _digraph_side(d: Digraph, w: WeightAssignment):
+    """The vertex side of I - t*A + t^2*D - t^3*X, as ``_pair_side`` gives it,
+    and the parts ``ihara_digraph`` reports: the pairs, their f, A, and D
+    and X as {(u, v): [(c, p), ...]}, the entry being sum c / f_p, with
     nonzero c only."""
     pairs = d.phi_pairs()
     fs = [_pair_f(pair) for pair in pairs]
@@ -474,15 +485,11 @@ def _digraph_vertex_side(d: Digraph, w: WeightAssignment):
             add(d_parts, v, v, s2_vu * s1_uv, p)
             add(x_parts, u, v, l_vu * (s2_uv * s1_uv), p)
             add(x_parts, v, u, k_uv * (s2_vu * s1_vu), p)
-    return pairs, fs, _weighted_adjacency(d, w), d_parts, x_parts
-
-
-def _digraph_identity(pairs, fs, a_map, d_parts, x_parts, hk) -> tuple[bool, RatFunc]:
-    """``_vertex_identity`` for I - t*A + t^2*D - t^3*X."""
+    a_map = _weighted_adjacency(d, w)
     terms = [(u, v, 1, -x, None) for (u, v), x in a_map.items()]
     for k, sign, parts in ((2, 1, d_parts), (3, -1, x_parts)):
         terms += [(u, v, k, sign * c, p) for (u, v), cps in parts.items() for c, p in cps]
-    return _vertex_identity(pairs, fs, terms, hk)
+    return _pair_side(pairs, fs, terms), (pairs, fs, a_map, d_parts, x_parts)
 
 
 def _digraph_tables(fs, d_parts, x_parts) -> tuple[dict, dict]:
@@ -542,9 +549,8 @@ def ihara_digraph(d: Digraph, w: WeightAssignment) -> IharaDigraph:
     """
     if d.mode is not GraphMode.GENERAL:
         raise GraphError("ihara_digraph requires a general-mode digraph")
-    hk = _hashimoto(d, w)
-    pairs, fs, a_map, d_parts, x_parts = side = _digraph_vertex_side(d, w)
-    agree, rhs = _digraph_identity(*side, hk)
+    side, (pairs, fs, a_map, d_parts, x_parts) = _digraph_side(d, w)
+    h, rhs, k = _identity(*side, _hashimoto(d, w))
     d_table, x_table = _digraph_tables(fs, d_parts, x_parts)
     return IharaDigraph(
         pairs=pairs,
@@ -553,8 +559,8 @@ def ihara_digraph(d: Digraph, w: WeightAssignment) -> IharaDigraph:
         d_ul=d_table,
         x_ul=x_table,
         rhs=rhs,
-        hashimoto=_as_poly(*hk),
-        agree=agree,
+        hashimoto=h,
+        agree=k is None,
     )
 
 
@@ -577,59 +583,49 @@ class IharaGraph:
     agree: bool
 
 
-def _graph_vertex_side(g: Digraph, w: WeightAssignment) -> tuple[dict, dict]:
-    """A and D of ``ihara_graph`` as {(u, v): value} maps of nonzero entries;
-    D[u][u] collects tau1(inverse of a) tau2(a) over the arcs a leaving u."""
-    d_map = {}
+def _graph_side(g: Digraph, w: WeightAssignment):
+    """The vertex side (num, den, det P) of the graph identity and the parts
+    ``ihara_graph`` reports: A and D as {(u, v): value} maps of nonzero
+    entries, and j, the number of vertices with no arc.
+
+    D[u][u] collects tau1(inverse of a) tau2(a) over the arcs a leaving u.
+    The row of a vertex with no arc is exactly (1 - t^2) e_u, so det P is
+    taken over the |used| = |V| - j vertices that have arcs, the vertex det
+    is (1 - t^2)^j det P, and the identity reads
+    (1 - t^2)^(|E| - |used|) det P = det(I - t*M), with that power in num
+    when it is not negative and in den otherwise.
+    """
+    diag = {}
     for arc in g.arcs:
         u = arc.tail
-        d_map[u, u] = d_map.get((u, u), _ZERO) + w.tau1[g.partner(arc.id)] * w.tau2[arc.id]
-    return _weighted_adjacency(g, w), {key: x for key, x in d_map.items() if x}
-
-
-def _graph_identity(g: Digraph, a_map: dict, d_map: dict, hk):
-    """(agree, (K, Delta, j)): det(I - t*A + t^2*(D - I)) = (1 - t^2)^j K / Delta.
-
-    The row of a vertex u with no arc is exactly (1 - t^2) e_u, so each
-    such vertex adds one to j and never enters the companion.  The identity
-    (1 - t^2)^(|E| - |V|) * vertex det = H / Delta_h is checked in
-    integers, with the power of (1 - t^2) on the side where it is not
-    negative.
-    """
-    used = {arc.tail for arc in g.arcs}
+        diag[u] = diag.get(u, _ZERO) + w.tau1[g.partner(arc.id)] * w.tau2[arc.id]
+    a_map = _weighted_adjacency(g, w)
     terms = [(u, v, 1, -x, None) for (u, v), x in a_map.items()]
-    terms += [(u, u, 2, d_map.get((u, u), _ZERO) - 1, None) for u in used]
-    k_vals, delta = _vertex_det({}, {}, (), terms)
-    j = g.vertex_count - len(used)
-    power = g.edge_count - len(used)
-    h_vals, h_delta = hk
-    lhs = _mul(_one_minus_t2_power(max(power, 0)), [x * h_delta for x in k_vals])
-    rhs = _mul(_one_minus_t2_power(max(-power, 0)), [x * delta for x in h_vals])
-    return _trim(lhs) == _trim(rhs), (k_vals, delta, j)
-
-
-def _graph_rhs(g: Digraph, k_vals, delta, j) -> RatFunc:
-    """(1 - t^2)^(|E| - |V| + j) * K / Delta, reduced."""
-    power = g.edge_count - g.vertex_count + j
-    num = _as_poly(_mul(_one_minus_t2_power(max(power, 0)), k_vals), delta)
-    return RatFunc(num, Poly(_one_minus_t2_power(max(-power, 0))))
+    terms += [(u, u, 2, x - 1, None) for u, x in diag.items()]
+    power = g.edge_count - len(diag)
+    side = (
+        _one_minus_t2_power(max(power, 0)),
+        _one_minus_t2_power(max(-power, 0)),
+        _vertex_det({}, {}, (), terms),
+    )
+    d_map = {(u, u): x for u, x in diag.items() if x}
+    return side, (a_map, d_map, g.vertex_count - len(diag))
 
 
 def ihara_graph(g: Digraph, w: WeightAssignment) -> IharaGraph:
     if g.mode is not GraphMode.SYMMETRIC:
         raise GraphError("ihara_graph requires the symmetric digraph of a graph")
-    hk = _hashimoto(g, w)
-    a_map, d_map = _graph_vertex_side(g, w)
-    agree, (k_vals, delta, j) = _graph_identity(g, a_map, d_map, hk)
-    h = _as_poly(*hk)
+    side, (a_map, d_map, j) = _graph_side(g, w)
+    h, rhs, k = _identity(*side, _hashimoto(g, w))
+    k_vals, delta = side[2]
     return IharaGraph(
         a_g=a_map,
         d_g=d_map,
         prefactor_exponent=g.edge_count - g.vertex_count,
         vertex_det=_as_poly(_mul(_one_minus_t2_power(j), k_vals), delta),
-        rhs=RatFunc.from_poly(h) if agree else _graph_rhs(g, k_vals, delta, j),
+        rhs=rhs,
         hashimoto=h,
-        agree=agree,
+        agree=k is None,
     )
 
 
@@ -663,10 +659,9 @@ def sato_ihara_digraph(d: Digraph, tau2=None) -> Poly:
             terms.append((v, u, 1, -s2_vu, p))
             terms.append((u, u, 2, l_vu * s2_uv, p))
             terms.append((v, v, 2, k_uv * s2_vu, p))
-    hk = _hashimoto(d, w)
-    agree, rhs = _vertex_identity(pairs, [_pair_f(pair) for pair in pairs], terms, hk)
-    h = _as_poly(*hk)
-    if not agree:
+    side = _pair_side(pairs, [_pair_f(pair) for pair in pairs], terms)
+    h, rhs, k = _identity(*side, _hashimoto(d, w))
+    if k is not None:
         raise IharaIdentityError(
             f"tau1=1 digraph expression mismatch: {rhs.render()} vs {h.render()}"
         )
@@ -697,8 +692,8 @@ class ZetaReport:
         return all(v.agree for v in self.verdicts)
 
 
-def _series_verdict(name: str, s1: Series, s2: Series) -> Verdict:
-    k = s1.first_mismatch(s2)
+def _verdict(name: str, k: int | None) -> Verdict:
+    """Agreement, or a mismatch first seen at t^k."""
     return Verdict(name, k is None, None if k is None else f"at t^{k}")
 
 
@@ -707,31 +702,20 @@ def verify_expressions(d: Digraph, w: WeightAssignment, order: int) -> ZetaRepor
 
     Series expressions are compared coefficientwise to ``order``, Hashimoto
     and Ihara exactly as rational functions.  The theta matrix is built once
-    and shared by the power sums, the Euler product and det(I - t*M).
+    and shared by the power sums and the Euler product.
     """
     _require_series_order(order)
     m = _edge_matrix_data(d, w)
     expo = _exp_of_power_sums(_n_k_all(m, order), order)
     eul = _euler(m, order)
-    hk = _hashimoto(d, w)
-    h = _as_poly(*hk)
-    if d.mode is GraphMode.SYMMETRIC:
-        agree, vertex_det = _graph_identity(d, *_graph_vertex_side(d, w), hk)
-        ihara_rhs = RatFunc.from_poly(h) if agree else _graph_rhs(d, *vertex_det)
-    else:
-        agree, ihara_rhs = _digraph_identity(*_digraph_vertex_side(d, w), hk)
+    side, _ = (_graph_side if d.mode is GraphMode.SYMMETRIC else _digraph_side)(d, w)
+    h, ihara_rhs, k = _identity(*side, _hashimoto(d, w))
     h_series = Series.from_poly(h, order).inv()
-    if agree:
-        ihara_detail = None
-    else:
-        diff = ihara_rhs - RatFunc.from_poly(h)
-        ks = [i for i, c in enumerate(diff.num.coeffs) if c]
-        ihara_detail = f"at t^{ks[0]}" if ks else "denominator differs"
     verdicts = (
-        _series_verdict("exponential-vs-euler", expo, eul),
-        _series_verdict("exponential-vs-hashimoto", expo, h_series),
-        _series_verdict("euler-vs-hashimoto", eul, h_series),
-        Verdict("hashimoto-vs-ihara", agree, ihara_detail),
+        _verdict("exponential-vs-euler", expo.first_mismatch(eul)),
+        _verdict("exponential-vs-hashimoto", expo.first_mismatch(h_series)),
+        _verdict("euler-vs-hashimoto", eul.first_mismatch(h_series)),
+        _verdict("hashimoto-vs-ihara", k),
     )
     return ZetaReport(
         order=order,

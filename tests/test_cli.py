@@ -1,4 +1,5 @@
 import io
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -395,11 +396,19 @@ def test_cli_missing_file_exit_code(tmp_path):
     assert code == 2 and "error" in err
 
 
-def test_cli_rejects_nonpositive_order(tmp_path):
+@pytest.mark.parametrize("order", ["0", str(sys.maxsize), "99999999999999999999"])
+@pytest.mark.parametrize("verb", ["verify", "euler", "exp"])
+def test_cli_rejects_nonpositive_order(tmp_path, verb, order):
+    # an order from sys.maxsize up is no list length: refused, not an OverflowError
     path = write_fixture(tmp_path, "triangle")
-    with pytest.raises(SystemExit) as exc:
-        run_cli("euler", path, "--order", "0")
+    err = io.StringIO()
+    with pytest.raises(SystemExit) as exc, redirect_stderr(err):
+        main([verb, path, "--order", order])
     assert exc.value.code == 2
+    assert [l for l in err.getvalue().splitlines() if "error:" in l] == [
+        f"zetawalk {verb}: error: argument --order: "
+        + ("order must be >= 1" if order == "0" else f"order must be < {sys.maxsize}")
+    ]
 
 
 @pytest.mark.parametrize("fixture", ["triangle", "p3"])

@@ -15,6 +15,7 @@ from zetawalk.linalg import Matrix
 from zetawalk.walk import spectrum_deviation
 from zetawalk.zeta import (
     ConsistencyError,
+    IharaIdentityError,
     WeightAssignment,
     _edge_matrix_data,
     _euler,
@@ -776,16 +777,36 @@ def test_a_perturbed_vertex_det_fails_the_graph_identity(rng, monkeypatch):
     assert res.rhs == RatFunc.from_poly(vertex_det)
 
 
-def test_verify_reports_a_perturbed_vertex_det(tmp_path, monkeypatch, capsys):
-    perturb_vertex_det(monkeypatch, 3)
-    for name in ("paper-digraph", "paper-graph"):
-        path = tmp_path / f"{name}.zw"
-        path.write_text(fixture_text(name), encoding="utf-8")
-        assert cli.main(["verify", str(path), "--order", "6"]) == 1
-        out = capsys.readouterr().out
-        # the verdict names the first coefficient that differs
-        assert "VERDICT hashimoto-vs-ihara MISMATCH at t^3\n" in out
-        assert out.endswith("overall MISMATCH\n")
+def test_a_perturbed_vertex_det_fails_the_tau1_digraph_identity(rng, monkeypatch):
+    d = fixture_digraph("paper-digraph")
+    tau2 = {a: random_rational(rng) for a in range(d.arc_count)}
+    seen = perturb_vertex_det(monkeypatch, 1)
+    with pytest.raises(IharaIdentityError, match="tau1=1 digraph expression mismatch"):
+        sato_ihara_digraph(d, tau2)
+    assert len(seen) == 1
+
+
+@pytest.mark.parametrize("name", ["paper-digraph", "paper-graph"])
+@pytest.mark.parametrize("k", range(5))
+def test_verify_reports_a_perturbed_vertex_det(tmp_path, monkeypatch, capsys, name, k):
+    perturb_vertex_det(monkeypatch, k)
+    reports = []
+
+    def recorded(*args):
+        reports.append(verify_expressions(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "verify_expressions", recorded)
+    path = tmp_path / f"{name}.zw"
+    path.write_text(fixture_text(name), encoding="utf-8")
+    assert cli.main(["verify", str(path), "--order", "6"]) == 1
+    out = capsys.readouterr().out
+    # the verdict names the first nonzero coefficient of rhs - h
+    diff = reports[0].ihara_rhs - RatFunc.from_poly(reports[0].hashimoto)
+    first = next(i for i, c in enumerate(diff.num.coeffs) if c)
+    assert first == k
+    assert f"VERDICT hashimoto-vs-ihara MISMATCH at t^{first}\n" in out
+    assert out.endswith("overall MISMATCH\n")
 
 
 def repeated_f_digraph(rng):
