@@ -7,9 +7,10 @@ and ``fixtures`` (write a bundled instance).  Reports are byte-deterministic
 for the exact-arithmetic commands.
 
 Exit codes: 0 success / all agree, 1 mathematical mismatch, 2 input error
-(including a bad flag value, and an instance too large for the available
-memory), 3 internal defect (two computation routes that must agree did
-not, a ``ZetaError``); errors are one ``error:`` line on stderr.
+(including a bad flag value, and an instance or a series order too large
+for the available memory), 3 internal defect (two computation routes that
+must agree did not, a ``ZetaError``); errors are one ``error:`` line on
+stderr.  Only ``spectrum`` loads numpy and scipy, on its first call.
 """
 
 from __future__ import annotations
@@ -317,7 +318,9 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
     except MemoryError:
-        sys.stderr.write("error: out of memory: the instance is too large for this machine\n")
+        sys.stderr.write(
+            "error: out of memory: the instance or the series order is too large for this machine\n"
+        )
         return EXIT_INPUT
     except ZetaError as exc:
         sys.stderr.write(f"error: internal defect: {exc}\n")

@@ -42,7 +42,9 @@ rows of the identity and never enter C; C's rows are integer rows over
 e_v, so it goes to ``char_poly_rows`` with no Fraction.
 
 Numeric eigenvalues delegate to LAPACK's general eigensolver via numpy, in
-real arithmetic for a real matrix.  The elimination determinants, the
+real arithmetic for a real matrix.  ``eigenvalues_numeric`` imports numpy
+when it is called, so that the exact kernel, and every CLI verb but
+``spectrum``, starts without loading it.  The elimination determinants, the
 Faddeev-LeVerrier charpoly and the inversion identities the tests compare
 against live in ``tests/oracles.py``.
 """
@@ -54,8 +56,6 @@ from functools import cache
 from itertools import count
 from math import gcd, isqrt, lcm, prod
 from operator import itemgetter, mul
-
-import numpy as np
 
 from .algebra import Poly, as_fraction
 
@@ -320,6 +320,7 @@ def eigenvalues_numeric(m) -> list[complex]:
     or a complex one only when some entry is complex.  LAPACK convergence
     failures are surfaced with the matrix shape in the message.
     """
+    import numpy as np
     if isinstance(m, np.ndarray):
         arr = m
     else:

@@ -478,6 +478,9 @@ def test_cli_internal_defect_exit_code(tmp_path, monkeypatch, verb, target, erro
     assert err.count("\n") == 1 and err.startswith("error: ") and str(error) in err
 
 
+OUT_OF_MEMORY = "error: out of memory: the instance or the series order is too large for this machine\n"
+
+
 @pytest.mark.parametrize(
     "verb, fixture, target",
     [
@@ -498,7 +501,15 @@ def test_cli_out_of_memory_is_an_input_error(tmp_path, monkeypatch, verb, fixtur
     code, out, err = run_cli(*args)
     assert code == cli.EXIT_INPUT == 2
     assert out == ""
-    assert err.count("\n") == 1 and err.startswith("error: out of memory")
+    assert err == OUT_OF_MEMORY
+
+
+def test_cli_an_order_too_large_for_memory_is_named(tmp_path):
+    # the largest accepted order on a 3-arc instance: the series list cannot
+    # be allocated, so MemoryError is raised at once, before any walk
+    code, out, err = run_cli("verify", write_fixture(tmp_path, "triangle"), "--order", str(sys.maxsize - 1))
+    assert (code, out) == (cli.EXIT_INPUT, "")
+    assert err == OUT_OF_MEMORY
 
 
 def test_exit_code_for_report_contract():

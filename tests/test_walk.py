@@ -213,6 +213,14 @@ def test_spectrum_deviation_requires_equal_sizes():
     assert spectrum_deviation([], []) == 0.0
 
 
+def test_spectrum_deviation_is_the_max_of_a_min_sum_matching():
+    # The min-sum matching pairs 0-1 and 3-(1+2.9j); the bottleneck matching
+    # 0-(1+2.9j), 3-1 has the smaller largest distance, 3.07.
+    deviation = spectrum_deviation([0, 3], [1, 1 + 2.9j])
+    assert deviation == pytest.approx(abs(3 - (1 + 2.9j))) == pytest.approx(3.5228, abs=1e-4)
+    assert abs(0 - (1 + 2.9j)) == pytest.approx(3.0676, abs=1e-4)
+
+
 def test_zeta_edge_matrix_bridges_to_grover_walk():
     # with tau1 = 1 and tau2(a) = 2/deg(tail(a)), the theta edge matrix is
     # the transposed Grover transition, so the reversed Hashimoto polynomial
