@@ -9,11 +9,13 @@ combining two series truncates to the smaller order.
 
 Coefficients enter through ``as_fraction``, which accepts Fractions, ints and
 strings and refuses anything else (floats included), so no inexact value
-reaches the arithmetic.
+reaches the arithmetic.  They leave through ``render_rational``, which
+prints every digit: ``str`` refuses an int of over 4300 digits by default.
 """
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -30,6 +32,16 @@ def as_fraction(x) -> Fraction:
     if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"{x!r} is not an exact rational (Fraction, int or str)")
+
+
+def render_rational(x) -> str:
+    """``str`` of a Fraction or an int, with every digit: past the limit at
+    which ``str`` refuses, the digits come from ``Decimal``, which has none."""
+    try:
+        return str(x)
+    except ValueError:
+        num = str(Decimal(x.numerator))
+        return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
 
 
 class Poly:
@@ -197,11 +209,11 @@ class Poly:
             if c == 0:
                 continue
             if i == 0:
-                terms.append(str(c))
+                terms.append(render_rational(c))
             elif i == 1:
-                terms.append(f"{c}*t")
+                terms.append(f"{render_rational(c)}*t")
             else:
-                terms.append(f"{c}*t^{i}")
+                terms.append(f"{render_rational(c)}*t^{i}")
         return " + ".join(terms) if terms else "0"
 
     def __repr__(self) -> str:

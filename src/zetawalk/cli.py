@@ -20,6 +20,7 @@ import functools
 import math
 import sys
 
+from .algebra import render_rational
 from .digraph import GraphError, GraphMode
 from .instances import (
     FIXTURES,
@@ -126,7 +127,7 @@ def _table_entries(rep: _Report, name: str, table: dict, n: int) -> None:
     for i in range(n):
         for j in range(n):
             x = table.get((i, j), 0)
-            rep.add(f"{name}[{i}][{j}]", x.render() if hasattr(x, "render") else x)
+            rep.add(f"{name}[{i}][{j}]", x.render() if hasattr(x, "render") else render_rational(x))
 
 
 def cmd_ihara(ns) -> tuple[str, int]:
@@ -311,10 +312,7 @@ def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
     try:
         text, code = ns.func(ns)
-    except (ParseError, GraphError, WalkError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
-    except OSError as exc:
+    except (ParseError, GraphError, WalkError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
     except MemoryError:

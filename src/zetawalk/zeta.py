@@ -22,54 +22,59 @@ adjacencies), so all expressions agree:
 
       det(I - t*M) = (1 - t^2)^(|E| - |V|) * det(I - t*A + t^2*(D - I)).
 
+The theta matrix is built once, in integers: ``_edge_matrix_data`` returns
+the rows R and row denominators e of T = S M S^-1 = diag(1/e) R, with
+S = diag(1/q2) and tau = p/q.  T has M's characteristic polynomial, the
+traces of M's powers and every closed path's circular product, so
+Hashimoto and the three series routes all run on T.
+
 Every determinant here is read off one scalar kernel,
 ``linalg.char_poly_rows``, which takes integer rows with row denominators:
 
-* det(I - t*M) is the characteristic polynomial of M, reversed.  The kernel
-  reduces S M S^-1 with S = diag(1/q2), where tau = p/q, which has the same
-  charpoly; its row a, p1(a) p2(b) [b leaves head(a)] - q1(a) q2(b)
-  [b inverse of a] over q1(a) q2(a), is read straight off tau1 and tau2,
-  with no Fraction per entry.
+* det(I - t*M) is the charpoly of T, reversed (``_hashimoto``).
 * both vertex determinants are assembled sparsely, in Python ints, by
-  ``_vertex_det``.  A, D and X are {(u, v): value} maps; the f factors,
-  each r_u (the product of the distinct f of the pairs at u) and each
-  r_u / f are integer coefficient lists.  Row u of the vertex matrix times
-  r_u and an integer e_u is an integer polynomial row, so
-  P(t) = diag(1/e) Q(t) has P(0) = I and
-  prod_f * det(vertex matrix) = prod_f * det(P) / prod_u r_u, with det(P)
-  the determinant of I - t*C for the companion C of P
-  (``linalg.det_poly_matrix``).  A vertex in no pair has the row e_u of the
-  identity and is never materialized.  In a graph every r_u is 1, and a
-  vertex with no arc has the row (1 - t^2) e_u: it contributes a factor
-  (1 - t^2) instead of two companion rows.
+  ``_vertex_det`` from one term form: (u, v, k, c, f) adds c t^k / f to
+  entry (u, v) of the vertex matrix, with c rational and f a pair factor
+  as an integer coefficient tuple, or None for the terms of A and of a
+  graph.  r_u, the product of the distinct f among the nonzero terms of
+  row u, and e_u, the lcm of their c denominators, clear row u to an
+  integer polynomial row, so P(t) = diag(1/e) Q(t) has P(0) = I and
+  det(vertex matrix) = det(P) / R with R = prod_u r_u; det(P) is that of
+  I - t*C for the companion C of P (``linalg.det_poly_matrix``).  A row
+  with no nonzero term is a row of the identity and is never
+  materialized.  In a graph every r_u is 1, and a vertex with no arc has
+  the row (1 - t^2) e_u: it contributes a factor (1 - t^2) instead of two
+  companion rows.
 
 Every Ihara-style operation builds its vertex side without det(I - t*M),
 as (num, den, det P) with num and den integer polynomials of constant term
-1: prod_f and prod_u r_u for a digraph (``_pair_side``); for a graph the
-power (1 - t^2)^(|E| - |used|), over the vertices that have arcs, in num
-when it is not negative and in den otherwise (``_graph_side``).  One check,
-``_identity``, compares num * det P with det(I - t*M) * den as integer
-polynomials cross-multiplied by their denominators.  On a match the
-reported right-hand side is det(I - t*M); a mismatch builds the reduced
-quotient num * det P / den and names the first power of t at which the two
-sides differ.  ``verify_expressions``, ``ihara_digraph``, ``ihara_graph``
-and ``sato_ihara_digraph`` all use it: the first reports the mismatch
-power, the last raises IharaIdentityError, and the two ``ihara_*`` report
-``agree`` and alone build report tables, {(u, v): value} maps of nonzero
-entries.  Those of A (both modes) and of a graph's D hold Fractions; each
-D and X entry of a digraph is one RatFunc.
+1: prod_f and R for a digraph (``_digraph_side``, ``sato_ihara_digraph``);
+for a graph the power (1 - t^2)^(|E| - |used|), over the vertices that
+have arcs, in num when it is not negative and in den otherwise
+(``_graph_side``).  One check, ``_identity``, compares num * det P with
+det(I - t*M) * den as integer polynomials cross-multiplied by their
+denominators.  On a match the reported right-hand side is det(I - t*M); a
+mismatch builds the reduced quotient num * det P / den and names the first
+power of t at which the two sides differ.  ``verify_expressions``,
+``ihara_digraph``, ``ihara_graph`` and ``sato_ihara_digraph`` all use it:
+the first reports the mismatch power, the last raises IharaIdentityError,
+and the two ``ihara_*`` report ``agree`` and alone build report tables,
+{(u, v): value} maps of nonzero entries.  Those of A (both modes) and of a
+graph's D hold Fractions; each D and X entry of a digraph is one RatFunc.
+The vertex side reads tau1 and tau2 itself, so a defect in the one theta
+builder shows as a Hashimoto-vs-Ihara mismatch.
 
 The series routes run in Python ints.  The two enumeration routes, closed
 paths for N_k and prime cycles for the Euler product, run on the integer
-matrix D*M, D the lcm of the theta denominators (``_clear_denominators``).
+matrix D*T, D the lcm of the row denominators e (``_clear_denominators``).
 A length-k term then carries D^k, and each result is divided back by its
 power of D once at the end, so the routes stay exact without a Fraction
 operation per path.  The closed-path walk goes level by level and skips any
 arc from which its start arc is out of reach in the remaining length; the
 prime-cycle walk (``digraph.lyndon_cycles``) follows the nonzero entries of
-D*M only.  The trace route to N_k clears the denominators on its own and
-reads each N_k off two powers of at most ceil(order/2); the two N_k routes
-must agree exactly (ConsistencyError otherwise).
+D*T, those of M, only.  The trace route to N_k clears the denominators on
+its own and reads each N_k off two powers of at most ceil(order/2); the two
+N_k routes must agree exactly (ConsistencyError otherwise).
 """
 
 from __future__ import annotations
@@ -131,38 +136,23 @@ class WeightAssignment:
 
 
 def edge_matrix(d: Digraph, w: WeightAssignment) -> Matrix:
-    """The arc-indexed matrix M with entries theta(a, b)."""
-    return Matrix(_edge_matrix_data(d, w))
+    """The arc-indexed matrix M with entries theta(a, b), read back from the
+    rows of ``_edge_matrix_data``: M[a][b] = q2(a) R[a][b] / (e_a q2(b))."""
+    rows, dens = _edge_matrix_data(d, w)
+    q2 = [x.denominator for x in w.tau2]
+    return Matrix(
+        [[Fraction(q2[a] * x, e * q2[b]) for b, x in enumerate(row)]
+         for a, (row, e) in enumerate(zip(rows, dens))]
+    )
 
 
-def _edge_matrix_data(d: Digraph, w: WeightAssignment) -> list[list]:
-    n = d.arc_count
-    m = [[_ZERO] * n for _ in range(n)]
-    for a in d.arcs:
-        row = m[a.id]
-        t1 = w.tau1[a.id]
-        for b in d.out_arcs(a.head):
-            row[b] = t1 * w.tau2[b]
-        for b in d.inverse_set(a.id):
-            row[b] = row[b] - _ONE
-    return m
-
-
-def hashimoto(d: Digraph, w: WeightAssignment) -> Poly:
-    """The polynomial det(I - t*M); its series inverse is the zeta function."""
-    return _as_poly(*_hashimoto(d, w))
-
-
-def _hashimoto(d: Digraph, w: WeightAssignment) -> tuple[list[int], int]:
-    """(H, Delta) with det(I - t*M) = sum_k H_k t^k / Delta.
-
-    The kernel reduces S M S^-1, S = diag(1/q2) with tau = p/q, which has
-    M's charpoly.  Its row a is
+def _edge_matrix_data(d: Digraph, w: WeightAssignment) -> tuple[list[list[int]], list[int]]:
+    """(R, e): the integer rows and row denominators of S M S^-1 = diag(1/e) R,
+    with S = diag(1/q2) and tau = p/q.  Row a is
 
         p1(a) p2(b) [b leaves head(a)] - q1(a) q2(b) [b inverse of a]
 
-    over the denominator q1(a) q2(a), read straight off tau1 and tau2.
-    """
+    over e_a = q1(a) q2(a), read straight off tau1 and tau2."""
     n = d.arc_count
     tau1, tau2 = w.tau1, w.tau2
     rows, dens = [], []
@@ -175,7 +165,18 @@ def _hashimoto(d: Digraph, w: WeightAssignment) -> tuple[list[int], int]:
             row[b] -= t1.denominator * tau2[b].denominator
         rows.append(row)
         dens.append(t1.denominator * tau2[a.id].denominator)
-    values, delta = char_poly_rows(rows, dens)
+    return rows, dens
+
+
+def hashimoto(d: Digraph, w: WeightAssignment) -> Poly:
+    """The polynomial det(I - t*M); its series inverse is the zeta function."""
+    return _as_poly(*_hashimoto(_edge_matrix_data(d, w)))
+
+
+def _hashimoto(theta) -> tuple[list[int], int]:
+    """(H, Delta) with det(I - t*M) = sum_k H_k t^k / Delta, the reversed
+    charpoly of the rows (R, e) of ``_edge_matrix_data``."""
+    values, delta = char_poly_rows(*theta)
     return values[::-1], delta
 
 
@@ -183,28 +184,29 @@ def _as_poly(values: list[int], delta: int) -> Poly:
     return Poly([Fraction(v, delta) for v in values])
 
 
-def _clear_denominators(rows: list[list]) -> tuple[int, list[list[int]]]:
-    """(D, D * rows) for a matrix of rationals, D the lcm of the entry
-    denominators, so that every scaled entry is a Python int."""
-    scale = lcm(*(x.denominator for row in rows for x in row))
-    return scale, [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
+def _clear_denominators(theta) -> tuple[int, list[list[int]]]:
+    """(D, D * S M S^-1) for the rows (R, e) of ``_edge_matrix_data``, D the
+    lcm of the row denominators, so that every scaled entry is a Python int."""
+    rows, dens = theta
+    scale = lcm(*dens)
+    return scale, [[x * (scale // e) for x in row] for row, e in zip(rows, dens)]
 
 
-def _n_k_enumerated_all(m: list[list], upto: int) -> list:
+def _n_k_enumerated_all(theta, upto: int) -> list:
     """N_1..N_upto by direct closed-path enumeration of circular products.
 
-    The walk runs on the Python ints D*M from ``_clear_denominators``, so a
-    closed path of length k adds D^k times its circular product and N_k is
-    the total over D^k.  From each start arc s it goes level by level: a
-    level holds, for each arc a, the list of products of the walks of the
-    current length from s to a, and each walk's product is formed on its
-    own.  A walk at depth k moves on to arc b only if b leads back to s in
-    at most upto - k steps along nonzero entries; every skipped branch
-    holds no closed path of length at most ``upto`` and would contribute 0.
-    The last level is summed as it is formed and never held, so memory is
-    the widest of the levels before it.
+    The walk runs on the Python ints D*T from ``_clear_denominators``, with
+    T = S M S^-1, so a closed path of length k adds D^k times its circular
+    product (the same in T as in M) and N_k is the total over D^k.  From
+    each start arc s it goes level by level: a level holds, for each arc a,
+    the list of products of the walks of the current length from s to a,
+    and each walk's product is formed on its own.  A walk at depth k moves
+    on to arc b only if b leads back to s in at most upto - k steps along
+    nonzero entries; every skipped branch holds no closed path of length at
+    most ``upto`` and would contribute 0.  The last level is summed as it is
+    formed and never held, so memory is the widest of the levels before it.
     """
-    scale, im = _clear_denominators(m)
+    scale, im = _clear_denominators(theta)
     rows = [tuple((b, v) for b, v in enumerate(row) if v != 0) for row in im]
     preds = predecessors([[b for b, _ in row] for row in rows])
     totals = [0] * (upto + 1)
@@ -233,19 +235,19 @@ def _n_k_enumerated_all(m: list[list], upto: int) -> list:
     return [Fraction(total, scale**k) for k, total in enumerate(totals[1:], start=1)]
 
 
-def _n_k_trace_all(m: list[list], upto: int) -> list:
-    """N_1..N_upto as traces of powers of the theta edge matrix.
+def _n_k_trace_all(theta, upto: int) -> list:
+    """N_1..N_upto as traces of powers of T = S M S^-1 = diag(1/e) R, the
+    rows (R, e) of ``_edge_matrix_data``; T^k and M^k have the same trace.
 
-    The route clears denominators itself: P = D*M with D the lcm of the
-    entry denominators, in Python ints.  It forms P^1..P^h, h = ceil(upto/2),
+    The route clears denominators itself: P = D*T with D the lcm of the row
+    denominators, in Python ints.  It forms P^1..P^h, h = ceil(upto/2),
     multiplying by the sparse rows of P, and reads
     D^k N_k = tr(P^a P^b) = sum_ij P^a[i][j] P^b[j][i], a = k//2, b = k - a.
     """
-    n = len(m)
-    if n == 0:
-        return [_ZERO] * upto
-    scale = lcm(*(x.denominator for row in m for x in row))
-    p1 = [[x.numerator * (scale // x.denominator) for x in row] for row in m]
+    rows, dens = theta
+    n = len(rows)
+    scale = lcm(*dens)
+    p1 = [[x * (scale // e) for x in row] for row, e in zip(rows, dens)]
     sparse = [[(j, v) for j, v in enumerate(row) if v] for row in p1]
     powers = [p1]  # powers[a - 1] = P^a
     for _ in range((upto + 1) // 2 - 1):
@@ -286,9 +288,9 @@ def n_k_all(d: Digraph, w: WeightAssignment, upto: int) -> list:
     return _n_k_all(_edge_matrix_data(d, w), upto)
 
 
-def _n_k_all(m: list[list], upto: int) -> list:
-    enum_vals = _n_k_enumerated_all(m, upto)
-    trace_vals = _n_k_trace_all(m, upto)
+def _n_k_all(theta, upto: int) -> list:
+    enum_vals = _n_k_enumerated_all(theta, upto)
+    trace_vals = _n_k_trace_all(theta, upto)
     _require_consistent(enum_vals, trace_vals)
     return trace_vals
 
@@ -315,12 +317,12 @@ def euler_truncated(d: Digraph, w: WeightAssignment, order: int) -> Series:
     return _euler(_edge_matrix_data(d, w), order)
 
 
-def _euler(m: list[list], order: int) -> Series:
+def _euler(theta, order: int) -> Series:
     """The Euler product, accumulated as acc[i] = D^i * (coefficient i) over
-    the integer matrix D*M from ``_clear_denominators``.  The prime cycles
-    are the Lyndon closed paths of D*M's nonzero entries, so the walk skips
-    every cycle whose product is 0."""
-    scale, im = _clear_denominators(m)
+    the integer matrix D*T from ``_clear_denominators``.  The prime cycles
+    are the Lyndon closed paths of D*T's nonzero entries, those of M, so the
+    walk skips every cycle whose product is 0."""
+    scale, im = _clear_denominators(theta)
     acc = [1] + [0] * order
     for _, k, c in lyndon_cycles(im, order):
         for i in range(k, order + 1):
@@ -333,10 +335,10 @@ def pair_f_poly(pair: PhiPair) -> Poly:
     return Poly(_pair_f(pair))
 
 
-def _pair_f(pair: PhiPair) -> list[int]:
+def _pair_f(pair: PhiPair) -> tuple[int, ...]:
     if pair.is_diagonal:
-        return [1, len(pair.arcs_uv)]
-    return [1, 0, -len(pair.arcs_uv) * len(pair.arcs_vu)]
+        return 1, len(pair.arcs_uv)
+    return 1, 0, -len(pair.arcs_uv) * len(pair.arcs_vu)
 
 
 def _mul(a: list[int], b: list[int]) -> list[int]:
@@ -374,54 +376,45 @@ def _one_minus_t2_power(k: int) -> list[int]:
     return out
 
 
-def _vertex_det(r: dict, cofactor: dict, fs, terms) -> tuple[list[int], int]:
-    """det P(t) as (c, Delta) from ``det_poly_matrix``, where P is the vertex
-    matrix I + sum of terms with each row u multiplied by r_u (1 when u is
-    in no pair), so that det(vertex matrix) = det P / prod_u r_u.
+def _over_distinct(fs) -> tuple[list[int], dict]:
+    """(F, {f: F / f}): the product F of the distinct coefficient tuples f
+    in ``fs`` and the cofactor F / f of each, all integer polynomials."""
+    distinct = dict.fromkeys(fs)
+    return _product(distinct), {f: _product(g for g in distinct if g != f) for f in distinct}
 
-    Each term (u, v, k, c, p) adds c t^k / f_p to entry (u, v), or c t^k
-    when p is None, for a rational c.  Row u of P times e_u, the lcm of the
-    denominators of its terms, is the integer polynomial row Q_u, with
-    Q_u(0) = e_u on the diagonal.  A vertex in no pair and no term keeps
-    the row of the identity and is never materialized.
+
+def _vertex_det(terms) -> tuple[list[int], tuple[list[int], int]]:
+    """(R, det P) with det(I + sum of terms) = det P / R.
+
+    A term (u, v, k, c, f) adds c t^k / f to entry (u, v), or c t^k when f
+    is None, for a rational c and an integer coefficient tuple f.  r_u is
+    the product of the distinct f among the nonzero terms of row u,
+    R = prod_u r_u, and P is the vertex matrix with each row u multiplied
+    by r_u, so that a term's c / f becomes c times the cofactor r_u / f.
+    Row u of P times e_u, the lcm of the denominators of its c, is the
+    integer polynomial row Q_u, with Q_u(0) = e_u on the diagonal; det P
+    is (c, Delta) from ``det_poly_matrix``.  A row with no nonzero term
+    keeps the row of the identity and is never materialized.
     """
-    by_row = {u: [] for u in r}
+    by_row = {}
     for term in terms:
-        by_row.setdefault(term[0], []).append(term)
-    q, dens = {}, {}
+        if term[3]:
+            by_row.setdefault(term[0], []).append(term)
+    big_r, q, dens = [1], {}, {}
     for u, row_terms in by_row.items():
+        ru, cofactor = _over_distinct(f for *_, f in row_terms if f is not None)
+        big_r = _mul(big_r, ru)
         dens[u] = e = lcm(*(c.denominator for _, _, _, c, _ in row_terms))
-        ru = r.get(u, [1])
         q[u, u] = [e * x for x in ru]
-        for _, v, k, c, p in row_terms:
-            mult = ru if p is None else cofactor[u][tuple(fs[p])]
+        for _, v, k, c, f in row_terms:
+            mult = ru if f is None else cofactor[f]
             scale = c.numerator * (e // c.denominator)
             entry = q.setdefault((u, v), [])
             entry += [0] * (k + len(mult) - len(entry))
             for i, x in enumerate(mult, k):
                 entry[i] += scale * x
     q = {key: cs for key, cs in q.items() if _trim(cs) or key[0] == key[1]}
-    return det_poly_matrix(q, dens)
-
-
-def _pair_side(pairs, fs, terms) -> tuple[list[int], list[int], tuple[list[int], int]]:
-    """(prod_f, R, det P) with prod_f * det(I + sum of terms) = prod_f * det P / R.
-
-    r_u is the product of the distinct f of the pairs at u, R = prod_u r_u,
-    and each distinct f at u (keyed by its coefficients) has the cofactor
-    r_u / f; all are integer polynomials, and ``_vertex_det`` clears row u
-    of the vertex matrix with r_u.
-    """
-    at = {}
-    for pair, f in zip(pairs, fs):
-        for u in {pair.u, pair.v}:
-            at.setdefault(u, {})[tuple(f)] = f
-    r = {u: _product(fu.values()) for u, fu in at.items()}
-    cofactor = {
-        u: {key: _product(f for k, f in fu.items() if k != key) for key in fu}
-        for u, fu in at.items()
-    }
-    return _product(fs), _product(r.values()), _vertex_det(r, cofactor, fs, terms)
+    return big_r, det_poly_matrix(q, dens)
 
 
 def _identity(num, den, kd, hk) -> tuple[Poly, RatFunc, int | None]:
@@ -458,58 +451,51 @@ def _sum_over(w_vals, arc_ids):
     return sum((w_vals[a] for a in arc_ids), _ZERO)
 
 
+def _directions(pairs, fs):
+    """(u, v, out, back, f) for each direction u -> v of each pair: out holds
+    its arcs u -> v and back its arcs v -> u, the loops both times when
+    u = v, and f is the pair's factor."""
+    for pair, f in zip(pairs, fs):
+        yield pair.u, pair.v, pair.arcs_uv, pair.arcs_vu, f
+        if not pair.is_diagonal:
+            yield pair.v, pair.u, pair.arcs_vu, pair.arcs_uv, f
+
+
 def _digraph_side(d: Digraph, w: WeightAssignment):
-    """The vertex side of I - t*A + t^2*D - t^3*X, as ``_pair_side`` gives it,
-    and the parts ``ihara_digraph`` reports: the pairs, their f, A, and D
-    and X as {(u, v): [(c, p), ...]}, the entry being sum c / f_p, with
-    nonzero c only."""
+    """The vertex side (prod_f, R, det P) of I - t*A + t^2*D - t^3*X and the
+    parts ``ihara_digraph`` reports: the pairs, their f, A, and the terms,
+    those of D at t^2 and of -X at t^3 divided by their pair's f."""
     pairs = d.phi_pairs()
     fs = [_pair_f(pair) for pair in pairs]
-    d_parts, x_parts = {}, {}
-
-    def add(parts, u, v, c, p):
-        if c:
-            parts.setdefault((u, v), []).append((c, p))
-
-    for p, pair in enumerate(pairs):
-        u, v = pair.u, pair.v
-        s1_uv = _sum_over(w.tau1, pair.arcs_uv)
-        s2_uv = _sum_over(w.tau2, pair.arcs_uv)
-        if pair.is_diagonal:
-            add(d_parts, u, u, s2_uv * s1_uv, p)
-        else:
-            s1_vu = _sum_over(w.tau1, pair.arcs_vu)
-            s2_vu = _sum_over(w.tau2, pair.arcs_vu)
-            k_uv, l_vu = len(pair.arcs_uv), len(pair.arcs_vu)
-            add(d_parts, u, u, s2_uv * s1_vu, p)
-            add(d_parts, v, v, s2_vu * s1_uv, p)
-            add(x_parts, u, v, l_vu * (s2_uv * s1_uv), p)
-            add(x_parts, v, u, k_uv * (s2_vu * s1_vu), p)
     a_map = _weighted_adjacency(d, w)
     terms = [(u, v, 1, -x, None) for (u, v), x in a_map.items()]
-    for k, sign, parts in ((2, 1, d_parts), (3, -1, x_parts)):
-        terms += [(u, v, k, sign * c, p) for (u, v), cps in parts.items() for c, p in cps]
-    return _pair_side(pairs, fs, terms), (pairs, fs, a_map, d_parts, x_parts)
+    for u, v, out, back, f in _directions(pairs, fs):
+        s2 = _sum_over(w.tau2, out)
+        terms.append((u, u, 2, s2 * _sum_over(w.tau1, back), f))
+        if u != v:
+            terms.append((u, v, 3, -len(back) * (s2 * _sum_over(w.tau1, out)), f))
+    return (_product(fs), *_vertex_det(terms)), (pairs, fs, a_map, terms)
 
 
-def _digraph_tables(fs, d_parts, x_parts) -> tuple[dict, dict]:
-    """The D and X report tables {(u, v): RatFunc} of nonzero entries.  Each
-    entry sum_p c_p / f_p is formed once, over the product F of its distinct
-    f, as (sum_p c_p * F / f_p) / F: one reduction per entry, not one per
-    term."""
+def _digraph_tables(terms) -> tuple[dict, dict]:
+    """The D and X report tables {(u, v): RatFunc} of nonzero entries, read
+    off the t^2 terms (D) and the t^3 terms (-X).  Each entry sum c / f is
+    formed once, over the product F of its distinct f, as
+    (sum c * F / f) / F: one reduction per entry, not one per term."""
+    parts = ({}, {})
+    for u, v, k, c, f in terms:
+        if k > 1 and c:
+            parts[k - 2].setdefault((u, v), []).append(((-1) ** k * c, f))
 
-    def entry(cps):
-        distinct = {tuple(fs[p]): fs[p] for _, p in cps}
-        num = []
-        for c, p in cps:
-            key = tuple(fs[p])
-            rest = _product(f for k, f in distinct.items() if k != key)
-            num += [_ZERO] * (len(rest) - len(num))
-            for i, x in enumerate(rest):
+    def entry(cfs):
+        big_f, cofactor = _over_distinct(f for _, f in cfs)
+        num = [_ZERO] * len(big_f)
+        for c, f in cfs:
+            for i, x in enumerate(cofactor[f]):
                 num[i] += c * x
-        return RatFunc(Poly(num), Poly(_product(distinct.values())))
+        return RatFunc(Poly(num), Poly(big_f))
 
-    tables = ({key: entry(cps) for key, cps in parts.items()} for parts in (d_parts, x_parts))
+    tables = ({key: entry(cfs) for key, cfs in part.items()} for part in parts)
     return tuple({key: x for key, x in table.items() if x} for table in tables)
 
 
@@ -549,9 +535,9 @@ def ihara_digraph(d: Digraph, w: WeightAssignment) -> IharaDigraph:
     """
     if d.mode is not GraphMode.GENERAL:
         raise GraphError("ihara_digraph requires a general-mode digraph")
-    side, (pairs, fs, a_map, d_parts, x_parts) = _digraph_side(d, w)
-    h, rhs, k = _identity(*side, _hashimoto(d, w))
-    d_table, x_table = _digraph_tables(fs, d_parts, x_parts)
+    side, (pairs, fs, a_map, terms) = _digraph_side(d, w)
+    h, rhs, k = _identity(*side, _hashimoto(_edge_matrix_data(d, w)))
+    d_table, x_table = _digraph_tables(terms)
     return IharaDigraph(
         pairs=pairs,
         f_factors=tuple(Poly(f) for f in fs),
@@ -606,7 +592,7 @@ def _graph_side(g: Digraph, w: WeightAssignment):
     side = (
         _one_minus_t2_power(max(power, 0)),
         _one_minus_t2_power(max(-power, 0)),
-        _vertex_det({}, {}, (), terms),
+        _vertex_det(terms)[1],
     )
     d_map = {(u, u): x for u, x in diag.items() if x}
     return side, (a_map, d_map, g.vertex_count - len(diag))
@@ -616,7 +602,7 @@ def ihara_graph(g: Digraph, w: WeightAssignment) -> IharaGraph:
     if g.mode is not GraphMode.SYMMETRIC:
         raise GraphError("ihara_graph requires the symmetric digraph of a graph")
     side, (a_map, d_map, j) = _graph_side(g, w)
-    h, rhs, k = _identity(*side, _hashimoto(g, w))
+    h, rhs, k = _identity(*side, _hashimoto(_edge_matrix_data(g, w)))
     k_vals, delta = side[2]
     return IharaGraph(
         a_g=a_map,
@@ -646,21 +632,14 @@ def sato_ihara_digraph(d: Digraph, tau2=None) -> Poly:
         raise GraphError("sato_ihara_digraph requires a general-mode digraph")
     w = WeightAssignment.from_maps(d, tau1=None, tau2=tau2)
     pairs = d.phi_pairs()
+    fs = [_pair_f(pair) for pair in pairs]
     terms = []
-    for p, pair in enumerate(pairs):
-        u, v = pair.u, pair.v
-        s2_uv = _sum_over(w.tau2, pair.arcs_uv)
-        if pair.is_diagonal:
-            terms.append((u, u, 1, -s2_uv, p))
-        else:
-            s2_vu = _sum_over(w.tau2, pair.arcs_vu)
-            k_uv, l_vu = len(pair.arcs_uv), len(pair.arcs_vu)
-            terms.append((u, v, 1, -s2_uv, p))
-            terms.append((v, u, 1, -s2_vu, p))
-            terms.append((u, u, 2, l_vu * s2_uv, p))
-            terms.append((v, v, 2, k_uv * s2_vu, p))
-    side = _pair_side(pairs, [_pair_f(pair) for pair in pairs], terms)
-    h, rhs, k = _identity(*side, _hashimoto(d, w))
+    for u, v, out, back, f in _directions(pairs, fs):
+        s2 = _sum_over(w.tau2, out)
+        terms.append((u, v, 1, -s2, f))
+        if u != v:
+            terms.append((u, u, 2, len(back) * s2, f))
+    h, rhs, k = _identity(_product(fs), *_vertex_det(terms), _hashimoto(_edge_matrix_data(d, w)))
     if k is not None:
         raise IharaIdentityError(
             f"tau1=1 digraph expression mismatch: {rhs.render()} vs {h.render()}"
@@ -702,14 +681,15 @@ def verify_expressions(d: Digraph, w: WeightAssignment, order: int) -> ZetaRepor
 
     Series expressions are compared coefficientwise to ``order``, Hashimoto
     and Ihara exactly as rational functions.  The theta matrix is built once
-    and shared by the power sums and the Euler product.
+    and shared by the power sums, the Euler product and Hashimoto; the
+    vertex side reads tau1 and tau2 on its own.
     """
     _require_series_order(order)
-    m = _edge_matrix_data(d, w)
-    expo = _exp_of_power_sums(_n_k_all(m, order), order)
-    eul = _euler(m, order)
+    theta = _edge_matrix_data(d, w)
+    expo = _exp_of_power_sums(_n_k_all(theta, order), order)
+    eul = _euler(theta, order)
     side, _ = (_graph_side if d.mode is GraphMode.SYMMETRIC else _digraph_side)(d, w)
-    h, ihara_rhs, k = _identity(*side, _hashimoto(d, w))
+    h, ihara_rhs, k = _identity(*side, _hashimoto(theta))
     h_series = Series.from_poly(h, order).inv()
     verdicts = (
         _verdict("exponential-vs-euler", expo.first_mismatch(eul)),

@@ -1,4 +1,5 @@
 import io
+import re
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -24,7 +25,9 @@ from zetawalk.instances import (
     parse_instance,
     render_instance,
 )
-from zetawalk.zeta import ConsistencyError, IharaIdentityError, Verdict, ZetaReport
+from zetawalk.zeta import (
+    ConsistencyError, IharaIdentityError, Verdict, WeightAssignment, ZetaReport, hashimoto, ihara_graph,
+)
 
 from conftest import random_connected_graph, random_probability
 
@@ -195,6 +198,74 @@ def test_cli_one_loop_at_order_1200(tmp_path, verb):
     assert f"{2**1200}*t^1200 + O(t^1201)" in out
     if verb == "verify":
         assert "overall agree" in out
+
+
+def read_digits(text: str) -> int:
+    """The int that a decimal digit string names, read 1000 digits at a time:
+    int() refuses a string of more than 4300 digits by default."""
+    value = 0
+    for i in range(0, len(text), 1000):
+        chunk = text[i:i + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+def read_poly(text: str) -> list[Fraction]:
+    """The coefficients, constant term first, of a rendered polynomial."""
+    coeffs = {}
+    for term in text.split(" + "):
+        sign, num, den, t, power = re.fullmatch(r"(-?)(\d+)(?:/(\d+))?(\*t(?:\^(\d+))?)?", term).groups()
+        value = Fraction(read_digits(num), read_digits(den or "1"))
+        coeffs[int(power or bool(t))] = -value if sign else value
+    return [coeffs.get(i, Fraction(0)) for i in range(max(coeffs) + 1)]
+
+
+def report_values(out: str) -> dict[str, str]:
+    return dict(line.split(" ", 1) for line in out.splitlines())
+
+
+def test_cli_verify_prints_every_digit_of_a_4800_digit_coefficient(tmp_path):
+    # theta = 10^40 - 1 on the loop, so the t^120 coefficient of each series
+    # is (10^40 - 1)^120, 4800 digits: past str()'s default limit of 4300
+    path = tmp_path / "big.zw"
+    path.write_text("mode digraph\nvertices 1\narc 0 0 0\ntau1 0 1" + "0" * 40 + "\n", encoding="utf-8")
+    code, out, err = run_cli("verify", str(path), "--order", "120")
+    assert (code, err) == (0, "")
+    values = report_values(out)
+    expected = (10**40 - 1) ** 120
+    for name in ("exponential", "euler", "hashimoto-series"):
+        last = values[name].split(" + ")[-2]
+        assert last.endswith("*t^120") and len(last) == 4800 + len("*t^120")
+        assert read_poly(last) == [0] * 120 + [expected]
+    assert read_poly(values["ihara"]) == [1, -(10**40 - 1)]
+    assert values["overall"] == "agree"
+
+
+def test_cli_hashimoto_and_ihara_print_every_digit_of_large_results(tmp_path):
+    # six tau1 of 1501 digits on a triangle: the determinants' coefficients
+    # run to about 9000 digits
+    big = int("1" + "7" * 1500)
+    text = fixture_text("triangle") + "".join(f"tau1 {a} {big}\n" for a in range(6))
+    path = tmp_path / "big-triangle.zw"
+    path.write_text(text, encoding="utf-8")
+    g = instance_digraph(parse_instance(text))
+    w = WeightAssignment.from_maps(g, {a: big for a in range(6)})
+    h = list(hashimoto(g, w).coeffs)
+    assert max(abs(c).numerator.bit_length() for c in h) > 4300 * 3.33
+
+    code, out, err = run_cli("hashimoto", str(path))
+    assert (code, err) == (0, "")
+    assert read_poly(report_values(out)["hashimoto"]) == h
+
+    code, out, err = run_cli("ihara", str(path))
+    assert (code, err) == (0, "")
+    values = report_values(out)
+    data = ihara_graph(g, w)
+    for name in ("rhs", "hashimoto"):
+        assert read_poly(values[name]) == h
+    assert read_poly(values["vertex-det"]) == list(data.vertex_det.coeffs)
+    assert read_poly(values["A[0][1]"]) == [big] and read_poly(values["D[0][0]"]) == [2 * big]
+    assert values["overall"] == "agree"
 
 
 def test_cli_spectrum_grover(tmp_path):

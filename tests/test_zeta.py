@@ -231,13 +231,14 @@ LARGE_DENOMINATOR_GRAPHS = {
 def test_power_sums_with_large_prime_denominators_and_zero_theta(name):
     d = LARGE_DENOMINATOR_GRAPHS[name]()
     w = large_denominator_weights(d)
-    m = _edge_matrix_data(d, w)
+    m = edge_matrix(d, w).data
     assert math.lcm(*(x.denominator for row in m for x in row)) > 2**200
     assert any(
         m[a][b] == 0 for a in range(d.arc_count) for b in d.inverse_set(a)
     )  # a zeroed adjacency: the enumeration must skip it, not divide by it
-    trace = _n_k_trace_all(m, 8)
-    assert _n_k_enumerated_all(m, 8) == trace
+    theta = _edge_matrix_data(d, w)
+    trace = _n_k_trace_all(theta, 8)
+    assert _n_k_enumerated_all(theta, 8) == trace
     assert n_k_all(d, w, 8) == trace
     report = verify_expressions(d, w, 8)
     assert report.all_agree
@@ -338,12 +339,12 @@ def test_series_routes_match_brute_force_on_random_instances():
         else:
             d = random_multigraph(rng, max_vertices=4, max_edges=4)
         w = inverse_cancelling_weights(rng, d) if trial % 3 else random_weights(rng, d)
-        m = _edge_matrix_data(d, w)
+        theta = _edge_matrix_data(d, w)
         upto = rng.randint(1, 5)
         expected = brute_force_power_sums(d, w, upto)
-        assert _n_k_enumerated_all(m, upto) == expected
-        assert _n_k_trace_all(m, upto) == expected
-        assert _euler(m, upto) == prime_cycle_product(d, w, upto)
+        assert _n_k_enumerated_all(theta, upto) == expected
+        assert _n_k_trace_all(theta, upto) == expected
+        assert _euler(theta, upto) == prime_cycle_product(d, w, upto)
 
 
 @pytest.mark.parametrize("name", ["paper-digraph", "paper-graph"])
@@ -705,7 +706,7 @@ def assert_hashimoto_roots_are_eigenvalues(d, w):
             rest = rest.exact_div(P(-r, 1))
             roots.append(r)
     roots += list(np.roots([float(c) for c in reversed(rest.coeffs)]))
-    theta = np.array([[float(x) for x in row] for row in _edge_matrix_data(d, w)])
+    theta = np.array([[float(x) for x in row] for row in edge_matrix(d, w).data])
     assert spectrum_deviation(roots, np.linalg.eigvals(theta)) <= 1e-8
 
 
@@ -750,17 +751,37 @@ def product(polys) -> Poly:
     return acc
 
 
+def row_factor(d, w, u) -> Poly:
+    """r_u: the product of the distinct f of the pairs that give row u of the
+    digraph vertex matrix a nonzero term, D[u][u] += s2(out) s1(back) / f or
+    X[u][v] += |back| s2(out) s1(out) / f, where out holds the pair's arcs
+    leaving u and back those entering u."""
+    fs = {}
+    for p in d.phi_pairs():
+        if u not in (p.u, p.v):
+            continue
+        out, back = (p.arcs_uv, p.arcs_vu) if u == p.u else (p.arcs_vu, p.arcs_uv)
+        s2, s1_out, s1_back = (
+            sum((tau[a] for a in arcs), Fraction(0))
+            for tau, arcs in ((w.tau2, out), (w.tau1, out), (w.tau1, back))
+        )
+        if s2 * s1_back or len(back) * s2 * s1_out:
+            fs[pair_f_poly(p).coeffs] = pair_f_poly(p)
+    return product(fs.values())
+
+
 def test_a_perturbed_vertex_det_fails_the_digraph_identity(rng, monkeypatch):
     d = fixture_digraph("paper-digraph")
     w = random_weights(rng, d)
+    # arcs 2 and 3 run 0 -> 1: cancelling their tau2 leaves row 0 without
+    # f(0,1) = 1 - 4t^2, while row 1 keeps it
+    w = WeightAssignment(w.tau1, w.tau2[:3] + (-w.tau2[2],) + w.tau2[4:])
     seen = perturb_vertex_det(monkeypatch, 1)
     res = ihara_digraph(d, w)
     assert not res.agree and len(seen) == 1
-    pairs = d.phi_pairs()
-    r_all = product(
-        product({pair_f_poly(p).coeffs: pair_f_poly(p) for p in pairs if u in (p.u, p.v)}.values())
-        for u in range(d.vertex_count)
-    )
+    assert row_factor(d, w, 0) == P(1, 2) * P(1, 0, -1)
+    assert row_factor(d, w, 1) == P(1, 0, -4) * P(1, 0, -1)
+    r_all = product(row_factor(d, w, u) for u in range(d.vertex_count))
     assert res.rhs == RatFunc(product(res.f_factors) * seen[0], r_all)
     assert res.hashimoto == hashimoto(d, w)
 
@@ -807,6 +828,46 @@ def test_verify_reports_a_perturbed_vertex_det(tmp_path, monkeypatch, capsys, na
     assert first == k
     assert f"VERDICT hashimoto-vs-ihara MISMATCH at t^{first}\n" in out
     assert out.endswith("overall MISMATCH\n")
+
+
+@pytest.mark.parametrize("name", ["paper-digraph", "paper-graph"])
+def test_a_corrupted_theta_builder_fails_the_ihara_verdict(tmp_path, monkeypatch, capsys, name):
+    # every route but the vertex side shares the one theta builder, which
+    # verify calls once; the vertex side reads tau1 and tau2 on its own, so
+    # a defect in the builder shows as a Hashimoto-vs-Ihara mismatch
+    real = zeta._edge_matrix_data
+    calls = []
+
+    def corrupted(d, w):
+        calls.append(d)
+        rows, dens = real(d, w)
+        a, b = next((a, b) for a, row in enumerate(rows) for b, x in enumerate(row) if x)
+        rows[a][b] *= 2
+        return rows, dens
+
+    monkeypatch.setattr(zeta, "_edge_matrix_data", corrupted)
+    path = tmp_path / f"{name}.zw"
+    path.write_text(fixture_text(name), encoding="utf-8")
+    assert cli.main(["verify", str(path), "--order", "6"]) == 1
+    out = capsys.readouterr().out
+    assert "VERDICT hashimoto-vs-ihara MISMATCH" in out
+    for series in ("exponential-vs-euler", "exponential-vs-hashimoto", "euler-vs-hashimoto"):
+        assert f"VERDICT {series} agree\n" in out
+    assert len(calls) == 1
+
+
+def test_cancelling_pair_sums():
+    # two arcs 0 -> 1 with tau2 = 1, -1, one arc 1 -> 0, and two loops at 1
+    # with tau1 = 1, -1: the pair sums of row 0 and the loop sums cancel
+    d = build_digraph(2, [(0, 1), (0, 1), (1, 0), (1, 1), (1, 1)])
+    tau2 = {0: 1, 1: -1}
+    w = WeightAssignment.from_maps(d, {3: 1, 4: -1}, tau2)
+    res = ihara_digraph(d, w)
+    assert res.agree
+    assert (res.a, res.d_ul, res.x_ul) == ihara_digraph_tables(d, w)
+    assert res.hashimoto == det_one_minus_t_by_elimination(edge_matrix(d, w))
+    assert sato_ihara_digraph(d, tau2) == hashimoto(d, WeightAssignment.from_maps(d, None, tau2))
+    assert verify_expressions(d, w, 8).all_agree
 
 
 def repeated_f_digraph(rng):
