@@ -35,13 +35,10 @@ def as_fraction(x) -> Fraction:
 
 
 def render_rational(x) -> str:
-    """``str`` of a Fraction or an int, with every digit: past the limit at
-    which ``str`` refuses, the digits come from ``Decimal``, which has none."""
-    try:
-        return str(x)
-    except ValueError:
-        num = str(Decimal(x.numerator))
-        return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
+    """A Fraction or an int as ``str`` prints it, with every digit: the digits
+    come from ``Decimal``, which has no limit where ``str`` refuses."""
+    num = str(Decimal(x.numerator))
+    return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
 
 
 class Poly:

@@ -85,7 +85,7 @@ from itertools import zip_longest
 from math import lcm
 from operator import mul
 
-from .algebra import Poly, RatFunc, Series, as_fraction
+from .algebra import Poly, RatFunc, Series, as_fraction, render_rational
 from .digraph import (
     Digraph, GraphError, GraphMode, PhiPair, lyndon_cycles, predecessors, steps_to as _steps_to,
 )
@@ -277,7 +277,8 @@ def _require_consistent(enum_vals, trace_vals):
     for k, (a, b) in enumerate(zip(enum_vals, trace_vals), start=1):
         if a != b:
             raise ConsistencyError(
-                f"N_{k} mismatch: enumeration gives {a!r}, trace gives {b!r}"
+                f"N_{k} mismatch: enumeration gives {render_rational(a)},"
+                f" trace gives {render_rational(b)}"
             )
 
 

@@ -203,6 +203,13 @@ def test_require_consistent_raises_on_fabricated_mismatch():
         _require_consistent([Fraction(1), Fraction(2)], [Fraction(1), Fraction(3)])
 
 
+def test_require_consistent_names_a_mismatch_past_the_str_digit_limit():
+    big = Fraction(10**5000, 3)
+    with pytest.raises(ConsistencyError, match="N_1") as err:
+        _require_consistent([big], [Fraction(1)])
+    assert f"enumeration gives 1{'0' * 5000}/3, trace gives 1" in str(err.value)
+
+
 # Mersenne primes: distinct, and their product is far above 2^200.
 LARGE_PRIMES = tuple(2**e - 1 for e in (31, 61, 89, 107, 127, 521))
 
