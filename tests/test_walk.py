@@ -1,5 +1,7 @@
 import cmath
+import itertools
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -56,6 +58,13 @@ def test_unitarity_on_fixtures():
         assert unitarity_defect(grover_transition(g)) <= 1e-9
     g, p = p3_with_probs()
     assert unitarity_defect(szegedy_transition(g, p)) <= 1e-9
+
+
+def test_unitarity_defect_conjugates_complex_input():
+    # Unitary only with the conjugate: U U^T = [[0, 1j], [1j, 0]].
+    assert unitarity_defect(np.array([[1, 1j], [1j, 1]]) / math.sqrt(2)) <= 1e-15
+    assert unitarity_defect(np.array([[1.0, 1.0], [0.0, 1.0]])) == 1.0
+    assert unitarity_defect(np.zeros((0, 0))) == 0.0
 
 
 def test_triangle_grover_spectrum_frozen():
@@ -213,12 +222,100 @@ def test_spectrum_deviation_requires_equal_sizes():
     assert spectrum_deviation([], []) == 0.0
 
 
-def test_spectrum_deviation_is_the_max_of_a_min_sum_matching():
-    # The min-sum matching pairs 0-1 and 3-(1+2.9j); the bottleneck matching
-    # 0-(1+2.9j), 3-1 has the smaller largest distance, 3.07.
+def test_spectrum_deviation_is_the_bottleneck_distance():
+    # The min-sum matching pairs 0-1 and 3-(1+2.9j), for 3.52; the bottleneck
+    # matching 0-(1+2.9j), 3-1 has the smaller largest distance.
     deviation = spectrum_deviation([0, 3], [1, 1 + 2.9j])
-    assert deviation == pytest.approx(abs(3 - (1 + 2.9j))) == pytest.approx(3.5228, abs=1e-4)
-    assert abs(0 - (1 + 2.9j)) == pytest.approx(3.0676, abs=1e-4)
+    assert deviation == pytest.approx(abs(0 - (1 + 2.9j)), rel=1e-15)
+    assert deviation == pytest.approx(3.0676, abs=1e-4)
+
+
+def test_spectrum_deviation_searches_past_the_lower_bound():
+    # Every element is within 1 of some partner, but 10 must take 9 or 11,
+    # and then 0 or 0.01 must take the other.
+    assert spectrum_deviation([0, 0.01, 10], [0.005, 9, 11]) == 9 - 0.01
+
+
+def test_spectrum_deviation_of_non_finite_spectra_is_inf():
+    nan, inf = math.nan, math.inf
+    for s1, s2 in (([0, nan], [1, 2]), ([0, 1], [complex(1, inf), 2]), ([-inf, 0], [inf, 0])):
+        assert spectrum_deviation(s1, s2) == inf
+        assert spectrum_deviation(s2, s1) == inf
+
+
+def _draw(rng, grid) -> complex:
+    """Half the time a grid value, so that values repeat and distances tie exactly."""
+    if rng.random() < 0.5:
+        return rng.choice(grid)
+    return complex(rng.gauss(0, 1), rng.gauss(0, 1))
+
+
+def _distances(s1, s2) -> np.ndarray:
+    return np.abs(np.asarray(s1, dtype=complex)[:, None] - np.asarray(s2, dtype=complex)[None, :])
+
+
+def test_spectrum_deviation_is_the_brute_force_bottleneck(rng):
+    for _ in range(200):
+        grid = [complex(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(3)]
+        n = rng.randint(1, 6)
+        s1 = [_draw(rng, grid) for _ in range(n)]
+        s2 = [_draw(rng, grid) for _ in range(n)]
+        cost = _distances(s1, s2)
+        brute = min(max(cost[i, p[i]] for i in range(n)) for p in itertools.permutations(range(n)))
+        assert spectrum_deviation(s1, s2) == brute, (s1, s2)
+
+
+def test_spectrum_deviation_matches_a_networkx_matching_oracle(rng):
+    # At 30 points, too many for brute force: the smallest distance whose
+    # threshold graph has a perfect Hopcroft-Karp matching in networkx.
+    import networkx as nx
+
+    n = 30
+    for _ in range(6):
+        grid = [complex(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(4)]
+        s1 = [_draw(rng, grid) for _ in range(n)]
+        s2 = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n)]
+        cost = _distances(s1, s2)
+
+        def perfect(t):
+            g = nx.Graph()
+            g.add_nodes_from(range(2 * n))
+            g.add_edges_from((i, n + j) for i, j in zip(*np.nonzero(cost <= t)))
+            return len(nx.bipartite.hopcroft_karp_matching(g, top_nodes=range(n))) == 2 * n
+
+        thresholds = np.unique(cost)
+        lo, hi = -1, thresholds.size - 1
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if perfect(thresholds[mid]) else (mid, hi)
+        assert spectrum_deviation(s1, s2) == thresholds[hi]
+
+
+def _best_of_two(f, *args) -> float:
+    times = []
+    for _ in range(2):
+        start = time.perf_counter()
+        f(*args)
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+def test_spectrum_deviation_on_mismatched_spectra_costs_less_than_an_eigensolve():
+    n = 800
+    gen = np.random.default_rng(0)
+    eigensolve = _best_of_two(np.linalg.eigvals, gen.standard_normal((n, n)))
+    circle = np.exp(2j * np.pi * np.arange(n) / n)
+    step = 2 * math.pi / n
+    cases = (
+        (circle * np.exp(0.3j), abs(1 - cmath.exp(1j * (0.3 - 38 * step)))),
+        (np.exp(2j * np.pi * gen.random(n)), None),
+        (np.repeat([1.0, -1.0], n // 2), math.sqrt(2)),
+    )
+    for other, expected in cases:
+        if expected is not None:
+            assert spectrum_deviation(circle, other) == pytest.approx(expected, rel=1e-9)
+        elapsed = _best_of_two(spectrum_deviation, circle, other)
+        assert elapsed <= eigensolve, (expected, elapsed, eigensolve)
 
 
 def test_zeta_edge_matrix_bridges_to_grover_walk():
