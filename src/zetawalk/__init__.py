@@ -10,13 +10,13 @@ polynomials and spectra of Szegedy/Grover walk transition matrices.
 from .algebra import Poly, RatFunc, Series
 from .digraph import (
     Arc, Digraph, GraphError, GraphMode, PhiPair, arc_adjacency, build_digraph,
-    prime_cycles, symmetric_digraph,
+    symmetric_digraph,
 )
-from .linalg import Matrix, char_poly, eigenvalues_numeric
+from .linalg import Matrix, eigenvalues_numeric
 from .zeta import (
-    ConsistencyError, IharaIdentityError, WeightAssignment, ZetaError, ZetaReport,
-    edge_matrix, euler_truncated, exponential_truncated, hashimoto, ihara_digraph,
-    ihara_graph, n_k_all, sato_ihara_digraph, verify_expressions,
+    ConsistencyError, WeightAssignment, ZetaError, ZetaReport, edge_matrix,
+    euler_truncated, exponential_truncated, hashimoto, ihara_digraph, ihara_graph,
+    n_k_all, verify_expressions,
 )
 from .walk import (
     WalkError, grover_spectrum_via_zeta, grover_transition, spectrum_deviation,
@@ -33,12 +33,11 @@ __version__ = "0.1.0"
 __all__ = [
     "Poly", "RatFunc", "Series",
     "Arc", "Digraph", "GraphError", "GraphMode", "PhiPair", "arc_adjacency",
-    "build_digraph", "prime_cycles", "symmetric_digraph",
-    "Matrix", "char_poly", "eigenvalues_numeric",
-    "ConsistencyError", "IharaIdentityError", "WeightAssignment", "ZetaError",
-    "ZetaReport", "edge_matrix", "euler_truncated", "exponential_truncated",
-    "hashimoto", "ihara_digraph", "ihara_graph", "n_k_all", "sato_ihara_digraph",
-    "verify_expressions",
+    "build_digraph", "symmetric_digraph",
+    "Matrix", "eigenvalues_numeric",
+    "ConsistencyError", "WeightAssignment", "ZetaError", "ZetaReport",
+    "edge_matrix", "euler_truncated", "exponential_truncated", "hashimoto",
+    "ihara_digraph", "ihara_graph", "n_k_all", "verify_expressions",
     "WalkError", "grover_spectrum_via_zeta", "grover_transition", "spectrum_deviation",
     "szegedy_discriminant", "szegedy_spectrum_via_factorization", "szegedy_transition",
     "uniform_probability", "unitarity_defect", "validate_probability",

@@ -281,8 +281,3 @@ def iter_prime_cycles(d: Digraph, max_len: int):
     """
     for word, k, _ in lyndon_cycles(arc_adjacency(d), max_len):
         yield tuple(word[:k])
-
-
-def prime_cycles(d: Digraph, max_len: int) -> list[tuple[int, ...]]:
-    """Canonical prime cycles of length <= max_len, sorted by (length, arcs)."""
-    return sorted(iter_prime_cycles(d, max_len), key=lambda s: (len(s), s))

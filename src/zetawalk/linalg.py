@@ -3,10 +3,8 @@
 One kernel computes every determinant the library reports:
 ``char_poly_rows``, the characteristic polynomial of m = diag(1/d) R for
 integer rows R with positive row denominators d, found exactly by
-multimodular arithmetic (Dumas, Pernet and Wan, ISSAC 2005).  Callers that
-know their rows pass them in integers (``zeta``'s Hashimoto matrix and
-every companion below); ``char_poly`` of a Fraction ``Matrix`` clears its
-rows and calls the same entry.
+multimodular arithmetic (Dumas, Pernet and Wan, ISSAC 2005).  Its callers
+pass integer rows: ``zeta``'s Hashimoto matrix and every companion below.
 
 * Row clearing.  Row i of m is taken in lowest terms: d_i is the lcm of its
   entries' reduced denominators and R_i = d_i * m_i.  With Delta =
@@ -51,13 +49,10 @@ against live in ``tests/oracles.py``.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from itertools import count
 from math import gcd, isqrt, lcm, prod
 from operator import itemgetter, mul
-
-from .algebra import Poly, as_fraction
 
 
 class Matrix:
@@ -97,13 +92,6 @@ class Matrix:
 
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols})"
-
-
-def char_poly(m: Matrix) -> Poly:
-    """Monic characteristic polynomial det(lambda*I - m) of a matrix over QQ."""
-    m._require_square()
-    values, delta = char_poly_rows(*_clear_row_denominators(m))
-    return Poly([Fraction(v, delta) for v in values])
 
 
 def char_poly_rows(rows: list[list[int]], dens: list[int]) -> tuple[list[int], int]:
@@ -159,17 +147,6 @@ def _transposed(rows: list[list[int]], dens: list[int]) -> tuple[list[list[int]]
         out.append([x * e // d for x, d in zip(col, dens)])
         out_dens.append(e)
     return out, out_dens
-
-
-def _clear_row_denominators(m: Matrix) -> tuple[list[list[int]], list[int]]:
-    """(R, d): d_i is the lcm of the denominators in row i and R_i = d_i * m_i."""
-    rows, dens = [], []
-    for row in m.data:
-        row = [as_fraction(x) for x in row]
-        d = lcm(*(x.denominator for x in row))
-        rows.append([x.numerator * (d // x.denominator) for x in row])
-        dens.append(d)
-    return rows, dens
 
 
 def _coefficient_bound(rows: list[list[int]], dens: list[int]) -> int:

@@ -1,8 +1,9 @@
 """Szegedy and Grover walk transition matrices and their spectra.
 
-The walk lives on the arcs of the symmetric digraph of a finite simple
-loopless graph.  Given a transition probability p with unit row sums per
-tail vertex, the transition matrix is
+The walk lives on the arcs of the symmetric digraph of a finite multigraph,
+loops and parallel edges allowed, with no isolated vertex.  Given a
+transition probability p with unit row sums per tail vertex, the transition
+matrix is
 
     U[a, a'] = 2 sqrt(p(a) p(inv(a'))) [tail(a) = head(a')] - [a' = inv(a)]
 
@@ -49,17 +50,6 @@ class WalkError(ValueError):
 def _require_walk_graph(g: Digraph) -> None:
     if g.mode is not GraphMode.SYMMETRIC:
         raise WalkError("walks require the symmetric digraph of a graph")
-    seen = set()
-    repeated = []
-    for a in g.arcs:
-        if a.tail == a.head:
-            raise WalkError(f"loop arc {a.id} at vertex {a.tail}: walks need a loopless graph")
-        if (a.tail, a.head) in seen and a.tail < a.head:
-            repeated.append((a.tail, a.head))
-        seen.add((a.tail, a.head))
-    if repeated:
-        u, v = min(repeated)
-        raise WalkError(f"multi-edge between {u} and {v}: walks need a simple graph")
     if any(g.degree(v) == 0 for v in range(g.vertex_count)):
         raise WalkError("walks need minimum degree >= 1")
 
@@ -109,9 +99,10 @@ def _transition(g: Digraph, probs: dict[int, Fraction]) -> np.ndarray:
     """U for validated probabilities, visiting only adjacent arc pairs.
 
     The arcs b with head(b) = tail(a) are the partners of the arcs leaving
-    tail(a), and inv(partner(c)) = c.  In a simple graph no entry is set
-    twice, so U is filled by one assignment and the partner diagonal
-    takes its -1 by another.
+    tail(a), and inv(partner(c)) = c.  The partner map is a bijection, so
+    c -> partner(c) sets no entry twice, loops and parallel edges included:
+    U is filled by one assignment and the partner diagonal takes its -1 by
+    another.
     """
     import numpy as np
     n = g.arc_count
@@ -226,22 +217,28 @@ def szegedy_spectrum_via_factorization(g: Digraph, p) -> list[complex]:
     return _spectrum(g, validate_probability(g, p))
 
 
-def _grow_matching(adj: np.ndarray, row_of: np.ndarray, col_of: np.ndarray) -> bool:
-    """Grow a matching in place, by Hopcroft-Karp, to a maximum one of ``adj``.
+def _grow_matching(cost: np.ndarray, limit: float, row_of: np.ndarray, col_of: np.ndarray) -> bool:
+    """Grow a matching in place, by Hopcroft-Karp, to a maximum one of the
+    pairs within ``limit``.
 
-    ``adj[i, j]`` says that row i may pair with column j; ``col_of[i]`` and
-    ``row_of[j]`` hold the current partners, -1 when free.  Each phase
-    layers the columns by a breadth-first search from every free row at
-    once, one numpy step per layer, then flips a maximal set of disjoint
-    shortest augmenting paths found by an iterative depth-first search.
-    Returns whether the matching is perfect.
+    Row i may pair with column j when cost[i, j] <= limit; that n x n
+    adjacency is built only once some row is free, so a perfect start
+    allocates nothing.  ``col_of[i]`` and ``row_of[j]`` hold the current
+    partners, -1 when free.  Each phase layers the columns by a
+    breadth-first search from every free row at once, one numpy step per
+    layer, then flips a maximal set of disjoint shortest augmenting paths
+    found by an iterative depth-first search.  Returns whether the matching
+    is perfect.
     """
     import numpy as np
-    n = adj.shape[0]
+    n = cost.shape[0]
+    adj = None
     while True:
         free_rows = np.flatnonzero(col_of < 0)
         if free_rows.size == 0:
             return True
+        if adj is None:
+            adj = cost <= limit
         layer = np.full(n, -1)  # a column's distance from the free rows
         frontier, depth = free_rows, 0
         while True:
@@ -305,19 +302,17 @@ def spectrum_deviation(s1, s2) -> float:
     # up to rounding line up this way, repeated eigenvalues included.
     rows, cols = np.argsort(a), np.argsort(b)
     near = cost[rows, cols] <= bound
-    if near.all():
-        return float(bound)
     row_of = np.full(a.size, -1)
     col_of = np.full(a.size, -1)
     row_of[cols[near]], col_of[rows[near]] = rows[near], cols[near]
-    if _grow_matching(cost <= bound, row_of, col_of):
+    if _grow_matching(cost, bound, row_of, col_of):
         return float(bound)
     above = np.unique(cost[cost > bound])
     lo, hi = -1, above.size - 1  # above[hi] always admits a perfect matching
     while hi - lo > 1:
         mid = (lo + hi) // 2
         trial_rows, trial_cols = row_of.copy(), col_of.copy()
-        if _grow_matching(cost <= above[mid], trial_rows, trial_cols):
+        if _grow_matching(cost, above[mid], trial_rows, trial_cols):
             hi = mid
         else:
             lo, row_of, col_of = mid, trial_rows, trial_cols

@@ -48,17 +48,15 @@ Every determinant here is read off one scalar kernel,
 
 Every Ihara-style operation builds its vertex side without det(I - t*M),
 as (num, den, det P) with num and den integer polynomials of constant term
-1: prod_f and R for a digraph (``_digraph_side``, ``sato_ihara_digraph``);
-for a graph the power (1 - t^2)^(|E| - |used|), over the vertices that
-have arcs, in num when it is not negative and in den otherwise
-(``_graph_side``).  One check, ``_identity``, compares num * det P with
-det(I - t*M) * den as integer polynomials cross-multiplied by their
-denominators.  On a match the reported right-hand side is det(I - t*M); a
-mismatch builds the reduced quotient num * det P / den and names the first
-power of t at which the two sides differ.  ``verify_expressions``,
-``ihara_digraph``, ``ihara_graph`` and ``sato_ihara_digraph`` all use it:
-the first reports the mismatch power, the last raises IharaIdentityError,
-and the two ``ihara_*`` report ``agree`` and alone build report tables,
+1: prod_f and R for a digraph (``_digraph_side``); for a graph the power
+(1 - t^2)^(|E| - |used|), over the vertices that have arcs, in num when it
+is not negative and in den otherwise (``_graph_side``).  One check,
+``_identity``, compares num * det P with det(I - t*M) * den as integer
+polynomials cross-multiplied by their denominators.  On a match the
+reported right-hand side is det(I - t*M); a mismatch builds the reduced
+quotient num * det P / den and names the first power of t at which the two
+sides differ.  ``verify_expressions`` reports that power; ``ihara_digraph``
+and ``ihara_graph`` report ``agree`` and alone build report tables,
 {(u, v): value} maps of nonzero entries.  Those of A (both modes) and of a
 graph's D hold Fractions; each D and X entry of a digraph is one RatFunc.
 The vertex side reads tau1 and tau2 itself, so a defect in the one theta
@@ -102,10 +100,6 @@ class ZetaError(Exception):
 
 class ConsistencyError(ZetaError):
     """Two mandatory computation routes disagreed (internal defect)."""
-
-
-class IharaIdentityError(ZetaError):
-    """The vertex determinant expression failed to match det(I - t*M)."""
 
 
 @dataclass(frozen=True)
@@ -331,11 +325,6 @@ def _euler(theta, order: int) -> Series:
     return Series([Fraction(x, scale**i) for i, x in enumerate(acc)], order)
 
 
-def pair_f_poly(pair: PhiPair) -> Poly:
-    """The per-pair factor: 1 + n*t on the diagonal, 1 - k*l*t^2 otherwise."""
-    return Poly(_pair_f(pair))
-
-
 def _pair_f(pair: PhiPair) -> tuple[int, ...]:
     if pair.is_diagonal:
         return 1, len(pair.arcs_uv)
@@ -533,6 +522,14 @@ def ihara_digraph(d: Digraph, w: WeightAssignment) -> IharaDigraph:
     inverse-indicator matrix squared); it is the only elementwise variant
     that satisfies prod_f * det(I - tA + t^2 D - t^3 X) = det(I - tM) for
     generic weights; ``agree`` records whether it holds exactly.
+
+    At tau1 = 1 this is Sato's expression prod_f * det(I - t*Au + t^2*Du),
+    with Au[u][v] = (sum_{a in A_uv} tau2(a)) / f(u,v) and
+    Du[u][u] = sum_{w != u} |A_wu| (sum_{a in A_uw} tau2(a)) / f(u,w),
+    entry by entry: off the diagonal -t A - t^3 X = -t Au, because
+    f + |A_uv||A_vu| t^2 = 1; on it the loop terms of A and D combine to
+    -t Au[u][u], since f(u,u) - |A_uu| t = 1, and the other terms of D are
+    those of Du.
     """
     if d.mode is not GraphMode.GENERAL:
         raise GraphError("ihara_digraph requires a general-mode digraph")
@@ -614,38 +611,6 @@ def ihara_graph(g: Digraph, w: WeightAssignment) -> IharaGraph:
         hashimoto=h,
         agree=k is None,
     )
-
-
-def sato_ihara_digraph(d: Digraph, tau2=None) -> Poly:
-    """Vertex determinant at tau1 = 1 for a general digraph.
-
-    Uses the weighted adjacency with per-pair denominators and the diagonal
-    correction from opposite-direction pairs only:
-
-        rhs = prod_f * det(I - t*Au + t^2*Du),
-        Au[u][v] = (sum_{a in A_uv} tau2(a)) / f(u,v),
-        Du[u][u] = sum_{w != u} |A_wu| (sum_{a in A_uw} tau2(a)) / f(u,w).
-
-    Checked exactly against hashimoto at tau1 = 1; raises
-    IharaIdentityError on a mismatch.
-    """
-    if d.mode is not GraphMode.GENERAL:
-        raise GraphError("sato_ihara_digraph requires a general-mode digraph")
-    w = WeightAssignment.from_maps(d, tau1=None, tau2=tau2)
-    pairs = d.phi_pairs()
-    fs = [_pair_f(pair) for pair in pairs]
-    terms = []
-    for u, v, out, back, f in _directions(pairs, fs):
-        s2 = _sum_over(w.tau2, out)
-        terms.append((u, v, 1, -s2, f))
-        if u != v:
-            terms.append((u, u, 2, len(back) * s2, f))
-    h, rhs, k = _identity(_product(fs), *_vertex_det(terms), _hashimoto(_edge_matrix_data(d, w)))
-    if k is not None:
-        raise IharaIdentityError(
-            f"tau1=1 digraph expression mismatch: {rhs.render()} vs {h.render()}"
-        )
-    return h
 
 
 @dataclass(frozen=True)

@@ -4,15 +4,16 @@ The library computes every determinant with ``linalg.char_poly_rows``; these
 reach the same quantities by independent routes: Bareiss and cofactor
 determinants over any exact entry ring (among them det(I - t*M) and the
 dense graph vertex determinant), the Faddeev-LeVerrier characteristic
-polynomial, the digraph vertex tables A, D and X summed one rational
-function at a time, the two inversion identities behind the
-vertex-determinant reduction (all-ones and block Woodbury-style, each
-checked with its denominator cleared, as A*B == B*A == d*I for a nonzero
-polynomial d), brute-force closed paths, the phi-grouped arc order, theta
-one entry at a time, the structural matrices, and the walk matrices U and
-T built entry by entry with Fraction square roots.  Matrix arithmetic (sums, products, scaling,
-transposes, traces) and the series logarithm live here too, since only the
-tests use them.
+polynomial, the digraph vertex tables A, D and X and Sato's tau1 = 1
+matrices Au and Du, summed one rational function at a time, the two
+inversion identities behind the vertex-determinant reduction (all-ones and
+block Woodbury-style, each checked with its denominator cleared, as
+A*B == B*A == d*I for a nonzero polynomial d), brute-force closed paths,
+the phi-grouped arc order, theta one entry at a time, the structural
+matrices, and the walk matrices U and T built entry by entry with Fraction
+square roots.  Matrix arithmetic (sums, products, scaling, transposes,
+traces) and the series logarithm live here too, since only the tests use
+them.
 """
 
 from __future__ import annotations
@@ -417,6 +418,49 @@ def ihara_digraph_tables(d: Digraph, w: WeightAssignment) -> tuple[dict, dict, d
         add(xm, (u, v), l * s(w.tau2, pair.arcs_uv) * s(w.tau1, pair.arcs_uv))
         add(xm, (v, u), k * s(w.tau2, pair.arcs_vu) * s(w.tau1, pair.arcs_vu))
     return tuple({key: x for key, x in m.items() if x} for m in (a, dm, xm))
+
+
+def sato_matrices(d: Digraph, w: WeightAssignment) -> tuple[dict, dict]:
+    """The nonzero entries of Sato's tau1 = 1 matrices Au and Du as
+    {(u, v): RatFunc} maps, one entry at a time:
+
+        Au[u][v] = (sum_{a in A_uv} tau2(a)) / f(u,v),
+        Du[u][u] = sum_{w != u} |A_wu| (sum_{a in A_uw} tau2(a)) / f(u,w).
+    """
+    nv = d.vertex_count
+    au, du = {}, {}
+    for u in range(nv):
+        for v in range(nv):
+            arcs, back = d.arcs_between(u, v), d.arcs_between(v, u)
+            if not arcs:
+                continue
+            k, l = len(arcs), len(back)
+            f = Poly([1, k]) if u == v else Poly([1, 0, -k * l])
+            s2 = RatFunc(Poly.constant(sum((w.tau2[a] for a in arcs), Fraction(0))), f)
+            au[u, v] = s2
+            if u != v:
+                du[u, u] = du.get((u, u), RatFunc.zero()) + s2 * l
+    return tuple({key: x for key, x in m.items() if x} for m in (au, du))
+
+
+def sato_expression(d: Digraph, w: WeightAssignment) -> RatFunc:
+    """prod_f * det(I - t*Au + t^2*Du), the determinant by elimination on
+    the dense RatFunc matrix."""
+    au, du = sato_matrices(d, w)
+    t = RatFunc.from_poly(Poly.variable())
+    n = d.vertex_count
+    rows = [
+        [
+            int(i == j) - t * au.get((i, j), RatFunc.zero()) + t * t * du.get((i, j), RatFunc.zero())
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    prod_f = RatFunc.one()
+    for pair in d.phi_pairs():
+        k, l = len(pair.arcs_uv), len(pair.arcs_vu)
+        prod_f = prod_f * (Poly([1, k]) if pair.is_diagonal else Poly([1, 0, -k * l]))
+    return prod_f * det_bareiss(Matrix(rows), RatFunc.one())
 
 
 def graph_vertex_det(g: Digraph, w: WeightAssignment) -> Poly:

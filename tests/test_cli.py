@@ -26,7 +26,7 @@ from zetawalk.instances import (
     render_instance,
 )
 from zetawalk.zeta import (
-    ConsistencyError, IharaIdentityError, Verdict, WeightAssignment, ZetaReport, hashimoto, ihara_graph,
+    ConsistencyError, Verdict, WeightAssignment, ZetaReport, hashimoto, ihara_graph,
 )
 
 from conftest import random_connected_graph, random_probability
@@ -336,10 +336,11 @@ def test_cli_spectrum_szegedy_needs_probs(tmp_path):
     assert code == 2 and "prob" in err
 
 
-def test_cli_spectrum_rejects_loops(tmp_path):
+def test_cli_spectrum_on_a_loop_and_a_double_edge(tmp_path):
     path = write_fixture(tmp_path, "paper-graph")
-    code, _, err = run_cli("spectrum", path, "grover")
-    assert code == 2 and "loop" in err
+    code, out, err = run_cli("spectrum", path, "grover")
+    assert code == 0 and err == ""
+    assert "\nVERDICT spectrum agree\n" in out
 
 
 def test_cli_parse_error_exit_code(tmp_path):
@@ -534,7 +535,7 @@ def test_cli_default_order_is_max_of_10_and_arc_count(tmp_path, fixture, order, 
     "verb, target, error",
     [
         ("verify", "verify_expressions", ConsistencyError("N_2 mismatch: enumeration gives 1, trace gives 2")),
-        ("ihara", "ihara_digraph", IharaIdentityError("vertex determinant expression disagrees")),
+        ("ihara", "ihara_digraph", ConsistencyError("vertex determinant expression disagrees")),
     ],
 )
 def test_cli_internal_defect_exit_code(tmp_path, monkeypatch, verb, target, error):

@@ -9,13 +9,18 @@ from zetawalk.digraph import (
     GraphMode,
     arc_adjacency,
     build_digraph,
-    prime_cycles,
+    iter_prime_cycles,
     symmetric_digraph,
 )
 from zetawalk.instances import fixture_digraph
 
 from conftest import random_digraph, random_multigraph
 from oracles import closed_paths, phi_grouped_arc_order
+
+
+def prime_cycles(d, max_len):
+    """The representatives ``iter_prime_cycles`` yields, sorted by (length, arcs)."""
+    return sorted(iter_prime_cycles(d, max_len), key=lambda s: (len(s), s))
 
 
 def int_mat_mul(a, b):

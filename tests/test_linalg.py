@@ -11,7 +11,7 @@ from zetawalk.algebra import Poly
 from zetawalk.digraph import build_digraph, symmetric_digraph
 from zetawalk.instances import fixture_digraph
 from zetawalk import linalg
-from zetawalk.linalg import Matrix, char_poly, det_poly_matrix, eigenvalues_numeric
+from zetawalk.linalg import Matrix, char_poly_rows, det_poly_matrix, eigenvalues_numeric
 from zetawalk.walk import grover_transition, spectrum_deviation, szegedy_transition
 from zetawalk.zeta import WeightAssignment, ihara_digraph, ihara_graph
 
@@ -25,6 +25,22 @@ from oracles import (
 
 def P(*coeffs):
     return Poly(coeffs)
+
+
+def clear_rows(m: Matrix) -> tuple[list[list[int]], list[int]]:
+    """(R, d): d_i is the lcm of the denominators in row i and R_i = d_i * m_i."""
+    rows, dens = [], []
+    for row in m.data:
+        d = math.lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (d // x.denominator) for x in row])
+        dens.append(d)
+    return rows, dens
+
+
+def char_poly(m: Matrix) -> Poly:
+    """det(lambda*I - m) of a square Fraction matrix, by ``char_poly_rows``."""
+    values, delta = char_poly_rows(*clear_rows(m))
+    return Poly([Fraction(v, delta) for v in values])
 
 
 def frac_matrix(rows):
@@ -330,7 +346,7 @@ def assert_kernel(m: Matrix):
 
 
 def record_primes(monkeypatch) -> list[int]:
-    """The primes char_poly reduces modulo, in order, from now on."""
+    """The primes char_poly_rows reduces modulo, in order, from now on."""
     seen = []
     per_prime = linalg._char_poly_mod
 
@@ -346,7 +362,7 @@ def clearings(m: Matrix) -> list[tuple[int, int]]:
     """(Delta, B) for m and for m^T, each cleared row by row."""
     out = []
     for a in (m, transpose(m)):
-        rows, dens = linalg._clear_row_denominators(a)
+        rows, dens = clear_rows(a)
         out.append((math.prod(dens), linalg._coefficient_bound(rows, dens)))
     return out
 
@@ -525,11 +541,6 @@ def test_every_residue_reaches_the_result(rng, monkeypatch):
             assert char_poly(m) != expected
     monkeypatch.setattr(linalg, "_char_poly_mod", per_prime)
     assert char_poly(m) == expected
-
-
-def test_char_poly_rejects_non_square():
-    with pytest.raises(ValueError, match="square"):
-        char_poly(frac_matrix([[1, 2]]))
 
 
 def random_poly_matrix(rng, n, degree):

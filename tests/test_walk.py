@@ -172,12 +172,24 @@ def test_grover_factorization_random_instances(rng):
         assert dev <= 1e-8
 
 
-def test_walk_rejects_loops_and_multiedges():
-    with pytest.raises(WalkError, match="loop"):
-        grover_transition(fixture_digraph("paper-graph"))
-    multi = symmetric_digraph(2, [(0, 1), (0, 1)])
-    with pytest.raises(WalkError, match="multi-edge"):
-        grover_transition(multi)
+def assert_walk_matches_oracles(g, p):
+    """U and T equal the entry-by-entry oracles, and the spectrum read off
+    the factorization matches a direct eigensolve of U."""
+    probs = validate_probability(g, p)
+    u = szegedy_transition(g, p)
+    assert np.array_equal(u, walk_transition(g, probs))
+    assert np.array_equal(szegedy_discriminant(g, p), walk_discriminant(g, probs))
+    assert unitarity_defect(u) <= 1e-12
+    assert spectrum_deviation(eigenvalues_numeric(u), szegedy_spectrum_via_factorization(g, p)) <= 1e-8
+
+
+def test_walk_on_loops_and_multiedges(rng):
+    # the paper graph has a loop at 0 and a double edge 0-1
+    for g in (fixture_digraph("paper-graph"), symmetric_digraph(2, [(0, 1), (0, 1)])):
+        assert np.array_equal(grover_transition(g), walk_transition(g, uniform_probability(g)))
+        dev = spectrum_deviation(eigenvalues_numeric(grover_transition(g)), grover_spectrum_via_zeta(g))
+        assert dev <= 1e-12
+        assert_walk_matches_oracles(g, random_probability(rng, g))
     digraph_mode = fixture_digraph("paper-digraph")
     with pytest.raises(WalkError, match="symmetric"):
         grover_transition(digraph_mode)
@@ -388,11 +400,40 @@ def test_walk_matrices_bit_identical_to_oracle(rng):
         assert np.array_equal(szegedy_discriminant(g, p), walk_discriminant(g, p))
 
 
-def test_walk_rejects_the_smallest_multi_edge_pair():
-    g = symmetric_digraph(4, [(2, 3), (3, 2), (1, 0), (0, 1), (0, 2)])
-    with pytest.raises(WalkError, match="multi-edge between 0 and 1:"):
-        grover_transition(g)
-    # a loop is reported before any multi-edge
-    g = symmetric_digraph(3, [(0, 1), (1, 0), (2, 2)])
-    with pytest.raises(WalkError, match="loop arc 4 at vertex 2"):
-        grover_transition(g)
+def test_walk_on_multi_edge_pairs_and_a_lone_loop(rng):
+    # two double edges; then a double edge and a vertex whose only edge is a loop
+    for g in (
+        symmetric_digraph(4, [(2, 3), (3, 2), (1, 0), (0, 1), (0, 2)]),
+        symmetric_digraph(3, [(0, 1), (1, 0), (2, 2)]),
+    ):
+        assert_walk_matches_oracles(g, uniform_probability(g))
+        assert_walk_matches_oracles(g, random_probability(rng, g))
+
+
+def trees_and_a_multigraph(rng):
+    """A disjoint union of 2-4 random trees and a random tree on 1-3
+    vertices with a loop and a parallel edge added (a second loop on one
+    vertex), vertices relabelled at random, so |V| - |E| = trees - 1 >= 1."""
+    edges, nv = [], 0
+    for _ in range(rng.randint(2, 4)):
+        size = rng.randint(2, 4)
+        edges += [(nv + rng.randrange(v), nv + v) for v in range(1, size)]
+        nv += size
+    size = rng.randint(1, 3)
+    core = [(nv + rng.randrange(v), nv + v) for v in range(1, size)]
+    loop = nv + rng.randrange(size)
+    edges += core + [(loop, loop)] + [core[0] if core else (loop, loop)]
+    nv += size
+    label = list(range(nv))
+    rng.shuffle(label)
+    return symmetric_digraph(nv, [(label[u], label[v]) for u, v in edges])
+
+
+def test_walk_on_trees_beside_a_multigraph_with_loops(rng):
+    # |E| < |V|: the factorization drops one root of the +-1 double roots
+    # of each tree, here on a graph that also has loops and parallel edges
+    for _ in range(20):
+        g = trees_and_a_multigraph(rng)
+        assert g.edge_count < g.vertex_count
+        assert_walk_matches_oracles(g, uniform_probability(g))
+        assert_walk_matches_oracles(g, random_probability(rng, g))

@@ -9,18 +9,18 @@ import pytest
 
 from zetawalk import cli, zeta
 from zetawalk.algebra import Poly, RatFunc, Series
-from zetawalk.digraph import GraphError, build_digraph, prime_cycles, symmetric_digraph
+from zetawalk.digraph import GraphError, build_digraph, iter_prime_cycles, symmetric_digraph
 from zetawalk.instances import fixture_digraph, fixture_text
 from zetawalk.linalg import Matrix
 from zetawalk.walk import spectrum_deviation
 from zetawalk.zeta import (
     ConsistencyError,
-    IharaIdentityError,
     WeightAssignment,
     _edge_matrix_data,
     _euler,
     _n_k_enumerated_all,
     _n_k_trace_all,
+    _pair_f,
     _require_consistent,
     edge_matrix,
     euler_truncated,
@@ -29,21 +29,24 @@ from zetawalk.zeta import (
     ihara_digraph,
     ihara_graph,
     n_k_all,
-    pair_f_poly,
-    sato_ihara_digraph,
     verify_expressions,
 )
 
 from conftest import random_digraph, random_multigraph, random_rational, random_weights
 from oracles import (
     char_poly_exact, closed_paths, det_bareiss, det_one_minus_t_by_elimination, graph_vertex_det,
-    ihara_digraph_tables, mat_mul, mat_sub, pair_arcs, phi_grouped_arc_order,
-    structural_matrices, theta_value,
+    ihara_digraph_tables, mat_mul, mat_sub, pair_arcs, phi_grouped_arc_order, sato_expression,
+    sato_matrices, structural_matrices, theta_value,
 )
 
 
 def P(*coeffs):
     return Poly(coeffs)
+
+
+def pair_f_poly(pair) -> Poly:
+    """The library's per-pair factor: 1 + n*t on the diagonal, 1 - k*l*t^2 otherwise."""
+    return Poly(_pair_f(pair))
 
 
 def single_loop(tau1=2, tau2=3):
@@ -319,7 +322,7 @@ def prime_cycle_product(d, w, order):
     """prod over the structural prime cycles X of 1/(1 - circ(X) t^|X|)."""
     theta = theta_table(d, w)
     acc = [Fraction(1)] + [Fraction(0)] * order
-    for cycle in prime_cycles(d, order):
+    for cycle in iter_prime_cycles(d, order):
         c, k = circular_product(theta, cycle), len(cycle)
         for i in range(k, order + 1):
             acc[i] += acc[i - k] * c
@@ -529,30 +532,33 @@ def test_printed_x_matrix_variants_fail_the_identity(rng):
     assert rhs_with_x(variant_scaled) != h
 
 
+def tau1_unit(d, tau2) -> WeightAssignment:
+    return WeightAssignment.from_maps(d, None, tau2)
+
+
 def test_sato_ihara_digraph_unit_tau2():
     d, _ = single_loop()
-    res = sato_ihara_digraph(d, {0: 1})
     w = WeightAssignment.ones(d)
-    assert res == hashimoto(d, w) == P(1)
+    assert sato_expression(d, w) == RatFunc.from_poly(hashimoto(d, w)) == RatFunc.one()
 
 
 def test_sato_ihara_digraph_matches_hashimoto(rng):
     d = fixture_digraph("paper-digraph")
     for _ in range(3):
-        tau2 = {i: random_rational(rng) for i in range(d.arc_count)}
-        w = WeightAssignment.from_maps(d, None, tau2)
-        assert sato_ihara_digraph(d, tau2) == hashimoto(d, w)
+        w = tau1_unit(d, {i: random_rational(rng) for i in range(d.arc_count)})
+        assert sato_expression(d, w) == RatFunc.from_poly(hashimoto(d, w))
     for _ in range(10):
         d = random_digraph(rng, 4, 8)
-        tau2 = {i: random_rational(rng) for i in range(d.arc_count)}
-        w = WeightAssignment.from_maps(d, None, tau2)
-        assert sato_ihara_digraph(d, tau2) == hashimoto(d, w)
+        w = tau1_unit(d, {i: random_rational(rng) for i in range(d.arc_count)})
+        assert sato_expression(d, w) == RatFunc.from_poly(hashimoto(d, w))
 
 
 def test_sato_ihara_digraph_dangling_arc():
     # a single arc with no reverse arc: M is zero, everything collapses to 1
     d = build_digraph(2, [(0, 1)])
-    assert sato_ihara_digraph(d, {0: Fraction(7, 3)}) == P(1)
+    w = tau1_unit(d, {0: Fraction(7, 3)})
+    assert sato_expression(d, w) == RatFunc.one()
+    assert ihara_digraph(d, w).rhs == RatFunc.one()
 
 
 def test_sato_ihara_graph_matches_hashimoto(rng):
@@ -572,67 +578,39 @@ def test_sato_ihara_graph_matches_hashimoto(rng):
 
 
 def test_tau1_unit_matrix_conjecture(rng):
-    # With tau1 = 1: A - tD + t^2 X == Au - tDu, where D is the full diagonal
-    # matrix of the general expression and Du keeps only opposite-direction
-    # pair contributions.  Both sides represent L T^-1 K, so the identity
-    # holds on every instance; it breaks on loop instances if one D matrix is
-    # shared across both sides.  Tested as a conjecture, not relied upon.
-    t1 = RatFunc.from_poly(Poly.variable())
-    t2 = RatFunc.from_poly(Poly.monomial(2))
+    # At tau1 = 1 the general digraph matrix -tA + t^2 D - t^3 X is Sato's
+    # -t Au + t^2 Du entry by entry (the form ihara_digraph's docstring
+    # states), on multi-digraphs with loops and parallel arcs.  Du keeps only
+    # the opposite-direction pair terms; the loop terms of D cancel against
+    # those of A, so sharing one D across both sides breaks the loop case.
+    t = RatFunc.from_poly(Poly.variable())
+
+    def entry(table, key):
+        return table.get(key, RatFunc.zero())
 
     def sides(d, w):
         base = ihara_digraph(d, w)
-        nv = d.vertex_count
-        lhs = [
-            [
-                RatFunc.from_poly(Poly.constant(base.a.get((i, j), 0)))
-                - base.d_ul.get((i, j), RatFunc.zero()) * t1
-                + base.x_ul.get((i, j), RatFunc.zero()) * t2
-                for j in range(nv)
-            ]
-            for i in range(nv)
-        ]
-        rhs = [[RatFunc.zero()] * nv for _ in range(nv)]
-        for pair in d.phi_pairs():
-            f = RatFunc.from_poly(pair_f_poly(pair))
-            u, v = pair.u, pair.v
-            if pair.is_diagonal:
-                s2 = sum((w.tau2[a] for a in pair.arcs_uv), Fraction(0))
-                rhs[u][u] = rhs[u][u] + RatFunc.from_poly(Poly.constant(s2)) / f
-            else:
-                s2_uv = sum((w.tau2[a] for a in pair.arcs_uv), Fraction(0))
-                s2_vu = sum((w.tau2[a] for a in pair.arcs_vu), Fraction(0))
-                rhs[u][v] = rhs[u][v] + RatFunc.from_poly(Poly.constant(s2_uv)) / f
-                rhs[v][u] = rhs[v][u] + RatFunc.from_poly(Poly.constant(s2_vu)) / f
-                rhs[u][u] = rhs[u][u] - (
-                    RatFunc.from_poly(Poly.constant(len(pair.arcs_vu) * s2_uv)) / f
-                ) * t1
-                rhs[v][v] = rhs[v][v] - (
-                    RatFunc.from_poly(Poly.constant(len(pair.arcs_uv) * s2_vu)) / f
-                ) * t1
-        return lhs, rhs
+        au, du = sato_matrices(d, w)
+        keys = [(i, j) for i in range(d.vertex_count) for j in range(d.vertex_count)]
+        general = {
+            key: -t * base.a.get(key, 0) + t * t * entry(base.d_ul, key) - t * t * t * entry(base.x_ul, key)
+            for key in keys
+        }
+        sato = {key: -t * entry(au, key) + t * t * entry(du, key) for key in keys}
+        return base, general, sato
 
-    for _ in range(10):
-        d = random_digraph(rng, 4, 8)
-        w = WeightAssignment.from_maps(
-            d, None, {i: random_rational(rng) for i in range(d.arc_count)}
-        )
-        lhs, rhs = sides(d, w)
-        assert all(
-            lhs[i][j] == rhs[i][j] for i in range(d.vertex_count) for j in range(d.vertex_count)
-        )
+    for _ in range(60):
+        d = random_digraph(rng, 4, 10)
+        w = tau1_unit(d, {i: random_rational(rng) for i in range(d.arc_count)})
+        base, general, sato = sides(d, w)
+        assert general == sato
+        assert base.agree
 
-    # sharing the full D on the right-hand side breaks the loop case
     loop = build_digraph(1, [(0, 0)])
-    wl = WeightAssignment.from_maps(loop, None, {0: Fraction(3)})
-    base = ihara_digraph(loop, wl)
-    lhs, _ = sides(loop, wl)
-    shared_rhs = (
-        RatFunc.from_poly(Poly.constant(base.a[0, 0]))
-        / RatFunc.from_poly(pair_f_poly(loop.phi_pairs()[0]))
-        - base.d_ul[0, 0] * t1
-    )
-    assert lhs[0][0] != shared_rhs
+    base, general, _ = sides(loop, tau1_unit(loop, {0: Fraction(3)}))
+    f = RatFunc.from_poly(pair_f_poly(loop.phi_pairs()[0]))
+    shared = -t * base.a[0, 0] / f + t * t * base.d_ul[0, 0]
+    assert general[0, 0] != shared
 
 
 def test_verify_expressions_fixture(rng):
@@ -807,11 +785,11 @@ def test_a_perturbed_vertex_det_fails_the_graph_identity(rng, monkeypatch):
 
 def test_a_perturbed_vertex_det_fails_the_tau1_digraph_identity(rng, monkeypatch):
     d = fixture_digraph("paper-digraph")
-    tau2 = {a: random_rational(rng) for a in range(d.arc_count)}
+    w = tau1_unit(d, {a: random_rational(rng) for a in range(d.arc_count)})
     seen = perturb_vertex_det(monkeypatch, 1)
-    with pytest.raises(IharaIdentityError, match="tau1=1 digraph expression mismatch"):
-        sato_ihara_digraph(d, tau2)
-    assert len(seen) == 1
+    res = ihara_digraph(d, w)
+    assert not res.agree and len(seen) == 1
+    assert res.hashimoto == hashimoto(d, w)
 
 
 @pytest.mark.parametrize("name", ["paper-digraph", "paper-graph"])
@@ -873,7 +851,8 @@ def test_cancelling_pair_sums():
     assert res.agree
     assert (res.a, res.d_ul, res.x_ul) == ihara_digraph_tables(d, w)
     assert res.hashimoto == det_one_minus_t_by_elimination(edge_matrix(d, w))
-    assert sato_ihara_digraph(d, tau2) == hashimoto(d, WeightAssignment.from_maps(d, None, tau2))
+    unit = tau1_unit(d, tau2)
+    assert sato_expression(d, unit) == ihara_digraph(d, unit).rhs == RatFunc.from_poly(hashimoto(d, unit))
     assert verify_expressions(d, w, 8).all_agree
 
 
