@@ -232,7 +232,7 @@ class RatFunc:
         if num.is_zero():
             num, den = Poly.zero(), Poly.one()
         else:
-            if den.degree > 0:  # over a constant the gcd is 1
+            if den.degree > 0 and num.degree > 0:  # a constant on either side has gcd 1
                 g = num.gcd(den)
                 if g.degree > 0:
                     num = num.exact_div(g)

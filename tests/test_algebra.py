@@ -96,6 +96,16 @@ def test_ratfunc_over_a_constant_is_the_scaled_polynomial(rng):
         assert r.is_poly() and r.as_poly() == num.scale(1 / c)
 
 
+def test_ratfunc_with_a_constant_numerator_is_canonical(rng):
+    # a constant numerator skips Euclid; the denominator is still made monic
+    for _ in range(60):
+        c = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+        den = Poly([Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(rng.randint(1, 5))] + [Fraction(rng.randint(1, 9))])
+        r = RatFunc(Poly.constant(c), den)
+        assert (r.num, r.den) == (Poly.constant(c / den.lead()), den.scale(1 / den.lead()))
+        assert r == RatFunc(P(c, c), den * P(1, 1)) == RatFunc(P(1), den) * c
+
+
 def test_series_exp_example():
     s = Series([0, 1], 4).exp()
     assert s.coeffs == (1, 1, Fraction(1, 2), Fraction(1, 6), Fraction(1, 24))

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -345,17 +346,34 @@ def assert_kernel(m: Matrix):
     assert chi.coefficient(0) == (-1) ** m.rows * det_bareiss(m, Fraction(1))
 
 
-def record_primes(monkeypatch) -> list[int]:
-    """The primes char_poly_rows reduces modulo, in order, from now on."""
+def record_moduli(monkeypatch) -> list[int]:
+    """The moduli char_poly_rows reduces modulo, one per pass, in order,
+    from now on."""
     seen = []
-    per_prime = linalg._char_poly_mod
+    per_pass = linalg._char_poly_mod
 
-    def recording(rows, dens, p):
-        seen.append(p)
-        return per_prime(rows, dens, p)
+    def recording(rows, dens, q):
+        seen.append(q)
+        return per_pass(rows, dens, q)
 
     monkeypatch.setattr(linalg, "_char_poly_mod", recording)
     return seen
+
+
+def kernel_factors(q: int) -> list[int]:
+    """The kernel primes whose product is q, in kernel order."""
+    out = []
+    for p in map(linalg._kernel_prime, itertools.count()):
+        if q == 1:
+            return out
+        assert p > 1 << 29, "not a product of kernel primes"
+        if q % p == 0:
+            out.append(p)
+            q //= p
+
+
+def primes_of(moduli: list[int]) -> list[int]:
+    return [p for q in moduli for p in kernel_factors(q)]
 
 
 def clearings(m: Matrix) -> list[tuple[int, int]]:
@@ -438,28 +456,37 @@ def test_kernel_on_singular_and_nilpotent_matrices(rng):
         assert_kernel(nilpotent)
 
 
+def test_kernel_rejects_non_square_input():
+    for rows, dens in (([[1, 2]], [1]), ([[1], [2]], [1, 1]), ([[1, 2], [3, 4]], [1]), ([[1]], [0]), ([[1]], [-2])):
+        with pytest.raises(ValueError, match="n rows of length n"):
+            char_poly_rows(rows, dens)
+
+
 def test_kernel_skips_a_prime_that_divides_a_denominator(rng, monkeypatch):
     first = linalg._kernel_prime(0)
-    seen = record_primes(monkeypatch)
+    seen = record_moduli(monkeypatch)
     for n in range(1, 7):
         rows = [[Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(n)] for _ in range(n)]
         rows[rng.randrange(n)][rng.randrange(n)] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), first)
         m = Matrix(rows)
         seen.clear()
         assert_kernel(m)
-        assert seen and first not in seen
-        assert seen == primes_needed(m)
+        assert seen and all(q % first for q in seen)
+        assert primes_of(seen) == primes_needed(m)
 
 
 def test_kernel_with_200_bit_numerators_uses_many_primes(rng, monkeypatch):
-    seen = record_primes(monkeypatch)
+    seen = record_moduli(monkeypatch)
     for n in range(1, 6):
         m = Matrix(
             [[Fraction(rng.choice([-1, 1]) * rng.randrange(2**200, 2**201), rng.randint(1, 9)) for _ in range(n)] for _ in range(n)]
         )
         seen.clear()
         assert_kernel(m)
-        assert len(seen) > 5 and seen == primes_needed(m)
+        used = primes_needed(m)
+        assert len(used) > 5 and primes_of(seen) == used
+        # every pass but the last takes a full group
+        assert [len(kernel_factors(q)) for q in seen[:-1]] == [linalg._PRIMES_PER_PASS] * (len(seen) - 1)
 
 
 def is_prime_by_trial_division(q: int) -> bool:
@@ -484,6 +511,26 @@ def sylvester_hadamard(n: int) -> list[list[int]]:
     return h
 
 
+def minor_sum_bounds(rows: list[list[int]], dens: list[int]) -> list[int]:
+    """b_j = sum over the j-row sets S of prod_{i in S} r_i * prod_{i not in S} d_i,
+    r_i = isqrt(|R_i|^2) + 1: by Hadamard, |Delta * c_{n-j}| <= b_j."""
+    n = len(rows)
+    norms = [math.isqrt(sum(x * x for x in row)) + 1 for row in rows]
+    return [
+        sum(
+            math.prod(norms[i] if i in s else dens[i] for i in range(n))
+            for s in map(set, itertools.combinations(range(n), j))
+        )
+        for j in range(n + 1)
+    ]
+
+
+def hadamard_product_bound(rows: list[list[int]], dens: list[int]) -> int:
+    """2^n * prod_i max(isqrt(|R_i|^2) + 1, d_i), which bounds the sum of
+    every minor_sum_bounds term."""
+    return 2 ** len(rows) * math.prod(max(math.isqrt(sum(x * x for x in row)) + 1, d) for row, d in zip(rows, dens))
+
+
 @pytest.mark.parametrize("n", [2, 4, 8])
 def test_coefficient_bound_holds_where_hadamard_is_tight(n):
     h = sylvester_hadamard(n)
@@ -495,18 +542,36 @@ def test_coefficient_bound_holds_where_hadamard_is_tight(n):
     ):
         chi = char_poly_exact(m)
         assert chi == char_poly(m)
-        # the bound holds for the row clearing of m and of m^T alike
-        for delta, bound in clearings(m):
-            for c in chi.coeffs:
-                assert (delta * c).denominator == 1 and abs(delta * c) <= bound
+        # the bound holds for the row clearing of m and of m^T alike, and
+        # Hadamard's inequality summed over the principal minors bounds each
+        # coefficient on its own
+        for a in (m, transpose(m)):
+            rows, dens = clear_rows(a)
+            delta, bound = math.prod(dens), linalg._coefficient_bound(rows, dens)
+            per_power = minor_sum_bounds(rows, dens)
+            assert bound == max(per_power) <= hadamard_product_bound(rows, dens)
+            for k, c in enumerate(chi.coeffs):
+                assert (delta * c).denominator == 1 and abs(delta * c) <= per_power[n - k]
     # |det H| = n^(n/2) meets Hadamard's inequality with equality
     assert abs(det_bareiss(Matrix([[Fraction(x) for x in row] for row in h]))) == n ** (n // 2)
+
+
+def test_coefficient_bound_never_exceeds_the_product_bound(rng):
+    for n in range(9):
+        for scale in (1, 10**6, 2**200):
+            m = random_frac_matrix(rng, n, n)
+            m = Matrix([[x * rng.randint(1, scale) for x in row] for row in m.data])
+            for a in (m, transpose(m)):
+                rows, dens = clear_rows(a)
+                assert linalg._coefficient_bound(rows, dens) <= hadamard_product_bound(rows, dens)
+                if n <= 6:
+                    assert linalg._coefficient_bound(rows, dens) == max(minor_sum_bounds(rows, dens))
 
 
 def test_kernel_reduces_the_transpose_when_its_bound_is_smaller(rng, monkeypatch):
     # every entry of column 0 has denominator 7^30: each row of m needs 7^30,
     # while m^T needs it in one row only
-    seen = record_primes(monkeypatch)
+    seen = record_moduli(monkeypatch)
     for n in range(2, 8):
         m = Matrix(
             [
@@ -518,29 +583,74 @@ def test_kernel_reduces_the_transpose_when_its_bound_is_smaller(rng, monkeypatch
         assert col_bound < row_bound
         seen.clear()
         assert_kernel(m)
-        assert seen == primes_needed(m) == primes_up_to(col_delta, 2 * col_bound)
-        assert len(seen) < len(primes_up_to(row_delta, 2 * row_bound))
+        assert primes_of(seen) == primes_needed(m) == primes_up_to(col_delta, 2 * col_bound)
+        assert len(primes_of(seen)) < len(primes_up_to(row_delta, 2 * row_bound))
 
 
 def test_every_residue_reaches_the_result(rng, monkeypatch):
     m = Matrix([[Fraction(rng.randint(-9, 9) * 10**12 + 1, rng.randint(1, 9)) for _ in range(6)] for _ in range(6)])
     expected = char_poly_exact(m)
     used = primes_needed(m)
-    assert len(used) >= 3
-    per_prime = linalg._char_poly_mod
+    moduli = record_moduli(monkeypatch)
+    assert char_poly(m) == expected
+    assert len(used) >= 3 and primes_of(moduli) == used
+    assert any(len(kernel_factors(q)) > 1 for q in moduli)
+    per_pass = linalg._char_poly_mod
     for target in used:
         for k in (0, 3):
 
-            def perturbed(rows, dens, p, target=target, k=k):
-                res = per_prime(rows, dens, p)
-                if p == target:
-                    res[k] = (res[k] + 1) % p
+            def perturbed(rows, dens, q, target=target, k=k):
+                # add 1 to residue k modulo the target prime alone: the
+                # CRT lift that is 1 mod target and 0 mod its group's rest
+                res = per_pass(rows, dens, q)
+                if q % target == 0:
+                    rest = q // target
+                    res[k] = (res[k] + rest * pow(rest, -1, target)) % q
                 return res
 
             monkeypatch.setattr(linalg, "_char_poly_mod", perturbed)
             assert char_poly(m) != expected
-    monkeypatch.setattr(linalg, "_char_poly_mod", per_prime)
+    monkeypatch.setattr(linalg, "_char_poly_mod", per_pass)
     assert char_poly(m) == expected
+
+
+def symmetric_with_first_column(rng, col: list[int]) -> Matrix:
+    """A symmetric integer matrix whose first column is ``col``, so that it
+    and its transpose are reduced alike, with the first Hessenberg pivot
+    taken from col[1:]."""
+    n = len(col)
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            a[i][j] = a[j][i] = col[j] if i == 0 else rng.randint(-9, 9)
+    return frac_matrix(a)
+
+
+def test_kernel_pivots_on_a_unit_modulo_a_group_of_primes(rng, monkeypatch):
+    # the first nonzero pivot candidate, 2 * p, is no unit modulo a group
+    # holding p; the 7 below it is, and the kernel pivots there
+    p = linalg._kernel_prime(0)
+    seen = record_moduli(monkeypatch)
+    for _ in range(5):
+        m = symmetric_with_first_column(rng, [1, 2 * p, 0, 7, -p, 3])
+        seen.clear()
+        assert_kernel(m)
+        # one pass per group: no split, so p is never a modulus of its own
+        assert seen[0] % p == 0 and len(kernel_factors(seen[0])) > 1 and p not in seen
+
+
+def test_kernel_splits_a_group_on_a_column_of_non_units(rng, monkeypatch):
+    # every nonzero pivot candidate is a multiple of p: the group splits
+    # into p, where the column is zero, and the rest, where it holds units
+    p = linalg._kernel_prime(0)
+    seen = record_moduli(monkeypatch)
+    for _ in range(5):
+        m = symmetric_with_first_column(rng, [1, 3 * p, 0, -2 * p, 5 * p])
+        seen.clear()
+        assert_kernel(m)
+        q = seen[0]
+        assert len(kernel_factors(q)) > 1
+        assert seen[1:3] == [p, q // p]
 
 
 def random_poly_matrix(rng, n, degree):
