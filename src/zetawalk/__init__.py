@@ -12,16 +12,15 @@ from .digraph import (
     Arc, Digraph, GraphError, GraphMode, PhiPair, arc_adjacency, build_digraph,
     symmetric_digraph,
 )
-from .linalg import Matrix, eigenvalues_numeric
 from .zeta import (
     ConsistencyError, WeightAssignment, ZetaError, ZetaReport, edge_matrix,
     euler_truncated, exponential_truncated, hashimoto, ihara_digraph, ihara_graph,
     n_k_all, verify_expressions,
 )
 from .walk import (
-    WalkError, grover_spectrum_via_zeta, grover_transition, spectrum_deviation,
-    szegedy_discriminant, szegedy_spectrum_via_factorization, szegedy_transition,
-    uniform_probability, unitarity_defect, validate_probability,
+    WalkError, eigenvalues_numeric, grover_spectrum_via_zeta, grover_transition,
+    spectrum_deviation, szegedy_discriminant, szegedy_spectrum_via_factorization,
+    szegedy_transition, uniform_probability, unitarity_defect, validate_probability,
 )
 from .instances import (
     FIXTURES, Instance, ParseError, fixture_digraph, fixture_instance, fixture_text,
@@ -34,12 +33,11 @@ __all__ = [
     "Poly", "RatFunc", "Series",
     "Arc", "Digraph", "GraphError", "GraphMode", "PhiPair", "arc_adjacency",
     "build_digraph", "symmetric_digraph",
-    "Matrix", "eigenvalues_numeric",
     "ConsistencyError", "WeightAssignment", "ZetaError", "ZetaReport",
     "edge_matrix", "euler_truncated", "exponential_truncated", "hashimoto",
     "ihara_digraph", "ihara_graph", "n_k_all", "verify_expressions",
-    "WalkError", "grover_spectrum_via_zeta", "grover_transition", "spectrum_deviation",
-    "szegedy_discriminant", "szegedy_spectrum_via_factorization", "szegedy_transition",
+    "WalkError", "eigenvalues_numeric", "grover_spectrum_via_zeta", "grover_transition",
+    "spectrum_deviation", "szegedy_discriminant", "szegedy_spectrum_via_factorization", "szegedy_transition",
     "uniform_probability", "unitarity_defect", "validate_probability",
     "FIXTURES", "Instance", "ParseError", "fixture_digraph", "fixture_instance",
     "fixture_text", "instance_digraph", "instance_weights", "load_instance",

@@ -32,6 +32,7 @@ from .instances import (
 )
 from .walk import (
     WalkError,
+    eigenvalues_numeric,
     grover_spectrum_via_zeta,
     grover_transition,
     spectrum_deviation,
@@ -49,7 +50,6 @@ from .zeta import (
     ihara_graph,
     verify_expressions,
 )
-from .linalg import eigenvalues_numeric
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -202,8 +202,6 @@ def cmd_spectrum(ns) -> tuple[str, int]:
         u = grover_transition(g)
         derived = grover_spectrum_via_zeta(g)
     else:
-        if not inst.prob:
-            raise WalkError("szegedy spectrum needs prob lines in the instance")
         u = szegedy_transition(g, inst.prob)
         derived = szegedy_spectrum_via_factorization(g, inst.prob)
     direct = eigenvalues_numeric(u)

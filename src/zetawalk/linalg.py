@@ -1,4 +1,4 @@
-"""Dense matrices and the one determinant kernel.
+"""The one exact determinant kernel.
 
 One kernel computes every determinant the library reports:
 ``char_poly_rows``, the characteristic polynomial of m = diag(1/d) R for
@@ -51,12 +51,10 @@ det(I - t*C) of a companion linearization C of P.  Rows that are absent are
 rows of the identity and never enter C; C's rows are integer rows over
 e_v, so it goes to ``char_poly_rows`` with no Fraction.
 
-Numeric eigenvalues delegate to LAPACK's general eigensolver via numpy, in
-real arithmetic for a real matrix.  ``eigenvalues_numeric`` imports numpy
-when it is called, so that the exact kernel, and every CLI verb but
-``spectrum``, starts without loading it.  The elimination determinants, the
-Faddeev-LeVerrier charpoly and the inversion identities the tests compare
-against live in ``tests/oracles.py``.
+Only ``zeta`` calls this module, and it works in Python ints alone: the
+numeric eigensolve lives in ``walk``.  The dense matrix type, the
+elimination determinants, the Faddeev-LeVerrier charpoly and the inversion
+identities the tests compare against live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -65,45 +63,6 @@ from functools import cache
 from itertools import count
 from math import gcd, isqrt, lcm, prod
 from operator import itemgetter, mul
-
-
-class Matrix:
-    """Immutable rectangular matrix over a homogeneous element ring."""
-
-    __slots__ = ("rows", "cols", "data")
-
-    def __init__(self, rows_data):
-        data = tuple(tuple(row) for row in rows_data)
-        if data and any(len(row) != len(data[0]) for row in data):
-            raise ValueError("ragged rows in matrix")
-        self.data = data
-        self.rows = len(data)
-        self.cols = len(data[0]) if data else 0
-
-    def __getitem__(self, key):
-        i, j = key
-        return self.data[i][j]
-
-    @property
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return self.data == other.data
-
-    __hash__ = None
-
-    def shape(self):
-        return (self.rows, self.cols)
-
-    def _require_square(self):
-        if not self.is_square:
-            raise ValueError(f"matrix is not square: {self.shape()}")
-
-    def __repr__(self) -> str:
-        return f"Matrix({self.rows}x{self.cols})"
 
 
 # Kernel primes multiplied into the modulus of one Hessenberg pass.  Of the
@@ -325,32 +284,3 @@ def det_poly_matrix(p: dict[tuple[int, int], list[int]], dens: dict[int, int]) -
     values, delta = char_poly_rows(rows, row_dens)
     return values[::-1], delta
 
-
-def eigenvalues_numeric(m) -> list[complex]:
-    """All eigenvalues (with multiplicity) of a square numeric matrix.
-
-    A real double-precision general eigensolve: an ndarray goes to LAPACK
-    unchanged, so a real matrix takes the real solver (dgeev), whose complex
-    eigenvalues come in exact conjugate pairs and whose real eigenvalues have
-    imaginary part exactly 0.  A Matrix or nested lists become a float array,
-    or a complex one only when some entry is complex.  LAPACK convergence
-    failures are surfaced with the matrix shape in the message.
-    """
-    import numpy as np
-    if isinstance(m, np.ndarray):
-        arr = m
-    else:
-        rows = m.data if isinstance(m, Matrix) else m
-        is_complex = any(isinstance(x, (complex, np.complexfloating)) for row in rows for x in row)
-        arr = np.array(rows, dtype=complex if is_complex else float)
-    if arr.shape[:1] == (0,):
-        return []
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"matrix is not square: {arr.shape}")
-    try:
-        vals = np.linalg.eigvals(arr)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(
-            f"eigenvalue iteration failed for {arr.shape[0]}x{arr.shape[1]} matrix: {exc}"
-        ) from exc
-    return vals.astype(complex).tolist()

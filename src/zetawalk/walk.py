@@ -24,9 +24,11 @@ distance, computed in numpy.  The entries of U and T are square roots of
 products of rational probabilities, taken in integer arithmetic and exact
 wherever the product is a rational square.
 
-numpy is imported inside the functions that use it, so that importing this
-module (and so ``zetawalk`` and every exact CLI verb) does not load it.  A
-walk verb pays for it on its first call.
+This module makes every numpy call in the library, the direct eigensolve
+``eigenvalues_numeric`` among them; the exact kernel in ``linalg`` uses
+none.  numpy is imported inside the functions that use it, so that
+importing this module (and so ``zetawalk`` and every exact CLI verb) does
+not load it.  A walk verb pays for it on its first call.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from typing import TYPE_CHECKING
 
 from .algebra import as_fraction
 from .digraph import Digraph, GraphMode
-from .linalg import eigenvalues_numeric  # noqa: F401  (the direct-spectrum oracle, re-exported)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -197,6 +198,35 @@ def unitarity_defect(u: np.ndarray) -> float:
     gram = u @ (u.conj().T if np.iscomplexobj(u) else u.T)
     gram.flat[:: n + 1] -= 1.0
     return float(np.max(np.abs(gram)))
+
+
+def eigenvalues_numeric(m) -> list[complex]:
+    """All eigenvalues (with multiplicity) of a square numeric matrix.
+
+    A real double-precision general eigensolve: an ndarray goes to LAPACK
+    unchanged, so a real matrix takes the real solver (dgeev), whose complex
+    eigenvalues come in exact conjugate pairs and whose real eigenvalues have
+    imaginary part exactly 0.  Nested lists become a float array, or a
+    complex one only when some entry is complex.  LAPACK convergence
+    failures are surfaced with the matrix shape in the message.
+    """
+    import numpy as np
+    if isinstance(m, np.ndarray):
+        arr = m
+    else:
+        is_complex = any(isinstance(x, (complex, np.complexfloating)) for row in m for x in row)
+        arr = np.array(m, dtype=complex if is_complex else float)
+    if arr.shape[:1] == (0,):
+        return []
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ValueError(f"matrix is not square: {arr.shape}")
+    try:
+        vals = np.linalg.eigvals(arr)
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError(
+            f"eigenvalue iteration failed for {arr.shape[0]}x{arr.shape[1]} matrix: {exc}"
+        ) from exc
+    return vals.astype(complex).tolist()
 
 
 def szegedy_discriminant(g: Digraph, p) -> np.ndarray:

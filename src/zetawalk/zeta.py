@@ -87,7 +87,7 @@ from .algebra import Poly, RatFunc, Series, as_fraction, render_rational
 from .digraph import (
     Digraph, GraphError, GraphMode, PhiPair, lyndon_cycles, predecessors, steps_to as _steps_to,
 )
-from .linalg import Matrix, char_poly_rows, det_poly_matrix
+from .linalg import char_poly_rows, det_poly_matrix
 
 
 _ZERO = Fraction(0)
@@ -129,14 +129,14 @@ class WeightAssignment:
         return cls(fill(tau1), fill(tau2))
 
 
-def edge_matrix(d: Digraph, w: WeightAssignment) -> Matrix:
-    """The arc-indexed matrix M with entries theta(a, b), read back from the
-    rows of ``_edge_matrix_data``: M[a][b] = q2(a) R[a][b] / (e_a q2(b))."""
+def edge_matrix(d: Digraph, w: WeightAssignment) -> tuple[tuple[Fraction, ...], ...]:
+    """The rows of the arc-indexed matrix M with entries theta(a, b), read
+    back from ``_edge_matrix_data``: M[a][b] = q2(a) R[a][b] / (e_a q2(b))."""
     rows, dens = _edge_matrix_data(d, w)
     q2 = [x.denominator for x in w.tau2]
-    return Matrix(
-        [[Fraction(q2[a] * x, e * q2[b]) for b, x in enumerate(row)]
-         for a, (row, e) in enumerate(zip(rows, dens))]
+    return tuple(
+        tuple(Fraction(q2[a] * x, e * q2[b]) for b, x in enumerate(row))
+        for a, (row, e) in enumerate(zip(rows, dens))
     )
 
 

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from zetawalk import Digraph, Matrix, WeightAssignment, build_digraph, symmetric_digraph
+from zetawalk import Digraph, WeightAssignment, build_digraph, symmetric_digraph
+
+from oracles import Matrix
 
 
 def random_rational(rng, allow_negative=True) -> Fraction:

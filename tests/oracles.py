@@ -11,9 +11,9 @@ block Woodbury-style, each checked with its denominator cleared, as
 A*B == B*A == d*I for a nonzero polynomial d), brute-force closed paths,
 the phi-grouped arc order, theta one entry at a time, the structural
 matrices, and the walk matrices U and T built entry by entry with Fraction
-square roots.  Matrix arithmetic (sums, products, scaling, transposes,
-traces) and the series logarithm live here too, since only the tests use
-them.
+square roots.  The dense ``Matrix`` type, its arithmetic (sums, products,
+scaling, transposes, traces) and the series logarithm live here too, since
+only the tests use them.
 """
 
 from __future__ import annotations
@@ -26,8 +26,46 @@ import numpy as np
 
 from zetawalk.algebra import Poly, RatFunc, Series, as_fraction
 from zetawalk.digraph import Digraph, GraphError, PhiPair
-from zetawalk.linalg import Matrix
 from zetawalk.zeta import WeightAssignment
+
+
+class Matrix:
+    """Immutable rectangular matrix over a homogeneous element ring."""
+
+    __slots__ = ("rows", "cols", "data")
+
+    def __init__(self, rows_data):
+        data = tuple(tuple(row) for row in rows_data)
+        if data and any(len(row) != len(data[0]) for row in data):
+            raise ValueError("ragged rows in matrix")
+        self.data = data
+        self.rows = len(data)
+        self.cols = len(data[0]) if data else 0
+
+    def __getitem__(self, key):
+        i, j = key
+        return self.data[i][j]
+
+    @property
+    def is_square(self) -> bool:
+        return self.rows == self.cols
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        return self.data == other.data
+
+    __hash__ = None
+
+    def shape(self):
+        return (self.rows, self.cols)
+
+    def _require_square(self):
+        if not self.is_square:
+            raise ValueError(f"matrix is not square: {self.shape()}")
+
+    def __repr__(self) -> str:
+        return f"Matrix({self.rows}x{self.cols})"
 
 
 def identity(n, one, zero) -> Matrix:

@@ -15,8 +15,8 @@ from zetawalk.algebra import Poly, RatFunc, Series
 from zetawalk.cli import exit_code_for_report, main
 from zetawalk.digraph import arc_adjacency, build_digraph, symmetric_digraph
 from zetawalk.instances import fixture_digraph, fixture_text
-from zetawalk.linalg import eigenvalues_numeric
 from zetawalk.walk import (
+    eigenvalues_numeric,
     grover_spectrum_via_zeta,
     grover_transition,
     spectrum_deviation,

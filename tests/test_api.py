@@ -14,7 +14,8 @@ import pytest
 
 import zetawalk
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 def _parse(name):
@@ -35,11 +36,38 @@ WORKER_IMPORTS = [
 
 
 def test_all_is_explicit_and_has_no_modules():
-    assert len(zetawalk.__all__) == len(set(zetawalk.__all__)) == 46
-    for gone in ("sato_ihara_graph", "sato_ihara_digraph", "IharaIdentityError", "char_poly", "prime_cycles"):
+    assert len(zetawalk.__all__) == len(set(zetawalk.__all__)) == 45
+    assert "eigenvalues_numeric" in zetawalk.__all__
+    for gone in (
+        "sato_ihara_graph", "sato_ihara_digraph", "IharaIdentityError", "char_poly", "prime_cycles", "Matrix",
+    ):
         assert not hasattr(zetawalk, gone), gone
     for name in zetawalk.__all__:
         assert not isinstance(getattr(zetawalk, name), types.ModuleType), name
+
+
+def _imported_modules(path):
+    """The top-level name of each module that ``path`` imports, anywhere in
+    it; the package's own modules go by their short names (``linalg``)."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            own = node.module in (None, "zetawalk")  # from . import x, from zetawalk import x
+            names = [alias.name for alias in node.names] if own else [node.module]
+        else:
+            continue
+        for name in names:
+            yield name.removeprefix("zetawalk.").partition(".")[0]
+
+
+def test_only_walk_imports_numpy_and_only_zeta_imports_linalg():
+    imports = {
+        path.name: set(_imported_modules(path))
+        for path in sorted((ROOT / "src" / "zetawalk").glob("*.py"))
+    }
+    assert {name for name, mods in imports.items() if "numpy" in mods} == {"walk.py"}
+    assert {name for name, mods in imports.items() if "linalg" in mods} == {"zeta.py"}
 
 
 def _public_callables():

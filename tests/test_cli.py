@@ -336,6 +336,16 @@ def test_cli_spectrum_szegedy_needs_probs(tmp_path):
     assert code == 2 and "prob" in err
 
 
+@pytest.mark.parametrize("walk", ["grover", "szegedy"])
+def test_cli_spectrum_on_an_arcless_graph_agrees(tmp_path, walk):
+    # no arc needs a probability, so szegedy needs no prob line either
+    path = tmp_path / "empty.zw"
+    path.write_text("mode graph\nvertices 0\n", encoding="utf-8")
+    code, out, err = run_cli("spectrum", str(path), walk)
+    assert (code, err) == (0, "")
+    assert "\nVERDICT spectrum agree\n" in out
+
+
 def test_cli_spectrum_on_a_loop_and_a_double_edge(tmp_path):
     path = write_fixture(tmp_path, "paper-graph")
     code, out, err = run_cli("spectrum", path, "grover")

@@ -3,22 +3,19 @@ import math
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetawalk.algebra import Poly
 from zetawalk.digraph import build_digraph, symmetric_digraph
-from zetawalk.instances import fixture_digraph
 from zetawalk import linalg
-from zetawalk.linalg import Matrix, char_poly_rows, det_poly_matrix, eigenvalues_numeric
-from zetawalk.walk import grover_transition, spectrum_deviation, szegedy_transition
+from zetawalk.linalg import char_poly_rows, det_poly_matrix
 from zetawalk.zeta import WeightAssignment, ihara_digraph, ihara_graph
 
-from conftest import inversion_inputs, random_probability, random_walk_graph
+from conftest import inversion_inputs
 from oracles import (
-    allones_inverse_check, allones_scaled_inverse, block_matrices, block_scaled_inverse,
+    Matrix, allones_inverse_check, allones_scaled_inverse, block_matrices, block_scaled_inverse,
     block_woodbury_check, char_poly_exact, det_bareiss, det_cofactor, identity, is_scaled_inverse,
     mat_mul, mat_sub, transpose, zeros,
 )
@@ -144,62 +141,6 @@ def test_char_poly_vanishes_on_triangular_eigenvalues():
     chi = char_poly_exact(m)
     for lam in (2, 3, -4):
         assert chi.evaluate(Fraction(lam)) == 0
-
-
-def test_eigenvalues_swap():
-    vals = sorted(eigenvalues_numeric([[0, 1], [1, 0]]), key=lambda z: z.real)
-    assert abs(vals[0] + 1) < 1e-12 and abs(vals[1] - 1) < 1e-12
-
-
-def test_eigenvalues_diagonal():
-    vals = sorted(v.real for v in eigenvalues_numeric([[2, 0, 0], [0, 3, 0], [0, 0, 5]]))
-    assert np.allclose(vals, [2, 3, 5], atol=1e-12)
-
-
-def test_eigenvalues_match_char_poly_roots(rng):
-    m = random_frac_matrix(rng, 5, 5)
-    chi = char_poly_exact(m)
-    roots = np.roots([float(c) for c in reversed(chi.coeffs)])
-    direct = eigenvalues_numeric(m)
-    roots = sorted(roots, key=lambda z: (z.real, z.imag))
-    direct = sorted(direct, key=lambda z: (z.real, z.imag))
-    assert max(abs(a - b) for a, b in zip(roots, direct)) < 1e-8
-
-
-def test_eigenvalues_requires_square():
-    with pytest.raises(ValueError, match="square"):
-        eigenvalues_numeric([[1, 2, 3], [4, 5, 6]])
-
-
-def test_eigenvalues_real_input_reaches_lapack_as_float64(monkeypatch):
-    seen = []
-    eigvals = np.linalg.eigvals
-
-    def recording(a):
-        seen.append(a.dtype)
-        return eigvals(a)
-
-    monkeypatch.setattr(np.linalg, "eigvals", recording)
-    u = grover_transition(fixture_digraph("k4"))
-    eigenvalues_numeric(u)
-    eigenvalues_numeric([[0, 1], [1, 0]])
-    eigenvalues_numeric(frac_matrix([[1, 2], [3, 4]]))
-    assert seen == [np.float64] * 3
-    eigenvalues_numeric([[0, 1j], [1, 0]])
-    assert seen[-1] == np.complex128
-
-
-def test_eigenvalues_match_the_complex_route_on_walk_matrices(rng):
-    def ordered(values):
-        return sorted(values, key=lambda z: (z.real, z.imag))
-
-    for nv in (4, 8, 16, 32, 64):
-        g = random_walk_graph(rng, nv)
-        for u in (grover_transition(g), szegedy_transition(g, random_probability(rng, g))):
-            vals = eigenvalues_numeric(u)
-            assert spectrum_deviation(vals, np.linalg.eigvals(u.astype(complex))) <= 1e-12
-            # dgeev returns exact conjugate pairs and real eigenvalues with imaginary part 0
-            assert ordered(vals) == ordered(z.conjugate() for z in vals)
 
 
 def test_allones_inverse_examples():

@@ -16,7 +16,10 @@ COLD_START = textwrap.dedent(
     from zetawalk import cli
 
     paper, triangle = sys.argv[1], sys.argv[2]
-    for args in (["verify", paper, "--order", "10"], ["ihara", paper], ["hashimoto", paper]):
+    for args in (
+        ["verify", paper, "--order", "10"], ["ihara", paper], ["hashimoto", paper],
+        ["euler", paper, "--order", "6"], ["exp", paper, "--order", "6"],
+    ):
         with redirect_stdout(io.StringIO()):
             assert cli.main(args) == 0, args
     assert cli.main(["fixtures", "triangle", "-o", triangle]) == 0

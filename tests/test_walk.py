@@ -9,10 +9,10 @@ import pytest
 
 from zetawalk.digraph import symmetric_digraph
 from zetawalk.instances import fixture_digraph, fixture_instance, instance_digraph
-from zetawalk.linalg import eigenvalues_numeric
 from zetawalk.walk import (
     WalkError,
     _sqrt_product,
+    eigenvalues_numeric,
     grover_spectrum_via_zeta,
     grover_transition,
     spectrum_deviation,
@@ -25,7 +25,7 @@ from zetawalk.walk import (
 )
 
 from conftest import random_connected_graph, random_probability, random_walk_graph
-from oracles import sqrt_product, walk_discriminant, walk_transition
+from oracles import Matrix, char_poly_exact, sqrt_product, walk_discriminant, walk_transition
 
 
 OMEGA = cmath.exp(2j * math.pi / 3)
@@ -341,7 +341,7 @@ def test_zeta_edge_matrix_bridges_to_grover_walk():
         tau2 = {a.id: Fraction(2, g.degree(a.tail)) for a in g.arcs}
         w = WeightAssignment.from_maps(g, None, tau2)
         n = g.arc_count
-        m = edge_matrix(g, w)
+        m = Matrix(edge_matrix(g, w))
         u = grover_transition(g)
         as_float = np.array([[float(m[i, j]) for j in range(n)] for i in range(n)])
         assert np.allclose(as_float, u.T, atol=1e-12)
@@ -437,3 +437,59 @@ def test_walk_on_trees_beside_a_multigraph_with_loops(rng):
         assert g.edge_count < g.vertex_count
         assert_walk_matches_oracles(g, uniform_probability(g))
         assert_walk_matches_oracles(g, random_probability(rng, g))
+
+
+def test_eigenvalues_swap():
+    vals = sorted(eigenvalues_numeric([[0, 1], [1, 0]]), key=lambda z: z.real)
+    assert abs(vals[0] + 1) < 1e-12 and abs(vals[1] - 1) < 1e-12
+
+
+def test_eigenvalues_diagonal():
+    vals = sorted(v.real for v in eigenvalues_numeric([[2, 0, 0], [0, 3, 0], [0, 0, 5]]))
+    assert np.allclose(vals, [2, 3, 5], atol=1e-12)
+
+
+def test_eigenvalues_match_char_poly_roots(rng):
+    m = Matrix([[Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(5)] for _ in range(5)])
+    chi = char_poly_exact(m)
+    roots = np.roots([float(c) for c in reversed(chi.coeffs)])
+    direct = eigenvalues_numeric(m.data)
+    roots = sorted(roots, key=lambda z: (z.real, z.imag))
+    direct = sorted(direct, key=lambda z: (z.real, z.imag))
+    assert max(abs(a - b) for a, b in zip(roots, direct)) < 1e-8
+
+
+def test_eigenvalues_requires_square():
+    with pytest.raises(ValueError, match="square"):
+        eigenvalues_numeric([[1, 2, 3], [4, 5, 6]])
+
+
+def test_eigenvalues_real_input_reaches_lapack_as_float64(monkeypatch):
+    seen = []
+    eigvals = np.linalg.eigvals
+
+    def recording(a):
+        seen.append(a.dtype)
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", recording)
+    u = grover_transition(fixture_digraph("k4"))
+    eigenvalues_numeric(u)
+    eigenvalues_numeric([[0, 1], [1, 0]])
+    eigenvalues_numeric([[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]])
+    assert seen == [np.float64] * 3
+    eigenvalues_numeric([[0, 1j], [1, 0]])
+    assert seen[-1] == np.complex128
+
+
+def test_eigenvalues_match_the_complex_route_on_walk_matrices(rng):
+    def ordered(values):
+        return sorted(values, key=lambda z: (z.real, z.imag))
+
+    for nv in (4, 8, 16, 32, 64):
+        g = random_walk_graph(rng, nv)
+        for u in (grover_transition(g), szegedy_transition(g, random_probability(rng, g))):
+            vals = eigenvalues_numeric(u)
+            assert spectrum_deviation(vals, np.linalg.eigvals(u.astype(complex))) <= 1e-12
+            # dgeev returns exact conjugate pairs and real eigenvalues with imaginary part 0
+            assert ordered(vals) == ordered(z.conjugate() for z in vals)
