@@ -86,12 +86,14 @@ def parse_instance(text: str, source: str = "<instance>") -> Instance:
     def parse_rational(tok, line_no) -> Fraction:
         if not _RATIONAL.match(tok):
             fail(line_no, f"expected a rational p/q, got {_quote(tok)}")
+        num, _, den = tok.partition("/")
         try:
-            return Fraction(tok)
-        except ZeroDivisionError:
-            fail(line_no, f"zero denominator in {_quote(tok)}")
+            n, d = int(num), int(den) if den else 1
         except ValueError:  # more digits than int() converts
             fail(line_no, f"rational of {len(tok)} characters exceeds the integer digit limit")
+        if d == 0:
+            fail(line_no, f"zero denominator in {_quote(tok)}")
+        return Fraction(n, d)
 
     def parse_int(tok, line_no) -> int:
         try:

@@ -20,9 +20,16 @@ the extreme mu, which are exactly +-1, with no tolerance search.  The CLI
 checks the spectrum against a direct eigensolve of U (the oracle): a real
 double-precision general eigensolve, which does not assume that U is
 orthogonal.  The two spectra are compared by their exact bottleneck
-distance, computed in numpy.  The entries of U and T are square roots of
-products of rational probabilities, taken in integer arithmetic and exact
-wherever the product is a rational square.
+distance, computed in numpy.
+
+The probabilities are checked in integers: each reduced n/d must satisfy
+0 < n <= d, and the row sums are compared over the lcm of the row's
+denominators.  The entries of U and T are square roots of products of two
+probabilities, taken in Python-int arithmetic at any size and exact
+wherever the product is a rational square.  The root is symmetric, so U
+takes it once per distinct unordered pair of probability values (a Grover
+walk, once per pair of distinct degrees) and places it by numpy index
+arrays over the arcs sorted by tail; T takes it once per edge.
 
 This module makes every numpy call in the library, the direct eigensolve
 ``eigenvalues_numeric`` among them; the exact kernel in ``linalg`` uses
@@ -60,77 +67,122 @@ def uniform_probability(g: Digraph) -> dict[int, Fraction]:
     return {a.id: Fraction(1, g.degree(a.tail)) for a in g.arcs}
 
 
+def _uniform_terms(g: Digraph) -> list[tuple[int, int]]:
+    """The Grover assignment as (numerator, denominator) pairs in arc order."""
+    return [(1, g.degree(a.tail)) for a in g.arcs]
+
+
+def _probability_terms(g: Digraph, p) -> list[tuple[int, int]]:
+    """p as (numerator, denominator) pairs in arc order, checked in integers.
+
+    Each probability goes through ``algebra.as_fraction``, so a float raises
+    TypeError.  A reduced n/d lies in (0, 1] when 0 < n <= d, and the
+    probabilities n_i/d_i leaving a vertex sum to 1 when
+    sum n_i * (L // d_i) == L for L = lcm(d_i).  The checks do no Fraction
+    arithmetic; a Fraction only words a row-sum error.
+    """
+    terms = []
+    for a in range(g.arc_count):
+        if a not in p:
+            raise WalkError(f"missing probability for arc {a}")
+        x = as_fraction(p[a])
+        n, d = x.as_integer_ratio()
+        if not 0 < n <= d:
+            raise WalkError(f"probability {x} for arc {a} outside (0, 1]")
+        terms.append((n, d))
+    for v in range(g.vertex_count):
+        out = [terms[a] for a in g.out_arcs(v)]
+        lcm = math.lcm(*[d for _, d in out])
+        total = sum([n * (lcm // d) for n, d in out])
+        if total != lcm:
+            raise WalkError(f"probabilities at vertex {v} sum to {Fraction(total, lcm)}, expected 1")
+    return terms
+
+
 def validate_probability(g: Digraph, p) -> dict[int, Fraction]:
     """Check totality, positivity, and exact unit row sums per tail vertex.
 
     Each probability goes through ``algebra.as_fraction``, so a float
     raises TypeError.
     """
-    probs = {}
-    for a in g.arcs:
-        if a.id not in p:
-            raise WalkError(f"missing probability for arc {a.id}")
-        val = as_fraction(p[a.id])
-        if not 0 < val <= 1:
-            raise WalkError(f"probability {val} for arc {a.id} outside (0, 1]")
-        probs[a.id] = val
-    for v in range(g.vertex_count):
-        total = sum(probs[a] for a in g.out_arcs(v))
-        if total != 1:
-            raise WalkError(f"probabilities at vertex {v} sum to {total}, expected 1")
-    return probs
+    _probability_terms(g, p)
+    return {a: as_fraction(p[a]) for a in range(g.arc_count)}
 
 
-def _sqrt_product(x: Fraction, y: Fraction) -> float:
-    """sqrt(x*y), exact when the product is a rational square.
+def _sqrt_product(x: tuple[int, int], y: tuple[int, int]) -> float:
+    """sqrt(x*y) for x and y given as (numerator, denominator) pairs, exact
+    when the product is a rational square.
 
     With x*y = n/d, the product is a rational square exactly when n*d is a
     perfect square, and then sqrt(x*y) = isqrt(n*d)/d.  Int true division is
     correctly rounded, so no Fraction is built.
     """
-    n = x.numerator * y.numerator
-    d = x.denominator * y.denominator
+    n = x[0] * y[0]
+    d = x[1] * y[1]
     root = math.isqrt(n * d)
     if root * root == n * d:
         return root / d
     return math.sqrt(n / d)
 
 
-def _transition(g: Digraph, probs: dict[int, Fraction]) -> np.ndarray:
+def _pair_roots(values: list[tuple[int, int]], ka: np.ndarray, kb: np.ndarray) -> np.ndarray:
+    """sqrt(values[ka[i]] * values[kb[i]]) for each i, by one _sqrt_product
+    per distinct unordered pair of values: the root is symmetric."""
+    import numpy as np
+    k = len(values)
+    keys = np.minimum(ka, kb) * k + np.maximum(ka, kb)
+    distinct, where = np.unique(keys, return_inverse=True)
+    roots = [_sqrt_product(values[key // k], values[key % k]) for key in distinct.tolist()]
+    return np.array(roots, dtype=float)[where]
+
+
+def _transition(g: Digraph, terms: list[tuple[int, int]]) -> np.ndarray:
     """U for validated probabilities, visiting only adjacent arc pairs.
 
-    The arcs b with head(b) = tail(a) are the partners of the arcs leaving
-    tail(a), and inv(partner(c)) = c.  The partner map is a bijection, so
-    c -> partner(c) sets no entry twice, loops and parallel edges included:
-    U is filled by one assignment and the partner diagonal takes its -1 by
-    another.
+    The arcs b with head(b) = tail(a) are the partners of the arcs c leaving
+    tail(a), and inv(partner(c)) = c.  Row a holds 2 sqrt(p(a) p(c)) at
+    column partner(c) for each such c, so the rows and columns are index
+    arrays over the arcs sorted by tail.  The partner map is a bijection,
+    so no entry is set twice, loops and parallel edges included: U is
+    filled by one assignment.  The entry for c = a, at (a, partner(a)),
+    has the partner flip's -1 subtracted before it.
     """
     import numpy as np
     n = g.arc_count
-    rows, cols, vals = [], [], []
-    for v in range(g.vertex_count):
-        out = g.out_arcs(v)
-        partners = [g.partner(c) for c in out]
-        for a in out:
-            pa = probs[a]
-            for c, b in zip(out, partners):
-                rows.append(a)
-                cols.append(b)
-                vals.append(2.0 * _sqrt_product(pa, probs[c]))
+    tails = np.array([a.tail for a in g.arcs], dtype=np.intp)
+    by_tail = np.argsort(tails, kind="stable")
+    deg = np.bincount(tails, minlength=g.vertex_count)
+    width = deg[tails]  # the entries of row a: one per arc leaving tail(a)
+    start = np.cumsum(width) - width  # where row a's entries start
+    first = (np.cumsum(deg) - deg)[tails]  # where tail(a)'s arcs start in by_tail
+    rows = np.repeat(np.arange(n), width)
+    out = by_tail[np.arange(rows.size) + np.repeat(first - start, width)]  # c, entry by entry
+    index: dict[tuple[int, int], int] = {}  # each distinct value's class
+    cls = np.array([index.setdefault(t, len(index)) for t in terms], dtype=np.intp)
+    values = list(index)
+    cols = np.array(g.pairing, dtype=np.intp)[out]
+    vals = 2.0 * _pair_roots(values, cls[rows], cls[out]) - (out == rows)  # c = a: the flip
     u = np.zeros((n, n))
     u[rows, cols] = vals
-    u[np.arange(n), g.pairing] -= 1.0
     return u
 
 
-def _discriminant(g: Digraph, probs: dict[int, Fraction]) -> np.ndarray:
-    """T[u][v] = sum over arcs a in A_uv of sqrt(p(a) p(inv(a)))."""
+def _discriminant(g: Digraph, terms: list[tuple[int, int]]) -> np.ndarray:
+    """T[u][v] = sum over arcs a in A_uv of sqrt(p(a) p(inv(a))).
+
+    An edge takes one root, shared by its two arcs.  The roots are summed
+    in arc order, as sequential additions from 0.0, so parallel edges and
+    loops give the same bits as a loop over the arcs.
+    """
     import numpy as np
     nv = g.vertex_count
-    t = np.zeros((nv, nv))
-    for a in g.arcs:
-        t[a.tail, a.head] += _sqrt_product(probs[a.id], probs[g.partner(a.id)])
-    return t
+    roots = [0.0] * g.arc_count
+    for a, b in enumerate(g.pairing):
+        if a < b:
+            roots[a] = roots[b] = _sqrt_product(terms[a], terms[b])
+    cells = [a.tail * nv + a.head for a in g.arcs]
+    t = np.bincount(cells, weights=roots, minlength=nv * nv)
+    return t.astype(float, copy=False).reshape(nv, nv)  # no arcs: bincount gives ints
 
 
 def _quadratic_roots(mu: float) -> tuple[complex, complex]:
@@ -142,13 +194,15 @@ def _quadratic_roots(mu: float) -> tuple[complex, complex]:
     discriminants of desk-scale instances are either exactly zero or far
     from the snap threshold.
     """
-    import numpy as np
     disc = (2.0 * mu) ** 2 - 4.0
-    root = 0.0 if abs(disc) <= 1e-11 else np.sqrt(complex(disc))
+    if abs(disc) <= 1e-11:
+        root = 0.0
+    else:  # the principal square root of disc + 0j
+        root = complex(math.sqrt(disc), 0.0) if disc > 0 else complex(0.0, math.sqrt(-disc))
     return ((2.0 * mu + root) / 2.0, (2.0 * mu - root) / 2.0)
 
 
-def _spectrum(g: Digraph, probs: dict[int, Fraction]) -> list[complex]:
+def _spectrum(g: Digraph, terms: list[tuple[int, int]]) -> list[complex]:
     """{+1, -1} each |E|-|V| times plus the roots of lambda^2 - 2 mu lambda + 1.
 
     T is symmetric (sqrt(p(a) p(inv(a))) is the same for a and inv(a)), so
@@ -162,11 +216,11 @@ def _spectrum(g: Digraph, probs: dict[int, Fraction]) -> list[complex]:
     bipartite and so has +1 and -1 as simple eigenvalues.
     """
     import numpy as np
-    mus = np.linalg.eigvalsh(_discriminant(g, probs))
+    mus = np.linalg.eigvalsh(_discriminant(g, terms))
     cut = g.vertex_count - g.edge_count
     roots: list[complex] = []
-    for i, mu in enumerate(mus):
-        pair = _quadratic_roots(float(mu))
+    for i, mu in enumerate(mus.tolist()):
+        pair = _quadratic_roots(mu)
         roots.extend(pair[:1] if i < cut or i >= len(mus) - cut else pair)
     roots.extend([1.0 + 0.0j, -1.0 + 0.0j] * max(0, -cut))
     return roots
@@ -175,13 +229,13 @@ def _spectrum(g: Digraph, probs: dict[int, Fraction]) -> list[complex]:
 def szegedy_transition(g: Digraph, p) -> np.ndarray:
     """The arc-indexed Szegedy transition matrix for probabilities ``p``."""
     _require_walk_graph(g)
-    return _transition(g, validate_probability(g, p))
+    return _transition(g, _probability_terms(g, p))
 
 
 def grover_transition(g: Digraph) -> np.ndarray:
     """The Grover transition matrix 2/deg(tail(a)) on adjacencies minus the partner flip."""
     _require_walk_graph(g)
-    return _transition(g, uniform_probability(g))
+    return _transition(g, _uniform_terms(g))
 
 
 def unitarity_defect(u: np.ndarray) -> float:
@@ -232,19 +286,19 @@ def eigenvalues_numeric(m) -> list[complex]:
 def szegedy_discriminant(g: Digraph, p) -> np.ndarray:
     """T[u][v] = sum over arcs a in A_uv of sqrt(p(a) p(inv(a)))."""
     _require_walk_graph(g)
-    return _discriminant(g, validate_probability(g, p))
+    return _discriminant(g, _probability_terms(g, p))
 
 
 def grover_spectrum_via_zeta(g: Digraph) -> list[complex]:
     """Spectrum of the Grover walk from the vertex factorization."""
     _require_walk_graph(g)
-    return _spectrum(g, uniform_probability(g))
+    return _spectrum(g, _uniform_terms(g))
 
 
 def szegedy_spectrum_via_factorization(g: Digraph, p) -> list[complex]:
     """Spectrum of the Szegedy walk from the vertex factorization."""
     _require_walk_graph(g)
-    return _spectrum(g, validate_probability(g, p))
+    return _spectrum(g, _probability_terms(g, p))
 
 
 def _grow_matching(cost: np.ndarray, limit: float, row_of: np.ndarray, col_of: np.ndarray) -> bool:

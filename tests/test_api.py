@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import zetawalk
+from zetawalk import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -70,6 +71,30 @@ def test_only_walk_imports_numpy_and_only_zeta_imports_linalg():
     assert {name for name, mods in imports.items() if "linalg" in mods} == {"zeta.py"}
 
 
+def _unused_imports(path):
+    """The names that a top-level import of ``path`` binds and that nothing
+    in the file uses; a string in ``__all__`` counts as a use."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    return sorted(f"{path.name}:{line} {name}" for name, line in bound.items() if name not in used)
+
+
+def test_every_top_level_import_is_used():
+    paths = sorted((ROOT / "src" / "zetawalk").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    assert [unused for path in paths for unused in _unused_imports(path)] == []
+
+
 def _public_callables():
     """Each callable in ``__all__`` and each public method of each class there."""
     for name in zetawalk.__all__:
@@ -106,6 +131,40 @@ def test_tracing_patch_targets_resolve(path, attr, span):
         module, _, cls = path.rpartition(".")
         owner = getattr(importlib.import_module(module), cls)
     assert attr in vars(owner)
+
+
+# The names that one ``spectrum`` call looks up in ``zetawalk.cli``, per walk.
+SPECTRUM_CALLS = {
+    walk: {
+        "load_instance", "instance_digraph", f"{walk}_transition", via,
+        "eigenvalues_numeric", "unitarity_defect", "spectrum_deviation",
+    }
+    for walk, via in (("grover", "grover_spectrum_via_zeta"), ("szegedy", "szegedy_spectrum_via_factorization"))
+}
+
+
+@pytest.mark.parametrize("walk", sorted(SPECTRUM_CALLS))
+def test_spectrum_calls_each_traced_cli_name_once(walk, monkeypatch, tmp_path, capsys):
+    """A traced span reads 0 when the CLI stops calling the name that the
+    tracer wraps, so one ``spectrum`` call must call each once."""
+    traced = {attr for path, attr, _ in PATCHES if path == "zetawalk.cli"}
+    assert SPECTRUM_CALLS[walk] <= traced
+    calls = dict.fromkeys(traced, 0)
+
+    def counting(attr, fn):
+        def counted(*args, **kwargs):
+            calls[attr] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for attr in traced:
+        monkeypatch.setattr(cli, attr, counting(attr, getattr(cli, attr)))
+    instance = tmp_path / "p3.zw"
+    instance.write_text(zetawalk.fixture_text("p3"), encoding="utf-8")
+    assert cli.main(["spectrum", str(instance), walk]) == 0
+    assert "VERDICT spectrum agree" in capsys.readouterr().out
+    assert calls == {attr: int(attr in SPECTRUM_CALLS[walk]) for attr in traced}
 
 
 @pytest.mark.parametrize("module, name", WORKER_IMPORTS)

@@ -1,6 +1,5 @@
 import itertools
 import math
-import random
 from fractions import Fraction
 
 import pytest

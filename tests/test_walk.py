@@ -354,15 +354,18 @@ def test_zeta_edge_matrix_bridges_to_grover_walk():
 def test_sqrt_product_bit_identical_to_fraction_route():
     # squares before reduction (1/4 * 1/9), only after multiplication
     # (2/9 * 8/9, 1/8 * 1/2) or only as n*d (2/3 * 3/8 = 6/24 = 1/4), and
-    # non-squares
+    # non-squares; _sqrt_product takes (numerator, denominator) pairs
+    def root(x, y):
+        return _sqrt_product(x.as_integer_ratio(), y.as_integer_ratio())
+
     grid = sorted({Fraction(a, b) for b in range(1, 13) for a in range(1, b + 1)})
     for x in grid:
         for y in grid:
-            assert _sqrt_product(x, y) == sqrt_product(x, y)
-    assert _sqrt_product(Fraction(2, 9), Fraction(8, 9)) == 4 / 9
-    assert _sqrt_product(Fraction(1, 8), Fraction(1, 2)) == 0.25
-    assert _sqrt_product(Fraction(2, 3), Fraction(3, 8)) == 0.5
-    assert _sqrt_product(Fraction(1, 3), Fraction(1, 6)) == math.sqrt(1 / 18)
+            assert root(x, y) == sqrt_product(x, y)
+    assert root(Fraction(2, 9), Fraction(8, 9)) == 4 / 9
+    assert root(Fraction(1, 8), Fraction(1, 2)) == 0.25
+    assert root(Fraction(2, 3), Fraction(3, 8)) == 0.5
+    assert root(Fraction(1, 3), Fraction(1, 6)) == math.sqrt(1 / 18)
 
 
 def probability_by_vertex(g, rows):
@@ -398,6 +401,29 @@ def test_walk_matrices_bit_identical_to_oracle(rng):
         p = random_probability(rng, g)
         assert np.array_equal(szegedy_transition(g, p), walk_transition(g, p))
         assert np.array_equal(szegedy_discriminant(g, p), walk_discriminant(g, p))
+
+
+def test_walk_matrices_bit_identical_on_big_rationals():
+    # a loop at 0 and a double edge 0-1; the products n*d of two
+    # probabilities pass 2^64, so no fixed-width integer route holds them
+    g = fixture_digraph("paper-graph")
+    x, y = Fraction(3**25, 2**61 - 1), Fraction(5**17, 2**89 - 1)
+    u = Fraction(7**14, 11**13)
+    z = Fraction(13**11, 17**10)
+    p = probability_by_vertex(g, [
+        [x, x, y, y, 1 - 2 * x - 2 * y],  # the loop's two arcs, then the double edge
+        [u, 4 * u, 1 - 5 * u],  # the double edge, then the edge to 2
+        [z, 1 - z],
+    ])
+    probs = validate_probability(g, p)
+    assert min(a.numerator * b.numerator * a.denominator * b.denominator
+               for a in probs.values() for b in probs.values()) > 2**64
+    assert_walk_matches_oracles(g, p)
+    # exact roots of big squares: x * x on the loop, u * 4u between arcs 3 and 5
+    assert szegedy_discriminant(g, p)[0, 0] == 2 * float(x)
+    transition = szegedy_transition(g, p)
+    assert transition[0, g.partner(1)] == 2 * float(x)
+    assert transition[3, g.partner(5)] == 2 * float(2 * u)
 
 
 def test_walk_on_multi_edge_pairs_and_a_lone_loop(rng):
