@@ -32,6 +32,7 @@ from .instances import (
 )
 from .walk import (
     WalkError,
+    check_probability,
     eigenvalues_numeric,
     grover_spectrum_via_zeta,
     grover_transition,
@@ -202,8 +203,9 @@ def cmd_spectrum(ns) -> tuple[str, int]:
         u = grover_transition(g)
         derived = grover_spectrum_via_zeta(g)
     else:
-        u = szegedy_transition(g, inst.prob)
-        derived = szegedy_spectrum_via_factorization(g, inst.prob)
+        prob = check_probability(g, inst.prob)
+        u = szegedy_transition(g, prob)
+        derived = szegedy_spectrum_via_factorization(g, prob)
     direct = eigenvalues_numeric(u)
     rep.add("unitarity-defect", f"{unitarity_defect(u):.3e}")
     for i, z in enumerate(_sorted_spectrum(direct)):

@@ -24,8 +24,9 @@ distance, computed in numpy.
 
 The probabilities are checked in integers: each reduced n/d must satisfy
 0 < n <= d, and the row sums are compared over the lcm of the row's
-denominators.  The entries of U and T are square roots of products of two
-probabilities, taken in Python-int arithmetic at any size and exact
+denominators; ``check_probability`` checks them once for several Szegedy
+calls on one graph.  The entries of U and T are square roots of products
+of two probabilities, taken in Python-int arithmetic at any size and exact
 wherever the product is a rational square.  The root is symmetric, so U
 takes it once per distinct unordered pair of probability values (a Grover
 walk, once per pair of distinct degrees) and places it by numpy index
@@ -41,6 +42,7 @@ not load it.  A walk verb pays for it on its first call.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -97,6 +99,31 @@ def _probability_terms(g: Digraph, p) -> list[tuple[int, int]]:
         if total != lcm:
             raise WalkError(f"probabilities at vertex {v} sum to {Fraction(total, lcm)}, expected 1")
     return terms
+
+
+@dataclass(frozen=True)
+class CheckedProbability:
+    """Probabilities checked once against the graph ``g``: their
+    (numerator, denominator) pairs in arc order.  The Szegedy functions
+    take one in place of p and skip the check on that graph."""
+
+    g: Digraph
+    terms: list[tuple[int, int]]
+
+
+def check_probability(g: Digraph, p) -> CheckedProbability:
+    """Check g as a walk graph and p against it, once for several Szegedy
+    calls; the errors are those of ``szegedy_transition``."""
+    _require_walk_graph(g)
+    return CheckedProbability(g, _probability_terms(g, p))
+
+
+def _checked_terms(g: Digraph, p) -> list[tuple[int, int]]:
+    if isinstance(p, CheckedProbability):
+        if p.g is not g:
+            raise WalkError("probabilities were checked against another graph")
+        return p.terms
+    return _probability_terms(g, p)
 
 
 def validate_probability(g: Digraph, p) -> dict[int, Fraction]:
@@ -229,7 +256,7 @@ def _spectrum(g: Digraph, terms: list[tuple[int, int]]) -> list[complex]:
 def szegedy_transition(g: Digraph, p) -> np.ndarray:
     """The arc-indexed Szegedy transition matrix for probabilities ``p``."""
     _require_walk_graph(g)
-    return _transition(g, _probability_terms(g, p))
+    return _transition(g, _checked_terms(g, p))
 
 
 def grover_transition(g: Digraph) -> np.ndarray:
@@ -286,7 +313,7 @@ def eigenvalues_numeric(m) -> list[complex]:
 def szegedy_discriminant(g: Digraph, p) -> np.ndarray:
     """T[u][v] = sum over arcs a in A_uv of sqrt(p(a) p(inv(a)))."""
     _require_walk_graph(g)
-    return _discriminant(g, _probability_terms(g, p))
+    return _discriminant(g, _checked_terms(g, p))
 
 
 def grover_spectrum_via_zeta(g: Digraph) -> list[complex]:
@@ -298,7 +325,7 @@ def grover_spectrum_via_zeta(g: Digraph) -> list[complex]:
 def szegedy_spectrum_via_factorization(g: Digraph, p) -> list[complex]:
     """Spectrum of the Szegedy walk from the vertex factorization."""
     _require_walk_graph(g)
-    return _spectrum(g, _probability_terms(g, p))
+    return _spectrum(g, _checked_terms(g, p))
 
 
 def _grow_matching(cost: np.ndarray, limit: float, row_of: np.ndarray, col_of: np.ndarray) -> bool:

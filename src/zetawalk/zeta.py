@@ -67,12 +67,17 @@ paths for N_k and prime cycles for the Euler product, run on the integer
 matrix D*T, D the lcm of the row denominators e (``_clear_denominators``).
 A length-k term then carries D^k, and each result is divided back by its
 power of D once at the end, so the routes stay exact without a Fraction
-operation per path.  The closed-path walk goes level by level and skips any
-arc from which its start arc is out of reach in the remaining length; the
+operation per path.  The closed-path route counts each closed path from its
+least arc s: it walks only the first-return loops s -> x_1 -> ... -> s with
+every x_i > s, level by level, skipping any arc from which s is out of
+reach in the remaining length, and an integer recurrence turns the loops'
+totals into s's share of every N_k (``_n_k_enumerated_all``).  The
 prime-cycle walk (``digraph.lyndon_cycles``) follows the nonzero entries of
 D*T, those of M, only.  The trace route to N_k clears the denominators on
 its own and reads each N_k off two powers of at most ceil(order/2); the two
-N_k routes must agree exactly (ConsistencyError otherwise).
+N_k routes must agree exactly (ConsistencyError otherwise).  The Hashimoto
+series 1 / det(I - t*M) is inverted in integers as well
+(``_hashimoto_series``).
 """
 
 from __future__ import annotations
@@ -174,6 +179,22 @@ def _hashimoto(theta) -> tuple[list[int], int]:
     return values[::-1], delta
 
 
+def _hashimoto_series(hk, order: int) -> Series:
+    """1 / det(I - t*M) to ``order``, from (H, Delta) of ``_hashimoto``.
+
+    det(I - t*M) = sum_j H_j t^j / Delta with H_0 = Delta.  Writing the
+    inverse's coefficients as y_n / Delta^n turns the usual recurrence into
+    y_0 = 1, y_n = -sum_{j=1..n} H_j Delta^(j-1) y_{n-j}, in Python ints;
+    only the results become Fractions.
+    """
+    values, delta = hk
+    lifted = [h * delta ** (j - 1) for j, h in enumerate(values[1 : order + 1], start=1)]
+    ys = [1]
+    for _ in range(order):
+        ys.append(-sum(map(mul, lifted, reversed(ys))))
+    return Series([Fraction(y, delta**n) for n, y in enumerate(ys)], order)
+
+
 def _as_poly(values: list[int], delta: int) -> Poly:
     return Poly([Fraction(v, delta) for v in values])
 
@@ -191,34 +212,55 @@ def _n_k_enumerated_all(theta, upto: int) -> list:
 
     The walk runs on the Python ints D*T from ``_clear_denominators``, with
     T = S M S^-1, so a closed path of length k adds D^k times its circular
-    product (the same in T as in M) and N_k is the total over D^k.  From
-    each start arc s it goes level by level: a level holds, for each arc a,
-    the list of products of the walks of the current length from s to a,
-    and each walk's product is formed on its own.  A walk at depth k moves
-    on to arc b only if b leads back to s in at most upto - k steps along
-    nonzero entries; every skipped branch holds no closed path of length at
-    most ``upto`` and would contribute 0.  The last level is summed as it is
-    formed and never held, so memory is the widest of the levels before it.
+    product (the same in T as in M) and N_k is the total over D^k.
+
+    N_k sums the product of every closed path, a sequence of k arcs read
+    from each of its k start positions.  Group the paths by their least arc
+    s.  For a path P that visits s n times, the pairs (P, i) with P_i = s
+    match one to one, by rotating P to start at i, the pairs (W, i) of a
+    closed path W that starts at s and any of the k positions i.  Such a W
+    with n visits of s is a sequence of n first-return loops
+    s -> x_1 -> ... -> x_{j-1} -> s with every x_i > s.  So with F_s(t) the
+    total product of the loops at s, by length, the paths with least arc s
+    add
+
+        sum_n (k / n) [t^k] F_s(t)^n = k [t^k] -log(1 - F_s(t)) = m_k
+
+    to N_k: each path once, from each start position.  Then
+    m_k = k f_k + sum_{j<k} m_j f_{k-j} with f_k = [t^k] F_s, and as it is
+    homogeneous of degree k, it holds for D^k m_k and D^k f_k, so
+    D^k N_k = sum_s D^k m_k is found in ints.
+
+    From each s the walk goes level by level: a level holds, for each arc
+    a > s, the list of products of the walks of the current length from s
+    to a, and each walk's product is formed on its own.  A walk at depth k
+    moves on to arc b only if b leads back to s in at most upto - k steps
+    through arcs > s (``steps_to`` with floor s + 1); that distance exceeds
+    upto at every b <= s, so the walk never revisits s nor goes below it,
+    and every skipped branch holds no loop of length at most ``upto``.  The
+    last level is summed as it is formed and never held, so memory is the
+    widest of the levels before it.
     """
     scale, im = _clear_denominators(theta)
     rows = [tuple((b, v) for b, v in enumerate(row) if v != 0) for row in im]
     preds = predecessors([[b for b, _ in row] for row in rows])
     totals = [0] * (upto + 1)
     for s in range(len(im)):
-        steps = _steps_to(preds, s, upto)
+        steps = _steps_to(preds, s, upto, s + 1)
+        loops = [0] * (upto + 1)  # loops[k] = D^k f_k
         level = {s: [1]}
         for depth in range(1, upto + 1):
             nxt = {}
             for a, prods in level.items():
                 wrap = im[a][s]
                 if wrap:
-                    totals[depth] += wrap * sum(prods)
+                    loops[depth] += wrap * sum(prods)
                 for b, v in rows[a]:
                     if depth + steps[b] > upto:
                         continue
                     if depth + 1 == upto:
                         # b closes at once; the last level is not held
-                        totals[upto] += im[b][s] * sum([p * v for p in prods])
+                        loops[upto] += im[b][s] * sum([p * v for p in prods])
                     elif b in nxt:
                         nxt[b] += [p * v for p in prods]
                     else:
@@ -226,6 +268,11 @@ def _n_k_enumerated_all(theta, upto: int) -> list:
             if not nxt:
                 break
             level = nxt
+        if any(loops):
+            shares = [0]  # shares[k] = D^k m_k
+            for k in range(1, upto + 1):
+                shares.append(k * loops[k] + sum(map(mul, shares[1:k], loops[k - 1 : 0 : -1])))
+                totals[k] += shares[k]
     return [Fraction(total, scale**k) for k, total in enumerate(totals[1:], start=1)]
 
 
@@ -655,8 +702,9 @@ def verify_expressions(d: Digraph, w: WeightAssignment, order: int) -> ZetaRepor
     expo = _exp_of_power_sums(_n_k_all(theta, order), order)
     eul = _euler(theta, order)
     side, _ = (_graph_side if d.mode is GraphMode.SYMMETRIC else _digraph_side)(d, w)
-    h, ihara_rhs, k = _identity(*side, _hashimoto(theta))
-    h_series = Series.from_poly(h, order).inv()
+    hk = _hashimoto(theta)
+    h, ihara_rhs, k = _identity(*side, hk)
+    h_series = _hashimoto_series(hk, order)
     verdicts = (
         _verdict("exponential-vs-euler", expo.first_mismatch(eul)),
         _verdict("exponential-vs-hashimoto", expo.first_mismatch(h_series)),

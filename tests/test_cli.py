@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zetawalk.algebra import Poly, RatFunc, Series
-from zetawalk import cli, zeta
+from zetawalk import cli, walk, zeta
 from zetawalk.cli import exit_code_for_report, main
 from zetawalk.digraph import GraphMode, symmetric_digraph
 from zetawalk.instances import (
@@ -281,6 +281,38 @@ def test_cli_spectrum_szegedy_constants(tmp_path):
     code, out, _ = run_cli("spectrum", path, "szegedy")
     assert code == 0
     assert "VERDICT spectrum agree" in out
+
+
+def test_cli_spectrum_szegedy_checks_the_probabilities_once(tmp_path, monkeypatch):
+    real = walk._probability_terms
+    calls = []
+
+    def counted(g, p):
+        calls.append(p)
+        return real(g, p)
+
+    monkeypatch.setattr(walk, "_probability_terms", counted)
+    code, out, _ = run_cli("spectrum", write_fixture(tmp_path, "p3"), "szegedy")
+    assert code == 0 and "VERDICT spectrum agree" in out
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "edits, message",
+    [
+        ([("prob 2 2/3", "prob 2 1/3")], "probabilities at vertex 1 sum to 2/3, expected 1"),
+        ([("prob 1 1/3", "prob 1 0")], "probability 0 for arc 1 outside (0, 1]"),
+        # an isolated vertex is named before the bad probability
+        ([("vertices 3", "vertices 4"), ("prob 2 2/3", "prob 2 1/3")], "walks need minimum degree >= 1"),
+    ],
+)
+def test_cli_spectrum_szegedy_names_the_first_bad_probability(tmp_path, edits, message):
+    text = fixture_text("p3")
+    for old, new in edits:
+        text = text.replace(old, new)
+    path = tmp_path / "bad.zw"
+    path.write_text(text, encoding="utf-8")
+    assert run_cli("spectrum", str(path), "szegedy") == (2, "", f"error: {message}\n")
 
 
 def test_cli_spectrum_szegedy_large_graphs(tmp_path, rng):

@@ -12,6 +12,7 @@ from zetawalk.instances import fixture_digraph, fixture_instance, instance_digra
 from zetawalk.walk import (
     WalkError,
     _sqrt_product,
+    check_probability,
     eigenvalues_numeric,
     grover_spectrum_via_zeta,
     grover_transition,
@@ -212,6 +213,18 @@ def test_probability_validation_errors():
     probs[0] = Fraction(1, 3)
     with pytest.raises(WalkError, match="vertex 0"):
         validate_probability(tri, probs)
+
+
+def test_checked_probability_gives_the_same_walk_on_its_own_graph_only():
+    g = fixture_digraph("paper-graph")
+    p = uniform_probability(g)
+    checked = check_probability(g, p)
+    assert np.array_equal(szegedy_transition(g, checked), szegedy_transition(g, p))
+    assert np.array_equal(szegedy_discriminant(g, checked), szegedy_discriminant(g, p))
+    assert szegedy_spectrum_via_factorization(g, checked) == szegedy_spectrum_via_factorization(g, p)
+    other = fixture_digraph("paper-graph")
+    with pytest.raises(WalkError, match="another graph"):
+        szegedy_transition(other, checked)
 
 
 def test_probability_floats_raise_type_error():

@@ -17,6 +17,8 @@ from zetawalk.zeta import (
     WeightAssignment,
     _edge_matrix_data,
     _euler,
+    _hashimoto,
+    _hashimoto_series,
     _n_k_enumerated_all,
     _n_k_trace_all,
     _pair_f,
@@ -246,10 +248,10 @@ def test_power_sums_with_large_prime_denominators_and_zero_theta(name):
         m[a][b] == 0 for a in range(d.arc_count) for b in d.inverse_set(a)
     )  # a zeroed adjacency: the enumeration must skip it, not divide by it
     theta = _edge_matrix_data(d, w)
-    trace = _n_k_trace_all(theta, 8)
-    assert _n_k_enumerated_all(theta, 8) == trace
-    assert n_k_all(d, w, 8) == trace
-    report = verify_expressions(d, w, 8)
+    trace = _n_k_trace_all(theta, 10)
+    assert _n_k_enumerated_all(theta, 10) == trace
+    assert n_k_all(d, w, 10) == trace
+    report = verify_expressions(d, w, 10)
     assert report.all_agree
     assert report.euler == report.hashimoto_series
 
@@ -276,29 +278,91 @@ def test_overpruned_enumeration_raises_consistency_error(monkeypatch, rng):
     # the closed paths of lengths 3 and 4 at order 4
     real = zeta._steps_to
     monkeypatch.setattr(
-        zeta, "_steps_to", lambda preds, s, cap: [max(v, 3) for v in real(preds, s, cap)]
+        zeta,
+        "_steps_to",
+        lambda preds, s, cap, floor: [max(v, 3) for v in real(preds, s, cap, floor)],
     )
     g = fixture_digraph("triangle")
     with pytest.raises(ConsistencyError, match="N_3"):
         n_k_all(g, random_weights(rng, g), 4)
 
 
+def mutate(monkeypatch, name, old, new):
+    """Replace zeta's function ``name`` by its source with ``old`` replaced
+    by ``new``, compiled in zeta's namespace."""
+    source = textwrap.dedent(inspect.getsource(getattr(zeta, name)))
+    mutated = source.replace(old, new)
+    assert mutated != source
+    namespace = dict(vars(zeta))
+    exec(compile(mutated, zeta.__file__, "exec"), namespace)
+    monkeypatch.setattr(zeta, name, namespace[name])
+
+
 def test_corrupted_trace_scaling_raises_consistency_error(monkeypatch):
     # the trace route clears denominators with its own scale D and divides
     # D^k N_k back by it; a trace route that divides by (2D)^k instead must be
     # caught by the comparison with the enumeration
-    source = textwrap.dedent(inspect.getsource(zeta._n_k_trace_all))
-    mutated = source.replace("scale**k", "(2 * scale) ** k")
-    assert mutated != source
-    namespace = dict(vars(zeta))
-    exec(compile(mutated, zeta.__file__, "exec"), namespace)
-    monkeypatch.setattr(zeta, "_n_k_trace_all", namespace["_n_k_trace_all"])
+    mutate(monkeypatch, "_n_k_trace_all", "scale**k", "(2 * scale) ** k")
     d = fixture_digraph("paper-digraph")
     w = WeightAssignment.ones(d)
     with pytest.raises(ConsistencyError, match="N_3"):  # N_1 = N_2 = 0 here
         n_k_all(d, w, 4)
     with pytest.raises(ConsistencyError):
         verify_expressions(d, w, 4)
+
+
+def test_loop_recurrence_without_convolution_raises_consistency_error(monkeypatch):
+    # m_k = k f_k alone counts only the closed paths that visit their least
+    # arc once; on the paper graph, some of length 2 visit it twice
+    mutate(
+        monkeypatch,
+        "_n_k_enumerated_all",
+        "k * loops[k] + sum(map(mul, shares[1:k], loops[k - 1 : 0 : -1]))",
+        "k * loops[k]",
+    )
+    d = fixture_digraph("paper-graph")
+    w = WeightAssignment.ones(d)
+    with pytest.raises(ConsistencyError, match="N_2"):
+        n_k_all(d, w, 6)
+    with pytest.raises(ConsistencyError):
+        verify_expressions(d, w, 6)
+
+
+@pytest.mark.parametrize("name, first", [("paper-graph", "N_2"), ("paper-digraph", "N_6")])
+def test_loop_walk_that_revisits_its_least_arc_raises_consistency_error(monkeypatch, name, first):
+    # with the distance table's floor at s, a walk from s may pass through s
+    # again, and a loop then holds several first-return loops; the floor
+    # s + 1 alone keeps the walk above s
+    mutate(
+        monkeypatch,
+        "_n_k_enumerated_all",
+        "_steps_to(preds, s, upto, s + 1)",
+        "_steps_to(preds, s, upto, s)",
+    )
+    d = fixture_digraph(name)
+    with pytest.raises(ConsistencyError, match=first):
+        n_k_all(d, WeightAssignment.ones(d), 6)
+
+
+def test_enumeration_matches_trace_on_parallel_edges():
+    # 16 arcs whose closed paths revisit their least arc at every length
+    g = symmetric_digraph(2, [(0, 1)] * 8)
+    theta = _edge_matrix_data(g, WeightAssignment.ones(g))
+    assert _n_k_enumerated_all(theta, 8) == _n_k_trace_all(theta, 8)
+
+
+def test_integer_hashimoto_series_matches_series_inv():
+    rng = random.Random(20261019)
+    for trial in range(60):
+        if trial % 2:
+            d = random_digraph(rng, max_vertices=4, max_arcs=8)
+        else:
+            d = random_multigraph(rng, max_vertices=4, max_edges=4)
+        w = inverse_cancelling_weights(rng, d) if trial % 3 else random_weights(rng, d)
+        hk = _hashimoto(_edge_matrix_data(d, w))
+        order = rng.randint(1, 12)
+        expected = Series.from_poly(hashimoto(d, w), order).inv()
+        assert _hashimoto_series(hk, order) == expected
 
 
 def theta_table(d, w):
