@@ -10,9 +10,11 @@ Two construction modes determine the inverse relation on arcs:
   edge still contributes two distinct arcs, paired with each other, so
   neither loop arc is its own inverse.
 
-Arc ids are assigned in construction order and index every matrix built on
-top of the digraph; no implicit reordering ever happens.  Closed paths are
-arc sequences with cyclically matching heads and tails (arcs may repeat);
+Arc a runs from ``tails[a]`` to ``heads[a]``: ids follow construction order
+and index every matrix built on top of the digraph; no implicit reordering
+ever happens.  In symmetric mode edge i gives arcs 2i and 2i+1, so the
+partner of arc a is ``a ^ 1``.  Closed paths are arc sequences with
+cyclically matching heads and tails (arcs may repeat);
 prime cycles are rotation classes of closed paths that are not proper powers
 of shorter closed paths, represented by their lexicographically least
 rotation.  Those representatives are exactly the Lyndon words over the arc
@@ -44,13 +46,6 @@ class GraphError(ValueError):
 
 
 @dataclass(frozen=True)
-class Arc:
-    id: int
-    tail: int
-    head: int
-
-
-@dataclass(frozen=True)
 class PhiPair:
     """Unordered vertex pair (u <= v) joined by at least one arc."""
 
@@ -65,54 +60,41 @@ class PhiPair:
 
 
 class Digraph:
-    """Immutable multi-digraph with a fixed arc order and inverse mode."""
+    """Immutable multi-digraph: arc a runs from ``tails[a]`` to ``heads[a]``;
+    in symmetric mode arc a ^ 1 must reverse arc a."""
 
-    def __init__(self, vertex_count, arcs, mode, pairing=None):
+    def __init__(self, vertex_count, tails, heads, mode):
         if vertex_count < 0:
             raise GraphError("vertex count must be nonnegative")
         self.vertex_count = vertex_count
-        self.arcs = tuple(arcs)
+        self.tails = tuple(tails)
+        self.heads = tuple(heads)
         self.mode = mode
-        for a in self.arcs:
-            if not (0 <= a.tail < vertex_count and 0 <= a.head < vertex_count):
-                raise GraphError(
-                    f"arc {a.id} endpoints ({a.tail}, {a.head}) out of range "
-                    f"for {vertex_count} vertices"
-                )
-        if mode is GraphMode.SYMMETRIC:
-            if pairing is None:
-                raise GraphError("symmetric mode requires an arc pairing")
-            pairing = tuple(pairing)
-            if len(pairing) != len(self.arcs):
-                raise GraphError("pairing length must match arc count")
-            for a in self.arcs:
-                p = pairing[a.id]
-                if pairing[p] != a.id or p == a.id:
-                    raise GraphError(f"pairing is not a fixed-point-free involution at arc {a.id}")
-                b = self.arcs[p]
-                if (b.tail, b.head) != (a.head, a.tail):
-                    raise GraphError(f"partner of arc {a.id} does not reverse it")
-        elif pairing is not None:
-            raise GraphError("pairing is only meaningful in symmetric mode")
-        self.pairing = pairing
+        if len(self.tails) != len(self.heads):
+            raise GraphError(f"{len(self.tails)} tails but {len(self.heads)} heads")
         out = [[] for _ in range(vertex_count)]
-        for a in self.arcs:
-            out[a.tail].append(a.id)
-        self._out = tuple(map(tuple, out))
         between = {}
-        for a in self.arcs:
-            between.setdefault((a.tail, a.head), []).append(a.id)
+        for a, key in enumerate(zip(self.tails, self.heads)):
+            if not (0 <= key[0] < vertex_count and 0 <= key[1] < vertex_count):
+                raise GraphError(f"arc {a} endpoints {key} out of range for {vertex_count} vertices")
+            out[key[0]].append(a)
+            between.setdefault(key, []).append(a)
+        if mode is GraphMode.SYMMETRIC and (
+            len(self.tails) % 2 or self.heads[::2] != self.tails[1::2] or self.heads[1::2] != self.tails[::2]
+        ):
+            raise GraphError("symmetric mode needs reversed arc pairs: arc a ^ 1 reverses arc a")
+        self._out = tuple(map(tuple, out))
         self._between = {k: tuple(v) for k, v in between.items()}
 
     @property
     def arc_count(self) -> int:
-        return len(self.arcs)
+        return len(self.tails)
 
     @property
     def edge_count(self) -> int:
         if self.mode is not GraphMode.SYMMETRIC:
             raise GraphError("edge count is defined for symmetric digraphs only")
-        return len(self.arcs) // 2
+        return len(self.tails) // 2
 
     def arcs_between(self, u, v) -> tuple[int, ...]:
         """Ids of arcs with tail u and head v (the set A_uv)."""
@@ -128,14 +110,13 @@ class Digraph:
     def partner(self, arc_id) -> int:
         if self.mode is not GraphMode.SYMMETRIC:
             raise GraphError("partner is defined in symmetric mode only")
-        return self.pairing[arc_id]
+        return arc_id ^ 1
 
     def inverse_set(self, arc_id) -> frozenset[int]:
         """Arc ids that are inverses of the given arc, per the mode."""
-        a = self.arcs[arc_id]
         if self.mode is GraphMode.SYMMETRIC:
-            return frozenset((self.pairing[arc_id],))
-        return frozenset(self.arcs_between(a.head, a.tail))
+            return frozenset((arc_id ^ 1,))
+        return frozenset(self.arcs_between(self.heads[arc_id], self.tails[arc_id]))
 
     def phi_pairs(self) -> tuple[PhiPair, ...]:
         """Connected vertex pairs (u <= v), in lexicographic order."""
@@ -160,8 +141,8 @@ class Digraph:
 
 def build_digraph(vertex_count, arc_list) -> Digraph:
     """General-mode digraph from (tail, head) pairs; ids follow list order."""
-    arcs = [Arc(i, t, h) for i, (t, h) in enumerate(arc_list)]
-    return Digraph(vertex_count, arcs, GraphMode.GENERAL)
+    arcs = list(arc_list)
+    return Digraph(vertex_count, [t for t, _ in arcs], [h for _, h in arcs], GraphMode.GENERAL)
 
 def symmetric_digraph(vertex_count, edge_list) -> Digraph:
     """Symmetric digraph of a multigraph given as unordered (u, v) pairs.
@@ -169,23 +150,19 @@ def symmetric_digraph(vertex_count, edge_list) -> Digraph:
     Edge i contributes arc 2i = (u, v) and arc 2i+1 = (v, u), paired with
     each other.  Loops and repeated edges are allowed.
     """
-    arcs = []
-    pairing = []
-    for (u, v) in edge_list:
-        i = len(arcs)
-        arcs.append(Arc(i, u, v))
-        arcs.append(Arc(i + 1, v, u))
-        pairing.extend((i + 1, i))
-    return Digraph(vertex_count, arcs, GraphMode.SYMMETRIC, pairing)
+    edges = list(edge_list)
+    tails = [x for u, v in edges for x in (u, v)]
+    heads = [x for u, v in edges for x in (v, u)]
+    return Digraph(vertex_count, tails, heads, GraphMode.SYMMETRIC)
 
 
 def arc_adjacency(d: Digraph) -> list[list[int]]:
     """0/1 arc-adjacency matrix B with B[a][b] = 1 iff head(a) = tail(b)."""
     n = d.arc_count
     b = [[0] * n for _ in range(n)]
-    for a in d.arcs:
-        for nxt in d.out_arcs(a.head):
-            b[a.id][nxt] = 1
+    for a, head in enumerate(d.heads):
+        for nxt in d.out_arcs(head):
+            b[a][nxt] = 1
     return b
 
 

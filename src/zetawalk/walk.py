@@ -66,12 +66,12 @@ def _require_walk_graph(g: Digraph) -> None:
 
 def uniform_probability(g: Digraph) -> dict[int, Fraction]:
     """The Grover assignment p(a) = 1/deg(tail(a))."""
-    return {a.id: Fraction(1, g.degree(a.tail)) for a in g.arcs}
+    return {a: Fraction(1, g.degree(t)) for a, t in enumerate(g.tails)}
 
 
 def _uniform_terms(g: Digraph) -> list[tuple[int, int]]:
     """The Grover assignment as (numerator, denominator) pairs in arc order."""
-    return [(1, g.degree(a.tail)) for a in g.arcs]
+    return [(1, g.degree(t)) for t in g.tails]
 
 
 def _probability_terms(g: Digraph, p) -> list[tuple[int, int]]:
@@ -126,16 +126,6 @@ def _checked_terms(g: Digraph, p) -> list[tuple[int, int]]:
     return _probability_terms(g, p)
 
 
-def validate_probability(g: Digraph, p) -> dict[int, Fraction]:
-    """Check totality, positivity, and exact unit row sums per tail vertex.
-
-    Each probability goes through ``algebra.as_fraction``, so a float
-    raises TypeError.
-    """
-    _probability_terms(g, p)
-    return {a: as_fraction(p[a]) for a in range(g.arc_count)}
-
-
 def _sqrt_product(x: tuple[int, int], y: tuple[int, int]) -> float:
     """sqrt(x*y) for x and y given as (numerator, denominator) pairs, exact
     when the product is a rational square.
@@ -166,8 +156,8 @@ def _pair_roots(values: list[tuple[int, int]], ka: np.ndarray, kb: np.ndarray) -
 def _transition(g: Digraph, terms: list[tuple[int, int]]) -> np.ndarray:
     """U for validated probabilities, visiting only adjacent arc pairs.
 
-    The arcs b with head(b) = tail(a) are the partners of the arcs c leaving
-    tail(a), and inv(partner(c)) = c.  Row a holds 2 sqrt(p(a) p(c)) at
+    The arcs b with head(b) = tail(a) are the partners c ^ 1 of the arcs c
+    leaving tail(a), and inv(c ^ 1) = c.  Row a holds 2 sqrt(p(a) p(c)) at
     column partner(c) for each such c, so the rows and columns are index
     arrays over the arcs sorted by tail.  The partner map is a bijection,
     so no entry is set twice, loops and parallel edges included: U is
@@ -176,7 +166,7 @@ def _transition(g: Digraph, terms: list[tuple[int, int]]) -> np.ndarray:
     """
     import numpy as np
     n = g.arc_count
-    tails = np.array([a.tail for a in g.arcs], dtype=np.intp)
+    tails = np.array(g.tails, dtype=np.intp)
     by_tail = np.argsort(tails, kind="stable")
     deg = np.bincount(tails, minlength=g.vertex_count)
     width = deg[tails]  # the entries of row a: one per arc leaving tail(a)
@@ -187,7 +177,7 @@ def _transition(g: Digraph, terms: list[tuple[int, int]]) -> np.ndarray:
     index: dict[tuple[int, int], int] = {}  # each distinct value's class
     cls = np.array([index.setdefault(t, len(index)) for t in terms], dtype=np.intp)
     values = list(index)
-    cols = np.array(g.pairing, dtype=np.intp)[out]
+    cols = out ^ 1
     vals = 2.0 * _pair_roots(values, cls[rows], cls[out]) - (out == rows)  # c = a: the flip
     u = np.zeros((n, n))
     u[rows, cols] = vals
@@ -197,17 +187,16 @@ def _transition(g: Digraph, terms: list[tuple[int, int]]) -> np.ndarray:
 def _discriminant(g: Digraph, terms: list[tuple[int, int]]) -> np.ndarray:
     """T[u][v] = sum over arcs a in A_uv of sqrt(p(a) p(inv(a))).
 
-    An edge takes one root, shared by its two arcs.  The roots are summed
+    Edge i takes one root, shared by its arcs 2i and 2i+1.  The roots are summed
     in arc order, as sequential additions from 0.0, so parallel edges and
     loops give the same bits as a loop over the arcs.
     """
     import numpy as np
     nv = g.vertex_count
     roots = [0.0] * g.arc_count
-    for a, b in enumerate(g.pairing):
-        if a < b:
-            roots[a] = roots[b] = _sqrt_product(terms[a], terms[b])
-    cells = [a.tail * nv + a.head for a in g.arcs]
+    for a in range(0, g.arc_count, 2):
+        roots[a] = roots[a + 1] = _sqrt_product(terms[a], terms[a + 1])
+    cells = [t * nv + h for t, h in zip(g.tails, g.heads)]
     t = np.bincount(cells, weights=roots, minlength=nv * nv)
     return t.astype(float, copy=False).reshape(nv, nv)  # no arcs: bincount gives ints
 

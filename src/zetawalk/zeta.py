@@ -109,14 +109,15 @@ class ConsistencyError(ZetaError):
 
 @dataclass(frozen=True)
 class WeightAssignment:
-    """Total rational arc weight maps tau1, tau2."""
+    """Total rational arc weight maps tau1, tau2, indexed by arc id; each
+    entry goes through ``algebra.as_fraction``, so a float raises TypeError."""
 
     tau1: tuple
     tau2: tuple
 
-    @classmethod
-    def ones(cls, d: Digraph) -> "WeightAssignment":
-        return cls((_ONE,) * d.arc_count, (_ONE,) * d.arc_count)
+    def __post_init__(self):
+        object.__setattr__(self, "tau1", tuple(map(as_fraction, self.tau1)))
+        object.__setattr__(self, "tau2", tuple(map(as_fraction, self.tau2)))
 
     @classmethod
     def from_maps(cls, d: Digraph, tau1=None, tau2=None) -> "WeightAssignment":
@@ -128,7 +129,7 @@ class WeightAssignment:
                 for aid, v in dict(m).items():
                     if not 0 <= aid < d.arc_count:
                         raise GraphError(f"weight for unknown arc id {aid}")
-                    vals[aid] = as_fraction(v)
+                    vals[aid] = v
             return tuple(vals)
 
         return cls(fill(tau1), fill(tau2))
@@ -151,19 +152,22 @@ def _edge_matrix_data(d: Digraph, w: WeightAssignment) -> tuple[list[list[int]],
 
         p1(a) p2(b) [b leaves head(a)] - q1(a) q2(b) [b inverse of a]
 
-    over e_a = q1(a) q2(a), read straight off tau1 and tau2."""
+    over e_a = q1(a) q2(a), read straight off tau1 and tau2.  Every zeta
+    entry point calls this first, so it alone checks the weights' lengths."""
     n = d.arc_count
     tau1, tau2 = w.tau1, w.tau2
+    if len(tau1) != n or len(tau2) != n:
+        raise GraphError(f"weights for {len(tau1)} and {len(tau2)} arcs on a digraph with {n}")
     rows, dens = [], []
-    for a in d.arcs:
-        t1 = tau1[a.id]
+    for a, head in enumerate(d.heads):
+        t1 = tau1[a]
         row = [0] * n
-        for b in d.out_arcs(a.head):
+        for b in d.out_arcs(head):
             row[b] = t1.numerator * tau2[b].numerator
-        for b in d.inverse_set(a.id):
+        for b in d.inverse_set(a):
             row[b] -= t1.denominator * tau2[b].denominator
         rows.append(row)
-        dens.append(t1.denominator * tau2[a.id].denominator)
+        dens.append(t1.denominator * tau2[a].denominator)
     return rows, dens
 
 
@@ -478,9 +482,8 @@ def _identity(num, den, kd, hk) -> tuple[Poly, RatFunc, int | None]:
 def _weighted_adjacency(d: Digraph, w: WeightAssignment) -> dict:
     """{(u, v): sum of tau1(a) tau2(a) over the arcs a in A_uv}, nonzero entries only."""
     a_map = {}
-    for arc in d.arcs:
-        key = (arc.tail, arc.head)
-        a_map[key] = a_map.get(key, _ZERO) + w.tau1[arc.id] * w.tau2[arc.id]
+    for a, key in enumerate(zip(d.tails, d.heads)):
+        a_map[key] = a_map.get(key, _ZERO) + w.tau1[a] * w.tau2[a]
     return {key: x for key, x in a_map.items() if x}
 
 
@@ -580,8 +583,9 @@ def ihara_digraph(d: Digraph, w: WeightAssignment) -> IharaDigraph:
     """
     if d.mode is not GraphMode.GENERAL:
         raise GraphError("ihara_digraph requires a general-mode digraph")
+    theta = _edge_matrix_data(d, w)
     side, (pairs, fs, a_map, terms) = _digraph_side(d, w)
-    h, rhs, k = _identity(*side, _hashimoto(_edge_matrix_data(d, w)))
+    h, rhs, k = _identity(*side, _hashimoto(theta))
     d_table, x_table = _digraph_tables(terms)
     return IharaDigraph(
         pairs=pairs,
@@ -619,7 +623,8 @@ def _graph_side(g: Digraph, w: WeightAssignment):
     ``ihara_graph`` reports: A and D as {(u, v): value} maps of nonzero
     entries, and j, the number of vertices with no arc.
 
-    D[u][u] collects tau1(inverse of a) tau2(a) over the arcs a leaving u.
+    D[u][u] collects tau1(a ^ 1) tau2(a) over the arcs a leaving u, a ^ 1
+    being the inverse of a.
     The row of a vertex with no arc is exactly (1 - t^2) e_u, so det P is
     taken over the |used| = |V| - j vertices that have arcs, the vertex det
     is (1 - t^2)^j det P, and the identity reads
@@ -627,9 +632,8 @@ def _graph_side(g: Digraph, w: WeightAssignment):
     when it is not negative and in den otherwise.
     """
     diag = {}
-    for arc in g.arcs:
-        u = arc.tail
-        diag[u] = diag.get(u, _ZERO) + w.tau1[g.partner(arc.id)] * w.tau2[arc.id]
+    for a, u in enumerate(g.tails):
+        diag[u] = diag.get(u, _ZERO) + w.tau1[a ^ 1] * w.tau2[a]
     a_map = _weighted_adjacency(g, w)
     terms = [(u, v, 1, -x, None) for (u, v), x in a_map.items()]
     terms += [(u, u, 2, x - 1, None) for u, x in diag.items()]
@@ -646,8 +650,9 @@ def _graph_side(g: Digraph, w: WeightAssignment):
 def ihara_graph(g: Digraph, w: WeightAssignment) -> IharaGraph:
     if g.mode is not GraphMode.SYMMETRIC:
         raise GraphError("ihara_graph requires the symmetric digraph of a graph")
+    theta = _edge_matrix_data(g, w)
     side, (a_map, d_map, j) = _graph_side(g, w)
-    h, rhs, k = _identity(*side, _hashimoto(_edge_matrix_data(g, w)))
+    h, rhs, k = _identity(*side, _hashimoto(theta))
     k_vals, delta = side[2]
     return IharaGraph(
         a_g=a_map,

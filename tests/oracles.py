@@ -318,11 +318,11 @@ def closed_paths(d: Digraph, k: int) -> list[tuple[int, ...]]:
             return
         for nxt in d.out_arcs(head):
             prefix[depth] = nxt
-            extend(d.arcs[nxt].head, depth + 1, start_tail)
+            extend(d.heads[nxt], depth + 1, start_tail)
 
-    for a in d.arcs:
-        prefix[0] = a.id
-        extend(a.head, 1, a.tail)
+    for a in range(d.arc_count):
+        prefix[0] = a
+        extend(d.heads[a], 1, d.tails[a])
     return found
 
 
@@ -342,9 +342,8 @@ def phi_grouped_arc_order(d: Digraph) -> tuple[int, ...]:
 
 def theta_value(d: Digraph, w: WeightAssignment, a: int, b: int):
     """The pair weight theta(a, b)."""
-    arc_a, arc_b = d.arcs[a], d.arcs[b]
     val = Fraction(0)
-    if arc_a.head == arc_b.tail:
+    if d.heads[a] == d.tails[b]:
         val = w.tau1[a] * w.tau2[b]
     if b in d.inverse_set(a):
         val = val - 1
@@ -374,13 +373,13 @@ def structural_matrices(d: Digraph, w: WeightAssignment, arc_order=None) -> Stru
     j = Matrix([[one if order[bj] in inv_sets[ai] else zero for bj in range(n)] for ai in range(n)])
     k = Matrix(
         [
-            [w.tau1[a] if d.arcs[a].head == v else zero for v in range(nv)]
+            [w.tau1[a] if d.heads[a] == v else zero for v in range(nv)]
             for a in order
         ]
     )
     l = Matrix(
         [
-            [w.tau2[b] if d.arcs[b].tail == u else zero for b in order]
+            [w.tau2[b] if d.tails[b] == u else zero for b in order]
             for u in range(nv)
         ]
     )
@@ -412,11 +411,10 @@ def walk_transition(g: Digraph, probs: dict[int, Fraction]) -> np.ndarray:
     """U[a, partner(c)] = 2 sqrt(p(a) p(c)) for c leaving tail(a), minus the partner flip."""
     n = g.arc_count
     u = np.zeros((n, n))
-    for a in g.arcs:
-        pa = probs[a.id]
-        for c in g.out_arcs(a.tail):
-            u[a.id, g.partner(c)] = 2.0 * sqrt_product(pa, probs[c])
-        u[a.id, g.partner(a.id)] -= 1.0
+    for a, tail in enumerate(g.tails):
+        for c in g.out_arcs(tail):
+            u[a, g.partner(c)] = 2.0 * sqrt_product(probs[a], probs[c])
+        u[a, g.partner(a)] -= 1.0
     return u
 
 
@@ -424,8 +422,8 @@ def walk_discriminant(g: Digraph, probs: dict[int, Fraction]) -> np.ndarray:
     """T[u][v] = sum over arcs a in A_uv of sqrt(p(a) p(inv(a)))."""
     nv = g.vertex_count
     t = np.zeros((nv, nv))
-    for a in g.arcs:
-        t[a.tail, a.head] += sqrt_product(probs[a.id], probs[g.partner(a.id)])
+    for a, (tail, head) in enumerate(zip(g.tails, g.heads)):
+        t[tail, head] += sqrt_product(probs[a], probs[g.partner(a)])
     return t
 
 
@@ -434,9 +432,8 @@ def ihara_digraph_tables(d: Digraph, w: WeightAssignment) -> tuple[dict, dict, d
     {(u, v): value} maps, each D and X entry summed one RatFunc c / f at a
     time."""
     a, dm, xm = {}, {}, {}
-    for arc in d.arcs:
-        key = (arc.tail, arc.head)
-        a[key] = a.get(key, Fraction(0)) + w.tau1[arc.id] * w.tau2[arc.id]
+    for arc, key in enumerate(zip(d.tails, d.heads)):
+        a[key] = a.get(key, Fraction(0)) + w.tau1[arc] * w.tau2[arc]
     for pair in d.phi_pairs():
         u, v = pair.u, pair.v
         k, l = len(pair.arcs_uv), len(pair.arcs_vu)
@@ -507,9 +504,9 @@ def graph_vertex_det(g: Digraph, w: WeightAssignment) -> Poly:
     n = g.vertex_count
     a = [[Fraction(0)] * n for _ in range(n)]
     dg = [Fraction(0)] * n
-    for arc in g.arcs:
-        a[arc.tail][arc.head] += w.tau1[arc.id] * w.tau2[arc.id]
-        dg[arc.tail] += w.tau1[g.partner(arc.id)] * w.tau2[arc.id]
+    for arc, (tail, head) in enumerate(zip(g.tails, g.heads)):
+        a[tail][head] += w.tau1[arc] * w.tau2[arc]
+        dg[tail] += w.tau1[g.partner(arc)] * w.tau2[arc]
     rows = [
         [Poly([int(i == j), -a[i][j], dg[i] - 1 if i == j else 0]) for j in range(n)]
         for i in range(n)

@@ -122,7 +122,7 @@ def test_criterion_3_four_expression_agreement():
 
     for name in ("paper-digraph", "paper-graph", "triangle", "c4"):
         d = fixture_digraph(name)
-        check(name, d, WeightAssignment.ones(d))
+        check(name, d, WeightAssignment.from_maps(d))
         check(name + "+random", d, random_weights(rng, d))
     loop = build_digraph(1, [(0, 0)])
     check("loop", loop, random_weights(rng, loop))

@@ -7,6 +7,7 @@ written there.
 import ast
 import importlib
 import inspect
+import re
 import types
 from pathlib import Path
 
@@ -36,15 +37,54 @@ WORKER_IMPORTS = [
 ]
 
 
+# The library API, name by name; a name leaves or joins only on purpose.
+PUBLIC_NAMES = {
+    "Poly", "RatFunc", "Series",
+    "Digraph", "GraphError", "GraphMode", "PhiPair", "arc_adjacency", "build_digraph", "symmetric_digraph",
+    "ConsistencyError", "WeightAssignment", "ZetaError", "ZetaReport", "edge_matrix", "euler_truncated",
+    "exponential_truncated", "hashimoto", "ihara_digraph", "ihara_graph", "n_k_all", "verify_expressions",
+    "WalkError", "eigenvalues_numeric", "grover_spectrum_via_zeta", "grover_transition", "spectrum_deviation",
+    "szegedy_discriminant", "szegedy_spectrum_via_factorization", "szegedy_transition", "uniform_probability",
+    "unitarity_defect",
+    "FIXTURES", "Instance", "ParseError", "fixture_digraph", "fixture_instance", "fixture_text",
+    "instance_digraph", "instance_weights", "load_instance", "parse_instance", "render_instance",
+}
+
+
 def test_all_is_explicit_and_has_no_modules():
-    assert len(zetawalk.__all__) == len(set(zetawalk.__all__)) == 45
-    assert "eigenvalues_numeric" in zetawalk.__all__
+    assert len(zetawalk.__all__) == len(set(zetawalk.__all__)) == 43
+    assert set(zetawalk.__all__) == PUBLIC_NAMES
     for gone in (
         "sato_ihara_graph", "sato_ihara_digraph", "IharaIdentityError", "char_poly", "prime_cycles", "Matrix",
+        "Arc", "validate_probability",
     ):
         assert not hasattr(zetawalk, gone), gone
+    assert not hasattr(zetawalk.WeightAssignment, "ones")
     for name in zetawalk.__all__:
         assert not isinstance(getattr(zetawalk, name), types.ModuleType), name
+
+
+def test_readme_library_example_runs():
+    """The README's ``## Library`` code block, executed as written."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(code, "README.md (## Library)", "exec"), namespace)
+    assert namespace["report"].all_agree
+    assert len(namespace["spectrum"]) == namespace["g"].arc_count
+
+
+def test_readme_lists_the_library_api_by_module():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    listing = readme.split("The library API is", 1)[1].split("\n\n", 2)[1]
+    listed = {}
+    for item in ("\n" + listing).split("\n- ")[1:]:
+        module, _, names = item.partition(":")
+        listed.update(dict.fromkeys(re.findall(r"`(\w+)`", names), module.strip("`- ")))
+    assert set(listed) == PUBLIC_NAMES
+    for name, module in listed.items():  # FIXTURES, a dict, has no __module__
+        assert getattr(getattr(zetawalk, name), "__module__", f"zetawalk.{module}") == f"zetawalk.{module}", name
 
 
 def _imported_modules(path):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetawalk.digraph import (
+    Digraph,
     GraphError,
     GraphMode,
     arc_adjacency,
@@ -39,7 +40,7 @@ def trace_power(b, k):
 def test_build_digraph_assigns_ids_in_order():
     d = build_digraph(3, [(0, 1), (1, 2), (2, 0)])
     assert d.mode is GraphMode.GENERAL
-    assert [(a.id, a.tail, a.head) for a in d.arcs] == [(0, 0, 1), (1, 1, 2), (2, 2, 0)]
+    assert d.tails == (0, 1, 2) and d.heads == (1, 2, 0)
 
 
 def test_build_digraph_rejects_out_of_range_endpoint():
@@ -64,10 +65,38 @@ def test_symmetric_digraph_pairs_arcs_per_edge():
 def test_symmetric_loop_edge_gives_two_paired_loop_arcs():
     g = symmetric_digraph(1, [(0, 0)])
     assert g.arc_count == 2
-    assert all(a.tail == a.head == 0 for a in g.arcs)
+    assert g.tails == g.heads == (0, 0)
     assert g.partner(0) == 1
     assert g.inverse_set(0) == {1}  # a loop arc is NOT its own inverse in graph mode
     assert 0 not in g.inverse_set(0)
+
+
+def test_arcs_are_indices_into_tails_and_heads():
+    # a loop and a double edge: partners are a ^ 1, parallel arcs stay apart
+    g = symmetric_digraph(3, [(0, 0), (0, 1), (0, 1), (2, 1)])
+    assert g.tails == (0, 0, 0, 1, 0, 1, 2, 1)
+    assert g.heads == (0, 0, 1, 0, 1, 0, 1, 2)
+    for a in range(g.arc_count):
+        assert g.partner(a) == a ^ 1
+        assert (g.tails[a ^ 1], g.heads[a ^ 1]) == (g.heads[a], g.tails[a])
+        assert g.inverse_set(a) == {a ^ 1}
+    assert g.arcs_between(0, 1) == (2, 4)
+    assert g.out_arcs(0) == (0, 1, 2, 4)
+    d = build_digraph(2, [(0, 1), (0, 1), (1, 0), (1, 1)])
+    assert d.tails == (0, 0, 1, 1) and d.heads == (1, 1, 0, 1)
+    assert d.inverse_set(0) == {2} and d.inverse_set(3) == {3}
+
+
+def test_direct_construction_checks_its_arcs():
+    same = Digraph(2, (0, 1), (1, 0), GraphMode.SYMMETRIC)
+    assert same.tails == symmetric_digraph(2, [(0, 1)]).tails
+    for tails, heads in (((0, 1), (1, 1)), ((0, 0, 1), (1, 0, 0)), ((0, 1, 0, 1), (1, 0, 1, 1))):
+        with pytest.raises(GraphError, match="reversed arc pairs"):
+            Digraph(2, tails, heads, GraphMode.SYMMETRIC)
+    with pytest.raises(GraphError, match="2 tails but 1 heads"):
+        Digraph(2, (0, 1), (1,), GraphMode.GENERAL)
+    with pytest.raises(GraphError, match="arc 1 endpoints"):
+        Digraph(2, (0, 2), (1, 0), GraphMode.GENERAL)
 
 
 def test_fixture_digraph_inverse_sets():

@@ -22,7 +22,6 @@ from zetawalk.walk import (
     szegedy_transition,
     uniform_probability,
     unitarity_defect,
-    validate_probability,
 )
 
 from conftest import random_connected_graph, random_probability, random_walk_graph
@@ -30,6 +29,12 @@ from oracles import Matrix, char_poly_exact, sqrt_product, walk_discriminant, wa
 
 
 OMEGA = cmath.exp(2j * math.pi / 3)
+
+
+def checked_fractions(g, p):
+    """p as {arc id: Fraction}, once ``check_probability`` accepts it."""
+    check_probability(g, p)
+    return {a: Fraction(x) for a, x in p.items()}
 
 
 def p3_with_probs():
@@ -176,7 +181,7 @@ def test_grover_factorization_random_instances(rng):
 def assert_walk_matches_oracles(g, p):
     """U and T equal the entry-by-entry oracles, and the spectrum read off
     the factorization matches a direct eigensolve of U."""
-    probs = validate_probability(g, p)
+    probs = checked_fractions(g, p)
     u = szegedy_transition(g, p)
     assert np.array_equal(u, walk_transition(g, probs))
     assert np.array_equal(szegedy_discriminant(g, p), walk_discriminant(g, probs))
@@ -205,14 +210,14 @@ def test_walk_rejects_isolated_vertex():
 def test_probability_validation_errors():
     g = symmetric_digraph(2, [(0, 1)])
     with pytest.raises(WalkError, match="missing probability"):
-        validate_probability(g, {0: Fraction(1)})
+        check_probability(g, {0: Fraction(1)})
     with pytest.raises(WalkError, match="outside"):
-        validate_probability(g, {0: Fraction(3, 2), 1: Fraction(1)})
+        check_probability(g, {0: Fraction(3, 2), 1: Fraction(1)})
     tri = fixture_digraph("triangle")
     probs = uniform_probability(tri)
     probs[0] = Fraction(1, 3)
     with pytest.raises(WalkError, match="vertex 0"):
-        validate_probability(tri, probs)
+        check_probability(tri, probs)
 
 
 def test_checked_probability_gives_the_same_walk_on_its_own_graph_only():
@@ -234,11 +239,11 @@ def test_probability_floats_raise_type_error():
         first, second = tri.out_arcs(v)
         split[first], split[second] = 0.9, 0.1
     with pytest.raises(TypeError, match="not an exact rational"):
-        validate_probability(tri, split)
+        check_probability(tri, split)
     # the binary values of 0.9 and 0.1, made exact, do not sum to 1
     exact_drift = {a: Fraction(x) for a, x in split.items()}
     with pytest.raises(WalkError, match="sum to"):
-        validate_probability(tri, exact_drift)
+        check_probability(tri, exact_drift)
 
 
 def test_spectrum_deviation_requires_equal_sizes():
@@ -351,7 +356,7 @@ def test_zeta_edge_matrix_bridges_to_grover_walk():
 
     for name in ("k4", "p3", "c4"):
         g = fixture_digraph(name)
-        tau2 = {a.id: Fraction(2, g.degree(a.tail)) for a in g.arcs}
+        tau2 = {a: Fraction(2, g.degree(t)) for a, t in enumerate(g.tails)}
         w = WeightAssignment.from_maps(g, None, tau2)
         n = g.arc_count
         m = Matrix(edge_matrix(g, w))
@@ -395,7 +400,7 @@ def test_walk_matrices_bit_identical_on_square_products():
         ["1/8", "1/2", "3/8"],   # U: sqrt(1/8 * 1/2) = 1/4; T[2][3] = sqrt(3/8 * 2/3) = 1/2
         ["1/6", "1/6", "2/3"],
     ])
-    probs = validate_probability(k4, p)
+    probs = checked_fractions(k4, p)
     u = szegedy_transition(k4, p)
     assert np.array_equal(u, walk_transition(k4, probs))
     assert np.array_equal(szegedy_discriminant(k4, p), walk_discriminant(k4, probs))
@@ -428,7 +433,7 @@ def test_walk_matrices_bit_identical_on_big_rationals():
         [u, 4 * u, 1 - 5 * u],  # the double edge, then the edge to 2
         [z, 1 - z],
     ])
-    probs = validate_probability(g, p)
+    probs = checked_fractions(g, p)
     assert min(a.numerator * b.numerator * a.denominator * b.denominator
                for a in probs.values() for b in probs.values()) > 2**64
     assert_walk_matches_oracles(g, p)

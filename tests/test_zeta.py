@@ -57,7 +57,7 @@ def single_loop(tau1=2, tau2=3):
 
 def test_edge_matrix_single_loop_unit_weights():
     d, _ = single_loop()
-    w = WeightAssignment.ones(d)
+    w = WeightAssignment.from_maps(d)
     assert edge_matrix(d, w) == ((Fraction(0),),)
 
 
@@ -88,10 +88,10 @@ def test_adjacency_condition(rng):
     for d, _ in instances:
         w = random_weights(rng, d)
         m = Matrix(edge_matrix(d, w))
-        for a in d.arcs:
-            for b in d.arcs:
-                if m[a.id, b.id] != 0:
-                    assert a.head == b.tail
+        for a in range(d.arc_count):
+            for b in range(d.arc_count):
+                if m[a, b] != 0:
+                    assert d.heads[a] == d.tails[b]
 
 
 def test_structural_matrices_recompose_edge_matrix(rng):
@@ -105,7 +105,7 @@ def test_structural_matrices_recompose_edge_matrix(rng):
 
 def test_structural_j_blocks_fixture():
     d = fixture_digraph("paper-digraph")
-    sm = structural_matrices(d, WeightAssignment.ones(d))
+    sm = structural_matrices(d, WeightAssignment.from_maps(d))
     j = sm.j
     expect = [
         [1, 1, 0, 0, 0, 0, 0, 0, 0, 0],
@@ -124,7 +124,7 @@ def test_structural_j_blocks_fixture():
 
 def test_graph_mode_j_is_edge_blocks():
     g = fixture_digraph("paper-graph")
-    sm = structural_matrices(g, WeightAssignment.ones(g))
+    sm = structural_matrices(g, WeightAssignment.from_maps(g))
     for i in range(g.arc_count):
         for j in range(g.arc_count):
             expected = 1 if g.partner(i) == j else 0
@@ -161,7 +161,7 @@ def test_phi_grouped_j_is_block_diagonal_with_f_determinants(rng):
 
 def test_graph_mode_det_t_is_power_of_one_minus_t2():
     g = fixture_digraph("paper-graph")
-    sm = structural_matrices(g, WeightAssignment.ones(g))
+    sm = structural_matrices(g, WeightAssignment.from_maps(g))
     assert det_bareiss(sm.t) == P(1, 0, -1) ** 5
 
 
@@ -172,7 +172,7 @@ def test_hashimoto_single_loop():
 
 def test_hashimoto_edgeless():
     d = build_digraph(3, [])
-    assert hashimoto(d, WeightAssignment.ones(d)) == P(1)
+    assert hashimoto(d, WeightAssignment.from_maps(d)) == P(1)
 
 
 def test_hashimoto_equals_reversed_char_poly(rng):
@@ -185,7 +185,7 @@ def test_hashimoto_equals_reversed_char_poly(rng):
 
 def test_hashimoto_triangle_unit_weights_factorization():
     g = fixture_digraph("triangle")
-    h = hashimoto(g, WeightAssignment.ones(g))
+    h = hashimoto(g, WeightAssignment.from_maps(g))
     assert h == P(1, -1) ** 2 * P(1, 1, 1) ** 2
 
 
@@ -196,7 +196,7 @@ def test_n_k_single_loop_powers():
 
 def test_n_k_edgeless_and_error():
     d = build_digraph(2, [])
-    w = WeightAssignment.ones(d)
+    w = WeightAssignment.from_maps(d)
     assert n_k_all(d, w, 4) == [0, 0, 0, 0]
     with pytest.raises(Exception):
         n_k_all(d, w, 0)
@@ -266,7 +266,7 @@ def test_corrupted_scaling_raises_consistency_error(monkeypatch):
 
     monkeypatch.setattr(zeta, "_clear_denominators", doubled)
     d = fixture_digraph("paper-digraph")
-    w = WeightAssignment.ones(d)
+    w = WeightAssignment.from_maps(d)
     with pytest.raises(ConsistencyError, match="N_3"):  # N_1 = N_2 = 0 here
         n_k_all(d, w, 4)
     with pytest.raises(ConsistencyError):
@@ -304,7 +304,7 @@ def test_corrupted_trace_scaling_raises_consistency_error(monkeypatch):
     # caught by the comparison with the enumeration
     mutate(monkeypatch, "_n_k_trace_all", "scale**k", "(2 * scale) ** k")
     d = fixture_digraph("paper-digraph")
-    w = WeightAssignment.ones(d)
+    w = WeightAssignment.from_maps(d)
     with pytest.raises(ConsistencyError, match="N_3"):  # N_1 = N_2 = 0 here
         n_k_all(d, w, 4)
     with pytest.raises(ConsistencyError):
@@ -321,7 +321,7 @@ def test_loop_recurrence_without_convolution_raises_consistency_error(monkeypatc
         "k * loops[k]",
     )
     d = fixture_digraph("paper-graph")
-    w = WeightAssignment.ones(d)
+    w = WeightAssignment.from_maps(d)
     with pytest.raises(ConsistencyError, match="N_2"):
         n_k_all(d, w, 6)
     with pytest.raises(ConsistencyError):
@@ -341,13 +341,13 @@ def test_loop_walk_that_revisits_its_least_arc_raises_consistency_error(monkeypa
     )
     d = fixture_digraph(name)
     with pytest.raises(ConsistencyError, match=first):
-        n_k_all(d, WeightAssignment.ones(d), 6)
+        n_k_all(d, WeightAssignment.from_maps(d), 6)
 
 
 def test_enumeration_matches_trace_on_parallel_edges():
     # 16 arcs whose closed paths revisit their least arc at every length
     g = symmetric_digraph(2, [(0, 1)] * 8)
-    theta = _edge_matrix_data(g, WeightAssignment.ones(g))
+    theta = _edge_matrix_data(g, WeightAssignment.from_maps(g))
     assert _n_k_enumerated_all(theta, 8) == _n_k_trace_all(theta, 8)
 
 
@@ -425,7 +425,7 @@ def test_pruned_euler_walk_matches_structural_prime_cycles_on_fixtures(name):
     # at unit weights theta vanishes on every backtracking pair, so the walk
     # over nonzero entries skips most structural prime cycles
     d = fixture_digraph(name)
-    w = WeightAssignment.ones(d)
+    w = WeightAssignment.from_maps(d)
     assert euler_truncated(d, w, 8) == prime_cycle_product(d, w, 8)
 
 
@@ -438,7 +438,7 @@ def test_exponential_and_euler_single_loop_geometric():
 
 def test_expressions_edgeless_are_one():
     d = build_digraph(2, [])
-    w = WeightAssignment.ones(d)
+    w = WeightAssignment.from_maps(d)
     one = Series.one(5)
     assert exponential_truncated(d, w, 5) == one
     assert euler_truncated(d, w, 5) == one
@@ -446,7 +446,7 @@ def test_expressions_edgeless_are_one():
 
 def test_euler_matches_inverse_hashimoto_triangle_unit_weights():
     g = fixture_digraph("triangle")
-    w = WeightAssignment.ones(g)
+    w = WeightAssignment.from_maps(g)
     inv_h = Series.from_poly(hashimoto(g, w), 10).inv()
     assert euler_truncated(g, w, 10) == inv_h
 
@@ -461,7 +461,7 @@ def test_ihara_digraph_single_loop():
 
 def test_ihara_digraph_fixture_f_factors():
     d = fixture_digraph("paper-digraph")
-    res = ihara_digraph(d, WeightAssignment.ones(d))
+    res = ihara_digraph(d, WeightAssignment.from_maps(d))
     rendered = [f.render() for f in res.f_factors]
     assert rendered == ["1 + 2*t", "1 + -4*t^2", "1 + -1*t^2", "1 + -1*t^2"]
 
@@ -485,7 +485,7 @@ def test_ihara_digraph_random_instances(rng):
 def test_ihara_digraph_rejects_graph_mode():
     g = fixture_digraph("triangle")
     with pytest.raises(GraphError):
-        ihara_digraph(g, WeightAssignment.ones(g))
+        ihara_digraph(g, WeightAssignment.from_maps(g))
 
 
 def test_ihara_graph_single_edge_generic(rng):
@@ -511,7 +511,7 @@ def test_ihara_graph_fixture_random_weights(rng):
 
 def test_ihara_graph_negative_prefactor_isolated_vertex():
     g = symmetric_digraph(3, [(0, 1)])
-    res = ihara_graph(g, WeightAssignment.ones(g))
+    res = ihara_graph(g, WeightAssignment.from_maps(g))
     assert res.prefactor_exponent == -2
     assert res.agree
 
@@ -601,7 +601,7 @@ def tau1_unit(d, tau2) -> WeightAssignment:
 
 def test_sato_ihara_digraph_unit_tau2():
     d, _ = single_loop()
-    w = WeightAssignment.ones(d)
+    w = WeightAssignment.from_maps(d)
     assert sato_expression(d, w) == RatFunc.from_poly(hashimoto(d, w)) == RatFunc.one()
 
 
@@ -631,7 +631,7 @@ def test_sato_ihara_graph_matches_hashimoto(rng):
         w = WeightAssignment.from_maps(g, None, tau2)
         assert ihara_graph(g, w).rhs.as_poly() == hashimoto(g, w)
     tri = fixture_digraph("triangle")
-    ones = WeightAssignment.ones(tri)
+    ones = WeightAssignment.from_maps(tri)
     assert ihara_graph(tri, ones).rhs.as_poly() == hashimoto(tri, ones)
     for _ in range(10):
         g = random_multigraph(rng, 4, 5)
@@ -697,7 +697,7 @@ def test_verify_expressions_graph_mode(rng):
 
 def test_verify_expressions_edgeless():
     d = build_digraph(2, [])
-    report = verify_expressions(d, WeightAssignment.ones(d), 5)
+    report = verify_expressions(d, WeightAssignment.from_maps(d), 5)
     assert report.all_agree
     assert report.exponential == Series.one(5)
     assert report.hashimoto == P(1)
@@ -705,7 +705,7 @@ def test_verify_expressions_edgeless():
 
 def test_zero_vertex_digraph_degenerate():
     z = build_digraph(0, [])
-    w = WeightAssignment.ones(z)
+    w = WeightAssignment.from_maps(z)
     assert hashimoto(z, w) == P(1)
     assert ihara_digraph(z, w).rhs == RatFunc.one()
     assert verify_expressions(z, w, 3).all_agree
@@ -715,6 +715,30 @@ def test_weight_assignment_rejects_unknown_arc():
     d = build_digraph(1, [(0, 0)])
     with pytest.raises(GraphError):
         WeightAssignment.from_maps(d, {5: 1}, None)
+
+
+def test_weight_assignment_built_directly_converts_and_checks_its_weights():
+    d = fixture_digraph("paper-digraph")
+    n = d.arc_count
+    as_strings = WeightAssignment(("1/2",) * n, (3,) * n)
+    assert as_strings.tau1 == (Fraction(1, 2),) * n and as_strings.tau2 == (Fraction(3),) * n
+    halves = {a: Fraction(1, 2) for a in range(n)}
+    threes = {a: 3 for a in range(n)}
+    assert hashimoto(d, as_strings) == hashimoto(d, WeightAssignment.from_maps(d, halves, threes))
+    with pytest.raises(TypeError, match="not an exact rational"):
+        WeightAssignment((0.5,) * n, (1,) * n)
+    g = fixture_digraph("paper-graph")
+    for graph, ihara in ((d, ihara_digraph), (g, ihara_graph)):
+        for tau1, tau2 in (((1,) * (n - 1), (1,) * n), ((1,) * n, (1,) * (n + 1))):
+            w = WeightAssignment(tau1, tau2)
+            calls = (
+                lambda: edge_matrix(graph, w), lambda: hashimoto(graph, w), lambda: n_k_all(graph, w, 2),
+                lambda: exponential_truncated(graph, w, 2), lambda: euler_truncated(graph, w, 2),
+                lambda: ihara(graph, w), lambda: verify_expressions(graph, w, 2),
+            )
+            for call in calls:
+                with pytest.raises(GraphError, match=f"arcs on a digraph with {n}"):
+                    call()
 
 
 def test_theta_value_matches_edge_matrix(rng):
