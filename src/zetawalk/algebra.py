@@ -4,8 +4,9 @@ with exact rational coefficients (:class:`fractions.Fraction`).
 Every operation is exact and equality is structural.  Polynomials are stored
 densely, constant term first, with trailing zero coefficients stripped.
 Rational functions are kept in canonical form: numerator and denominator
-coprime, denominator monic.  Series carry an explicit truncation order;
-combining two series truncates to the smaller order.
+coprime, denominator monic.  Series carry an explicit truncation order,
+and two series are compared up to the smaller one; they have no ring
+operators, only ``exp`` and ``inv``.
 
 Coefficients enter through ``as_fraction``, which accepts Fractions, ints and
 strings and refuses anything else (floats included), so no inexact value
@@ -115,9 +116,6 @@ class Poly:
 
     def __sub__(self, other) -> "Poly":
         return self + (-self._lift(other))
-
-    def __rsub__(self, other) -> "Poly":
-        return self._lift(other) - self
 
     def __mul__(self, other) -> "Poly":
         other = self._lift(other)
@@ -346,9 +344,6 @@ class Series:
     def from_poly(cls, p: Poly, order: int) -> "Series":
         return cls(p.coeffs, order)
 
-    def coefficient(self, k):
-        return self.coeffs[k]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Series):
             return NotImplemented
@@ -363,31 +358,6 @@ class Series:
             if self.coeffs[k] != other.coeffs[k]:
                 return k
         return None
-
-    def __neg__(self) -> "Series":
-        return Series([-c for c in self.coeffs], self.order)
-
-    def __add__(self, other) -> "Series":
-        order = min(self.order, other.order)
-        return Series([self.coeffs[k] + other.coeffs[k] for k in range(order + 1)], order)
-
-    def __sub__(self, other) -> "Series":
-        return self + (-other)
-
-    def __mul__(self, other) -> "Series":
-        if not isinstance(other, Series):
-            return Series([c * other for c in self.coeffs], self.order)
-        order = min(self.order, other.order)
-        out = [_ZERO] * (order + 1)
-        for i in range(order + 1):
-            ci = self.coeffs[i]
-            if ci == 0:
-                continue
-            for j in range(order + 1 - i):
-                out[i + j] = out[i + j] + ci * other.coeffs[j]
-        return Series(out, order)
-
-    __rmul__ = __mul__
 
     def exp(self) -> "Series":
         c0 = self.coeffs[0]

@@ -16,12 +16,6 @@ pass integer rows: ``zeta``'s Hashimoto matrix and every companion below.
   so |Delta * c_k| is at most the coefficient of x^(n-k) in
   prod_i (d_i + r_i x); B is the largest of those coefficients, in integers
   only.  It never exceeds 2^n * prod_i max(r_i, d_i), the sum of them all.
-* Rows or columns.  m^T has the charpoly of m, and its rows are m's
-  columns.  Both are cleared, and the kernel reduces whichever has the
-  smaller B (m on a tie); Delta and B are then those of the matrix
-  actually reduced.  Columns win when a few columns carry the
-  denominators, as in a companion matrix, whose shift columns hold a
-  single 1.  Choosing costs O(n^2), less than one pass.
 * Primes.  30-bit primes, counting down from 2^30, each certified by
   deterministic Miller-Rabin and found only when first needed.  The primes
   dividing Delta are skipped.
@@ -48,8 +42,11 @@ reversed.  ``det_poly_matrix`` builds on that: det P(t) of a sparse
 polynomial matrix P = diag(1/e) Q with P(0) = I, given as
 {(v, u): integer coefficients of Q[v][u]} and the row scales e_v, is
 det(I - t*C) of a companion linearization C of P.  Rows that are absent are
-rows of the identity and never enter C; C's rows are integer rows over
-e_v, so it goes to ``char_poly_rows`` with no Fraction.
+rows of the identity and never enter C.  C^T has C's charpoly, and it goes
+to ``char_poly_rows`` cleared row by row, with no Fraction: C's
+denominators e_v sit in its columns (0, u), and every other column holds
+a single 1, so C^T's rows carry the e_v in only as many rows as P has,
+where C's rows carry one in every row.
 
 Only ``zeta`` calls this module, and it works in Python ints alone: the
 numeric eigensolve lives in ``walk``.  The dense matrix type, the
@@ -76,21 +73,20 @@ def char_poly_rows(rows: list[list[int]], dens: list[int]) -> tuple[list[int], i
     the charpoly of m = diag(1/d) R, for n integer rows R of length n and n
     positive d.
 
-    m and m^T have the same charpoly.  Both are cleared row by row to
-    lowest terms, and the kernel reduces the one with the smaller bound B
-    (``_coefficient_bound``); Delta is the product of that one's row
-    denominators.  The residues of Delta * c_k modulo products of primes
-    that do not divide Delta are combined by the Chinese remainder theorem
-    until the modulus exceeds 2B; the symmetric residues are then
-    Delta * c_k exactly (see the module docstring).
+    The rows are cleared to lowest terms, and Delta is the product of
+    their denominators.  The residues of Delta * c_k modulo products of
+    primes that do not divide Delta are combined by the Chinese remainder
+    theorem until the modulus exceeds 2B, B the bound of
+    ``_coefficient_bound``; the symmetric residues are then Delta * c_k
+    exactly (see the module docstring).  m^T has the same charpoly, so a
+    caller whose denominators sit in a few columns passes m^T
+    (``_transposed``).
     """
     n = len(rows)
     if len(dens) != n or any(len(row) != n for row in rows) or not all(d > 0 for d in dens):
         raise ValueError("char_poly_rows needs n rows of length n and n positive denominators")
-    bound, rows, dens = min(
-        ((_coefficient_bound(*rd), *rd) for rd in (_lowest_terms(rows, dens), _transposed(rows, dens))),
-        key=itemgetter(0),
-    )
+    rows, dens = _lowest_terms(rows, dens)
+    bound = _coefficient_bound(rows, dens)
     delta = prod(dens)
     limit = 2 * bound
     primes = (p for p in map(_kernel_prime, count()) if delta % p)
@@ -254,7 +250,8 @@ def det_poly_matrix(p: dict[tuple[int, int], list[int]], dens: dict[int, int]) -
     -Q_{i+1}[v][u] / e_v in column (0, u) and a 1 in column (i + 1, v) when
     i + 1 < k_v, so e_v clears the whole row.  C has sum_v k_v rows, the
     degree bound of det P; rows of degree 0 drop out, with their columns,
-    since det P expands along them.
+    since det P expands along them.  C^T, cleared row by row by
+    ``_transposed``, goes to ``char_poly_rows``.
     """
     degree = {}
     for (v, u), cs in p.items():
@@ -281,6 +278,6 @@ def det_poly_matrix(p: dict[tuple[int, int], list[int]], dens: dict[int, int]) -
             row_dens[i] = e
             if i + 1 < s + degree[v]:
                 rows[i][i + 1] = e
-    values, delta = char_poly_rows(rows, row_dens)
+    values, delta = char_poly_rows(*_transposed(rows, row_dens))
     return values[::-1], delta
 

@@ -17,8 +17,10 @@ adjacencies), so all expressions agree:
       det(I - t*M) = prod_pairs f(u,v) * det(I - t*A + t^2*D - t^3*X)
 
   where f(u,u) = 1 + |A_uu| t, f(u,v) = 1 - |A_uv||A_vu| t^2, and A, D, X
-  collect per-pair weight sums (D and X carry 1/f denominators).  For the
-  symmetric digraph of a graph,
+  collect per-pair weight sums (D and X carry 1/f denominators).  The
+  pairs are the blocks of the inverse relation; those of the symmetric
+  digraph of a graph are its edges, each with f = 1 - t^2, and the same
+  expression reads
 
       det(I - t*M) = (1 - t^2)^(|E| - |V|) * det(I - t*A + t^2*(D - I)).
 
@@ -32,35 +34,31 @@ Every determinant here is read off one scalar kernel,
 ``linalg.char_poly_rows``, which takes integer rows with row denominators:
 
 * det(I - t*M) is the charpoly of T, reversed (``_hashimoto``).
-* both vertex determinants are assembled sparsely, in Python ints, by
+* the vertex determinant is assembled sparsely, in Python ints, by
   ``_vertex_det`` from one term form: (u, v, k, c, f) adds c t^k / f to
-  entry (u, v) of the vertex matrix, with c rational and f a pair factor
-  as an integer coefficient tuple, or None for the terms of A and of a
-  graph.  r_u, the product of the distinct f among the nonzero terms of
-  row u, and e_u, the lcm of their c denominators, clear row u to an
-  integer polynomial row, so P(t) = diag(1/e) Q(t) has P(0) = I and
-  det(vertex matrix) = det(P) / R with R = prod_u r_u; det(P) is that of
-  I - t*C for the companion C of P (``linalg.det_poly_matrix``).  A row
-  with no nonzero term is a row of the identity and is never
-  materialized.  In a graph every r_u is 1, and a vertex with no arc has
-  the row (1 - t^2) e_u: it contributes a factor (1 - t^2) instead of two
-  companion rows.
+  entry (u, v) of the vertex matrix, with c rational and f a block factor
+  as an integer coefficient tuple, or None for the terms of A.  r_u, the
+  product of the distinct f among the nonzero terms of row u, and e_u, the
+  lcm of their c denominators, clear row u to an integer polynomial row,
+  so P(t) = diag(1/e) Q(t) has P(0) = I and det(vertex matrix) =
+  det(P) / R with R = prod_u r_u; det(P) is that of I - t*C for the
+  companion C of P (``linalg.det_poly_matrix``).  A row with no nonzero
+  term is a row of the identity and is never materialized.
 
 Every Ihara-style operation builds its vertex side without det(I - t*M),
-as (num, den, det P) with num and den integer polynomials of constant term
-1: prod_f and R for a digraph (``_digraph_side``); for a graph the power
-(1 - t^2)^(|E| - |used|), over the vertices that have arcs, in num when it
-is not negative and in den otherwise (``_graph_side``).  One check,
-``_identity``, compares num * det P with det(I - t*M) * den as integer
-polynomials cross-multiplied by their denominators.  On a match the
-reported right-hand side is det(I - t*M); a mismatch builds the reduced
-quotient num * det P / den and names the first power of t at which the two
-sides differ.  ``verify_expressions`` reports that power; ``ihara_digraph``
-and ``ihara_graph`` report ``agree`` and alone build report tables,
-{(u, v): value} maps of nonzero entries.  Those of A (both modes) and of a
-graph's D hold Fractions; each D and X entry of a digraph is one RatFunc.
-The vertex side reads tau1 and tau2 itself, so a defect in the one theta
-builder shows as a Hashimoto-vs-Ihara mismatch.
+as (prod_f, R, det P) with prod_f and R integer polynomials of constant
+term 1, in both modes from the blocks of the inverse relation
+(``_vertex_side``).  One check, ``_identity``, compares prod_f * det P with
+det(I - t*M) * R as integer polynomials cross-multiplied by their
+denominators.  On a match the reported right-hand side is det(I - t*M); a
+mismatch builds the reduced quotient prod_f * det P / R and names the
+first power of t at which the two sides differ.  ``verify_expressions``
+reports that power; ``ihara_digraph`` and ``ihara_graph`` report ``agree``
+and alone build report tables, {(u, v): value} maps of nonzero entries.
+Those of A (both modes) and of a graph's D hold Fractions; each D and X
+entry of a digraph is one RatFunc.  The vertex side reads tau1 and tau2
+itself, so a defect in the one theta builder shows as a Hashimoto-vs-Ihara
+mismatch.
 
 The series routes run in Python ints.  The two enumeration routes, closed
 paths for N_k and prime cycles for the Euler product, run on the integer
@@ -376,12 +374,6 @@ def _euler(theta, order: int) -> Series:
     return Series([Fraction(x, scale**i) for i, x in enumerate(acc)], order)
 
 
-def _pair_f(pair: PhiPair) -> tuple[int, ...]:
-    if pair.is_diagonal:
-        return 1, len(pair.arcs_uv)
-    return 1, 0, -len(pair.arcs_uv) * len(pair.arcs_vu)
-
-
 def _mul(a: list[int], b: list[int]) -> list[int]:
     """The product of two integer polynomials, constant term first."""
     if not a or not b:
@@ -405,16 +397,6 @@ def _trim(a: list[int]) -> list[int]:
     while a and not a[-1]:
         a.pop()
     return a
-
-
-def _one_minus_t2_power(k: int) -> list[int]:
-    """(1 - t^2)^k for k >= 0, by its binomial coefficients."""
-    out = [0] * (2 * k + 1)
-    c = 1
-    for i in range(k + 1):
-        out[2 * i] = c
-        c = -c * (k - i) // (i + 1)
-    return out
 
 
 def _over_distinct(fs) -> tuple[list[int], dict]:
@@ -491,30 +473,40 @@ def _sum_over(w_vals, arc_ids):
     return sum((w_vals[a] for a in arc_ids), _ZERO)
 
 
-def _directions(pairs, fs):
-    """(u, v, out, back, f) for each direction u -> v of each pair: out holds
-    its arcs u -> v and back its arcs v -> u, the loops both times when
-    u = v, and f is the pair's factor."""
-    for pair, f in zip(pairs, fs):
-        yield pair.u, pair.v, pair.arcs_uv, pair.arcs_vu, f
-        if not pair.is_diagonal:
-            yield pair.v, pair.u, pair.arcs_vu, pair.arcs_uv, f
+def _vertex_side(d: Digraph, w: WeightAssignment):
+    """The vertex side (prod_f, R, det P) of prod_f * det(I - t*A + t^2*D - t^3*X)
+    and the parts the Ihara reports read: the blocks (u, v, out, back), their
+    f, A, and the terms, those of D at t^2 and of -X at t^3 divided by their
+    block's f.
 
-
-def _digraph_side(d: Digraph, w: WeightAssignment):
-    """The vertex side (prod_f, R, det P) of I - t*A + t^2*D - t^3*X and the
-    parts ``ihara_digraph`` reports: the pairs, their f, A, and the terms,
-    those of D at t^2 and of -X at t^3 divided by their pair's f."""
-    pairs = d.phi_pairs()
-    fs = [_pair_f(pair) for pair in pairs]
+    The blocks are those of the inverse relation: a digraph's phi pairs, out
+    holding the arcs u -> v and back the arcs v -> u, or a graph's edges,
+    arcs 2i and 2i+1.  A block with out = back holds a digraph's loops at u,
+    each the inverse of every loop: it takes one direction, D terms only,
+    with f = 1 + |A_uu| t.  Any other block takes both directions, with
+    f = 1 - |out||back| t^2, so 1 - t^2 for every edge of a graph, loops
+    included; there each row's t^3 terms cancel t^3 A r_u, and P is
+    I - t*A + t^2*(D - I) on the rows that have a nonzero term.
+    """
+    if d.mode is GraphMode.SYMMETRIC:
+        blocks = [(d.tails[a], d.heads[a], (a,), (a + 1,)) for a in range(0, d.arc_count, 2)]
+    else:
+        blocks = [(p.u, p.v, p.arcs_uv, p.arcs_vu) for p in d.phi_pairs()]
     a_map = _weighted_adjacency(d, w)
     terms = [(u, v, 1, -x, None) for (u, v), x in a_map.items()]
-    for u, v, out, back, f in _directions(pairs, fs):
-        s2 = _sum_over(w.tau2, out)
-        terms.append((u, u, 2, s2 * _sum_over(w.tau1, back), f))
-        if u != v:
-            terms.append((u, v, 3, -len(back) * (s2 * _sum_over(w.tau1, out)), f))
-    return (_product(fs), *_vertex_det(terms)), (pairs, fs, a_map, terms)
+    fs = []
+    for u, v, out, back in blocks:
+        if out == back:
+            f = (1, len(out))
+            terms.append((u, u, 2, _sum_over(w.tau2, out) * _sum_over(w.tau1, out), f))
+        else:
+            f = (1, 0, -len(out) * len(back))
+            for x, y, o, b in ((u, v, out, back), (v, u, back, out)):
+                s2 = _sum_over(w.tau2, o)
+                terms.append((x, x, 2, s2 * _sum_over(w.tau1, b), f))
+                terms.append((x, y, 3, -len(b) * (s2 * _sum_over(w.tau1, o)), f))
+        fs.append(f)
+    return (_product(fs), *_vertex_det(terms)), (blocks, fs, a_map, terms)
 
 
 def _digraph_tables(terms) -> tuple[dict, dict]:
@@ -584,11 +576,11 @@ def ihara_digraph(d: Digraph, w: WeightAssignment) -> IharaDigraph:
     if d.mode is not GraphMode.GENERAL:
         raise GraphError("ihara_digraph requires a general-mode digraph")
     theta = _edge_matrix_data(d, w)
-    side, (pairs, fs, a_map, terms) = _digraph_side(d, w)
+    side, (blocks, fs, a_map, terms) = _vertex_side(d, w)
     h, rhs, k = _identity(*side, _hashimoto(theta))
     d_table, x_table = _digraph_tables(terms)
     return IharaDigraph(
-        pairs=pairs,
+        pairs=tuple(PhiPair(*block) for block in blocks),
         f_factors=tuple(Poly(f) for f in fs),
         a=a_map,
         d_ul=d_table,
@@ -618,47 +610,32 @@ class IharaGraph:
     agree: bool
 
 
-def _graph_side(g: Digraph, w: WeightAssignment):
-    """The vertex side (num, den, det P) of the graph identity and the parts
-    ``ihara_graph`` reports: A and D as {(u, v): value} maps of nonzero
-    entries, and j, the number of vertices with no arc.
-
-    D[u][u] collects tau1(a ^ 1) tau2(a) over the arcs a leaving u, a ^ 1
-    being the inverse of a.
-    The row of a vertex with no arc is exactly (1 - t^2) e_u, so det P is
-    taken over the |used| = |V| - j vertices that have arcs, the vertex det
-    is (1 - t^2)^j det P, and the identity reads
-    (1 - t^2)^(|E| - |used|) det P = det(I - t*M), with that power in num
-    when it is not negative and in den otherwise.
-    """
-    diag = {}
-    for a, u in enumerate(g.tails):
-        diag[u] = diag.get(u, _ZERO) + w.tau1[a ^ 1] * w.tau2[a]
-    a_map = _weighted_adjacency(g, w)
-    terms = [(u, v, 1, -x, None) for (u, v), x in a_map.items()]
-    terms += [(u, u, 2, x - 1, None) for u, x in diag.items()]
-    power = g.edge_count - len(diag)
-    side = (
-        _one_minus_t2_power(max(power, 0)),
-        _one_minus_t2_power(max(-power, 0)),
-        _vertex_det(terms)[1],
-    )
-    d_map = {(u, u): x for u, x in diag.items() if x}
-    return side, (a_map, d_map, g.vertex_count - len(diag))
-
-
 def ihara_graph(g: Digraph, w: WeightAssignment) -> IharaGraph:
+    """The vertex-sized determinant expression of a graph, from the blocks
+    of ``_vertex_side``, one per edge with f = 1 - t^2.
+
+    D[u][u] is the sum of tau1(a ^ 1) tau2(a) over the arcs a leaving u,
+    the numerators of the t^2 terms at u.  A row with no nonzero term is
+    the row (1 - t^2) e_u of I - t*A + t^2*(D - I) and adds no row to P
+    and no factor to R, so the vertex det is (1 - t^2)^(|V| - deg R / 2)
+    det P.
+    """
     if g.mode is not GraphMode.SYMMETRIC:
         raise GraphError("ihara_graph requires the symmetric digraph of a graph")
     theta = _edge_matrix_data(g, w)
-    side, (a_map, d_map, j) = _graph_side(g, w)
+    side, (_, _, a_map, terms) = _vertex_side(g, w)
     h, rhs, k = _identity(*side, _hashimoto(theta))
-    k_vals, delta = side[2]
+    _, big_r, (k_vals, delta) = side
+    d_map = {}
+    for u, _, power, c, _ in terms:
+        if power == 2:
+            d_map[u, u] = d_map.get((u, u), _ZERO) + c
+    rows_missing = g.vertex_count - (len(big_r) - 1) // 2
     return IharaGraph(
         a_g=a_map,
-        d_g=d_map,
+        d_g={key: x for key, x in d_map.items() if x},
         prefactor_exponent=g.edge_count - g.vertex_count,
-        vertex_det=_as_poly(_mul(_one_minus_t2_power(j), k_vals), delta),
+        vertex_det=_as_poly(_mul(_product([(1, 0, -1)] * rows_missing), k_vals), delta),
         rhs=rhs,
         hashimoto=h,
         agree=k is None,
@@ -706,7 +683,7 @@ def verify_expressions(d: Digraph, w: WeightAssignment, order: int) -> ZetaRepor
     theta = _edge_matrix_data(d, w)
     expo = _exp_of_power_sums(_n_k_all(theta, order), order)
     eul = _euler(theta, order)
-    side, _ = (_graph_side if d.mode is GraphMode.SYMMETRIC else _digraph_side)(d, w)
+    side, _ = _vertex_side(d, w)
     hk = _hashimoto(theta)
     h, ihara_rhs, k = _identity(*side, hk)
     h_series = _hashimoto_series(hk, order)

@@ -48,7 +48,8 @@ def test_golden_set_covers_the_edge_cases():
     assert len(INSTANCES) >= 12
     for name in ("paper-digraph", "paper-graph", "digraph-empty", "graph-empty",
                  "digraph-isolated-vertex", "graph-isolated-vertex",
-                 "digraph-loops-parallel", "graph-loops-parallel"):
+                 "digraph-loops-parallel", "graph-loops-parallel",
+                 "digraph-zero-weight", "graph-zero-weight"):
         assert name in INSTANCES
 
 

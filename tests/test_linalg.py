@@ -7,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetawalk.algebra import Poly
-from zetawalk.digraph import build_digraph, symmetric_digraph
-from zetawalk import linalg
+from zetawalk.digraph import GraphMode, build_digraph, symmetric_digraph
+from zetawalk import linalg, zeta
+from zetawalk.instances import instance_digraph, instance_weights, parse_instance
 from zetawalk.linalg import char_poly_rows, det_poly_matrix
 from zetawalk.zeta import WeightAssignment, ihara_digraph, ihara_graph
 
 from conftest import inversion_inputs
+from test_golden import GOLDEN, LARGE, large_instance
 from oracles import (
     Matrix, allones_inverse_check, allones_scaled_inverse, block_matrices, block_scaled_inverse,
     block_woodbury_check, char_poly_exact, det_bareiss, det_cofactor, identity, is_scaled_inverse,
@@ -316,19 +318,16 @@ def primes_of(moduli: list[int]) -> list[int]:
     return [p for q in moduli for p in kernel_factors(q)]
 
 
-def clearings(m: Matrix) -> list[tuple[int, int]]:
-    """(Delta, B) for m and for m^T, each cleared row by row."""
-    out = []
-    for a in (m, transpose(m)):
-        rows, dens = clear_rows(a)
-        out.append((math.prod(dens), linalg._coefficient_bound(rows, dens)))
-    return out
+def clearing(m: Matrix) -> tuple[int, int]:
+    """(Delta, B) for m cleared row by row."""
+    rows, dens = clear_rows(m)
+    return math.prod(dens), linalg._coefficient_bound(rows, dens)
 
 
 def primes_needed(m: Matrix) -> list[int]:
     """The kernel primes not dividing Delta, up to the first whose product
-    exceeds 2B, for whichever of m and m^T has the smaller B (m on a tie)."""
-    delta, bound = min(clearings(m), key=lambda db: db[1])
+    exceeds 2B, for m cleared row by row."""
+    delta, bound = clearing(m)
     return primes_up_to(delta, 2 * bound)
 
 
@@ -508,23 +507,44 @@ def test_coefficient_bound_never_exceeds_the_product_bound(rng):
                     assert linalg._coefficient_bound(rows, dens) == max(minor_sum_bounds(rows, dens))
 
 
-def test_kernel_reduces_the_transpose_when_its_bound_is_smaller(rng, monkeypatch):
-    # every entry of column 0 has denominator 7^30: each row of m needs 7^30,
-    # while m^T needs it in one row only
-    seen = record_moduli(monkeypatch)
-    for n in range(2, 8):
-        m = Matrix(
-            [
-                [Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), 7**30 if j == 0 else 1) for j in range(n)]
-                for _ in range(n)
-            ]
-        )
-        (row_delta, row_bound), (col_delta, col_bound) = clearings(m)
-        assert col_bound < row_bound
-        seen.clear()
-        assert_kernel(m)
-        assert primes_of(seen) == primes_needed(m) == primes_up_to(col_delta, 2 * col_bound)
-        assert len(primes_of(seen)) < len(primes_up_to(row_delta, 2 * row_bound))
+def orientation_primes(rows: list[list[int]], dens: list[int]) -> tuple[int, int]:
+    """How many kernel primes char_poly_rows takes on the rows it is given,
+    and how many it would take on their transpose."""
+    counts = []
+    for r, d in (linalg._lowest_terms(rows, dens), linalg._transposed(rows, dens)):
+        counts.append(len(primes_up_to(math.prod(d), 2 * linalg._coefficient_bound(r, d))))
+    return counts[0], counts[1]
+
+
+def golden_and_large_instances():
+    for path in sorted(GOLDEN.glob("*.zw")):
+        yield path.name, path.read_text(encoding="utf-8")
+    for case in sorted(LARGE):
+        yield f"large-{case[0]}", large_instance(*case)
+
+
+def test_each_caller_passes_the_orientation_that_needs_no_more_primes(monkeypatch):
+    # zeta passes the Hashimoto rows as they are and det_poly_matrix the
+    # transpose of its companion; on every golden and large instance the
+    # orientation passed needs no more primes than the other one
+    real = linalg.char_poly_rows
+    calls = []
+
+    def recording(caller):
+        def call(rows, dens):
+            calls.append((caller, orientation_primes(rows, dens)))
+            return real(rows, dens)
+
+        return call
+
+    monkeypatch.setattr(zeta, "char_poly_rows", recording("hashimoto"))
+    monkeypatch.setattr(linalg, "char_poly_rows", recording("companion"))
+    for name, text in golden_and_large_instances():
+        inst = parse_instance(text, name)
+        d = instance_digraph(inst)
+        (ihara_graph if d.mode is GraphMode.SYMMETRIC else ihara_digraph)(d, instance_weights(inst, d))
+    assert {caller for caller, _ in calls} == {"hashimoto", "companion"}
+    assert all(given <= other for _, (given, other) in calls), calls
 
 
 def test_every_residue_reaches_the_result(rng, monkeypatch):
