@@ -24,9 +24,10 @@ Fredricksen-Kessler-Maiorana prenecklace walk (Ruskey, Savage and Wang,
 "Generating necklaces", 1992) on the nonzero pattern of a square matrix,
 iteratively, on an explicit stack.  ``iter_prime_cycles`` runs it on the 0/1
 arc-adjacency matrix, and ``zeta``'s Euler product on the integer theta
-matrix, where a cycle whose product is 0 is never reached.  Closed paths
-themselves are walked only inside ``zeta``, on the theta matrix; the
-brute-force enumeration the tests compare against is in ``tests/oracles.py``.
+matrix, where a cycle whose product is 0 is never reached.  Other closed
+paths are never listed: ``zeta`` sums their products on the theta matrix
+without walking them, and the brute-force enumeration the tests compare
+against is in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -175,17 +176,17 @@ def predecessors(succ: list[list[int]]) -> list[list[int]]:
     return preds
 
 
-def steps_to(preds: list[list[int]], s: int, cap: int, floor: int = 0) -> list[int]:
+def steps_to(preds: list[list[int]], s: int, cap: int) -> list[int]:
     """Fewest transitions (at least one) from each arc to arc s through arcs
-    >= floor, by a breadth-first search back from s over the predecessor
-    lists ``preds``; cap + 1 where more than cap are needed."""
+    >= s, by a breadth-first search back from s over the predecessor lists
+    ``preds``; cap + 1 where more than cap are needed."""
     steps = [cap + 1] * len(preds)
     frontier = [s]
     for k in range(1, cap + 1):
         reached = []
         for b in frontier:
             for a in preds[b]:
-                if a >= floor and steps[a] > cap:
+                if a >= s and steps[a] > cap:
                     steps[a] = k
                     reached.append(a)
         if not reached:
@@ -224,7 +225,7 @@ def lyndon_cycles(m: list[list[int]], max_len: int):
         # the letters of a Lyndon word that starts at s are all >= s; a
         # prefix of length t + 1 ending at x closes within max_len only if
         # t + dist[x] <= max_len
-        dist = steps_to(preds, s, max_len - 1, floor=s)
+        dist = steps_to(preds, s, max_len - 1)
         stack = [(1, 1, 1, iter(entries[s][bisect_left(succ[s], s):]))]
         while stack:
             t, p, prod, branch = stack[-1]

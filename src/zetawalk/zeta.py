@@ -60,21 +60,21 @@ entry of a digraph is one RatFunc.  The vertex side reads tau1 and tau2
 itself, so a defect in the one theta builder shows as a Hashimoto-vs-Ihara
 mismatch.
 
-The series routes run in Python ints.  The two enumeration routes, closed
-paths for N_k and prime cycles for the Euler product, run on the integer
-matrix D*T, D the lcm of the row denominators e (``_clear_denominators``).
-A length-k term then carries D^k, and each result is divided back by its
+The series routes run in Python ints.  The two path routes, closed paths
+for N_k and prime cycles for the Euler product, run on the integer matrix
+D*T, D the lcm of the row denominators e (``_clear_denominators``).  A
+length-k term then carries D^k, and each result is divided back by its
 power of D once at the end, so the routes stay exact without a Fraction
 operation per path.  The closed-path route counts each closed path from its
-least arc s: it walks only the first-return loops s -> x_1 -> ... -> s with
-every x_i > s, level by level, skipping any arc from which s is out of
-reach in the remaining length, and an integer recurrence turns the loops'
-totals into s's share of every N_k (``_n_k_enumerated_all``).  The
-prime-cycle walk (``digraph.lyndon_cycles``) follows the nonzero entries of
-D*T, those of M, only.  The trace route to N_k clears the denominators on
-its own and reads each N_k off two powers of at most ceil(order/2); the two
-N_k routes must agree exactly (ConsistencyError otherwise).  The Hashimoto
-series 1 / det(I - t*M) is inverted in integers as well
+least arc s.  It sums the first-return loops s -> x_1 -> ... -> s with
+every x_i > s by a vector recurrence over the arcs above s, without listing
+one, and an integer recurrence turns the loops' totals into s's share of
+every N_k (``_n_k_enumerated_all``).  The prime-cycle walk
+(``digraph.lyndon_cycles``) follows the nonzero entries of D*T, those of M,
+only.  The trace route to N_k clears the denominators on its own and reads
+each N_k off two powers of at most ceil(order/2); the two N_k routes must
+agree exactly (ConsistencyError otherwise).  The Hashimoto series
+1 / det(I - t*M) is inverted in integers as well
 (``_hashimoto_series``).
 """
 
@@ -87,9 +87,7 @@ from math import lcm
 from operator import mul
 
 from .algebra import Poly, RatFunc, Series, as_fraction, render_rational
-from .digraph import (
-    Digraph, GraphError, GraphMode, PhiPair, lyndon_cycles, predecessors, steps_to as _steps_to,
-)
+from .digraph import Digraph, GraphError, GraphMode, PhiPair, lyndon_cycles
 from .linalg import char_poly_rows, det_poly_matrix
 
 
@@ -210,9 +208,10 @@ def _clear_denominators(theta) -> tuple[int, list[list[int]]]:
 
 
 def _n_k_enumerated_all(theta, upto: int) -> list:
-    """N_1..N_upto by direct closed-path enumeration of circular products.
+    """N_1..N_upto as sums of circular products over closed paths, grouped
+    by their least arc.
 
-    The walk runs on the Python ints D*T from ``_clear_denominators``, with
+    The route runs on the Python ints D*T from ``_clear_denominators``, with
     T = S M S^-1, so a closed path of length k adds D^k times its circular
     product (the same in T as in M) and N_k is the total over D^k.
 
@@ -233,43 +232,29 @@ def _n_k_enumerated_all(theta, upto: int) -> list:
     homogeneous of degree k, it holds for D^k m_k and D^k f_k, so
     D^k N_k = sum_s D^k m_k is found in ints.
 
-    From each s the walk goes level by level: a level holds, for each arc
-    a > s, the list of products of the walks of the current length from s
-    to a, and each walk's product is formed on its own.  A walk at depth k
-    moves on to arc b only if b leads back to s in at most upto - k steps
-    through arcs > s (``steps_to`` with floor s + 1); that distance exceeds
-    upto at every b <= s, so the walk never revisits s nor goes below it,
-    and every skipped branch holds no loop of length at most ``upto``.  The
-    last level is summed as it is formed and never held, so memory is the
-    widest of the levels before it.
+    f_k is a sum over walks, so the route sums them instead of listing
+    them.  From each s, after j - 1 steps the map ``walks`` holds, for each
+    arc b > s, the D^(j-1)-scaled total product of the walks
+    s -> x_1 -> ... -> b of j - 1 transitions with every x_i > s; it starts
+    as {s: 1}.  Then D f_1 = D*T[s][s] and D^j f_j = sum_a walks[a] D*T[a][s].
+    A step follows the nonzero entries of each row, restricted to columns
+    > s, so no walk returns to s or goes below it.  The cost is polynomial:
+    upto steps over at most the nonzero entries of D*T, per start arc.
     """
     scale, im = _clear_denominators(theta)
     rows = [tuple((b, v) for b, v in enumerate(row) if v != 0) for row in im]
-    preds = predecessors([[b for b, _ in row] for row in rows])
     totals = [0] * (upto + 1)
     for s in range(len(im)):
-        steps = _steps_to(preds, s, upto, s + 1)
-        loops = [0] * (upto + 1)  # loops[k] = D^k f_k
-        level = {s: [1]}
-        for depth in range(1, upto + 1):
+        loops = [0, im[s][s]] + [0] * (upto - 1)  # loops[k] = D^k f_k
+        walks = {s: 1}
+        for j in range(2, upto + 1):
             nxt = {}
-            for a, prods in level.items():
-                wrap = im[a][s]
-                if wrap:
-                    loops[depth] += wrap * sum(prods)
+            for a, x in walks.items():
                 for b, v in rows[a]:
-                    if depth + steps[b] > upto:
-                        continue
-                    if depth + 1 == upto:
-                        # b closes at once; the last level is not held
-                        loops[upto] += im[b][s] * sum([p * v for p in prods])
-                    elif b in nxt:
-                        nxt[b] += [p * v for p in prods]
-                    else:
-                        nxt[b] = [p * v for p in prods]
-            if not nxt:
-                break
-            level = nxt
+                    if b > s:
+                        nxt[b] = nxt.get(b, 0) + x * v
+            walks = nxt
+            loops[j] = sum(x * im[a][s] for a, x in walks.items())
         if any(loops):
             shares = [0]  # shares[k] = D^k m_k
             for k in range(1, upto + 1):
