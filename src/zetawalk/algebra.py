@@ -1,12 +1,14 @@
 """Univariate polynomials, rational functions, and truncated power series
 with exact rational coefficients (:class:`fractions.Fraction`).
 
-Every operation is exact and equality is structural.  Polynomials are stored
-densely, constant term first, with trailing zero coefficients stripped.
-Rational functions are kept in canonical form: numerator and denominator
-coprime, denominator monic.  Series carry an explicit truncation order,
-and two series are compared up to the smaller one; they have no ring
-operators, only ``exp`` and ``inv``.
+The three classes are exact value types: the program constructs,
+normalizes, compares and renders them, and none has ring operators.
+Polynomials are stored densely, constant term first, with trailing zero
+coefficients stripped; ``divmod``, ``gcd`` and ``monic`` serve the
+normalization.  Rational functions are kept in canonical form: numerator
+and denominator coprime, denominator monic, so equality is structural.
+Series carry an explicit truncation order, and two series are compared up
+to the smaller one; their only arithmetic is ``exp`` and ``inv``.
 
 Coefficients enter through ``as_fraction``, which accepts Fractions, ints and
 strings and refuses anything else (floats included), so no inexact value
@@ -64,18 +66,6 @@ class Poly:
     def one(cls):
         return cls([_ONE])
 
-    @classmethod
-    def constant(cls, c):
-        return cls([c])
-
-    @classmethod
-    def variable(cls):
-        return cls([_ZERO, _ONE])
-
-    @classmethod
-    def monomial(cls, k, c=1):
-        return cls([_ZERO] * k + [c])
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -85,9 +75,6 @@ class Poly:
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
-
-    def coefficient(self, k):
-        return self.coeffs[k] if k < len(self.coeffs) else _ZERO
 
     def lead(self):
         return self.coeffs[-1] if self.coeffs else _ZERO
@@ -99,64 +86,9 @@ class Poly:
 
     __hash__ = None
 
-    def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
-
-    def __add__(self, other) -> "Poly":
-        other = self._lift(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Poly(out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "Poly":
-        return self + (-self._lift(other))
-
-    def __mul__(self, other) -> "Poly":
-        other = self._lift(other)
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly.zero()
-        out = [_ZERO] * (len(a) + len(b) - 1)
-        for i, ci in enumerate(a):
-            if ci == 0:
-                continue
-            for j, cj in enumerate(b):
-                out[i + j] = out[i + j] + ci * cj
-        return Poly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "Poly":
-        if n < 0:
-            raise ValueError("negative polynomial power; use RatFunc")
-        result = Poly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    @staticmethod
-    def _lift(x) -> "Poly":
-        return x if isinstance(x, Poly) else Poly([x])
-
     def scale(self, s) -> "Poly":
         s = as_fraction(s)
         return Poly([c * s for c in self.coeffs])
-
-    def evaluate(self, x):
-        acc = _ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def divmod(self, other):
         """Long division; returns (quotient, remainder)."""
@@ -245,14 +177,6 @@ class RatFunc:
     def from_poly(cls, p: Poly) -> "RatFunc":
         return cls(p, Poly.one())
 
-    @classmethod
-    def zero(cls) -> "RatFunc":
-        return cls.from_poly(Poly.zero())
-
-    @classmethod
-    def one(cls) -> "RatFunc":
-        return cls.from_poly(Poly.one())
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
@@ -262,11 +186,6 @@ class RatFunc:
     def is_poly(self) -> bool:
         return self.den.degree == 0
 
-    def as_poly(self) -> Poly:
-        if not self.is_poly():
-            raise ValueError(f"not a polynomial: denominator {self.den.render()}")
-        return self.num
-
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
             other = RatFunc.from_poly(other)
@@ -275,43 +194,6 @@ class RatFunc:
         return self.num == other.num and self.den == other.den
 
     __hash__ = None
-
-    def __neg__(self) -> "RatFunc":
-        return RatFunc(-self.num, self.den)
-
-    @staticmethod
-    def _lift(x) -> "RatFunc":
-        if isinstance(x, RatFunc):
-            return x
-        return RatFunc.from_poly(Poly._lift(x))
-
-    def __add__(self, other) -> "RatFunc":
-        other = self._lift(other)
-        if self.is_zero():
-            return other
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "RatFunc":
-        return self + (-self._lift(other))
-
-    def __rsub__(self, other) -> "RatFunc":
-        return self._lift(other) - self
-
-    def __mul__(self, other) -> "RatFunc":
-        other = self._lift(other)
-        return RatFunc(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def inv(self) -> "RatFunc":
-        if self.is_zero():
-            raise ZeroDivisionError("cannot invert the zero rational function")
-        return RatFunc(self.den, self.num)
-
-    def __truediv__(self, other) -> "RatFunc":
-        return self * self._lift(other).inv()
 
     def render(self) -> str:
         if self.is_poly():
@@ -335,14 +217,6 @@ class Series:
         cs += [_ZERO] * (order + 1 - len(cs))
         self.coeffs = tuple(cs)
         self.order = order
-
-    @classmethod
-    def one(cls, order):
-        return cls([_ONE], order)
-
-    @classmethod
-    def from_poly(cls, p: Poly, order: int) -> "Series":
-        return cls(p.coeffs, order)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Series):

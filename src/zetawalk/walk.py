@@ -77,7 +77,8 @@ def _uniform_terms(g: Digraph) -> list[tuple[int, int]]:
 def _probability_terms(g: Digraph, p) -> list[tuple[int, int]]:
     """p as (numerator, denominator) pairs in arc order, checked in integers.
 
-    Each probability goes through ``algebra.as_fraction``, so a float raises
+    Every arc needs a probability and every key must be an arc id.  Each
+    probability goes through ``algebra.as_fraction``, so a float raises
     TypeError.  A reduced n/d lies in (0, 1] when 0 < n <= d, and the
     probabilities n_i/d_i leaving a vertex sum to 1 when
     sum n_i * (L // d_i) == L for L = lcm(d_i).  The checks do no Fraction
@@ -92,6 +93,9 @@ def _probability_terms(g: Digraph, p) -> list[tuple[int, int]]:
         if not 0 < n <= d:
             raise WalkError(f"probability {x} for arc {a} outside (0, 1]")
         terms.append((n, d))
+    if len(p) > g.arc_count:
+        unknown = next(a for a in p if a not in range(g.arc_count))
+        raise WalkError(f"probability for unknown arc id {unknown}")
     for v in range(g.vertex_count):
         out = [terms[a] for a in g.out_arcs(v)]
         lcm = math.lcm(*[d for _, d in out])

@@ -14,6 +14,13 @@ matrices, and the walk matrices U and T built entry by entry with Fraction
 square roots.  The dense ``Matrix`` type, its arithmetic (sums, products,
 scaling, transposes, traces) and the series logarithm live here too, since
 only the tests use them.
+
+Polynomial and rational-function entries compute in sympy's ``QQ[t]``
+(``RING``, generator ``T``) and ``QQ(t)`` (``FIELD``, generator ``TF``), not
+in the library's ``Poly`` and ``RatFunc``, so no reference reuses the gcd or
+normalization it checks.  ``coeffs`` turns their results into the Fraction
+tuples that ``Poly.coeffs`` and ``RatFunc.num/den.coeffs`` hold, and
+``lift`` carries library values the other way, into ``RING`` and ``FIELD``.
 """
 
 from __future__ import annotations
@@ -23,10 +30,35 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from sympy import QQ
+from sympy.polys.fields import field
+from sympy.polys.rings import PolyElement, ring
 
 from zetawalk.algebra import Poly, RatFunc, Series, as_fraction
 from zetawalk.digraph import Digraph, GraphError, PhiPair
 from zetawalk.zeta import WeightAssignment
+
+RING, T = ring("t", QQ)
+FIELD, TF = field("t", QQ)
+
+
+def coeffs(x):
+    """The Fraction coefficients of a ``RING`` element, constant term first,
+    as ``Poly.coeffs`` holds them; of a ``FIELD`` element, the pair of
+    numerator and denominator coefficients with the denominator monic, as
+    ``RatFunc.num.coeffs`` and ``RatFunc.den.coeffs`` hold them."""
+    if isinstance(x, PolyElement):
+        return tuple(Fraction(int(c.numerator), int(c.denominator)) for c in reversed(x.to_dense()))
+    num, den = coeffs(x.numer), coeffs(x.denom)
+    return tuple(c / den[-1] for c in num), tuple(c / den[-1] for c in den)
+
+
+def lift(x):
+    """A library ``Poly`` as a ``RING`` element, a ``RatFunc`` as a ``FIELD``
+    element, for references that compute with library results."""
+    if isinstance(x, RatFunc):
+        return FIELD(lift(x.num)) / FIELD(lift(x.den))
+    return RING.from_list(x.coeffs[::-1])
 
 
 class Matrix:
@@ -137,7 +169,7 @@ def series_log(s: Series) -> Series:
 
 
 def det_bareiss(m: Matrix, one=None):
-    """Fraction-free determinant over Fraction, Poly or RatFunc entries."""
+    """Fraction-free determinant over Fraction, QQ[t] or QQ(t) entries."""
     m._require_square()
     n = m.rows
     if n == 0:
@@ -161,7 +193,7 @@ def det_bareiss(m: Matrix, one=None):
             for j in range(k + 1, n):
                 elt = pivot * a[i][j] - a[i][k] * a[k][j]
                 if prev is not None:
-                    elt = elt.exact_div(prev) if isinstance(elt, Poly) else elt / prev
+                    elt = elt.exquo(prev) if isinstance(elt, PolyElement) else elt / prev
                 a[i][j] = elt
         prev = pivot
     det = a[n - 1][n - 1]
@@ -215,18 +247,18 @@ def char_poly_exact(m: Matrix) -> Poly:
     return Poly(list(reversed(cs)))
 
 
-def is_scaled_inverse(a: Matrix, b: Matrix, d: Poly) -> bool:
+def is_scaled_inverse(a: Matrix, b: Matrix, d: PolyElement) -> bool:
     """a*b == b*a == d*I: for a nonzero polynomial d, b/d is the inverse of a."""
-    ident = identity(a.rows, d, Poly.zero())
+    ident = identity(a.rows, d, RING.zero)
     return mat_mul(a, b) == ident and mat_mul(b, a) == ident
 
 
-def allones_scaled_inverse(n: int, k) -> tuple[Matrix, Matrix, Poly]:
+def allones_scaled_inverse(n: int, k) -> tuple[Matrix, Matrix, PolyElement]:
     """(I + t*k*J, (1 + t*k*n)*I - t*k*J, 1 + t*k*n) with J the n x n all-ones
     matrix: the claimed (I + t*k*J)^-1 = I - t*k/(1 + t*k*n) * J, scaled."""
     k = Fraction(k)
-    tk = Poly.monomial(1, k)
-    s = Poly([1, k * n])
+    tk = k * T
+    s = 1 + k * n * T
     lhs = Matrix([[tk + 1 if i == j else tk for j in range(n)] for i in range(n)])
     claimed = Matrix([[s - tk if i == j else -tk for j in range(n)] for i in range(n)])
     return lhs, claimed, s
@@ -238,7 +270,7 @@ def allones_inverse_check(n: int, k) -> bool:
 
 
 def _constant_polys(m: Matrix) -> Matrix:
-    return mat_map(m, Poly.constant)
+    return mat_map(m, RING)
 
 
 def _blocks(tl: Matrix, tr: Matrix, bl: Matrix, br: Matrix) -> Matrix:
@@ -248,24 +280,23 @@ def _blocks(tl: Matrix, tr: Matrix, bl: Matrix, br: Matrix) -> Matrix:
 
 def block_matrices(m1: Matrix, m2: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     """I + t*M for M = [[0, M1], [M2, 0]] and the Schur complements
-    K = I - t^2*M1*M2 and L = I - t^2*M2*M1, over Poly."""
+    K = I - t^2*M1*M2 and L = I - t^2*M2*M1, over QQ[t]."""
     k, ell = m1.rows, m1.cols
     if m2.shape() != (ell, k):
         raise ValueError(f"M2 must be {ell}x{k}, got {m2.shape()}")
-    t = Poly.variable()
-    pone, pzero = Poly.one(), Poly.zero()
+    pone, pzero = RING.one, RING.zero
     p1, p2 = _constant_polys(m1), _constant_polys(m2)
-    big = _blocks(zeros(k, k, pzero), mat_scale(p1, t), mat_scale(p2, t), zeros(ell, ell, pzero))
+    big = _blocks(zeros(k, k, pzero), mat_scale(p1, T), mat_scale(p2, T), zeros(ell, ell, pzero))
     full = mat_add(identity(k + ell, pone, pzero), big)
-    cap_k = mat_sub(identity(k, pone, pzero), mat_scale(mat_mul(p1, p2), t * t))
-    cap_l = mat_sub(identity(ell, pone, pzero), mat_scale(mat_mul(p2, p1), t * t))
+    cap_k = mat_sub(identity(k, pone, pzero), mat_scale(mat_mul(p1, p2), T * T))
+    cap_l = mat_sub(identity(ell, pone, pzero), mat_scale(mat_mul(p2, p1), T * T))
     return full, cap_k, cap_l
 
 
 def adjugate(m: Matrix) -> Matrix:
-    """adj(m) = det(m) * m^-1 over Poly, from the cofactor minors by Bareiss."""
+    """adj(m) = det(m) * m^-1 over QQ[t], from the cofactor minors by Bareiss."""
     n = m.rows
-    one = Poly.one()
+    one = RING.one
 
     def minor(i, j):
         return Matrix([[m[r, c] for c in range(n) if c != j] for r in range(n) if r != i])
@@ -283,7 +314,7 @@ def block_scaled_inverse(m1: Matrix, m2: Matrix) -> Matrix:
     """
     _, cap_k, cap_l = block_matrices(m1, m2)
     adj_k, adj_l = adjugate(cap_k), adjugate(cap_l)
-    minus_t = Poly.monomial(1, -1)
+    minus_t = -T
     top_right = mat_scale(mat_mul(_constant_polys(m1), adj_l), minus_t)
     bottom_left = mat_scale(mat_mul(adj_l, _constant_polys(m2)), minus_t)
     return _blocks(adj_k, top_right, bottom_left, adj_l)
@@ -383,17 +414,7 @@ def structural_matrices(d: Digraph, w: WeightAssignment, arc_order=None) -> Stru
             for u in range(nv)
         ]
     )
-    pone, pzero = Poly.one(), Poly.zero()
-    t_var = Poly.variable()
-    t = Matrix(
-        [
-            [
-                (pone if ai == bj else pzero) + t_var.scale(j[ai, bj])
-                for bj in range(n)
-            ]
-            for ai in range(n)
-        ]
-    )
+    t = Matrix([[int(ai == bj) + j[ai, bj] * T for bj in range(n)] for ai in range(n)])
     return StructuralMatrices(j, k, l, t)
 
 
@@ -429,7 +450,7 @@ def walk_discriminant(g: Digraph, probs: dict[int, Fraction]) -> np.ndarray:
 
 def ihara_digraph_tables(d: Digraph, w: WeightAssignment) -> tuple[dict, dict, dict]:
     """The nonzero entries of A, D and X of the digraph vertex expression as
-    {(u, v): value} maps, each D and X entry summed one RatFunc c / f at a
+    {(u, v): value} maps, each D and X entry summed one QQ(t) term c / f at a
     time."""
     a, dm, xm = {}, {}, {}
     for arc, key in enumerate(zip(d.tails, d.heads)):
@@ -437,10 +458,10 @@ def ihara_digraph_tables(d: Digraph, w: WeightAssignment) -> tuple[dict, dict, d
     for pair in d.phi_pairs():
         u, v = pair.u, pair.v
         k, l = len(pair.arcs_uv), len(pair.arcs_vu)
-        f = Poly([1, k]) if pair.is_diagonal else Poly([1, 0, -k * l])
+        f = 1 + k * TF if pair.is_diagonal else 1 - k * l * TF**2
 
         def add(m, key, c):
-            m[key] = m.get(key, RatFunc.zero()) + RatFunc(Poly.constant(c), f)
+            m[key] = m.get(key, FIELD.zero) + c / f
 
         def s(tau, arcs):
             return sum((tau[x] for x in arcs), Fraction(0))
@@ -457,7 +478,7 @@ def ihara_digraph_tables(d: Digraph, w: WeightAssignment) -> tuple[dict, dict, d
 
 def sato_matrices(d: Digraph, w: WeightAssignment) -> tuple[dict, dict]:
     """The nonzero entries of Sato's tau1 = 1 matrices Au and Du as
-    {(u, v): RatFunc} maps, one entry at a time:
+    {(u, v): QQ(t)} maps, one entry at a time:
 
         Au[u][v] = (sum_{a in A_uv} tau2(a)) / f(u,v),
         Du[u][u] = sum_{w != u} |A_wu| (sum_{a in A_uw} tau2(a)) / f(u,w).
@@ -470,37 +491,36 @@ def sato_matrices(d: Digraph, w: WeightAssignment) -> tuple[dict, dict]:
             if not arcs:
                 continue
             k, l = len(arcs), len(back)
-            f = Poly([1, k]) if u == v else Poly([1, 0, -k * l])
-            s2 = RatFunc(Poly.constant(sum((w.tau2[a] for a in arcs), Fraction(0))), f)
+            f = 1 + k * TF if u == v else 1 - k * l * TF**2
+            s2 = sum((w.tau2[a] for a in arcs), Fraction(0)) / f
             au[u, v] = s2
             if u != v:
-                du[u, u] = du.get((u, u), RatFunc.zero()) + s2 * l
+                du[u, u] = du.get((u, u), FIELD.zero) + s2 * l
     return tuple({key: x for key, x in m.items() if x} for m in (au, du))
 
 
-def sato_expression(d: Digraph, w: WeightAssignment) -> RatFunc:
-    """prod_f * det(I - t*Au + t^2*Du), the determinant by elimination on
-    the dense RatFunc matrix."""
+def sato_expression(d: Digraph, w: WeightAssignment):
+    """prod_f * det(I - t*Au + t^2*Du) in QQ(t), the determinant by
+    elimination on the dense matrix."""
     au, du = sato_matrices(d, w)
-    t = RatFunc.from_poly(Poly.variable())
     n = d.vertex_count
     rows = [
         [
-            int(i == j) - t * au.get((i, j), RatFunc.zero()) + t * t * du.get((i, j), RatFunc.zero())
+            int(i == j) - TF * au.get((i, j), FIELD.zero) + TF * TF * du.get((i, j), FIELD.zero)
             for j in range(n)
         ]
         for i in range(n)
     ]
-    prod_f = RatFunc.one()
+    prod_f = FIELD.one
     for pair in d.phi_pairs():
         k, l = len(pair.arcs_uv), len(pair.arcs_vu)
-        prod_f = prod_f * (Poly([1, k]) if pair.is_diagonal else Poly([1, 0, -k * l]))
-    return prod_f * det_bareiss(Matrix(rows), RatFunc.one())
+        prod_f = prod_f * (1 + k * TF if pair.is_diagonal else 1 - k * l * TF**2)
+    return prod_f * det_bareiss(Matrix(rows), FIELD.one)
 
 
-def graph_vertex_det(g: Digraph, w: WeightAssignment) -> Poly:
+def graph_vertex_det(g: Digraph, w: WeightAssignment) -> PolyElement:
     """det(I - t*A + t^2*(D - I)) of a graph by elimination on the dense
-    Poly matrix over every vertex, isolated ones included."""
+    QQ[t] matrix over every vertex, isolated ones included."""
     n = g.vertex_count
     a = [[Fraction(0)] * n for _ in range(n)]
     dg = [Fraction(0)] * n
@@ -508,15 +528,13 @@ def graph_vertex_det(g: Digraph, w: WeightAssignment) -> Poly:
         a[tail][head] += w.tau1[arc] * w.tau2[arc]
         dg[tail] += w.tau1[g.partner(arc)] * w.tau2[arc]
     rows = [
-        [Poly([int(i == j), -a[i][j], dg[i] - 1 if i == j else 0]) for j in range(n)]
+        [int(i == j) - a[i][j] * T + (dg[i] - 1 if i == j else 0) * T**2 for j in range(n)]
         for i in range(n)
     ]
-    return det_bareiss(Matrix(rows), Poly.one())
+    return det_bareiss(Matrix(rows), RING.one)
 
 
-def det_one_minus_t_by_elimination(m: Matrix) -> Poly:
-    """det(I - t*m) by elimination on the Poly matrix I - t*m."""
+def det_one_minus_t_by_elimination(m: Matrix) -> PolyElement:
+    """det(I - t*m) by elimination on the QQ[t] matrix I - t*m."""
     n = m.rows
-    return det_bareiss(
-        Matrix([[Poly([int(i == j), -m[i, j]]) for j in range(n)] for i in range(n)]), Poly.one()
-    )
+    return det_bareiss(Matrix([[int(i == j) - m[i, j] * T for j in range(n)] for i in range(n)]), RING.one)

@@ -46,7 +46,7 @@ from conftest import (
     random_rational,
     random_weights,
 )
-from oracles import allones_inverse_check, block_woodbury_check, sato_expression
+from oracles import allones_inverse_check, block_woodbury_check, coeffs, sato_expression
 
 
 def report(num: int, ok: bool, desc: str):
@@ -60,12 +60,12 @@ def test_criterion_1_digraph_ihara_identity_exact():
     d = fixture_digraph("paper-digraph")
     for trial in range(5):
         res = ihara_digraph(d, random_weights(rng, d))
-        if not (res.agree and res.rhs.as_poly() == res.hashimoto):
+        if not (res.agree and res.rhs.is_poly() and res.rhs.num == res.hashimoto):
             failures.append(("fixture", trial))
     for trial in range(200):
         dd = random_digraph(rng, max_vertices=4, max_arcs=10)
         res = ihara_digraph(dd, random_weights(rng, dd))
-        if not (res.agree and res.rhs.as_poly() == res.hashimoto):
+        if not (res.agree and res.rhs.is_poly() and res.rhs.num == res.hashimoto):
             failures.append(("random", trial))
     report(
         1,
@@ -170,11 +170,12 @@ def test_criterion_4_sato_specialization():
         tau2_g = {i: random_rational(rng) for i in range(g.arc_count)}
         wd = WeightAssignment.from_maps(d, None, tau2_d)
         wg = WeightAssignment.from_maps(g, None, tau2_g)
-        sato = sato_expression(d, wd)
+        sato = coeffs(sato_expression(d, wd))
+        rhs, graph_rhs = ihara_digraph(d, wd).rhs, ihara_graph(g, wg).rhs
         ok = (
-            sato == RatFunc.from_poly(hashimoto(d, wd))
-            and sato == ihara_digraph(d, wd).rhs
-            and ihara_graph(g, wg).rhs.as_poly() == hashimoto(g, wg)
+            sato == (hashimoto(d, wd).coeffs, (1,))
+            and sato == (rhs.num.coeffs, rhs.den.coeffs)
+            and graph_rhs.is_poly() and graph_rhs.num == hashimoto(g, wg)
         )
         if not ok:
             failures.append(trial)
@@ -182,7 +183,8 @@ def test_criterion_4_sato_specialization():
         gg = fixture_digraph(name)
         tau2 = {i: random_rational(rng) for i in range(gg.arc_count)}
         wgg = WeightAssignment.from_maps(gg, None, tau2)
-        if ihara_graph(gg, wgg).rhs.as_poly() != hashimoto(gg, wgg):
+        rhs = ihara_graph(gg, wgg).rhs
+        if not (rhs.is_poly() and rhs.num == hashimoto(gg, wgg)):
             failures.append(name)
     report(
         4,
@@ -352,14 +354,14 @@ def test_criterion_9_cli_determinism(tmp_path):
     if code != 2:
         ok = False
         notes.append(("parse-error-exit", code))
-    one = Series.one(3)
+    one = Series([1], 3)
     fabricated = ZetaReport(
         3,
         one,
         one,
         Poly.one(),
         one,
-        RatFunc.one(),
+        RatFunc.from_poly(Poly.one()),
         (Verdict("hashimoto-vs-ihara", False, "at t^1"),),
     )
     if exit_code_for_report(fabricated) != 1:

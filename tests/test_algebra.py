@@ -1,28 +1,23 @@
 from fractions import Fraction
 
 import pytest
+from sympy.polys.ring_series import rs_exp, rs_series_inversion
 
 from zetawalk.algebra import Poly, RatFunc, Series
 from zetawalk.digraph import build_digraph
 from zetawalk.zeta import WeightAssignment
 
-from oracles import series_log
+from oracles import FIELD, RING, T, coeffs, lift, series_log
 
 
 def P(*coeffs):
     return Poly(coeffs)
 
 
-def test_poly_product_difference_of_squares():
-    assert P(1, -1) * P(1, 1) == P(1, 0, -1)
-
-
-def test_poly_eval():
-    assert P(1, 2).evaluate(Fraction(1, 2)) == 2
-
-
-def test_poly_cube():
-    assert P(1, 1) ** 3 == P(1, 3, 3, 1)
+def random_poly(rng, degree):
+    """A QQ[t] element of the given degree with random small coefficients."""
+    cs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(degree)]
+    return RING.from_list([Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))] + cs)
 
 
 def test_poly_normalization_strips_trailing_zeros():
@@ -41,27 +36,28 @@ def test_poly_divmod_and_exact_div():
 
 
 def test_poly_gcd_monic():
-    a = P(1, 1) * P(2, 2, 2)
-    b = P(1, 1) * P(3, 0, 3)
+    a = Poly(coeffs((1 + T) * (2 + 2 * T + 2 * T**2)))
+    b = Poly(coeffs((1 + T) * (3 + 3 * T**2)))
     g = a.gcd(b)
     assert g.lead() == 1
     assert a.divmod(g)[1].is_zero() and b.divmod(g)[1].is_zero()
 
 
-def test_ratfunc_add_same_denominator():
-    r = RatFunc(P(1), P(1, 2))
-    assert r + r == RatFunc(P(2), P(1, 2))
+def test_poly_gcd_is_the_monic_gcd_in_sympy(rng):
+    for _ in range(60):
+        common = random_poly(rng, rng.randint(0, 3))
+        a = common * random_poly(rng, rng.randint(0, 4))
+        b = common * random_poly(rng, rng.randint(0, 4)) if rng.random() < 0.9 else RING.zero
+        assert Poly(coeffs(a)).gcd(Poly(coeffs(b))).coeffs == coeffs(a.gcd(b).monic())
 
 
 def test_ratfunc_product_cancels():
-    lhs = RatFunc(P(0, 1), P(1, 0, -1)) * RatFunc(P(1, 0, -1), P(1))
+    lhs = RatFunc(Poly(coeffs(T * (1 - T**2))), P(1, 0, -1))
     assert lhs == RatFunc.from_poly(P(0, 1))
-    assert lhs.as_poly() == P(0, 1)
+    assert lhs.is_poly() and lhs.num == P(0, 1)
 
 
 def test_ratfunc_inv_zero_errors():
-    with pytest.raises(ZeroDivisionError):
-        RatFunc.zero().inv()
     with pytest.raises(ZeroDivisionError):
         RatFunc(P(1), P())
 
@@ -72,15 +68,25 @@ def test_ratfunc_canonical_form_unique(rng):
         den = Poly([Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3)])
         if den.is_zero() or num.is_zero():
             continue
-        scale = Poly([Fraction(rng.randint(1, 9)), Fraction(rng.randint(-9, 9))])
+        scale = lift(Poly([Fraction(rng.randint(1, 9)), Fraction(rng.randint(-9, 9))]))
         a = RatFunc(num, den)
-        b = RatFunc(num * scale, den * scale)
+        b = RatFunc(Poly(coeffs(lift(num) * scale)), Poly(coeffs(lift(den) * scale)))
         assert a.num == b.num and a.den == b.den
         assert a.den.lead() == 1
         assert a.num.gcd(a.den).degree <= 0
-        # two arithmetic routes to the same value
-        c = RatFunc(num, P(1)) * RatFunc(P(1), den)
-        assert (c.num, c.den) == (a.num, a.den) or c == a
+        # the same value reached in sympy's QQ(t)
+        assert coeffs(FIELD(lift(num)) / FIELD(lift(den))) == (a.num.coeffs, a.den.coeffs)
+
+
+def test_ratfunc_is_the_cancelled_form_in_sympy(rng):
+    # planted common factors, and constant numerators or denominators
+    for _ in range(120):
+        common = random_poly(rng, rng.randint(0, 3))
+        num, den = (random_poly(rng, rng.randint(0, 4)) for _ in range(2))
+        if rng.random() < 0.1:
+            num = RING.zero
+        r = RatFunc(Poly(coeffs(num * common)), Poly(coeffs(den * common)))
+        assert (r.num.coeffs, r.den.coeffs) == coeffs(FIELD(num) / FIELD(den))
 
 
 def test_ratfunc_over_a_constant_is_the_scaled_polynomial(rng):
@@ -89,10 +95,10 @@ def test_ratfunc_over_a_constant_is_the_scaled_polynomial(rng):
     for _ in range(60):
         num = Poly([Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(rng.randint(0, 6))])
         c = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
-        r = RatFunc(num, Poly.constant(c))
+        r = RatFunc(num, P(c))
         assert (r.num, r.den) == (num.scale(1 / c), P(1))
-        assert r == RatFunc(num * P(1, 1), P(c, c)) == RatFunc.from_poly(num.scale(1 / c))
-        assert r.is_poly() and r.as_poly() == num.scale(1 / c)
+        assert r == RatFunc(Poly(coeffs(lift(num) * (1 + T))), P(c, c)) == RatFunc.from_poly(num.scale(1 / c))
+        assert r.is_poly() and r.num == num.scale(1 / c)
 
 
 def test_ratfunc_with_a_constant_numerator_is_canonical(rng):
@@ -100,9 +106,10 @@ def test_ratfunc_with_a_constant_numerator_is_canonical(rng):
     for _ in range(60):
         c = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
         den = Poly([Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(rng.randint(1, 5))] + [Fraction(rng.randint(1, 9))])
-        r = RatFunc(Poly.constant(c), den)
-        assert (r.num, r.den) == (Poly.constant(c / den.lead()), den.scale(1 / den.lead()))
-        assert r == RatFunc(P(c, c), den * P(1, 1)) == RatFunc(P(1), den) * c
+        r = RatFunc(P(c), den)
+        assert (r.num, r.den) == (P(c / den.lead()), den.scale(1 / den.lead()))
+        assert r == RatFunc(P(c, c), Poly(coeffs(lift(den) * (1 + T))))
+        assert (r.num.coeffs, r.den.coeffs) == coeffs(c / FIELD(lift(den)))
 
 
 def test_series_exp_example():
@@ -149,8 +156,15 @@ def test_series_inverse_identity_exact(rng):
     for _ in range(20):
         order = rng.randint(1, 16)
         s = _random_series(rng, order, Fraction(rng.randint(1, 5)))
-        product = Poly(s.inv().coeffs) * Poly(s.coeffs)
-        assert Series(product.coeffs, order) == Series.one(order)
+        inverse = rs_series_inversion(lift(s), T, order + 1)
+        assert s.inv() == Series(coeffs(inverse), order)
+
+
+def test_series_exp_is_rs_exp(rng):
+    for _ in range(20):
+        order = rng.randint(1, 16)
+        s = _random_series(rng, order, Fraction(0))
+        assert s.exp() == Series(coeffs(rs_exp(lift(s), T, order + 1)), order)
 
 
 def test_poly_render_contract():

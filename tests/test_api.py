@@ -109,6 +109,9 @@ def test_only_walk_imports_numpy_and_only_zeta_imports_linalg():
     }
     assert {name for name, mods in imports.items() if "numpy" in mods} == {"walk.py"}
     assert {name for name, mods in imports.items() if "linalg" in mods} == {"zeta.py"}
+    # the test-only dependencies stay out of the package
+    test_only = {"sympy", "networkx", "hypothesis", "pytest"}
+    assert {name: mods & test_only for name, mods in imports.items() if mods & test_only} == {}
 
 
 def _unused_imports(path):

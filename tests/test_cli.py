@@ -629,7 +629,7 @@ def test_cli_an_order_too_large_for_memory_is_named(tmp_path):
 def test_exit_code_for_report_contract():
     agree = Verdict("exponential-vs-euler", True, None)
     bad = Verdict("hashimoto-vs-ihara", False, "at t^2")
-    one = Series.one(3)
+    one = Series([1], 3)
     poly = Poly.one()
     ok_report = ZetaReport(3, one, one, poly, one, RatFunc.from_poly(poly), (agree,))
     bad_report = ZetaReport(3, one, one, poly, one, RatFunc.from_poly(poly), (agree, bad))

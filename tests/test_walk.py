@@ -220,6 +220,16 @@ def test_probability_validation_errors():
         check_probability(tri, probs)
 
 
+def test_probability_for_an_unknown_arc_id_is_refused():
+    # as WeightAssignment.from_maps refuses a weight for an unknown arc id
+    g = symmetric_digraph(2, [(0, 1)])
+    for key, value in ((7, Fraction(1, 2)), (-1, 3)):
+        p = {0: 1, 1: 1, key: value}
+        for call in (check_probability, szegedy_transition, szegedy_discriminant, szegedy_spectrum_via_factorization):
+            with pytest.raises(WalkError, match=f"^probability for unknown arc id {key}$"):
+                call(g, p)
+
+
 def test_checked_probability_gives_the_same_walk_on_its_own_graph_only():
     g = fixture_digraph("paper-graph")
     p = uniform_probability(g)
@@ -364,7 +374,7 @@ def test_zeta_edge_matrix_bridges_to_grover_walk():
         as_float = np.array([[float(m[i, j]) for j in range(n)] for i in range(n)])
         assert np.allclose(as_float, u.T, atol=1e-12)
         h = hashimoto(g, w)
-        reversed_coeffs = np.array([float(h.coefficient(i)) for i in range(n + 1)])
+        reversed_coeffs = np.array([float(c) for c in h.coeffs] + [0.0] * (n + 1 - len(h.coeffs)))
         direct = np.poly(np.array(eigenvalues_numeric(u)))
         assert float(np.max(np.abs(direct - reversed_coeffs))) <= 1e-8
 
