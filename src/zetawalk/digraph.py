@@ -22,19 +22,24 @@ ids that are closed paths, i.e. the Lyndon words of the arc graph.
 ``lyndon_cycles`` generates them directly with the
 Fredricksen-Kessler-Maiorana prenecklace walk (Ruskey, Savage and Wang,
 "Generating necklaces", 1992) on the nonzero pattern of a square matrix,
-iteratively, on an explicit stack.  ``iter_prime_cycles`` runs it on the 0/1
-arc-adjacency matrix, and ``zeta``'s Euler product on the integer theta
-matrix, where a cycle whose product is 0 is never reached.  Other closed
-paths are never listed: ``zeta`` sums their products on the theta matrix
-without walking them, and the brute-force enumeration the tests compare
-against is in ``tests/oracles.py``.
+iteratively, on an explicit stack.  At its last length the walk lists no
+word: for each prefix one length short it yields the total product of the
+prefix's Lyndon closings, found by one bisect into per-arc suffix sums.
+``zeta``'s Euler product runs it on the integer theta matrix, where a cycle
+whose product is 0 is never reached, and needs only per-length totals past
+half its order.  ``iter_prime_cycles`` runs it one length further on the 0/1
+arc-adjacency matrix and drops that length.  Other closed paths are never
+listed: ``zeta`` sums their products on the theta matrix without walking
+them, and the brute-force enumeration the tests compare against is in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 
 
 class GraphMode(Enum):
@@ -197,35 +202,63 @@ def steps_to(preds: list[list[int]], s: int, cap: int) -> list[int]:
 
 def lyndon_cycles(m: list[list[int]], max_len: int):
     """Yield ``(word, k, c)`` for each Lyndon closed path of nonzero entries
-    of the square matrix ``m``, of length k <= max_len.
+    of the square matrix ``m``, of length k < max_len, and one
+    ``(word, max_len, c)`` for each prefix of the Lyndon closed paths of
+    length max_len, with c their total.
 
-    ``word[:k]`` holds the arc ids (``word`` is the walk's own buffer, valid
-    until the next step) and c is the circular product m[w0][w1] ...
-    m[w_{k-1}][w0], which is nonzero.  The Fredricksen-Kessler-Maiorana
-    walk extends a prenecklace ``w`` of length t and period p by each x
-    with m[w[t-1]][x] != 0 and x >= w[t - p]; the period stays p when
-    x == w[t - p] and becomes t + 1 otherwise, and ``w + x`` is Lyndon
-    when the period equals the new length.  Every prefix of a Lyndon closed
-    path with nonzero entries is such a prenecklace, so the walk reaches
-    each one exactly once while it follows nonzero entries only.  The
-    product of the prefix is carried down the walk, which runs on an
-    explicit stack: a branch per depth, at most max_len deep.
+    ``word`` is the walk's own buffer, valid until the next step.  For
+    k < max_len, ``word[:k]`` holds the arc ids and c is the circular
+    product m[w0][w1] ... m[w_{k-1}][w0], which is nonzero.  At k = max_len,
+    ``word[:max_len - 1]`` holds a prefix and c, which is nonzero, is the
+    total of the circular products of its Lyndon closings.
+
+    The Fredricksen-Kessler-Maiorana walk extends a prenecklace ``w`` of
+    length t and period p by each x with m[w[t-1]][x] != 0 and
+    x >= w[t - p]; the period stays p when x == w[t - p] and becomes t + 1
+    otherwise, and ``w + x`` is Lyndon when the period equals the new
+    length.  Every prefix of a Lyndon closed path with nonzero entries is
+    such a prenecklace, so the walk reaches each one exactly once while it
+    follows nonzero entries only.  The product of the prefix is carried
+    down the walk, which runs on an explicit stack: a branch per depth, at
+    most max_len - 2 deep.  The last level is summed, not walked: a prefix
+    of length max_len - 1 with period q, ending at arc a, closes to a
+    Lyndon word on exactly the successors x > w[max_len - 1 - q] of a with
+    m[x][s] != 0, s = w[0].  So per start arc s, the suffix sums of
+    m[a][x] m[x][s] over each ascending successor list give the closings'
+    total by one bisect and one lookup.  At max_len 1 the last level is the
+    loop at s, and at max_len 2 it closes the one-letter prefix s.
     """
     if max_len < 1:
         raise GraphError("cycle length bound must be >= 1")
-    # ascending successor ids, so bisect finds the first x >= w[t - p]
+    # ascending successor ids, so bisect finds the first x >= w[t - p] and
+    # the first x > w[max_len - 1 - q]
     succ = [[b for b, v in enumerate(row) if v] for row in m]
     entries = [[(b, v) for b, v in enumerate(row) if v] for row in m]
     preds = predecessors(succ)
+    last = max_len - 1
     word = [0] * max_len
     for s, row in enumerate(m):
         word[0] = s
         if row[s]:
             yield word, 1, row[s]
+        if not last:
+            continue
         # the letters of a Lyndon word that starts at s are all >= s; a
         # prefix of length t + 1 ending at x closes within max_len only if
         # t + dist[x] <= max_len
-        dist = steps_to(preds, s, max_len - 1)
+        dist = steps_to(preds, s, last)
+        # closing[a][i]: the total of m[a][x] m[x][s] over the successors x
+        # of a from succ[a][i] on, for the arcs a that reach s in two steps
+        closing = {
+            a: list(accumulate(reversed([v * m[x][s] for x, v in entries[a]]), initial=0))[::-1]
+            for a in range(s, len(m))
+            if dist[a] <= 2
+        }
+        if last == 1:
+            total = closing[s][bisect_right(succ[s], s)]
+            if total:
+                yield word, max_len, total
+            continue
         stack = [(1, 1, 1, iter(entries[s][bisect_left(succ[s], s):]))]
         while stack:
             t, p, prod, branch = stack[-1]
@@ -242,10 +275,13 @@ def lyndon_cycles(m: list[list[int]], max_len: int):
                     c = m[x][s]
                     if c:
                         yield word, q, pv * c
-                if t + 1 < max_len:
+                if t + 1 < last:
                     i = bisect_left(succ[x], word[t + 1 - q])
                     stack.append((t + 1, q, pv, iter(entries[x][i:])))
                     break
+                total = closing[x][bisect_right(succ[x], word[last - q])]
+                if total:
+                    yield word, max_len, pv * total
             else:
                 stack.pop()
 
@@ -255,7 +291,12 @@ def iter_prime_cycles(d: Digraph, max_len: int):
 
     A representative is the lexicographically least rotation of its class,
     which for a class that is not a proper power is a Lyndon word over the
-    arc ids: ``lyndon_cycles`` on the 0/1 arc-adjacency matrix.
+    arc ids: ``lyndon_cycles`` on the 0/1 arc-adjacency matrix.  That walk
+    sums its last length instead of listing it, so it runs to max_len + 1
+    and the totals of that length are dropped.
     """
-    for word, k, _ in lyndon_cycles(arc_adjacency(d), max_len):
-        yield tuple(word[:k])
+    if max_len < 1:
+        raise GraphError("cycle length bound must be >= 1")
+    for word, k, _ in lyndon_cycles(arc_adjacency(d), max_len + 1):
+        if k <= max_len:
+            yield tuple(word[:k])

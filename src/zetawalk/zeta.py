@@ -71,10 +71,15 @@ every x_i > s by a vector recurrence over the arcs above s, without listing
 one, and an integer recurrence turns the loops' totals into s's share of
 every N_k (``_n_k_enumerated_all``).  The prime-cycle walk
 (``digraph.lyndon_cycles``) follows the nonzero entries of D*T, those of M,
-only.  The trace route to N_k clears the denominators on its own and reads
-each N_k off two powers of at most ceil(order/2); the two N_k routes must
-agree exactly (ConsistencyError otherwise).  The Hashimoto series
-1 / det(I - t*M) is inverted in integers as well
+only.  The Euler product multiplies in 1/(1 - c t^k) for the prime cycles
+of length k <= order/2 only.  Past order/2 the cross terms of the factors
+have degree above the order, so the product of those factors is
+1 + sum_k C_k t^k, with C_k the total of c over the cycles of length k;
+the walk gives the totals of its last length without listing the cycles
+(``_euler``).  The trace route to N_k clears the denominators on its own
+and reads each N_k off two powers of at most ceil(order/2); the two N_k
+routes must agree exactly (ConsistencyError otherwise).  The Hashimoto
+series 1 / det(I - t*M) is inverted in integers as well
 (``_hashimoto_series``).
 """
 
@@ -350,12 +355,29 @@ def _euler(theta, order: int) -> Series:
     """The Euler product, accumulated as acc[i] = D^i * (coefficient i) over
     the integer matrix D*T from ``_clear_denominators``.  The prime cycles
     are the Lyndon closed paths of D*T's nonzero entries, those of M, so the
-    walk skips every cycle whose product is 0."""
+    walk skips every cycle whose product is 0.
+
+    A cycle of length k <= order/2 multiplies acc by 1/(1 - c t^k).  One of
+    length k > order/2 has the factor 1 + c t^k to ``order``, since c^2 t^2k
+    is past it, and every cross term between two such factors has degree
+    above ``order`` as well.  So their product is 1 + sum_k C_k t^k, with
+    C_k the total of c over the cycles of length k: those lengths need only
+    their totals, which the walk gives at its last length, and acc is
+    multiplied by that sum once at the end.
+    """
     scale, im = _clear_denominators(theta)
+    half = order // 2
     acc = [1] + [0] * order
+    totals = [0] * (order + 1)  # totals[k] = C_k for k > order/2
     for _, k, c in lyndon_cycles(im, order):
-        for i in range(k, order + 1):
-            acc[i] += acc[i - k] * c
+        if k > half:
+            totals[k] += c
+        else:
+            for i in range(k, order + 1):
+                acc[i] += acc[i - k] * c
+    # i - k <= order/2 below, so acc[i - k] is still the short cycles' product
+    for i in range(order, half, -1):
+        acc[i] += sum(map(mul, totals[half + 1 : i + 1], reversed(acc[: i - half])))
     return Series([Fraction(x, scale**i) for i, x in enumerate(acc)], order)
 
 

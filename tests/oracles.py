@@ -8,12 +8,13 @@ polynomial, the digraph vertex tables A, D and X and Sato's tau1 = 1
 matrices Au and Du, summed one rational function at a time, the two
 inversion identities behind the vertex-determinant reduction (all-ones and
 block Woodbury-style, each checked with its denominator cleared, as
-A*B == B*A == d*I for a nonzero polynomial d), brute-force closed paths,
-the phi-grouped arc order, theta one entry at a time, the structural
-matrices, and the walk matrices U and T built entry by entry with Fraction
-square roots.  The dense ``Matrix`` type, its arithmetic (sums, products,
-scaling, transposes, traces) and the series logarithm live here too, since
-only the tests use them.
+A*B == B*A == d*I for a nonzero polynomial d), brute-force closed paths
+and the prime-cycle representatives among them, the phi-grouped arc
+order, theta one entry at a time, the structural matrices, and the walk
+matrices U and T built entry by entry with Fraction square roots.  The
+dense ``Matrix`` type, its arithmetic (sums, products, scaling,
+transposes, traces) and the series logarithm live here too, since only the
+tests use them.
 
 Polynomial and rational-function entries compute in sympy's ``QQ[t]``
 (``RING``, generator ``T``) and ``QQ(t)`` (``FIELD``, generator ``TF``), not
@@ -355,6 +356,20 @@ def closed_paths(d: Digraph, k: int) -> list[tuple[int, ...]]:
         prefix[0] = a
         extend(d.heads[a], 1, d.tails[a])
     return found
+
+
+def prime_cycle_representatives(d: Digraph, max_len: int) -> list[tuple[int, ...]]:
+    """The prime-cycle representatives of lengths 1..max_len, read straight
+    off ``closed_paths``: the paths strictly smaller than each of their
+    nontrivial rotations.  A proper power equals one of its rotations, and
+    every other class has one least rotation.  Ordered by length, then
+    lexicographically."""
+    return [
+        path
+        for k in range(1, max_len + 1)
+        for path in closed_paths(d, k)
+        if all(path < path[i:] + path[:i] for i in range(1, k))
+    ]
 
 
 def pair_arcs(pair: PhiPair) -> tuple[int, ...]:

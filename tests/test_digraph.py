@@ -16,7 +16,7 @@ from zetawalk.digraph import (
 from zetawalk.instances import fixture_digraph
 
 from conftest import random_digraph, random_multigraph
-from oracles import closed_paths, phi_grouped_arc_order
+from oracles import closed_paths, phi_grouped_arc_order, prime_cycle_representatives
 
 
 def prime_cycles(d, max_len):
@@ -219,25 +219,6 @@ def budget_length(d, max_len):
     return max_len
 
 
-def least_rotation(seq):
-    return min(seq[i:] + seq[:i] for i in range(len(seq)))
-
-
-def is_proper_power(seq):
-    k = len(seq)
-    return any(k % step == 0 and seq == seq[step:] + seq[:step] for step in range(1, k))
-
-
-def brute_force_prime_cycles(d, max_len):
-    """Least-rotation representatives of the non-power closed paths."""
-    return {
-        least_rotation(path)
-        for k in range(1, max_len + 1)
-        for path in closed_paths(d, k)
-        if not is_proper_power(path)
-    }
-
-
 def test_closed_paths_decompose_into_prime_cycle_powers(rng):
     # X_k is reconstructed exactly from powers of prime representatives, in
     # both modes, with loops and parallel arcs
@@ -276,9 +257,7 @@ def multidigraphs(draw):
 @given(multidigraphs(), st.integers(1, 8))
 def test_prime_cycles_match_brute_force(d, max_len):
     max_len = budget_length(d, max_len)
-    reps = prime_cycles(d, max_len)
-    assert len(reps) == len(set(reps))
-    assert set(reps) == brute_force_prime_cycles(d, max_len)
+    assert prime_cycles(d, max_len) == prime_cycle_representatives(d, max_len)
 
 
 def test_closed_paths_rejects_nonpositive_length():

@@ -7,9 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from zetawalk import cli, zeta
+from zetawalk import cli, digraph, zeta
 from zetawalk.algebra import Poly, RatFunc, Series
-from zetawalk.digraph import GraphError, build_digraph, iter_prime_cycles, symmetric_digraph
+from zetawalk.digraph import GraphError, build_digraph, symmetric_digraph
 from zetawalk.instances import fixture_digraph, fixture_text
 from zetawalk.walk import spectrum_deviation
 from zetawalk.zeta import (
@@ -36,7 +36,8 @@ from conftest import random_digraph, random_multigraph, random_rational, random_
 from oracles import (
     FIELD, RING, T, TF, Matrix, char_poly_exact, closed_paths, coeffs, det_bareiss,
     det_one_minus_t_by_elimination, graph_vertex_det, ihara_digraph_tables, lift, mat_mul, mat_sub,
-    pair_arcs, phi_grouped_arc_order, sato_expression, sato_matrices, structural_matrices, theta_value,
+    pair_arcs, phi_grouped_arc_order, prime_cycle_representatives, sato_expression, sato_matrices,
+    structural_matrices, theta_value,
 )
 
 
@@ -280,14 +281,16 @@ def test_corrupted_scaling_raises_consistency_error(monkeypatch):
         verify_expressions(d, w, 4)
 
 
-def mutate(monkeypatch, name, old, new):
-    """Replace zeta's function ``name`` by its source with ``old`` replaced
-    by ``new``, compiled in zeta's namespace."""
-    source = textwrap.dedent(inspect.getsource(getattr(zeta, name)))
+def mutate(monkeypatch, name, old, new, module=zeta):
+    """Replace ``module``'s function ``name`` by its source with every
+    ``old`` replaced by ``new``, compiled in the module's namespace, and
+    bind zeta's name to it as well."""
+    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
     mutated = source.replace(old, new)
     assert mutated != source
-    namespace = dict(vars(zeta))
-    exec(compile(mutated, zeta.__file__, "exec"), namespace)
+    namespace = dict(vars(module))
+    exec(compile(mutated, module.__file__, "exec"), namespace)
+    monkeypatch.setattr(module, name, namespace[name])
     monkeypatch.setattr(zeta, name, namespace[name])
 
 
@@ -332,6 +335,29 @@ def test_loop_walk_that_revisits_its_least_arc_raises_consistency_error(monkeypa
         n_k_all(d, WeightAssignment.from_maps(d), 6)
 
 
+def euler_verdicts(d, order):
+    """The details of the exponential-vs-euler and euler-vs-hashimoto verdicts."""
+    verdicts = verify_expressions(d, WeightAssignment.from_maps(d), order).verdicts
+    return [v.detail for v in verdicts if "euler" in v.name]
+
+
+@pytest.mark.parametrize("order", [2, 3, 6, 7])
+def test_last_length_that_closes_on_its_lower_bound_breaks_the_euler_product(monkeypatch, order):
+    # a closing x == w[max_len - 1 - q] keeps the prefix's period q, so the
+    # word is not Lyndon; order 2 sums the closings of the start frame
+    mutate(monkeypatch, "lyndon_cycles", "bisect_right(", "bisect_left(", module=digraph)
+    assert euler_verdicts(fixture_digraph("paper-graph"), order) == [f"at t^{order}"] * 2
+
+
+@pytest.mark.parametrize("order", [2, 3, 6, 7])
+def test_per_length_totals_at_half_the_order_break_the_euler_product(monkeypatch, order):
+    # totals in place of 1/(1 - c t^k) for k = order // 2 drop c^2 t^2k
+    # and the cross terms of two such cycles, at most ``order`` in degree
+    mutate(monkeypatch, "_euler", "order // 2", "order // 2 - 1")
+    expected = f"at t^{2 * (order // 2)}"
+    assert euler_verdicts(fixture_digraph("paper-graph"), order) == [expected] * 2
+
+
 def test_enumeration_matches_trace_on_parallel_edges():
     # 16 arcs whose closed paths revisit their least arc at every length
     g = symmetric_digraph(2, [(0, 1)] * 8)
@@ -342,6 +368,9 @@ def test_enumeration_matches_trace_on_parallel_edges():
     # even k and 0 for odd k; far too many closed paths to list one by one
     assert hashimoto(g, w).coeffs == coeffs((1 - T**2) ** 7 * (1 - 49 * T**2))
     assert n_k_all(g, w, 30) == [(14 + 2 * 7**k) * (1 - k % 2) for k in range(1, 31)]
+    # 1/((1 - t^2)^7 (1 - 49 t^2)) = sum_n t^2n sum_j C(j + 6, 6) 49^(n - j)
+    even = [sum(math.comb(j + 6, 6) * 49 ** (n - j) for j in range(n + 1)) for n in range(5)]
+    assert euler_truncated(g, w, 8) == Series([x for c in even for x in (c, 0)][:9], 8)
 
 
 def test_integer_hashimoto_series_matches_series_inv():
@@ -375,10 +404,11 @@ def brute_force_power_sums(d, w, upto):
 
 
 def prime_cycle_product(d, w, order):
-    """prod over the structural prime cycles X of 1/(1 - circ(X) t^|X|)."""
+    """prod over the structural prime cycles X of 1/(1 - circ(X) t^|X|),
+    with the cycles read off the brute-force closed paths."""
     theta = theta_table(d, w)
     acc = [Fraction(1)] + [Fraction(0)] * order
-    for cycle in iter_prime_cycles(d, order):
+    for cycle in prime_cycle_representatives(d, order):
         c, k = circular_product(theta, cycle), len(cycle)
         for i in range(k, order + 1):
             acc[i] += acc[i - k] * c
@@ -406,7 +436,10 @@ def test_series_routes_match_brute_force_on_random_instances():
             d = random_multigraph(rng, max_vertices=4, max_edges=4)
         w = inverse_cancelling_weights(rng, d) if trial % 3 else random_weights(rng, d)
         theta = _edge_matrix_data(d, w)
-        upto = rng.randint(1, 5)
+        # each run of six trials meets both kinds of graph and weights at one
+        # order, and the orders cycle through 1-6: the Euler product's
+        # order/2 split and its summed last length see both parities
+        upto = trial // 6 % 6 + 1
         expected = brute_force_power_sums(d, w, upto)
         assert _n_k_enumerated_all(theta, upto) == expected
         assert _n_k_trace_all(theta, upto) == expected
