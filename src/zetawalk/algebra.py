@@ -8,7 +8,8 @@ coefficients stripped; ``divmod``, ``gcd`` and ``monic`` serve the
 normalization.  Rational functions are kept in canonical form: numerator
 and denominator coprime, denominator monic, so equality is structural.
 Series carry an explicit truncation order, and two series are compared up
-to the smaller one; their only arithmetic is ``exp`` and ``inv``.
+to the smaller one; their only arithmetic is ``inv``, kept for the tests and
+the benchmark: the zeta routes form each series in Python ints.
 
 Coefficients enter through ``as_fraction``, which accepts Fractions, ints and
 strings and refuses anything else (floats included), so no inexact value
@@ -20,8 +21,6 @@ from __future__ import annotations
 
 from decimal import Decimal
 from fractions import Fraction
-from math import gcd, lcm
-from operator import mul
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -232,26 +231,6 @@ class Series:
             if self.coeffs[k] != other.coeffs[k]:
                 return k
         return None
-
-    def exp(self) -> "Series":
-        c0 = self.coeffs[0]
-        if c0:
-            raise ValueError(f"series exp requires zero constant term, got {c0}")
-        # n e_n = sum_j j s_j e_{n-j} in Python ints: j s_j = a_j / b over the
-        # common denominator b, and e_i = num[i] / den for the e found so far
-        u = [j * c for j, c in enumerate(self.coeffs)]
-        b = lcm(*(x.denominator for x in u))
-        a = [x.numerator * (b // x.denominator) for x in u]
-        out, num, den = [_ONE], [1], 1
-        for n in range(1, self.order + 1):
-            e = Fraction(sum(map(mul, a[n:0:-1], num)), b * den * n)
-            out.append(e)
-            grow = e.denominator // gcd(den, e.denominator)
-            if grow > 1:
-                num = [x * grow for x in num]
-                den *= grow
-            num.append(e.numerator * (den // e.denominator))
-        return Series(out, self.order)
 
     def inv(self) -> "Series":
         c0 = self.coeffs[0]

@@ -10,11 +10,11 @@ Format (``#`` starts a comment, blank lines are ignored)::
     tau2 <arc-id> <p/q>
     prob <arc-id> <p/q>     # graph mode only; transition probabilities
 
-Rationals are written ``p/q`` or ``p``; floats are rejected so that reports
-stay byte-deterministic.  Weight lines must follow the arc/edge block, a
-weight may be given at most once per arc, and arc ids in graph mode refer to
-the induced arcs (edge i contributes arc 2i in the written direction and
-arc 2i+1 reversed).
+Integers are ``[-+]?[0-9]+`` and rationals ``-?[0-9]+(/[0-9]+)?``; floats
+are rejected so that reports stay byte-deterministic.  Weight lines must
+follow the arc/edge block, a weight may be given at most once per arc, and
+arc ids in graph mode refer to the induced arcs (edge i contributes arc 2i
+in the written direction and arc 2i+1 reversed).
 """
 
 from __future__ import annotations
@@ -36,8 +36,9 @@ class ParseError(ValueError):
         self.line = line
 
 
-_RATIONAL = re.compile(r"^-?\d+(/\d+)?$")
-_INTEGER = re.compile(r"[-+]?\d+")
+# int() alone would also take "1_0" and non-ASCII digits such as "\u0663".
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_INTEGER = re.compile(r"[-+]?[0-9]+")
 
 # Parse errors quote at most this many characters of an offending token.
 _ECHO_LIMIT = 40
@@ -84,7 +85,7 @@ def parse_instance(text: str, source: str = "<instance>") -> Instance:
         raise ParseError(source, line_no, msg)
 
     def parse_rational(tok, line_no) -> Fraction:
-        if not _RATIONAL.match(tok):
+        if not _RATIONAL.fullmatch(tok):
             fail(line_no, f"expected a rational p/q, got {_quote(tok)}")
         num, _, den = tok.partition("/")
         try:
@@ -96,12 +97,12 @@ def parse_instance(text: str, source: str = "<instance>") -> Instance:
         return Fraction(n, d)
 
     def parse_int(tok, line_no) -> int:
+        if not _INTEGER.fullmatch(tok):
+            fail(line_no, f"expected an integer, got {_quote(tok)}")
         try:
             return int(tok)
-        except ValueError:
-            if _INTEGER.fullmatch(tok):  # more digits than int() converts
-                fail(line_no, f"integer of {len(tok)} characters exceeds the integer digit limit")
-            fail(line_no, f"expected an integer, got {_quote(tok)}")
+        except ValueError:  # more digits than int() converts
+            fail(line_no, f"integer of {len(tok)} characters exceeds the integer digit limit")
 
     def arc_count() -> int:
         return 2 * len(pairs) if mode is GraphMode.SYMMETRIC else len(pairs)

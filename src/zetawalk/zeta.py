@@ -63,13 +63,14 @@ mismatch.
 The series routes run in Python ints.  The two path routes, closed paths
 for N_k and prime cycles for the Euler product, run on the integer matrix
 D*T, D the lcm of the row denominators e (``_clear_denominators``).  A
-length-k term then carries D^k, and each result is divided back by its
-power of D once at the end, so the routes stay exact without a Fraction
-operation per path.  The closed-path route counts each closed path from its
-least arc s.  It sums the first-return loops s -> x_1 -> ... -> s with
-every x_i > s by a vector recurrence over the arcs above s, without listing
-one, and an integer recurrence turns the loops' totals into s's share of
-every N_k (``_n_k_enumerated_all``).  The prime-cycle walk
+length-k term then carries D^k.  The N_k routes return (D, [D^k N_k]), the
+exponential is formed from those ints (``_exp_of_power_sums``), and only a
+result coefficient, never a path, is divided by its power of D.  The
+closed-path route counts each closed path from its least arc s.  It sums
+the first-return loops s -> x_1 -> ... -> s with every x_i > s by a vector
+recurrence over the arcs above s, without listing one, and an integer
+recurrence turns the loops' totals into s's share of every N_k
+(``_n_k_enumerated_all``).  The prime-cycle walk
 (``digraph.lyndon_cycles``) follows the nonzero entries of D*T, those of M,
 only.  The Euler product multiplies in 1/(1 - c t^k) for the prime cycles
 of length k <= order/2 only.  Past order/2 the cross terms of the factors
@@ -78,8 +79,8 @@ have degree above the order, so the product of those factors is
 the walk gives the totals of its last length without listing the cycles
 (``_euler``).  The trace route to N_k clears the denominators on its own
 and reads each N_k off two powers of at most ceil(order/2); the two N_k
-routes must agree exactly (ConsistencyError otherwise).  The Hashimoto
-series 1 / det(I - t*M) is inverted in integers as well
+routes must agree exactly, in ints (ConsistencyError otherwise).  The
+Hashimoto series 1 / det(I - t*M) is inverted in integers as well
 (``_hashimoto_series``).
 """
 
@@ -212,13 +213,13 @@ def _clear_denominators(theta) -> tuple[int, list[list[int]]]:
     return scale, [[x * (scale // e) for x in row] for row, e in zip(rows, dens)]
 
 
-def _n_k_enumerated_all(theta, upto: int) -> list:
-    """N_1..N_upto as sums of circular products over closed paths, grouped
-    by their least arc.
+def _n_k_enumerated_all(theta, upto: int) -> tuple[int, list[int]]:
+    """(D, [D^k N_k for k = 1..upto]), N_k the sum of circular products over
+    closed paths, grouped by their least arc.
 
     The route runs on the Python ints D*T from ``_clear_denominators``, with
     T = S M S^-1, so a closed path of length k adds D^k times its circular
-    product (the same in T as in M) and N_k is the total over D^k.
+    product (the same in T as in M).
 
     N_k sums the product of every closed path, a sequence of k arcs read
     from each of its k start positions.  Group the paths by their least arc
@@ -265,12 +266,12 @@ def _n_k_enumerated_all(theta, upto: int) -> list:
             for k in range(1, upto + 1):
                 shares.append(k * loops[k] + sum(map(mul, shares[1:k], loops[k - 1 : 0 : -1])))
                 totals[k] += shares[k]
-    return [Fraction(total, scale**k) for k, total in enumerate(totals[1:], start=1)]
+    return scale, totals[1:]
 
 
-def _n_k_trace_all(theta, upto: int) -> list:
-    """N_1..N_upto as traces of powers of T = S M S^-1 = diag(1/e) R, the
-    rows (R, e) of ``_edge_matrix_data``; T^k and M^k have the same trace.
+def _n_k_trace_all(theta, upto: int) -> tuple[int, list[int]]:
+    """(D, [D^k N_k for k = 1..upto]), N_k = tr T^k = tr M^k for the rows
+    (R, e) of ``_edge_matrix_data``, T = S M S^-1 = diag(1/e) R.
 
     The route clears denominators itself: P = D*T with D the lcm of the row
     denominators, in Python ints.  It forms P^1..P^h, h = ceil(upto/2),
@@ -302,16 +303,19 @@ def _n_k_trace_all(theta, upto: int) -> list:
             total = sum(cols[i][i] for i in range(n))
         else:
             total = sum(sum(map(mul, row, col)) for row, col in zip(powers[a - 1], cols))
-        traces.append(Fraction(total, scale**k))
-    return traces
+        traces.append(total)
+    return scale, traces
 
 
-def _require_consistent(enum_vals, trace_vals):
-    for k, (a, b) in enumerate(zip(enum_vals, trace_vals), start=1):
-        if a != b:
+def _require_consistent(enum_sums, trace_sums):
+    """Raise ConsistencyError at the first N_k where two (D, [x_k = D^k N_k])
+    differ, x_k D'^k != x'_k D^k; Fractions only word the mismatch."""
+    (d1, xs), (d2, ys) = enum_sums, trace_sums
+    for k, (x, y) in enumerate(zip(xs, ys), start=1):
+        if x * d2**k != y * d1**k:
             raise ConsistencyError(
-                f"N_{k} mismatch: enumeration gives {render_rational(a)},"
-                f" trace gives {render_rational(b)}"
+                f"N_{k} mismatch: enumeration gives {render_rational(Fraction(x, d1**k))},"
+                f" trace gives {render_rational(Fraction(y, d2**k))}"
             )
 
 
@@ -319,14 +323,15 @@ def n_k_all(d: Digraph, w: WeightAssignment, upto: int) -> list:
     """N_1..N_upto, computed by both routes with mandatory agreement."""
     if upto < 1:
         raise ZetaError("power-sum order must be >= 1")
-    return _n_k_all(_edge_matrix_data(d, w), upto)
+    scale, sums = _n_k_all(_edge_matrix_data(d, w), upto)
+    return [Fraction(x, scale**k) for k, x in enumerate(sums, start=1)]
 
 
-def _n_k_all(theta, upto: int) -> list:
-    enum_vals = _n_k_enumerated_all(theta, upto)
-    trace_vals = _n_k_trace_all(theta, upto)
-    _require_consistent(enum_vals, trace_vals)
-    return trace_vals
+def _n_k_all(theta, upto: int) -> tuple[int, list[int]]:
+    enum_sums = _n_k_enumerated_all(theta, upto)
+    trace_sums = _n_k_trace_all(theta, upto)
+    _require_consistent(enum_sums, trace_sums)
+    return trace_sums
 
 
 def _require_series_order(order: int) -> None:
@@ -337,12 +342,22 @@ def _require_series_order(order: int) -> None:
 def exponential_truncated(d: Digraph, w: WeightAssignment, order: int) -> Series:
     """exp( sum_{k<=order} N_k/k t^k ), truncated at ``order``."""
     _require_series_order(order)
-    return _exp_of_power_sums(n_k_all(d, w, order), order)
+    return _exp_of_power_sums(_n_k_all(_edge_matrix_data(d, w), order), order)
 
 
-def _exp_of_power_sums(sums: list, order: int) -> Series:
-    coeffs = [_ZERO] + [v / k for k, v in enumerate(sums, start=1)]
-    return Series(coeffs, order).exp()
+def _exp_of_power_sums(sums, order: int) -> Series:
+    """exp( sum_k N_k/k t^k ) to ``order`` from (D, [x_k]), x_k = D^k N_k.
+
+    The x_k are the traces of P^k for the integer matrix P = D*T, so the
+    series is 1/det(I - u*P) at u = t/D: its coefficients are e_n = f_n / D^n
+    with f_n integers.  Then n f_n = sum_{k=1..n} x_k f_{n-k} divides exactly,
+    and only the results become Fractions.
+    """
+    scale, xs = sums
+    fs = [1]
+    for n in range(1, order + 1):
+        fs.append(sum(map(mul, xs, reversed(fs))) // n)
+    return Series([Fraction(f, scale**n) for n, f in enumerate(fs)], order)
 
 
 def euler_truncated(d: Digraph, w: WeightAssignment, order: int) -> Series:

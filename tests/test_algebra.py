@@ -5,9 +5,9 @@ from sympy.polys.ring_series import rs_exp, rs_series_inversion
 
 from zetawalk.algebra import Poly, RatFunc, Series
 from zetawalk.digraph import build_digraph
-from zetawalk.zeta import WeightAssignment
+from zetawalk.zeta import WeightAssignment, _exp_of_power_sums
 
-from oracles import FIELD, RING, T, coeffs, lift, series_log
+from oracles import FIELD, RING, T, Matrix, coeffs, lift, mat_mul, series_log, trace
 
 
 def P(*coeffs):
@@ -112,9 +112,30 @@ def test_ratfunc_with_a_constant_numerator_is_canonical(rng):
         assert (r.num.coeffs, r.den.coeffs) == coeffs(c / FIELD(lift(den)))
 
 
+def random_power_sums(rng, order):
+    """(D, [tr P^k for k = 1..order]) for a random integer matrix P and scale
+    D: the input of ``zeta._exp_of_power_sums``, the power sums of P / D."""
+    size = rng.randint(1, 4)
+    p = Matrix([[rng.randint(-3, 3) for _ in range(size)] for _ in range(size)])
+    power, xs = p, []
+    for _ in range(order):
+        xs.append(trace(power))
+        power = mat_mul(power, p)
+    return rng.randint(1, 6), xs
+
+
+def log_series(sums, order):
+    """sum_k N_k/k t^k for power sums (D, [D^k N_k])."""
+    scale, xs = sums
+    return Series([0] + [Fraction(x, k * scale**k) for k, x in enumerate(xs, start=1)], order)
+
+
 def test_series_exp_example():
-    s = Series([0, 1], 4).exp()
-    assert s.coeffs == (1, 1, Fraction(1, 2), Fraction(1, 6), Fraction(1, 24))
+    # one loop of weight 2 over D = 1 and D = 3: 1/(1 - 2t) and 1/(1 - 2t/3)
+    assert _exp_of_power_sums((1, [2, 4, 8, 16]), 4).coeffs == (1, 2, 4, 8, 16)
+    assert _exp_of_power_sums((3, [2, 4, 8, 16]), 4).coeffs == tuple(Fraction(2, 3) ** n for n in range(5))
+    # P = [[0, 1], [1, 0]]: 1/det(I - tP) = 1/(1 - t^2)
+    assert _exp_of_power_sums((1, [0, 2, 0, 2]), 4).coeffs == (1, 0, 1, 0, 1)
 
 
 def test_series_log_of_geometric():
@@ -128,8 +149,6 @@ def test_series_inv_example():
 
 
 def test_series_preconditions_name_constant_term():
-    with pytest.raises(ValueError, match="zero constant term, got 1/2"):
-        Series([Fraction(1, 2), 1], 3).exp()
     with pytest.raises(ValueError, match="constant term 1, got 2"):
         series_log(Series([2, 1], 3))
     with pytest.raises(ValueError, match="nonzero constant term, got 0"):
@@ -146,10 +165,16 @@ def _random_series(rng, order, constant):
 def test_series_exp_log_roundtrip_exact(rng):
     for _ in range(20):
         order = rng.randint(1, 16)
-        s = _random_series(rng, order, Fraction(0))
-        assert series_log(s.exp()) == s
-        t = _random_series(rng, order, Fraction(1))
-        assert series_log(t).exp() == t
+        sums = random_power_sums(rng, order)
+        assert series_log(_exp_of_power_sums(sums, order)) == log_series(sums, order)
+        # t = 1/q(t/D) for an integer polynomial q with q(0) = 1: log t has
+        # the power sums x_k / D^k of q's reciprocal roots, x_k integers
+        scale = rng.randint(1, 6)
+        q = Series([1] + [Fraction(rng.randint(-4, 4), scale**k) for k in range(1, 4)], order)
+        t = Series(coeffs(rs_series_inversion(lift(q), T, order + 1)), order)
+        xs = [k * c * scale**k for k, c in enumerate(series_log(t).coeffs[1:], start=1)]
+        assert all(x.denominator == 1 for x in xs)
+        assert _exp_of_power_sums((scale, [int(x) for x in xs]), order) == t
 
 
 def test_series_inverse_identity_exact(rng):
@@ -163,8 +188,9 @@ def test_series_inverse_identity_exact(rng):
 def test_series_exp_is_rs_exp(rng):
     for _ in range(20):
         order = rng.randint(1, 16)
-        s = _random_series(rng, order, Fraction(0))
-        assert s.exp() == Series(coeffs(rs_exp(lift(s), T, order + 1)), order)
+        sums = random_power_sums(rng, order)
+        expected = Series(coeffs(rs_exp(lift(log_series(sums, order)), T, order + 1)), order)
+        assert _exp_of_power_sums(sums, order) == expected
 
 
 def test_poly_render_contract():

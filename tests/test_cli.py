@@ -87,6 +87,22 @@ def test_parse_errors_cite_lines():
     assert "graph mode" in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "text, token",
+    [
+        ("mode graph\nvertices 1_1\n", "'1_1'"),
+        ("mode graph\nvertices 3\nedge 0 1_0 2\n", "'1_0'"),
+        ("mode graph\nvertices 3\nedge 0 0 1\ntau1 0 \u0663/\u0664\n", "'\u0663/\u0664'"),
+    ],
+    ids=["underscore-vertices", "underscore-endpoint", "arabic-indic-rational"],
+)
+def test_parse_accepts_ascii_digits_only(text, token):
+    # int() reads "1_1" as 11 and takes any Unicode decimal digit; the format does not
+    with pytest.raises(ParseError) as exc:
+        parse_instance(text)
+    assert exc.value.line == text.count("\n") and token in str(exc.value)
+
+
 def test_fixture_texts_parse():
     for name in FIXTURES:
         inst = parse_instance(fixture_text(name), source=name)
@@ -618,10 +634,11 @@ def test_cli_out_of_memory_is_an_input_error(tmp_path, monkeypatch, verb, fixtur
     assert err == OUT_OF_MEMORY
 
 
-def test_cli_an_order_too_large_for_memory_is_named(tmp_path):
+@pytest.mark.parametrize("verb", ["verify", "exp", "euler"])
+def test_cli_an_order_too_large_for_memory_is_named(tmp_path, verb):
     # the largest accepted order on a 3-arc instance: the series list cannot
     # be allocated, so MemoryError is raised at once, before any walk
-    code, out, err = run_cli("verify", write_fixture(tmp_path, "triangle"), "--order", str(sys.maxsize - 1))
+    code, out, err = run_cli(verb, write_fixture(tmp_path, "triangle"), "--order", str(sys.maxsize - 1))
     assert (code, out) == (cli.EXIT_INPUT, "")
     assert err == OUT_OF_MEMORY
 

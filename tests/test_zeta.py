@@ -3,6 +3,7 @@ import math
 import random
 import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,15 +11,19 @@ import pytest
 from zetawalk import cli, digraph, zeta
 from zetawalk.algebra import Poly, RatFunc, Series
 from zetawalk.digraph import GraphError, build_digraph, symmetric_digraph
-from zetawalk.instances import fixture_digraph, fixture_text
+from zetawalk.instances import (
+    fixture_digraph, fixture_text, instance_digraph, instance_weights, load_instance,
+)
 from zetawalk.walk import spectrum_deviation
 from zetawalk.zeta import (
     ConsistencyError,
     WeightAssignment,
     _edge_matrix_data,
     _euler,
+    _exp_of_power_sums,
     _hashimoto,
     _hashimoto_series,
+    _n_k_all,
     _n_k_enumerated_all,
     _n_k_trace_all,
     _require_consistent,
@@ -210,15 +215,22 @@ def test_n_k_edgeless_and_error():
         n_k_all(d, w, 0)
 
 
+def as_fractions(sums):
+    """[N_1, N_2, ...] as Fractions from a route's (D, [D^k N_k])."""
+    scale, xs = sums
+    return [Fraction(x, scale**k) for k, x in enumerate(xs, start=1)]
+
+
 def test_require_consistent_raises_on_fabricated_mismatch():
-    with pytest.raises(ConsistencyError, match="N_2"):
-        _require_consistent([Fraction(1), Fraction(2)], [Fraction(1), Fraction(3)])
+    # N = (1, 2) with D = 1 and D = 2 agree; N_2 = 3 does not
+    _require_consistent((1, [1, 2]), (2, [2, 8]))
+    with pytest.raises(ConsistencyError, match="N_2 mismatch: enumeration gives 2, trace gives 3"):
+        _require_consistent((2, [2, 8]), (1, [1, 3]))
 
 
 def test_require_consistent_names_a_mismatch_past_the_str_digit_limit():
-    big = Fraction(10**5000, 3)
     with pytest.raises(ConsistencyError, match="N_1") as err:
-        _require_consistent([big], [Fraction(1)])
+        _require_consistent((3, [10**5000]), (1, [1]))
     assert f"enumeration gives 1{'0' * 5000}/3, trace gives 1" in str(err.value)
 
 
@@ -258,7 +270,7 @@ def test_power_sums_with_large_prime_denominators_and_zero_theta(name):
     theta = _edge_matrix_data(d, w)
     trace = _n_k_trace_all(theta, 10)
     assert _n_k_enumerated_all(theta, 10) == trace
-    assert n_k_all(d, w, 10) == trace
+    assert n_k_all(d, w, 10) == as_fractions(trace)
     report = verify_expressions(d, w, 10)
     assert report.all_agree
     assert report.euler == report.hashimoto_series
@@ -295,10 +307,10 @@ def mutate(monkeypatch, name, old, new, module=zeta):
 
 
 def test_corrupted_trace_scaling_raises_consistency_error(monkeypatch):
-    # the trace route clears denominators with its own scale D and divides
-    # D^k N_k back by it; a trace route that divides by (2D)^k instead must be
+    # the trace route clears denominators with its own scale D and reports
+    # it beside D^k N_k; a trace route that reports 2D instead must be
     # caught by the comparison with the enumeration
-    mutate(monkeypatch, "_n_k_trace_all", "scale**k", "(2 * scale) ** k")
+    mutate(monkeypatch, "_n_k_trace_all", "return scale, traces", "return 2 * scale, traces")
     d = fixture_digraph("paper-digraph")
     w = WeightAssignment.from_maps(d)
     with pytest.raises(ConsistencyError, match="N_3"):  # N_1 = N_2 = 0 here
@@ -387,6 +399,38 @@ def test_integer_hashimoto_series_matches_series_inv():
         assert _hashimoto_series(hk, order) == expected
 
 
+GOLDEN = sorted((Path(__file__).resolve().parent / "golden").glob("*.zw"))
+
+
+@pytest.mark.parametrize("path", GOLDEN, ids=lambda p: p.stem)
+def test_exponential_matches_the_hashimoto_inverse_at_order_40_on_goldens(path):
+    # the integer exp recurrence and the integer Hashimoto inverse share no
+    # code, so each checks the other far past verify's default order
+    inst = load_instance(path)
+    d = instance_digraph(inst)
+    theta = _edge_matrix_data(d, instance_weights(inst, d))
+    assert _exp_of_power_sums(_n_k_all(theta, 40), 40) == _hashimoto_series(_hashimoto(theta), 40)
+
+
+@pytest.mark.parametrize(
+    "old, new, first",
+    [
+        ("map(mul, xs, reversed(fs))", "map(mul, xs[1:], reversed(fs))", 1),
+        ("// n)", "// max(n - 1, 1))", 2),
+    ],
+    ids=["convolution-off-by-one", "divided-by-n-minus-1"],
+)
+def test_corrupted_exp_recurrence_breaks_exponential_vs_hashimoto(monkeypatch, old, new, first):
+    # N_1 = 2 and N_2 = 6 on the paper graph: x_{k+1} in place of x_k
+    # is wrong at t^1, and n f_n / (n - 1) at t^2
+    mutate(monkeypatch, "_exp_of_power_sums", old, new)
+    d = fixture_digraph("paper-graph")
+    verdicts = verify_expressions(d, WeightAssignment.from_maps(d), 10).verdicts
+    details = {v.name: v.detail for v in verdicts}
+    assert details["exponential-vs-hashimoto"] == f"at t^{first}"
+    assert details["euler-vs-hashimoto"] is None
+
+
 def theta_table(d, w):
     return [[theta_value(d, w, a, b) for b in range(d.arc_count)] for a in range(d.arc_count)]
 
@@ -441,8 +485,8 @@ def test_series_routes_match_brute_force_on_random_instances():
         # order/2 split and its summed last length see both parities
         upto = trial // 6 % 6 + 1
         expected = brute_force_power_sums(d, w, upto)
-        assert _n_k_enumerated_all(theta, upto) == expected
-        assert _n_k_trace_all(theta, upto) == expected
+        assert as_fractions(_n_k_enumerated_all(theta, upto)) == expected
+        assert as_fractions(_n_k_trace_all(theta, upto)) == expected
         assert _euler(theta, upto) == prime_cycle_product(d, w, upto)
 
 
