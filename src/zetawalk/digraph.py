@@ -22,13 +22,15 @@ ids that are closed paths, i.e. the Lyndon words of the arc graph.
 ``lyndon_cycles`` generates them directly with the
 Fredricksen-Kessler-Maiorana prenecklace walk (Ruskey, Savage and Wang,
 "Generating necklaces", 1992) on the nonzero pattern of a square matrix,
-iteratively, on an explicit stack.  At its last length the walk lists no
-word: for each prefix one length short it yields the total product of the
-prefix's Lyndon closings, found by one bisect into per-arc suffix sums.
+iteratively, on an explicit stack.  It lists the words up to a bound it
+is given and adds the longer ones into one total per length.  Its last
+``SUMMED_LENGTHS`` = 2 lengths list no word and push no frame: for each
+prefix two lengths short, one bisect into per-arc suffix sums gives the
+total product of its Lyndon closings at each of the two lengths.
 ``zeta``'s Euler product runs it on the integer theta matrix, where a cycle
-whose product is 0 is never reached, and needs only per-length totals past
-half its order.  ``iter_prime_cycles`` runs it one length further on the 0/1
-arc-adjacency matrix and drops that length.  Other closed paths are never
+whose product is 0 is never reached, and lists only the lengths up to half
+its order.  ``iter_prime_cycles`` runs it two lengths further on the 0/1
+arc-adjacency matrix and drops the totals.  Other closed paths are never
 listed: ``zeta`` sums their products on the theta matrix without walking
 them, and the brute-force enumeration the tests compare against is in
 ``tests/oracles.py``.
@@ -40,6 +42,11 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
+
+
+# the number of lengths at the end of ``lyndon_cycles`` summed by lookups,
+# without a frame for their prefixes
+SUMMED_LENGTHS = 2
 
 
 class GraphMode(Enum):
@@ -200,17 +207,18 @@ def steps_to(preds: list[list[int]], s: int, cap: int) -> list[int]:
     return steps
 
 
-def lyndon_cycles(m: list[list[int]], max_len: int):
+def lyndon_cycles(m: list[list[int]], max_len: int, listed: int):
     """Yield ``(word, k, c)`` for each Lyndon closed path of nonzero entries
-    of the square matrix ``m``, of length k < max_len, and one
-    ``(word, max_len, c)`` for each prefix of the Lyndon closed paths of
-    length max_len, with c their total.
+    of the square matrix ``m``, of length k <= listed, and then one
+    ``(None, k, C_k)`` for each length listed < k <= max_len with C_k != 0,
+    C_k the total of the circular products of the Lyndon closed paths of
+    length k.
 
-    ``word`` is the walk's own buffer, valid until the next step.  For
-    k < max_len, ``word[:k]`` holds the arc ids and c is the circular
-    product m[w0][w1] ... m[w_{k-1}][w0], which is nonzero.  At k = max_len,
-    ``word[:max_len - 1]`` holds a prefix and c, which is nonzero, is the
-    total of the circular products of its Lyndon closings.
+    ``word`` is the walk's own buffer, valid until the next step:
+    ``word[:k]`` holds the arc ids and c is the circular product
+    m[w0][w1] ... m[w_{k-1}][w0], which is nonzero.  ``listed`` is at most
+    max(max_len - SUMMED_LENGTHS, 1), since the last SUMMED_LENGTHS lengths
+    are summed without listing a word.
 
     The Fredricksen-Kessler-Maiorana walk extends a prenecklace ``w`` of
     length t and period p by each x with m[w[t-1]][x] != 0 and
@@ -220,44 +228,73 @@ def lyndon_cycles(m: list[list[int]], max_len: int):
     such a prenecklace, so the walk reaches each one exactly once while it
     follows nonzero entries only.  The product of the prefix is carried
     down the walk, which runs on an explicit stack: a branch per depth, at
-    most max_len - 2 deep.  The last level is summed, not walked: a prefix
-    of length max_len - 1 with period q, ending at arc a, closes to a
-    Lyndon word on exactly the successors x > w[max_len - 1 - q] of a with
-    m[x][s] != 0, s = w[0].  So per start arc s, the suffix sums of
-    m[a][x] m[x][s] over each ascending successor list give the closings'
-    total by one bisect and one lookup.  At max_len 1 the last level is the
-    loop at s, and at max_len 2 it closes the one-letter prefix s.
+    most max_len - 3 deep.  A Lyndon word longer than ``listed`` is added
+    to its length's total where the walk closes it.
+
+    The last SUMMED_LENGTHS = 2 lengths are summed, not walked.  Per start
+    arc s = w[0], closing[a][i] is the total of m[a][y] m[y][s] over the
+    successors y of a from succ[a][i] on (suffix sums over each ascending
+    successor list), g[y] = closing[y][bisect_right(succ[y], s)] is the
+    total of y's closings at two more letters after y starts a new period,
+    and two[a][i] is the total of m[a][y] g[y] over the same successors.  Take a
+    prefix of length max_len - 2 with period q, ending at arc x, with
+    low = w[max_len - 2 - q] and i = bisect_right(succ[x], low):
+
+    * a successor y > low starts a new period: the Lyndon words of length
+      max_len - 1 total closing[x][i], and those of length max_len through
+      such a y total two[x][i];
+    * y == low, when it is a successor, keeps period q, and w + low then
+      closes to a Lyndon word of length max_len on the z > u only, with
+      u = (w + low)[max_len - 1 - q]: m[x][low] closing[low][bisect_right(succ[low], u)].
+
+    The root prefix s has length 1, so at max_len 3 it is the prefix that
+    is summed, at max_len 2 its closings are g[s], and at max_len 1 the
+    loop at s is all there is.
     """
     if max_len < 1:
         raise GraphError("cycle length bound must be >= 1")
+    if not 0 <= listed <= max(max_len - SUMMED_LENGTHS, 1):
+        raise GraphError(f"cannot list the summed lengths: listed {listed} for max_len {max_len}")
     # ascending successor ids, so bisect finds the first x >= w[t - p] and
-    # the first x > w[max_len - 1 - q]
+    # the first y > low
     succ = [[b for b, v in enumerate(row) if v] for row in m]
     entries = [[(b, v) for b, v in enumerate(row) if v] for row in m]
     preds = predecessors(succ)
-    last = max_len - 1
+    stop = max_len - SUMMED_LENGTHS  # a prefix this long is summed, not pushed
     word = [0] * max_len
+    totals = [0] * (max_len + 1)
     for s, row in enumerate(m):
         word[0] = s
         if row[s]:
-            yield word, 1, row[s]
-        if not last:
+            if listed:
+                yield word, 1, row[s]
+            else:
+                totals[1] += row[s]
+        if max_len == 1:
             continue
         # the letters of a Lyndon word that starts at s are all >= s; a
         # prefix of length t + 1 ending at x closes within max_len only if
-        # t + dist[x] <= max_len
-        dist = steps_to(preds, s, last)
-        # closing[a][i]: the total of m[a][x] m[x][s] over the successors x
-        # of a from succ[a][i] on, for the arcs a that reach s in two steps
-        closing = {
-            a: list(accumulate(reversed([v * m[x][s] for x, v in entries[a]]), initial=0))[::-1]
-            for a in range(s, len(m))
-            if dist[a] <= 2
-        }
-        if last == 1:
-            total = closing[s][bisect_right(succ[s], s)]
-            if total:
-                yield word, max_len, total
+        # t + dist[x] <= max_len, so a summed prefix ends at dist <= 3, and
+        # no word starts at s if s does not return to itself
+        dist = steps_to(preds, s, max_len)
+        if dist[s] > max_len:
+            continue
+        near = [a for a in range(s, len(m)) if dist[a] <= SUMMED_LENGTHS + 1]
+        closing = [None] * len(m)
+        g = [0] * len(m)
+        for a in near:
+            closing[a] = list(accumulate(reversed([v * m[y][s] for y, v in entries[a]]), initial=0))[::-1]
+            g[a] = closing[a][bisect_right(succ[a], s)]
+        two = [None] * len(m)
+        for a in near:
+            two[a] = list(accumulate(reversed([v * g[y] for y, v in entries[a]]), initial=0))[::-1]
+        if stop < 2:
+            if stop:
+                i = bisect_right(succ[s], s)
+                totals[2] += closing[s][i]
+                totals[3] += two[s][i] + row[s] * g[s]
+            else:
+                totals[2] += g[s]
             continue
         stack = [(1, 1, 1, iter(entries[s][bisect_left(succ[s], s):]))]
         while stack:
@@ -274,16 +311,28 @@ def lyndon_cycles(m: list[list[int]], max_len: int):
                     q = t + 1
                     c = m[x][s]
                     if c:
-                        yield word, q, pv * c
-                if t + 1 < last:
+                        if q <= listed:
+                            yield word, q, pv * c
+                        else:
+                            totals[q] += pv * c
+                if t + 1 < stop:
                     i = bisect_left(succ[x], word[t + 1 - q])
                     stack.append((t + 1, q, pv, iter(entries[x][i:])))
                     break
-                total = closing[x][bisect_right(succ[x], word[last - q])]
-                if total:
-                    yield word, max_len, pv * total
+                low = word[stop - q]
+                i = bisect_right(succ[x], low)
+                totals[stop + 1] += pv * closing[x][i]
+                tail = two[x][i]
+                c = m[x][low]
+                if c and dist[low] <= 2:
+                    word[stop] = low  # read back as u when q == 1
+                    tail += c * closing[low][bisect_right(succ[low], word[max_len - 1 - q])]
+                totals[max_len] += pv * tail
             else:
                 stack.pop()
+    for k in range(listed + 1, max_len + 1):
+        if totals[k]:
+            yield None, k, totals[k]
 
 
 def iter_prime_cycles(d: Digraph, max_len: int):
@@ -291,12 +340,14 @@ def iter_prime_cycles(d: Digraph, max_len: int):
 
     A representative is the lexicographically least rotation of its class,
     which for a class that is not a proper power is a Lyndon word over the
-    arc ids: ``lyndon_cycles`` on the 0/1 arc-adjacency matrix.  That walk
-    sums its last length instead of listing it, so it runs to max_len + 1
-    and the totals of that length are dropped.
+    arc ids: ``lyndon_cycles`` on the 0/1 arc-adjacency matrix, listing the
+    words up to max_len.  That walk sums its last SUMMED_LENGTHS lengths
+    instead of listing them, so it runs to max_len + SUMMED_LENGTHS and
+    their totals are dropped; its frames stop at length max_len - 1, as
+    when it summed one length.
     """
     if max_len < 1:
         raise GraphError("cycle length bound must be >= 1")
-    for word, k, _ in lyndon_cycles(arc_adjacency(d), max_len + 1):
+    for word, k, _ in lyndon_cycles(arc_adjacency(d), max_len + SUMMED_LENGTHS, max_len):
         if k <= max_len:
             yield tuple(word[:k])

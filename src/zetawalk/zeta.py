@@ -76,12 +76,12 @@ only.  The Euler product multiplies in 1/(1 - c t^k) for the prime cycles
 of length k <= order/2 only.  Past order/2 the cross terms of the factors
 have degree above the order, so the product of those factors is
 1 + sum_k C_k t^k, with C_k the total of c over the cycles of length k;
-the walk gives the totals of its last length without listing the cycles
-(``_euler``).  The trace route to N_k clears the denominators on its own
-and reads each N_k off two powers of at most ceil(order/2); the two N_k
-routes must agree exactly, in ints (ConsistencyError otherwise).  The
-Hashimoto series 1 / det(I - t*M) is inverted in integers as well
-(``_hashimoto_series``).
+the walk lists the cycles up to order/2 only and yields one C_k for each
+longer length, the last two of them summed by lookups (``_euler``).  The
+trace route to N_k clears the denominators on its own and reads each N_k
+off two powers of at most ceil(order/2); the two N_k routes must agree
+exactly, in ints (ConsistencyError otherwise).  The Hashimoto series
+1 / det(I - t*M) is inverted in integers as well (``_hashimoto_series``).
 """
 
 from __future__ import annotations
@@ -376,15 +376,15 @@ def _euler(theta, order: int) -> Series:
     length k > order/2 has the factor 1 + c t^k to ``order``, since c^2 t^2k
     is past it, and every cross term between two such factors has degree
     above ``order`` as well.  So their product is 1 + sum_k C_k t^k, with
-    C_k the total of c over the cycles of length k: those lengths need only
-    their totals, which the walk gives at its last length, and acc is
-    multiplied by that sum once at the end.
+    C_k the total of c over the cycles of length k: the walk lists only the
+    cycles of length <= order/2 and adds up the longer ones itself, one C_k
+    per length, and acc is multiplied by that sum once at the end.
     """
     scale, im = _clear_denominators(theta)
     half = order // 2
     acc = [1] + [0] * order
     totals = [0] * (order + 1)  # totals[k] = C_k for k > order/2
-    for _, k, c in lyndon_cycles(im, order):
+    for _, k, c in lyndon_cycles(im, order, half):
         if k > half:
             totals[k] += c
         else:

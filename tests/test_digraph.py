@@ -5,12 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetawalk.digraph import (
+    SUMMED_LENGTHS,
     Digraph,
     GraphError,
     GraphMode,
     arc_adjacency,
     build_digraph,
     iter_prime_cycles,
+    lyndon_cycles,
     symmetric_digraph,
 )
 from zetawalk.instances import fixture_digraph
@@ -266,6 +268,17 @@ def test_closed_paths_rejects_nonpositive_length():
         closed_paths(d, 0)
     with pytest.raises(GraphError):
         prime_cycles(d, 0)
+
+
+@pytest.mark.parametrize("max_len, listed", [(4, 3), (2, 2), (5, -1)])
+def test_lyndon_walk_refuses_to_list_a_summed_length(max_len, listed):
+    # the last SUMMED_LENGTHS lengths are only ever totals; order 2 sums
+    # length 2 alone, so it may list length 1
+    with pytest.raises(GraphError, match="summed"):
+        list(lyndon_cycles([[1]], max_len, listed))
+    most = max(max_len - SUMMED_LENGTHS, 1)
+    assert [(k, c) for _, k, c in lyndon_cycles([[2]], max_len, most)] == [(1, 2)]
+    assert [(k, c) for _, k, c in lyndon_cycles([[2]], max_len, 0)] == [(1, 2)]
 
 
 def test_symmetric_mode_guards():

@@ -355,10 +355,34 @@ def euler_verdicts(d, order):
 
 @pytest.mark.parametrize("order", [2, 3, 6, 7])
 def test_last_length_that_closes_on_its_lower_bound_breaks_the_euler_product(monkeypatch, order):
-    # a closing x == w[max_len - 1 - q] keeps the prefix's period q, so the
-    # word is not Lyndon; order 2 sums the closings of the start frame
-    mutate(monkeypatch, "lyndon_cycles", "bisect_right(", "bisect_left(", module=digraph)
+    # after y starts a new period at length max_len - 1, a closing z == s
+    # keeps that period, so the word is not Lyndon; g[y] holds the closings
+    # z > s, and orders 2 and 3 read it at the start prefix
+    mutate(monkeypatch, "lyndon_cycles", "bisect_right(succ[a], s)", "bisect_left(succ[a], s)", module=digraph)
     assert euler_verdicts(fixture_digraph("paper-graph"), order) == [f"at t^{order}"] * 2
+
+
+@pytest.mark.parametrize("order", [4, 5, 6, 7])
+@pytest.mark.parametrize(
+    "old, new, length",
+    [
+        ("bisect_right(succ[x], low)", "bisect_left(succ[x], low)", -1),
+        (
+            "bisect_right(succ[low], word[max_len - 1 - q])",
+            "bisect_left(succ[low], word[max_len - 1 - q])",
+            0,
+        ),
+        ("word[max_len - 1 - q]", "s", 0),
+    ],
+    ids=["new-period-at-order-minus-1", "kept-period-at-order", "kept-period-bound-s"],
+)
+def test_summed_last_two_lengths_break_the_euler_product(monkeypatch, order, old, new, length):
+    # a summed prefix of length order - 2 closes on y > low at order - 1;
+    # y == low keeps its period q, and the word then closes only on
+    # z > w[order - 1 - q], which need not be s; from order 4 on the prefix
+    # is a frame's child, not the start prefix
+    mutate(monkeypatch, "lyndon_cycles", old, new, module=digraph)
+    assert euler_verdicts(fixture_digraph("paper-graph"), order) == [f"at t^{order + length}"] * 2
 
 
 @pytest.mark.parametrize("order", [2, 3, 6, 7])
@@ -382,7 +406,7 @@ def test_enumeration_matches_trace_on_parallel_edges():
     assert n_k_all(g, w, 30) == [(14 + 2 * 7**k) * (1 - k % 2) for k in range(1, 31)]
     # 1/((1 - t^2)^7 (1 - 49 t^2)) = sum_n t^2n sum_j C(j + 6, 6) 49^(n - j)
     even = [sum(math.comb(j + 6, 6) * 49 ** (n - j) for j in range(n + 1)) for n in range(5)]
-    assert euler_truncated(g, w, 8) == Series([x for c in even for x in (c, 0)][:9], 8)
+    assert euler_truncated(g, w, 9) == Series([x for c in even for x in (c, 0)], 9)
 
 
 def test_integer_hashimoto_series_matches_series_inv():
@@ -488,6 +512,23 @@ def test_series_routes_match_brute_force_on_random_instances():
         assert as_fractions(_n_k_enumerated_all(theta, upto)) == expected
         assert as_fractions(_n_k_trace_all(theta, upto)) == expected
         assert _euler(theta, upto) == prime_cycle_product(d, w, upto)
+
+
+def test_euler_matches_the_hashimoto_inverse_at_orders_1_to_12():
+    # the lengths the walk lists, totals and sums by lookup all move with
+    # the order, and orders 1-3 are summed at the start prefix; the
+    # integer Hashimoto inverse shares no code with the walk.  Six loops on
+    # one vertex take seconds at order 12, so the graphs stay small.
+    rng = random.Random(20261020)
+    for trial in range(80):
+        if trial % 2:
+            d = random_digraph(rng, max_vertices=4, max_arcs=5)
+        else:
+            d = random_multigraph(rng, max_vertices=4, max_edges=2)
+        theta = _edge_matrix_data(d, inverse_cancelling_weights(rng, d))
+        hk = _hashimoto(theta)
+        for order in range(1, 13):
+            assert _euler(theta, order) == _hashimoto_series(hk, order)
 
 
 @pytest.mark.parametrize("name", ["paper-digraph", "paper-graph"])
