@@ -24,6 +24,8 @@ from fractions import Fraction
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+# The Mersenne prime 2^61 - 1, modulo which RatFunc certifies coprimality.
+_CERTIFICATE_PRIME = (1 << 61) - 1
 
 
 def as_fraction(x) -> Fraction:
@@ -151,6 +153,18 @@ class RatFunc:
 
     Canonical form: gcd(num, den) = 1 and den monic, so equality is a
     structural check.
+
+    The Euclid over Q that finds gcd(num, den) is skipped when num and den
+    are certified coprime (``_certified_coprime``): p = 2^61 - 1 divides no
+    coefficient denominator and neither leading coefficient, and the images
+    of num and den modulo p are coprime.  The proof: let g in Z[t] be a
+    primitive common factor of num and den of degree >= 1.  By Gauss's lemma
+    over the integers localized at p, num = g h with h p-integral, since num
+    is and g is primitive; so num mod p = (g mod p)(h mod p), and likewise
+    for den.  p divides no leading coefficient of num, so none of g, and
+    g mod p keeps its degree >= 1 and divides both images.  Coprime images
+    therefore rule out every common factor.  In every other case the Euclid
+    runs.
     """
 
     __slots__ = ("num", "den")
@@ -161,7 +175,8 @@ class RatFunc:
         if num.is_zero():
             num, den = Poly.zero(), Poly.one()
         else:
-            if den.degree > 0 and num.degree > 0:  # a constant on either side has gcd 1
+            # a constant on either side has gcd 1
+            if den.degree > 0 and num.degree > 0 and not _certified_coprime(num, den):
                 g = num.gcd(den)
                 if g.degree > 0:
                     num = num.exact_div(g)
@@ -201,6 +216,39 @@ class RatFunc:
 
     def __repr__(self) -> str:
         return f"RatFunc({self.render()})"
+
+
+def _image_mod(p: Poly, q: int) -> list[int] | None:
+    """The coefficients of p modulo the prime q, constant term first, or None
+    when q divides a coefficient denominator or the leading coefficient."""
+    image = []
+    for c in p.coeffs:
+        d = c.denominator % q
+        if not d:
+            return None
+        image.append(c.numerator * pow(d, -1, q) % q)
+    return image if image[-1] else None
+
+
+def _certified_coprime(a: Poly, b: Poly) -> bool:
+    """True when a and b, both nonzero, are proved coprime over Q by their
+    images modulo p = 2^61 - 1 (``RatFunc`` gives the proof); False when the
+    images share a factor or the certificate does not apply."""
+    q = _CERTIFICATE_PRIME
+    x, y = _image_mod(a, q), _image_mod(b, q)
+    if x is None or y is None:
+        return False
+    while y:  # Euclid modulo q; y is trimmed, so y[-1] is a unit
+        inv = pow(y[-1], -1, q)
+        while len(x) >= len(y):
+            c = x[-1] * inv % q
+            shift = len(x) - len(y)
+            for i, v in enumerate(y, shift):
+                x[i] = (x[i] - c * v) % q
+            while x and not x[-1]:
+                x.pop()
+        x, y = y, x
+    return len(x) == 1
 
 
 class Series:

@@ -124,11 +124,16 @@ def cmd_verify(ns) -> tuple[str, int]:
 
 
 def _table_entries(rep: _Report, name: str, table: dict, n: int) -> None:
-    """Every entry of an n x n table given by its nonzero {(i, j): value}."""
+    """Every entry of an n x n table given by its nonzero {(i, j): value};
+    an absent entry prints as 0."""
     for i in range(n):
         for j in range(n):
-            x = table.get((i, j), 0)
-            rep.add(f"{name}[{i}][{j}]", x.render() if hasattr(x, "render") else render_rational(x))
+            x = table.get((i, j))
+            if x is None:
+                text = "0"
+            else:
+                text = x.render() if hasattr(x, "render") else render_rational(x)
+            rep.add(f"{name}[{i}][{j}]", text)
 
 
 def cmd_ihara(ns) -> tuple[str, int]:

@@ -42,16 +42,17 @@ reversed.  ``det_poly_matrix`` builds on that: det P(t) of a sparse
 polynomial matrix P = diag(1/e) Q with P(0) = I, given as
 {(v, u): integer coefficients of Q[v][u]} and the row scales e_v, is
 det(I - t*C) of a companion linearization C of P.  Rows that are absent are
-rows of the identity and never enter C.  C^T has C's charpoly, and it goes
-to ``char_poly_rows`` cleared row by row, with no Fraction: C's
+rows of the identity and never enter C.  C^T has C's charpoly, and it is
+built directly, row by row in lowest terms, with no Fraction: C's
 denominators e_v sit in its columns (0, u), and every other column holds
 a single 1, so C^T's rows carry the e_v in only as many rows as P has,
-where C's rows carry one in every row.
+where C's rows carry one in every row.  C itself is never formed.
 
 Only ``zeta`` calls this module, and it works in Python ints alone: the
 numeric eigensolve lives in ``walk``.  The dense matrix type, the
-elimination determinants, the Faddeev-LeVerrier charpoly and the inversion
-identities the tests compare against live in ``tests/oracles.py``.
+elimination determinants, the Faddeev-LeVerrier charpoly, the inversion
+identities, and the dense companion with its transpose cleared column by
+column, which the tests compare against, live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ def char_poly_rows(rows: list[list[int]], dens: list[int]) -> tuple[list[int], i
     ``_coefficient_bound``; the symmetric residues are then Delta * c_k
     exactly (see the module docstring).  m^T has the same charpoly, so a
     caller whose denominators sit in a few columns passes m^T
-    (``_transposed``).
+    (``det_poly_matrix``).
     """
     n = len(rows)
     if len(dens) != n or any(len(row) != n for row in rows) or not all(d > 0 for d in dens):
@@ -121,16 +122,6 @@ def _lowest_terms(rows: list[list[int]], dens: list[int]) -> tuple[list[list[int
         g = gcd(d, *row)
         out.append([x // g for x in row] if g > 1 else row)
         out_dens.append(d // g)
-    return out, out_dens
-
-
-def _transposed(rows: list[list[int]], dens: list[int]) -> tuple[list[list[int]], list[int]]:
-    """The transpose of diag(1/d) R, cleared row by row to lowest terms."""
-    out, out_dens = [], []
-    for col in zip(*rows):
-        e = lcm(*(d // gcd(x, d) for x, d in zip(col, dens)))
-        out.append([x * e // d for x, d in zip(col, dens)])
-        out_dens.append(e)
     return out, out_dens
 
 
@@ -250,8 +241,12 @@ def det_poly_matrix(p: dict[tuple[int, int], list[int]], dens: dict[int, int]) -
     -Q_{i+1}[v][u] / e_v in column (0, u) and a 1 in column (i + 1, v) when
     i + 1 < k_v, so e_v clears the whole row.  C has sum_v k_v rows, the
     degree bound of det P; rows of degree 0 drop out, with their columns,
-    since det P expands along them.  C^T, cleared row by row by
-    ``_transposed``, goes to ``char_poly_rows``.
+    since det P expands along them.
+
+    C^T goes to ``char_poly_rows``, built row by row in lowest terms: its
+    row (0, u) holds -Q_{i+1}[v][u] / e_v in column (i, v), over the lcm of
+    the reduced denominators of its nonzero entries, and its row (i + 1, v)
+    a single 1 in column (i, v).
     """
     degree = {}
     for (v, u), cs in p.items():
@@ -266,18 +261,19 @@ def det_poly_matrix(p: dict[tuple[int, int], list[int]], dens: dict[int, int]) -
             start[v] = size
             size += degree[v]
     rows = [[0] * size for _ in range(size)]
-    row_dens = [0] * size
+    row_dens = [1] * size
+    for v, s in start.items():
+        for i in range(s + 1, s + degree[v]):
+            rows[i][i - 1] = 1
+    entries = {}  # u -> [(column (i, v), -Q_{i+1}[v][u], e_v)] over the nonzero entries
     for (v, u), cs in p.items():
         if v in start and u in start:
-            s = start[u]
-            for i, c in enumerate(cs[1:], start[v]):
-                rows[i][s] = -c
-    for v, s in start.items():
-        e = dens.get(v, 1)
-        for i in range(s, s + degree[v]):
-            row_dens[i] = e
-            if i + 1 < s + degree[v]:
-                rows[i][i + 1] = e
-    values, delta = char_poly_rows(*_transposed(rows, row_dens))
+            e = dens.get(v, 1)
+            entries.setdefault(u, []).extend((i, -c, e) for i, c in enumerate(cs[1:], start[v]) if c)
+    for u, row_entries in entries.items():
+        row = rows[start[u]]
+        row_dens[start[u]] = e = lcm(*(d // gcd(x, d) for _, x, d in row_entries))
+        for j, x, d in row_entries:
+            row[j] = x * e // d
+    values, delta = char_poly_rows(rows, row_dens)
     return values[::-1], delta
-

@@ -35,30 +35,35 @@ Every determinant here is read off one scalar kernel,
 
 * det(I - t*M) is the charpoly of T, reversed (``_hashimoto``).
 * the vertex determinant is assembled sparsely, in Python ints, by
-  ``_vertex_det`` from one term form: (u, v, k, c, f) adds c t^k / f to
-  entry (u, v) of the vertex matrix, with c rational and f a block factor
-  as an integer coefficient tuple, or None for the terms of A.  r_u, the
-  product of the distinct f among the nonzero terms of row u, and e_u, the
-  lcm of their c denominators, clear row u to an integer polynomial row,
-  so P(t) = diag(1/e) Q(t) has P(0) = I and det(vertex matrix) =
-  det(P) / R with R = prod_u r_u; det(P) is that of I - t*C for the
-  companion C of P (``linalg.det_poly_matrix``).  A row with no nonzero
-  term is a row of the identity and is never materialized.
+  ``_vertex_det`` from one term form: (u, v, k, n, q, f) adds
+  (n / q) t^k / f to entry (u, v) of the vertex matrix, with n / q a
+  rational in lowest terms, q > 0, and f a block factor as an integer
+  coefficient tuple, or None for the terms of A.  r_u, the product of the
+  distinct f among the nonzero terms of row u, and e_u, the lcm of their
+  q, clear row u to an integer polynomial row, so P(t) = diag(1/e) Q(t)
+  has P(0) = I and det(vertex matrix) = det(P) / R with R = prod_u r_u;
+  det(P) is that of I - t*C for the companion C of P
+  (``linalg.det_poly_matrix``).  A row with no nonzero term is a row of the
+  identity and is never materialized.
 
 Every Ihara-style operation builds its vertex side without det(I - t*M),
 as (prod_f, R, det P) with prod_f and R integer polynomials of constant
 term 1, in both modes from the blocks of the inverse relation
-(``_vertex_side``).  One check, ``_identity``, compares prod_f * det P with
-det(I - t*M) * R as integer polynomials cross-multiplied by their
-denominators.  On a match the reported right-hand side is det(I - t*M); a
-mismatch builds the reduced quotient prod_f * det P / R and names the
-first power of t at which the two sides differ.  ``verify_expressions``
-reports that power; ``ihara_digraph`` and ``ihara_graph`` report ``agree``
-and alone build report tables, {(u, v): value} maps of nonzero entries.
-Those of A (both modes) and of a graph's D hold Fractions; each D and X
-entry of a digraph is one RatFunc.  The vertex side reads tau1 and tau2
-itself, so a defect in the one theta builder shows as a Hashimoto-vs-Ihara
-mismatch.
+(``_vertex_side``).  The vertex side reads each tau1 and tau2 once, as a
+(numerator, denominator) pair, and keeps A, the per-block tau sums and
+every term's coefficient as reduced int pairs; it reads the weights
+itself, so a defect in the one theta builder shows as a
+Hashimoto-vs-Ihara mismatch.  One check, ``_identity``, compares
+prod_f * det P with det(I - t*M) * R as integer polynomials
+cross-multiplied by their denominators.  On a match the reported
+right-hand side is det(I - t*M); a mismatch builds the reduced quotient
+prod_f * det P / R and names the first power of t at which the two sides
+differ.  ``verify_expressions`` reports that power and makes no Fraction
+on the vertex side.  ``ihara_digraph`` and ``ihara_graph`` report
+``agree`` and alone build report tables, {(u, v): value} maps of nonzero
+entries, the only place a vertex-side Fraction is made: those of A (both
+modes) and of a graph's D hold Fractions, and each D and X entry of a
+digraph is one RatFunc, its numerator formed in ints.
 
 The series routes run in Python ints.  The two path routes, closed paths
 for N_k and prime cycles for the Euler product, run on the integer matrix
@@ -89,7 +94,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from .algebra import Poly, RatFunc, Series, as_fraction, render_rational
@@ -97,7 +102,6 @@ from .digraph import Digraph, GraphError, GraphMode, PhiPair, lyndon_cycles
 from .linalg import char_poly_rows, det_poly_matrix
 
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -431,15 +435,15 @@ def _over_distinct(fs) -> tuple[list[int], dict]:
 def _vertex_det(terms) -> tuple[list[int], tuple[list[int], int]]:
     """(R, det P) with det(I + sum of terms) = det P / R.
 
-    A term (u, v, k, c, f) adds c t^k / f to entry (u, v), or c t^k when f
-    is None, for a rational c and an integer coefficient tuple f.  r_u is
-    the product of the distinct f among the nonzero terms of row u,
-    R = prod_u r_u, and P is the vertex matrix with each row u multiplied
-    by r_u, so that a term's c / f becomes c times the cofactor r_u / f.
-    Row u of P times e_u, the lcm of the denominators of its c, is the
-    integer polynomial row Q_u, with Q_u(0) = e_u on the diagonal; det P
-    is (c, Delta) from ``det_poly_matrix``.  A row with no nonzero term
-    keeps the row of the identity and is never materialized.
+    A term (u, v, k, n, q, f) adds (n / q) t^k / f to entry (u, v), or
+    (n / q) t^k when f is None, for ints n and q > 0 in lowest terms and an
+    integer coefficient tuple f.  r_u is the product of the distinct f among
+    the nonzero terms of row u, R = prod_u r_u, and P is the vertex matrix
+    with each row u multiplied by r_u, so that a term's (n / q) / f becomes
+    n / q times the cofactor r_u / f.  Row u of P times e_u, the lcm of the
+    q of its terms, is the integer polynomial row Q_u, with Q_u(0) = e_u on
+    the diagonal; det P is (c, Delta) from ``det_poly_matrix``.  A row with
+    no nonzero term keeps the row of the identity and is never materialized.
     """
     by_row = {}
     for term in terms:
@@ -449,11 +453,11 @@ def _vertex_det(terms) -> tuple[list[int], tuple[list[int], int]]:
     for u, row_terms in by_row.items():
         ru, cofactor = _over_distinct(f for *_, f in row_terms if f is not None)
         big_r = _mul(big_r, ru)
-        dens[u] = e = lcm(*(c.denominator for _, _, _, c, _ in row_terms))
+        dens[u] = e = lcm(*(den for *_, den, _ in row_terms))
         q[u, u] = [e * x for x in ru]
-        for _, v, k, c, f in row_terms:
+        for _, v, k, n, den, f in row_terms:
             mult = ru if f is None else cofactor[f]
-            scale = c.numerator * (e // c.denominator)
+            scale = n * (e // den)
             entry = q.setdefault((u, v), [])
             entry += [0] * (k + len(mult) - len(entry))
             for i, x in enumerate(mult, k):
@@ -483,22 +487,44 @@ def _identity(num, den, kd, hk) -> tuple[Poly, RatFunc, int | None]:
     return h, RatFunc(_as_poly(_mul(num, k_vals), delta), Poly(den)), k
 
 
-def _weighted_adjacency(d: Digraph, w: WeightAssignment) -> dict:
-    """{(u, v): sum of tau1(a) tau2(a) over the arcs a in A_uv}, nonzero entries only."""
-    a_map = {}
+def _reduced(n: int, q: int) -> tuple[int, int]:
+    """n / q in lowest terms as (n, q), for q > 0; (0, 1) for n = 0."""
+    g = gcd(n, q)
+    return n // g, q // g
+
+
+def _pair_sum(pairs) -> tuple[int, int]:
+    """The sum of the rationals (n, q), q > 0, as a reduced (n, q)."""
+    n, q = 0, 1
+    for x, y in pairs:
+        n, q = n * y + x * q, q * y
+    return _reduced(n, q)
+
+
+def _pair_product(x: tuple[int, int], y: tuple[int, int], k: int = 1) -> tuple[int, int]:
+    """k times the product of the rationals x and y, as a reduced (n, q)."""
+    return _reduced(k * x[0] * y[0], x[1] * y[1])
+
+
+def _nonzero_sums(groups: dict) -> dict:
+    """{key: the sum of its (n, q) pairs, reduced}, nonzero sums only."""
+    return {key: x for key, pairs in groups.items() if (x := _pair_sum(pairs))[0]}
+
+
+def _weighted_adjacency(d: Digraph, tau1: list, tau2: list) -> dict:
+    """{(u, v): sum of tau1(a) tau2(a) over the arcs a in A_uv} as reduced
+    (n, q) pairs, nonzero entries only; tau1 and tau2 hold (n, q) pairs."""
+    by_pair = {}
     for a, key in enumerate(zip(d.tails, d.heads)):
-        a_map[key] = a_map.get(key, _ZERO) + w.tau1[a] * w.tau2[a]
-    return {key: x for key, x in a_map.items() if x}
-
-
-def _sum_over(w_vals, arc_ids):
-    return sum((w_vals[a] for a in arc_ids), _ZERO)
+        by_pair.setdefault(key, []).append(_pair_product(tau1[a], tau2[a]))
+    return _nonzero_sums(by_pair)
 
 
 def _vertex_side(d: Digraph, w: WeightAssignment):
     """The vertex side (prod_f, R, det P) of prod_f * det(I - t*A + t^2*D - t^3*X)
     and the parts the Ihara reports read: the blocks (u, v, out, back), their
-    f, A, and the terms, those of D at t^2 and of -X at t^3 divided by their
+    f, A as {(u, v): (n, q)} and the terms (u, v, k, n, q, f) of
+    ``_vertex_det``, those of D at t^2 and of -X at t^3 divided by their
     block's f.
 
     The blocks are those of the inverse relation: a digraph's phi pairs, out
@@ -509,48 +535,70 @@ def _vertex_side(d: Digraph, w: WeightAssignment):
     f = 1 - |out||back| t^2, so 1 - t^2 for every edge of a graph, loops
     included; there each row's t^3 terms cancel t^3 A r_u, and P is
     I - t*A + t^2*(D - I) on the rows that have a nonzero term.
+
+    Each tau is read once, as its (numerator, denominator) pair, and every
+    sum and product stays a reduced int pair: no Fraction is made here.
     """
     if d.mode is GraphMode.SYMMETRIC:
         blocks = [(d.tails[a], d.heads[a], (a,), (a + 1,)) for a in range(0, d.arc_count, 2)]
     else:
         blocks = [(p.u, p.v, p.arcs_uv, p.arcs_vu) for p in d.phi_pairs()]
-    a_map = _weighted_adjacency(d, w)
-    terms = [(u, v, 1, -x, None) for (u, v), x in a_map.items()]
+    tau1 = [(x.numerator, x.denominator) for x in w.tau1]
+    tau2 = [(x.numerator, x.denominator) for x in w.tau2]
+    a_map = _weighted_adjacency(d, tau1, tau2)
+    terms = [(u, v, 1, -n, q, None) for (u, v), (n, q) in a_map.items()]
     fs = []
     for u, v, out, back in blocks:
+        s1_out = _pair_sum(tau1[a] for a in out)
+        s2_out = _pair_sum(tau2[a] for a in out)
         if out == back:
             f = (1, len(out))
-            terms.append((u, u, 2, _sum_over(w.tau2, out) * _sum_over(w.tau1, out), f))
+            terms.append((u, u, 2, *_pair_product(s2_out, s1_out), f))
         else:
             f = (1, 0, -len(out) * len(back))
-            for x, y, o, b in ((u, v, out, back), (v, u, back, out)):
-                s2 = _sum_over(w.tau2, o)
-                terms.append((x, x, 2, s2 * _sum_over(w.tau1, b), f))
-                terms.append((x, y, 3, -len(b) * (s2 * _sum_over(w.tau1, o)), f))
+            s1_back = _pair_sum(tau1[a] for a in back)
+            s2_back = _pair_sum(tau2[a] for a in back)
+            for x, y, s2, s1, s1_other, n_back in (
+                (u, v, s2_out, s1_out, s1_back, len(back)),
+                (v, u, s2_back, s1_back, s1_out, len(out)),
+            ):
+                terms.append((x, x, 2, *_pair_product(s2, s1_other), f))
+                terms.append((x, y, 3, *_pair_product(s2, s1, -n_back), f))
         fs.append(f)
     return (_product(fs), *_vertex_det(terms)), (blocks, fs, a_map, terms)
 
 
+def _fractions(table: dict) -> dict:
+    """A report table of reduced (n, q) pairs as one of Fractions."""
+    return {key: Fraction(n, q) for key, (n, q) in table.items()}
+
+
 def _digraph_tables(terms) -> tuple[dict, dict]:
     """The D and X report tables {(u, v): RatFunc} of nonzero entries, read
-    off the t^2 terms (D) and the t^3 terms (-X).  Each entry sum c / f is
-    formed once, over the product F of its distinct f, as
-    (sum c * F / f) / F: one reduction per entry, not one per term."""
+    off the t^2 terms (D) and the t^3 terms (-X).  Each entry sum
+    (n / q) / f is formed once, in ints, over the product F of its distinct
+    f and the lcm L of its q, as (sum n (L / q) F / f) / (L F): one
+    RatFunc, and so one reduction, per nonzero entry, none per term."""
     parts = ({}, {})
-    for u, v, k, c, f in terms:
-        if k > 1 and c:
-            parts[k - 2].setdefault((u, v), []).append(((-1) ** k * c, f))
+    for u, v, k, n, q, f in terms:
+        if k > 1 and n:
+            parts[k - 2].setdefault((u, v), []).append(((-1) ** k * n, q, f))
 
-    def entry(cfs):
-        big_f, cofactor = _over_distinct(f for _, f in cfs)
-        num = [_ZERO] * len(big_f)
-        for c, f in cfs:
+    def entry(nqfs):
+        big_f, cofactor = _over_distinct(f for *_, f in nqfs)
+        scale = lcm(*(q for _, q, _ in nqfs))
+        num = [0] * len(big_f)
+        for n, q, f in nqfs:
+            c = n * (scale // q)
             for i, x in enumerate(cofactor[f]):
                 num[i] += c * x
-        return RatFunc(Poly(num), Poly(big_f))
+        if not any(num):
+            return None
+        lead = big_f[-1]  # the denominator goes in monic, so RatFunc need not rescale
+        return RatFunc(Poly([Fraction(x, scale * lead) for x in num]), Poly([Fraction(x, lead) for x in big_f]))
 
-    tables = ({key: entry(cfs) for key, cfs in part.items()} for part in parts)
-    return tuple({key: x for key, x in table.items() if x} for table in tables)
+    tables = ({key: entry(nqfs) for key, nqfs in part.items()} for part in parts)
+    return tuple({key: x for key, x in table.items() if x is not None} for table in tables)
 
 
 @dataclass(frozen=True)
@@ -604,7 +652,7 @@ def ihara_digraph(d: Digraph, w: WeightAssignment) -> IharaDigraph:
     return IharaDigraph(
         pairs=tuple(PhiPair(*block) for block in blocks),
         f_factors=tuple(Poly(f) for f in fs),
-        a=a_map,
+        a=_fractions(a_map),
         d_ul=d_table,
         x_ul=x_table,
         rhs=rhs,
@@ -648,14 +696,14 @@ def ihara_graph(g: Digraph, w: WeightAssignment) -> IharaGraph:
     side, (_, _, a_map, terms) = _vertex_side(g, w)
     h, rhs, k = _identity(*side, _hashimoto(theta))
     _, big_r, (k_vals, delta) = side
-    d_map = {}
-    for u, _, power, c, _ in terms:
+    d_terms = {}
+    for u, _, power, n, q, _ in terms:
         if power == 2:
-            d_map[u, u] = d_map.get((u, u), _ZERO) + c
+            d_terms.setdefault((u, u), []).append((n, q))
     rows_missing = g.vertex_count - (len(big_r) - 1) // 2
     return IharaGraph(
-        a_g=a_map,
-        d_g={key: x for key, x in d_map.items() if x},
+        a_g=_fractions(a_map),
+        d_g=_fractions(_nonzero_sums(d_terms)),
         prefactor_exponent=g.edge_count - g.vertex_count,
         vertex_det=_as_poly(_mul(_product([(1, 0, -1)] * rows_missing), k_vals), delta),
         rhs=rhs,

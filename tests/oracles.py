@@ -4,7 +4,10 @@ The library computes every determinant with ``linalg.char_poly_rows``; these
 reach the same quantities by independent routes: Bareiss and cofactor
 determinants over any exact entry ring (among them det(I - t*M) and the
 dense graph vertex determinant), the Faddeev-LeVerrier characteristic
-polynomial, the digraph vertex tables A, D and X and Sato's tau1 = 1
+polynomial, the dense companion of a polynomial matrix and the transpose
+of integer rows over row denominators cleared column by column (the rows
+``linalg.det_poly_matrix`` must build directly), the digraph vertex
+tables A, D and X and Sato's tau1 = 1
 matrices Au and Du, summed one rational function at a time, the two
 inversion identities behind the vertex-determinant reduction (all-ones and
 block Woodbury-style, each checked with its denominator cleared, as
@@ -246,6 +249,47 @@ def char_poly_exact(m: Matrix) -> Poly:
         mk = work if mk is None else mat_mul(work, mat_add(mk, mat_scale(ident, cs[-1])))
         cs.append(-trace(mk) / k)
     return Poly(list(reversed(cs)))
+
+
+def transposed_rows(rows: list[list[int]], dens: list[int]) -> tuple[list[list[int]], list[int]]:
+    """The transpose of diag(1/d) R, cleared row by row to lowest terms:
+    column j becomes a row over e_j, the lcm of the reduced denominators of
+    its entries x / d_i."""
+    out, out_dens = [], []
+    for col in zip(*rows):
+        e = math.lcm(*(d // math.gcd(x, d) for x, d in zip(col, dens)))
+        out.append([x * e // d for x, d in zip(col, dens)])
+        out_dens.append(e)
+    return out, out_dens
+
+
+def dense_companion(p: dict, dens: dict) -> tuple[list[list[int]], list[int]]:
+    """The rows and row denominators of the companion C of P = diag(1/e) Q
+    that ``linalg.det_poly_matrix`` linearizes, for its arguments, built
+    dense: row (i, v), for each row v of degree k_v > 0 and i < k_v, holds
+    -Q_{i+1}[v][u] in column (0, u) and e_v in column (i + 1, v) when
+    i + 1 < k_v, all over e_v; the indices run over the rows v in order."""
+    degree = {}
+    for (v, _), cs in p.items():
+        degree[v] = max(degree.get(v, 0), len(cs) - 1)
+    start, size = {}, 0
+    for v in sorted(degree):
+        if degree[v] > 0:
+            start[v] = size
+            size += degree[v]
+    rows = [[0] * size for _ in range(size)]
+    row_dens = [0] * size
+    for (v, u), cs in p.items():
+        if v in start and u in start:
+            for i, c in enumerate(cs[1:], start[v]):
+                rows[i][start[u]] = -c
+    for v, s in start.items():
+        e = dens.get(v, 1)
+        for i in range(s, s + degree[v]):
+            row_dens[i] = e
+            if i + 1 < s + degree[v]:
+                rows[i][i + 1] = e
+    return rows, row_dens
 
 
 def is_scaled_inverse(a: Matrix, b: Matrix, d: PolyElement) -> bool:

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from sympy.polys.ring_series import rs_exp, rs_series_inversion
 
+from zetawalk import algebra
 from zetawalk.algebra import Poly, RatFunc, Series
 from zetawalk.digraph import build_digraph
 from zetawalk.zeta import WeightAssignment, _exp_of_power_sums
@@ -110,6 +111,87 @@ def test_ratfunc_with_a_constant_numerator_is_canonical(rng):
         assert (r.num, r.den) == (P(c / den.lead()), den.scale(1 / den.lead()))
         assert r == RatFunc(P(c, c), Poly(coeffs(lift(den) * (1 + T))))
         assert (r.num.coeffs, r.den.coeffs) == coeffs(c / FIELD(lift(den)))
+
+
+# RatFunc skips its Euclid on pairs certified coprime modulo p = 2^61 - 1.
+PRIME = (1 << 61) - 1
+
+
+def count_euclid(monkeypatch) -> list:
+    """One entry per ``Poly.gcd`` call, the Euclid that RatFunc skips on a
+    certified pair."""
+    calls = []
+    real = Poly.gcd
+
+    def counted(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(Poly, "gcd", counted)
+    return calls
+
+
+def assert_cancelled_as_in_sympy(num, den):
+    """RatFunc(num, den) is sympy's cancel of num / den with the denominator
+    made monic, and a certified pair has no common factor in sympy."""
+    a, b = Poly(coeffs(num)), Poly(coeffs(den))
+    p, q = num.cancel(den)
+    lead = q.LC
+    assert (RatFunc(a, b).num.coeffs, RatFunc(a, b).den.coeffs) == (coeffs(p * (1 / lead)), coeffs(q * (1 / lead)))
+    if algebra._certified_coprime(a, b):
+        assert num.gcd(den).degree() == 0
+
+
+def test_coprime_certificate_against_sympy_cancel(rng, monkeypatch):
+    euclid = count_euclid(monkeypatch)
+    # a common factor that shares a single root, in either order
+    for num, den in ((1 + 2 * T, 1 - 4 * T**2), (1 - 4 * T**2, (1 + 2 * T) * (3 - T))):
+        assert not algebra._certified_coprime(Poly(coeffs(num)), Poly(coeffs(den)))
+        assert_cancelled_as_in_sympy(num, den)
+    certified = 0
+    for _ in range(300):
+        common = random_poly(rng, rng.choice([0, 0, 1, 2, 3]))
+        num, den = (random_poly(rng, rng.randint(1, 4)) * common for _ in range(2))
+        if rng.random() < 0.2:  # a shared single root: (1 + ct) against (1 - c^2 t^2)
+            c = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+            num, den = num * (1 + c * T), den * (1 - c**2 * T**2)
+        a, b = Poly(coeffs(num)), Poly(coeffs(den))
+        cert = algebra._certified_coprime(a, b)
+        assert cert == (num.gcd(den).degree() == 0)  # coefficients this small never meet p
+        certified += cert
+        euclid.clear()
+        assert_cancelled_as_in_sympy(num, den)
+        assert bool(euclid) != cert
+    assert 60 <= certified <= 240
+
+
+def test_coprime_certificate_refuses_what_p_divides(rng, monkeypatch):
+    # p in a coefficient denominator or in a leading coefficient: the
+    # images modulo p prove nothing, and the Euclid runs
+    euclid = count_euclid(monkeypatch)
+    third = Fraction(PRIME, 3)
+    cases = [
+        # p divides the leading coefficient of a common factor, whose image is
+        # then a constant: the images 1 and 3 + t would pass for coprime
+        (1 + PRIME * T, (1 + PRIME * T) * (3 + T)),
+        ((3 + T) * (1 + third * T), 1 + third * T),
+        # 1/p in a common factor
+        (T + Fraction(1, PRIME), (T + Fraction(1, PRIME)) * (T - 1)),
+        ((T - 2) * (T + Fraction(5, 7 * PRIME)), (T + Fraction(5, 7 * PRIME)) * (1 + T**2)),
+        # coprime pairs that the certificate still leaves to the Euclid
+        (1 + T, PRIME * T**2 + 1),
+        (Fraction(1, PRIME) + T, 2 + T),
+        (PRIME**2 * T**3 + 1, 1 - T),
+    ]
+    for _ in range(40):
+        factor = 1 + rng.randint(1, 9) * PRIME * rng.choice([1, -1]) * T
+        cases.append((factor * random_poly(rng, rng.randint(0, 2)), factor * random_poly(rng, rng.randint(1, 2))))
+    for num, den in cases:
+        num, den = RING(num), RING(den)
+        assert not algebra._certified_coprime(Poly(coeffs(num)), Poly(coeffs(den)))
+        euclid.clear()
+        assert_cancelled_as_in_sympy(num, den)
+        assert euclid
 
 
 def random_power_sums(rng, order):

@@ -17,8 +17,8 @@ from conftest import inversion_inputs
 from test_golden import GOLDEN, LARGE, large_instance
 from oracles import (
     RING, T, Matrix, allones_inverse_check, allones_scaled_inverse, block_matrices, block_scaled_inverse,
-    block_woodbury_check, char_poly_exact, coeffs, det_bareiss, det_cofactor, identity, is_scaled_inverse,
-    lift, mat_mul, mat_sub, transpose, zeros,
+    block_woodbury_check, char_poly_exact, coeffs, dense_companion, det_bareiss, det_cofactor, identity,
+    is_scaled_inverse, lift, mat_mul, mat_sub, transpose, transposed_rows, zeros,
 )
 
 
@@ -505,7 +505,7 @@ def orientation_primes(rows: list[list[int]], dens: list[int]) -> tuple[int, int
     """How many kernel primes char_poly_rows takes on the rows it is given,
     and how many it would take on their transpose."""
     counts = []
-    for r, d in (linalg._lowest_terms(rows, dens), linalg._transposed(rows, dens)):
+    for r, d in (linalg._lowest_terms(rows, dens), transposed_rows(rows, dens)):
         counts.append(len(primes_up_to(math.prod(d), 2 * linalg._coefficient_bound(r, d))))
     return counts[0], counts[1]
 
@@ -654,6 +654,57 @@ def test_companion_linearization_mixed_row_degrees(rng):
     # a row of degree 0 is a row of the identity and drops out
     pm = Matrix([[RING.one, 2 * T + T**2], [RING.zero, RING.one]])
     assert det_dense_poly_matrix(pm) == P(1)
+
+
+def random_sparse_poly_matrix(rng, n):
+    """(p, dens), the arguments of ``det_poly_matrix``, for a sparse P on n
+    rows: some rows absent, the others of degree 0-4 with 0-3 entries off
+    the diagonal (zero coefficients among them) and e_v from a mixed set."""
+    p, dens = {}, {}
+    for v in range(n):
+        if rng.random() < 0.25:
+            continue
+        e = rng.choice([1, 1, 2, 3, 4, 6, 35, 2**70])
+        if e != 1 or rng.random() < 0.5:
+            dens[v] = e
+        degree = rng.randint(0, 4)
+        cols = {v} | set(rng.sample(range(n), rng.randint(0, min(3, n))))
+        for u in cols:
+            cs = [e if u == v else 0]
+            cs += [rng.choice([0, rng.randint(-9, 9), rng.randint(-10**6, 10**6) * e]) for _ in range(rng.randint(0, degree))]
+            p[v, u] = cs
+    return p, dens
+
+
+def golden_vertex_sides(monkeypatch) -> list[tuple[dict, dict]]:
+    """The arguments of the ``det_poly_matrix`` call of each golden's ihara."""
+    seen = []
+
+    def recording(p, dens):
+        seen.append((p, dens))
+        return det_poly_matrix(p, dens)
+
+    monkeypatch.setattr(zeta, "det_poly_matrix", recording)
+    for path in sorted(GOLDEN.glob("*.zw")):
+        inst = parse_instance(path.read_text(encoding="utf-8"), path.name)
+        d = instance_digraph(inst)
+        (ihara_graph if d.mode is GraphMode.SYMMETRIC else ihara_digraph)(d, instance_weights(inst, d))
+    monkeypatch.undo()
+    return seen
+
+
+def test_det_poly_matrix_passes_the_cleared_transpose_of_the_dense_companion(rng, monkeypatch):
+    # det_poly_matrix builds C^T directly; the kernel must get exactly the
+    # rows and denominators of the dense companion C, transposed and cleared
+    cases = golden_vertex_sides(monkeypatch)
+    assert len(cases) == len(list(GOLDEN.glob("*.zw")))
+    cases += [random_sparse_poly_matrix(rng, rng.randint(1, 6)) for _ in range(300)]
+    calls = []
+    real = linalg.char_poly_rows
+    monkeypatch.setattr(linalg, "char_poly_rows", lambda rows, dens: calls.append((rows, dens)) or real(rows, dens))
+    for p, dens in cases:
+        det_poly_matrix(p, dens)
+        assert calls.pop() == transposed_rows(*dense_companion(p, dens))
 
 
 def test_companion_linearization_needs_identity_at_zero():

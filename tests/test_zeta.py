@@ -1120,3 +1120,70 @@ def test_sparse_vertex_side_matches_the_references():
             assert res.d_g == graph_d_table(g, weights)
             assert res.vertex_det.coeffs == coeffs(graph_vertex_det(g, weights))
             assert res.hashimoto.coeffs == coeffs(det_one_minus_t_by_elimination(Matrix(edge_matrix(g, weights))))
+
+
+def huge_rational(rng) -> Fraction:
+    """A signed rational whose numerator and denominator lie near 10^40."""
+    return Fraction(rng.choice([-1, 1]) * (10**40 + rng.randint(-10**9, 10**9)), 10**40 + rng.randint(1, 10**9))
+
+
+def assert_digraph_side_matches(d, w, eliminate=True):
+    """ihara_digraph agrees and its A, D and X are the oracle's; with
+    ``eliminate``, its Hashimoto side is det(I - t*M) by elimination."""
+    res = ihara_digraph(d, w)
+    assert res.agree
+    assert vertex_tables(res) == reference_tables(d, w)
+    if eliminate:
+        assert res.hashimoto.coeffs == coeffs(det_one_minus_t_by_elimination(Matrix(edge_matrix(d, w))))
+    return res
+
+
+def assert_graph_side_matches(g, w):
+    """ihara_graph agrees and its A, D and vertex det are the oracles'."""
+    res = ihara_graph(g, w)
+    assert res.agree
+    assert res.a_g == ihara_digraph_tables(g, w)[0]
+    assert res.d_g == graph_d_table(g, w)
+    assert res.vertex_det.coeffs == coeffs(graph_vertex_det(g, w))
+    return res
+
+
+def test_vertex_side_with_cancelling_weights_matches_the_references():
+    # parallel arcs 0 -> 1 whose tau1 tau2 sum to 0: A[0][1] is absent, but
+    # the pair's tau sums are not 0, so neither are its D and X terms
+    d = build_digraph(2, [(0, 1), (0, 1), (1, 0)])
+    res = assert_digraph_side_matches(d, WeightAssignment.from_maps(d, {1: 2, 2: 3}, {0: 2, 1: -1, 2: 5}))
+    assert (0, 1) not in res.a and (0, 0) in res.d_ul and (0, 1) in res.x_ul
+    # two pairs at vertex 0 with the same f = 1 - t^2 and D terms 1 / f and
+    # -1 / f: D[0][0] is absent, though both pairs carry X terms
+    d = build_digraph(3, [(0, 1), (1, 0), (0, 2), (2, 0)])
+    res = assert_digraph_side_matches(d, WeightAssignment.from_maps(d, {3: -1}))
+    assert (0, 0) not in res.d_ul and {(0, 1), (0, 2)} <= res.x_ul.keys() and (1, 1) in res.d_ul
+    g = symmetric_digraph(3, [(0, 1), (0, 2)])
+    res = assert_graph_side_matches(g, WeightAssignment.from_maps(g, {3: -1}))
+    assert (0, 0) not in res.d_g and (1, 1) in res.d_g
+    # tau2 sum 0 on 0 -> 1 (both terms of that direction vanish, A[0][1]
+    # does not), tau1 sum 0 on 2 -> 1 (the D term of 1 -> 2 and the X term
+    # of 2 -> 1 vanish, the X term of 1 -> 2 does not), and two loops at 2
+    # whose tau1 sum is 0 (their D term and A[2][2] vanish)
+    d = build_digraph(3, [(0, 1), (0, 1), (1, 0), (1, 2), (2, 1), (2, 1), (2, 2), (2, 2)])
+    w = WeightAssignment.from_maps(d, {0: 2, 4: 1, 5: -1, 6: 3, 7: -3}, {0: 1, 1: -1})
+    res = assert_digraph_side_matches(d, w)
+    assert (0, 1) in res.a and (0, 0) not in res.d_ul and (0, 1) not in res.x_ul
+    assert (1, 2) in res.x_ul and (2, 1) not in res.x_ul and (2, 2) not in res.a and (2, 2) in res.d_ul
+    # the same shapes with tau numerators and denominators near 10^40, and
+    # parallel arcs whose huge tau2 cancel
+    rng = random.Random(2828)
+    for _ in range(15):
+        d = repeated_f_digraph(rng)
+        tau1 = [huge_rational(rng) for _ in range(d.arc_count)]
+        tau2 = [huge_rational(rng) for _ in range(d.arc_count)]
+        assert_digraph_side_matches(d, WeightAssignment(tau1, tau2), eliminate=False)
+        arcs = [b for b in range(d.arc_count) if b and d.tails[b] == d.tails[0] and d.heads[b] == d.heads[0]]
+        if arcs:
+            tau2[arcs[0]] = -tau2[0]
+            assert_digraph_side_matches(d, WeightAssignment(tau1, tau2), eliminate=False)
+        g = random_multigraph(rng, 4, 5)
+        assert_graph_side_matches(g, WeightAssignment.from_maps(
+            g, {a: huge_rational(rng) for a in range(g.arc_count)}, {a: huge_rational(rng) for a in range(g.arc_count)}
+        ))
