@@ -39,10 +39,14 @@ def as_fraction(x) -> Fraction:
 
 
 def render_rational(x) -> str:
-    """A Fraction or an int as ``str`` prints it, with every digit: the digits
-    come from ``Decimal``, which has no limit where ``str`` refuses."""
-    num = str(Decimal(x.numerator))
-    return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
+    """A Fraction or an int as ``str`` prints it, with every digit.  ``str``
+    refuses an int over the int-to-string digit limit; ``Decimal``, which
+    has no limit, prints those digits."""
+    try:
+        return str(x)
+    except ValueError:
+        num = str(Decimal(x.numerator))
+        return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
 
 
 class Poly:

@@ -39,6 +39,14 @@ class ParseError(ValueError):
 # int() alone would also take "1_0" and non-ASCII digits such as "\u0663".
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 _INTEGER = re.compile(r"[-+]?[0-9]+")
+# A well-formed pair or weight line, its comment included: the groups are an
+# arc/edge directive with its id and endpoints, or a weight directive with
+# its arc id, numerator and optional denominator.  \s matches exactly the
+# characters that str.split() and str.strip() treat as whitespace.
+_ROW = re.compile(
+    r"\s*(?:(arc|edge)\s+([-+]?[0-9]+)\s+([-+]?[0-9]+)\s+([-+]?[0-9]+)"
+    r"|(tau1|tau2|prob)\s+([-+]?[0-9]+)\s+(-?[0-9]+)(?:/([0-9]+))?)\s*(?:#.*)?"
+)
 
 # Parse errors quote at most this many characters of an offending token.
 _ECHO_LIMIT = 40
@@ -73,108 +81,146 @@ def _quote(tok: str) -> str:
     return f"{tok[:_ECHO_LIMIT]!r}... ({len(tok)} characters)"
 
 
+def _integer(tok: str, source: str, line_no: int) -> int:
+    if not _INTEGER.fullmatch(tok):
+        raise ParseError(source, line_no, f"expected an integer, got {_quote(tok)}")
+    try:
+        return int(tok)
+    except ValueError:  # more digits than int() converts
+        raise ParseError(
+            source, line_no, f"integer of {len(tok)} characters exceeds the integer digit limit"
+        ) from None
+
+
+def _rational(tok: str, source: str, line_no: int) -> Fraction:
+    if not _RATIONAL.fullmatch(tok):
+        raise ParseError(source, line_no, f"expected a rational p/q, got {_quote(tok)}")
+    num, _, den = tok.partition("/")
+    try:
+        n, d = int(num), int(den) if den else 1
+    except ValueError:  # more digits than int() converts
+        raise ParseError(
+            source, line_no, f"rational of {len(tok)} characters exceeds the integer digit limit"
+        ) from None
+    if d == 0:
+        raise ParseError(source, line_no, f"zero denominator in {_quote(tok)}")
+    return Fraction(n, d)
+
+
 def parse_instance(text: str, source: str = "<instance>") -> Instance:
+    """The instance that ``text`` declares, or a ParseError citing its line.
+
+    A line goes through one pattern, ``_ROW``, and a well-formed pair or
+    weight line whose values pass their checks is stored from the pattern's
+    groups, with one Fraction per weight.  Every other line, and a pair or
+    weight line that fails a check, takes the checked path: it splits the
+    line into tokens and checks them in order, so the first fault of the
+    line names the error.
+    """
     mode = None
     vertices = None
     pairs: list[tuple[int, int]] = []
-    tau1: dict[int, Fraction] = {}
-    tau2: dict[int, Fraction] = {}
-    prob: dict[int, Fraction] = {}
-
-    def fail(line_no, msg):
-        raise ParseError(source, line_no, msg)
-
-    def parse_rational(tok, line_no) -> Fraction:
-        if not _RATIONAL.fullmatch(tok):
-            fail(line_no, f"expected a rational p/q, got {_quote(tok)}")
-        num, _, den = tok.partition("/")
-        try:
-            n, d = int(num), int(den) if den else 1
-        except ValueError:  # more digits than int() converts
-            fail(line_no, f"rational of {len(tok)} characters exceeds the integer digit limit")
-        if d == 0:
-            fail(line_no, f"zero denominator in {_quote(tok)}")
-        return Fraction(n, d)
-
-    def parse_int(tok, line_no) -> int:
-        if not _INTEGER.fullmatch(tok):
-            fail(line_no, f"expected an integer, got {_quote(tok)}")
-        try:
-            return int(tok)
-        except ValueError:  # more digits than int() converts
-            fail(line_no, f"integer of {len(tok)} characters exceeds the integer digit limit")
-
-    def arc_count() -> int:
-        return 2 * len(pairs) if mode is GraphMode.SYMMETRIC else len(pairs)
-
-    def weight_line(store, name, rest, line_no):
-        if not pairs:
-            fail(line_no, f"{name} line before any arcs are declared")
-        if len(rest) != 2:
-            fail(line_no, f"{name} needs: {name} <arc-id> <p/q>")
-        aid = parse_int(rest[0], line_no)
-        if not 0 <= aid < arc_count():
-            fail(line_no, f"arc id {aid} out of range (have {arc_count()} arcs)")
-        if aid in store:
-            fail(line_no, f"duplicate {name} for arc {aid}")
-        store[aid] = parse_rational(rest[1], line_no)
+    weights: dict[str, dict[int, Fraction]] = {"tau1": {}, "tau2": {}, "prob": {}}
+    tau1, tau2, prob = weights.values()
+    pair_key = None  # "arc" or "edge", once mode and vertices are declared
+    per_pair = 1  # arcs per arc/edge line
+    arcs = 0  # per_pair * len(pairs)
+    graph = False  # mode is GraphMode.SYMMETRIC
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
+        row = _ROW.fullmatch(raw)
+        if row is not None:
+            key, ident, a, b, name, aid, num, den = row.groups()
+            try:
+                if name is None:
+                    a, b = int(a), int(b)
+                    if (key == pair_key and not (tau1 or tau2 or prob)
+                            and int(ident) == len(pairs)
+                            and 0 <= a < vertices and 0 <= b < vertices):
+                        pairs.append((a, b))
+                        arcs += per_pair
+                        continue
+                else:
+                    store = weights[name]
+                    aid, d = int(aid), int(den) if den else 1
+                    if 0 <= aid < arcs and d and aid not in store and (graph or name != "prob"):
+                        store[aid] = Fraction(int(num), d)
+                        continue
+            except ValueError:  # more digits than int() converts
+                pass
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         key, *rest = line.split()
         if key == "mode":
             if mode is not None:
-                fail(line_no, "duplicate mode line")
+                raise ParseError(source, line_no, "duplicate mode line")
             if rest == ["digraph"]:
                 mode = GraphMode.GENERAL
             elif rest == ["graph"]:
                 mode = GraphMode.SYMMETRIC
             else:
-                fail(line_no, f"mode must be 'digraph' or 'graph', got {_quote(' '.join(rest))}")
+                raise ParseError(
+                    source, line_no, f"mode must be 'digraph' or 'graph', got {_quote(' '.join(rest))}"
+                )
         elif key == "vertices":
             if vertices is not None:
-                fail(line_no, "duplicate vertices line")
+                raise ParseError(source, line_no, "duplicate vertices line")
             if len(rest) != 1:
-                fail(line_no, "vertices needs one integer")
-            vertices = parse_int(rest[0], line_no)
+                raise ParseError(source, line_no, "vertices needs one integer")
+            vertices = _integer(rest[0], source, line_no)
             if vertices < 0:
-                fail(line_no, "vertex count must be nonnegative")
+                raise ParseError(source, line_no, "vertex count must be nonnegative")
             if vertices > MAX_VERTICES:
-                fail(line_no, f"vertex count {vertices} exceeds the limit {MAX_VERTICES}")
+                raise ParseError(
+                    source, line_no, f"vertex count {vertices} exceeds the limit {MAX_VERTICES}"
+                )
         elif key in ("arc", "edge"):
             if mode is None or vertices is None:
-                fail(line_no, f"{key} line before mode/vertices are declared")
-            expected = "arc" if mode is GraphMode.GENERAL else "edge"
-            if key != expected:
-                fail(line_no, f"{key} line not allowed in {mode.value} mode (use {expected})")
+                raise ParseError(source, line_no, f"{key} line before mode/vertices are declared")
+            if key != pair_key:
+                raise ParseError(
+                    source, line_no, f"{key} line not allowed in {mode.value} mode (use {pair_key})"
+                )
             if tau1 or tau2 or prob:
-                fail(line_no, f"{key} line after weight lines")
+                raise ParseError(source, line_no, f"{key} line after weight lines")
             if len(rest) != 3:
-                fail(line_no, f"{key} needs: {key} <id> <a> <b>")
-            ident = parse_int(rest[0], line_no)
+                raise ParseError(source, line_no, f"{key} needs: {key} <id> <a> <b>")
+            ident = _integer(rest[0], source, line_no)
             if ident != len(pairs):
-                fail(line_no, f"{key} ids must be contiguous from 0; expected {len(pairs)}")
-            a, b = parse_int(rest[1], line_no), parse_int(rest[2], line_no)
+                raise ParseError(
+                    source, line_no, f"{key} ids must be contiguous from 0; expected {len(pairs)}"
+                )
+            a, b = _integer(rest[1], source, line_no), _integer(rest[2], source, line_no)
             for v in (a, b):
                 if not 0 <= v < vertices:
-                    fail(line_no, f"{key} {ident} endpoint {v} out of range for {vertices} vertices")
+                    raise ParseError(
+                        source, line_no, f"{key} {ident} endpoint {v} out of range for {vertices} vertices"
+                    )
             pairs.append((a, b))
-        elif key == "tau1":
-            weight_line(tau1, "tau1", rest, line_no)
-        elif key == "tau2":
-            weight_line(tau2, "tau2", rest, line_no)
-        elif key == "prob":
-            if mode is not GraphMode.SYMMETRIC:
-                fail(line_no, "prob lines are only allowed in graph mode")
-            weight_line(prob, "prob", rest, line_no)
+            arcs += per_pair
+        elif key in weights:
+            if key == "prob" and mode is not GraphMode.SYMMETRIC:
+                raise ParseError(source, line_no, "prob lines are only allowed in graph mode")
+            if not pairs:
+                raise ParseError(source, line_no, f"{key} line before any arcs are declared")
+            if len(rest) != 2:
+                raise ParseError(source, line_no, f"{key} needs: {key} <arc-id> <p/q>")
+            aid = _integer(rest[0], source, line_no)
+            if not 0 <= aid < arcs:
+                raise ParseError(source, line_no, f"arc id {aid} out of range (have {arcs} arcs)")
+            if aid in weights[key]:
+                raise ParseError(source, line_no, f"duplicate {key} for arc {aid}")
+            weights[key][aid] = _rational(rest[1], source, line_no)
         else:
-            fail(line_no, f"unknown directive {_quote(key)}")
+            raise ParseError(source, line_no, f"unknown directive {_quote(key)}")
+        if mode is not None and vertices is not None:
+            graph = mode is GraphMode.SYMMETRIC
+            pair_key, per_pair = ("edge", 2) if graph else ("arc", 1)
     if mode is None:
-        fail(0, "missing mode line")
+        raise ParseError(source, 0, "missing mode line")
     if vertices is None:
-        fail(0, "missing vertices line")
+        raise ParseError(source, 0, "missing vertices line")
     return Instance(mode, vertices, tuple(pairs), tau1, tau2, prob, source)
 
 

@@ -487,6 +487,24 @@ def sqrt_product(x: Fraction, y: Fraction) -> float:
     return math.sqrt(float(prod))
 
 
+def render_complex(z: complex) -> str:
+    """A spectrum report value: both parts by the format spec +.10f."""
+    return f"{z.real:+.10f}{z.imag:+.10f}j"
+
+
+def sorted_spectrum(values) -> list[complex]:
+    """The values as complex numbers sorted by real, then imaginary part;
+    equal keys, such as -0.0 and +0.0, keep their input order."""
+    return sorted((complex(v) for v in values), key=lambda z: (z.real, z.imag))
+
+
+def spectrum_report_lines(name: str, values, records: bool) -> list[str]:
+    """The ``spectrum`` report lines ``name[i]`` of ``values``, one
+    ``render_complex`` per sorted value."""
+    sep = "=" if records else " "
+    return [f"{name}[{i}]{sep}{render_complex(z)}" for i, z in enumerate(sorted_spectrum(values))]
+
+
 def walk_transition(g: Digraph, probs: dict[int, Fraction]) -> np.ndarray:
     """U[a, partner(c)] = 2 sqrt(p(a) p(c)) for c leaving tail(a), minus the partner flip."""
     n = g.arc_count

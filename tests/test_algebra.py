@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -273,6 +274,24 @@ def test_series_exp_is_rs_exp(rng):
         sums = random_power_sums(rng, order)
         expected = Series(coeffs(rs_exp(lift(log_series(sums, order)), T, order + 1)), order)
         assert _exp_of_power_sums(sums, order) == expected
+
+
+def test_render_rational_prints_every_digit_on_both_sides_of_the_str_limit():
+    # str() refuses an int of more digits than sys.get_int_max_str_digits()
+    # (absent on Python 3.10 builds before 3.10.7; 0 means no limit)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        with pytest.raises(ValueError):
+            str(10 ** limit)
+    top = limit or 4300
+    for digits in (2, top - 1, top, top + 1):
+        n = 10 ** (digits - 1) + 7  # "1", digits - 2 zeros, "7"; odd and 2 mod 3
+        text = "1" + "0" * (digits - 2) + "7"
+        for x, expected in (
+            (n, text), (-n, "-" + text), (Fraction(n), text),
+            (Fraction(n, 3), text + "/3"), (Fraction(-2, n), "-2/" + text),
+        ):
+            assert algebra.render_rational(x) == expected
 
 
 def test_poly_render_contract():

@@ -1,4 +1,6 @@
 import io
+import math
+import random
 import re
 import sys
 import tempfile
@@ -30,6 +32,7 @@ from zetawalk.zeta import (
 )
 
 from conftest import random_connected_graph, random_probability
+from oracles import spectrum_report_lines
 
 
 def run_cli(*args):
@@ -311,6 +314,94 @@ def test_cli_spectrum_szegedy_checks_the_probabilities_once(tmp_path, monkeypatc
     code, out, _ = run_cli("spectrum", write_fixture(tmp_path, "p3"), "szegedy")
     assert code == 0 and "VERDICT spectrum agree" in out
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("walk_name", ["grover", "szegedy"])
+def test_cli_spectrum_checks_the_walk_graph_once(tmp_path, monkeypatch, walk_name):
+    real = walk._require_walk_graph
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+
+    real_terms = walk._uniform_terms
+    uniform = []
+
+    def counted_terms(g):
+        uniform.append(g)
+        return real_terms(g)
+
+    monkeypatch.setattr(walk, "_require_walk_graph", counted)
+    monkeypatch.setattr(walk, "_uniform_terms", counted_terms)
+    code, out, _ = run_cli("spectrum", write_fixture(tmp_path, "p3"), walk_name)
+    assert code == 0 and "VERDICT spectrum agree" in out
+    assert len(calls) == 1
+    assert len(uniform) == (walk_name == "grover")
+
+
+# Spectrum values for the report-line comparison: signed zeros, ties in the
+# real part, conjugate pairs, floats beside complex numbers, infinities, NaN.
+PARTS = (0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 1e-12, -1e-12, 0.123456789012345, math.inf, -math.inf, math.nan)
+
+
+def random_spectrum(rng) -> list:
+    values = []
+    for _ in range(rng.randint(0, 24)):
+        x = rng.choice(PARTS) if rng.random() < 0.6 else rng.uniform(-1, 1)
+        y = rng.choice(PARTS) if rng.random() < 0.6 else rng.uniform(-1, 1)
+        kind = rng.random()
+        if kind < 0.2:
+            values.append(x)  # a float: its imaginary part prints as +0
+        elif kind < 0.5:
+            values += [complex(x, y), complex(x, -y)]  # a conjugate pair
+        else:
+            values.append(complex(x, y))
+    rng.shuffle(values)
+    return values
+
+
+@pytest.mark.parametrize("records", [False, True], ids=["text", "records"])
+def test_spectrum_lines_match_the_reference_formatter(records):
+    rng = random.Random(29)
+    for _ in range(400):
+        values = random_spectrum(rng)
+        assert cli._spectrum_lines("direct", values, records) == spectrum_report_lines("direct", values, records)
+    # equal keys print differently, so their input order must survive the sort
+    values = [complex(0.0, 1.0), complex(-0.0, 1.0), -0.0, 0.0, complex(0.0, -0.0)]
+    assert cli._spectrum_lines("derived", values, records) == spectrum_report_lines("derived", values, records)
+
+
+GOLDEN_GRAPHS = sorted(
+    p for p in (Path(__file__).resolve().parent / "golden").glob("*.zw")
+    if parse_instance(p.read_text(encoding="utf-8")).mode is GraphMode.SYMMETRIC
+)
+
+
+@pytest.mark.parametrize("fmt", ["text", "records"])
+@pytest.mark.parametrize("walk_name", ["grover", "szegedy"])
+@pytest.mark.parametrize("golden", GOLDEN_GRAPHS, ids=lambda p: p.stem)
+def test_spectrum_report_on_the_golden_graphs_matches_the_reference(tmp_path, golden, walk_name, fmt):
+    # szegedy reads seeded random probabilities, added to a copy of the golden
+    inst = parse_instance(golden.read_text(encoding="utf-8"))
+    g = instance_digraph(inst)
+    if walk_name == "szegedy":
+        inst.prob = random_probability(random.Random(golden.stem), g)
+    path = tmp_path / golden.name
+    path.write_text(render_instance(inst), encoding="utf-8")
+    code, out, err = run_cli("spectrum", str(path), walk_name, "--format", fmt)
+    if code == 2:  # a vertex without edges: no walk, no spectrum lines
+        assert out == "" and "minimum degree" in err
+        return
+    records = fmt == "records"
+    if walk_name == "grover":
+        direct = walk.eigenvalues_numeric(walk.grover_transition(g))
+        derived = walk.grover_spectrum_via_zeta(g)
+    else:
+        direct = walk.eigenvalues_numeric(walk.szegedy_transition(g, inst.prob))
+        derived = walk.szegedy_spectrum_via_factorization(g, inst.prob)
+    expected = spectrum_report_lines("direct", direct, records) + spectrum_report_lines("derived", derived, records)
+    assert code == 0 and [line for line in out.splitlines() if "direct[" in line or "derived[" in line] == expected
 
 
 @pytest.mark.parametrize(
