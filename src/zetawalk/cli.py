@@ -206,13 +206,12 @@ def cmd_spectrum(ns) -> tuple[str, int]:
     _instance_header(rep, "spectrum", inst)
     rep.add("walk", ns.walk)
     if ns.walk == "grover":
-        checked = check_probability(g)
-        u = grover_transition(g, checked)
-        derived = grover_spectrum_via_zeta(g, checked)
+        u = grover_transition(g)
+        derived = grover_spectrum_via_zeta(g)
     else:
-        checked = check_probability(g, inst.prob)
-        u = szegedy_transition(g, checked)
-        derived = szegedy_spectrum_via_factorization(g, checked)
+        prob = check_probability(g, inst.prob)
+        u = szegedy_transition(g, prob)
+        derived = szegedy_spectrum_via_factorization(g, prob)
     direct = eigenvalues_numeric(u)
     rep.add("unitarity-defect", f"{unitarity_defect(u):.3e}")
     rep.lines += _spectrum_lines("direct", direct, rep.records)

@@ -39,13 +39,13 @@ class ParseError(ValueError):
 # int() alone would also take "1_0" and non-ASCII digits such as "\u0663".
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 _INTEGER = re.compile(r"[-+]?[0-9]+")
-# A well-formed pair or weight line, its comment included: the groups are an
-# arc/edge directive with its id and endpoints, or a weight directive with
-# its arc id, numerator and optional denominator.  \s matches exactly the
-# characters that str.split() and str.strip() treat as whitespace.
+# A pair or weight line whose tokens are well formed, its comment included.
+# The groups that matched are the line's tokens, as str.split() gives them:
+# \s matches exactly the characters that str.split() and str.strip() treat
+# as whitespace.  Such tokens need no _INTEGER/_RATIONAL check.
 _ROW = re.compile(
     r"\s*(?:(arc|edge)\s+([-+]?[0-9]+)\s+([-+]?[0-9]+)\s+([-+]?[0-9]+)"
-    r"|(tau1|tau2|prob)\s+([-+]?[0-9]+)\s+(-?[0-9]+)(?:/([0-9]+))?)\s*(?:#.*)?"
+    r"|(tau1|tau2|prob)\s+([-+]?[0-9]+)\s+(-?[0-9]+(?:/[0-9]+)?))\s*(?:#.*)?"
 )
 
 # Parse errors quote at most this many characters of an offending token.
@@ -81,8 +81,9 @@ def _quote(tok: str) -> str:
     return f"{tok[:_ECHO_LIMIT]!r}... ({len(tok)} characters)"
 
 
-def _integer(tok: str, source: str, line_no: int) -> int:
-    if not _INTEGER.fullmatch(tok):
+def _integer(tok: str, source: str, line_no: int, well_formed: bool = False) -> int:
+    """tok as an int; ``well_formed`` skips the _INTEGER check."""
+    if not (well_formed or _INTEGER.fullmatch(tok)):
         raise ParseError(source, line_no, f"expected an integer, got {_quote(tok)}")
     try:
         return int(tok)
@@ -92,8 +93,9 @@ def _integer(tok: str, source: str, line_no: int) -> int:
         ) from None
 
 
-def _rational(tok: str, source: str, line_no: int) -> Fraction:
-    if not _RATIONAL.fullmatch(tok):
+def _rational(tok: str, source: str, line_no: int, well_formed: bool = False) -> Fraction:
+    """tok as a Fraction; ``well_formed`` skips the _RATIONAL check."""
+    if not (well_formed or _RATIONAL.fullmatch(tok)):
         raise ParseError(source, line_no, f"expected a rational p/q, got {_quote(tok)}")
     num, _, den = tok.partition("/")
     try:
@@ -110,55 +112,79 @@ def _rational(tok: str, source: str, line_no: int) -> Fraction:
 def parse_instance(text: str, source: str = "<instance>") -> Instance:
     """The instance that ``text`` declares, or a ParseError citing its line.
 
-    A line goes through one pattern, ``_ROW``, and a well-formed pair or
-    weight line whose values pass their checks is stored from the pattern's
-    groups, with one Fraction per weight.  Every other line, and a pair or
-    weight line that fails a check, takes the checked path: it splits the
-    line into tokens and checks them in order, so the first fault of the
-    line names the error.
+    Each line is tokenized once: by ``_ROW`` when it is a pair or weight
+    line with well-formed numbers, else by str.split().  Every line then
+    takes the same checks in the same order, so the first fault of a line
+    names the error; a token from ``_ROW`` only skips its syntax check.
     """
     mode = None
+    graph = False  # mode is GraphMode.SYMMETRIC
     vertices = None
     pairs: list[tuple[int, int]] = []
     weights: dict[str, dict[int, Fraction]] = {"tau1": {}, "tau2": {}, "prob": {}}
     tau1, tau2, prob = weights.values()
-    pair_key = None  # "arc" or "edge", once mode and vertices are declared
-    per_pair = 1  # arcs per arc/edge line
-    arcs = 0  # per_pair * len(pairs)
-    graph = False  # mode is GraphMode.SYMMETRIC
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         row = _ROW.fullmatch(raw)
-        if row is not None:
-            key, ident, a, b, name, aid, num, den = row.groups()
-            try:
-                if name is None:
-                    a, b = int(a), int(b)
-                    if (key == pair_key and not (tau1 or tau2 or prob)
-                            and int(ident) == len(pairs)
-                            and 0 <= a < vertices and 0 <= b < vertices):
-                        pairs.append((a, b))
-                        arcs += per_pair
-                        continue
-                else:
-                    store = weights[name]
-                    aid, d = int(aid), int(den) if den else 1
-                    if 0 <= aid < arcs and d and aid not in store and (graph or name != "prob"):
-                        store[aid] = Fraction(int(num), d)
-                        continue
-            except ValueError:  # more digits than int() converts
-                pass
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, *rest = line.split()
-        if key == "mode":
+        if row is None:
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            tokens = line.split()
+            key, rest = tokens[0], tokens[1:]
+            well_formed = False
+        else:
+            tokens = row.groups()  # 1-4 a pair line's tokens, 5-7 a weight line's
+            key, rest = (tokens[4], tokens[5:]) if row.lastindex > 4 else (tokens[0], tokens[1:4])
+            well_formed = True
+        if key in weights:
+            if key == "prob" and not graph:
+                raise ParseError(source, line_no, "prob lines are only allowed in graph mode")
+            if not pairs:
+                raise ParseError(source, line_no, f"{key} line before any arcs are declared")
+            if len(rest) != 2:
+                raise ParseError(source, line_no, f"{key} needs: {key} <arc-id> <p/q>")
+            aid = _integer(rest[0], source, line_no, well_formed)
+            arcs = 2 * len(pairs) if graph else len(pairs)
+            if not 0 <= aid < arcs:
+                raise ParseError(source, line_no, f"arc id {aid} out of range (have {arcs} arcs)")
+            store = weights[key]
+            if aid in store:
+                raise ParseError(source, line_no, f"duplicate {key} for arc {aid}")
+            store[aid] = _rational(rest[1], source, line_no, well_formed)
+        elif key in ("arc", "edge"):
+            if mode is None or vertices is None:
+                raise ParseError(source, line_no, f"{key} line before mode/vertices are declared")
+            expected = "edge" if graph else "arc"
+            if key != expected:
+                raise ParseError(
+                    source, line_no, f"{key} line not allowed in {mode.value} mode (use {expected})"
+                )
+            if tau1 or tau2 or prob:
+                raise ParseError(source, line_no, f"{key} line after weight lines")
+            if len(rest) != 3:
+                raise ParseError(source, line_no, f"{key} needs: {key} <id> <a> <b>")
+            ident = _integer(rest[0], source, line_no, well_formed)
+            if ident != len(pairs):
+                raise ParseError(
+                    source, line_no, f"{key} ids must be contiguous from 0; expected {len(pairs)}"
+                )
+            a = _integer(rest[1], source, line_no, well_formed)
+            b = _integer(rest[2], source, line_no, well_formed)
+            for v in (a, b):
+                if not 0 <= v < vertices:
+                    raise ParseError(
+                        source, line_no, f"{key} {ident} endpoint {v} out of range for {vertices} vertices"
+                    )
+            pairs.append((a, b))
+        elif key == "mode":
             if mode is not None:
                 raise ParseError(source, line_no, "duplicate mode line")
             if rest == ["digraph"]:
                 mode = GraphMode.GENERAL
             elif rest == ["graph"]:
                 mode = GraphMode.SYMMETRIC
+                graph = True
             else:
                 raise ParseError(
                     source, line_no, f"mode must be 'digraph' or 'graph', got {_quote(' '.join(rest))}"
@@ -175,48 +201,8 @@ def parse_instance(text: str, source: str = "<instance>") -> Instance:
                 raise ParseError(
                     source, line_no, f"vertex count {vertices} exceeds the limit {MAX_VERTICES}"
                 )
-        elif key in ("arc", "edge"):
-            if mode is None or vertices is None:
-                raise ParseError(source, line_no, f"{key} line before mode/vertices are declared")
-            if key != pair_key:
-                raise ParseError(
-                    source, line_no, f"{key} line not allowed in {mode.value} mode (use {pair_key})"
-                )
-            if tau1 or tau2 or prob:
-                raise ParseError(source, line_no, f"{key} line after weight lines")
-            if len(rest) != 3:
-                raise ParseError(source, line_no, f"{key} needs: {key} <id> <a> <b>")
-            ident = _integer(rest[0], source, line_no)
-            if ident != len(pairs):
-                raise ParseError(
-                    source, line_no, f"{key} ids must be contiguous from 0; expected {len(pairs)}"
-                )
-            a, b = _integer(rest[1], source, line_no), _integer(rest[2], source, line_no)
-            for v in (a, b):
-                if not 0 <= v < vertices:
-                    raise ParseError(
-                        source, line_no, f"{key} {ident} endpoint {v} out of range for {vertices} vertices"
-                    )
-            pairs.append((a, b))
-            arcs += per_pair
-        elif key in weights:
-            if key == "prob" and mode is not GraphMode.SYMMETRIC:
-                raise ParseError(source, line_no, "prob lines are only allowed in graph mode")
-            if not pairs:
-                raise ParseError(source, line_no, f"{key} line before any arcs are declared")
-            if len(rest) != 2:
-                raise ParseError(source, line_no, f"{key} needs: {key} <arc-id> <p/q>")
-            aid = _integer(rest[0], source, line_no)
-            if not 0 <= aid < arcs:
-                raise ParseError(source, line_no, f"arc id {aid} out of range (have {arcs} arcs)")
-            if aid in weights[key]:
-                raise ParseError(source, line_no, f"duplicate {key} for arc {aid}")
-            weights[key][aid] = _rational(rest[1], source, line_no)
         else:
             raise ParseError(source, line_no, f"unknown directive {_quote(key)}")
-        if mode is not None and vertices is not None:
-            graph = mode is GraphMode.SYMMETRIC
-            pair_key, per_pair = ("edge", 2) if graph else ("arc", 1)
     if mode is None:
         raise ParseError(source, 0, "missing mode line")
     if vertices is None:

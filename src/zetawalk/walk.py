@@ -25,13 +25,12 @@ distance, computed in numpy.
 The probabilities are checked in integers: each reduced n/d must satisfy
 0 < n <= d, and the row sums are compared over the lcm of the row's
 denominators; ``check_probability`` checks the graph and them once for
-several walk calls on one graph, and with no probabilities gives the
-Grover walk's.  The entries of U and T are square roots of products
-of two probabilities, taken in Python-int arithmetic at any size and exact
-wherever the product is a rational square.  The root is symmetric, so U
-takes it once per distinct unordered pair of probability values (a Grover
-walk, once per pair of distinct degrees) and places it by numpy index
-arrays over the arcs sorted by tail; T takes it once per edge.
+several Szegedy calls on one graph.  The entries of U and T are square
+roots of products of two probabilities, taken in Python-int arithmetic at
+any size and exact wherever the product is a rational square.  The root is
+symmetric, so U takes it once per distinct unordered pair of probability
+values (a Grover walk, once per pair of distinct degrees) and places it by
+numpy index arrays over the arcs sorted by tail; T takes it once per edge.
 
 This module makes every numpy call in the library, the direct eigensolve
 ``eigenvalues_numeric`` among them; the exact kernel in ``linalg`` uses
@@ -109,36 +108,28 @@ def _probability_terms(g: Digraph, p) -> list[tuple[int, int]]:
 @dataclass(frozen=True)
 class CheckedProbability:
     """A walk graph ``g`` and its probabilities, both checked once: their
-    (numerator, denominator) pairs in arc order.  The walk functions take
-    one in place of p and skip both checks on that graph.  ``uniform``
-    marks the Grover walk's assignment, 1/deg(tail(a))."""
+    (numerator, denominator) pairs in arc order.  The Szegedy functions
+    take one in place of p and skip both checks on that graph."""
 
     g: Digraph
     terms: list[tuple[int, int]]
-    uniform: bool = False
 
 
-def check_probability(g: Digraph, p=None) -> CheckedProbability:
-    """Check g as a walk graph and p against it, once for several walk
-    calls; the errors are those of ``szegedy_transition``.  With p omitted,
-    the Grover walk's uniform assignment, which the Grover functions take."""
+def check_probability(g: Digraph, p) -> CheckedProbability:
+    """Check g as a walk graph and p against it, once for several Szegedy
+    calls; the errors are those of ``szegedy_transition``."""
     _require_walk_graph(g)
-    if p is None:
-        return CheckedProbability(g, _uniform_terms(g), uniform=True)
     return CheckedProbability(g, _probability_terms(g, p))
 
 
-def _checked_terms(g: Digraph, p, grover: bool = False) -> list[tuple[int, int]]:
-    """The terms of p on g, checking g and p unless p was checked on g;
-    ``grover`` asks for the uniform assignment, which p None gives."""
+def _checked_terms(g: Digraph, p) -> list[tuple[int, int]]:
+    """The terms of p on g, checking g and p unless p was checked on g."""
     if isinstance(p, CheckedProbability):
         if p.g is not g:
             raise WalkError("probabilities were checked against another graph")
-        if grover and not p.uniform:
-            raise WalkError("the Grover walk takes check_probability(g) without probabilities")
         return p.terms
     _require_walk_graph(g)
-    return _uniform_terms(g) if grover else _probability_terms(g, p)
+    return _probability_terms(g, p)
 
 
 def _sqrt_product(x: tuple[int, int], y: tuple[int, int]) -> float:
@@ -262,10 +253,10 @@ def szegedy_transition(g: Digraph, p) -> np.ndarray:
     return _transition(g, _checked_terms(g, p))
 
 
-def grover_transition(g: Digraph, checked: CheckedProbability | None = None) -> np.ndarray:
-    """The Grover transition matrix 2/deg(tail(a)) on adjacencies minus the
-    partner flip; ``checked``, from ``check_probability(g)``, skips the check."""
-    return _transition(g, _checked_terms(g, checked, grover=True))
+def grover_transition(g: Digraph) -> np.ndarray:
+    """The Grover transition matrix 2/deg(tail(a)) on adjacencies minus the partner flip."""
+    _require_walk_graph(g)
+    return _transition(g, _uniform_terms(g))
 
 
 def unitarity_defect(u: np.ndarray) -> float:
@@ -318,10 +309,10 @@ def szegedy_discriminant(g: Digraph, p) -> np.ndarray:
     return _discriminant(g, _checked_terms(g, p))
 
 
-def grover_spectrum_via_zeta(g: Digraph, checked: CheckedProbability | None = None) -> list[complex]:
-    """Spectrum of the Grover walk from the vertex factorization; ``checked``,
-    from ``check_probability(g)``, skips the check."""
-    return _spectrum(g, _checked_terms(g, checked, grover=True))
+def grover_spectrum_via_zeta(g: Digraph) -> list[complex]:
+    """Spectrum of the Grover walk from the vertex factorization."""
+    _require_walk_graph(g)
+    return _spectrum(g, _uniform_terms(g))
 
 
 def szegedy_spectrum_via_factorization(g: Digraph, p) -> list[complex]:

@@ -316,8 +316,7 @@ def test_cli_spectrum_szegedy_checks_the_probabilities_once(tmp_path, monkeypatc
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("walk_name", ["grover", "szegedy"])
-def test_cli_spectrum_checks_the_walk_graph_once(tmp_path, monkeypatch, walk_name):
+def test_cli_spectrum_szegedy_checks_the_walk_graph_once(tmp_path, monkeypatch):
     real = walk._require_walk_graph
     calls = []
 
@@ -325,19 +324,10 @@ def test_cli_spectrum_checks_the_walk_graph_once(tmp_path, monkeypatch, walk_nam
         calls.append(g)
         return real(g)
 
-    real_terms = walk._uniform_terms
-    uniform = []
-
-    def counted_terms(g):
-        uniform.append(g)
-        return real_terms(g)
-
     monkeypatch.setattr(walk, "_require_walk_graph", counted)
-    monkeypatch.setattr(walk, "_uniform_terms", counted_terms)
-    code, out, _ = run_cli("spectrum", write_fixture(tmp_path, "p3"), walk_name)
+    code, out, _ = run_cli("spectrum", write_fixture(tmp_path, "p3"), "szegedy")
     assert code == 0 and "VERDICT spectrum agree" in out
     assert len(calls) == 1
-    assert len(uniform) == (walk_name == "grover")
 
 
 # Spectrum values for the report-line comparison: signed zeros, ties in the

@@ -2,11 +2,10 @@
 
 Each case is one instance text with a fault, or several faults on one line,
 for every error that ``parse_instance`` raises.  The expected line numbers and
-messages were recorded from the token-by-token parser that preceded the
-per-line pattern, so they fix which check wins when a line has several
-faults.  The well-formed cases at the end fix what the parser accepts:
-signs, leading zeros, comments, line breaks and whitespace other than
-spaces.  The digit-limit cases assume the default int-to-string limit.
+messages fix which check wins when a line has several faults, whichever way
+the line is tokenized.  The well-formed cases at the end fix what the parser
+accepts: signs, leading zeros, comments, line breaks and whitespace other
+than spaces.  The digit-limit cases assume the default int-to-string limit.
 """
 
 import pytest

@@ -242,22 +242,6 @@ def test_checked_probability_gives_the_same_walk_on_its_own_graph_only():
         szegedy_transition(other, checked)
 
 
-def test_grover_functions_take_only_the_uniform_check():
-    g = fixture_digraph("p3")
-    uniform = check_probability(g)
-    assert uniform.uniform and uniform.terms == [(1, g.degree(t)) for t in g.tails]
-    assert np.array_equal(grover_transition(g, uniform), grover_transition(g))
-    assert grover_spectrum_via_zeta(g, uniform) == grover_spectrum_via_zeta(g)
-    # the Szegedy functions take it as the uniform probabilities that it is
-    assert np.array_equal(szegedy_transition(g, uniform), grover_transition(g))
-    checked = check_probability(g, fixture_instance("p3").prob)
-    for call in (grover_transition, grover_spectrum_via_zeta):
-        with pytest.raises(WalkError, match="Grover walk takes check_probability"):
-            call(g, checked)
-        with pytest.raises(WalkError, match="another graph"):
-            call(fixture_digraph("p3"), uniform)
-
-
 def test_probability_floats_raise_type_error():
     tri = fixture_digraph("triangle")
     split = {}
