@@ -25,6 +25,7 @@ from .digraph import GraphError, GraphMode
 from .instances import (
     FIXTURES,
     ParseError,
+    _quote,
     fixture_text,
     instance_digraph,
     instance_weights,
@@ -241,7 +242,10 @@ def cmd_fixtures(ns) -> tuple[str, int]:
 def _positive_int(value: str) -> int:
     """An order from 1 to sys.maxsize - 1: a series of order n has n + 1
     coefficients, a list length that must fit in an index."""
-    n = int(value)
+    try:
+        n = int(value)
+    except ValueError:  # not an integer, or more digits than int() converts
+        raise argparse.ArgumentTypeError(f"invalid order {_quote(value)}") from None
     if n < 1:
         raise argparse.ArgumentTypeError("order must be >= 1")
     if n >= sys.maxsize:
@@ -253,7 +257,7 @@ def _positive_tolerance(value: str) -> float:
     try:
         eps = float(value)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid tolerance {value!r}") from None
+        raise argparse.ArgumentTypeError(f"invalid tolerance {_quote(value)}") from None
     if not (math.isfinite(eps) and eps > 0):
         raise argparse.ArgumentTypeError("tolerance must be a positive finite number")
     return eps

@@ -39,14 +39,6 @@ class ParseError(ValueError):
 # int() alone would also take "1_0" and non-ASCII digits such as "\u0663".
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 _INTEGER = re.compile(r"[-+]?[0-9]+")
-# A pair or weight line whose tokens are well formed, its comment included.
-# The groups that matched are the line's tokens, as str.split() gives them:
-# \s matches exactly the characters that str.split() and str.strip() treat
-# as whitespace.  Such tokens need no _INTEGER/_RATIONAL check.
-_ROW = re.compile(
-    r"\s*(?:(arc|edge)\s+([-+]?[0-9]+)\s+([-+]?[0-9]+)\s+([-+]?[0-9]+)"
-    r"|(tau1|tau2|prob)\s+([-+]?[0-9]+)\s+(-?[0-9]+(?:/[0-9]+)?))\s*(?:#.*)?"
-)
 
 # Parse errors quote at most this many characters of an offending token.
 _ECHO_LIMIT = 40
@@ -81,9 +73,9 @@ def _quote(tok: str) -> str:
     return f"{tok[:_ECHO_LIMIT]!r}... ({len(tok)} characters)"
 
 
-def _integer(tok: str, source: str, line_no: int, well_formed: bool = False) -> int:
-    """tok as an int; ``well_formed`` skips the _INTEGER check."""
-    if not (well_formed or _INTEGER.fullmatch(tok)):
+def _integer(tok: str, source: str, line_no: int) -> int:
+    """tok as an int, or a ParseError citing ``line_no``."""
+    if not _INTEGER.fullmatch(tok):
         raise ParseError(source, line_no, f"expected an integer, got {_quote(tok)}")
     try:
         return int(tok)
@@ -93,9 +85,9 @@ def _integer(tok: str, source: str, line_no: int, well_formed: bool = False) -> 
         ) from None
 
 
-def _rational(tok: str, source: str, line_no: int, well_formed: bool = False) -> Fraction:
-    """tok as a Fraction; ``well_formed`` skips the _RATIONAL check."""
-    if not (well_formed or _RATIONAL.fullmatch(tok)):
+def _rational(tok: str, source: str, line_no: int) -> Fraction:
+    """tok as a Fraction, or a ParseError citing ``line_no``."""
+    if not _RATIONAL.fullmatch(tok):
         raise ParseError(source, line_no, f"expected a rational p/q, got {_quote(tok)}")
     num, _, den = tok.partition("/")
     try:
@@ -112,50 +104,40 @@ def _rational(tok: str, source: str, line_no: int, well_formed: bool = False) ->
 def parse_instance(text: str, source: str = "<instance>") -> Instance:
     """The instance that ``text`` declares, or a ParseError citing its line.
 
-    Each line is tokenized once: by ``_ROW`` when it is a pair or weight
-    line with well-formed numbers, else by str.split().  Every line then
-    takes the same checks in the same order, so the first fault of a line
-    names the error; a token from ``_ROW`` only skips its syntax check.
+    Each line's comment is dropped and the rest split on whitespace, once
+    per line; the tokens then take one ordered list of checks, so the first
+    fault of a line names the error.
     """
     mode = None
-    graph = False  # mode is GraphMode.SYMMETRIC
     vertices = None
     pairs: list[tuple[int, int]] = []
     weights: dict[str, dict[int, Fraction]] = {"tau1": {}, "tau2": {}, "prob": {}}
     tau1, tau2, prob = weights.values()
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        row = _ROW.fullmatch(raw)
-        if row is None:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            tokens = line.split()
-            key, rest = tokens[0], tokens[1:]
-            well_formed = False
-        else:
-            tokens = row.groups()  # 1-4 a pair line's tokens, 5-7 a weight line's
-            key, rest = (tokens[4], tokens[5:]) if row.lastindex > 4 else (tokens[0], tokens[1:4])
-            well_formed = True
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
+            continue
+        key, rest = tokens[0], tokens[1:]
         if key in weights:
-            if key == "prob" and not graph:
+            if key == "prob" and mode is not GraphMode.SYMMETRIC:
                 raise ParseError(source, line_no, "prob lines are only allowed in graph mode")
             if not pairs:
                 raise ParseError(source, line_no, f"{key} line before any arcs are declared")
             if len(rest) != 2:
                 raise ParseError(source, line_no, f"{key} needs: {key} <arc-id> <p/q>")
-            aid = _integer(rest[0], source, line_no, well_formed)
-            arcs = 2 * len(pairs) if graph else len(pairs)
+            aid = _integer(rest[0], source, line_no)
+            arcs = 2 * len(pairs) if mode is GraphMode.SYMMETRIC else len(pairs)
             if not 0 <= aid < arcs:
                 raise ParseError(source, line_no, f"arc id {aid} out of range (have {arcs} arcs)")
             store = weights[key]
             if aid in store:
                 raise ParseError(source, line_no, f"duplicate {key} for arc {aid}")
-            store[aid] = _rational(rest[1], source, line_no, well_formed)
+            store[aid] = _rational(rest[1], source, line_no)
         elif key in ("arc", "edge"):
             if mode is None or vertices is None:
                 raise ParseError(source, line_no, f"{key} line before mode/vertices are declared")
-            expected = "edge" if graph else "arc"
+            expected = "edge" if mode is GraphMode.SYMMETRIC else "arc"
             if key != expected:
                 raise ParseError(
                     source, line_no, f"{key} line not allowed in {mode.value} mode (use {expected})"
@@ -164,13 +146,13 @@ def parse_instance(text: str, source: str = "<instance>") -> Instance:
                 raise ParseError(source, line_no, f"{key} line after weight lines")
             if len(rest) != 3:
                 raise ParseError(source, line_no, f"{key} needs: {key} <id> <a> <b>")
-            ident = _integer(rest[0], source, line_no, well_formed)
+            ident = _integer(rest[0], source, line_no)
             if ident != len(pairs):
                 raise ParseError(
                     source, line_no, f"{key} ids must be contiguous from 0; expected {len(pairs)}"
                 )
-            a = _integer(rest[1], source, line_no, well_formed)
-            b = _integer(rest[2], source, line_no, well_formed)
+            a = _integer(rest[1], source, line_no)
+            b = _integer(rest[2], source, line_no)
             for v in (a, b):
                 if not 0 <= v < vertices:
                     raise ParseError(
@@ -184,7 +166,6 @@ def parse_instance(text: str, source: str = "<instance>") -> Instance:
                 mode = GraphMode.GENERAL
             elif rest == ["graph"]:
                 mode = GraphMode.SYMMETRIC
-                graph = True
             else:
                 raise ParseError(
                     source, line_no, f"mode must be 'digraph' or 'graph', got {_quote(' '.join(rest))}"

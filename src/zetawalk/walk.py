@@ -282,8 +282,10 @@ def eigenvalues_numeric(m) -> list[complex]:
     unchanged, so a real matrix takes the real solver (dgeev), whose complex
     eigenvalues come in exact conjugate pairs and whose real eigenvalues have
     imaginary part exactly 0.  Nested lists become a float array, or a
-    complex one only when some entry is complex.  LAPACK convergence
-    failures are surfaced with the matrix shape in the message.
+    complex one only when some entry is complex.  A 0 x 0 matrix, or
+    ``[]``, has no eigenvalues; any other non-square input is refused.
+    LAPACK convergence failures are surfaced with the matrix shape in the
+    message.
     """
     import numpy as np
     if isinstance(m, np.ndarray):
@@ -291,10 +293,10 @@ def eigenvalues_numeric(m) -> list[complex]:
     else:
         is_complex = any(isinstance(x, (complex, np.complexfloating)) for row in m for x in row)
         arr = np.array(m, dtype=complex if is_complex else float)
-    if arr.shape[:1] == (0,):
-        return []
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+    if arr.shape != (0,) and (arr.ndim != 2 or arr.shape[0] != arr.shape[1]):
         raise ValueError(f"matrix is not square: {arr.shape}")
+    if not arr.size:
+        return []
     try:
         vals = np.linalg.eigvals(arr)
     except np.linalg.LinAlgError as exc:

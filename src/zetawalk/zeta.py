@@ -425,25 +425,12 @@ def _trim(a: list[int]) -> list[int]:
     return a
 
 
-def _set_product(fs: frozenset, memo: dict) -> list[int]:
-    """The product of the integer polynomials in ``fs``: one multiplication
-    of the product without the largest member, each product kept in
-    ``memo``.  Integer polynomial products do not depend on the order of
-    their factors."""
-    known = memo.get(fs)
-    if known is None:
-        top = max(fs, default=None)
-        known = memo[fs] = [1] if top is None else _mul(_set_product(fs - {top}, memo), top)
-    return known
-
-
-def _over_distinct(fs, memo: dict) -> tuple[list[int], dict]:
+def _over_distinct(fs) -> tuple[list[int], dict]:
     """(F, {f: F / f}): the product F of the distinct coefficient tuples f
-    in ``fs`` and the cofactor F / f of each, all integer polynomials.
-    F and each cofactor are products of sets of f, formed once per
-    ``memo``, which one caller shares across its rows or entries."""
-    distinct = frozenset(fs)
-    return _set_product(distinct, memo), {f: _set_product(distinct - {f}, memo) for f in distinct}
+    in ``fs`` and the cofactor F / f of each, all integer polynomials,
+    each a plain product of the distinct f it covers."""
+    distinct = dict.fromkeys(fs)
+    return _product(distinct), {f: _product(g for g in distinct if g != f) for f in distinct}
 
 
 def _vertex_det(terms) -> tuple[list[int], tuple[list[int], int]]:
@@ -463,9 +450,9 @@ def _vertex_det(terms) -> tuple[list[int], tuple[list[int], int]]:
     for term in terms:
         if term[3]:
             by_row.setdefault(term[0], []).append(term)
-    big_r, q, dens, memo = [1], {}, {}, {}
+    big_r, q, dens = [1], {}, {}
     for u, row_terms in by_row.items():
-        ru, cofactor = _over_distinct((f for *_, f in row_terms if f is not None), memo)
+        ru, cofactor = _over_distinct(f for *_, f in row_terms if f is not None)
         big_r = _mul(big_r, ru)
         dens[u] = e = lcm(*(den for *_, den, _ in row_terms))
         q[u, u] = [e * x for x in ru]
@@ -593,13 +580,13 @@ def _digraph_tables(terms) -> tuple[dict, dict]:
     (n / q) / f is formed once, in ints, over the product F of its distinct
     f and the lcm L of its q, as (sum n (L / q) F / f) / (L F): one
     RatFunc, and so one reduction, per nonzero entry, none per term."""
-    parts, memo = ({}, {}), {}
+    parts = ({}, {})
     for u, v, k, n, q, f in terms:
         if k > 1 and n:
             parts[k - 2].setdefault((u, v), []).append(((-1) ** k * n, q, f))
 
     def entry(nqfs):
-        big_f, cofactor = _over_distinct((f for *_, f in nqfs), memo)
+        big_f, cofactor = _over_distinct(f for *_, f in nqfs)
         scale = lcm(*(q for _, q, _ in nqfs))
         num = [0] * len(big_f)
         for n, q, f in nqfs:

@@ -607,28 +607,62 @@ def test_cli_missing_file_exit_code(tmp_path):
     assert code == 2 and "error" in err
 
 
-@pytest.mark.parametrize("order", ["0", str(sys.maxsize), "99999999999999999999"])
+def _params(cases):
+    """pytest params (value, message), each named by its value, or by its
+    length when long."""
+    return [
+        pytest.param(value, message, id=value if len(value) <= 40 else f"{len(value)}-characters")
+        for value, message in cases
+    ]
+
+
+@pytest.mark.parametrize(
+    "order, message",
+    _params([
+        ("0", "order must be >= 1"),
+        (str(sys.maxsize), f"order must be < {sys.maxsize}"),
+        ("99999999999999999999", f"order must be < {sys.maxsize}"),
+        ("1.5", "invalid order '1.5'"),
+        ("abc", "invalid order 'abc'"),
+        ("7" * 5000, f"invalid order {'7' * 40!r}... (5000 characters)"),
+    ]),
+)
 @pytest.mark.parametrize("verb", ["verify", "euler", "exp"])
-def test_cli_rejects_nonpositive_order(tmp_path, verb, order):
-    # an order from sys.maxsize up is no list length: refused, not an OverflowError
+def test_cli_rejects_nonpositive_order(tmp_path, verb, order, message):
+    # an order from sys.maxsize up is no list length: refused, not an
+    # OverflowError; a token int() cannot read is quoted, at most 40 characters
     path = write_fixture(tmp_path, "triangle")
     err = io.StringIO()
     with pytest.raises(SystemExit) as exc, redirect_stderr(err):
         main([verb, path, "--order", order])
     assert exc.value.code == 2
-    assert [l for l in err.getvalue().splitlines() if "error:" in l] == [
-        f"zetawalk {verb}: error: argument --order: "
-        + ("order must be >= 1" if order == "0" else f"order must be < {sys.maxsize}")
-    ]
+    errors = [l for l in err.getvalue().splitlines() if "error:" in l]
+    assert errors == [f"zetawalk {verb}: error: argument --order: {message}"]
+    assert len(errors[0]) < 200
 
 
 @pytest.mark.parametrize("fixture", ["triangle", "p3"])
-@pytest.mark.parametrize("tolerance", ["-1", "0", "nan", "inf", "abc"])
-def test_cli_spectrum_rejects_bad_tolerance(tmp_path, fixture, tolerance):
+@pytest.mark.parametrize(
+    "tolerance, message",
+    _params([
+        ("-1", "tolerance must be a positive finite number"),
+        ("0", "tolerance must be a positive finite number"),
+        ("nan", "tolerance must be a positive finite number"),
+        ("inf", "tolerance must be a positive finite number"),
+        ("abc", "invalid tolerance 'abc'"),
+        ("x" * 5000, f"invalid tolerance {'x' * 40!r}... (5000 characters)"),
+    ]),
+)
+def test_cli_spectrum_rejects_bad_tolerance(tmp_path, fixture, tolerance, message):
     path = write_fixture(tmp_path, fixture)
-    with pytest.raises(SystemExit) as exc:
-        run_cli("spectrum", path, "szegedy" if fixture == "p3" else "grover", "--tolerance", tolerance)
+    walk = "szegedy" if fixture == "p3" else "grover"
+    err = io.StringIO()
+    with pytest.raises(SystemExit) as exc, redirect_stderr(err):
+        main(["spectrum", path, walk, "--tolerance", tolerance])
     assert exc.value.code == 2
+    errors = [l for l in err.getvalue().splitlines() if "error:" in l]
+    assert errors == [f"zetawalk spectrum: error: argument --tolerance: {message}"]
+    assert len(errors[0]) < 200
 
 
 FOREST = """\

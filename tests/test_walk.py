@@ -516,6 +516,12 @@ def test_eigenvalues_match_char_poly_roots(rng):
 def test_eigenvalues_requires_square():
     with pytest.raises(ValueError, match="square"):
         eigenvalues_numeric([[1, 2, 3], [4, 5, 6]])
+    # an empty array has eigenvalues only when it is 0 x 0 (or [])
+    for empty in (np.zeros((0, 3)), np.zeros(0)[:, None], [[]], np.zeros((0, 0, 0))):
+        with pytest.raises(ValueError, match="square"):
+            eigenvalues_numeric(empty)
+    assert eigenvalues_numeric(np.zeros((0, 0))) == []
+    assert eigenvalues_numeric([]) == []
 
 
 def test_eigenvalues_real_input_reaches_lapack_as_float64(monkeypatch):
