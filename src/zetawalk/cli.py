@@ -25,6 +25,7 @@ from .digraph import GraphError, GraphMode
 from .instances import (
     FIXTURES,
     ParseError,
+    _INTEGER,
     _quote,
     fixture_text,
     instance_digraph,
@@ -241,8 +242,12 @@ def cmd_fixtures(ns) -> tuple[str, int]:
 
 def _positive_int(value: str) -> int:
     """An order from 1 to sys.maxsize - 1: a series of order n has n + 1
-    coefficients, a list length that must fit in an index."""
+    coefficients, a list length that must fit in an index.  The token is
+    an integer as the instance parser reads one (``_INTEGER``): int() alone
+    would also take "1_0" and non-ASCII digits."""
     try:
+        if not _INTEGER.fullmatch(value):
+            raise ValueError(value)
         n = int(value)
     except ValueError:  # not an integer, or more digits than int() converts
         raise argparse.ArgumentTypeError(f"invalid order {_quote(value)}") from None

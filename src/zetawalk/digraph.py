@@ -23,16 +23,18 @@ ids that are closed paths, i.e. the Lyndon words of the arc graph.
 Fredricksen-Kessler-Maiorana prenecklace walk (Ruskey, Savage and Wang,
 "Generating necklaces", 1992) on the nonzero pattern of a square matrix,
 iteratively, on an explicit stack.  It lists the words up to a bound it
-is given and adds the longer ones into one total per length.  Its last
-``SUMMED_LENGTHS`` = 2 lengths list no word and push no frame: for each
-prefix two lengths short, one bisect into per-arc suffix sums gives the
-total product of its Lyndon closings at each of the two lengths.
+is given and adds the longer ones into one total per length.  The
+``SUMMED_LENGTHS`` = 3 lengths after its longest prefix list no word and
+push no frame: for each such prefix, bisects into per-arc suffix sums give
+the total product of its Lyndon closings at each of the three lengths.
+The prefix is max_len - 3 arcs long, but never shorter than the listed
+lengths or than 2 arcs, and summed lengths past max_len are dropped.
 ``zeta``'s Euler product runs it on the integer theta matrix, where a cycle
 whose product is 0 is never reached, and lists only the lengths up to half
-its order.  ``iter_prime_cycles`` runs it two lengths further on the 0/1
-arc-adjacency matrix and drops the totals.  Other closed paths are never
-listed: ``zeta`` sums their products on the theta matrix without walking
-them, and the brute-force enumeration the tests compare against is in
+its order.  ``iter_prime_cycles`` runs it on the 0/1 arc-adjacency matrix
+and lists every length.  Other closed paths are never listed: ``zeta``
+sums their products on the theta matrix without walking them, and the
+brute-force enumeration the tests compare against is in
 ``tests/oracles.py``.
 """
 
@@ -44,9 +46,9 @@ from enum import Enum
 from itertools import accumulate
 
 
-# the number of lengths at the end of ``lyndon_cycles`` summed by lookups,
-# without a frame for their prefixes
-SUMMED_LENGTHS = 2
+# the number of lengths after ``lyndon_cycles``'s longest prefix that it
+# sums by lookups, without a frame for their prefixes
+SUMMED_LENGTHS = 3
 
 
 class GraphMode(Enum):
@@ -217,8 +219,7 @@ def lyndon_cycles(m: list[list[int]], max_len: int, listed: int):
     ``word`` is the walk's own buffer, valid until the next step:
     ``word[:k]`` holds the arc ids and c is the circular product
     m[w0][w1] ... m[w_{k-1}][w0], which is nonzero.  ``listed`` is at most
-    max(max_len - SUMMED_LENGTHS, 1), since the last SUMMED_LENGTHS lengths
-    are summed without listing a word.
+    max_len.
 
     The Fredricksen-Kessler-Maiorana walk extends a prenecklace ``w`` of
     length t and period p by each x with m[w[t-1]][x] != 0 and
@@ -227,42 +228,60 @@ def lyndon_cycles(m: list[list[int]], max_len: int, listed: int):
     length.  Every prefix of a Lyndon closed path with nonzero entries is
     such a prenecklace, so the walk reaches each one exactly once while it
     follows nonzero entries only.  The product of the prefix is carried
-    down the walk, which runs on an explicit stack: a branch per depth, at
-    most max_len - 3 deep.  A Lyndon word longer than ``listed`` is added
-    to its length's total where the walk closes it.
+    down the walk, which runs on an explicit stack: a frame per prefix
+    shorter than stop = max(max_len - 3, listed, min(2, max_len)).  A
+    Lyndon word longer than ``listed`` is added to its length's total where
+    the walk closes it.
 
-    The last SUMMED_LENGTHS = 2 lengths are summed, not walked.  Per start
-    arc s = w[0], closing[a][i] is the total of m[a][y] m[y][s] over the
+    The SUMMED_LENGTHS = 3 lengths after a prefix of length stop are
+    summed, not walked; those past max_len are dropped.  Per start arc
+    s = w[0], closing[a][i] is the total of m[a][y] m[y][s] over the
     successors y of a from succ[a][i] on (suffix sums over each ascending
-    successor list), g[y] = closing[y][bisect_right(succ[y], s)] is the
+    successor list); g[y] = closing[y][bisect_right(succ[y], s)] is the
     total of y's closings at two more letters after y starts a new period,
-    and two[a][i] is the total of m[a][y] g[y] over the same successors.  Take a
-    prefix of length max_len - 2 with period q, ending at arc x, with
-    low = w[max_len - 2 - q] and i = bisect_right(succ[x], low):
+    two[a][i] the total of m[a][y] g[y] over the same successors,
+    h[y] = two[y][bisect_right(succ[y], s)] and three[a][i] the total of
+    m[a][y] h[y].  Take a prefix w of length stop with period q, ending at
+    arc x, with low = w[stop - q] and i = bisect_right(succ[x], low):
 
     * a successor y > low starts a new period: the Lyndon words of length
-      max_len - 1 total closing[x][i], and those of length max_len through
-      such a y total two[x][i];
+      stop + 1 total closing[x][i], those of length stop + 2 through such
+      a y total two[x][i], and those of length stop + 3 three[x][i] when z
+      after y starts a new period too;
+    * z == s after such a y keeps period stop + 1, and w + y + s then
+      closes on the u > w[1] only: closing[x][i] after_s with
+      after_s = closing[s][bisect_right(succ[s], w[1])], fixed once the
+      second letter is placed;
     * y == low, when it is a successor, keeps period q, and w + low then
-      closes to a Lyndon word of length max_len on the z > u only, with
-      u = (w + low)[max_len - 1 - q]: m[x][low] closing[low][bisect_right(succ[low], u)].
+      closes at stop + 2 on the z > c2 only, with
+      c2 = (w + low)[stop + 1 - q]: m[x][low] closing[low][j] with
+      j = bisect_right(succ[low], c2), and at stop + 3 through such a z
+      m[x][low] two[low][j];
+    * z == c2 keeps period q again, and w + low + c2 closes at stop + 3 on
+      the u > c3 only, c3 = (w + low + c2)[stop + 2 - q]:
+      m[x][low] m[low][c2] closing[c2][bisect_right(succ[c2], c3)].
 
-    The root prefix s has length 1, so at max_len 3 it is the prefix that
-    is summed, at max_len 2 its closings are g[s], and at max_len 1 the
+    c2 and c3 are read off the buffer after low and c2 are written into
+    it, so periods 1 and 2 need no case of their own.  The root prefix s
+    has length 1 and is always a frame: stop is at least 2 when max_len
+    is, and at max_len 1 the root's children cannot close in time, so the
     loop at s is all there is.
     """
     if max_len < 1:
         raise GraphError("cycle length bound must be >= 1")
-    if not 0 <= listed <= max(max_len - SUMMED_LENGTHS, 1):
-        raise GraphError(f"cannot list the summed lengths: listed {listed} for max_len {max_len}")
+    if not 0 <= listed <= max_len:
+        raise GraphError(f"cannot list lengths up to {listed}: listed must be in 0..{max_len}")
     # ascending successor ids, so bisect finds the first x >= w[t - p] and
     # the first y > low
     succ = [[b for b, v in enumerate(row) if v] for row in m]
     entries = [[(b, v) for b, v in enumerate(row) if v] for row in m]
     preds = predecessors(succ)
-    stop = max_len - SUMMED_LENGTHS  # a prefix this long is summed, not pushed
-    word = [0] * max_len
-    totals = [0] * (max_len + 1)
+    # a prefix this long is summed, not pushed; the root prefix s has
+    # length 1, so the summed prefix is at least 2 long
+    stop = max(max_len - SUMMED_LENGTHS, listed, min(2, max_len))
+    word = [0] * (max_len + 2)  # a summed prefix writes up to word[stop + 1]
+    totals = [0] * (max_len + SUMMED_LENGTHS + 1)  # lengths past max_len are dropped
+    zeros = [0] * (len(m) + 1)  # the table row of an arc that cannot close in time
     for s, row in enumerate(m):
         word[0] = s
         if row[s]:
@@ -270,32 +289,27 @@ def lyndon_cycles(m: list[list[int]], max_len: int, listed: int):
                 yield word, 1, row[s]
             else:
                 totals[1] += row[s]
-        if max_len == 1:
-            continue
         # the letters of a Lyndon word that starts at s are all >= s; a
         # prefix of length t + 1 ending at x closes within max_len only if
-        # t + dist[x] <= max_len, so a summed prefix ends at dist <= 3, and
+        # t + dist[x] <= max_len, so a summed prefix ends at dist <= 4, and
         # no word starts at s if s does not return to itself
         dist = steps_to(preds, s, max_len)
         if dist[s] > max_len:
             continue
         near = [a for a in range(s, len(m)) if dist[a] <= SUMMED_LENGTHS + 1]
-        closing = [None] * len(m)
+        closing = [zeros] * len(m)
         g = [0] * len(m)
         for a in near:
-            closing[a] = list(accumulate(reversed([v * m[y][s] for y, v in entries[a]]), initial=0))[::-1]
+            closing[a] = _suffix_sums([v * m[y][s] for y, v in entries[a]])
             g[a] = closing[a][bisect_right(succ[a], s)]
-        two = [None] * len(m)
+        two = [zeros] * len(m)
+        h = [0] * len(m)
         for a in near:
-            two[a] = list(accumulate(reversed([v * g[y] for y, v in entries[a]]), initial=0))[::-1]
-        if stop < 2:
-            if stop:
-                i = bisect_right(succ[s], s)
-                totals[2] += closing[s][i]
-                totals[3] += two[s][i] + row[s] * g[s]
-            else:
-                totals[2] += g[s]
-            continue
+            two[a] = _suffix_sums([v * g[y] for y, v in entries[a]])
+            h[a] = two[a][bisect_right(succ[a], s)]
+        three = [zeros] * len(m)
+        for a in near:
+            three[a] = _suffix_sums([v * h[y] for y, v in entries[a]])
         stack = [(1, 1, 1, iter(entries[s][bisect_left(succ[s], s):]))]
         while stack:
             t, p, prod, branch = stack[-1]
@@ -304,6 +318,8 @@ def lyndon_cycles(m: list[list[int]], max_len: int, listed: int):
                 if t + dist[x] > max_len:
                     continue
                 word[t] = x
+                if t == 1:  # w + y + s closes on the u > w[1] only
+                    after_s = closing[s][bisect_right(succ[s], x)]
                 pv = prod * v
                 if x == lower:
                     q = p
@@ -321,13 +337,24 @@ def lyndon_cycles(m: list[list[int]], max_len: int, listed: int):
                     break
                 low = word[stop - q]
                 i = bisect_right(succ[x], low)
-                totals[stop + 1] += pv * closing[x][i]
-                tail = two[x][i]
+                at1 = closing[x][i]
+                at2 = two[x][i]
+                at3 = three[x][i] + at1 * after_s
                 c = m[x][low]
-                if c and dist[low] <= 2:
-                    word[stop] = low  # read back as u when q == 1
-                    tail += c * closing[low][bisect_right(succ[low], word[max_len - 1 - q])]
-                totals[max_len] += pv * tail
+                if c:  # y == low keeps period q
+                    word[stop] = low
+                    c2 = word[stop + 1 - q]
+                    j = bisect_right(succ[low], c2)
+                    at2 += c * closing[low][j]
+                    at3 += c * two[low][j]
+                    c *= m[low][c2]
+                    if c:  # and so does c2 after it
+                        word[stop + 1] = c2
+                        c3 = word[stop + 2 - q]
+                        at3 += c * closing[c2][bisect_right(succ[c2], c3)]
+                totals[stop + 1] += pv * at1
+                totals[stop + 2] += pv * at2
+                totals[stop + 3] += pv * at3
             else:
                 stack.pop()
     for k in range(listed + 1, max_len + 1):
@@ -335,19 +362,22 @@ def lyndon_cycles(m: list[list[int]], max_len: int, listed: int):
             yield None, k, totals[k]
 
 
+def _suffix_sums(values: list[int]) -> list[int]:
+    """sums[i] = values[i] + values[i + 1] + ..., with sums[len(values)] = 0."""
+    return list(accumulate(reversed(values), initial=0))[::-1]
+
+
 def iter_prime_cycles(d: Digraph, max_len: int):
     """Yield canonical prime-cycle representatives of length <= max_len.
 
     A representative is the lexicographically least rotation of its class,
     which for a class that is not a proper power is a Lyndon word over the
-    arc ids: ``lyndon_cycles`` on the 0/1 arc-adjacency matrix, listing the
-    words up to max_len.  That walk sums its last SUMMED_LENGTHS lengths
-    instead of listing them, so it runs to max_len + SUMMED_LENGTHS and
-    their totals are dropped; its frames stop at length max_len - 1, as
-    when it summed one length.
+    arc ids: ``lyndon_cycles`` on the 0/1 arc-adjacency matrix, listing
+    every length up to max_len.  Its summed prefix is then max_len long,
+    its frames stop at length max_len - 1, and the lengths it sums are all
+    past max_len and dropped.
     """
     if max_len < 1:
         raise GraphError("cycle length bound must be >= 1")
-    for word, k, _ in lyndon_cycles(arc_adjacency(d), max_len + SUMMED_LENGTHS, max_len):
-        if k <= max_len:
-            yield tuple(word[:k])
+    for word, k, _ in lyndon_cycles(arc_adjacency(d), max_len, max_len):
+        yield tuple(word[:k])

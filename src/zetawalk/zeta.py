@@ -82,7 +82,8 @@ of length k <= order/2 only.  Past order/2 the cross terms of the factors
 have degree above the order, so the product of those factors is
 1 + sum_k C_k t^k, with C_k the total of c over the cycles of length k;
 the walk lists the cycles up to order/2 only and yields one C_k for each
-longer length, the last two of them summed by lookups (``_euler``).  The
+longer length, the last three of them (fewer below order 5) summed by
+lookups after a prefix of max(order - 3, order/2, 2) arcs (``_euler``).  The
 trace route to N_k clears the denominators on its own and reads each N_k
 off two powers of at most ceil(order/2); the two N_k routes must agree
 exactly, in ints (ConsistencyError otherwise).  The Hashimoto series
@@ -382,7 +383,9 @@ def _euler(theta, order: int) -> Series:
     above ``order`` as well.  So their product is 1 + sum_k C_k t^k, with
     C_k the total of c over the cycles of length k: the walk lists only the
     cycles of length <= order/2 and adds up the longer ones itself, one C_k
-    per length, and acc is multiplied by that sum once at the end.
+    per length, and acc is multiplied by that sum once at the end.  It
+    walks the prefixes shorter than max(order - 3, order/2, 2) and reads
+    the totals of the up to three lengths after them off suffix sums.
     """
     scale, im = _clear_denominators(theta)
     half = order // 2

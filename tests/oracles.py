@@ -416,6 +416,31 @@ def prime_cycle_representatives(d: Digraph, max_len: int) -> list[tuple[int, ...
     ]
 
 
+def lyndon_closed_paths(m: list[list[int]], max_len: int) -> list[tuple[tuple[int, ...], int]]:
+    """The Lyndon closed paths of nonzero entries of the square matrix m, of
+    lengths 1..max_len, each with its circular product
+    m[w0][w1] ... m[w_{k-1}][w0]: every closed path of nonzero entries is
+    listed, and those strictly smaller than each of their nontrivial
+    rotations kept.  A Lyndon word starts at its least letter, so no path
+    is extended by a smaller one.  Ordered by length, then
+    lexicographically."""
+    found = []
+
+    def extend(path, prod):
+        k = len(path)
+        c = m[path[-1]][path[0]]
+        if c and all(path < path[i:] + path[:i] for i in range(1, k)):
+            found.append((path, prod * c))
+        if k < max_len:
+            for b in range(path[0], len(m)):
+                if m[path[-1]][b]:
+                    extend(path + (b,), prod * m[path[-1]][b])
+
+    for a in range(len(m)):
+        extend((a,), 1)
+    return sorted(found, key=lambda wc: (len(wc[0]), wc[0]))
+
+
 def pair_arcs(pair: PhiPair) -> tuple[int, ...]:
     """The arcs of a phi pair: A_uv, then A_vu unless u == v."""
     return pair.arcs_uv if pair.is_diagonal else pair.arcs_uv + pair.arcs_vu

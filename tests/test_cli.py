@@ -624,6 +624,8 @@ def _params(cases):
         ("99999999999999999999", f"order must be < {sys.maxsize}"),
         ("1.5", "invalid order '1.5'"),
         ("abc", "invalid order 'abc'"),
+        ("1_0", "invalid order '1_0'"),
+        ("\u0663", "invalid order '\u0663'"),
         ("7" * 5000, f"invalid order {'7' * 40!r}... (5000 characters)"),
     ]),
 )

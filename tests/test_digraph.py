@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetawalk.digraph import (
-    SUMMED_LENGTHS,
     Digraph,
     GraphError,
     GraphMode,
@@ -18,7 +17,7 @@ from zetawalk.digraph import (
 from zetawalk.instances import fixture_digraph
 
 from conftest import random_digraph, random_multigraph
-from oracles import closed_paths, phi_grouped_arc_order, prime_cycle_representatives
+from oracles import closed_paths, lyndon_closed_paths, phi_grouped_arc_order, prime_cycle_representatives
 
 
 def prime_cycles(d, max_len):
@@ -270,15 +269,59 @@ def test_closed_paths_rejects_nonpositive_length():
         prime_cycles(d, 0)
 
 
-@pytest.mark.parametrize("max_len, listed", [(4, 3), (2, 2), (5, -1)])
-def test_lyndon_walk_refuses_to_list_a_summed_length(max_len, listed):
-    # the last SUMMED_LENGTHS lengths are only ever totals; order 2 sums
-    # length 2 alone, so it may list length 1
-    with pytest.raises(GraphError, match="summed"):
+def walk_output(m, max_len, listed):
+    """The words ``lyndon_cycles`` lists, with their products, sorted by
+    (length, word), and its per-length totals."""
+    words, totals = [], {}
+    for word, k, c in lyndon_cycles(m, max_len, listed):
+        if word is None:
+            totals[k] = c
+        else:
+            words.append((tuple(word[:k]), c))
+    return sorted(words, key=lambda wc: (len(wc[0]), wc[0])), totals
+
+
+def oracle_output(paths, listed):
+    """``walk_output`` read off the brute-force ``lyndon_closed_paths``."""
+    totals = Counter()
+    for word, c in paths:
+        if len(word) > listed:
+            totals[len(word)] += c
+    return [wc for wc in paths if len(wc[0]) <= listed], {k: c for k, c in totals.items() if c}
+
+
+def test_lyndon_walk_matches_brute_force_words_and_totals(rng):
+    # integer matrices with zeros and negative entries, so that totals can
+    # cancel; every listed bound from 0 to max_len, so the summed prefix is
+    # 2 long (max_len <= 5), max_len - 3 long, or ``listed`` long, and
+    # summed lengths past max_len are dropped.  In the 5-cycle with a chord
+    # and a loop, arc 1 is four steps from arc 0: a summed prefix ends that
+    # far from its start arc only with five arcs or more.
+    five_cycle = [[0, 2, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, -1, 0], [0, 1, 0, 0, 3], [1, 0, 0, 0, -2]]
+    cases = [(five_cycle, max_len) for max_len in range(1, 9)]
+    for _ in range(150):
+        n = rng.randint(1, 5)
+        density = rng.random()
+        m = [[rng.choice([-2, -1, 1, 2, 3]) if rng.random() < density else 0 for _ in range(n)] for _ in range(n)]
+        cases.append((m, rng.randint(1, 8)))
+    for m, max_len in cases:
+        paths = lyndon_closed_paths(m, max_len)
+        for listed in range(max_len + 1):
+            assert walk_output(m, max_len, listed) == oracle_output(paths, listed)
+
+
+@pytest.mark.parametrize("max_len, listed", [(4, 3), (2, 2), (5, 5)])
+def test_lyndon_walk_lists_lengths_up_to_max_len(max_len, listed):
+    # listing a length the walk could sum is allowed: the summed prefix
+    # then grows to ``listed``
+    m = [[1, -2, 0], [3, 0, 1], [1, 1, -1]]
+    assert walk_output(m, max_len, listed) == oracle_output(lyndon_closed_paths(m, max_len), listed)
+
+
+@pytest.mark.parametrize("max_len, listed", [(5, -1), (4, 5), (1, 2)])
+def test_lyndon_walk_refuses_a_listed_bound_out_of_range(max_len, listed):
+    with pytest.raises(GraphError, match="listed must be in"):
         list(lyndon_cycles([[1]], max_len, listed))
-    most = max(max_len - SUMMED_LENGTHS, 1)
-    assert [(k, c) for _, k, c in lyndon_cycles([[2]], max_len, most)] == [(1, 2)]
-    assert [(k, c) for _, k, c in lyndon_cycles([[2]], max_len, 0)] == [(1, 2)]
 
 
 def test_symmetric_mode_guards():

@@ -353,36 +353,44 @@ def euler_verdicts(d, order):
     return [v.detail for v in verdicts if "euler" in v.name]
 
 
-@pytest.mark.parametrize("order", [2, 3, 6, 7])
-def test_last_length_that_closes_on_its_lower_bound_breaks_the_euler_product(monkeypatch, order):
-    # after y starts a new period at length max_len - 1, a closing z == s
-    # keeps that period, so the word is not Lyndon; g[y] holds the closings
-    # z > s, and orders 2 and 3 read it at the start prefix
-    mutate(monkeypatch, "lyndon_cycles", "bisect_right(succ[a], s)", "bisect_left(succ[a], s)", module=digraph)
-    assert euler_verdicts(fixture_digraph("paper-graph"), order) == [f"at t^{order}"] * 2
+# Mutants of the walk's summed leaf, each with the first power of t at
+# which it breaks the Euler product on paper-graph, by order.  The summed
+# prefix is stop = max(order - 3, order // 2, 2) long, so a term at length
+# stop + j shows at t^(stop + j) once that is within the order; the orders
+# left out are those where it is past the order or vanishes on paper-graph.
+LEAF_MUTANTS = {
+    # after y starts a new period, a closing z == s keeps it, so the word
+    # is not Lyndon: g[y] holds the closings z > s
+    "new-period-closing-bound-s": (
+        "closing[a][bisect_right(succ[a], s)]",
+        "closing[a][bisect_left(succ[a], s)]",
+        {4: 4, 5: 4, 6: 5, 7: 6},
+    ),
+    # and the same at one more letter, for three[a]
+    "new-period-three-bound-s": (
+        "two[a][bisect_right(succ[a], s)]",
+        "two[a][bisect_left(succ[a], s)]",
+        {5: 5, 7: 7},
+    ),
+    # the summed prefix starts a new period on y > low only
+    "new-period-bound-low": ("bisect_right(succ[x], low)", "bisect_left(succ[x], low)", {3: 3, 4: 3, 5: 3, 6: 4, 7: 5}),
+    # w + y + s keeps period stop + 1, so it closes on z > w[1], not z > s
+    "new-period-then-s-bound-w1": ("bisect_right(succ[s], x)", "bisect_right(succ[s], s)", {5: 5, 7: 7}),
+    # y == low keeps period q, and the word then closes only on z > c2
+    "kept-period-bound": ("bisect_right(succ[low], c2)", "bisect_left(succ[low], c2)", {4: 4, 5: 4, 6: 5, 7: 6}),
+    "kept-period-bound-s": ("bisect_right(succ[low], c2)", "bisect_right(succ[low], s)", {4: 4, 5: 4, 6: 5, 7: 6}),
+    # and after low, c2 it closes only on z > c3
+    "kept-period-twice-bound-s": ("bisect_right(succ[c2], c3)", "bisect_right(succ[c2], s)", {6: 6, 7: 7}),
+}
 
 
-@pytest.mark.parametrize("order", [4, 5, 6, 7])
 @pytest.mark.parametrize(
-    "old, new, length",
-    [
-        ("bisect_right(succ[x], low)", "bisect_left(succ[x], low)", -1),
-        (
-            "bisect_right(succ[low], word[max_len - 1 - q])",
-            "bisect_left(succ[low], word[max_len - 1 - q])",
-            0,
-        ),
-        ("word[max_len - 1 - q]", "s", 0),
-    ],
-    ids=["new-period-at-order-minus-1", "kept-period-at-order", "kept-period-bound-s"],
+    "mutant, order", [(mutant, order) for mutant, (_, _, first) in LEAF_MUTANTS.items() for order in first]
 )
-def test_summed_last_two_lengths_break_the_euler_product(monkeypatch, order, old, new, length):
-    # a summed prefix of length order - 2 closes on y > low at order - 1;
-    # y == low keeps its period q, and the word then closes only on
-    # z > w[order - 1 - q], which need not be s; from order 4 on the prefix
-    # is a frame's child, not the start prefix
+def test_summed_last_three_lengths_break_the_euler_product(monkeypatch, mutant, order):
+    old, new, first = LEAF_MUTANTS[mutant]
     mutate(monkeypatch, "lyndon_cycles", old, new, module=digraph)
-    assert euler_verdicts(fixture_digraph("paper-graph"), order) == [f"at t^{order + length}"] * 2
+    assert euler_verdicts(fixture_digraph("paper-graph"), order) == [f"at t^{first[order]}"] * 2
 
 
 @pytest.mark.parametrize("order", [2, 3, 6, 7])
@@ -506,7 +514,7 @@ def test_series_routes_match_brute_force_on_random_instances():
         theta = _edge_matrix_data(d, w)
         # each run of six trials meets both kinds of graph and weights at one
         # order, and the orders cycle through 1-6: the Euler product's
-        # order/2 split and its summed last length see both parities
+        # order/2 split and its summed last lengths see both parities
         upto = trial // 6 % 6 + 1
         expected = brute_force_power_sums(d, w, upto)
         assert as_fractions(_n_k_enumerated_all(theta, upto)) == expected
@@ -516,7 +524,8 @@ def test_series_routes_match_brute_force_on_random_instances():
 
 def test_euler_matches_the_hashimoto_inverse_at_orders_1_to_12():
     # the lengths the walk lists, totals and sums by lookup all move with
-    # the order, and orders 1-3 are summed at the start prefix; the
+    # the order, and up to order 5 the summed prefix is the shortest one,
+    # two arcs long, with summed lengths past the order dropped; the
     # integer Hashimoto inverse shares no code with the walk.  Six loops on
     # one vertex take seconds at order 12, so the graphs stay small.
     rng = random.Random(20261020)
