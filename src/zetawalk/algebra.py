@@ -8,8 +8,9 @@ coefficients stripped; ``divmod``, ``gcd`` and ``monic`` serve the
 normalization.  Rational functions are kept in canonical form: numerator
 and denominator coprime, denominator monic, so equality is structural.
 Series carry an explicit truncation order, and two series are compared up
-to the smaller one; their only arithmetic is ``inv``, kept for the tests and
-the benchmark: the zeta routes form each series in Python ints.
+to the smaller one; their only arithmetic is ``inv``, which runs in Python
+ints and gives ``verify`` its Hashimoto series 1 / det(I - t*M); the other
+zeta routes form each series in ints as well.
 
 Coefficients enter through ``as_fraction``, which accepts Fractions, ints and
 strings and refuses anything else (floats included), so no inexact value
@@ -21,6 +22,8 @@ from __future__ import annotations
 
 from decimal import Decimal
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -285,17 +288,21 @@ class Series:
         return None
 
     def inv(self) -> "Series":
+        """The inverse series, in Python ints.  With the coefficients c_j
+        cleared to a_j = L c_j, L the lcm of their denominators, coefficient
+        n of the inverse is L y_n / a_0^(n+1) for y_0 = 1 and
+        y_n = -sum_{j=1..n} a_j a_0^(j-1) y_{n-j}; only the results become
+        Fractions."""
         c0 = self.coeffs[0]
         if not c0:
             raise ValueError(f"series inverse requires nonzero constant term, got {c0}")
-        s, out = self.coeffs, [_ONE / c0]
-        for n in range(1, self.order + 1):
-            acc = _ZERO
-            for j in range(1, n + 1):
-                if s[j] != 0:
-                    acc = acc + s[j] * out[n - j]
-            out.append(-acc / c0)
-        return Series(out, self.order)
+        scale = lcm(*(c.denominator for c in self.coeffs))
+        a0, *rest = (c.numerator * (scale // c.denominator) for c in self.coeffs)
+        lifted = [x * a0**j for j, x in enumerate(rest)]
+        ys = [1]
+        for _ in range(self.order):
+            ys.append(-sum(map(mul, lifted, reversed(ys))))
+        return Series([Fraction(scale * y, a0 ** (n + 1)) for n, y in enumerate(ys)], self.order)
 
     def render(self) -> str:
         body = Poly(self.coeffs).render()

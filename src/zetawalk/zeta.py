@@ -84,10 +84,11 @@ have degree above the order, so the product of those factors is
 the walk lists the cycles up to order/2 only and yields one C_k for each
 longer length, the last three of them (fewer below order 5) summed by
 lookups after a prefix of max(order - 3, order/2, 2) arcs (``_euler``).  The
-trace route to N_k clears the denominators on its own and reads each N_k
-off two powers of at most ceil(order/2); the two N_k routes must agree
-exactly, in ints (ConsistencyError otherwise).  The Hashimoto series
-1 / det(I - t*M) is inverted in integers as well (``_hashimoto_series``).
+trace route to N_k clears the denominators on its own and reads each D^k N_k
+off the trace of the k-th power of D*T; the two N_k routes must give the
+same number of sums and agree exactly, in ints (ConsistencyError
+otherwise).  ``verify`` inverts det(I - t*M) by ``Series.inv``, which runs
+in ints as well.
 """
 
 from __future__ import annotations
@@ -190,22 +191,6 @@ def _hashimoto(theta) -> tuple[list[int], int]:
     return values[::-1], delta
 
 
-def _hashimoto_series(hk, order: int) -> Series:
-    """1 / det(I - t*M) to ``order``, from (H, Delta) of ``_hashimoto``.
-
-    det(I - t*M) = sum_j H_j t^j / Delta with H_0 = Delta.  Writing the
-    inverse's coefficients as y_n / Delta^n turns the usual recurrence into
-    y_0 = 1, y_n = -sum_{j=1..n} H_j Delta^(j-1) y_{n-j}, in Python ints;
-    only the results become Fractions.
-    """
-    values, delta = hk
-    lifted = [h * delta ** (j - 1) for j, h in enumerate(values[1 : order + 1], start=1)]
-    ys = [1]
-    for _ in range(order):
-        ys.append(-sum(map(mul, lifted, reversed(ys))))
-    return Series([Fraction(y, delta**n) for n, y in enumerate(ys)], order)
-
-
 def _as_poly(values: list[int], delta: int) -> Poly:
     return Poly([Fraction(v, delta) for v in values])
 
@@ -279,43 +264,36 @@ def _n_k_trace_all(theta, upto: int) -> tuple[int, list[int]]:
     (R, e) of ``_edge_matrix_data``, T = S M S^-1 = diag(1/e) R.
 
     The route clears denominators itself: P = D*T with D the lcm of the row
-    denominators, in Python ints.  It forms P^1..P^h, h = ceil(upto/2),
-    multiplying by the sparse rows of P, and reads
-    D^k N_k = tr(P^a P^b) = sum_ij P^a[i][j] P^b[j][i], a = k//2, b = k - a.
+    denominators, in Python ints.  It forms each P^k = P^(k-1) P by the
+    sparse rows of P and reads D^k N_k = tr P^k.
     """
     rows, dens = theta
     n = len(rows)
     scale = lcm(*dens)
-    p1 = [[x * (scale // e) for x in row] for row, e in zip(rows, dens)]
-    sparse = [[(j, v) for j, v in enumerate(row) if v] for row in p1]
-    powers = [p1]  # powers[a - 1] = P^a
-    for _ in range((upto + 1) // 2 - 1):
+    power = [[x * (scale // e) for x in row] for row, e in zip(rows, dens)]
+    sparse = [[(j, v) for j, v in enumerate(row) if v] for row in power]
+    traces = [sum(row[i] for i, row in enumerate(power))]
+    for _ in range(upto - 1):
         nxt = []
-        for prow in powers[-1]:
+        for prow in power:
             orow = [0] * n
             for x, pv in enumerate(prow):
                 if pv:
                     for j, v in sparse[x]:
                         orow[j] += pv * v
             nxt.append(orow)
-        powers.append(nxt)
-    columns = [list(zip(*power)) for power in powers]
-    traces = []
-    for k in range(1, upto + 1):
-        a = k // 2
-        cols = columns[k - a - 1]
-        if a == 0:
-            total = sum(cols[i][i] for i in range(n))
-        else:
-            total = sum(sum(map(mul, row, col)) for row, col in zip(powers[a - 1], cols))
-        traces.append(total)
+        power = nxt
+        traces.append(sum(row[i] for i, row in enumerate(power)))
     return scale, traces
 
 
 def _require_consistent(enum_sums, trace_sums):
-    """Raise ConsistencyError at the first N_k where two (D, [x_k = D^k N_k])
-    differ, x_k D'^k != x'_k D^k; Fractions only word the mismatch."""
+    """Raise ConsistencyError when two (D, [x_k = D^k N_k]) hold different
+    numbers of sums, or at the first N_k where they differ,
+    x_k D'^k != x'_k D^k; Fractions only word the mismatch."""
     (d1, xs), (d2, ys) = enum_sums, trace_sums
+    if len(xs) != len(ys):
+        raise ConsistencyError(f"N_k count mismatch: enumeration gives {len(xs)} sums, trace gives {len(ys)}")
     for k, (x, y) in enumerate(zip(xs, ys), start=1):
         if x * d2**k != y * d1**k:
             raise ConsistencyError(
@@ -758,9 +736,8 @@ def verify_expressions(d: Digraph, w: WeightAssignment, order: int) -> ZetaRepor
     expo = _exp_of_power_sums(_n_k_all(theta, order), order)
     eul = _euler(theta, order)
     side, _ = _vertex_side(d, w)
-    hk = _hashimoto(theta)
-    h, ihara_rhs, k = _identity(*side, hk)
-    h_series = _hashimoto_series(hk, order)
+    h, ihara_rhs, k = _identity(*side, _hashimoto(theta))
+    h_series = Series(h.coeffs, order).inv()
     verdicts = (
         _verdict("exponential-vs-euler", expo.first_mismatch(eul)),
         _verdict("exponential-vs-hashimoto", expo.first_mismatch(h_series)),

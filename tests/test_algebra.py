@@ -261,11 +261,20 @@ def test_series_exp_log_roundtrip_exact(rng):
 
 
 def test_series_inverse_identity_exact(rng):
-    for _ in range(20):
-        order = rng.randint(1, 16)
-        s = _random_series(rng, order, Fraction(rng.randint(1, 5)))
-        inverse = rs_series_inversion(lift(s), T, order + 1)
-        assert s.inv() == Series(coeffs(inverse), order)
+    randoms = [_random_series(rng, rng.randint(1, 16), Fraction(rng.randint(1, 5))) for _ in range(20)]
+    # negative and non-integer constant terms, order 0, and coefficients
+    # past str's int digit limit, which the int recurrence never prints
+    big = Fraction(10**5000 + 1, 3)
+    edges = [
+        Series([Fraction(-3, 7), 2, Fraction(-1, 5)], 8),
+        Series([-2, Fraction(1, 4)], 5),
+        Series([Fraction(5, 2), 1], 0),
+        Series([-2, big, 1], 4),
+        Series([big, Fraction(1, 9)], 3),
+    ]
+    for s in randoms + edges:
+        inverse = rs_series_inversion(lift(s), T, s.order + 1)
+        assert s.inv() == Series(coeffs(inverse), s.order)
 
 
 def test_series_exp_is_rs_exp(rng):

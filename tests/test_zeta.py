@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from sympy.polys.ring_series import rs_series_inversion
 
 from zetawalk import cli, digraph, zeta
 from zetawalk.algebra import Poly, RatFunc, Series
@@ -18,11 +19,11 @@ from zetawalk.walk import spectrum_deviation
 from zetawalk.zeta import (
     ConsistencyError,
     WeightAssignment,
+    _as_poly,
     _edge_matrix_data,
     _euler,
     _exp_of_power_sums,
     _hashimoto,
-    _hashimoto_series,
     _n_k_all,
     _n_k_enumerated_all,
     _n_k_trace_all,
@@ -226,6 +227,8 @@ def test_require_consistent_raises_on_fabricated_mismatch():
     _require_consistent((1, [1, 2]), (2, [2, 8]))
     with pytest.raises(ConsistencyError, match="N_2 mismatch: enumeration gives 2, trace gives 3"):
         _require_consistent((2, [2, 8]), (1, [1, 3]))
+    with pytest.raises(ConsistencyError, match="N_k count mismatch: enumeration gives 2 sums, trace gives 1"):
+        _require_consistent((1, [1, 2]), (1, [1]))
 
 
 def test_require_consistent_names_a_mismatch_past_the_str_digit_limit():
@@ -317,6 +320,24 @@ def test_corrupted_trace_scaling_raises_consistency_error(monkeypatch):
         n_k_all(d, w, 4)
     with pytest.raises(ConsistencyError):
         verify_expressions(d, w, 4)
+
+
+def test_trace_route_one_power_short_raises_consistency_error(tmp_path, monkeypatch, capsys):
+    # a trace route that stops one power early returns one sum short; zipped
+    # with the enumeration's sums it would pass, exp would print a wrong
+    # t^6 and verify would report a verdict mismatch, not a defect
+    mutate(monkeypatch, "_n_k_trace_all", "range(upto - 1)", "range(upto - 2)")
+    d = fixture_digraph("paper-graph")
+    w = WeightAssignment.from_maps(d)
+    short = "N_k count mismatch: enumeration gives 6 sums, trace gives 5"
+    with pytest.raises(ConsistencyError, match=short):
+        n_k_all(d, w, 6)
+    with pytest.raises(ConsistencyError, match=short):
+        exponential_truncated(d, w, 6)
+    path = tmp_path / "paper-graph.zw"
+    path.write_text(fixture_text("paper-graph"), encoding="utf-8")
+    assert cli.main(["verify", str(path), "--order", "6"]) == cli.EXIT_INTERNAL == 3
+    assert short in capsys.readouterr().err
 
 
 def test_loop_recurrence_without_convolution_raises_consistency_error(monkeypatch):
@@ -417,7 +438,7 @@ def test_enumeration_matches_trace_on_parallel_edges():
     assert euler_truncated(g, w, 9) == Series([x for c in even for x in (c, 0)], 9)
 
 
-def test_integer_hashimoto_series_matches_series_inv():
+def test_verify_hashimoto_series_matches_sympy_inversion():
     rng = random.Random(20261019)
     for trial in range(60):
         if trial % 2:
@@ -425,10 +446,9 @@ def test_integer_hashimoto_series_matches_series_inv():
         else:
             d = random_multigraph(rng, max_vertices=4, max_edges=4)
         w = inverse_cancelling_weights(rng, d) if trial % 3 else random_weights(rng, d)
-        hk = _hashimoto(_edge_matrix_data(d, w))
         order = rng.randint(1, 12)
-        expected = Series(hashimoto(d, w).coeffs, order).inv()
-        assert _hashimoto_series(hk, order) == expected
+        expected = rs_series_inversion(lift(hashimoto(d, w)), T, order + 1)
+        assert verify_expressions(d, w, order).hashimoto_series == Series(coeffs(expected), order)
 
 
 GOLDEN = sorted((Path(__file__).resolve().parent / "golden").glob("*.zw"))
@@ -436,12 +456,13 @@ GOLDEN = sorted((Path(__file__).resolve().parent / "golden").glob("*.zw"))
 
 @pytest.mark.parametrize("path", GOLDEN, ids=lambda p: p.stem)
 def test_exponential_matches_the_hashimoto_inverse_at_order_40_on_goldens(path):
-    # the integer exp recurrence and the integer Hashimoto inverse share no
+    # the integer exp recurrence and the integer series inverse share no
     # code, so each checks the other far past verify's default order
     inst = load_instance(path)
     d = instance_digraph(inst)
     theta = _edge_matrix_data(d, instance_weights(inst, d))
-    assert _exp_of_power_sums(_n_k_all(theta, 40), 40) == _hashimoto_series(_hashimoto(theta), 40)
+    inverse = Series(_as_poly(*_hashimoto(theta)).coeffs, 40).inv()
+    assert _exp_of_power_sums(_n_k_all(theta, 40), 40) == inverse
 
 
 @pytest.mark.parametrize(
@@ -526,8 +547,8 @@ def test_euler_matches_the_hashimoto_inverse_at_orders_1_to_12():
     # the lengths the walk lists, totals and sums by lookup all move with
     # the order, and up to order 5 the summed prefix is the shortest one,
     # two arcs long, with summed lengths past the order dropped; the
-    # integer Hashimoto inverse shares no code with the walk.  Six loops on
-    # one vertex take seconds at order 12, so the graphs stay small.
+    # series inverse shares no code with the walk.  Six loops on one vertex
+    # take seconds at order 12, so the graphs stay small.
     rng = random.Random(20261020)
     for trial in range(80):
         if trial % 2:
@@ -535,9 +556,9 @@ def test_euler_matches_the_hashimoto_inverse_at_orders_1_to_12():
         else:
             d = random_multigraph(rng, max_vertices=4, max_edges=2)
         theta = _edge_matrix_data(d, inverse_cancelling_weights(rng, d))
-        hk = _hashimoto(theta)
+        h = _as_poly(*_hashimoto(theta))
         for order in range(1, 13):
-            assert _euler(theta, order) == _hashimoto_series(hk, order)
+            assert _euler(theta, order) == Series(h.coeffs, order).inv()
 
 
 @pytest.mark.parametrize("name", ["paper-digraph", "paper-graph"])
