@@ -20,7 +20,11 @@ the extreme mu, which are exactly +-1, with no tolerance search.  The CLI
 checks the spectrum against a direct eigensolve of U (the oracle): a real
 double-precision general eigensolve, which does not assume that U is
 orthogonal.  The two spectra are compared by their exact bottleneck
-distance, computed in numpy.
+distance, computed in numpy.  Neither check keeps a second n x n temporary
+beside U: the unitarity defect holds the Gram matrix and the deviation its
+distance matrix, each reduced _BLOCK rows at a time, so the working set is
+about 2 n^2 * 8 bytes for n arcs (10 MB at 800 arcs), besides the copy of U
+that LAPACK takes inside the eigensolve.
 
 The probabilities are checked in integers: each reduced n/d must satisfy
 0 < n <= d, and the row sums are compared over the lcm of the row's
@@ -51,6 +55,10 @@ from .digraph import Digraph, GraphMode
 
 if TYPE_CHECKING:
     import numpy as np
+
+# Rows per step of the n x n elementwise passes in unitarity_defect and
+# spectrum_deviation: each step's temporary is _BLOCK x n, not n x n.
+_BLOCK = 64
 
 
 class WalkError(ValueError):
@@ -260,19 +268,24 @@ def grover_transition(g: Digraph) -> np.ndarray:
 
 
 def unitarity_defect(u: np.ndarray) -> float:
-    """max |U U* - I|, the unitarity residual.
+    """max |U U* - I|, the unitarity residual of a square 2-D array.
 
     For a real U, U* is the view U.T, and the identity is subtracted from
     the product's diagonal in place, so no copy of U and no identity matrix
-    is built.
+    is built.  The product is the one n x n array made, and |.| is taken
+    _BLOCK rows at a time, so U and the product are the working set: about
+    2 n^2 * 8 bytes for a real n x n U (10 MB at 800 arcs).  Any array that
+    is not square and 2-D is refused with a ValueError that names its shape.
     """
     import numpy as np
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        raise ValueError(f"matrix is not square: {u.shape}")
     n = u.shape[0]
     if n == 0:
         return 0.0
     gram = u @ (u.conj().T if np.iscomplexobj(u) else u.T)
     gram.flat[:: n + 1] -= 1.0
-    return float(np.max(np.abs(gram)))
+    return float(np.max([np.abs(gram[i : i + _BLOCK]).max() for i in range(0, n, _BLOCK)]))
 
 
 def eigenvalues_numeric(m) -> list[complex]:
@@ -387,9 +400,15 @@ def spectrum_deviation(s1, s2) -> float:
     No matching can beat L, the largest distance from any element to its
     nearest partner, so L is tried first and is the answer whenever the
     pairs within L admit a perfect matching.  Otherwise a binary search
-    runs over the distinct distances above L.  Each trial starts from the
+    runs over the sorted distances above L; a repeated distance gives the
+    same answer at each of its positions.  Each trial starts from the
     maximum matching of the largest threshold that failed, which stays
     valid because every pair within a threshold is within any larger one.
+
+    The distance matrix is the one n x n array built, as floats, _BLOCK rows
+    at a time, so no n x n complex difference exists.  Beside the U of
+    ``spectrum`` that is about 2 n^2 * 8 bytes for n arcs (10 MB at 800
+    arcs).  A search adds the sorted distances above L, at most one more.
     """
     import numpy as np
     a = np.asarray(list(s1), dtype=complex)
@@ -400,7 +419,9 @@ def spectrum_deviation(s1, s2) -> float:
         return 0.0
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         return math.inf
-    cost = np.abs(a[:, None] - b[None, :])
+    cost = np.empty((a.size, a.size))  # |a_i - b_j|, _BLOCK rows at a time
+    for i in range(0, a.size, _BLOCK):
+        np.abs(a[i : i + _BLOCK, None] - b, out=cost[i : i + _BLOCK])
     bound = max(cost.min(axis=1).max(), cost.min(axis=0).max())  # L
     # Greedy start: pair the two multisets in sorted order (by real, then
     # imaginary part) and keep the pairs within L.  Two spectra that agree
@@ -412,7 +433,8 @@ def spectrum_deviation(s1, s2) -> float:
     row_of[cols[near]], col_of[rows[near]] = rows[near], cols[near]
     if _grow_matching(cost, bound, row_of, col_of):
         return float(bound)
-    above = np.unique(cost[cost > bound])
+    above = cost[cost > bound]
+    above.sort()
     lo, hi = -1, above.size - 1  # above[hi] always admits a perfect matching
     while hi - lo > 1:
         mid = (lo + hi) // 2

@@ -13,11 +13,11 @@ inversion identities behind the vertex-determinant reduction (all-ones and
 block Woodbury-style, each checked with its denominator cleared, as
 A*B == B*A == d*I for a nonzero polynomial d), brute-force closed paths
 and the prime-cycle representatives among them, the phi-grouped arc
-order, theta one entry at a time, the structural matrices, and the walk
-matrices U and T built entry by entry with Fraction square roots.  The
-dense ``Matrix`` type, its arithmetic (sums, products, scaling,
-transposes, traces) and the series logarithm live here too, since only the
-tests use them.
+order, theta one entry at a time, the structural matrices, the walk
+matrices U and T built entry by entry with Fraction square roots, and the
+dense unitarity residual.  The dense ``Matrix`` type, its arithmetic (sums,
+products, scaling, transposes, traces) and the series logarithm live here
+too, since only the tests use them.
 
 Polynomial and rational-function entries compute in sympy's ``QQ[t]``
 (``RING``, generator ``T``) and ``QQ(t)`` (``FIELD``, generator ``TF``), not
@@ -539,6 +539,17 @@ def walk_transition(g: Digraph, probs: dict[int, Fraction]) -> np.ndarray:
             u[a, g.partner(c)] = 2.0 * sqrt_product(probs[a], probs[c])
         u[a, g.partner(a)] -= 1.0
     return u
+
+
+def unitarity_defect_dense(u: np.ndarray) -> float:
+    """max |U U* - I| over the whole residual matrix at once.
+
+    U* is taken as the library takes it, the view u.T for real input (BLAS
+    may compute that product as a symmetric update, whose last bits differ
+    from a general product's), so the two agree bit for bit.
+    """
+    gram = u @ (u.conj().T if np.iscomplexobj(u) else u.T)
+    return float(np.max(np.abs(gram - np.eye(u.shape[0])), initial=0.0))
 
 
 def walk_discriminant(g: Digraph, probs: dict[int, Fraction]) -> np.ndarray:

@@ -1,15 +1,21 @@
 import cmath
+import contextlib
+import io
 import itertools
 import math
+import re
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from zetawalk.digraph import symmetric_digraph
-from zetawalk.instances import fixture_digraph, fixture_instance, instance_digraph
+from zetawalk import cli
+from zetawalk.digraph import GraphMode, symmetric_digraph
+from zetawalk.instances import Instance, fixture_digraph, fixture_instance, instance_digraph, render_instance
 from zetawalk.walk import (
+    _BLOCK,
     WalkError,
     _sqrt_product,
     check_probability,
@@ -25,7 +31,14 @@ from zetawalk.walk import (
 )
 
 from conftest import random_connected_graph, random_probability, random_walk_graph
-from oracles import Matrix, char_poly_exact, sqrt_product, walk_discriminant, walk_transition
+from oracles import (
+    Matrix,
+    char_poly_exact,
+    sqrt_product,
+    unitarity_defect_dense,
+    walk_discriminant,
+    walk_transition,
+)
 
 
 OMEGA = cmath.exp(2j * math.pi / 3)
@@ -71,6 +84,29 @@ def test_unitarity_defect_conjugates_complex_input():
     assert unitarity_defect(np.array([[1, 1j], [1j, 1]]) / math.sqrt(2)) <= 1e-15
     assert unitarity_defect(np.array([[1.0, 1.0], [0.0, 1.0]])) == 1.0
     assert unitarity_defect(np.zeros((0, 0))) == 0.0
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3,), (2, 2, 2)])
+def test_unitarity_defect_refuses_a_non_square_array(shape):
+    with pytest.raises(ValueError, match=re.escape(f"not square: {shape}")):
+        unitarity_defect(np.ones(shape))
+
+
+@pytest.mark.parametrize("n", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 800])
+def test_unitarity_defect_is_the_dense_residual(n):
+    # An orthogonal or unitary Q (rounding-sized residual), Q with its last
+    # row doubled (the largest residual in the last row block) and a random
+    # matrix, each real and complex.
+    gen = np.random.default_rng(n)
+    for draw in (
+        lambda: gen.standard_normal((n, n)),
+        lambda: gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n)),
+    ):
+        q = np.linalg.qr(draw())[0]
+        last = q.copy()
+        last[-1:] *= 2.0
+        for u in (q, last, draw()):
+            assert unitarity_defect(u) == unitarity_defect_dense(u)
 
 
 def test_triangle_grover_spectrum_frozen():
@@ -356,6 +392,57 @@ def test_spectrum_deviation_on_mismatched_spectra_costs_less_than_an_eigensolve(
             assert spectrum_deviation(circle, other) == pytest.approx(expected, rel=1e-9)
         elapsed = _best_of_two(spectrum_deviation, circle, other)
         assert elapsed <= eigensolve, (expected, elapsed, eigensolve)
+
+
+def _traced_peak(f, *args) -> int:
+    """The peak of the bytes traced while f(*args) runs; numpy reports its
+    array buffers to tracemalloc, LAPACK's own work arrays it does not."""
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_unitarity_defect_holds_one_n_by_n_array():
+    n = 800
+    u = np.linalg.qr(np.random.default_rng(1).standard_normal((n, n)))[0]
+    assert _traced_peak(unitarity_defect, u) <= 1.25 * n * n * 8
+
+
+def test_spectrum_deviation_holds_one_n_by_n_array_when_the_lower_bound_is_the_answer():
+    n = 800
+    circle = np.exp(2j * np.pi * np.arange(n) / n)
+    for other in (circle * np.exp(1e-12j), circle * np.exp(0.3j)):
+        assert _traced_peak(spectrum_deviation, circle, other) <= 1.5 * n * n * 8
+
+
+def test_spectrum_deviation_holds_two_n_by_n_arrays_on_a_mismatch():
+    n = 800
+    circle = np.exp(2j * np.pi * np.arange(n) / n)
+    other = np.exp(2j * np.pi * np.random.default_rng(0).random(n))
+    assert spectrum_deviation(circle, other) > 0.1
+    assert _traced_peak(spectrum_deviation, circle, other) <= 2.5 * n * n * 8
+
+
+@pytest.mark.parametrize("walk", ["grover", "szegedy"])
+def test_spectrum_call_holds_u_and_one_more_n_by_n_array(tmp_path, rng, walk):
+    # 200 vertices and 400 edges: U is 800 x 800, as in the largest
+    # walk-spectrum cases.  Beside U, the defect holds the Gram matrix and
+    # the deviation its distance matrix, never both.
+    g = random_walk_graph(rng, 200)
+    n = g.arc_count
+    assert n == 800
+    edges = tuple(zip(g.tails[::2], g.heads[::2]))
+    inst = Instance(GraphMode.SYMMETRIC, 200, edges, prob=random_probability(rng, g))
+    path = tmp_path / "walk.zw"
+    path.write_text(render_instance(inst), encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        peak = _traced_peak(cli.main, ["spectrum", str(path), walk])
+    assert "VERDICT spectrum agree" in out.getvalue()
+    assert peak <= 2.5 * n * n * 8
 
 
 def test_zeta_edge_matrix_bridges_to_grover_walk():
