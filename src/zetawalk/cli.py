@@ -23,7 +23,6 @@ import sys
 from .algebra import render_rational
 from .digraph import GraphError, GraphMode
 from .instances import (
-    FIXTURES,
     ParseError,
     _INTEGER,
     _quote,
@@ -88,7 +87,9 @@ class _Report:
         return "\n".join(self.lines) + "\n"
 
 
-def _instance_header(rep: _Report, command: str, inst) -> None:
+def _instance_header(ns, command: str, inst) -> _Report:
+    """A report in ns's format that starts with the instance's header lines."""
+    rep = _Report(ns.format == "records")
     rep.add("command", command)
     rep.add("instance", inst.source)
     rep.add("mode", inst.mode.value)
@@ -96,6 +97,7 @@ def _instance_header(rep: _Report, command: str, inst) -> None:
     if inst.mode is GraphMode.SYMMETRIC:
         rep.add("edges", len(inst.pairs))
     rep.add("arcs", inst.arc_count)
+    return rep
 
 
 def _load(ns):
@@ -111,8 +113,7 @@ def _order(ns, d) -> int:
 def cmd_verify(ns) -> tuple[str, int]:
     inst, d, w = _load(ns)
     report = verify_expressions(d, w, _order(ns, d))
-    rep = _Report(ns.format == "records")
-    _instance_header(rep, "verify", inst)
+    rep = _instance_header(ns, "verify", inst)
     rep.add("order", report.order)
     rep.add("exponential", report.exponential.render())
     rep.add("euler", report.euler.render())
@@ -140,8 +141,7 @@ def _table_entries(rep: _Report, name: str, table: dict, n: int) -> None:
 
 def cmd_ihara(ns) -> tuple[str, int]:
     inst, d, w = _load(ns)
-    rep = _Report(ns.format == "records")
-    _instance_header(rep, "ihara", inst)
+    rep = _instance_header(ns, "ihara", inst)
     if d.mode is GraphMode.GENERAL:
         data = ihara_digraph(d, w)
         for pair, f in zip(data.pairs, data.f_factors):
@@ -164,8 +164,7 @@ def cmd_ihara(ns) -> tuple[str, int]:
 
 def cmd_hashimoto(ns) -> tuple[str, int]:
     inst, d, w = _load(ns)
-    rep = _Report(ns.format == "records")
-    _instance_header(rep, "hashimoto", inst)
+    rep = _instance_header(ns, "hashimoto", inst)
     rep.add("hashimoto", hashimoto(d, w).render())
     return rep.text(), EXIT_OK
 
@@ -173,8 +172,7 @@ def cmd_hashimoto(ns) -> tuple[str, int]:
 def cmd_euler(ns) -> tuple[str, int]:
     inst, d, w = _load(ns)
     order = _order(ns, d)
-    rep = _Report(ns.format == "records")
-    _instance_header(rep, "euler", inst)
+    rep = _instance_header(ns, "euler", inst)
     rep.add("order", order)
     rep.add("euler", euler_truncated(d, w, order).render())
     return rep.text(), EXIT_OK
@@ -183,8 +181,7 @@ def cmd_euler(ns) -> tuple[str, int]:
 def cmd_exp(ns) -> tuple[str, int]:
     inst, d, w = _load(ns)
     order = _order(ns, d)
-    rep = _Report(ns.format == "records")
-    _instance_header(rep, "exp", inst)
+    rep = _instance_header(ns, "exp", inst)
     rep.add("order", order)
     rep.add("exponential", exponential_truncated(d, w, order).render())
     return rep.text(), EXIT_OK
@@ -204,8 +201,7 @@ def cmd_spectrum(ns) -> tuple[str, int]:
     if inst.mode is not GraphMode.SYMMETRIC:
         raise WalkError("spectrum requires a graph-mode instance")
     g = instance_digraph(inst)
-    rep = _Report(ns.format == "records")
-    _instance_header(rep, "spectrum", inst)
+    rep = _instance_header(ns, "spectrum", inst)
     rep.add("walk", ns.walk)
     if ns.walk == "grover":
         u = grover_transition(g)
@@ -229,9 +225,8 @@ def cmd_spectrum(ns) -> tuple[str, int]:
 def cmd_fixtures(ns) -> tuple[str, int]:
     try:
         text = fixture_text(ns.name)
-    except KeyError:
-        known = "\n".join(sorted(FIXTURES))
-        sys.stderr.write(f"unknown fixture {ns.name!r}; available fixtures:\n{known}\n")
+    except KeyError as exc:
+        sys.stderr.write(f"error: {exc.args[0]}\n")
         return "", EXIT_INPUT
     if ns.output:
         with open(ns.output, "w", encoding="utf-8") as fh:

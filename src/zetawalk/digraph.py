@@ -377,7 +377,5 @@ def iter_prime_cycles(d: Digraph, max_len: int):
     its frames stop at length max_len - 1, and the lengths it sums are all
     past max_len and dropped.
     """
-    if max_len < 1:
-        raise GraphError("cycle length bound must be >= 1")
     for word, k, _ in lyndon_cycles(arc_adjacency(d), max_len, max_len):
         yield tuple(word[:k])

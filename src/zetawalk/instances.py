@@ -293,7 +293,7 @@ prob 3 1
 def fixture_text(name: str) -> str:
     if name not in FIXTURES:
         known = ", ".join(sorted(FIXTURES))
-        raise KeyError(f"unknown fixture {name!r}; available: {known}")
+        raise KeyError(f"unknown fixture {_quote(name)}; available: {known}")
     return FIXTURES[name]
 
 

@@ -25,15 +25,16 @@ adjacencies), so all expressions agree:
       det(I - t*M) = (1 - t^2)^(|E| - |V|) * det(I - t*A + t^2*(D - I)).
 
 The theta matrix is built once, in integers: ``_edge_matrix_data`` returns
-the rows R and row denominators e of T = S M S^-1 = diag(1/e) R, with
-S = diag(1/q2) and tau = p/q.  T has M's characteristic polynomial, the
-traces of M's powers and every closed path's circular product, so
-Hashimoto and the three series routes all run on T.
+(D, P) with P = D*T, T = S M S^-1, S = diag(1/q2), tau = p/q and D the lcm
+of T's row denominators q1(a) q2(a).  T has M's characteristic polynomial,
+the traces of M's powers and every closed path's circular product, so
+Hashimoto and the three series routes all run on (D, P), and no other
+code computes D.
 
 Every determinant here is read off one scalar kernel,
 ``linalg.char_poly_rows``, which takes integer rows with row denominators:
 
-* det(I - t*M) is the charpoly of T, reversed (``_hashimoto``).
+* det(I - t*M) is the charpoly of T = diag(1/D) P, reversed (``_hashimoto``).
 * the vertex determinant is assembled sparsely, in Python ints, by
   ``_vertex_det`` from one term form: (u, v, k, n, q, f) adds
   (n / q) t^k / f to entry (u, v) of the vertex matrix, with n / q a
@@ -65,18 +66,17 @@ entries, the only place a vertex-side Fraction is made: those of A (both
 modes) and of a graph's D hold Fractions, and each D and X entry of a
 digraph is one RatFunc, its numerator formed in ints.
 
-The series routes run in Python ints.  The two path routes, closed paths
-for N_k and prime cycles for the Euler product, run on the integer matrix
-D*T, D the lcm of the row denominators e (``_clear_denominators``).  A
-length-k term then carries D^k.  The N_k routes return (D, [D^k N_k]), the
-exponential is formed from those ints (``_exp_of_power_sums``), and only a
-result coefficient, never a path, is divided by its power of D.  The
+The series routes run in Python ints, on P.  A length-k term of a path
+route, closed paths for N_k or prime cycles for the Euler product, then
+carries D^k.  The N_k routes return (D, [D^k N_k]), the exponential is
+formed from those ints (``_exp_of_power_sums``), and only a result
+coefficient, never a path, is divided by its power of D.  The
 closed-path route counts each closed path from its least arc s.  It sums
 the first-return loops s -> x_1 -> ... -> s with every x_i > s by a vector
 recurrence over the arcs above s, without listing one, and an integer
 recurrence turns the loops' totals into s's share of every N_k
 (``_n_k_enumerated_all``).  The prime-cycle walk
-(``digraph.lyndon_cycles``) follows the nonzero entries of D*T, those of M,
+(``digraph.lyndon_cycles``) follows the nonzero entries of P, those of M,
 only.  The Euler product multiplies in 1/(1 - c t^k) for the prime cycles
 of length k <= order/2 only.  Past order/2 the cross terms of the factors
 have degree above the order, so the product of those factors is
@@ -84,11 +84,10 @@ have degree above the order, so the product of those factors is
 the walk lists the cycles up to order/2 only and yields one C_k for each
 longer length, the last three of them (fewer below order 5) summed by
 lookups after a prefix of max(order - 3, order/2, 2) arcs (``_euler``).  The
-trace route to N_k clears the denominators on its own and reads each D^k N_k
-off the trace of the k-th power of D*T; the two N_k routes must give the
-same number of sums and agree exactly, in ints (ConsistencyError
-otherwise).  ``verify`` inverts det(I - t*M) by ``Series.inv``, which runs
-in ints as well.
+trace route to N_k reads each D^k N_k off the trace of P^k; the two N_k
+routes must give the same number of sums and agree exactly, in ints
+(ConsistencyError otherwise).  ``verify`` inverts det(I - t*M) by
+``Series.inv``, which runs in ints as well.
 """
 
 from __future__ import annotations
@@ -145,38 +144,40 @@ class WeightAssignment:
 
 def edge_matrix(d: Digraph, w: WeightAssignment) -> tuple[tuple[Fraction, ...], ...]:
     """The rows of the arc-indexed matrix M with entries theta(a, b), read
-    back from ``_edge_matrix_data``: M[a][b] = q2(a) R[a][b] / (e_a q2(b))."""
-    rows, dens = _edge_matrix_data(d, w)
+    back from ``_edge_matrix_data``: M[a][b] = q2(a) P[a][b] / (D q2(b))."""
+    scale, rows = _edge_matrix_data(d, w)
     q2 = [x.denominator for x in w.tau2]
     return tuple(
-        tuple(Fraction(q2[a] * x, e * q2[b]) for b, x in enumerate(row))
-        for a, (row, e) in enumerate(zip(rows, dens))
+        tuple(Fraction(q2[a] * x, scale * q2[b]) for b, x in enumerate(row)) for a, row in enumerate(rows)
     )
 
 
-def _edge_matrix_data(d: Digraph, w: WeightAssignment) -> tuple[list[list[int]], list[int]]:
-    """(R, e): the integer rows and row denominators of S M S^-1 = diag(1/e) R,
-    with S = diag(1/q2) and tau = p/q.  Row a is
+def _edge_matrix_data(d: Digraph, w: WeightAssignment) -> tuple[int, list[list[int]]]:
+    """(D, P): the integer matrix P = D * S M S^-1, with S = diag(1/q2) and
+    tau = p/q, and D the lcm of the row denominators e_a = q1(a) q2(a).
+    Row a of P is D / e_a times
 
-        p1(a) p2(b) [b leaves head(a)] - q1(a) q2(b) [b inverse of a]
+        p1(a) p2(b) [b leaves head(a)] - q1(a) q2(b) [b inverse of a],
 
-    over e_a = q1(a) q2(a), read straight off tau1 and tau2.  Every zeta
-    entry point calls this first, so it alone checks the weights' lengths."""
+    read straight off tau1 and tau2.  Every zeta entry point calls this
+    first, so it alone checks the weights' lengths."""
     n = d.arc_count
     tau1, tau2 = w.tau1, w.tau2
     if len(tau1) != n or len(tau2) != n:
         raise GraphError(f"weights for {len(tau1)} and {len(tau2)} arcs on a digraph with {n}")
-    rows, dens = [], []
+    dens = [t1.denominator * t2.denominator for t1, t2 in zip(tau1, tau2)]
+    scale = lcm(*dens)
+    rows = []
     for a, head in enumerate(d.heads):
-        t1 = tau1[a]
+        t1, m = tau1[a], scale // dens[a]
+        out, back = m * t1.numerator, m * t1.denominator
         row = [0] * n
         for b in d.out_arcs(head):
-            row[b] = t1.numerator * tau2[b].numerator
+            row[b] = out * tau2[b].numerator
         for b in d.inverse_set(a):
-            row[b] -= t1.denominator * tau2[b].denominator
+            row[b] -= back * tau2[b].denominator
         rows.append(row)
-        dens.append(t1.denominator * tau2[a].denominator)
-    return rows, dens
+    return scale, rows
 
 
 def hashimoto(d: Digraph, w: WeightAssignment) -> Poly:
@@ -186,8 +187,11 @@ def hashimoto(d: Digraph, w: WeightAssignment) -> Poly:
 
 def _hashimoto(theta) -> tuple[list[int], int]:
     """(H, Delta) with det(I - t*M) = sum_k H_k t^k / Delta, the reversed
-    charpoly of the rows (R, e) of ``_edge_matrix_data``."""
-    values, delta = char_poly_rows(*theta)
+    charpoly of P / D for (D, P) from ``_edge_matrix_data``; the kernel
+    takes each row to lowest terms, so Delta is that of the rows' own
+    denominators, not D^n."""
+    scale, rows = theta
+    values, delta = char_poly_rows(rows, [scale] * len(rows))
     return values[::-1], delta
 
 
@@ -195,21 +199,13 @@ def _as_poly(values: list[int], delta: int) -> Poly:
     return Poly([Fraction(v, delta) for v in values])
 
 
-def _clear_denominators(theta) -> tuple[int, list[list[int]]]:
-    """(D, D * S M S^-1) for the rows (R, e) of ``_edge_matrix_data``, D the
-    lcm of the row denominators, so that every scaled entry is a Python int."""
-    rows, dens = theta
-    scale = lcm(*dens)
-    return scale, [[x * (scale // e) for x in row] for row, e in zip(rows, dens)]
-
-
 def _n_k_enumerated_all(theta, upto: int) -> tuple[int, list[int]]:
     """(D, [D^k N_k for k = 1..upto]), N_k the sum of circular products over
     closed paths, grouped by their least arc.
 
-    The route runs on the Python ints D*T from ``_clear_denominators``, with
-    T = S M S^-1, so a closed path of length k adds D^k times its circular
-    product (the same in T as in M).
+    The route runs on the Python ints P = D*T from ``_edge_matrix_data``,
+    with T = S M S^-1, so a closed path of length k adds D^k times its
+    circular product (the same in T as in M).
 
     N_k sums the product of every closed path, a sequence of k arcs read
     from each of its k start positions.  Group the paths by their least arc
@@ -232,12 +228,12 @@ def _n_k_enumerated_all(theta, upto: int) -> tuple[int, list[int]]:
     them.  From each s, after j - 1 steps the map ``walks`` holds, for each
     arc b > s, the D^(j-1)-scaled total product of the walks
     s -> x_1 -> ... -> b of j - 1 transitions with every x_i > s; it starts
-    as {s: 1}.  Then D f_1 = D*T[s][s] and D^j f_j = sum_a walks[a] D*T[a][s].
+    as {s: 1}.  Then D f_1 = P[s][s] and D^j f_j = sum_a walks[a] P[a][s].
     A step follows the nonzero entries of each row, restricted to columns
     > s, so no walk returns to s or goes below it.  The cost is polynomial:
-    upto steps over at most the nonzero entries of D*T, per start arc.
+    upto steps over at most the nonzero entries of P, per start arc.
     """
-    scale, im = _clear_denominators(theta)
+    scale, im = theta
     rows = [tuple((b, v) for b, v in enumerate(row) if v != 0) for row in im]
     totals = [0] * (upto + 1)
     for s in range(len(im)):
@@ -260,17 +256,13 @@ def _n_k_enumerated_all(theta, upto: int) -> tuple[int, list[int]]:
 
 
 def _n_k_trace_all(theta, upto: int) -> tuple[int, list[int]]:
-    """(D, [D^k N_k for k = 1..upto]), N_k = tr T^k = tr M^k for the rows
-    (R, e) of ``_edge_matrix_data``, T = S M S^-1 = diag(1/e) R.
-
-    The route clears denominators itself: P = D*T with D the lcm of the row
-    denominators, in Python ints.  It forms each P^k = P^(k-1) P by the
-    sparse rows of P and reads D^k N_k = tr P^k.
+    """(D, [D^k N_k for k = 1..upto]), N_k = tr T^k = tr M^k for
+    (D, P = D*T) from ``_edge_matrix_data``.  The route forms each
+    P^k = P^(k-1) P by the sparse rows of P, in Python ints, and reads
+    D^k N_k = tr P^k.
     """
-    rows, dens = theta
-    n = len(rows)
-    scale = lcm(*dens)
-    power = [[x * (scale // e) for x in row] for row, e in zip(rows, dens)]
+    scale, power = theta
+    n = len(power)
     sparse = [[(j, v) for j, v in enumerate(row) if v] for row in power]
     traces = [sum(row[i] for i, row in enumerate(power))]
     for _ in range(upto - 1):
@@ -351,8 +343,8 @@ def euler_truncated(d: Digraph, w: WeightAssignment, order: int) -> Series:
 
 def _euler(theta, order: int) -> Series:
     """The Euler product, accumulated as acc[i] = D^i * (coefficient i) over
-    the integer matrix D*T from ``_clear_denominators``.  The prime cycles
-    are the Lyndon closed paths of D*T's nonzero entries, those of M, so the
+    the integer matrix P = D*T from ``_edge_matrix_data``.  The prime cycles
+    are the Lyndon closed paths of P's nonzero entries, those of M, so the
     walk skips every cycle whose product is 0.
 
     A cycle of length k <= order/2 multiplies acc by 1/(1 - c t^k).  One of
@@ -365,7 +357,7 @@ def _euler(theta, order: int) -> Series:
     walks the prefixes shorter than max(order - 3, order/2, 2) and reads
     the totals of the up to three lengths after them off suffix sums.
     """
-    scale, im = _clear_denominators(theta)
+    scale, im = theta
     half = order // 2
     acc = [1] + [0] * order
     totals = [0] * (order + 1)  # totals[k] = C_k for k > order/2
@@ -727,9 +719,9 @@ def verify_expressions(d: Digraph, w: WeightAssignment, order: int) -> ZetaRepor
     """Compute all four expressions and compare them.
 
     Series expressions are compared coefficientwise to ``order``, Hashimoto
-    and Ihara exactly as rational functions.  The theta matrix is built once
-    and shared by the power sums, the Euler product and Hashimoto; the
-    vertex side reads tau1 and tau2 on its own.
+    and Ihara exactly as rational functions.  The theta matrix (D, P) is
+    built once and shared by the power sums, the Euler product and
+    Hashimoto; the vertex side reads tau1 and tau2 on its own.
     """
     _require_series_order(order)
     theta = _edge_matrix_data(d, w)

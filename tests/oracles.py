@@ -12,7 +12,8 @@ matrices Au and Du, summed one rational function at a time, the two
 inversion identities behind the vertex-determinant reduction (all-ones and
 block Woodbury-style, each checked with its denominator cleared, as
 A*B == B*A == d*I for a nonzero polynomial d), brute-force closed paths
-and the prime-cycle representatives among them, the phi-grouped arc
+and the prime-cycle representatives among them, the per-length totals
+of the prime cycles by Moebius inversion of traces, the phi-grouped arc
 order, theta one entry at a time, the structural matrices, the walk
 matrices U and T built entry by entry with Fraction square roots, and the
 dense unitarity residual.  The dense ``Matrix`` type, its arithmetic (sums,
@@ -439,6 +440,52 @@ def lyndon_closed_paths(m: list[list[int]], max_len: int) -> list[tuple[tuple[in
     for a in range(len(m)):
         extend((a,), 1)
     return sorted(found, key=lambda wc: (len(wc[0]), wc[0]))
+
+
+def mobius(n: int) -> int:
+    """The Moebius function mu(n) of an integer n >= 1."""
+    mu, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return -mu if n > 1 else mu
+
+
+def prime_cycle_totals(m: list[list[int]], max_len: int) -> dict[int, Fraction]:
+    """{k: C_k} for the k in 1..max_len with C_k != 0, C_k the total of the
+    circular products of the Lyndon closed paths of length k of the integer
+    matrix m, by Moebius inversion of traces, with no path listed:
+
+        C_k = (1/k) sum_{f | k} mu(k/f) tr((m^(o k/f))^f),
+
+    m^(o j) the entrywise j-th power.  A closed path of length f is a
+    Lyndon word X of some length d | f read f/d times, from one of d
+    rotations, so tr((m^(o j))^f) = sum_{d | f} d sum_{|X| = d} c(X)^(jf/d);
+    at j = k/f every exponent is k/d, and the sum over f leaves k C_k.  It
+    is the trace route to N_k in another form, so it only checks the
+    Lyndon walk's per-length totals."""
+    n = len(m)
+
+    def trace_of_power(a, f):
+        power = a
+        for _ in range(f - 1):
+            power = [[sum(x * a[i][j] for i, x in enumerate(row) if x) for j in range(n)] for row in power]
+        return sum(power[i][i] for i in range(n))
+
+    totals = {}
+    for k in range(1, max_len + 1):
+        s = sum(
+            mobius(k // f) * trace_of_power([[x ** (k // f) for x in row] for row in m], f)
+            for f in range(1, k + 1)
+            if k % f == 0
+        )
+        if s:
+            totals[k] = Fraction(s, k)
+    return totals
 
 
 def pair_arcs(pair: PhiPair) -> tuple[int, ...]:

@@ -123,8 +123,13 @@ def test_cli_fixtures_bit_exact(tmp_path):
 
 def test_cli_fixtures_unknown_lists_available():
     code, out, err = run_cli("fixtures", "nope")
-    assert code == 2
-    assert "available" in err and "triangle" in err
+    assert (code, out) == (2, "")
+    assert err == "error: unknown fixture 'nope'; available: c4, k4, p3, paper-digraph, paper-graph, triangle\n"
+    # a long name is echoed cut short, on the one error line
+    code, out, err = run_cli("fixtures", "x" * 5000)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: unknown fixture 'xxx") and err.count("\n") == 1
+    assert "... (5000 characters); available: c4," in err and len(err) < 200
 
 
 def test_cli_verify_agrees(tmp_path):

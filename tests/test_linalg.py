@@ -3,7 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zetawalk.algebra import Poly
@@ -393,6 +393,33 @@ def test_kernel_rejects_non_square_input():
     for rows, dens in (([[1, 2]], [1]), ([[1], [2]], [1, 1]), ([[1, 2], [3, 4]], [1]), ([[1]], [0]), ([[1]], [-2])):
         with pytest.raises(ValueError, match="n rows of length n"):
             char_poly_rows(rows, dens)
+
+
+@st.composite
+def rows_over_denominators(draw):
+    """(R, e, k): n integer rows R over positive row denominators e, where
+    row i and e_i share a drawn factor g_i, and g_i = 0 makes a zero row,
+    and a multiplier k of lcm(e)."""
+    n = draw(st.integers(0, 5))
+    rows, dens = [], []
+    for _ in range(n):
+        g = draw(st.integers(0, 6))
+        rows.append([g * x for x in draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))])
+        dens.append(max(g, 1) * draw(st.integers(1, 9)))
+    return rows, dens, draw(st.integers(1, 4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows_over_denominators())
+@example(([[0, 0, 0], [4, -6, 2], [-3, 0, 9]], [5, 2, 6], 1))
+def test_one_common_denominator_leaves_the_kernel_unchanged(case):
+    # (R, e) and ([R_i (L / e_i)], [L] * n) are the same matrix diag(1/e) R
+    # for any multiple L of lcm(e), and the kernel takes every row to
+    # lowest terms first, so it returns the same (c, Delta) for both
+    rows, dens, k = case
+    common = k * math.lcm(*dens)
+    scaled = [[x * (common // e) for x in row] for row, e in zip(rows, dens)]
+    assert char_poly_rows(scaled, [common] * len(rows)) == char_poly_rows(rows, dens)
 
 
 def test_kernel_skips_a_prime_that_divides_a_denominator(rng, monkeypatch):

@@ -38,12 +38,13 @@ from zetawalk.zeta import (
     verify_expressions,
 )
 
+import oracles
 from conftest import random_digraph, random_multigraph, random_rational, random_weights
 from oracles import (
     FIELD, RING, T, TF, Matrix, char_poly_exact, closed_paths, coeffs, det_bareiss,
     det_one_minus_t_by_elimination, graph_vertex_det, ihara_digraph_tables, lift, mat_mul, mat_sub,
-    pair_arcs, phi_grouped_arc_order, prime_cycle_representatives, sato_expression, sato_matrices,
-    structural_matrices, theta_value,
+    pair_arcs, phi_grouped_arc_order, prime_cycle_representatives, prime_cycle_totals, sato_expression,
+    sato_matrices, structural_matrices, theta_value,
 )
 
 
@@ -279,23 +280,6 @@ def test_power_sums_with_large_prime_denominators_and_zero_theta(name):
     assert report.euler == report.hashimoto_series
 
 
-def test_corrupted_scaling_raises_consistency_error(monkeypatch):
-    # an integer scaling off by a factor of 2 on every entry
-    real = zeta._clear_denominators
-
-    def doubled(rows):
-        scale, ints = real(rows)
-        return scale, [[2 * v for v in row] for row in ints]
-
-    monkeypatch.setattr(zeta, "_clear_denominators", doubled)
-    d = fixture_digraph("paper-digraph")
-    w = WeightAssignment.from_maps(d)
-    with pytest.raises(ConsistencyError, match="N_3"):  # N_1 = N_2 = 0 here
-        n_k_all(d, w, 4)
-    with pytest.raises(ConsistencyError):
-        verify_expressions(d, w, 4)
-
-
 def mutate(monkeypatch, name, old, new, module=zeta):
     """Replace ``module``'s function ``name`` by its source with every
     ``old`` replaced by ``new``, compiled in the module's namespace, and
@@ -309,17 +293,24 @@ def mutate(monkeypatch, name, old, new, module=zeta):
     monkeypatch.setattr(zeta, name, namespace[name])
 
 
-def test_corrupted_trace_scaling_raises_consistency_error(monkeypatch):
-    # the trace route clears denominators with its own scale D and reports
-    # it beside D^k N_k; a trace route that reports 2D instead must be
-    # caught by the comparison with the enumeration
-    mutate(monkeypatch, "_n_k_trace_all", "return scale, traces", "return 2 * scale, traces")
+def require_scale_caught(monkeypatch, route, returned):
+    """Mutate ``route`` to report 2D beside its D^k N_k, D the scale of
+    (D, P); the comparison with the other N_k route must catch it."""
+    mutate(monkeypatch, route, f"return {returned}", f"return 2 * {returned}")
     d = fixture_digraph("paper-digraph")
     w = WeightAssignment.from_maps(d)
     with pytest.raises(ConsistencyError, match="N_3"):  # N_1 = N_2 = 0 here
         n_k_all(d, w, 4)
     with pytest.raises(ConsistencyError):
         verify_expressions(d, w, 4)
+
+
+def test_corrupted_scaling_raises_consistency_error(monkeypatch):
+    require_scale_caught(monkeypatch, "_n_k_enumerated_all", "scale, totals[1:]")
+
+
+def test_corrupted_trace_scaling_raises_consistency_error(monkeypatch):
+    require_scale_caught(monkeypatch, "_n_k_trace_all", "scale, traces")
 
 
 def test_trace_route_one_power_short_raises_consistency_error(tmp_path, monkeypatch, capsys):
@@ -463,6 +454,35 @@ def test_exponential_matches_the_hashimoto_inverse_at_order_40_on_goldens(path):
     theta = _edge_matrix_data(d, instance_weights(inst, d))
     inverse = Series(_as_poly(*_hashimoto(theta)).coeffs, 40).inv()
     assert _exp_of_power_sums(_n_k_all(theta, 40), 40) == inverse
+
+
+def walk_totals(m, max_len):
+    """{k: C_k} as the Lyndon walk yields them when it lists no length."""
+    return {k: c for _, k, c in digraph.lyndon_cycles(m, max_len, 0)}
+
+
+@pytest.mark.parametrize("path", GOLDEN, ids=lambda p: p.stem)
+def test_walk_totals_match_the_moebius_traces_on_goldens(path):
+    # past the brute-force oracle's 8 arcs: at 13 and 14 the walk sums
+    # lengths 10-13 and 11-14 without a frame
+    inst = load_instance(path)
+    d = instance_digraph(inst)
+    _, p = _edge_matrix_data(d, instance_weights(inst, d))
+    for max_len in (13, 14):
+        assert walk_totals(p, max_len) == prime_cycle_totals(p, max_len)
+
+
+def test_walk_totals_match_the_moebius_traces_on_the_dipole(monkeypatch):
+    # 16 arcs at unit weights, with 1,176 prime cycles of length 4 and
+    # 56,495,040 of length 10, far past any listing
+    g = symmetric_digraph(2, [(0, 1)] * 8)
+    _, p = _edge_matrix_data(g, WeightAssignment.from_maps(g))
+    totals = walk_totals(p, 11)
+    assert totals == prime_cycle_totals(p, 11)
+    # the check fails when the oracle flips the sign of mu(n) for n > 1
+    real = oracles.mobius
+    monkeypatch.setattr(oracles, "mobius", lambda n: real(n) if n == 1 else -real(n))
+    assert totals != prime_cycle_totals(p, 11)
 
 
 @pytest.mark.parametrize(
@@ -1041,20 +1061,17 @@ def test_verify_reports_a_perturbed_vertex_det(tmp_path, monkeypatch, capsys, na
     assert out.endswith("overall MISMATCH\n")
 
 
-@pytest.mark.parametrize("name", ["paper-digraph", "paper-graph"])
-def test_a_corrupted_theta_builder_fails_the_ihara_verdict(tmp_path, monkeypatch, capsys, name):
-    # every route but the vertex side shares the one theta builder, which
-    # verify calls once; the vertex side reads tau1 and tau2 on its own, so
-    # a defect in the builder shows as a Hashimoto-vs-Ihara mismatch
+def require_builder_caught(tmp_path, monkeypatch, capsys, name, corrupt):
+    """verify with ``corrupt`` applied to the rows of P that the one theta
+    builder returns must exit 1 on the Hashimoto-vs-Ihara verdict alone."""
     real = zeta._edge_matrix_data
     calls = []
 
     def corrupted(d, w):
         calls.append(d)
-        rows, dens = real(d, w)
-        a, b = next((a, b) for a, row in enumerate(rows) for b, x in enumerate(row) if x)
-        rows[a][b] *= 2
-        return rows, dens
+        scale, rows = real(d, w)
+        corrupt(rows)
+        return scale, rows
 
     monkeypatch.setattr(zeta, "_edge_matrix_data", corrupted)
     path = tmp_path / f"{name}.zw"
@@ -1065,6 +1082,29 @@ def test_a_corrupted_theta_builder_fails_the_ihara_verdict(tmp_path, monkeypatch
     for series in ("exponential-vs-euler", "exponential-vs-hashimoto", "euler-vs-hashimoto"):
         assert f"VERDICT {series} agree\n" in out
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", ["paper-digraph", "paper-graph"])
+def test_a_corrupted_theta_builder_fails_the_ihara_verdict(tmp_path, monkeypatch, capsys, name):
+    # every route but the vertex side shares the one theta builder, which
+    # verify calls once; the vertex side reads tau1 and tau2 on its own, so
+    # a defect in the builder shows as a Hashimoto-vs-Ihara mismatch
+    def double_first_entry(rows):
+        a, b = next((a, b) for a, row in enumerate(rows) for b, x in enumerate(row) if x)
+        rows[a][b] *= 2
+
+    require_builder_caught(tmp_path, monkeypatch, capsys, name, double_first_entry)
+
+
+@pytest.mark.parametrize("name", ["paper-digraph", "paper-graph"])
+def test_a_theta_builder_that_doubles_every_entry_fails_the_ihara_verdict(tmp_path, monkeypatch, capsys, name):
+    # 2P over the same D is theta doubled on every route that reads (D, P):
+    # the three series still agree with each other, and only the vertex
+    # side, which reads the weights itself, can tell
+    def double_every_entry(rows):
+        rows[:] = [[2 * x for x in row] for row in rows]
+
+    require_builder_caught(tmp_path, monkeypatch, capsys, name, double_every_entry)
 
 
 def vertex_tables(res):
