@@ -33,7 +33,6 @@ from .instances import (
 )
 from .walk import (
     WalkError,
-    check_probability,
     eigenvalues_numeric,
     grover_spectrum_via_zeta,
     grover_transition,
@@ -207,9 +206,8 @@ def cmd_spectrum(ns) -> tuple[str, int]:
         u = grover_transition(g)
         derived = grover_spectrum_via_zeta(g)
     else:
-        prob = check_probability(g, inst.prob)
-        u = szegedy_transition(g, prob)
-        derived = szegedy_spectrum_via_factorization(g, prob)
+        u = szegedy_transition(g, inst.prob)
+        derived = szegedy_spectrum_via_factorization(g, inst.prob)
     direct = eigenvalues_numeric(u)
     rep.add("unitarity-defect", f"{unitarity_defect(u):.3e}")
     rep.lines += _spectrum_lines("direct", direct, rep.records)

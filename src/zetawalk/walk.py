@@ -26,15 +26,14 @@ distance matrix, each reduced _BLOCK rows at a time, so the working set is
 about 2 n^2 * 8 bytes for n arcs (10 MB at 800 arcs), besides the copy of U
 that LAPACK takes inside the eigensolve.
 
-The probabilities are checked in integers: each reduced n/d must satisfy
-0 < n <= d, and the row sums are compared over the lcm of the row's
-denominators; ``check_probability`` checks the graph and them once for
-several Szegedy calls on one graph.  The entries of U and T are square
+Every public walk function checks its graph, and each Szegedy function its
+probabilities, on each call.  The probabilities are checked in integers:
+each reduced n/d must satisfy 0 < n <= d, and the row sums are compared
+over the lcm of the row's denominators.  The entries of U and T are square
 roots of products of two probabilities, taken in Python-int arithmetic at
-any size and exact wherever the product is a rational square.  The root is
-symmetric, so U takes it once per distinct unordered pair of probability
-values (a Grover walk, once per pair of distinct degrees) and places it by
-numpy index arrays over the arcs sorted by tail; T takes it once per edge.
+any size and exact wherever the product is a rational square.  U takes one
+root per entry and places them by numpy index arrays over the arcs sorted
+by tail; T takes one per edge.
 
 This module makes every numpy call in the library, the direct eigensolve
 ``eigenvalues_numeric`` among them; the exact kernel in ``linalg`` uses
@@ -45,8 +44,8 @@ not load it.  A walk verb pays for it on its first call.
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -78,12 +77,15 @@ def uniform_probability(g: Digraph) -> dict[int, Fraction]:
 
 
 def _uniform_terms(g: Digraph) -> list[tuple[int, int]]:
-    """The Grover assignment as (numerator, denominator) pairs in arc order."""
+    """The Grover assignment as (numerator, denominator) pairs in arc order,
+    on g checked as a walk graph."""
+    _require_walk_graph(g)
     return [(1, g.degree(t)) for t in g.tails]
 
 
-def _probability_terms(g: Digraph, p) -> list[tuple[int, int]]:
-    """p as (numerator, denominator) pairs in arc order, checked in integers.
+def _checked_terms(g: Digraph, p) -> list[tuple[int, int]]:
+    """p as (numerator, denominator) pairs in arc order, on g checked as a
+    walk graph, with p checked in integers.
 
     Every arc needs a probability and every key must be an arc id.  Each
     probability goes through ``algebra.as_fraction``, so a float raises
@@ -92,6 +94,7 @@ def _probability_terms(g: Digraph, p) -> list[tuple[int, int]]:
     sum n_i * (L // d_i) == L for L = lcm(d_i).  The checks do no Fraction
     arithmetic; a Fraction only words a row-sum error.
     """
+    _require_walk_graph(g)
     terms = []
     for a in range(g.arc_count):
         if a not in p:
@@ -113,33 +116,6 @@ def _probability_terms(g: Digraph, p) -> list[tuple[int, int]]:
     return terms
 
 
-@dataclass(frozen=True)
-class CheckedProbability:
-    """A walk graph ``g`` and its probabilities, both checked once: their
-    (numerator, denominator) pairs in arc order.  The Szegedy functions
-    take one in place of p and skip both checks on that graph."""
-
-    g: Digraph
-    terms: list[tuple[int, int]]
-
-
-def check_probability(g: Digraph, p) -> CheckedProbability:
-    """Check g as a walk graph and p against it, once for several Szegedy
-    calls; the errors are those of ``szegedy_transition``."""
-    _require_walk_graph(g)
-    return CheckedProbability(g, _probability_terms(g, p))
-
-
-def _checked_terms(g: Digraph, p) -> list[tuple[int, int]]:
-    """The terms of p on g, checking g and p unless p was checked on g."""
-    if isinstance(p, CheckedProbability):
-        if p.g is not g:
-            raise WalkError("probabilities were checked against another graph")
-        return p.terms
-    _require_walk_graph(g)
-    return _probability_terms(g, p)
-
-
 def _sqrt_product(x: tuple[int, int], y: tuple[int, int]) -> float:
     """sqrt(x*y) for x and y given as (numerator, denominator) pairs, exact
     when the product is a rational square.
@@ -154,17 +130,6 @@ def _sqrt_product(x: tuple[int, int], y: tuple[int, int]) -> float:
     if root * root == n * d:
         return root / d
     return math.sqrt(n / d)
-
-
-def _pair_roots(values: list[tuple[int, int]], ka: np.ndarray, kb: np.ndarray) -> np.ndarray:
-    """sqrt(values[ka[i]] * values[kb[i]]) for each i, by one _sqrt_product
-    per distinct unordered pair of values: the root is symmetric."""
-    import numpy as np
-    k = len(values)
-    keys = np.minimum(ka, kb) * k + np.maximum(ka, kb)
-    distinct, where = np.unique(keys, return_inverse=True)
-    roots = [_sqrt_product(values[key // k], values[key % k]) for key in distinct.tolist()]
-    return np.array(roots, dtype=float)[where]
 
 
 def _transition(g: Digraph, terms: list[tuple[int, int]]) -> np.ndarray:
@@ -188,11 +153,9 @@ def _transition(g: Digraph, terms: list[tuple[int, int]]) -> np.ndarray:
     first = (np.cumsum(deg) - deg)[tails]  # where tail(a)'s arcs start in by_tail
     rows = np.repeat(np.arange(n), width)
     out = by_tail[np.arange(rows.size) + np.repeat(first - start, width)]  # c, entry by entry
-    index: dict[tuple[int, int], int] = {}  # each distinct value's class
-    cls = np.array([index.setdefault(t, len(index)) for t in terms], dtype=np.intp)
-    values = list(index)
+    roots = [_sqrt_product(terms[a], terms[c]) for a, c in zip(rows.tolist(), out.tolist())]
     cols = out ^ 1
-    vals = 2.0 * _pair_roots(values, cls[rows], cls[out]) - (out == rows)  # c = a: the flip
+    vals = 2.0 * np.array(roots) - (out == rows)  # c = a: the flip
     u = np.zeros((n, n))
     u[rows, cols] = vals
     return u
@@ -225,10 +188,7 @@ def _quadratic_roots(mu: float) -> tuple[complex, complex]:
     from the snap threshold.
     """
     disc = (2.0 * mu) ** 2 - 4.0
-    if abs(disc) <= 1e-11:
-        root = 0.0
-    else:  # the principal square root of disc + 0j
-        root = complex(math.sqrt(disc), 0.0) if disc > 0 else complex(0.0, math.sqrt(-disc))
+    root = 0.0 if abs(disc) <= 1e-11 else cmath.sqrt(disc)
     return ((2.0 * mu + root) / 2.0, (2.0 * mu - root) / 2.0)
 
 
@@ -263,7 +223,6 @@ def szegedy_transition(g: Digraph, p) -> np.ndarray:
 
 def grover_transition(g: Digraph) -> np.ndarray:
     """The Grover transition matrix 2/deg(tail(a)) on adjacencies minus the partner flip."""
-    _require_walk_graph(g)
     return _transition(g, _uniform_terms(g))
 
 
@@ -326,7 +285,6 @@ def szegedy_discriminant(g: Digraph, p) -> np.ndarray:
 
 def grover_spectrum_via_zeta(g: Digraph) -> list[complex]:
     """Spectrum of the Grover walk from the vertex factorization."""
-    _require_walk_graph(g)
     return _spectrum(g, _uniform_terms(g))
 
 

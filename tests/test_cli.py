@@ -307,34 +307,6 @@ def test_cli_spectrum_szegedy_constants(tmp_path):
     assert "VERDICT spectrum agree" in out
 
 
-def test_cli_spectrum_szegedy_checks_the_probabilities_once(tmp_path, monkeypatch):
-    real = walk._probability_terms
-    calls = []
-
-    def counted(g, p):
-        calls.append(p)
-        return real(g, p)
-
-    monkeypatch.setattr(walk, "_probability_terms", counted)
-    code, out, _ = run_cli("spectrum", write_fixture(tmp_path, "p3"), "szegedy")
-    assert code == 0 and "VERDICT spectrum agree" in out
-    assert len(calls) == 1
-
-
-def test_cli_spectrum_szegedy_checks_the_walk_graph_once(tmp_path, monkeypatch):
-    real = walk._require_walk_graph
-    calls = []
-
-    def counted(g):
-        calls.append(g)
-        return real(g)
-
-    monkeypatch.setattr(walk, "_require_walk_graph", counted)
-    code, out, _ = run_cli("spectrum", write_fixture(tmp_path, "p3"), "szegedy")
-    assert code == 0 and "VERDICT spectrum agree" in out
-    assert len(calls) == 1
-
-
 # Spectrum values for the report-line comparison: signed zeros, ties in the
 # real part, conjugate pairs, floats beside complex numbers, infinities, NaN.
 PARTS = (0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 1e-12, -1e-12, 0.123456789012345, math.inf, -math.inf, math.nan)

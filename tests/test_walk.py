@@ -3,6 +3,7 @@ import contextlib
 import io
 import itertools
 import math
+import random
 import re
 import time
 import tracemalloc
@@ -18,7 +19,6 @@ from zetawalk.walk import (
     _BLOCK,
     WalkError,
     _sqrt_product,
-    check_probability,
     eigenvalues_numeric,
     grover_spectrum_via_zeta,
     grover_transition,
@@ -44,9 +44,8 @@ from oracles import (
 OMEGA = cmath.exp(2j * math.pi / 3)
 
 
-def checked_fractions(g, p):
-    """p as {arc id: Fraction}, once ``check_probability`` accepts it."""
-    check_probability(g, p)
+def as_fractions(p):
+    """p as {arc id: Fraction}, the form the oracles take."""
     return {a: Fraction(x) for a, x in p.items()}
 
 
@@ -217,7 +216,7 @@ def test_grover_factorization_random_instances(rng):
 def assert_walk_matches_oracles(g, p):
     """U and T equal the entry-by-entry oracles, and the spectrum read off
     the factorization matches a direct eigensolve of U."""
-    probs = checked_fractions(g, p)
+    probs = as_fractions(p)
     u = szegedy_transition(g, p)
     assert np.array_equal(u, walk_transition(g, probs))
     assert np.array_equal(szegedy_discriminant(g, p), walk_discriminant(g, probs))
@@ -243,17 +242,21 @@ def test_walk_rejects_isolated_vertex():
         grover_transition(g)
 
 
-def test_probability_validation_errors():
+SZEGEDY_ENTRIES = (szegedy_transition, szegedy_discriminant, szegedy_spectrum_via_factorization)
+
+
+@pytest.mark.parametrize("call", SZEGEDY_ENTRIES)
+def test_probability_validation_errors(call):
     g = symmetric_digraph(2, [(0, 1)])
     with pytest.raises(WalkError, match="missing probability"):
-        check_probability(g, {0: Fraction(1)})
+        call(g, {0: Fraction(1)})
     with pytest.raises(WalkError, match="outside"):
-        check_probability(g, {0: Fraction(3, 2), 1: Fraction(1)})
+        call(g, {0: Fraction(3, 2), 1: Fraction(1)})
     tri = fixture_digraph("triangle")
     probs = uniform_probability(tri)
     probs[0] = Fraction(1, 3)
     with pytest.raises(WalkError, match="vertex 0"):
-        check_probability(tri, probs)
+        call(tri, probs)
 
 
 def test_probability_for_an_unknown_arc_id_is_refused():
@@ -261,35 +264,23 @@ def test_probability_for_an_unknown_arc_id_is_refused():
     g = symmetric_digraph(2, [(0, 1)])
     for key, value in ((7, Fraction(1, 2)), (-1, 3)):
         p = {0: 1, 1: 1, key: value}
-        for call in (check_probability, szegedy_transition, szegedy_discriminant, szegedy_spectrum_via_factorization):
+        for call in SZEGEDY_ENTRIES:
             with pytest.raises(WalkError, match=f"^probability for unknown arc id {key}$"):
                 call(g, p)
 
 
-def test_checked_probability_gives_the_same_walk_on_its_own_graph_only():
-    g = fixture_digraph("paper-graph")
-    p = uniform_probability(g)
-    checked = check_probability(g, p)
-    assert np.array_equal(szegedy_transition(g, checked), szegedy_transition(g, p))
-    assert np.array_equal(szegedy_discriminant(g, checked), szegedy_discriminant(g, p))
-    assert szegedy_spectrum_via_factorization(g, checked) == szegedy_spectrum_via_factorization(g, p)
-    other = fixture_digraph("paper-graph")
-    with pytest.raises(WalkError, match="another graph"):
-        szegedy_transition(other, checked)
-
-
-def test_probability_floats_raise_type_error():
+@pytest.mark.parametrize("call", SZEGEDY_ENTRIES)
+def test_probability_floats_raise_type_error(call):
     tri = fixture_digraph("triangle")
     split = {}
     for v in range(tri.vertex_count):
         first, second = tri.out_arcs(v)
         split[first], split[second] = 0.9, 0.1
     with pytest.raises(TypeError, match="not an exact rational"):
-        check_probability(tri, split)
+        call(tri, split)
     # the binary values of 0.9 and 0.1, made exact, do not sum to 1
-    exact_drift = {a: Fraction(x) for a, x in split.items()}
     with pytest.raises(WalkError, match="sum to"):
-        check_probability(tri, exact_drift)
+        call(tri, as_fractions(split))
 
 
 def test_spectrum_deviation_requires_equal_sizes():
@@ -497,7 +488,7 @@ def test_walk_matrices_bit_identical_on_square_products():
         ["1/8", "1/2", "3/8"],   # U: sqrt(1/8 * 1/2) = 1/4; T[2][3] = sqrt(3/8 * 2/3) = 1/2
         ["1/6", "1/6", "2/3"],
     ])
-    probs = checked_fractions(k4, p)
+    probs = as_fractions(p)
     u = szegedy_transition(k4, p)
     assert np.array_equal(u, walk_transition(k4, probs))
     assert np.array_equal(szegedy_discriminant(k4, p), walk_discriminant(k4, probs))
@@ -509,11 +500,15 @@ def test_walk_matrices_bit_identical_to_oracle(rng):
     graphs = [fixture_digraph(name) for name in ("triangle", "c4", "k4", "p3")]
     graphs += [random_connected_graph(rng, 2, 12, 30) for _ in range(10)]
     graphs += [random_walk_graph(rng, nv) for nv in range(2, 13)]
-    for g in graphs:
+    cases = [(g, random_probability(rng, g)) for g in graphs]
+    # the seeded 200-vertex, 400-edge instance of the CI spectrum step: 800 arcs
+    ci_rng = random.Random(1)
+    big = random_walk_graph(ci_rng, 200)
+    cases.append((big, random_probability(ci_rng, big)))
+    for g, p in cases:
         uniform = uniform_probability(g)
         assert np.array_equal(grover_transition(g), walk_transition(g, uniform))
         assert np.array_equal(szegedy_discriminant(g, uniform), walk_discriminant(g, uniform))
-        p = random_probability(rng, g)
         assert np.array_equal(szegedy_transition(g, p), walk_transition(g, p))
         assert np.array_equal(szegedy_discriminant(g, p), walk_discriminant(g, p))
 
@@ -530,7 +525,7 @@ def test_walk_matrices_bit_identical_on_big_rationals():
         [u, 4 * u, 1 - 5 * u],  # the double edge, then the edge to 2
         [z, 1 - z],
     ])
-    probs = checked_fractions(g, p)
+    probs = as_fractions(p)
     assert min(a.numerator * b.numerator * a.denominator * b.denominator
                for a in probs.values() for b in probs.values()) > 2**64
     assert_walk_matches_oracles(g, p)
