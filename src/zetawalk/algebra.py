@@ -4,9 +4,9 @@ with exact rational coefficients (:class:`fractions.Fraction`).
 The three classes are exact value types: the program constructs,
 normalizes, compares and renders them, and none has ring operators.
 Polynomials are stored densely, constant term first, with trailing zero
-coefficients stripped; ``divmod``, ``gcd`` and ``monic`` serve the
-normalization.  Rational functions are kept in canonical form: numerator
-and denominator coprime, denominator monic, so equality is structural.
+coefficients stripped.  Rational functions are kept in canonical form:
+numerator and denominator coprime, denominator monic, so equality is
+structural; their common factor is found and divided out in Python ints.
 Series carry an explicit truncation order, and two series are compared up
 to the smaller one; their only arithmetic is ``inv``, which runs in Python
 ints and gives ``verify`` its Hashimoto series 1 / det(I - t*M); the other
@@ -22,13 +22,11 @@ from __future__ import annotations
 
 from decimal import Decimal
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-# The Mersenne prime 2^61 - 1, modulo which RatFunc certifies coprimality.
-_CERTIFICATE_PRIME = (1 << 61) - 1
 
 
 def as_fraction(x) -> Fraction:
@@ -66,26 +64,12 @@ class Poly:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    @classmethod
-    def zero(cls):
-        return cls([])
-
-    @classmethod
-    def one(cls):
-        return cls([_ONE])
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
-
-    def lead(self):
-        return self.coeffs[-1] if self.coeffs else _ZERO
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
@@ -93,50 +77,6 @@ class Poly:
         return self.coeffs == other.coeffs
 
     __hash__ = None
-
-    def scale(self, s) -> "Poly":
-        s = as_fraction(s)
-        return Poly([c * s for c in self.coeffs])
-
-    def divmod(self, other):
-        """Long division; returns (quotient, remainder)."""
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dlead = other.lead()
-        dn = other.degree
-        quot = [_ZERO] * max(len(rem) - dn, 0)
-        for i in range(len(rem) - dn - 1, -1, -1):
-            c = rem[i + dn]
-            if c == 0:
-                continue
-            q = c / dlead
-            quot[i] = q
-            for j, dc in enumerate(other.coeffs):
-                rem[i + j] = rem[i + j] - q * dc
-        return Poly(quot), Poly(rem)
-
-    def exact_div(self, other) -> "Poly":
-        """Division known to be remainder-free; raises if a remainder is left."""
-        q, r = self.divmod(other)
-        if not r.is_zero():
-            raise ValueError(f"inexact polynomial division, remainder {r.render()}")
-        return q
-
-    def gcd(self, other) -> "Poly":
-        """Monic gcd via Euclid."""
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a.divmod(b)[1]
-        if a.is_zero():
-            return a
-        return a.monic()
-
-    def monic(self) -> "Poly":
-        if self.is_zero():
-            raise ZeroDivisionError("zero polynomial has no monic form")
-        lead = self.lead()
-        return Poly([c / lead for c in self.coeffs])
 
     def render(self) -> str:
         terms = []
@@ -161,48 +101,39 @@ class RatFunc:
     Canonical form: gcd(num, den) = 1 and den monic, so equality is a
     structural check.
 
-    The Euclid over Q that finds gcd(num, den) is skipped when num and den
-    are certified coprime (``_certified_coprime``): p = 2^61 - 1 divides no
-    coefficient denominator and neither leading coefficient, and the images
-    of num and den modulo p are coprime.  The proof: let g in Z[t] be a
-    primitive common factor of num and den of degree >= 1.  By Gauss's lemma
-    over the integers localized at p, num = g h with h p-integral, since num
-    is and g is primitive; so num mod p = (g mod p)(h mod p), and likewise
-    for den.  p divides no leading coefficient of num, so none of g, and
-    g mod p keeps its degree >= 1 and divides both images.  Coprime images
-    therefore rule out every common factor.  In every other case the Euclid
-    runs.
+    When both sides have degree >= 1 they are cleared to integer
+    coefficients over the lcm of all their denominators, and their gcd, a
+    primitive polynomial in Z[t] (``_primitive_gcd``), is divided out of
+    both in ints; a quotient that leaves a remainder raises ValueError.  A
+    constant on either side has gcd 1.  The denominator is then made monic.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: Poly, den: Poly):
-        if den.is_zero():
+        if not den:
             raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero():
-            num, den = Poly.zero(), Poly.one()
+        if not num:
+            num, den = Poly([]), Poly([_ONE])
         else:
-            # a constant on either side has gcd 1
-            if den.degree > 0 and num.degree > 0 and not _certified_coprime(num, den):
-                g = num.gcd(den)
-                if g.degree > 0:
-                    num = num.exact_div(g)
-                    den = den.exact_div(g)
-            lead = den.lead()
+            if den.degree > 0 and num.degree > 0:
+                scale = lcm(*(c.denominator for c in num.coeffs + den.coeffs))
+                a, b = ([c.numerator * (scale // c.denominator) for c in p.coeffs] for p in (num, den))
+                g = _primitive_gcd(a, b)
+                if len(g) > 1:
+                    num, den = Poly(_exact_quotient(a, g)), Poly(_exact_quotient(b, g))
+            lead = den.coeffs[-1]
             if lead != 1:
-                num, den = num.scale(1 / lead), den.scale(1 / lead)
+                num, den = (Poly([c / lead for c in p.coeffs]) for p in (num, den))
         self.num = num
         self.den = den
 
     @classmethod
     def from_poly(cls, p: Poly) -> "RatFunc":
-        return cls(p, Poly.one())
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return cls(p, Poly([_ONE]))
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return bool(self.num)
 
     def is_poly(self) -> bool:
         return self.den.degree == 0
@@ -225,37 +156,55 @@ class RatFunc:
         return f"RatFunc({self.render()})"
 
 
-def _image_mod(p: Poly, q: int) -> list[int] | None:
-    """The coefficients of p modulo the prime q, constant term first, or None
-    when q divides a coefficient denominator or the leading coefficient."""
-    image = []
-    for c in p.coeffs:
-        d = c.denominator % q
-        if not d:
-            return None
-        image.append(c.numerator * pow(d, -1, q) % q)
-    return image if image[-1] else None
+def _primitive(a: list[int]) -> list[int]:
+    """a divided by the gcd of its coefficients."""
+    c = gcd(*a)
+    return [x // c for x in a] if c > 1 else a
 
 
-def _certified_coprime(a: Poly, b: Poly) -> bool:
-    """True when a and b, both nonzero, are proved coprime over Q by their
-    images modulo p = 2^61 - 1 (``RatFunc`` gives the proof); False when the
-    images share a factor or the certificate does not apply."""
-    q = _CERTIFICATE_PRIME
-    x, y = _image_mod(a, q), _image_mod(b, q)
-    if x is None or y is None:
-        return False
-    while y:  # Euclid modulo q; y is trimmed, so y[-1] is a unit
-        inv = pow(y[-1], -1, q)
-        while len(x) >= len(y):
-            c = x[-1] * inv % q
-            shift = len(x) - len(y)
-            for i, v in enumerate(y, shift):
-                x[i] = (x[i] - c * v) % q
-            while x and not x[-1]:
-                x.pop()
-        x, y = y, x
-    return len(x) == 1
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """A remainder of a by b, b nonzero, in Z[t]: m * a - q * b of degree
+    below b's for some nonzero integer m and integer polynomial q; trimmed.
+    Each step scales the remainder by lead(b) / gcd(lead(b), its lead)."""
+    r = list(a)
+    lead = b[-1]
+    while len(r) >= len(b):
+        c = gcd(r[-1], lead)
+        m, q = lead // c, r.pop() // c
+        r = [m * x for x in r]
+        for i, y in enumerate(b[:-1], len(r) + 1 - len(b)):
+            r[i] -= q * y
+        while r and not r[-1]:
+            r.pop()
+    return r
+
+
+def _primitive_gcd(a: list[int], b: list[int]) -> list[int]:
+    """The gcd of two nonzero integer polynomials as a primitive polynomial,
+    up to sign: Euclid on the primitive parts of pseudo-remainders (Knuth,
+    TAOCP Vol. 2, 4.6.1, Algorithm E).  A pseudo-remainder m a - q b, m a
+    nonzero integer, and its primitive part share with b the common divisors
+    over Q that a has, so the last nonzero member of the sequence is a gcd
+    over Q; being primitive, it divides a and b in Z[t] (Gauss's lemma)."""
+    a, b = _primitive(a), _primitive(b)
+    while b:
+        a, b = b, _primitive(_pseudo_remainder(a, b))
+    return a
+
+
+def _exact_quotient(a: list[int], g: list[int]) -> list[int]:
+    """a / g in Z[t] by long division in ints; raises ValueError when g does
+    not divide a there, which for a primitive g means not over Q either.  An
+    inexact step leaves a nonzero coefficient that no later step touches."""
+    r = list(a)
+    q = [0] * (len(a) - len(g) + 1)
+    for i in reversed(range(len(q))):
+        q[i] = r[i + len(g) - 1] // g[-1]
+        for j, y in enumerate(g, i):
+            r[j] -= q[i] * y
+    if any(r):
+        raise ValueError(f"inexact polynomial division of {Poly(a).render()} by {Poly(g).render()}")
+    return q
 
 
 class Series:

@@ -255,20 +255,21 @@ def eigenvalues_numeric(m) -> list[complex]:
     eigenvalues come in exact conjugate pairs and whose real eigenvalues have
     imaginary part exactly 0.  Nested lists become a float array, or a
     complex one only when some entry is complex.  A 0 x 0 matrix, or
-    ``[]``, has no eigenvalues; any other non-square input is refused.
-    LAPACK convergence failures are surfaced with the matrix shape in the
-    message.
+    ``[]``, has no eigenvalues; any other non-square input, a flat or a
+    ragged list included, is refused.  LAPACK convergence failures are
+    surfaced with the matrix shape in the message.
     """
     import numpy as np
-    if isinstance(m, np.ndarray):
-        arr = m
-    else:
-        is_complex = any(isinstance(x, (complex, np.complexfloating)) for row in m for x in row)
-        arr = np.array(m, dtype=complex if is_complex else float)
+    # a list is shaped as objects first, so a flat or ragged one gets its
+    # shape, not an entry-type or broadcasting error
+    arr = m if isinstance(m, np.ndarray) else np.array(m, dtype=object)
     if arr.shape != (0,) and (arr.ndim != 2 or arr.shape[0] != arr.shape[1]):
         raise ValueError(f"matrix is not square: {arr.shape}")
     if not arr.size:
         return []
+    if arr is not m:
+        is_complex = any(isinstance(x, (complex, np.complexfloating)) for x in arr.flat)
+        arr = arr.astype(complex if is_complex else float)
     try:
         vals = np.linalg.eigvals(arr)
     except np.linalg.LinAlgError as exc:

@@ -241,7 +241,7 @@ def char_poly_exact(m: Matrix) -> Poly:
     m._require_square()
     n = m.rows
     if n == 0:
-        return Poly.one()
+        return Poly([1])
     work = mat_map(m, as_fraction)
     ident = identity(n, Fraction(1), Fraction(0))
     cs = [Fraction(1)]

@@ -359,9 +359,9 @@ def test_criterion_9_cli_determinism(tmp_path):
         3,
         one,
         one,
-        Poly.one(),
+        Poly([1]),
         one,
-        RatFunc.from_poly(Poly.one()),
+        RatFunc.from_poly(Poly([1])),
         (Verdict("hashimoto-vs-ihara", False, "at t^1"),),
     )
     if exit_code_for_report(fabricated) != 1:

@@ -4,12 +4,14 @@ from fractions import Fraction
 import pytest
 from sympy.polys.ring_series import rs_exp, rs_series_inversion
 
-from zetawalk import algebra
+from zetawalk import algebra, zeta
 from zetawalk.algebra import Poly, RatFunc, Series
 from zetawalk.digraph import build_digraph
+from zetawalk.instances import instance_digraph, instance_weights, parse_instance
 from zetawalk.zeta import WeightAssignment, _exp_of_power_sums
 
 from oracles import FIELD, RING, T, Matrix, coeffs, lift, mat_mul, series_log, trace
+from test_golden import LARGE, large_instance
 
 
 def P(*coeffs):
@@ -29,30 +31,6 @@ def test_poly_normalization_strips_trailing_zeros():
     assert Poly([0, 0]).degree == -1
 
 
-def test_poly_divmod_and_exact_div():
-    num = P(1, 0, -1)
-    q = num.exact_div(P(1, 1))
-    assert q == P(1, -1)
-    with pytest.raises(ValueError, match="remainder"):
-        P(1, 1, 1).exact_div(P(1, 1))
-
-
-def test_poly_gcd_monic():
-    a = Poly(coeffs((1 + T) * (2 + 2 * T + 2 * T**2)))
-    b = Poly(coeffs((1 + T) * (3 + 3 * T**2)))
-    g = a.gcd(b)
-    assert g.lead() == 1
-    assert a.divmod(g)[1].is_zero() and b.divmod(g)[1].is_zero()
-
-
-def test_poly_gcd_is_the_monic_gcd_in_sympy(rng):
-    for _ in range(60):
-        common = random_poly(rng, rng.randint(0, 3))
-        a = common * random_poly(rng, rng.randint(0, 4))
-        b = common * random_poly(rng, rng.randint(0, 4)) if rng.random() < 0.9 else RING.zero
-        assert Poly(coeffs(a)).gcd(Poly(coeffs(b))).coeffs == coeffs(a.gcd(b).monic())
-
-
 def test_ratfunc_product_cancels():
     lhs = RatFunc(Poly(coeffs(T * (1 - T**2))), P(1, 0, -1))
     assert lhs == RatFunc.from_poly(P(0, 1))
@@ -68,14 +46,14 @@ def test_ratfunc_canonical_form_unique(rng):
     for _ in range(40):
         num = Poly([Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(4)])
         den = Poly([Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3)])
-        if den.is_zero() or num.is_zero():
+        if not den or not num:
             continue
         scale = lift(Poly([Fraction(rng.randint(1, 9)), Fraction(rng.randint(-9, 9))]))
         a = RatFunc(num, den)
         b = RatFunc(Poly(coeffs(lift(num) * scale)), Poly(coeffs(lift(den) * scale)))
         assert a.num == b.num and a.den == b.den
-        assert a.den.lead() == 1
-        assert a.num.gcd(a.den).degree <= 0
+        assert a.den.coeffs[-1] == 1
+        assert lift(a.num).gcd(lift(a.den)).degree() <= 0
         # the same value reached in sympy's QQ(t)
         assert coeffs(FIELD(lift(num)) / FIELD(lift(den))) == (a.num.coeffs, a.den.coeffs)
 
@@ -89,97 +67,82 @@ def test_ratfunc_is_the_cancelled_form_in_sympy(rng):
             num = RING.zero
         r = RatFunc(Poly(coeffs(num * common)), Poly(coeffs(den * common)))
         assert (r.num.coeffs, r.den.coeffs) == coeffs(FIELD(num) / FIELD(den))
+    # a and b with a common factor, b zero one time in ten, in both orders
+    for _ in range(60):
+        common = random_poly(rng, rng.randint(0, 3))
+        a = common * random_poly(rng, rng.randint(0, 4))
+        b = common * random_poly(rng, rng.randint(0, 4)) if rng.random() < 0.9 else RING.zero
+        assert_cancelled_as_in_sympy(b, a)
+        if b:
+            assert_cancelled_as_in_sympy(a, b)
+
+
+def test_ratfunc_cancels_high_degree_common_factors(rng):
+    # a common factor of degree 2-8 in sides of degree up to 20
+    for _ in range(60):
+        common = random_poly(rng, rng.randint(2, 8))
+        num, den = (random_poly(rng, rng.randint(0, 20 - common.degree())) for _ in range(2))
+        assert_cancelled_as_in_sympy(num * common, den * common)
 
 
 def test_ratfunc_over_a_constant_is_the_scaled_polynomial(rng):
-    # a constant denominator is skipped by Euclid; the canonical form is
+    # a constant denominator has gcd 1 with anything; the canonical form is
     # still num / c over 1, the same as over any constant multiple of 1
     for _ in range(60):
         num = Poly([Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(rng.randint(0, 6))])
         c = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
         r = RatFunc(num, P(c))
-        assert (r.num, r.den) == (num.scale(1 / c), P(1))
-        assert r == RatFunc(Poly(coeffs(lift(num) * (1 + T))), P(c, c)) == RatFunc.from_poly(num.scale(1 / c))
-        assert r.is_poly() and r.num == num.scale(1 / c)
+        scaled = Poly([x / c for x in num.coeffs])
+        assert (r.num, r.den) == (scaled, P(1))
+        assert r == RatFunc(Poly(coeffs(lift(num) * (1 + T))), P(c, c)) == RatFunc.from_poly(scaled)
+        assert r.is_poly() and r.num == scaled
 
 
 def test_ratfunc_with_a_constant_numerator_is_canonical(rng):
-    # a constant numerator skips Euclid; the denominator is still made monic
+    # a constant numerator has gcd 1 with anything; the denominator is still made monic
     for _ in range(60):
         c = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
         den = Poly([Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(rng.randint(1, 5))] + [Fraction(rng.randint(1, 9))])
         r = RatFunc(P(c), den)
-        assert (r.num, r.den) == (P(c / den.lead()), den.scale(1 / den.lead()))
+        lead = den.coeffs[-1]
+        assert (r.num, r.den) == (P(c / lead), Poly([x / lead for x in den.coeffs]))
         assert r == RatFunc(P(c, c), Poly(coeffs(lift(den) * (1 + T))))
         assert (r.num.coeffs, r.den.coeffs) == coeffs(c / FIELD(lift(den)))
 
 
-# RatFunc skips its Euclid on pairs certified coprime modulo p = 2^61 - 1.
 PRIME = (1 << 61) - 1
-
-
-def count_euclid(monkeypatch) -> list:
-    """One entry per ``Poly.gcd`` call, the Euclid that RatFunc skips on a
-    certified pair."""
-    calls = []
-    real = Poly.gcd
-
-    def counted(a, b):
-        calls.append((a, b))
-        return real(a, b)
-
-    monkeypatch.setattr(Poly, "gcd", counted)
-    return calls
 
 
 def assert_cancelled_as_in_sympy(num, den):
     """RatFunc(num, den) is sympy's cancel of num / den with the denominator
-    made monic, and a certified pair has no common factor in sympy."""
-    a, b = Poly(coeffs(num)), Poly(coeffs(den))
+    made monic."""
     p, q = num.cancel(den)
     lead = q.LC
-    assert (RatFunc(a, b).num.coeffs, RatFunc(a, b).den.coeffs) == (coeffs(p * (1 / lead)), coeffs(q * (1 / lead)))
-    if algebra._certified_coprime(a, b):
-        assert num.gcd(den).degree() == 0
+    r = RatFunc(Poly(coeffs(num)), Poly(coeffs(den)))
+    assert (r.num.coeffs, r.den.coeffs) == (coeffs(p * (1 / lead)), coeffs(q * (1 / lead)))
 
 
-def test_coprime_certificate_against_sympy_cancel(rng, monkeypatch):
-    euclid = count_euclid(monkeypatch)
+def test_ratfunc_cancels_a_shared_single_root(rng):
     # a common factor that shares a single root, in either order
     for num, den in ((1 + 2 * T, 1 - 4 * T**2), (1 - 4 * T**2, (1 + 2 * T) * (3 - T))):
-        assert not algebra._certified_coprime(Poly(coeffs(num)), Poly(coeffs(den)))
         assert_cancelled_as_in_sympy(num, den)
-    certified = 0
     for _ in range(300):
         common = random_poly(rng, rng.choice([0, 0, 1, 2, 3]))
         num, den = (random_poly(rng, rng.randint(1, 4)) * common for _ in range(2))
         if rng.random() < 0.2:  # a shared single root: (1 + ct) against (1 - c^2 t^2)
             c = Fraction(rng.randint(1, 9), rng.randint(1, 9))
             num, den = num * (1 + c * T), den * (1 - c**2 * T**2)
-        a, b = Poly(coeffs(num)), Poly(coeffs(den))
-        cert = algebra._certified_coprime(a, b)
-        assert cert == (num.gcd(den).degree() == 0)  # coefficients this small never meet p
-        certified += cert
-        euclid.clear()
         assert_cancelled_as_in_sympy(num, den)
-        assert bool(euclid) != cert
-    assert 60 <= certified <= 240
 
 
-def test_coprime_certificate_refuses_what_p_divides(rng, monkeypatch):
-    # p in a coefficient denominator or in a leading coefficient: the
-    # images modulo p prove nothing, and the Euclid runs
-    euclid = count_euclid(monkeypatch)
+def test_ratfunc_cancels_with_a_large_prime_in_the_coefficients(rng):
+    # p = 2^61 - 1 in a coefficient denominator or a leading coefficient
     third = Fraction(PRIME, 3)
     cases = [
-        # p divides the leading coefficient of a common factor, whose image is
-        # then a constant: the images 1 and 3 + t would pass for coprime
         (1 + PRIME * T, (1 + PRIME * T) * (3 + T)),
         ((3 + T) * (1 + third * T), 1 + third * T),
-        # 1/p in a common factor
         (T + Fraction(1, PRIME), (T + Fraction(1, PRIME)) * (T - 1)),
         ((T - 2) * (T + Fraction(5, 7 * PRIME)), (T + Fraction(5, 7 * PRIME)) * (1 + T**2)),
-        # coprime pairs that the certificate still leaves to the Euclid
         (1 + T, PRIME * T**2 + 1),
         (Fraction(1, PRIME) + T, 2 + T),
         (PRIME**2 * T**3 + 1, 1 - T),
@@ -188,11 +151,27 @@ def test_coprime_certificate_refuses_what_p_divides(rng, monkeypatch):
         factor = 1 + rng.randint(1, 9) * PRIME * rng.choice([1, -1]) * T
         cases.append((factor * random_poly(rng, rng.randint(0, 2)), factor * random_poly(rng, rng.randint(1, 2))))
     for num, den in cases:
-        num, den = RING(num), RING(den)
-        assert not algebra._certified_coprime(Poly(coeffs(num)), Poly(coeffs(den)))
-        euclid.clear()
-        assert_cancelled_as_in_sympy(num, den)
-        assert euclid
+        assert_cancelled_as_in_sympy(RING(num), RING(den))
+
+
+@pytest.mark.parametrize("case", sorted(LARGE))
+def test_ratfunc_cancels_a_perturbed_mismatch_quotient(case):
+    # num * det P * (1 + 3t) / (den * (1 - 7t^2)) of a large instance: the
+    # quotient a mismatch report would print, with den a factor of both sides
+    inst = parse_instance(large_instance(*case))
+    d = instance_digraph(inst)
+    (num, den, (k_vals, delta)), _ = zeta._vertex_side(d, instance_weights(inst, d))
+    lhs = RING.from_list(num[::-1]) * RING.from_list(k_vals[::-1]) * (1 + 3 * T) * Fraction(1, delta)
+    assert_cancelled_as_in_sympy(lhs, RING.from_list(den[::-1]) * (1 - 7 * T**2))
+
+
+def test_ratfunc_refuses_a_gcd_that_does_not_divide(monkeypatch):
+    # a fault in the integer gcd raises rather than give a wrong canonical form
+    monkeypatch.setattr(algebra, "_primitive_gcd", lambda a, b: [1, 1])
+    with pytest.raises(ValueError, match="inexact polynomial division"):
+        RatFunc(P(1, 0, 1), P(2, 3, 1))
+    with pytest.raises(ValueError, match="inexact polynomial division"):
+        RatFunc(P(1, 1, 0, 5), P(1, 1))
 
 
 def random_power_sums(rng, order):

@@ -741,7 +741,7 @@ def test_exit_code_for_report_contract():
     agree = Verdict("exponential-vs-euler", True, None)
     bad = Verdict("hashimoto-vs-ihara", False, "at t^2")
     one = Series([1], 3)
-    poly = Poly.one()
+    poly = Poly([1])
     ok_report = ZetaReport(3, one, one, poly, one, RatFunc.from_poly(poly), (agree,))
     bad_report = ZetaReport(3, one, one, poly, one, RatFunc.from_poly(poly), (agree, bad))
     assert exit_code_for_report(ok_report) == 0

@@ -596,8 +596,10 @@ def test_eigenvalues_match_char_poly_roots(rng):
 
 
 def test_eigenvalues_requires_square():
-    with pytest.raises(ValueError, match="square"):
-        eigenvalues_numeric([[1, 2, 3], [4, 5, 6]])
+    # a flat list and a ragged one are refused by shape
+    for m in ([[1, 2, 3], [4, 5, 6]], [1, 2], [[1, 2], [3]]):
+        with pytest.raises(ValueError, match="matrix is not square"):
+            eigenvalues_numeric(m)
     # an empty array has eigenvalues only when it is 0 x 0 (or [])
     for empty in (np.zeros((0, 3)), np.zeros(0)[:, None], [[]], np.zeros((0, 0, 0))):
         with pytest.raises(ValueError, match="square"):
