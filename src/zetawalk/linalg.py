@@ -39,14 +39,15 @@ pass integer rows: ``zeta``'s Hashimoto matrix and every companion below.
 
 det(I - t*m) is the characteristic polynomial with its coefficients
 reversed.  ``det_poly_matrix`` builds on that: det P(t) of a sparse
-polynomial matrix P = diag(1/e) Q with P(0) = I, given as
-{(v, u): integer coefficients of Q[v][u]} and the row scales e_v, is
+polynomial matrix P = Q / s with P(0) = I, given as
+{(v, u): integer coefficients of Q[v][u]} and the one scale s, is
 det(I - t*C) of a companion linearization C of P.  Rows that are absent are
 rows of the identity and never enter C.  C^T has C's charpoly, and it is
-built directly, row by row in lowest terms, with no Fraction: C's
-denominators e_v sit in its columns (0, u), and every other column holds
-a single 1, so C^T's rows carry the e_v in only as many rows as P has,
-where C's rows carry one in every row.  C itself is never formed.
+built directly, with no Fraction: C's denominator s sits in its columns
+(0, u), and every other column holds a single 1, so C^T carries s in only
+as many rows as P has, and each of its other rows is a single 1 over 1.
+The kernel's row clearing takes each row to lowest terms.  C itself is
+never formed.
 
 Only ``zeta`` calls this module, and it works in Python ints alone: the
 numeric eigensolve lives in ``walk``.  The dense matrix type, the
@@ -59,7 +60,7 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import count
-from math import gcd, isqrt, lcm, prod
+from math import gcd, isqrt, prod
 from operator import itemgetter, mul
 
 
@@ -229,28 +230,27 @@ def _is_prime(q: int) -> bool:
     return True
 
 
-def det_poly_matrix(p: dict[tuple[int, int], list[int]], dens: dict[int, int]) -> tuple[list[int], int]:
+def det_poly_matrix(p: dict[tuple[int, int], list[int]], scale: int) -> tuple[list[int], int]:
     """(c, Delta): det P(t) = sum_k c_k t^k / Delta for a sparse polynomial
-    matrix P = diag(1/e) Q with P(0) = I.
+    matrix P = Q / scale with P(0) = I.
 
     ``p`` maps (v, u) to the integer coefficients, constant term first, of
-    Q[v][u]; ``dens`` maps v to the integer e_v (1 when absent).  A row with
-    no entry is a row of the identity.  With Q = Q_0 + t*Q_1 + ... and k_v
-    the degree of row v, det P(t) = det(I - t*C) for the companion matrix C
-    with one index (i, v) per row v and 0 <= i < k_v: row (i, v) of C holds
-    -Q_{i+1}[v][u] / e_v in column (0, u) and a 1 in column (i + 1, v) when
-    i + 1 < k_v, so e_v clears the whole row.  C has sum_v k_v rows, the
-    degree bound of det P; rows of degree 0 drop out, with their columns,
-    since det P expands along them.
+    Q[v][u], and ``scale`` is a positive int.  A row with no entry is a row
+    of the identity.  With Q = Q_0 + t*Q_1 + ... and k_v the degree of row
+    v, det P(t) = det(I - t*C) for the companion matrix C with one index
+    (i, v) per row v and 0 <= i < k_v: row (i, v) of C holds
+    -Q_{i+1}[v][u] / scale in column (0, u) and a 1 in column (i + 1, v)
+    when i + 1 < k_v.  C has sum_v k_v rows, the degree bound of det P;
+    rows of degree 0 drop out, with their columns, since det P expands
+    along them.
 
-    C^T goes to ``char_poly_rows``, built row by row in lowest terms: its
-    row (0, u) holds -Q_{i+1}[v][u] / e_v in column (i, v), over the lcm of
-    the reduced denominators of its nonzero entries, and its row (i + 1, v)
-    a single 1 in column (i, v).
+    C^T goes to ``char_poly_rows``: its row (0, u) holds -Q_{i+1}[v][u] in
+    column (i, v) over ``scale``, and its row (i + 1, v) a single 1 in
+    column (i, v) over 1.  The kernel takes each row to lowest terms.
     """
     degree = {}
     for (v, u), cs in p.items():
-        if (cs[0] if cs else 0) != (dens.get(v, 1) if u == v else 0):
+        if (cs[0] if cs else 0) != (scale if u == v else 0):
             raise ValueError("det_poly_matrix needs P(0) = I")
         degree[v] = max(degree.get(v, 0), len(cs) - 1)
     if any((v, v) not in p for v in degree):
@@ -263,17 +263,11 @@ def det_poly_matrix(p: dict[tuple[int, int], list[int]], dens: dict[int, int]) -
     rows = [[0] * size for _ in range(size)]
     row_dens = [1] * size
     for v, s in start.items():
+        row_dens[s] = scale
         for i in range(s + 1, s + degree[v]):
             rows[i][i - 1] = 1
-    entries = {}  # u -> [(column (i, v), -Q_{i+1}[v][u], e_v)] over the nonzero entries
     for (v, u), cs in p.items():
         if v in start and u in start:
-            e = dens.get(v, 1)
-            entries.setdefault(u, []).extend((i, -c, e) for i, c in enumerate(cs[1:], start[v]) if c)
-    for u, row_entries in entries.items():
-        row = rows[start[u]]
-        row_dens[start[u]] = e = lcm(*(d // gcd(x, d) for _, x, d in row_entries))
-        for j, x, d in row_entries:
-            row[j] = x * e // d
+            rows[start[u]][start[v] : start[v] + len(cs) - 1] = [-c for c in cs[1:]]
     values, delta = char_poly_rows(rows, row_dens)
     return values[::-1], delta

@@ -47,6 +47,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from numbers import Number
 from typing import TYPE_CHECKING
 
 from .algebra import as_fraction
@@ -250,24 +251,31 @@ def unitarity_defect(u: np.ndarray) -> float:
 def eigenvalues_numeric(m) -> list[complex]:
     """All eigenvalues (with multiplicity) of a square numeric matrix.
 
-    A real double-precision general eigensolve: an ndarray goes to LAPACK
-    unchanged, so a real matrix takes the real solver (dgeev), whose complex
-    eigenvalues come in exact conjugate pairs and whose real eigenvalues have
-    imaginary part exactly 0.  Nested lists become a float array, or a
-    complex one only when some entry is complex.  A 0 x 0 matrix, or
-    ``[]``, has no eigenvalues; any other non-square input, a flat or a
-    ragged list included, is refused.  LAPACK convergence failures are
-    surfaced with the matrix shape in the message.
+    A real double-precision general eigensolve: an ndarray of boolean,
+    integer, float or complex dtype goes to LAPACK unchanged, so a real
+    matrix takes the real solver (dgeev), whose complex eigenvalues come in
+    exact conjugate pairs and whose real eigenvalues have imaginary part
+    exactly 0.  Anything else, nested lists or an ndarray of object or str
+    dtype, becomes a float array, or a complex one only when some entry is
+    complex; an entry that is not a ``numbers.Number`` is refused with a
+    TypeError that names it.  A 0 x 0 matrix, or ``[]``, has no
+    eigenvalues; any other non-square input, a flat or a ragged list
+    included, is refused.  LAPACK convergence failures are surfaced with
+    the matrix shape in the message.
     """
     import numpy as np
-    # a list is shaped as objects first, so a flat or ragged one gets its
-    # shape, not an entry-type or broadcasting error
-    arr = m if isinstance(m, np.ndarray) else np.array(m, dtype=object)
+    # any other input is shaped as objects first, so a flat or ragged list
+    # gets its shape, not an entry-type or broadcasting error
+    numeric = isinstance(m, np.ndarray) and m.dtype.kind in "biufc"
+    arr = m if numeric else np.array(m, dtype=object)
     if arr.shape != (0,) and (arr.ndim != 2 or arr.shape[0] != arr.shape[1]):
         raise ValueError(f"matrix is not square: {arr.shape}")
     if not arr.size:
         return []
-    if arr is not m:
+    if not numeric:
+        for x in arr.flat:
+            if not isinstance(x, Number):
+                raise TypeError(f"matrix entry {x!r} is not a number")
         is_complex = any(isinstance(x, (complex, np.complexfloating)) for x in arr.flat)
         arr = arr.astype(complex if is_complex else float)
     try:

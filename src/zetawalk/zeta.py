@@ -36,13 +36,13 @@ Every determinant here is read off one scalar kernel,
 
 * det(I - t*M) is the charpoly of T = diag(1/D) P, reversed (``_hashimoto``).
 * the vertex determinant is assembled sparsely, in Python ints, by
-  ``_vertex_det`` from one term form: (u, v, k, n, q, f) adds
-  (n / q) t^k / f to entry (u, v) of the vertex matrix, with n / q a
-  rational in lowest terms, q > 0, and f a block factor as an integer
-  coefficient tuple, or None for the terms of A.  r_u, the product of the
-  distinct f among the nonzero terms of row u, and e_u, the lcm of their
-  q, clear row u to an integer polynomial row, so P(t) = diag(1/e) Q(t)
-  has P(0) = I and det(vertex matrix) = det(P) / R with R = prod_u r_u;
+  ``_vertex_det`` from one term form: (u, v, k, n, f) adds
+  (n / S) t^k / f to entry (u, v) of the vertex matrix, with n an int, S
+  the one scale of the whole vertex side, and f a block factor as an
+  integer coefficient tuple, or None for the terms of A.  r_u, the product
+  of the distinct f among the nonzero terms of row u, and S clear row u to
+  an integer polynomial row, so P(t) = Q(t) / S has P(0) = I and
+  det(vertex matrix) = det(P) / R with R = prod_u r_u;
   det(P) is that of I - t*C for the companion C of P
   (``linalg.det_poly_matrix``).  A row with no nonzero term is a row of the
   identity and is never materialized.
@@ -50,10 +50,10 @@ Every determinant here is read off one scalar kernel,
 Every Ihara-style operation builds its vertex side without det(I - t*M),
 as (prod_f, R, det P) with prod_f and R integer polynomials of constant
 term 1, in both modes from the blocks of the inverse relation
-(``_vertex_side``).  The vertex side reads each tau1 and tau2 once, as a
-(numerator, denominator) pair, and keeps A, the per-block tau sums and
-every term's coefficient as reduced int pairs; it reads the weights
-itself, so a defect in the one theta builder shows as a
+(``_vertex_side``).  The vertex side clears tau1 once to ints over s1, the
+lcm of its denominators, and tau2 over s2, and keeps A, the per-block tau
+sums and every term's coefficient as ints over S = s1 s2; it reads the
+weights itself, so a defect in the one theta builder shows as a
 Hashimoto-vs-Ihara mismatch.  One check, ``_identity``, compares
 prod_f * det P with det(I - t*M) * R as integer polynomials
 cross-multiplied by their denominators.  On a match the reported
@@ -95,7 +95,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 
 from .algebra import Poly, RatFunc, Series, as_fraction, render_rational
@@ -182,17 +182,18 @@ def _edge_matrix_data(d: Digraph, w: WeightAssignment) -> tuple[int, list[list[i
 
 def hashimoto(d: Digraph, w: WeightAssignment) -> Poly:
     """The polynomial det(I - t*M); its series inverse is the zeta function."""
-    return _as_poly(*_hashimoto(_edge_matrix_data(d, w)))
+    return _hashimoto(_edge_matrix_data(d, w))[0]
 
 
-def _hashimoto(theta) -> tuple[list[int], int]:
-    """(H, Delta) with det(I - t*M) = sum_k H_k t^k / Delta, the reversed
-    charpoly of P / D for (D, P) from ``_edge_matrix_data``; the kernel
-    takes each row to lowest terms, so Delta is that of the rows' own
-    denominators, not D^n."""
+def _hashimoto(theta) -> tuple[Poly, tuple[list[int], int]]:
+    """(h, (H, Delta)) with h = det(I - t*M) = sum_k H_k t^k / Delta, the
+    reversed charpoly of P / D for (D, P) from ``_edge_matrix_data``; the
+    kernel takes each row to lowest terms, so Delta is that of the rows'
+    own denominators, not D^n."""
     scale, rows = theta
     values, delta = char_poly_rows(rows, [scale] * len(rows))
-    return values[::-1], delta
+    values = values[::-1]
+    return _as_poly(values, delta), (values, delta)
 
 
 def _as_poly(values: list[int], delta: int) -> Poly:
@@ -406,44 +407,42 @@ def _over_distinct(fs) -> tuple[list[int], dict]:
     return _product(distinct), {f: _product(g for g in distinct if g != f) for f in distinct}
 
 
-def _vertex_det(terms) -> tuple[list[int], tuple[list[int], int]]:
+def _vertex_det(terms, scale: int) -> tuple[list[int], tuple[list[int], int]]:
     """(R, det P) with det(I + sum of terms) = det P / R.
 
-    A term (u, v, k, n, q, f) adds (n / q) t^k / f to entry (u, v), or
-    (n / q) t^k when f is None, for ints n and q > 0 in lowest terms and an
-    integer coefficient tuple f.  r_u is the product of the distinct f among
-    the nonzero terms of row u, R = prod_u r_u, and P is the vertex matrix
-    with each row u multiplied by r_u, so that a term's (n / q) / f becomes
-    n / q times the cofactor r_u / f.  Row u of P times e_u, the lcm of the
-    q of its terms, is the integer polynomial row Q_u, with Q_u(0) = e_u on
-    the diagonal; det P is (c, Delta) from ``det_poly_matrix``.  A row with
-    no nonzero term keeps the row of the identity and is never materialized.
+    A term (u, v, k, n, f) adds (n / scale) t^k / f to entry (u, v), or
+    (n / scale) t^k when f is None, for an int n and an integer coefficient
+    tuple f.  r_u is the product of the distinct f among the nonzero terms
+    of row u, R = prod_u r_u, and P is the vertex matrix with each row u
+    multiplied by r_u, so that a term's (n / scale) / f becomes n / scale
+    times the cofactor r_u / f.  P times ``scale`` is the integer polynomial
+    matrix Q, with Q(0) = scale * I; det P is (c, Delta) from
+    ``det_poly_matrix``.  A row with no nonzero term keeps the row of the
+    identity and is never materialized.
     """
     by_row = {}
     for term in terms:
         if term[3]:
             by_row.setdefault(term[0], []).append(term)
-    big_r, q, dens = [1], {}, {}
+    big_r, q = [1], {}
     for u, row_terms in by_row.items():
         ru, cofactor = _over_distinct(f for *_, f in row_terms if f is not None)
         big_r = _mul(big_r, ru)
-        dens[u] = e = lcm(*(den for *_, den, _ in row_terms))
-        q[u, u] = [e * x for x in ru]
-        for _, v, k, n, den, f in row_terms:
+        q[u, u] = [scale * x for x in ru]
+        for _, v, k, n, f in row_terms:
             mult = ru if f is None else cofactor[f]
-            scale = n * (e // den)
             entry = q.setdefault((u, v), [])
             entry += [0] * (k + len(mult) - len(entry))
             for i, x in enumerate(mult, k):
-                entry[i] += scale * x
+                entry[i] += n * x
     q = {key: cs for key, cs in q.items() if _trim(cs) or key[0] == key[1]}
-    return big_r, det_poly_matrix(q, dens)
+    return big_r, det_poly_matrix(q, scale)
 
 
 def _identity(num, den, kd, hk) -> tuple[Poly, RatFunc, int | None]:
     """(h, rhs, k) for the vertex identity num * det P = h * den, where
-    kd = (K, Delta) gives det P = K / Delta and hk = (H, Delta_h) gives
-    h = det(I - t*M), returned as a Poly.
+    kd = (K, Delta) gives det P = K / Delta and hk = (h, (H, Delta_h)),
+    from ``_hashimoto``, gives h = det(I - t*M) = H / Delta_h.
 
     The identity is checked as the integer polynomial equation
     num * K * Delta_h == H * den * Delta.  On a match rhs is h and k is
@@ -451,8 +450,7 @@ def _identity(num, den, kd, hk) -> tuple[Poly, RatFunc, int | None]:
     first power of t at which the two sides differ; num and den have
     constant term 1, so k is also the first nonzero coefficient of rhs - h.
     """
-    (k_vals, delta), (h_vals, h_delta) = kd, hk
-    h = _as_poly(h_vals, h_delta)
+    (k_vals, delta), (h, (h_vals, h_delta)) = kd, hk
     lhs = _trim(_mul(num, [x * h_delta for x in k_vals]))
     rhs = _trim(_mul(den, [x * delta for x in h_vals]))
     if lhs == rhs:
@@ -461,45 +459,12 @@ def _identity(num, den, kd, hk) -> tuple[Poly, RatFunc, int | None]:
     return h, RatFunc(_as_poly(_mul(num, k_vals), delta), Poly(den)), k
 
 
-def _reduced(n: int, q: int) -> tuple[int, int]:
-    """n / q in lowest terms as (n, q), for q > 0; (0, 1) for n = 0."""
-    g = gcd(n, q)
-    return n // g, q // g
-
-
-def _pair_sum(pairs) -> tuple[int, int]:
-    """The sum of the rationals (n, q), q > 0, as a reduced (n, q)."""
-    n, q = 0, 1
-    for x, y in pairs:
-        n, q = n * y + x * q, q * y
-    return _reduced(n, q)
-
-
-def _pair_product(x: tuple[int, int], y: tuple[int, int], k: int = 1) -> tuple[int, int]:
-    """k times the product of the rationals x and y, as a reduced (n, q)."""
-    return _reduced(k * x[0] * y[0], x[1] * y[1])
-
-
-def _nonzero_sums(groups: dict) -> dict:
-    """{key: the sum of its (n, q) pairs, reduced}, nonzero sums only."""
-    return {key: x for key, pairs in groups.items() if (x := _pair_sum(pairs))[0]}
-
-
-def _weighted_adjacency(d: Digraph, tau1: list, tau2: list) -> dict:
-    """{(u, v): sum of tau1(a) tau2(a) over the arcs a in A_uv} as reduced
-    (n, q) pairs, nonzero entries only; tau1 and tau2 hold (n, q) pairs."""
-    by_pair = {}
-    for a, key in enumerate(zip(d.tails, d.heads)):
-        by_pair.setdefault(key, []).append(_pair_product(tau1[a], tau2[a]))
-    return _nonzero_sums(by_pair)
-
-
 def _vertex_side(d: Digraph, w: WeightAssignment):
     """The vertex side (prod_f, R, det P) of prod_f * det(I - t*A + t^2*D - t^3*X)
     and the parts the Ihara reports read: the blocks (u, v, out, back), their
-    f, A as {(u, v): (n, q)} and the terms (u, v, k, n, q, f) of
-    ``_vertex_det``, those of D at t^2 and of -X at t^3 divided by their
-    block's f.
+    f, the scale S, A as {(u, v): n}, zero sums included, and the terms
+    (u, v, k, n, f) of ``_vertex_det``, those of D at t^2 and of -X at t^3
+    divided by their block's f; every n stands for n / S.
 
     The blocks are those of the inverse relation: a digraph's phi pairs, out
     holding the arcs u -> v and back the arcs v -> u, or a graph's edges,
@@ -510,68 +475,73 @@ def _vertex_side(d: Digraph, w: WeightAssignment):
     included; there each row's t^3 terms cancel t^3 A r_u, and P is
     I - t*A + t^2*(D - I) on the rows that have a nonzero term.
 
-    Each tau is read once, as its (numerator, denominator) pair, and every
-    sum and product stays a reduced int pair: no Fraction is made here.
+    tau1 is cleared once to ints over s1, the lcm of its denominators, and
+    tau2 over s2, so every coefficient is an int over S = s1 s2: each one
+    is a product of a tau1 sum and a tau2 sum.  No Fraction is made here.
     """
     if d.mode is GraphMode.SYMMETRIC:
         blocks = [(d.tails[a], d.heads[a], (a,), (a + 1,)) for a in range(0, d.arc_count, 2)]
     else:
         blocks = [(p.u, p.v, p.arcs_uv, p.arcs_vu) for p in d.phi_pairs()]
-    tau1 = [(x.numerator, x.denominator) for x in w.tau1]
-    tau2 = [(x.numerator, x.denominator) for x in w.tau2]
-    a_map = _weighted_adjacency(d, tau1, tau2)
-    terms = [(u, v, 1, -n, q, None) for (u, v), (n, q) in a_map.items()]
+    s1 = lcm(*(x.denominator for x in w.tau1))
+    s2 = lcm(*(x.denominator for x in w.tau2))
+    tau1 = [x.numerator * (s1 // x.denominator) for x in w.tau1]
+    tau2 = [x.numerator * (s2 // x.denominator) for x in w.tau2]
+    a_map = {}
+    for a, key in enumerate(zip(d.tails, d.heads)):
+        a_map[key] = a_map.get(key, 0) + tau1[a] * tau2[a]
+    terms = [(u, v, 1, -n, None) for (u, v), n in a_map.items()]
     fs = []
     for u, v, out, back in blocks:
-        s1_out = _pair_sum(tau1[a] for a in out)
-        s2_out = _pair_sum(tau2[a] for a in out)
+        out1 = sum(tau1[a] for a in out)
+        out2 = sum(tau2[a] for a in out)
         if out == back:
             f = (1, len(out))
-            terms.append((u, u, 2, *_pair_product(s2_out, s1_out), f))
+            terms.append((u, u, 2, out2 * out1, f))
         else:
             f = (1, 0, -len(out) * len(back))
-            s1_back = _pair_sum(tau1[a] for a in back)
-            s2_back = _pair_sum(tau2[a] for a in back)
-            for x, y, s2, s1, s1_other, n_back in (
-                (u, v, s2_out, s1_out, s1_back, len(back)),
-                (v, u, s2_back, s1_back, s1_out, len(out)),
+            back1 = sum(tau1[a] for a in back)
+            back2 = sum(tau2[a] for a in back)
+            for x, y, sum2, sum1, sum1_other, n_back in (
+                (u, v, out2, out1, back1, len(back)),
+                (v, u, back2, back1, out1, len(out)),
             ):
-                terms.append((x, x, 2, *_pair_product(s2, s1_other), f))
-                terms.append((x, y, 3, *_pair_product(s2, s1, -n_back), f))
+                terms.append((x, x, 2, sum2 * sum1_other, f))
+                terms.append((x, y, 3, -n_back * sum2 * sum1, f))
         fs.append(f)
-    return (_product(fs), *_vertex_det(terms)), (blocks, fs, a_map, terms)
+    scale = s1 * s2
+    return (_product(fs), *_vertex_det(terms, scale)), (blocks, fs, scale, a_map, terms)
 
 
-def _fractions(table: dict) -> dict:
-    """A report table of reduced (n, q) pairs as one of Fractions."""
-    return {key: Fraction(n, q) for key, (n, q) in table.items()}
+def _fractions(table: dict, scale: int) -> dict:
+    """A table of ints over ``scale`` as a report table of Fractions,
+    nonzero entries only."""
+    return {key: Fraction(n, scale) for key, n in table.items() if n}
 
 
-def _digraph_tables(terms) -> tuple[dict, dict]:
+def _digraph_tables(terms, scale: int) -> tuple[dict, dict]:
     """The D and X report tables {(u, v): RatFunc} of nonzero entries, read
     off the t^2 terms (D) and the t^3 terms (-X).  Each entry sum
-    (n / q) / f is formed once, in ints, over the product F of its distinct
-    f and the lcm L of its q, as (sum n (L / q) F / f) / (L F): one
-    RatFunc, and so one reduction, per nonzero entry, none per term."""
+    (n / scale) / f is formed once, in ints, over the product F of its
+    distinct f, as (sum n F / f) / (scale F): one RatFunc, and so one
+    reduction, per nonzero entry, none per term."""
     parts = ({}, {})
-    for u, v, k, n, q, f in terms:
+    for u, v, k, n, f in terms:
         if k > 1 and n:
-            parts[k - 2].setdefault((u, v), []).append(((-1) ** k * n, q, f))
+            parts[k - 2].setdefault((u, v), []).append(((-1) ** k * n, f))
 
-    def entry(nqfs):
-        big_f, cofactor = _over_distinct(f for *_, f in nqfs)
-        scale = lcm(*(q for _, q, _ in nqfs))
+    def entry(nfs):
+        big_f, cofactor = _over_distinct(f for _, f in nfs)
         num = [0] * len(big_f)
-        for n, q, f in nqfs:
-            c = n * (scale // q)
+        for n, f in nfs:
             for i, x in enumerate(cofactor[f]):
-                num[i] += c * x
+                num[i] += n * x
         if not any(num):
             return None
         lead = big_f[-1]  # the denominator goes in monic, so RatFunc need not rescale
         return RatFunc(Poly([Fraction(x, scale * lead) for x in num]), Poly([Fraction(x, lead) for x in big_f]))
 
-    tables = ({key: entry(nqfs) for key, nqfs in part.items()} for part in parts)
+    tables = ({key: entry(nfs) for key, nfs in part.items()} for part in parts)
     return tuple({key: x for key, x in table.items() if x is not None} for table in tables)
 
 
@@ -620,13 +590,13 @@ def ihara_digraph(d: Digraph, w: WeightAssignment) -> IharaDigraph:
     if d.mode is not GraphMode.GENERAL:
         raise GraphError("ihara_digraph requires a general-mode digraph")
     theta = _edge_matrix_data(d, w)
-    side, (blocks, fs, a_map, terms) = _vertex_side(d, w)
+    side, (blocks, fs, scale, a_map, terms) = _vertex_side(d, w)
     h, rhs, k = _identity(*side, _hashimoto(theta))
-    d_table, x_table = _digraph_tables(terms)
+    d_table, x_table = _digraph_tables(terms, scale)
     return IharaDigraph(
         pairs=tuple(PhiPair(*block) for block in blocks),
         f_factors=tuple(Poly(f) for f in fs),
-        a=_fractions(a_map),
+        a=_fractions(a_map, scale),
         d_ul=d_table,
         x_ul=x_table,
         rhs=rhs,
@@ -659,7 +629,7 @@ def ihara_graph(g: Digraph, w: WeightAssignment) -> IharaGraph:
     of ``_vertex_side``, one per edge with f = 1 - t^2.
 
     D[u][u] is the sum of tau1(a ^ 1) tau2(a) over the arcs a leaving u,
-    the numerators of the t^2 terms at u.  A row with no nonzero term is
+    that of the t^2 terms at u.  A row with no nonzero term is
     the row (1 - t^2) e_u of I - t*A + t^2*(D - I) and adds no row to P
     and no factor to R, so the vertex det is (1 - t^2)^(|V| - deg R / 2)
     det P.
@@ -667,17 +637,17 @@ def ihara_graph(g: Digraph, w: WeightAssignment) -> IharaGraph:
     if g.mode is not GraphMode.SYMMETRIC:
         raise GraphError("ihara_graph requires the symmetric digraph of a graph")
     theta = _edge_matrix_data(g, w)
-    side, (_, _, a_map, terms) = _vertex_side(g, w)
+    side, (_, _, scale, a_map, terms) = _vertex_side(g, w)
     h, rhs, k = _identity(*side, _hashimoto(theta))
     _, big_r, (k_vals, delta) = side
-    d_terms = {}
-    for u, _, power, n, q, _ in terms:
+    d_g = {}
+    for u, _, power, n, _ in terms:
         if power == 2:
-            d_terms.setdefault((u, u), []).append((n, q))
+            d_g[u, u] = d_g.get((u, u), 0) + n
     rows_missing = g.vertex_count - (len(big_r) - 1) // 2
     return IharaGraph(
-        a_g=_fractions(a_map),
-        d_g=_fractions(_nonzero_sums(d_terms)),
+        a_g=_fractions(a_map, scale),
+        d_g=_fractions(d_g, scale),
         prefactor_exponent=g.edge_count - g.vertex_count,
         vertex_det=_as_poly(_mul(_product([(1, 0, -1)] * rows_missing), k_vals), delta),
         rhs=rhs,

@@ -6,7 +6,8 @@ determinants over any exact entry ring (among them det(I - t*M) and the
 dense graph vertex determinant), the Faddeev-LeVerrier characteristic
 polynomial, the dense companion of a polynomial matrix and the transpose
 of integer rows over row denominators cleared column by column (the rows
-``linalg.det_poly_matrix`` must build directly), the digraph vertex
+that ``linalg.det_poly_matrix`` must pass, once each row is in lowest
+terms), the digraph vertex
 tables A, D and X and Sato's tau1 = 1
 matrices Au and Du, summed one rational function at a time, the two
 inversion identities behind the vertex-determinant reduction (all-ones and
@@ -264,12 +265,13 @@ def transposed_rows(rows: list[list[int]], dens: list[int]) -> tuple[list[list[i
     return out, out_dens
 
 
-def dense_companion(p: dict, dens: dict) -> tuple[list[list[int]], list[int]]:
-    """The rows and row denominators of the companion C of P = diag(1/e) Q
+def dense_companion(p: dict, scale: int) -> tuple[list[list[int]], list[int]]:
+    """The rows and row denominators of the companion C of P = Q / scale
     that ``linalg.det_poly_matrix`` linearizes, for its arguments, built
     dense: row (i, v), for each row v of degree k_v > 0 and i < k_v, holds
-    -Q_{i+1}[v][u] in column (0, u) and e_v in column (i + 1, v) when
-    i + 1 < k_v, all over e_v; the indices run over the rows v in order."""
+    -Q_{i+1}[v][u] in column (0, u) and ``scale`` in column (i + 1, v) when
+    i + 1 < k_v, all over ``scale``; the indices run over the rows v in
+    order."""
     degree = {}
     for (v, _), cs in p.items():
         degree[v] = max(degree.get(v, 0), len(cs) - 1)
@@ -279,18 +281,14 @@ def dense_companion(p: dict, dens: dict) -> tuple[list[list[int]], list[int]]:
             start[v] = size
             size += degree[v]
     rows = [[0] * size for _ in range(size)]
-    row_dens = [0] * size
     for (v, u), cs in p.items():
         if v in start and u in start:
             for i, c in enumerate(cs[1:], start[v]):
                 rows[i][start[u]] = -c
     for v, s in start.items():
-        e = dens.get(v, 1)
-        for i in range(s, s + degree[v]):
-            row_dens[i] = e
-            if i + 1 < s + degree[v]:
-                rows[i][i + 1] = e
-    return rows, row_dens
+        for i in range(s, s + degree[v] - 1):
+            rows[i][i + 1] = scale
+    return rows, [scale] * size
 
 
 def is_scaled_inverse(a: Matrix, b: Matrix, d: PolyElement) -> bool:

@@ -771,9 +771,9 @@ def test_cli_ten_thousand_vertices_with_one_arc(tmp_path, monkeypatch, text):
     sizes = []
     real = zeta.det_poly_matrix
 
-    def recording(p, dens):
+    def recording(p, scale):
         sizes.append(len(p))
-        return real(p, dens)
+        return real(p, scale)
 
     monkeypatch.setattr(zeta, "det_poly_matrix", recording)
     path = tmp_path / "sparse.zw"

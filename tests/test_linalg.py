@@ -649,15 +649,15 @@ def random_poly_matrix(rng, n, degree):
 
 
 def det_dense_poly_matrix(pm: Matrix) -> Poly:
-    """``det_poly_matrix`` on a dense Matrix of QQ[t] entries, each row
-    cleared to integers by the lcm of its coefficient denominators."""
-    p, dens = {}, {}
+    """``det_poly_matrix`` on a dense Matrix of QQ[t] entries, cleared to
+    integers by the lcm of all its coefficient denominators."""
+    scale = math.lcm(*(c.denominator for row in pm.data for x in row for c in coeffs(x)))
+    p = {}
     for v, row in enumerate(pm.data):
-        dens[v] = e = math.lcm(*(c.denominator for x in row for c in coeffs(x)))
         for u, x in enumerate(row):
             if x or u == v:
-                p[v, u] = [int(c * e) for c in coeffs(x)]
-    values, delta = det_poly_matrix(p, dens)
+                p[v, u] = [int(c * scale) for c in coeffs(x)]
+    values, delta = det_poly_matrix(p, scale)
     return Poly([Fraction(c, delta) for c in values])
 
 
@@ -684,32 +684,31 @@ def test_companion_linearization_mixed_row_degrees(rng):
 
 
 def random_sparse_poly_matrix(rng, n):
-    """(p, dens), the arguments of ``det_poly_matrix``, for a sparse P on n
+    """(p, scale), the arguments of ``det_poly_matrix``, for a sparse P on n
     rows: some rows absent, the others of degree 0-4 with 0-3 entries off
-    the diagonal (zero coefficients among them) and e_v from a mixed set."""
-    p, dens = {}, {}
+    the diagonal (zero coefficients among them), over a scale from a mixed
+    set."""
+    p = {}
+    scale = rng.choice([1, 1, 2, 3, 4, 6, 35, 2**70])
     for v in range(n):
         if rng.random() < 0.25:
             continue
-        e = rng.choice([1, 1, 2, 3, 4, 6, 35, 2**70])
-        if e != 1 or rng.random() < 0.5:
-            dens[v] = e
         degree = rng.randint(0, 4)
         cols = {v} | set(rng.sample(range(n), rng.randint(0, min(3, n))))
         for u in cols:
-            cs = [e if u == v else 0]
-            cs += [rng.choice([0, rng.randint(-9, 9), rng.randint(-10**6, 10**6) * e]) for _ in range(rng.randint(0, degree))]
+            cs = [scale if u == v else 0]
+            cs += [rng.choice([0, rng.randint(-9, 9), rng.randint(-10**6, 10**6) * scale]) for _ in range(rng.randint(0, degree))]
             p[v, u] = cs
-    return p, dens
+    return p, scale
 
 
-def golden_vertex_sides(monkeypatch) -> list[tuple[dict, dict]]:
+def golden_vertex_sides(monkeypatch) -> list[tuple[dict, int]]:
     """The arguments of the ``det_poly_matrix`` call of each golden's ihara."""
     seen = []
 
-    def recording(p, dens):
-        seen.append((p, dens))
-        return det_poly_matrix(p, dens)
+    def recording(p, scale):
+        seen.append((p, scale))
+        return det_poly_matrix(p, scale)
 
     monkeypatch.setattr(zeta, "det_poly_matrix", recording)
     for path in sorted(GOLDEN.glob("*.zw")):
@@ -721,7 +720,8 @@ def golden_vertex_sides(monkeypatch) -> list[tuple[dict, dict]]:
 
 
 def test_det_poly_matrix_passes_the_cleared_transpose_of_the_dense_companion(rng, monkeypatch):
-    # det_poly_matrix builds C^T directly; the kernel must get exactly the
+    # det_poly_matrix builds C^T directly; after the kernel's first step,
+    # clearing each row to lowest terms, the kernel must hold exactly the
     # rows and denominators of the dense companion C, transposed and cleared
     cases = golden_vertex_sides(monkeypatch)
     assert len(cases) == len(list(GOLDEN.glob("*.zw")))
@@ -729,9 +729,10 @@ def test_det_poly_matrix_passes_the_cleared_transpose_of_the_dense_companion(rng
     calls = []
     real = linalg.char_poly_rows
     monkeypatch.setattr(linalg, "char_poly_rows", lambda rows, dens: calls.append((rows, dens)) or real(rows, dens))
-    for p, dens in cases:
-        det_poly_matrix(p, dens)
-        assert calls.pop() == transposed_rows(*dense_companion(p, dens))
+    for p, scale in cases:
+        det_poly_matrix(p, scale)
+        expected = transposed_rows(*dense_companion(p, scale))
+        assert linalg._lowest_terms(*calls.pop()) == linalg._lowest_terms(*expected)
 
 
 def test_companion_linearization_needs_identity_at_zero():

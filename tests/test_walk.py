@@ -608,6 +608,22 @@ def test_eigenvalues_requires_square():
     assert eigenvalues_numeric([]) == []
 
 
+def test_eigenvalues_refuses_an_entry_that_is_not_a_number():
+    # a list, or an ndarray of object or str dtype, is read entry by entry:
+    # numbers are solved as floats, anything else is named in a TypeError
+    ints = [[1, 2], [3, 4]]
+    expected = eigenvalues_numeric(np.array(ints))
+    assert eigenvalues_numeric(np.array(ints, dtype=object)) == expected
+    for m, entry in (
+        ([[1, [2]], [3, 4]], "[2]"),
+        ([[1, "2"], [3, 4]], "'2'"),
+        (np.array([[1, "2"], [3, 4]], dtype=object), "'2'"),
+        (np.array([["1", "2"], ["3", "4"]]), "'1'"),
+    ):
+        with pytest.raises(TypeError, match=re.escape(f"matrix entry {entry} is not a number")):
+            eigenvalues_numeric(m)
+
+
 def test_eigenvalues_real_input_reaches_lapack_as_float64(monkeypatch):
     seen = []
     eigvals = np.linalg.eigvals

@@ -11,15 +11,14 @@ from sympy.polys.ring_series import rs_series_inversion
 
 from zetawalk import cli, digraph, zeta
 from zetawalk.algebra import Poly, RatFunc, Series
-from zetawalk.digraph import GraphError, build_digraph, symmetric_digraph
+from zetawalk.digraph import GraphError, GraphMode, build_digraph, symmetric_digraph
 from zetawalk.instances import (
-    fixture_digraph, fixture_text, instance_digraph, instance_weights, load_instance,
+    fixture_digraph, fixture_text, instance_digraph, instance_weights, load_instance, parse_instance,
 )
 from zetawalk.walk import spectrum_deviation
 from zetawalk.zeta import (
     ConsistencyError,
     WeightAssignment,
-    _as_poly,
     _edge_matrix_data,
     _euler,
     _exp_of_power_sums,
@@ -40,6 +39,7 @@ from zetawalk.zeta import (
 
 import oracles
 from conftest import random_digraph, random_multigraph, random_rational, random_weights
+from test_golden import LARGE, large_instance
 from oracles import (
     FIELD, RING, T, TF, Matrix, char_poly_exact, closed_paths, coeffs, det_bareiss,
     det_one_minus_t_by_elimination, graph_vertex_det, ihara_digraph_tables, lift, mat_mul, mat_sub,
@@ -452,7 +452,7 @@ def test_exponential_matches_the_hashimoto_inverse_at_order_40_on_goldens(path):
     inst = load_instance(path)
     d = instance_digraph(inst)
     theta = _edge_matrix_data(d, instance_weights(inst, d))
-    inverse = Series(_as_poly(*_hashimoto(theta)).coeffs, 40).inv()
+    inverse = Series(_hashimoto(theta)[0].coeffs, 40).inv()
     assert _exp_of_power_sums(_n_k_all(theta, 40), 40) == inverse
 
 
@@ -576,7 +576,7 @@ def test_euler_matches_the_hashimoto_inverse_at_orders_1_to_12():
         else:
             d = random_multigraph(rng, max_vertices=4, max_edges=2)
         theta = _edge_matrix_data(d, inverse_cancelling_weights(rng, d))
-        h = _as_poly(*_hashimoto(theta))
+        h = _hashimoto(theta)[0]
         for order in range(1, 13):
             assert _euler(theta, order) == Series(h.coeffs, order).inv()
 
@@ -967,8 +967,8 @@ def perturb_vertex_det(monkeypatch, k):
     seen = []
     real = zeta.det_poly_matrix
 
-    def perturbed(p, dens):
-        values, delta = real(p, dens)
+    def perturbed(p, scale):
+        values, delta = real(p, scale)
         values = values + [0] * (k + 1 - len(values))
         values[k] += 1
         seen.append(Poly([Fraction(c, delta) for c in values]))
@@ -1257,3 +1257,42 @@ def test_vertex_side_with_cancelling_weights_matches_the_references():
         assert_graph_side_matches(g, WeightAssignment.from_maps(
             g, {a: huge_rational(rng) for a in range(g.arc_count)}, {a: huge_rational(rng) for a in range(g.arc_count)}
         ))
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_DENOMINATOR_GRAPHS))
+def test_vertex_side_with_large_prime_denominators_matches_the_references(name):
+    # distinct Mersenne-prime denominators put the vertex side's one scale
+    # S = s1 s2 above 2^200, and some theta(a, b) on inverse arcs at 0
+    d = LARGE_DENOMINATOR_GRAPHS[name]()
+    w = large_denominator_weights(d)
+    s1, s2 = (math.lcm(*(x.denominator for x in tau)) for tau in (w.tau1, w.tau2))
+    assert s1 * s2 > 2**200
+    if d.mode is GraphMode.SYMMETRIC:
+        assert_graph_side_matches(d, w)
+    else:
+        assert_digraph_side_matches(d, w)
+
+
+def test_the_vertex_side_makes_no_fraction(monkeypatch):
+    # on every golden and large instance the vertex side, and the identity
+    # check on a match, run in ints: zeta makes no Fraction for them
+    made = []
+    real = zeta.Fraction
+
+    def counting(*args):
+        made.append(args)
+        return real(*args)
+
+    texts = [(path.stem, path.read_text(encoding="utf-8")) for path in GOLDEN]
+    texts += [(f"large-{case[0]}", large_instance(*case)) for case in sorted(LARGE)]
+    for name, text in texts:
+        inst = parse_instance(text, name)
+        d = instance_digraph(inst)
+        w = instance_weights(inst, d)
+        hk = _hashimoto(_edge_matrix_data(d, w))
+        monkeypatch.setattr(zeta, "Fraction", counting)
+        side, _ = zeta._vertex_side(d, w)
+        assert made == [], name
+        _, _, k = zeta._identity(*side, hk)
+        assert k is None and made == [], name
+        monkeypatch.undo()
