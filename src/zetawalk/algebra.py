@@ -1,32 +1,37 @@
 """Univariate polynomials, rational functions, and truncated power series
-with exact rational coefficients (:class:`fractions.Fraction`).
+with exact rational coefficients.
 
 The three classes are exact value types: the program constructs,
-normalizes, compares and renders them, and none has ring operators.
-Polynomials are stored densely, constant term first, with trailing zero
-coefficients stripped.  Rational functions are kept in canonical form:
-numerator and denominator coprime, denominator monic, so equality is
-structural; their common factor is found and divided out in Python ints.
-Series carry an explicit truncation order, and two series are compared up
-to the smaller one; their only arithmetic is ``inv``, which runs in Python
-ints and gives ``verify`` its Hashimoto series 1 / det(I - t*M); the other
-zeta routes form each series in ints as well.
+normalizes, compares and renders them, and none has ring operators.  Each
+coefficient is stored as a reduced integer pair, a numerator and a positive
+denominator divided once by their ``math.gcd``, so equal values have equal
+pairs; the public ``coeffs`` builds its tuple of :class:`fractions.Fraction`
+only when a caller reads it.  Polynomials are stored densely, constant term
+first, with trailing zero coefficients stripped.  Rational functions are
+kept in canonical form: numerator and denominator coprime, denominator
+monic, so equality is structural; their common factor is found and divided
+out in Python ints.  Series carry an explicit truncation order, and two
+series are compared up to the smaller one; their only arithmetic is
+``inv``, which runs in Python ints and gives ``verify`` its Hashimoto
+series 1 / det(I - t*M).
 
-Coefficients enter through ``as_fraction``, which accepts Fractions, ints and
-strings and refuses anything else (floats included), so no inexact value
-reaches the arithmetic.  They leave through ``render_rational``, which
-prints every digit: ``str`` refuses an int of over 4300 digits by default.
+Coefficients enter the public constructors through ``as_fraction``, which
+accepts Fractions, ints and strings and refuses anything else (floats
+included), so no inexact value reaches the arithmetic.  The zeta routes,
+which compute in ints, hand each class its pairs through one internal
+constructor, ``_from_ints``, and build no Fraction.  Coefficients leave
+through ``render``, which prints a pair as ``str`` prints the Fraction,
+with every digit: ``str`` refuses an int of over 4300 digits by default,
+and ``Decimal`` prints those.
 """
 
 from __future__ import annotations
 
 from decimal import Decimal
 from fractions import Fraction
+from itertools import accumulate, islice, repeat
 from math import gcd, lcm
 from operator import mul
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def as_fraction(x) -> Fraction:
@@ -39,15 +44,47 @@ def as_fraction(x) -> Fraction:
     raise TypeError(f"{x!r} is not an exact rational (Fraction, int or str)")
 
 
-def render_rational(x) -> str:
-    """A Fraction or an int as ``str`` prints it, with every digit.  ``str``
-    refuses an int over the int-to-string digit limit; ``Decimal``, which
-    has no limit, prints those digits."""
+def _render_pair(n: int, d: int) -> str:
+    """n / d, d > 0, as ``str`` prints Fraction(n, d): ``n``, or ``n/d``
+    with the sign on n.  Past the int-to-string digit limit, where ``str``
+    raises ValueError, ``Decimal`` prints every digit."""
     try:
-        return str(x)
+        return str(n) if d == 1 else f"{n}/{d}"
     except ValueError:
-        num = str(Decimal(x.numerator))
-        return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
+        return str(Decimal(n)) if d == 1 else f"{Decimal(n)}/{Decimal(d)}"
+
+
+def render_rational(x) -> str:
+    """A Fraction or an int as ``str`` prints it, with every digit."""
+    return _render_pair(x.numerator, x.denominator)
+
+
+def _reduced(nums, dens) -> tuple[list[int], list[int]]:
+    """The pairs n / d of two int sequences, d > 0, in lowest terms."""
+    ns, ds = [], []
+    for n, d in zip(nums, dens):
+        g = gcd(n, d)
+        ns.append(n // g)
+        ds.append(d // g)
+    return ns, ds
+
+
+def _split(coeffs) -> tuple[list[int], list[int]]:
+    """The reduced pairs of exact coefficients given as the public
+    constructors take them."""
+    cs = [as_fraction(c) for c in coeffs]
+    return [c.numerator for c in cs], [c.denominator for c in cs]
+
+
+def _render_terms(ns, ds) -> str:
+    """sum n_i / d_i t^i as ``Poly.render`` prints it, zero terms left out."""
+    terms = []
+    for i, n in enumerate(ns):
+        if not n:
+            continue
+        c = _render_pair(n, ds[i])
+        terms.append(c if i == 0 else f"{c}*t" if i == 1 else f"{c}*t^{i}")
+    return " + ".join(terms) if terms else "0"
 
 
 class Poly:
@@ -56,40 +93,42 @@ class Poly:
     The zero polynomial is the empty coefficient tuple and has degree -1.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_n", "_d")
 
     def __init__(self, coeffs):
-        cs = [as_fraction(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        self._set(*_split(coeffs))
+
+    @classmethod
+    def _from_ints(cls, nums, dens) -> "Poly":
+        """sum nums[i] / dens[i] t^i, every dens[i] a positive int."""
+        p = object.__new__(cls)
+        p._set(*_reduced(nums, dens))
+        return p
+
+    def _set(self, ns: list[int], ds: list[int]) -> None:
+        self._n = tuple(_trim(ns))
+        self._d = tuple(ds[: len(ns)])
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(map(Fraction, self._n, self._d))
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._n) - 1
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self._n)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self._n == other._n and self._d == other._d
 
     __hash__ = None
 
     def render(self) -> str:
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(render_rational(c))
-            elif i == 1:
-                terms.append(f"{render_rational(c)}*t")
-            else:
-                terms.append(f"{render_rational(c)}*t^{i}")
-        return " + ".join(terms) if terms else "0"
+        return _render_terms(self._n, self._d)
 
     def __repr__(self) -> str:
         return f"Poly({self.render()})"
@@ -101,11 +140,12 @@ class RatFunc:
     Canonical form: gcd(num, den) = 1 and den monic, so equality is a
     structural check.
 
-    When both sides have degree >= 1 they are cleared to integer
-    coefficients over the lcm of all their denominators, and their gcd, a
-    primitive polynomial in Z[t] (``_primitive_gcd``), is divided out of
-    both in ints; a quotient that leaves a remainder raises ValueError.  A
-    constant on either side has gcd 1.  The denominator is then made monic.
+    Both sides are cleared to integer coefficients over the lcm of all their
+    denominators.  When both have degree >= 1 their gcd, a primitive
+    polynomial in Z[t] (``_primitive_gcd``), is divided out of both in ints;
+    a quotient that leaves a remainder raises ValueError.  A constant on
+    either side has gcd 1.  Both are then divided by the denominator's
+    leading coefficient.
     """
 
     __slots__ = ("num", "den")
@@ -113,24 +153,35 @@ class RatFunc:
     def __init__(self, num: Poly, den: Poly):
         if not den:
             raise ZeroDivisionError("rational function with zero denominator")
-        if not num:
-            num, den = Poly([]), Poly([_ONE])
-        else:
-            if den.degree > 0 and num.degree > 0:
-                scale = lcm(*(c.denominator for c in num.coeffs + den.coeffs))
-                a, b = ([c.numerator * (scale // c.denominator) for c in p.coeffs] for p in (num, den))
-                g = _primitive_gcd(a, b)
-                if len(g) > 1:
-                    num, den = Poly(_exact_quotient(a, g)), Poly(_exact_quotient(b, g))
-            lead = den.coeffs[-1]
-            if lead != 1:
-                num, den = (Poly([c / lead for c in p.coeffs]) for p in (num, den))
-        self.num = num
-        self.den = den
+        scale = lcm(*num._d, *den._d)
+        self._set(*([n * (scale // d) for n, d in zip(p._n, p._d)] for p in (num, den)))
+
+    @classmethod
+    def _from_ints(cls, a: list[int], b: list[int]) -> "RatFunc":
+        """a / b for integer polynomials a and b, b with a nonzero leading coefficient."""
+        r = object.__new__(cls)
+        r._set(a, b)
+        return r
+
+    def _set(self, a: list[int], b: list[int]) -> None:
+        a = _trim(list(a))
+        if not a:
+            a, b = [], [1]
+        elif len(a) > 1 and len(b) > 1:
+            g = _primitive_gcd(a, b)
+            if len(g) > 1:
+                a, b = _exact_quotient(a, g), _exact_quotient(b, g)
+        lead = b[-1]
+        if lead < 0:
+            a, b, lead = [-x for x in a], [-x for x in b], -lead
+        self.num = Poly._from_ints(a, repeat(lead))
+        self.den = Poly._from_ints(b, repeat(lead))
 
     @classmethod
     def from_poly(cls, p: Poly) -> "RatFunc":
-        return cls(p, Poly([_ONE]))
+        r = object.__new__(cls)
+        r.num, r.den = p, Poly._from_ints((1,), (1,))
+        return r
 
     def __bool__(self) -> bool:
         return bool(self.num)
@@ -156,6 +207,12 @@ class RatFunc:
         return f"RatFunc({self.render()})"
 
 
+def _trim(a: list[int]) -> list[int]:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
 def _primitive(a: list[int]) -> list[int]:
     """a divided by the gcd of its coefficients."""
     c = gcd(*a)
@@ -174,8 +231,7 @@ def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
         r = [m * x for x in r]
         for i, y in enumerate(b[:-1], len(r) + 1 - len(b)):
             r[i] -= q * y
-        while r and not r[-1]:
-            r.pop()
+        _trim(r)
     return r
 
 
@@ -210,16 +266,29 @@ def _exact_quotient(a: list[int], g: list[int]) -> list[int]:
 class Series:
     """Power series truncated at an explicit order ``L`` (coefficients 0..L)."""
 
-    __slots__ = ("coeffs", "order")
+    __slots__ = ("_n", "_d", "order")
 
     def __init__(self, coeffs, order):
-        cs = [as_fraction(c) for c in coeffs]
+        self._set(*_split(coeffs), order)
+
+    @classmethod
+    def _from_ints(cls, nums, dens, order: int) -> "Series":
+        """sum nums[i] / dens[i] t^i to ``order``, every dens[i] a positive int."""
+        s = object.__new__(cls)
+        s._set(*_reduced(islice(nums, order + 1), dens), order)
+        return s
+
+    def _set(self, ns: list[int], ds: list[int], order: int) -> None:
         if order < 0:
             raise ValueError("series order must be >= 0")
-        cs = cs[: order + 1]
-        cs += [_ZERO] * (order + 1 - len(cs))
-        self.coeffs = tuple(cs)
+        pad = order + 1 - len(ns)
+        self._n = tuple(ns[: order + 1]) + (0,) * pad
+        self._d = tuple(ds[: order + 1]) + (1,) * pad
         self.order = order
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(map(Fraction, self._n, self._d))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Series):
@@ -230,32 +299,34 @@ class Series:
 
     def first_mismatch(self, other: "Series"):
         """Least k (up to the common order) where coefficients differ, else None."""
-        order = min(self.order, other.order)
-        for k in range(order + 1):
-            if self.coeffs[k] != other.coeffs[k]:
-                return k
-        return None
+        m = min(self.order, other.order) + 1
+        (an, ad), (bn, bd) = (self._n, self._d), (other._n, other._d)
+        if an[:m] == bn[:m] and ad[:m] == bd[:m]:
+            return None
+        return next(k for k in range(m) if an[k] != bn[k] or ad[k] != bd[k])
 
     def inv(self) -> "Series":
         """The inverse series, in Python ints.  With the coefficients c_j
-        cleared to a_j = L c_j, L the lcm of their denominators, coefficient
-        n of the inverse is L y_n / a_0^(n+1) for y_0 = 1 and
-        y_n = -sum_{j=1..n} a_j a_0^(j-1) y_{n-j}; only the results become
-        Fractions."""
-        c0 = self.coeffs[0]
-        if not c0:
-            raise ValueError(f"series inverse requires nonzero constant term, got {c0}")
-        scale = lcm(*(c.denominator for c in self.coeffs))
-        a0, *rest = (c.numerator * (scale // c.denominator) for c in self.coeffs)
-        lifted = [x * a0**j for j, x in enumerate(rest)]
+        cleared to a_j = L c_j, L the lcm of their denominators, and the
+        sign s of a_0, coefficient n of the inverse is
+        s L y_n / |a_0|^(n+1) for y_0 = 1 and
+        y_n = -sum_{j=1..n} s a_j |a_0|^(j-1) y_{n-j}."""
+        if not self._n[0]:
+            raise ValueError("series inverse requires nonzero constant term, got 0")
+        scale = lcm(*self._d)
+        a0, *rest = (n * (scale // d) for n, d in zip(self._n, self._d))
+        sign = -1 if a0 < 0 else 1
+        a0 *= sign
+        lifted = [sign * x * a0**j for j, x in enumerate(rest)]
         ys = [1]
         for _ in range(self.order):
             ys.append(-sum(map(mul, lifted, reversed(ys))))
-        return Series([Fraction(scale * y, a0 ** (n + 1)) for n, y in enumerate(ys)], self.order)
+        return Series._from_ints(
+            [sign * scale * y for y in ys], accumulate(repeat(a0, self.order + 1), mul), self.order
+        )
 
     def render(self) -> str:
-        body = Poly(self.coeffs).render()
-        return f"{body} + O(t^{self.order + 1})"
+        return f"{_render_terms(self._n, self._d)} + O(t^{self.order + 1})"
 
     def __repr__(self) -> str:
         return f"Series({self.render()})"

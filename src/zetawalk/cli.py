@@ -114,11 +114,16 @@ def cmd_verify(ns) -> tuple[str, int]:
     report = verify_expressions(d, w, _order(ns, d))
     rep = _instance_header(ns, "verify", inst)
     rep.add("order", report.order)
-    rep.add("exponential", report.exponential.render())
-    rep.add("euler", report.euler.render())
-    rep.add("hashimoto", report.hashimoto.render())
-    rep.add("hashimoto-series", report.hashimoto_series.render())
-    rep.add("ihara", report.ihara_rhs.render())
+    # a value equal to one already rendered prints as it did: the series
+    # have one order, and a matching Ihara side is det(I - t*M) itself
+    agree = {v.name: v.agree for v in report.verdicts}
+    expo = report.exponential.render()
+    h = report.hashimoto.render()
+    rep.add("exponential", expo)
+    rep.add("euler", expo if agree["exponential-vs-euler"] else report.euler.render())
+    rep.add("hashimoto", h)
+    rep.add("hashimoto-series", expo if agree["exponential-vs-hashimoto"] else report.hashimoto_series.render())
+    rep.add("ihara", h if agree["hashimoto-vs-ihara"] else report.ihara_rhs.render())
     for v in report.verdicts:
         rep.verdict(v.name, v.agree, v.detail)
     rep.add("overall", "agree" if report.all_agree else "MISMATCH")

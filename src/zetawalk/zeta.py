@@ -64,13 +64,17 @@ on the vertex side.  ``ihara_digraph`` and ``ihara_graph`` report
 ``agree`` and alone build report tables, {(u, v): value} maps of nonzero
 entries, the only place a vertex-side Fraction is made: those of A (both
 modes) and of a graph's D hold Fractions, and each D and X entry of a
-digraph is one RatFunc, its numerator formed in ints.
+digraph is one RatFunc of two integer polynomials.
 
 The series routes run in Python ints, on P.  A length-k term of a path
 route, closed paths for N_k or prime cycles for the Euler product, then
 carries D^k.  The N_k routes return (D, [D^k N_k]), the exponential is
 formed from those ints (``_exp_of_power_sums``), and only a result
-coefficient, never a path, is divided by its power of D.  The
+coefficient, never a path, is put over its power of D: the series is
+handed the integer pairs (x, D^n), which ``algebra`` reduces once by gcd.
+Every result here reaches its ``Poly``, ``Series`` or ``RatFunc`` through
+that class's internal constructor, as ints over positive denominators, so
+``verify``, ``hashimoto``, ``exp`` and ``euler`` build no Fraction.  The
 closed-path route counts each closed path from its least arc s.  It sums
 the first-return loops s -> x_1 -> ... -> s with every x_i > s by a vector
 recurrence over the arcs above s, without listing one, and an integer
@@ -86,19 +90,19 @@ longer length, the last three of them (fewer below order 5) summed by
 lookups after a prefix of max(order - 3, order/2, 2) arcs (``_euler``).  The
 trace route to N_k reads each D^k N_k off the trace of P^k; the two N_k
 routes must give the same number of sums and agree exactly, in ints
-(ConsistencyError otherwise).  ``verify`` inverts det(I - t*M) by
-``Series.inv``, which runs in ints as well.
+(ConsistencyError otherwise).  ``verify`` inverts det(I - t*M), handed
+over as H_k / Delta, by ``Series.inv``, which runs in ints as well.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import accumulate, repeat, zip_longest
 from math import lcm
 from operator import mul
 
-from .algebra import Poly, RatFunc, Series, as_fraction, render_rational
+from .algebra import Poly, RatFunc, Series, _trim, as_fraction, render_rational
 from .digraph import Digraph, GraphError, GraphMode, PhiPair, lyndon_cycles
 from .linalg import char_poly_rows, det_poly_matrix
 
@@ -193,11 +197,7 @@ def _hashimoto(theta) -> tuple[Poly, tuple[list[int], int]]:
     scale, rows = theta
     values, delta = char_poly_rows(rows, [scale] * len(rows))
     values = values[::-1]
-    return _as_poly(values, delta), (values, delta)
-
-
-def _as_poly(values: list[int], delta: int) -> Poly:
-    return Poly([Fraction(v, delta) for v in values])
+    return Poly._from_ints(values, repeat(delta)), (values, delta)
 
 
 def _n_k_enumerated_all(theta, upto: int) -> tuple[int, list[int]]:
@@ -327,13 +327,18 @@ def _exp_of_power_sums(sums, order: int) -> Series:
     The x_k are the traces of P^k for the integer matrix P = D*T, so the
     series is 1/det(I - u*P) at u = t/D: its coefficients are e_n = f_n / D^n
     with f_n integers.  Then n f_n = sum_{k=1..n} x_k f_{n-k} divides exactly,
-    and only the results become Fractions.
+    and the series is handed the pairs f_n / D^n.
     """
     scale, xs = sums
     fs = [1]
     for n in range(1, order + 1):
         fs.append(sum(map(mul, xs, reversed(fs))) // n)
-    return Series([Fraction(f, scale**n) for n, f in enumerate(fs)], order)
+    return Series._from_ints(fs, _powers(scale, order), order)
+
+
+def _powers(x: int, n: int):
+    """x^0, x^1, ..., x^n."""
+    return accumulate(repeat(x, n), mul, initial=1)
 
 
 def euler_truncated(d: Digraph, w: WeightAssignment, order: int) -> Series:
@@ -371,7 +376,7 @@ def _euler(theta, order: int) -> Series:
     # i - k <= order/2 below, so acc[i - k] is still the short cycles' product
     for i in range(order, half, -1):
         acc[i] += sum(map(mul, totals[half + 1 : i + 1], reversed(acc[: i - half])))
-    return Series([Fraction(x, scale**i) for i, x in enumerate(acc)], order)
+    return Series._from_ints(acc, _powers(scale, order), order)
 
 
 def _mul(a: list[int], b: list[int]) -> list[int]:
@@ -391,12 +396,6 @@ def _product(polys) -> list[int]:
     for f in polys:
         acc = _mul(acc, f)
     return acc
-
-
-def _trim(a: list[int]) -> list[int]:
-    while a and not a[-1]:
-        a.pop()
-    return a
 
 
 def _over_distinct(fs) -> tuple[list[int], dict]:
@@ -456,7 +455,7 @@ def _identity(num, den, kd, hk) -> tuple[Poly, RatFunc, int | None]:
     if lhs == rhs:
         return h, RatFunc.from_poly(h), None
     k = next(i for i, (a, b) in enumerate(zip_longest(lhs, rhs, fillvalue=0)) if a != b)
-    return h, RatFunc(_as_poly(_mul(num, k_vals), delta), Poly(den)), k
+    return h, RatFunc._from_ints(_mul(num, k_vals), [delta * x for x in den]), k
 
 
 def _vertex_side(d: Digraph, w: WeightAssignment):
@@ -523,8 +522,8 @@ def _digraph_tables(terms, scale: int) -> tuple[dict, dict]:
     """The D and X report tables {(u, v): RatFunc} of nonzero entries, read
     off the t^2 terms (D) and the t^3 terms (-X).  Each entry sum
     (n / scale) / f is formed once, in ints, over the product F of its
-    distinct f, as (sum n F / f) / (scale F): one RatFunc, and so one
-    reduction, per nonzero entry, none per term."""
+    distinct f, as the integer quotient (sum n F / f) / (scale F): one
+    RatFunc, and so one reduction, per nonzero entry, none per term."""
     parts = ({}, {})
     for u, v, k, n, f in terms:
         if k > 1 and n:
@@ -536,10 +535,7 @@ def _digraph_tables(terms, scale: int) -> tuple[dict, dict]:
         for n, f in nfs:
             for i, x in enumerate(cofactor[f]):
                 num[i] += n * x
-        if not any(num):
-            return None
-        lead = big_f[-1]  # the denominator goes in monic, so RatFunc need not rescale
-        return RatFunc(Poly([Fraction(x, scale * lead) for x in num]), Poly([Fraction(x, lead) for x in big_f]))
+        return RatFunc._from_ints(num, [scale * x for x in big_f]) if any(num) else None
 
     tables = ({key: entry(nfs) for key, nfs in part.items()} for part in parts)
     return tuple({key: x for key, x in table.items() if x is not None} for table in tables)
@@ -649,7 +645,7 @@ def ihara_graph(g: Digraph, w: WeightAssignment) -> IharaGraph:
         a_g=_fractions(a_map, scale),
         d_g=_fractions(d_g, scale),
         prefactor_exponent=g.edge_count - g.vertex_count,
-        vertex_det=_as_poly(_mul(_product([(1, 0, -1)] * rows_missing), k_vals), delta),
+        vertex_det=Poly._from_ints(_mul(_product([(1, 0, -1)] * rows_missing), k_vals), repeat(delta)),
         rhs=rhs,
         hashimoto=h,
         agree=k is None,
@@ -698,8 +694,10 @@ def verify_expressions(d: Digraph, w: WeightAssignment, order: int) -> ZetaRepor
     expo = _exp_of_power_sums(_n_k_all(theta, order), order)
     eul = _euler(theta, order)
     side, _ = _vertex_side(d, w)
-    h, ihara_rhs, k = _identity(*side, _hashimoto(theta))
-    h_series = Series(h.coeffs, order).inv()
+    hk = _hashimoto(theta)
+    h, ihara_rhs, k = _identity(*side, hk)
+    h_vals, h_delta = hk[1]
+    h_series = Series._from_ints(h_vals, repeat(h_delta), order).inv()
     verdicts = (
         _verdict("exponential-vs-euler", expo.first_mismatch(eul)),
         _verdict("exponential-vs-hashimoto", expo.first_mismatch(h_series)),

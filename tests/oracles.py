@@ -13,13 +13,15 @@ matrices Au and Du, summed one rational function at a time, the two
 inversion identities behind the vertex-determinant reduction (all-ones and
 block Woodbury-style, each checked with its denominator cleared, as
 A*B == B*A == d*I for a nonzero polynomial d), brute-force closed paths
-and the prime-cycle representatives among them, the per-length totals
-of the prime cycles by Moebius inversion of traces, the phi-grouped arc
-order, theta one entry at a time, the structural matrices, the walk
-matrices U and T built entry by entry with Fraction square roots, and the
-dense unitarity residual.  The dense ``Matrix`` type, its arithmetic (sums,
-products, scaling, transposes, traces) and the series logarithm live here
-too, since only the tests use them.
+and the prime-cycle representatives among them, the per-length power
+sums of the prime cycles' products by Moebius inversion of traces, the
+phi-grouped arc order, theta one entry at a time, the structural
+matrices, the walk matrices U and T built entry by entry with Fraction
+square roots, the dense unitarity residual, and the reports of ``Poly``,
+``Series`` and ``RatFunc`` printed from their Fraction coefficients.  The
+dense ``Matrix`` type, its arithmetic (sums, products, scaling,
+transposes, traces) and the series logarithm live here too, since only
+the tests use them.
 
 Polynomial and rational-function entries compute in sympy's ``QQ[t]``
 (``RING``, generator ``T``) and ``QQ(t)`` (``FIELD``, generator ``TF``), not
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -65,6 +68,34 @@ def lift(x):
     if isinstance(x, RatFunc):
         return FIELD(lift(x.num)) / FIELD(lift(x.den))
     return RING.from_list(x.coeffs[::-1])
+
+
+def render_rational_reference(x: Fraction) -> str:
+    """A Fraction as ``str`` prints it, with every digit: ``Decimal`` prints
+    the numbers ``str`` refuses past the int-to-string digit limit."""
+    try:
+        return str(x)
+    except ValueError:
+        num = str(Decimal(x.numerator))
+        return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
+
+
+def render_reference(x) -> str:
+    """A library ``Poly``, ``Series`` or ``RatFunc`` as its ``render``
+    prints it, read off its Fraction ``coeffs``: the nonzero terms
+    ``c``, ``c*t`` and ``c*t^i`` joined by `` + ``, or ``0``; a series
+    followed by `` + O(t^(order + 1))``, a rational function that is not a
+    polynomial as ``(num)/(den)``."""
+    if isinstance(x, RatFunc):
+        return render_reference(x.num) if x.is_poly() else f"({render_reference(x.num)})/({render_reference(x.den)})"
+    terms = []
+    for i, c in enumerate(x.coeffs):
+        if c == 0:
+            continue
+        text = render_rational_reference(c)
+        terms.append(text if i == 0 else f"{text}*t" if i == 1 else f"{text}*t^{i}")
+    body = " + ".join(terms) if terms else "0"
+    return f"{body} + O(t^{x.order + 1})" if isinstance(x, Series) else body
 
 
 class Matrix:
@@ -453,31 +484,38 @@ def mobius(n: int) -> int:
     return -mu if n > 1 else mu
 
 
-def prime_cycle_totals(m: list[list[int]], max_len: int) -> dict[int, Fraction]:
-    """{k: C_k} for the k in 1..max_len with C_k != 0, C_k the total of the
-    circular products of the Lyndon closed paths of length k of the integer
-    matrix m, by Moebius inversion of traces, with no path listed:
+def hadamard_power(m: list[list[int]], j: int) -> list[list[int]]:
+    """m^(o j), the entrywise j-th power of an integer matrix."""
+    return [[x**j for x in row] for row in m]
 
-        C_k = (1/k) sum_{f | k} mu(k/f) tr((m^(o k/f))^f),
 
-    m^(o j) the entrywise j-th power.  A closed path of length f is a
+def prime_cycle_totals(m: list[list[int]], max_len: int, power: int = 1) -> dict[int, Fraction]:
+    """{k: g(k, power)} for the k in 1..max_len with g(k, power) != 0,
+    g(k, j) the sum of c(X)^j over the Lyndon closed paths X of length k
+    of the integer matrix m, c(X) the circular product, by Moebius
+    inversion of traces, with no path listed:
+
+        g(k, j) = (1/k) sum_{f | k} mu(k/f) tr((m^(o j k/f))^f),
+
+    m^(o i) the entrywise i-th power.  A closed path of length f is a
     Lyndon word X of some length d | f read f/d times, from one of d
-    rotations, so tr((m^(o j))^f) = sum_{d | f} d sum_{|X| = d} c(X)^(jf/d);
-    at j = k/f every exponent is k/d, and the sum over f leaves k C_k.  It
-    is the trace route to N_k in another form, so it only checks the
-    Lyndon walk's per-length totals."""
+    rotations, so tr((m^(o i))^f) = sum_{d | f} d sum_{|X| = d} c(X)^(i f/d);
+    at i = j k/f every exponent is j k/d, and the sum over f leaves
+    k g(k, j).  At power 1 it is the trace route to N_k in another form, so
+    it checks only the Lyndon walk's per-length totals; the higher powers
+    check the words the walk lists."""
     n = len(m)
 
     def trace_of_power(a, f):
-        power = a
+        acc = a
         for _ in range(f - 1):
-            power = [[sum(x * a[i][j] for i, x in enumerate(row) if x) for j in range(n)] for row in power]
-        return sum(power[i][i] for i in range(n))
+            acc = [[sum(x * a[i][j] for i, x in enumerate(row) if x) for j in range(n)] for row in acc]
+        return sum(acc[i][i] for i in range(n))
 
     totals = {}
     for k in range(1, max_len + 1):
         s = sum(
-            mobius(k // f) * trace_of_power([[x ** (k // f) for x in row] for row in m], f)
+            mobius(k // f) * trace_of_power(hadamard_power(m, power * k // f), f)
             for f in range(1, k + 1)
             if k % f == 0
         )

@@ -2,6 +2,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from sympy.polys.ring_series import rs_exp, rs_series_inversion
 
 from zetawalk import algebra, zeta
@@ -10,7 +12,7 @@ from zetawalk.digraph import build_digraph
 from zetawalk.instances import instance_digraph, instance_weights, parse_instance
 from zetawalk.zeta import WeightAssignment, _exp_of_power_sums
 
-from oracles import FIELD, RING, T, Matrix, coeffs, lift, mat_mul, series_log, trace
+from oracles import FIELD, RING, T, Matrix, coeffs, lift, mat_mul, render_reference, series_log, trace
 from test_golden import LARGE, large_instance
 
 
@@ -297,3 +299,68 @@ def test_floats_are_refused_at_the_boundary():
     d = build_digraph(1, [(0, 0)])
     with pytest.raises(TypeError, match="0.5"):
         WeightAssignment.from_maps(d, {0: 0.5})
+
+
+# a numerator of 4,301 digits, one past the default int-to-string limit
+HUGE = 10**4300 + 7
+
+
+@st.composite
+def int_pairs(draw, min_size=0):
+    """(nums, dens): int numerators, zeros and negatives among them and at
+    times trailing zeros, over positive denominators; at times one
+    numerator past the int-to-string digit limit."""
+    size = draw(st.integers(min_size, 7))
+    nums = draw(st.lists(st.sampled_from([0, 0, 1, -1]) | st.integers(-60, 60), min_size=size, max_size=size))
+    dens = draw(st.lists(st.integers(1, 40), min_size=size, max_size=size))
+    if nums and draw(st.integers(0, 7)) == 0:
+        nums[draw(st.integers(0, size - 1))] = draw(st.sampled_from([HUGE, -HUGE]))
+    zeros = draw(st.integers(0, 2))
+    return nums + [0] * zeros, dens + draw(st.lists(st.integers(1, 40), min_size=zeros, max_size=zeros))
+
+
+def as_fractions(nums, dens):
+    return [Fraction(n, d) for n, d in zip(nums, dens)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_pairs(), int_pairs(min_size=1))
+@example(([HUGE, 0, -4, 0], [3, 1, 6, 5]), ([-2, 0, HUGE], [1, 1, 1]))
+def test_polys_from_ints_are_the_polys_of_their_fractions(pairs, den_pairs):
+    p, expected = Poly._from_ints(*pairs), Poly(as_fractions(*pairs))
+    assert p == expected and p.coeffs == expected.coeffs and p.degree == expected.degree
+    assert p.render() == render_reference(expected) == render_reference(p)
+    # a / b over integer polynomials against the quotient of their Fraction polys
+    a, b = pairs[0], den_pairs[0]
+    while b and not b[-1]:
+        b = b[:-1]
+    if b:
+        r, expected = RatFunc._from_ints(a, b), RatFunc(Poly(a), Poly(b))
+        assert r == expected and r.is_poly() == expected.is_poly()
+        assert (r.num.coeffs, r.den.coeffs) == (expected.num.coeffs, expected.den.coeffs)
+        assert r.render() == render_reference(expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_pairs(min_size=1), st.integers(0, 8), st.integers(2, 5), st.integers(0, 8), st.sampled_from([1, -1]))
+@example(([-HUGE, 2, 0, -1], [9, 4, 1, 6]), 5, 3, 4, -1)
+def test_series_from_ints_are_the_series_of_their_fractions(pairs, order, base, k, sign):
+    s, expected = Series._from_ints(*pairs, order), Series(as_fractions(*pairs), order)
+    assert s == expected and s.coeffs == expected.coeffs and s.order == expected.order
+    assert s.render() == render_reference(expected)
+    # the same values over denominators ``base`` times larger, then one
+    # coefficient changed: the first mismatch is where the Fractions differ
+    nums, dens = pairs
+    other = Series._from_ints([base * n for n in nums], [base * d for d in dens], order + 1)
+    assert s.first_mismatch(other) is None and other.first_mismatch(s) is None
+    k = min(k, order)
+    changed = list(expected.coeffs)
+    changed[k] += Fraction(sign, base)
+    assert s.first_mismatch(Series(changed, order + 2)) == k
+    if s.coeffs[0]:
+        inverse = s.inv()
+        assert inverse == expected.inv() == Series(inverse.coeffs, order)
+        assert inverse.render() == render_reference(inverse)
+        # s * s^-1 = 1 to the order, in Fractions
+        c, y = s.coeffs, inverse.coeffs
+        assert [sum(c[j] * y[n - j] for j in range(n + 1)) for n in range(order + 1)] == [1] + [0] * order

@@ -195,6 +195,69 @@ def test_cli_single_expression_commands(tmp_path):
     assert code == 0 and "exponential 1 + 2*t^3" in out
 
 
+def test_verify_prints_each_disagreeing_value_from_its_own_render(tmp_path, monkeypatch):
+    # verify prints the exponential's line again for a series that agrees
+    # with it and the hashimoto line for a matching Ihara side; a value
+    # that disagrees prints from its own render
+    real, reports = zeta.verify_expressions, []
+
+    def bump(s):
+        return Series(s.coeffs[:-1] + (s.coeffs[-1] + 1,), s.order)
+
+    def disagreeing(d, w, order):
+        r = real(d, w, order)
+        reports.append(ZetaReport(
+            order=order,
+            exponential=r.exponential,
+            euler=bump(r.euler),
+            hashimoto=r.hashimoto,
+            hashimoto_series=bump(bump(r.hashimoto_series)),
+            ihara_rhs=RatFunc(r.hashimoto, Poly([1, 1])),
+            verdicts=tuple(Verdict(v.name, False, f"at t^{order}") for v in r.verdicts),
+        ))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "verify_expressions", disagreeing)
+    code, out, _ = run_cli("verify", write_fixture(tmp_path, "paper-graph"), "--order", "6")
+    assert code == 1
+    lines = dict(line.split(" ", 1) for line in out.splitlines() if not line.startswith("VERDICT"))
+    (report,) = reports
+    assert lines["euler"] == report.euler.render() != lines["exponential"]
+    assert lines["hashimoto-series"] == report.hashimoto_series.render() != lines["exponential"]
+    assert lines["ihara"] == report.ihara_rhs.render() != lines["hashimoto"]
+
+
+@pytest.mark.parametrize(
+    "verb", [["verify", "--order", "10"], ["hashimoto"], ["exp", "--order", "10"], ["euler", "--order", "10"]],
+    ids=lambda argv: argv[0],
+)
+def test_exact_verbs_build_no_fraction_after_the_instance_is_read(monkeypatch, verb):
+    # from the weights to the report every value is an int or an integer
+    # pair; ihara is left out, since its A and D tables are Fractions by API
+    built, counting = [], [False]
+    real_new, real_load = Fraction.__new__, cli._load
+
+    def counted_new(cls, *args, **kwargs):
+        if counting[0]:
+            built.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    def load(ns):
+        loaded = real_load(ns)
+        counting[0] = True
+        return loaded
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted_new))
+    monkeypatch.setattr(cli, "_load", load)
+    for path in sorted((Path(__file__).resolve().parent / "golden").glob("*.zw")):
+        try:
+            code, out, _ = run_cli(verb[0], str(path), *verb[1:])
+        finally:
+            counting[0] = False
+        assert code == 0 and out
+        assert built == [], path.stem
+
+
 def test_cli_parser_is_built_once_and_calls_share_no_state(tmp_path):
     digraph = write_fixture(tmp_path, "paper-digraph")
     triangle = write_fixture(tmp_path, "triangle")

@@ -485,6 +485,64 @@ def test_walk_totals_match_the_moebius_traces_on_the_dipole(monkeypatch):
     assert totals != prime_cycle_totals(p, 11)
 
 
+def listed_power_sums(m, order):
+    """{(e, j): sum of c^j over the words of length e that the Euler walk
+    at ``order`` lists}, for e <= order // 2 and e j <= order."""
+    half = order // 2
+    products = [(k, c) for word, k, c in digraph.lyndon_cycles(m, order, half) if word is not None]
+    return {
+        (e, j): sum(c**j for k, c in products if k == e)
+        for e in range(1, half + 1)
+        for j in range(1, order // e + 1)
+    }
+
+
+def moebius_power_sums(m, order):
+    """``listed_power_sums`` by ``oracles.prime_cycle_totals``, no path listed."""
+    sums = {}
+    for j in range(1, order + 1):
+        top = min(order // 2, order // j)
+        totals = prime_cycle_totals(m, top, j)
+        sums.update({(e, j): totals.get(e, 0) for e in range(1, top + 1)})
+    return sums
+
+
+def first_power_mismatch(m, order):
+    listed, expected = listed_power_sums(m, order), moebius_power_sums(m, order)
+    assert listed.keys() == expected.keys()
+    return min((key for key in listed if listed[key] != expected[key]), default=None)
+
+
+@pytest.mark.parametrize("path", GOLDEN, ids=lambda p: p.stem)
+def test_listed_prime_cycles_match_the_moebius_traces_by_power_on_goldens(path):
+    # sum c^j over the words the walk lists: a word missed, repeated or
+    # given a wrong product changes some power j even when the totals hold
+    inst = load_instance(path)
+    d = instance_digraph(inst)
+    _, p = _edge_matrix_data(d, instance_weights(inst, d))
+    for order in (10, 12):
+        assert first_power_mismatch(p, order) is None
+
+
+def test_listed_prime_cycles_match_the_moebius_traces_by_power_on_the_dipole():
+    g = symmetric_digraph(2, [(0, 1)] * 8)
+    _, p = _edge_matrix_data(g, WeightAssignment.from_maps(g))
+    assert first_power_mismatch(p, 10) is None
+
+
+def test_an_off_by_one_hadamard_power_fails_the_power_check(monkeypatch):
+    # exponent j k/f + 1 for j k/f: at length 1 the oracle sums c^(j+1) over
+    # the loops, so the check fails at the first length whose cycles have a
+    # product other than 0 and 1, and at power 1 there
+    inst = load_instance(next(p for p in GOLDEN if p.stem == "digraph-loops-parallel"))
+    d = instance_digraph(inst)
+    _, p = _edge_matrix_data(d, instance_weights(inst, d))
+    first = min(k for _, k, c in digraph.lyndon_cycles(p, 10, 5) if c not in (0, 1))
+    real = oracles.hadamard_power
+    monkeypatch.setattr(oracles, "hadamard_power", lambda m, j: real(m, j + 1))
+    assert first_power_mismatch(p, 10) == (first, 1)
+
+
 @pytest.mark.parametrize(
     "old, new, first",
     [
