@@ -13,7 +13,8 @@ monic, so equality is structural; their common factor is found and divided
 out in Python ints.  Series carry an explicit truncation order, and two
 series are compared up to the smaller one; their only arithmetic is
 ``inv``, which runs in Python ints and gives ``verify`` its Hashimoto
-series 1 / det(I - t*M).
+series 1 / det(I - t*M) when neither other series equals it (an agreeing
+``verify`` compares integer numerators and inverts nothing).
 
 Coefficients enter the public constructors through ``as_fraction``, which
 accepts Fractions, ints and strings and refuses anything else (floats

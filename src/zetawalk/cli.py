@@ -8,9 +8,10 @@ for the exact-arithmetic commands.
 
 Exit codes: 0 success / all agree, 1 mathematical mismatch, 2 input error
 (including a bad flag value, and an instance or a series order too large
-for the available memory), 3 internal defect (two computation routes that
-must agree did not, a ``ZetaError``); errors are one ``error:`` line on
-stderr.  Only ``spectrum`` loads numpy, on its first call.
+for the available memory), 3 internal defect (a ``ZetaError``, such as
+closed-path power sums that give a non-integer exponential numerator);
+errors are one ``error:`` line on stderr.  Only ``spectrum`` loads numpy,
+on its first call.
 """
 
 from __future__ import annotations

@@ -28,7 +28,7 @@ The theta matrix is built once, in integers: ``_edge_matrix_data`` returns
 (D, P) with P = D*T, T = S M S^-1, S = diag(1/q2), tau = p/q and D the lcm
 of T's row denominators q1(a) q2(a).  T has M's characteristic polynomial,
 the traces of M's powers and every closed path's circular product, so
-Hashimoto and the three series routes all run on (D, P), and no other
+Hashimoto and the two series routes all run on (D, P), and no other
 code computes D.
 
 Every determinant here is read off one scalar kernel,
@@ -68,13 +68,20 @@ digraph is one RatFunc of two integer polynomials.
 
 The series routes run in Python ints, on P.  A length-k term of a path
 route, closed paths for N_k or prime cycles for the Euler product, then
-carries D^k.  The N_k routes return (D, [D^k N_k]), the exponential is
-formed from those ints (``_exp_of_power_sums``), and only a result
-coefficient, never a path, is put over its power of D: the series is
-handed the integer pairs (x, D^n), which ``algebra`` reduces once by gcd.
-Every result here reaches its ``Poly``, ``Series`` or ``RatFunc`` through
-that class's internal constructor, as ints over positive denominators, so
-``verify``, ``hashimoto``, ``exp`` and ``euler`` build no Fraction.  The
+carries D^k.  The closed-path route returns the ints D^k N_k, the only N_k
+route of the library, and the exponential (``_exp_of_power_sums``) and the
+Euler product (``_euler``) are integer numerators f_n and acc_n over D^n,
+with D read once off (D, P).  ``verify`` compares them in ints: f_n with
+acc_n, and each with det(I - t*M) = sum_k H_k t^k / Delta by
+sum_j x_j D^(k-j) H_(k-j) = [k = 0] Delta for k <= order.  As h_0 = 1, the
+first k where that fails is the first power of t at which x differs from
+1/det(I - t*M).  Only a printed series is reduced, once by gcd, as the
+pairs (x, D^n): on agreement the report's Euler and Hashimoto series are
+the exponential itself, and the Euler ``Series`` and ``Series.inv`` of
+det(I - t*M) are built on a mismatch only.  Every result here reaches its
+``Poly``, ``Series`` or ``RatFunc`` through that class's internal
+constructor, as ints over positive denominators, so ``verify``,
+``hashimoto``, ``exp`` and ``euler`` build no Fraction.  The
 closed-path route counts each closed path from its least arc s.  It sums
 the first-return loops s -> x_1 -> ... -> s with every x_i > s by a vector
 recurrence over the arcs above s, without listing one, and an integer
@@ -87,11 +94,10 @@ have degree above the order, so the product of those factors is
 1 + sum_k C_k t^k, with C_k the total of c over the cycles of length k;
 the walk lists the cycles up to order/2 only and yields one C_k for each
 longer length, the last three of them (fewer below order 5) summed by
-lookups after a prefix of max(order - 3, order/2, 2) arcs (``_euler``).  The
-trace route to N_k reads each D^k N_k off the trace of P^k; the two N_k
-routes must give the same number of sums and agree exactly, in ints
-(ConsistencyError otherwise).  ``verify`` inverts det(I - t*M), handed
-over as H_k / Delta, by ``Series.inv``, which runs in ints as well.
+lookups after a prefix of max(order - 3, order/2, 2) arcs (``_euler``).
+The exponential's recurrence n f_n = sum_k D^k N_k f_(n-k) divides exactly
+on the power sums of the integer matrix P; a remainder shows a wrong
+enumeration and raises ConsistencyError.
 """
 
 from __future__ import annotations
@@ -102,7 +108,7 @@ from itertools import accumulate, repeat, zip_longest
 from math import lcm
 from operator import mul
 
-from .algebra import Poly, RatFunc, Series, _trim, as_fraction, render_rational
+from .algebra import Poly, RatFunc, Series, _trim, as_fraction
 from .digraph import Digraph, GraphError, GraphMode, PhiPair, lyndon_cycles
 from .linalg import char_poly_rows, det_poly_matrix
 
@@ -115,7 +121,8 @@ class ZetaError(Exception):
 
 
 class ConsistencyError(ZetaError):
-    """Two mandatory computation routes disagreed (internal defect)."""
+    """A computation broke an invariant that holds on correct code (internal
+    defect): the power sums gave a non-integer exponential numerator."""
 
 
 @dataclass(frozen=True)
@@ -200,9 +207,9 @@ def _hashimoto(theta) -> tuple[Poly, tuple[list[int], int]]:
     return Poly._from_ints(values, repeat(delta)), (values, delta)
 
 
-def _n_k_enumerated_all(theta, upto: int) -> tuple[int, list[int]]:
-    """(D, [D^k N_k for k = 1..upto]), N_k the sum of circular products over
-    closed paths, grouped by their least arc.
+def _n_k_enumerated_all(theta, upto: int) -> list[int]:
+    """[D^k N_k for k = 1..upto], N_k the sum of circular products over
+    closed paths, grouped by their least arc; D is theta's, the one scale.
 
     The route runs on the Python ints P = D*T from ``_edge_matrix_data``,
     with T = S M S^-1, so a closed path of length k adds D^k times its
@@ -234,7 +241,7 @@ def _n_k_enumerated_all(theta, upto: int) -> tuple[int, list[int]]:
     > s, so no walk returns to s or goes below it.  The cost is polynomial:
     upto steps over at most the nonzero entries of P, per start arc.
     """
-    scale, im = theta
+    im = theta[1]
     rows = [tuple((b, v) for b, v in enumerate(row) if v != 0) for row in im]
     totals = [0] * (upto + 1)
     for s in range(len(im)):
@@ -253,61 +260,15 @@ def _n_k_enumerated_all(theta, upto: int) -> tuple[int, list[int]]:
             for k in range(1, upto + 1):
                 shares.append(k * loops[k] + sum(map(mul, shares[1:k], loops[k - 1 : 0 : -1])))
                 totals[k] += shares[k]
-    return scale, totals[1:]
-
-
-def _n_k_trace_all(theta, upto: int) -> tuple[int, list[int]]:
-    """(D, [D^k N_k for k = 1..upto]), N_k = tr T^k = tr M^k for
-    (D, P = D*T) from ``_edge_matrix_data``.  The route forms each
-    P^k = P^(k-1) P by the sparse rows of P, in Python ints, and reads
-    D^k N_k = tr P^k.
-    """
-    scale, power = theta
-    n = len(power)
-    sparse = [[(j, v) for j, v in enumerate(row) if v] for row in power]
-    traces = [sum(row[i] for i, row in enumerate(power))]
-    for _ in range(upto - 1):
-        nxt = []
-        for prow in power:
-            orow = [0] * n
-            for x, pv in enumerate(prow):
-                if pv:
-                    for j, v in sparse[x]:
-                        orow[j] += pv * v
-            nxt.append(orow)
-        power = nxt
-        traces.append(sum(row[i] for i, row in enumerate(power)))
-    return scale, traces
-
-
-def _require_consistent(enum_sums, trace_sums):
-    """Raise ConsistencyError when two (D, [x_k = D^k N_k]) hold different
-    numbers of sums, or at the first N_k where they differ,
-    x_k D'^k != x'_k D^k; Fractions only word the mismatch."""
-    (d1, xs), (d2, ys) = enum_sums, trace_sums
-    if len(xs) != len(ys):
-        raise ConsistencyError(f"N_k count mismatch: enumeration gives {len(xs)} sums, trace gives {len(ys)}")
-    for k, (x, y) in enumerate(zip(xs, ys), start=1):
-        if x * d2**k != y * d1**k:
-            raise ConsistencyError(
-                f"N_{k} mismatch: enumeration gives {render_rational(Fraction(x, d1**k))},"
-                f" trace gives {render_rational(Fraction(y, d2**k))}"
-            )
+    return totals[1:]
 
 
 def n_k_all(d: Digraph, w: WeightAssignment, upto: int) -> list:
-    """N_1..N_upto, computed by both routes with mandatory agreement."""
+    """N_1..N_upto, by the closed-path route."""
     if upto < 1:
         raise ZetaError("power-sum order must be >= 1")
-    scale, sums = _n_k_all(_edge_matrix_data(d, w), upto)
-    return [Fraction(x, scale**k) for k, x in enumerate(sums, start=1)]
-
-
-def _n_k_all(theta, upto: int) -> tuple[int, list[int]]:
-    enum_sums = _n_k_enumerated_all(theta, upto)
-    trace_sums = _n_k_trace_all(theta, upto)
-    _require_consistent(enum_sums, trace_sums)
-    return trace_sums
+    theta = _edge_matrix_data(d, w)
+    return [Fraction(x, theta[0] ** k) for k, x in enumerate(_n_k_enumerated_all(theta, upto), start=1)]
 
 
 def _require_series_order(order: int) -> None:
@@ -318,22 +279,26 @@ def _require_series_order(order: int) -> None:
 def exponential_truncated(d: Digraph, w: WeightAssignment, order: int) -> Series:
     """exp( sum_{k<=order} N_k/k t^k ), truncated at ``order``."""
     _require_series_order(order)
-    return _exp_of_power_sums(_n_k_all(_edge_matrix_data(d, w), order), order)
+    theta = _edge_matrix_data(d, w)
+    return _over_powers(_exp_of_power_sums(_n_k_enumerated_all(theta, order), order), theta[0], order)
 
 
-def _exp_of_power_sums(sums, order: int) -> Series:
-    """exp( sum_k N_k/k t^k ) to ``order`` from (D, [x_k]), x_k = D^k N_k.
+def _exp_of_power_sums(xs: list[int], order: int) -> list[int]:
+    """[f_n for n = 0..order], exp( sum_k N_k/k t^k ) = sum_n f_n t^n / D^n
+    for xs = [D^k N_k].
 
-    The x_k are the traces of P^k for the integer matrix P = D*T, so the
-    series is 1/det(I - u*P) at u = t/D: its coefficients are e_n = f_n / D^n
-    with f_n integers.  Then n f_n = sum_{k=1..n} x_k f_{n-k} divides exactly,
-    and the series is handed the pairs f_n / D^n.
+    The N_k are the power sums tr T^k of T = P / D, for the integer matrix
+    P, so the series is 1/det(I - u*P) at u = t/D, whose coefficients f_n
+    are integers.  Then n f_n = sum_{k=1..n} x_k f_{n-k} divides exactly;
+    a remainder raises ConsistencyError.
     """
-    scale, xs = sums
     fs = [1]
     for n in range(1, order + 1):
-        fs.append(sum(map(mul, xs, reversed(fs))) // n)
-    return Series._from_ints(fs, _powers(scale, order), order)
+        f, r = divmod(sum(map(mul, xs, reversed(fs))), n)
+        if r:
+            raise ConsistencyError(f"the power sums give a non-integer exponential numerator at t^{n}")
+        fs.append(f)
+    return fs
 
 
 def _powers(x: int, n: int):
@@ -341,13 +306,19 @@ def _powers(x: int, n: int):
     return accumulate(repeat(x, n), mul, initial=1)
 
 
+def _over_powers(nums: list[int], scale: int, order: int) -> Series:
+    """sum_n nums[n] t^n / scale^n to ``order``."""
+    return Series._from_ints(nums, _powers(scale, order), order)
+
+
 def euler_truncated(d: Digraph, w: WeightAssignment, order: int) -> Series:
     """Product over prime cycles of 1/(1 - circ(X) t^|X|), truncated."""
     _require_series_order(order)
-    return _euler(_edge_matrix_data(d, w), order)
+    theta = _edge_matrix_data(d, w)
+    return _over_powers(_euler(theta, order), theta[0], order)
 
 
-def _euler(theta, order: int) -> Series:
+def _euler(theta, order: int) -> list[int]:
     """The Euler product, accumulated as acc[i] = D^i * (coefficient i) over
     the integer matrix P = D*T from ``_edge_matrix_data``.  The prime cycles
     are the Lyndon closed paths of P's nonzero entries, those of M, so the
@@ -363,7 +334,7 @@ def _euler(theta, order: int) -> Series:
     walks the prefixes shorter than max(order - 3, order/2, 2) and reads
     the totals of the up to three lengths after them off suffix sums.
     """
-    scale, im = theta
+    im = theta[1]
     half = order // 2
     acc = [1] + [0] * order
     totals = [0] * (order + 1)  # totals[k] = C_k for k > order/2
@@ -376,7 +347,7 @@ def _euler(theta, order: int) -> Series:
     # i - k <= order/2 below, so acc[i - k] is still the short cycles' product
     for i in range(order, half, -1):
         acc[i] += sum(map(mul, totals[half + 1 : i + 1], reversed(acc[: i - half])))
-    return Series._from_ints(acc, _powers(scale, order), order)
+    return acc
 
 
 def _mul(a: list[int], b: list[int]) -> list[int]:
@@ -681,27 +652,53 @@ def _verdict(name: str, k: int | None) -> Verdict:
     return Verdict(name, k is None, None if k is None else f"at t^{k}")
 
 
+def _first_non_inverse(xs: list[int], scale: int, h_ints) -> int | None:
+    """The least k at which x = sum_n xs[n] t^n / D^n, D = ``scale``,
+    differs from 1/h, or None, for h = sum_k H_k t^k / Delta, given as
+    h_ints = (H, Delta), with h_0 = 1: the least k with
+    sum_j xs[j] D^(k-j) H_(k-j) != [k = 0] Delta, since x h - 1 = (x - 1/h) h
+    starts where x - 1/h does."""
+    h_vals, delta = h_ints
+    scaled = [x * p for x, p in zip(h_vals, _powers(scale, len(xs) - 1))]
+    for k in range(len(xs)):
+        if sum(map(mul, scaled, reversed(xs[: k + 1]))) != (0 if k else delta):
+            return k
+    return None
+
+
 def verify_expressions(d: Digraph, w: WeightAssignment, order: int) -> ZetaReport:
     """Compute all four expressions and compare them.
 
-    Series expressions are compared coefficientwise to ``order``, Hashimoto
-    and Ihara exactly as rational functions.  The theta matrix (D, P) is
-    built once and shared by the power sums, the Euler product and
-    Hashimoto; the vertex side reads tau1 and tau2 on its own.
+    Series expressions are compared coefficientwise to ``order``, as the
+    integer numerators over D^n, Hashimoto and Ihara exactly as rational
+    functions.  The theta matrix (D, P) is built once and shared by the
+    power sums, the Euler product and Hashimoto; the vertex side reads tau1
+    and tau2 on its own.  On agreement the report's Euler and Hashimoto
+    series are the exponential, the one series reduced.
     """
     _require_series_order(order)
     theta = _edge_matrix_data(d, w)
-    expo = _exp_of_power_sums(_n_k_all(theta, order), order)
-    eul = _euler(theta, order)
+    scale = theta[0]
+    fs = _exp_of_power_sums(_n_k_enumerated_all(theta, order), order)
+    acc = _euler(theta, order)
     side, _ = _vertex_side(d, w)
     hk = _hashimoto(theta)
     h, ihara_rhs, k = _identity(*side, hk)
-    h_vals, h_delta = hk[1]
-    h_series = Series._from_ints(h_vals, repeat(h_delta), order).inv()
+    k_euler = next((n for n, (f, a) in enumerate(zip(fs, acc)) if f != a), None)
+    k_expo_h = _first_non_inverse(fs, scale, hk[1])
+    expo = _over_powers(fs, scale, order)
+    if k_euler is None:
+        eul, k_euler_h = expo, k_expo_h
+    else:
+        eul, k_euler_h = _over_powers(acc, scale, order), _first_non_inverse(acc, scale, hk[1])
+    if k_expo_h is None or k_euler_h is None:
+        h_series = expo if k_expo_h is None else eul
+    else:
+        h_series = Series._from_ints(hk[1][0], repeat(hk[1][1]), order).inv()
     verdicts = (
-        _verdict("exponential-vs-euler", expo.first_mismatch(eul)),
-        _verdict("exponential-vs-hashimoto", expo.first_mismatch(h_series)),
-        _verdict("euler-vs-hashimoto", eul.first_mismatch(h_series)),
+        _verdict("exponential-vs-euler", k_euler),
+        _verdict("exponential-vs-hashimoto", k_expo_h),
+        _verdict("euler-vs-hashimoto", k_euler_h),
         _verdict("hashimoto-vs-ihara", k),
     )
     return ZetaReport(

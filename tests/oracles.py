@@ -13,7 +13,8 @@ matrices Au and Du, summed one rational function at a time, the two
 inversion identities behind the vertex-determinant reduction (all-ones and
 block Woodbury-style, each checked with its denominator cleared, as
 A*B == B*A == d*I for a nonzero polynomial d), brute-force closed paths
-and the prime-cycle representatives among them, the per-length power
+and the prime-cycle representatives among them, the power sums N_k by
+traces of the theta matrix's powers, the per-length power
 sums of the prime cycles' products by Moebius inversion of traces, the
 phi-grouped arc order, theta one entry at a time, the structural
 matrices, the walk matrices U and T built entry by entry with Fraction
@@ -522,6 +523,30 @@ def prime_cycle_totals(m: list[list[int]], max_len: int, power: int = 1) -> dict
         if s:
             totals[k] = Fraction(s, k)
     return totals
+
+
+def n_k_trace_all(theta, upto: int) -> list[int]:
+    """[D^k N_k for k = 1..upto], N_k = tr T^k = tr M^k, for (D, P = D*T)
+    from ``zeta._edge_matrix_data``: the trace route to the power sums,
+    which shares no code with the library's closed-path route.  It forms
+    each P^k = P^(k-1) P by the sparse rows of P, in Python ints, and reads
+    D^k N_k = tr P^k."""
+    _, power = theta
+    n = len(power)
+    sparse = [[(j, v) for j, v in enumerate(row) if v] for row in power]
+    traces = [sum(row[i] for i, row in enumerate(power))]
+    for _ in range(upto - 1):
+        nxt = []
+        for prow in power:
+            orow = [0] * n
+            for x, pv in enumerate(prow):
+                if pv:
+                    for j, v in sparse[x]:
+                        orow[j] += pv * v
+            nxt.append(orow)
+        power = nxt
+        traces.append(sum(row[i] for i, row in enumerate(power)))
+    return traces
 
 
 def pair_arcs(pair: PhiPair) -> tuple[int, ...]:

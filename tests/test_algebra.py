@@ -10,7 +10,7 @@ from zetawalk import algebra, zeta
 from zetawalk.algebra import Poly, RatFunc, Series
 from zetawalk.digraph import build_digraph
 from zetawalk.instances import instance_digraph, instance_weights, parse_instance
-from zetawalk.zeta import WeightAssignment, _exp_of_power_sums
+from zetawalk.zeta import WeightAssignment, _exp_of_power_sums, _over_powers
 
 from oracles import FIELD, RING, T, Matrix, coeffs, lift, mat_mul, render_reference, series_log, trace
 from test_golden import LARGE, large_instance
@@ -176,9 +176,16 @@ def test_ratfunc_refuses_a_gcd_that_does_not_divide(monkeypatch):
         RatFunc(P(1, 1, 0, 5), P(1, 1))
 
 
+def exp_series(sums, order):
+    """exp( sum_k N_k/k t^k ) to ``order`` for power sums (D, [D^k N_k]), as
+    ``zeta`` forms it: integer numerators over D^n."""
+    scale, xs = sums
+    return _over_powers(_exp_of_power_sums(xs, order), scale, order)
+
+
 def random_power_sums(rng, order):
     """(D, [tr P^k for k = 1..order]) for a random integer matrix P and scale
-    D: the input of ``zeta._exp_of_power_sums``, the power sums of P / D."""
+    D: the power sums of P / D, the input of ``exp_series``."""
     size = rng.randint(1, 4)
     p = Matrix([[rng.randint(-3, 3) for _ in range(size)] for _ in range(size)])
     power, xs = p, []
@@ -196,10 +203,10 @@ def log_series(sums, order):
 
 def test_series_exp_example():
     # one loop of weight 2 over D = 1 and D = 3: 1/(1 - 2t) and 1/(1 - 2t/3)
-    assert _exp_of_power_sums((1, [2, 4, 8, 16]), 4).coeffs == (1, 2, 4, 8, 16)
-    assert _exp_of_power_sums((3, [2, 4, 8, 16]), 4).coeffs == tuple(Fraction(2, 3) ** n for n in range(5))
+    assert exp_series((1, [2, 4, 8, 16]), 4).coeffs == (1, 2, 4, 8, 16)
+    assert exp_series((3, [2, 4, 8, 16]), 4).coeffs == tuple(Fraction(2, 3) ** n for n in range(5))
     # P = [[0, 1], [1, 0]]: 1/det(I - tP) = 1/(1 - t^2)
-    assert _exp_of_power_sums((1, [0, 2, 0, 2]), 4).coeffs == (1, 0, 1, 0, 1)
+    assert exp_series((1, [0, 2, 0, 2]), 4).coeffs == (1, 0, 1, 0, 1)
 
 
 def test_series_log_of_geometric():
@@ -230,7 +237,7 @@ def test_series_exp_log_roundtrip_exact(rng):
     for _ in range(20):
         order = rng.randint(1, 16)
         sums = random_power_sums(rng, order)
-        assert series_log(_exp_of_power_sums(sums, order)) == log_series(sums, order)
+        assert series_log(exp_series(sums, order)) == log_series(sums, order)
         # t = 1/q(t/D) for an integer polynomial q with q(0) = 1: log t has
         # the power sums x_k / D^k of q's reciprocal roots, x_k integers
         scale = rng.randint(1, 6)
@@ -238,7 +245,7 @@ def test_series_exp_log_roundtrip_exact(rng):
         t = Series(coeffs(rs_series_inversion(lift(q), T, order + 1)), order)
         xs = [k * c * scale**k for k, c in enumerate(series_log(t).coeffs[1:], start=1)]
         assert all(x.denominator == 1 for x in xs)
-        assert _exp_of_power_sums((scale, [int(x) for x in xs]), order) == t
+        assert exp_series((scale, [int(x) for x in xs]), order) == t
 
 
 def test_series_inverse_identity_exact(rng):
@@ -263,7 +270,7 @@ def test_series_exp_is_rs_exp(rng):
         order = rng.randint(1, 16)
         sums = random_power_sums(rng, order)
         expected = Series(coeffs(rs_exp(lift(log_series(sums, order)), T, order + 1)), order)
-        assert _exp_of_power_sums(sums, order) == expected
+        assert exp_series(sums, order) == expected
 
 
 def test_render_rational_prints_every_digit_on_both_sides_of_the_str_limit():

@@ -749,7 +749,7 @@ def test_cli_default_order_is_max_of_10_and_arc_count(tmp_path, fixture, order, 
 @pytest.mark.parametrize(
     "verb, target, error",
     [
-        ("verify", "verify_expressions", ConsistencyError("N_2 mismatch: enumeration gives 1, trace gives 2")),
+        ("verify", "verify_expressions", ConsistencyError("the power sums give a non-integer exponential numerator at t^2")),
         ("ihara", "ihara_digraph", ConsistencyError("vertex determinant expression disagrees")),
     ],
 )

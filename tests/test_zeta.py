@@ -23,10 +23,8 @@ from zetawalk.zeta import (
     _euler,
     _exp_of_power_sums,
     _hashimoto,
-    _n_k_all,
     _n_k_enumerated_all,
-    _n_k_trace_all,
-    _require_consistent,
+    _over_powers,
     edge_matrix,
     euler_truncated,
     exponential_truncated,
@@ -43,8 +41,8 @@ from test_golden import LARGE, large_instance
 from oracles import (
     FIELD, RING, T, TF, Matrix, char_poly_exact, closed_paths, coeffs, det_bareiss,
     det_one_minus_t_by_elimination, graph_vertex_det, ihara_digraph_tables, lift, mat_mul, mat_sub,
-    pair_arcs, phi_grouped_arc_order, prime_cycle_representatives, prime_cycle_totals, sato_expression,
-    sato_matrices, structural_matrices, theta_value,
+    n_k_trace_all, pair_arcs, phi_grouped_arc_order, prime_cycle_representatives, prime_cycle_totals,
+    sato_expression, sato_matrices, structural_matrices, theta_value,
 )
 
 
@@ -217,25 +215,9 @@ def test_n_k_edgeless_and_error():
         n_k_all(d, w, 0)
 
 
-def as_fractions(sums):
-    """[N_1, N_2, ...] as Fractions from a route's (D, [D^k N_k])."""
-    scale, xs = sums
+def as_fractions(scale, xs):
+    """[N_1, N_2, ...] as Fractions from a route's [D^k N_k], D = ``scale``."""
     return [Fraction(x, scale**k) for k, x in enumerate(xs, start=1)]
-
-
-def test_require_consistent_raises_on_fabricated_mismatch():
-    # N = (1, 2) with D = 1 and D = 2 agree; N_2 = 3 does not
-    _require_consistent((1, [1, 2]), (2, [2, 8]))
-    with pytest.raises(ConsistencyError, match="N_2 mismatch: enumeration gives 2, trace gives 3"):
-        _require_consistent((2, [2, 8]), (1, [1, 3]))
-    with pytest.raises(ConsistencyError, match="N_k count mismatch: enumeration gives 2 sums, trace gives 1"):
-        _require_consistent((1, [1, 2]), (1, [1]))
-
-
-def test_require_consistent_names_a_mismatch_past_the_str_digit_limit():
-    with pytest.raises(ConsistencyError, match="N_1") as err:
-        _require_consistent((3, [10**5000]), (1, [1]))
-    assert f"enumeration gives 1{'0' * 5000}/3, trace gives 1" in str(err.value)
 
 
 # Mersenne primes: distinct, and their product is far above 2^200.
@@ -272,9 +254,9 @@ def test_power_sums_with_large_prime_denominators_and_zero_theta(name):
         m[a][b] == 0 for a in range(d.arc_count) for b in d.inverse_set(a)
     )  # a zeroed adjacency: the enumeration must skip it, not divide by it
     theta = _edge_matrix_data(d, w)
-    trace = _n_k_trace_all(theta, 10)
+    trace = n_k_trace_all(theta, 10)
     assert _n_k_enumerated_all(theta, 10) == trace
-    assert n_k_all(d, w, 10) == as_fractions(trace)
+    assert n_k_all(d, w, 10) == as_fractions(theta[0], trace)
     report = verify_expressions(d, w, 10)
     assert report.all_agree
     assert report.euler == report.hashimoto_series
@@ -293,47 +275,58 @@ def mutate(monkeypatch, name, old, new, module=zeta):
     monkeypatch.setattr(zeta, name, namespace[name])
 
 
-def require_scale_caught(monkeypatch, route, returned):
-    """Mutate ``route`` to report 2D beside its D^k N_k, D the scale of
-    (D, P); the comparison with the other N_k route must catch it."""
-    mutate(monkeypatch, route, f"return {returned}", f"return 2 * {returned}")
-    d = fixture_digraph("paper-digraph")
-    w = WeightAssignment.from_maps(d)
-    with pytest.raises(ConsistencyError, match="N_3"):  # N_1 = N_2 = 0 here
-        n_k_all(d, w, 4)
-    with pytest.raises(ConsistencyError):
-        verify_expressions(d, w, 4)
+def verify_details(name, order):
+    """{verdict name: detail} of verify on fixture ``name`` at unit weights."""
+    d = fixture_digraph(name)
+    return {v.name: v.detail for v in verify_expressions(d, WeightAssignment.from_maps(d), order).verdicts}
 
 
-def test_corrupted_scaling_raises_consistency_error(monkeypatch):
-    require_scale_caught(monkeypatch, "_n_k_enumerated_all", "scale, totals[1:]")
+def test_doubled_enumerated_sums_fail_the_exponential_verdicts(monkeypatch):
+    # 2 N_k in place of N_k: on the paper digraph N_1 = N_2 = 0, the
+    # numerators up to t^4 are still integers, and the verdicts name t^3,
+    # the first nonzero N_k
+    mutate(monkeypatch, "_n_k_enumerated_all", "totals[k] += shares[k]", "totals[k] += 2 * shares[k]")
+    assert verify_details("paper-digraph", 4) == {
+        "exponential-vs-euler": "at t^3",
+        "exponential-vs-hashimoto": "at t^3",
+        "euler-vs-hashimoto": None,
+        "hashimoto-vs-ihara": None,
+    }
 
 
-def test_corrupted_trace_scaling_raises_consistency_error(monkeypatch):
-    require_scale_caught(monkeypatch, "_n_k_trace_all", "scale, traces")
+def test_exp_recurrence_refuses_a_non_integer_numerator():
+    # P = [[1]] has N_1 = N_2 = 1; N_1 = 1, N_2 = 0 are no power sums of
+    # an integer matrix, and give f_2 = 1/2
+    assert _exp_of_power_sums([1, 1], 2) == [1, 1, 1]
+    with pytest.raises(ConsistencyError, match=r"at t\^2$"):
+        _exp_of_power_sums([1, 0], 2)
 
 
-def test_trace_route_one_power_short_raises_consistency_error(tmp_path, monkeypatch, capsys):
-    # a trace route that stops one power early returns one sum short; zipped
-    # with the enumeration's sums it would pass, exp would print a wrong
-    # t^6 and verify would report a verdict mismatch, not a defect
-    mutate(monkeypatch, "_n_k_trace_all", "range(upto - 1)", "range(upto - 2)")
-    d = fixture_digraph("paper-graph")
-    w = WeightAssignment.from_maps(d)
-    short = "N_k count mismatch: enumeration gives 6 sums, trace gives 5"
-    with pytest.raises(ConsistencyError, match=short):
-        n_k_all(d, w, 6)
-    with pytest.raises(ConsistencyError, match=short):
-        exponential_truncated(d, w, 6)
-    path = tmp_path / "paper-graph.zw"
-    path.write_text(fixture_text("paper-graph"), encoding="utf-8")
-    assert cli.main(["verify", str(path), "--order", "6"]) == cli.EXIT_INTERNAL == 3
-    assert short in capsys.readouterr().err
+def test_an_odd_second_power_sum_raises_consistency_error(tmp_path, monkeypatch, capsys):
+    # 2 f_2 = x_1^2 + x_2 is even for the power sums of an integer matrix,
+    # so x_2 + 1 always leaves a remainder at t^2
+    real = zeta._n_k_enumerated_all
+
+    def bumped(theta, upto):
+        xs = real(theta, upto)
+        return xs[:1] + [xs[1] + 1] + xs[2:]
+
+    monkeypatch.setattr(zeta, "_n_k_enumerated_all", bumped)
+    message = "the power sums give a non-integer exponential numerator at t^2"
+    for name in ("paper-graph", "paper-digraph", "triangle"):
+        d = fixture_digraph(name)
+        with pytest.raises(ConsistencyError, match=r"at t\^2$"):
+            exponential_truncated(d, WeightAssignment.from_maps(d), 6)
+        path = tmp_path / f"{name}.zw"
+        path.write_text(fixture_text(name), encoding="utf-8")
+        assert cli.main(["verify", str(path), "--order", "6"]) == cli.EXIT_INTERNAL == 3
+        assert capsys.readouterr().err == f"error: internal defect: {message}\n"
 
 
 def test_loop_recurrence_without_convolution_raises_consistency_error(monkeypatch):
     # m_k = k f_k alone counts only the closed paths that visit their least
-    # arc once; on the paper graph, some of length 2 visit it twice
+    # arc once; on the paper graph, some of length 2 visit it twice, and the
+    # exponential's recurrence no longer divides at t^3
     mutate(
         monkeypatch,
         "_n_k_enumerated_all",
@@ -342,21 +335,26 @@ def test_loop_recurrence_without_convolution_raises_consistency_error(monkeypatc
     )
     d = fixture_digraph("paper-graph")
     w = WeightAssignment.from_maps(d)
-    with pytest.raises(ConsistencyError, match="N_2"):
-        n_k_all(d, w, 6)
-    with pytest.raises(ConsistencyError):
+    theta = _edge_matrix_data(d, w)
+    assert zeta._n_k_enumerated_all(theta, 6) != n_k_trace_all(theta, 6)
+    with pytest.raises(ConsistencyError, match=r"at t\^3$"):
+        exponential_truncated(d, w, 6)
+    with pytest.raises(ConsistencyError, match=r"at t\^3$"):
         verify_expressions(d, w, 6)
 
 
-@pytest.mark.parametrize("name, first", [("paper-graph", "N_2"), ("paper-digraph", "N_6")])
-def test_loop_walk_that_revisits_its_least_arc_raises_consistency_error(monkeypatch, name, first):
+@pytest.mark.parametrize("name, first", [("paper-graph", 2), ("paper-digraph", 6)])
+def test_loop_walk_that_revisits_its_least_arc_fails_the_exponential_verdicts(monkeypatch, name, first):
     # with steps allowed into column s, a walk from s may pass through s
     # again, and a loop then holds several first-return loops; columns > s
     # alone keep the walk above s
     mutate(monkeypatch, "_n_k_enumerated_all", "if b > s:", "if b >= s:")
-    d = fixture_digraph(name)
-    with pytest.raises(ConsistencyError, match=first):
-        n_k_all(d, WeightAssignment.from_maps(d), 6)
+    assert verify_details(name, 6) == {
+        "exponential-vs-euler": f"at t^{first}",
+        "exponential-vs-hashimoto": f"at t^{first}",
+        "euler-vs-hashimoto": None,
+        "hashimoto-vs-ihara": None,
+    }
 
 
 def euler_verdicts(d, order):
@@ -419,7 +417,7 @@ def test_enumeration_matches_trace_on_parallel_edges():
     g = symmetric_digraph(2, [(0, 1)] * 8)
     w = WeightAssignment.from_maps(g)
     theta = _edge_matrix_data(g, w)
-    assert _n_k_enumerated_all(theta, 8) == _n_k_trace_all(theta, 8)
+    assert _n_k_enumerated_all(theta, 8) == n_k_trace_all(theta, 8)
     # det(I - tM) = (1 - t^2)^7 (1 - 49 t^2), so N_k = 14 + 2 * 7^k for
     # even k and 0 for odd k; far too many closed paths to list one by one
     assert hashimoto(g, w).coeffs == coeffs((1 - T**2) ** 7 * (1 - 49 * T**2))
@@ -438,8 +436,11 @@ def test_verify_hashimoto_series_matches_sympy_inversion():
             d = random_multigraph(rng, max_vertices=4, max_edges=4)
         w = inverse_cancelling_weights(rng, d) if trial % 3 else random_weights(rng, d)
         order = rng.randint(1, 12)
-        expected = rs_series_inversion(lift(hashimoto(d, w)), T, order + 1)
-        assert verify_expressions(d, w, order).hashimoto_series == Series(coeffs(expected), order)
+        h = hashimoto(d, w)
+        expected = Series(coeffs(rs_series_inversion(lift(h), T, order + 1)), order)
+        assert verify_expressions(d, w, order).hashimoto_series == expected
+        # verify inverts h only on a mismatch, so the inverse is checked here
+        assert Series(h.coeffs, order).inv() == expected
 
 
 GOLDEN = sorted((Path(__file__).resolve().parent / "golden").glob("*.zw"))
@@ -447,13 +448,39 @@ GOLDEN = sorted((Path(__file__).resolve().parent / "golden").glob("*.zw"))
 
 @pytest.mark.parametrize("path", GOLDEN, ids=lambda p: p.stem)
 def test_exponential_matches_the_hashimoto_inverse_at_order_40_on_goldens(path):
-    # the integer exp recurrence and the integer series inverse share no
-    # code, so each checks the other far past verify's default order
+    # the closed-path route and the trace oracle, and the integer exp
+    # recurrence and the integer series inverse, share no code, so each
+    # checks the other far past verify's default order
     inst = load_instance(path)
     d = instance_digraph(inst)
     theta = _edge_matrix_data(d, instance_weights(inst, d))
+    sums = _n_k_enumerated_all(theta, 40)
+    assert sums == n_k_trace_all(theta, 40)
     inverse = Series(_hashimoto(theta)[0].coeffs, 40).inv()
-    assert _exp_of_power_sums(_n_k_all(theta, 40), 40) == inverse
+    assert _over_powers(_exp_of_power_sums(sums, 40), theta[0], 40) == inverse
+
+
+@pytest.mark.parametrize("path", GOLDEN, ids=lambda p: p.stem)
+def test_agreeing_verify_reduces_one_series_and_inverts_none(path, monkeypatch):
+    calls = []
+    real_from_ints, real_inv = Series._from_ints.__func__, Series.inv
+
+    def from_ints(cls, *args):
+        calls.append("_from_ints")
+        return real_from_ints(cls, *args)
+
+    def inv(self):
+        calls.append("inv")
+        return real_inv(self)
+
+    monkeypatch.setattr(Series, "_from_ints", classmethod(from_ints))
+    monkeypatch.setattr(Series, "inv", inv)
+    inst = load_instance(path)
+    d = instance_digraph(inst)
+    report = verify_expressions(d, instance_weights(inst, d), 10)
+    assert report.all_agree
+    assert report.euler is report.hashimoto_series is report.exponential
+    assert calls == ["_from_ints"]
 
 
 def walk_totals(m, max_len):
@@ -547,19 +574,20 @@ def test_an_off_by_one_hadamard_power_fails_the_power_check(monkeypatch):
     "old, new, first",
     [
         ("map(mul, xs, reversed(fs))", "map(mul, xs[1:], reversed(fs))", 1),
-        ("// n)", "// max(n - 1, 1))", 2),
+        ("sum(map(mul, xs, reversed(fs))), n)", "sum(map(mul, xs, reversed(fs))), max(n - 1, 1))", 2),
     ],
     ids=["convolution-off-by-one", "divided-by-n-minus-1"],
 )
 def test_corrupted_exp_recurrence_breaks_exponential_vs_hashimoto(monkeypatch, old, new, first):
     # N_1 = 2 and N_2 = 6 on the paper graph: x_{k+1} in place of x_k
-    # is wrong at t^1, and n f_n / (n - 1) at t^2
+    # is wrong at t^1, and n f_n / (n - 1) at t^2; both still divide up to
+    # t^3, and past it the checked division refuses them
     mutate(monkeypatch, "_exp_of_power_sums", old, new)
-    d = fixture_digraph("paper-graph")
-    verdicts = verify_expressions(d, WeightAssignment.from_maps(d), 10).verdicts
-    details = {v.name: v.detail for v in verdicts}
+    details = verify_details("paper-graph", 3)
     assert details["exponential-vs-hashimoto"] == f"at t^{first}"
     assert details["euler-vs-hashimoto"] is None
+    with pytest.raises(ConsistencyError, match="non-integer exponential numerator"):
+        verify_details("paper-graph", 10)
 
 
 def theta_table(d, w):
@@ -616,9 +644,9 @@ def test_series_routes_match_brute_force_on_random_instances():
         # order/2 split and its summed last lengths see both parities
         upto = trial // 6 % 6 + 1
         expected = brute_force_power_sums(d, w, upto)
-        assert as_fractions(_n_k_enumerated_all(theta, upto)) == expected
-        assert as_fractions(_n_k_trace_all(theta, upto)) == expected
-        assert _euler(theta, upto) == prime_cycle_product(d, w, upto)
+        assert as_fractions(theta[0], _n_k_enumerated_all(theta, upto)) == expected
+        assert as_fractions(theta[0], n_k_trace_all(theta, upto)) == expected
+        assert _over_powers(_euler(theta, upto), theta[0], upto) == prime_cycle_product(d, w, upto)
 
 
 def test_euler_matches_the_hashimoto_inverse_at_orders_1_to_12():
@@ -636,7 +664,7 @@ def test_euler_matches_the_hashimoto_inverse_at_orders_1_to_12():
         theta = _edge_matrix_data(d, inverse_cancelling_weights(rng, d))
         h = _hashimoto(theta)[0]
         for order in range(1, 13):
-            assert _euler(theta, order) == Series(h.coeffs, order).inv()
+            assert _over_powers(_euler(theta, order), theta[0], order) == Series(h.coeffs, order).inv()
 
 
 @pytest.mark.parametrize("name", ["paper-digraph", "paper-graph"])
