@@ -12,9 +12,10 @@ kept in canonical form: numerator and denominator coprime, denominator
 monic, so equality is structural; their common factor is found and divided
 out in Python ints.  Series carry an explicit truncation order, and two
 series are compared up to the smaller one; their only arithmetic is
-``inv``, which runs in Python ints and gives ``verify`` its Hashimoto
-series 1 / det(I - t*M) when neither other series equals it (an agreeing
-``verify`` compares integer numerators and inverts nothing).
+``inv``, the textbook recurrence over the exact coefficients, which gives
+``verify`` its Hashimoto series 1 / det(I - t*M) when neither other series
+equals it (an agreeing ``verify`` compares integer numerators and inverts
+nothing).
 
 Coefficients enter the public constructors through ``as_fraction``, which
 accepts Fractions, ints and strings and refuses anything else (floats
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 from decimal import Decimal
 from fractions import Fraction
-from itertools import accumulate, islice, repeat
+from itertools import islice, repeat
 from math import gcd, lcm
 from operator import mul
 
@@ -307,24 +308,16 @@ class Series:
         return next(k for k in range(m) if an[k] != bn[k] or ad[k] != bd[k])
 
     def inv(self) -> "Series":
-        """The inverse series, in Python ints.  With the coefficients c_j
-        cleared to a_j = L c_j, L the lcm of their denominators, and the
-        sign s of a_0, coefficient n of the inverse is
-        s L y_n / |a_0|^(n+1) for y_0 = 1 and
-        y_n = -sum_{j=1..n} s a_j |a_0|^(j-1) y_{n-j}."""
-        if not self._n[0]:
+        """The inverse series by the textbook recurrence over the exact
+        coefficients c_j: y_0 = 1 / c_0 and
+        y_n = -(c_1 y_(n-1) + ... + c_n y_0) / c_0."""
+        c0, *rest = self.coeffs
+        if not c0:
             raise ValueError("series inverse requires nonzero constant term, got 0")
-        scale = lcm(*self._d)
-        a0, *rest = (n * (scale // d) for n, d in zip(self._n, self._d))
-        sign = -1 if a0 < 0 else 1
-        a0 *= sign
-        lifted = [sign * x * a0**j for j, x in enumerate(rest)]
-        ys = [1]
-        for _ in range(self.order):
-            ys.append(-sum(map(mul, lifted, reversed(ys))))
-        return Series._from_ints(
-            [sign * scale * y for y in ys], accumulate(repeat(a0, self.order + 1), mul), self.order
-        )
+        ys = [1 / c0]
+        for n in range(1, self.order + 1):
+            ys.append(-sum(map(mul, rest[:n], reversed(ys))) / c0)
+        return Series(ys, self.order)
 
     def render(self) -> str:
         return f"{_render_terms(self._n, self._d)} + O(t^{self.order + 1})"

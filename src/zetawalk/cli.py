@@ -9,8 +9,10 @@ for the exact-arithmetic commands.
 Exit codes: 0 success / all agree, 1 mathematical mismatch, 2 input error
 (including a bad flag value, and an instance or a series order too large
 for the available memory), 3 internal defect (a ``ZetaError``, such as
-closed-path power sums that give a non-integer exponential numerator);
-errors are one ``error:`` line on stderr.  Only ``spectrum`` loads numpy,
+closed-path power sums that give a non-integer exponential numerator, or
+any other ``ValueError``, ``ArithmeticError`` or ``RuntimeError``, such as
+an inexact polynomial division or a failed eigensolve); errors are one
+``error:`` line on stderr, never a traceback.  Only ``spectrum`` loads numpy,
 on its first call.
 """
 
@@ -267,6 +269,17 @@ def _positive_tolerance(value: str) -> float:
     return eps
 
 
+# The exact verbs, in the order the help lists them: (verb, handler, help,
+# takes --order).
+_EXACT_VERBS = (
+    ("verify", cmd_verify, "compute all expressions and compare", True),
+    ("ihara", cmd_ihara, "vertex determinant data and identity check", False),
+    ("hashimoto", cmd_hashimoto, "det(I - t*M)", False),
+    ("euler", cmd_euler, "prime-cycle product, truncated", True),
+    ("exp", cmd_exp, "exponential expression, truncated", True),
+)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process.  Each verb's handler
@@ -277,33 +290,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, order=False):
+    for verb, func, help_text, takes_order in _EXACT_VERBS:
+        p = sub.add_parser(verb, help=help_text)
         p.add_argument("instance", help="instance file path")
         p.add_argument("--format", choices=("text", "records"), default="text")
-        if order:
+        if takes_order:
             p.add_argument(
                 "--order", type=_positive_int, default=None, help="series truncation order"
             )
-
-    p = sub.add_parser("verify", help="compute all expressions and compare")
-    common(p, order=True)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("ihara", help="vertex determinant data and identity check")
-    common(p)
-    p.set_defaults(func=cmd_ihara)
-
-    p = sub.add_parser("hashimoto", help="det(I - t*M)")
-    common(p)
-    p.set_defaults(func=cmd_hashimoto)
-
-    p = sub.add_parser("euler", help="prime-cycle product, truncated")
-    common(p, order=True)
-    p.set_defaults(func=cmd_euler)
-
-    p = sub.add_parser("exp", help="exponential expression, truncated")
-    common(p, order=True)
-    p.set_defaults(func=cmd_exp)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("spectrum", help="walk spectrum, direct vs derived")
     p.add_argument("instance", help="graph-mode instance file path")
@@ -332,7 +327,7 @@ def main(argv=None) -> int:
             "error: out of memory: the instance or the series order is too large for this machine\n"
         )
         return EXIT_INPUT
-    except ZetaError as exc:
+    except (ZetaError, ValueError, ArithmeticError, RuntimeError) as exc:
         sys.stderr.write(f"error: internal defect: {exc}\n")
         return EXIT_INTERNAL
     sys.stdout.write(text)

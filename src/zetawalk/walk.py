@@ -32,8 +32,8 @@ each reduced n/d must satisfy 0 < n <= d, and the row sums are compared
 over the lcm of the row's denominators.  The entries of U and T are square
 roots of products of two probabilities, taken in Python-int arithmetic at
 any size and exact wherever the product is a rational square.  U takes one
-root per entry and places them by numpy index arrays over the arcs sorted
-by tail; T takes one per edge.
+root per entry and places them by numpy index arrays read off the out-arc
+lists of ``Digraph``; T takes one per edge.
 
 This module makes every numpy call in the library, the direct eigensolve
 ``eigenvalues_numeric`` among them; the exact kernel in ``linalg`` uses
@@ -47,6 +47,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from itertools import chain
 from numbers import Number
 from typing import TYPE_CHECKING
 
@@ -138,27 +139,19 @@ def _transition(g: Digraph, terms: list[tuple[int, int]]) -> np.ndarray:
 
     The arcs b with head(b) = tail(a) are the partners c ^ 1 of the arcs c
     leaving tail(a), and inv(c ^ 1) = c.  Row a holds 2 sqrt(p(a) p(c)) at
-    column partner(c) for each such c, so the rows and columns are index
-    arrays over the arcs sorted by tail.  The partner map is a bijection,
-    so no entry is set twice, loops and parallel edges included: U is
-    filled by one assignment.  The entry for c = a, at (a, partner(a)),
-    has the partner flip's -1 subtracted before it.
+    column partner(c) for each c in ``g.out_arcs(tail(a))``.  The partner
+    map is a bijection, so no entry is set twice, loops and parallel edges
+    included: U is filled by one assignment.  The entry for c = a, at
+    (a, partner(a)), has the partner flip's -1 subtracted before it.
     """
     import numpy as np
     n = g.arc_count
-    tails = np.array(g.tails, dtype=np.intp)
-    by_tail = np.argsort(tails, kind="stable")
-    deg = np.bincount(tails, minlength=g.vertex_count)
-    width = deg[tails]  # the entries of row a: one per arc leaving tail(a)
-    start = np.cumsum(width) - width  # where row a's entries start
-    first = (np.cumsum(deg) - deg)[tails]  # where tail(a)'s arcs start in by_tail
-    rows = np.repeat(np.arange(n), width)
-    out = by_tail[np.arange(rows.size) + np.repeat(first - start, width)]  # c, entry by entry
+    rows = np.repeat(np.arange(n), [g.degree(t) for t in g.tails])
+    out = np.fromiter(chain.from_iterable(map(g.out_arcs, g.tails)), np.intp, rows.size)  # c
     roots = [_sqrt_product(terms[a], terms[c]) for a, c in zip(rows.tolist(), out.tolist())]
-    cols = out ^ 1
     vals = 2.0 * np.array(roots) - (out == rows)  # c = a: the flip
     u = np.zeros((n, n))
-    u[rows, cols] = vals
+    u[rows, out ^ 1] = vals
     return u
 
 

@@ -78,10 +78,11 @@ first k where that fails is the first power of t at which x differs from
 1/det(I - t*M).  Only a printed series is reduced, once by gcd, as the
 pairs (x, D^n): on agreement the report's Euler and Hashimoto series are
 the exponential itself, and the Euler ``Series`` and ``Series.inv`` of
-det(I - t*M) are built on a mismatch only.  Every result here reaches its
-``Poly``, ``Series`` or ``RatFunc`` through that class's internal
-constructor, as ints over positive denominators, so ``verify``,
-``hashimoto``, ``exp`` and ``euler`` build no Fraction.  The
+det(I - t*M) are built on a mismatch only.  Every other result here
+reaches its ``Poly``, ``Series`` or ``RatFunc`` through that class's
+internal constructor, as ints over positive denominators, so ``verify``
+(but for that inverse, which runs over Fractions), ``hashimoto``, ``exp``
+and ``euler`` build no Fraction.  The
 closed-path route counts each closed path from its least arc s.  It sums
 the first-return loops s -> x_1 -> ... -> s with every x_i > s by a vector
 recurrence over the arcs above s, without listing one, and an integer

@@ -1,0 +1,192 @@
+"""Mutant catalogue: deliberate faults that named tests must catch.
+
+Each mutant replaces one anchor, which must occur exactly once in its file
+under ``src/``, and names the pytest node ids that must fail with it.  The
+runner copies ``src/`` and ``tests/`` to a temporary directory and first
+runs every named test there unmutated: each must pass, or a kill would
+mean nothing.  It then applies one mutant at a time and runs its tests
+with ``-x -q``.  A mutant is killed when pytest reports a failed test
+(exit 1).  The runner exits 1 when a mutant survives, when an anchor is
+missing or repeated, or when pytest cannot run a mutant's tests.
+
+    python tests/mutants.py                      # every mutant
+    python tests/mutants.py series-inv-no-c0     # the named ones
+
+pytest does not collect this file, since its name does not start with
+``test_``.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@dataclass(frozen=True)
+class Mutant:
+    id: str
+    file: str  # under src/
+    anchor: str
+    replacement: str
+    tests: tuple[str, ...]  # node ids, relative to the repository root
+
+
+MUTANTS = (
+    Mutant(
+        "coefficient-bound-halved",
+        "zetawalk/linalg.py",
+        "    return max(poly)\n",
+        "    return max(poly) // 2\n",
+        ("tests/test_linalg.py::test_coefficient_bound_holds_where_hadamard_is_tight",),
+    ),
+    Mutant(
+        "hadamard-row-norm-off-by-one",
+        "zetawalk/linalg.py",
+        "r = isqrt(sum(map(mul, row, row))) + 1",
+        "r = isqrt(sum(map(mul, row, row)))",
+        ("tests/test_linalg.py::test_coefficient_bound_holds_where_hadamard_is_tight",),
+    ),
+    Mutant(
+        # the last Hessenberg pass is skipped whenever an earlier one ran:
+        # the loop ends once one more full group of primes would pass 2B
+        "crt-one-pass-early",
+        "zetawalk/linalg.py",
+        "    while modulus <= limit:\n",
+        "    while modulus == 1 or modulus << 30 * _PRIMES_PER_PASS <= limit:\n",
+        ("tests/test_linalg.py::test_kernel_with_200_bit_numerators_uses_many_primes",),
+    ),
+    Mutant(
+        "kernel-prime-divides-delta",
+        "zetawalk/linalg.py",
+        "primes = (p for p in map(_kernel_prime, count()) if delta % p)",
+        "primes = map(_kernel_prime, count())",
+        ("tests/test_linalg.py::test_kernel_skips_a_prime_that_divides_a_denominator",),
+    ),
+    Mutant(
+        "summed-lengths-plus-one",
+        "zetawalk/digraph.py",
+        "SUMMED_LENGTHS = 3\n",
+        "SUMMED_LENGTHS = 4\n",
+        ("tests/test_zeta.py::test_euler_matches_the_hashimoto_inverse_at_orders_1_to_12",),
+    ),
+    Mutant(
+        "summed-lengths-minus-one",
+        "zetawalk/digraph.py",
+        "SUMMED_LENGTHS = 3\n",
+        "SUMMED_LENGTHS = 2\n",
+        ("tests/test_digraph.py::test_lyndon_walk_matches_brute_force_words_and_totals",),
+    ),
+    Mutant(
+        # the same words and totals, each length walked by a frame: only
+        # the frame count shows it
+        "walk-sums-no-length",
+        "zetawalk/digraph.py",
+        "stop = max(max_len - SUMMED_LENGTHS, listed, min(2, max_len))",
+        "stop = max(max_len, listed, min(2, max_len))",
+        ("tests/test_digraph.py::test_lyndon_walk_pushes_no_frame_for_the_summed_lengths",),
+    ),
+    Mutant(
+        "exp-division-unchecked",
+        "zetawalk/zeta.py",
+        "        if r:\n            raise ConsistencyError(",
+        "        if False:\n            raise ConsistencyError(",
+        ("tests/test_zeta.py::test_exp_recurrence_refuses_a_non_integer_numerator",),
+    ),
+    Mutant(
+        "identity-sign-flip",
+        "zetawalk/zeta.py",
+        "rhs = _trim(_mul(den, [x * delta for x in h_vals]))",
+        "rhs = _trim(_mul(den, [-x * delta for x in h_vals]))",
+        (
+            "tests/test_zeta.py::test_ihara_graph_random_instances",
+            "tests/test_zeta.py::test_ihara_digraph_random_instances",
+        ),
+    ),
+    Mutant(
+        "vertex-side-without-d",
+        "zetawalk/zeta.py",
+        "                terms.append((x, x, 2, sum2 * sum1_other, f))\n",
+        "",
+        (
+            "tests/test_zeta.py::test_ihara_graph_random_instances",
+            "tests/test_zeta.py::test_ihara_digraph_random_instances",
+        ),
+    ),
+    Mutant(
+        "series-inv-no-c0",
+        "zetawalk/algebra.py",
+        "ys.append(-sum(map(mul, rest[:n], reversed(ys))) / c0)",
+        "ys.append(-sum(map(mul, rest[:n], reversed(ys))))",
+        ("tests/test_algebra.py::test_series_inverse_identity_exact",),
+    ),
+    Mutant(
+        "transition-flip-on-the-diagonal",
+        "zetawalk/walk.py",
+        "- (out == rows)",
+        "- ((out ^ 1) == rows)",
+        ("tests/test_walk.py::test_single_edge_transition_matrix",),
+    ),
+)
+
+
+def _pytest(root: Path, ids) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *ids],
+        cwd=root, env=env, capture_output=True, text=True,
+    )
+
+
+def run(mutants) -> int:
+    """Run each mutant's tests on it; returns the number of failures."""
+    failures = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        junk = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, root / part, ignore=junk)
+        clean = _pytest(root, sorted({t for m in mutants for t in m.tests}))
+        if clean.returncode:
+            print(f"the unmutated tree fails its tests (pytest exit {clean.returncode}):\n{clean.stdout}")
+            return 1
+        for m in mutants:
+            path = root / "src" / m.file
+            text = path.read_text(encoding="utf-8")
+            found = text.count(m.anchor)
+            if found != 1:
+                print(f"{m.id}: anchor occurs {found} times in src/{m.file}")
+                failures += 1
+                continue
+            path.write_text(text.replace(m.anchor, m.replacement), encoding="utf-8")
+            try:
+                result = _pytest(root, m.tests)
+            finally:
+                path.write_text(text, encoding="utf-8")
+            if result.returncode == 1:
+                print(f"{m.id}: killed")
+            else:
+                verdict = "SURVIVED" if result.returncode == 0 else f"pytest exit {result.returncode}"
+                print(f"{m.id}: {verdict}\n{result.stdout}{result.stderr}")
+                failures += 1
+    return failures
+
+
+def main(argv) -> int:
+    known = {m.id: m for m in MUTANTS}
+    unknown = [name for name in argv if name not in known]
+    if unknown:
+        print(f"unknown mutant(s): {', '.join(unknown)}; known: {', '.join(known)}")
+        return 2
+    failures = run([known[name] for name in argv] if argv else MUTANTS)
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

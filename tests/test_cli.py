@@ -1,3 +1,4 @@
+import argparse
 import io
 import math
 import random
@@ -272,6 +273,52 @@ def test_cli_parser_is_built_once_and_calls_share_no_state(tmp_path):
     for argv, result in zip(calls, in_sequence):
         cli.build_parser.cache_clear()  # a fresh parser, as in a new process
         assert run_cli(*argv) == result
+
+
+_INSTANCE = ("instance", None, "instance file path", None)
+_FORMAT = ("--format", "text", None, ("text", "records"))
+_ORDER = ("--order", None, "series truncation order", None)
+# verb -> (help, handler, (first option string or dest, default, help,
+# choices) of each argument after -h), as the parser declared them before
+# the exact verbs came from one table
+PARSER = {
+    "verify": ("compute all expressions and compare", "cmd_verify", (_INSTANCE, _FORMAT, _ORDER)),
+    "ihara": ("vertex determinant data and identity check", "cmd_ihara", (_INSTANCE, _FORMAT)),
+    "hashimoto": ("det(I - t*M)", "cmd_hashimoto", (_INSTANCE, _FORMAT)),
+    "euler": ("prime-cycle product, truncated", "cmd_euler", (_INSTANCE, _FORMAT, _ORDER)),
+    "exp": ("exponential expression, truncated", "cmd_exp", (_INSTANCE, _FORMAT, _ORDER)),
+    "spectrum": (
+        "walk spectrum, direct vs derived",
+        "cmd_spectrum",
+        (
+            ("instance", None, "graph-mode instance file path", None),
+            ("walk", None, None, ("grover", "szegedy")),
+            _FORMAT,
+            ("--tolerance", 1e-8, None, None),
+        ),
+    ),
+    "fixtures": (
+        "write a bundled instance file",
+        "cmd_fixtures",
+        (("name", None, "fixture name", None), ("-o", None, "write to a file instead of stdout", None)),
+    ),
+}
+
+
+def test_cli_parser_declares_every_verb_as_before():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    helps = {a.dest: a.help for a in sub._choices_actions}
+    assert list(sub.choices) == list(helps) == list(PARSER)
+    for verb, p in sub.choices.items():
+        help_text, handler, arguments = PARSER[verb]
+        assert (helps[verb], p.get_default("func").__name__) == (help_text, handler), verb
+        actions = [(a.option_strings or [a.dest])[0] for a in p._actions]
+        assert actions[0] == "-h", verb
+        assert [(name, a.default, a.help, a.choices) for name, a in zip(actions[1:], p._actions[1:])] == list(arguments)
+    assert sub.choices["fixtures"]._actions[2].option_strings == ["-o", "--output"]
+    order_type = {verb: {a.dest: a.type for a in p._actions}.get("order") for verb, p in sub.choices.items()}
+    assert {verb for verb, t in order_type.items() if t is cli._positive_int} == {"verify", "euler", "exp"}
 
 
 @pytest.mark.parametrize("verb", ["verify", "euler", "exp"])
@@ -765,7 +812,30 @@ def test_cli_internal_defect_exit_code(tmp_path, monkeypatch, verb, target, erro
     assert err.count("\n") == 1 and err.startswith("error: ") and str(error) in err
 
 
-OUT_OF_MEMORY = "error: out of memory: the instance or the series order is too large for this machine\n"
+@pytest.mark.parametrize(
+    "verb, fixture, module, target, error",
+    [
+        ("ihara", "paper-digraph", zeta, "det_poly_matrix", ValueError("det_poly_matrix needs P(0) = I")),
+        ("verify", "paper-graph", zeta, "det_poly_matrix", ValueError("det_poly_matrix needs P(0) = I")),
+        ("hashimoto", "paper-graph", zeta, "char_poly_rows", ArithmeticError("a broken kernel")),
+        ("spectrum", "triangle", cli, "eigenvalues_numeric", RuntimeError("eigenvalue iteration failed")),
+    ],
+    ids=["ihara-value-error", "verify-value-error", "hashimoto-arithmetic-error", "spectrum-runtime-error"],
+)
+def test_cli_library_invariant_failures_exit_3(tmp_path, monkeypatch, verb, fixture, module, target, error):
+    # a plain ValueError, ArithmeticError or RuntimeError raised inside the
+    # library is a broken invariant: one error line and exit 3, no traceback
+    def broken(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(module, target, broken)
+    args = [verb, write_fixture(tmp_path, fixture)] + (["grover"] if verb == "spectrum" else [])
+    code, out, err = run_cli(*args)
+    assert (code, out) == (cli.EXIT_INTERNAL, "")
+    assert err == f"error: internal defect: {error}\n"
+
+
+OUT_OF_MEMORY ="error: out of memory: the instance or the series order is too large for this machine\n"
 
 
 @pytest.mark.parametrize(

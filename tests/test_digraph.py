@@ -1,9 +1,11 @@
+import bisect
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zetawalk import digraph
 from zetawalk.digraph import (
     Digraph,
     GraphError,
@@ -316,6 +318,25 @@ def test_lyndon_walk_lists_lengths_up_to_max_len(max_len, listed):
     # then grows to ``listed``
     m = [[1, -2, 0], [3, 0, 1], [1, 1, -1]]
     assert walk_output(m, max_len, listed) == oracle_output(lyndon_closed_paths(m, max_len), listed)
+
+
+@pytest.mark.parametrize("max_len", range(1, 13))
+def test_lyndon_walk_pushes_no_frame_for_the_summed_lengths(monkeypatch, max_len):
+    # on one loop the prefixes are 0, 00, 000, ...; the walk looks up one
+    # bisect_left for the root and one per frame it pushes, and it pushes
+    # the prefixes shorter than stop = max(max_len - 3, min(2, max_len))
+    # only: the last SUMMED_LENGTHS = 3 lengths are summed from a prefix of
+    # length stop
+    calls = []
+
+    def counting(a, x):
+        calls.append(x)
+        return bisect.bisect_left(a, x)
+
+    monkeypatch.setattr(digraph, "bisect_left", counting)
+    assert walk_output([[1]], max_len, 0) == ([], {1: 1})
+    stop = max(max_len - 3, min(2, max_len))
+    assert len(calls) == 1 + max(0, stop - 2)
 
 
 @pytest.mark.parametrize("max_len, listed", [(5, -1), (4, 5), (1, 2)])

@@ -591,7 +591,11 @@ def test_corrupted_exp_recurrence_breaks_exponential_vs_hashimoto(monkeypatch, o
 
 
 def theta_table(d, w):
-    return [[theta_value(d, w, a, b) for b in range(d.arc_count)] for a in range(d.arc_count)]
+    """(rows, L): theta(a, b) = rows[a][b] / L, for L the lcm of the
+    denominators of theta, so that path products are int products."""
+    theta = [[theta_value(d, w, a, b) for b in range(d.arc_count)] for a in range(d.arc_count)]
+    scale = math.lcm(*(x.denominator for row in theta for x in row))
+    return [[x.numerator * (scale // x.denominator) for x in row] for row in theta], scale
 
 
 def circular_product(theta, path):
@@ -599,23 +603,24 @@ def circular_product(theta, path):
 
 
 def brute_force_power_sums(d, w, upto):
-    theta = theta_table(d, w)
+    theta, scale = theta_table(d, w)
     return [
-        sum((circular_product(theta, path) for path in closed_paths(d, k)), Fraction(0))
+        Fraction(sum(circular_product(theta, path) for path in closed_paths(d, k)), scale**k)
         for k in range(1, upto + 1)
     ]
 
 
 def prime_cycle_product(d, w, order):
     """prod over the structural prime cycles X of 1/(1 - circ(X) t^|X|),
-    with the cycles read off the brute-force closed paths."""
-    theta = theta_table(d, w)
-    acc = [Fraction(1)] + [Fraction(0)] * order
+    with the cycles read off the brute-force closed paths.  Coefficient i
+    is accumulated as its integer numerator over L^i."""
+    theta, scale = theta_table(d, w)
+    acc = [1] + [0] * order
     for cycle in prime_cycle_representatives(d, order):
         c, k = circular_product(theta, cycle), len(cycle)
         for i in range(k, order + 1):
             acc[i] += acc[i - k] * c
-    return Series(acc, order)
+    return Series([Fraction(a, scale**i) for i, a in enumerate(acc)], order)
 
 
 def inverse_cancelling_weights(rng, d):
