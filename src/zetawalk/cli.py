@@ -7,8 +7,9 @@ and ``fixtures`` (write a bundled instance).  Reports are byte-deterministic
 for the exact-arithmetic commands.
 
 Exit codes: 0 success / all agree, 1 mathematical mismatch, 2 input error
-(including a bad flag value, and an instance or a series order too large
-for the available memory), 3 internal defect (a ``ZetaError``, such as
+(including a bad flag value, a path that cannot be opened, an ``ihara``
+instance above MAX_IHARA_VERTICES, and an instance or a series order too
+large for the available memory), 3 internal defect (a ``ZetaError``, such as
 closed-path power sums that give a non-integer exponential numerator, or
 any other ``ValueError``, ``ArithmeticError`` or ``RuntimeError``, such as
 an inexact polynomial division or a failed eigensolve); errors are one
@@ -28,6 +29,7 @@ from .digraph import GraphError, GraphMode
 from .instances import (
     ParseError,
     _INTEGER,
+    _open,
     _quote,
     fixture_text,
     instance_digraph,
@@ -59,6 +61,13 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
+
+# The most vertices ``ihara`` takes.  Its report prints every entry of the
+# n x n tables A and D, and X for a digraph, zeros included, and holds it
+# in memory: at 1,000 vertices a digraph's report is 3,000,010 lines (41 MB,
+# about 300 MB peak RSS), and at 10,000 it would not fit in 8 GB.  A larger
+# instance is an input error, refused before any table is built.
+MAX_IHARA_VERTICES = 1_000
 
 
 def exit_code_for_report(report: ZetaReport) -> int:
@@ -148,6 +157,11 @@ def _table_entries(rep: _Report, name: str, table: dict, n: int) -> None:
 
 def cmd_ihara(ns) -> tuple[str, int]:
     inst, d, w = _load(ns)
+    if d.vertex_count > MAX_IHARA_VERTICES:
+        raise GraphError(
+            f"ihara takes at most {MAX_IHARA_VERTICES} vertices, as its report prints every entry"
+            f" of its n x n tables; the instance has {d.vertex_count}"
+        )
     rep = _instance_header(ns, "ihara", inst)
     if d.mode is GraphMode.GENERAL:
         data = ihara_digraph(d, w)
@@ -235,7 +249,7 @@ def cmd_fixtures(ns) -> tuple[str, int]:
         sys.stderr.write(f"error: {exc.args[0]}\n")
         return "", EXIT_INPUT
     if ns.output:
-        with open(ns.output, "w", encoding="utf-8") as fh:
+        with _open(ns.output, "w", encoding="utf-8") as fh:
             fh.write(text)
         return "", EXIT_OK
     return text, EXIT_OK

@@ -191,8 +191,17 @@ def parse_instance(text: str, source: str = "<instance>") -> Instance:
     return Instance(mode, vertices, tuple(pairs), tau1, tau2, prob, source)
 
 
+def _open(path, mode: str, **kwargs):
+    """open(path, mode, ...), with a path that open refuses by ValueError,
+    such as one with a NUL byte, raised as an OSError: an unusable path."""
+    try:
+        return open(path, mode, **kwargs)
+    except ValueError as exc:
+        raise OSError(f"cannot open {_quote(str(path))}: {exc}") from None
+
+
 def load_instance(path) -> Instance:
-    with open(path, "rb") as fh:
+    with _open(path, "rb") as fh:
         data = fh.read()
     try:
         text = data.decode("utf-8")

@@ -17,8 +17,8 @@ pass integer rows: ``zeta``'s Hashimoto matrix and every companion below.
   prod_i (d_i + r_i x); B is the largest of those coefficients, in integers
   only.  It never exceeds 2^n * prod_i max(r_i, d_i), the sum of them all.
 * Primes.  30-bit primes, counting down from 2^30, each certified by
-  deterministic Miller-Rabin and found only when first needed.  The primes
-  dividing Delta are skipped.
+  trial division and found only when first needed, once per process.  The
+  primes dividing Delta are skipped.
 * Per pass.  Up to _PRIMES_PER_PASS of the kernel primes are multiplied
   into one modulus q.  diag(1/d) R is reduced mod q (no prime of q divides
   Delta, so each d_i is a unit), brought to upper Hessenberg form by
@@ -212,22 +212,8 @@ def _kernel_prime(i: int) -> int:
 
 
 def _is_prime(q: int) -> bool:
-    """Deterministic Miller-Rabin for odd 7 < q < 3,215,031,751 (bases 2, 3, 5, 7)."""
-    d, s = q - 1, 0
-    while not d & 1:
-        d >>= 1
-        s += 1
-    for a in (2, 3, 5, 7):
-        x = pow(a, d, q)
-        if x == 1 or x == q - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % q
-            if x == q - 1:
-                break
-        else:
-            return False
-    return True
+    """Trial division by the odd numbers up to sqrt(q), for odd q > 1."""
+    return all(q % f for f in range(3, isqrt(q) + 1, 2))
 
 
 def det_poly_matrix(p: dict[tuple[int, int], list[int]], scale: int) -> tuple[list[int], int]:

@@ -36,15 +36,15 @@ Every determinant here is read off one scalar kernel,
 
 * det(I - t*M) is the charpoly of T = diag(1/D) P, reversed (``_hashimoto``).
 * the vertex determinant is assembled sparsely, in Python ints, by
-  ``_vertex_det`` from one term form: (u, v, k, n, f) adds
-  (n / S) t^k / f to entry (u, v) of the vertex matrix, with n an int, S
-  the one scale of the whole vertex side, and f a block factor as an
-  integer coefficient tuple, or None for the terms of A.  r_u, the product
-  of the distinct f among the nonzero terms of row u, and S clear row u to
-  an integer polynomial row, so P(t) = Q(t) / S has P(0) = I and
+  ``_vertex_det`` from one row form: the term (v, k, n, f) of row u adds
+  (n / S) t^k / f to entry (u, v) of the vertex matrix, with n a nonzero
+  int, S the one scale of the whole vertex side, and f a block factor as
+  an integer coefficient tuple, or None for the terms of A.  Each row is
+  cleared once: r_u, the product of the distinct f of row u, and S clear
+  it to an integer polynomial row, so P(t) = Q(t) / S has P(0) = I and
   det(vertex matrix) = det(P) / R with R = prod_u r_u;
   det(P) is that of I - t*C for the companion C of P
-  (``linalg.det_poly_matrix``).  A row with no nonzero term is a row of the
+  (``linalg.det_poly_matrix``).  A row with no term is a row of the
   identity and is never materialized.
 
 Every Ihara-style operation builds its vertex side without det(I - t*M),
@@ -63,8 +63,10 @@ differ.  ``verify_expressions`` reports that power and makes no Fraction
 on the vertex side.  ``ihara_digraph`` and ``ihara_graph`` report
 ``agree`` and alone build report tables, {(u, v): value} maps of nonzero
 entries, the only place a vertex-side Fraction is made: those of A (both
-modes) and of a graph's D hold Fractions, and each D and X entry of a
-digraph is one RatFunc of two integer polynomials.
+modes) and of a graph's D hold Fractions.  Both read D off the rows that
+``_vertex_det`` cleared, and a digraph's X too: each of its D and X
+entries is the t^2 or t^3 part of cleared row u over S r_u, one RatFunc
+of two integer polynomials.
 
 The series routes run in Python ints, on P.  A length-k term of a path
 route, closed paths for N_k or prime cycles for the Euler product, then
@@ -378,36 +380,42 @@ def _over_distinct(fs) -> tuple[list[int], dict]:
     return _product(distinct), {f: _product(g for g in distinct if g != f) for f in distinct}
 
 
-def _vertex_det(terms, scale: int) -> tuple[list[int], tuple[list[int], int]]:
-    """(R, det P) with det(I + sum of terms) = det P / R.
+def _vertex_det(rows: dict, scale: int) -> tuple[list[int], tuple[list[int], int], dict]:
+    """(R, det P, cleared) with det(I + sum of terms) = det P / R.
 
-    A term (u, v, k, n, f) adds (n / scale) t^k / f to entry (u, v), or
-    (n / scale) t^k when f is None, for an int n and an integer coefficient
-    tuple f.  r_u is the product of the distinct f among the nonzero terms
-    of row u, R = prod_u r_u, and P is the vertex matrix with each row u
-    multiplied by r_u, so that a term's (n / scale) / f becomes n / scale
-    times the cofactor r_u / f.  P times ``scale`` is the integer polynomial
-    matrix Q, with Q(0) = scale * I; det P is (c, Delta) from
-    ``det_poly_matrix``.  A row with no nonzero term keeps the row of the
-    identity and is never materialized.
+    ``rows`` maps u to the nonzero terms (v, k, n, f) of row u: each adds
+    (n / scale) t^k / f to entry (u, v), or (n / scale) t^k when f is None,
+    for an int n and an integer coefficient tuple f.  Each row is cleared
+    once: r_u is the product of its distinct f, R = prod_u r_u, and P is the
+    vertex matrix with each row u multiplied by r_u, so that a term's
+    (n / scale) / f becomes n / scale times the cofactor r_u / f.
+    ``cleared`` maps u to (r_u, {(v, k): c}), c the integer polynomial
+    sum n r_u / f over the terms of entry (u, v) at t^k: that part of the
+    entry is t^k c / (scale r_u).  P times ``scale`` is the integer
+    polynomial matrix Q, with Q(0) = scale * I; det P is (c, Delta) from
+    ``det_poly_matrix``.  A row with no term keeps the row of the identity
+    and is never materialized.
     """
-    by_row = {}
-    for term in terms:
-        if term[3]:
-            by_row.setdefault(term[0], []).append(term)
-    big_r, q = [1], {}
-    for u, row_terms in by_row.items():
-        ru, cofactor = _over_distinct(f for *_, f in row_terms if f is not None)
+    big_r, q, cleared = [1], {}, {}
+    for u, terms in rows.items():
+        ru, cofactor = _over_distinct(f for *_, f in terms if f is not None)
         big_r = _mul(big_r, ru)
-        q[u, u] = [scale * x for x in ru]
-        for _, v, k, n, f in row_terms:
+        parts = {}
+        for v, k, n, f in terms:
             mult = ru if f is None else cofactor[f]
+            part = parts.setdefault((v, k), [])
+            part += [0] * (len(mult) - len(part))
+            for i, x in enumerate(mult):
+                part[i] += n * x
+        cleared[u] = ru, parts
+        q[u, u] = [scale * x for x in ru]
+        for (v, k), part in parts.items():
             entry = q.setdefault((u, v), [])
-            entry += [0] * (k + len(mult) - len(entry))
-            for i, x in enumerate(mult, k):
-                entry[i] += n * x
+            entry += [0] * (k + len(part) - len(entry))
+            for i, x in enumerate(part, k):
+                entry[i] += x
     q = {key: cs for key, cs in q.items() if _trim(cs) or key[0] == key[1]}
-    return big_r, det_poly_matrix(q, scale)
+    return big_r, det_poly_matrix(q, scale), cleared
 
 
 def _identity(num, den, kd, hk) -> tuple[Poly, RatFunc, int | None]:
@@ -433,9 +441,10 @@ def _identity(num, den, kd, hk) -> tuple[Poly, RatFunc, int | None]:
 def _vertex_side(d: Digraph, w: WeightAssignment):
     """The vertex side (prod_f, R, det P) of prod_f * det(I - t*A + t^2*D - t^3*X)
     and the parts the Ihara reports read: the blocks (u, v, out, back), their
-    f, the scale S, A as {(u, v): n}, zero sums included, and the terms
-    (u, v, k, n, f) of ``_vertex_det``, those of D at t^2 and of -X at t^3
-    divided by their block's f; every n stands for n / S.
+    f, the scale S, A as {(u, v): n}, zero sums included, and the rows
+    cleared by ``_vertex_det``.  Each nonzero term goes straight to its row
+    u as (v, k, n, f): those of -A at t^1, of D at t^2 and of -X at t^3,
+    the last two divided by their block's f; every n stands for n / S.
 
     The blocks are those of the inverse relation: a digraph's phi pairs, out
     holding the arcs u -> v and back the arcs v -> u, or a graph's edges,
@@ -461,14 +470,21 @@ def _vertex_side(d: Digraph, w: WeightAssignment):
     a_map = {}
     for a, key in enumerate(zip(d.tails, d.heads)):
         a_map[key] = a_map.get(key, 0) + tau1[a] * tau2[a]
-    terms = [(u, v, 1, -n, None) for (u, v), n in a_map.items()]
+    rows = {}
+
+    def add(u, v, k, n, f=None):
+        if n:
+            rows.setdefault(u, []).append((v, k, n, f))
+
+    for (u, v), n in a_map.items():
+        add(u, v, 1, -n)
     fs = []
     for u, v, out, back in blocks:
         out1 = sum(tau1[a] for a in out)
         out2 = sum(tau2[a] for a in out)
         if out == back:
             f = (1, len(out))
-            terms.append((u, u, 2, out2 * out1, f))
+            add(u, u, 2, out2 * out1, f)
         else:
             f = (1, 0, -len(out) * len(back))
             back1 = sum(tau1[a] for a in back)
@@ -477,11 +493,12 @@ def _vertex_side(d: Digraph, w: WeightAssignment):
                 (u, v, out2, out1, back1, len(back)),
                 (v, u, back2, back1, out1, len(out)),
             ):
-                terms.append((x, x, 2, sum2 * sum1_other, f))
-                terms.append((x, y, 3, -n_back * sum2 * sum1, f))
+                add(x, x, 2, sum2 * sum1_other, f)
+                add(x, y, 3, -n_back * sum2 * sum1, f)
         fs.append(f)
     scale = s1 * s2
-    return (_product(fs), *_vertex_det(terms, scale)), (blocks, fs, scale, a_map, terms)
+    big_r, det_p, cleared = _vertex_det(rows, scale)
+    return (_product(fs), big_r, det_p), (blocks, fs, scale, a_map, cleared)
 
 
 def _fractions(table: dict, scale: int) -> dict:
@@ -490,27 +507,17 @@ def _fractions(table: dict, scale: int) -> dict:
     return {key: Fraction(n, scale) for key, n in table.items() if n}
 
 
-def _digraph_tables(terms, scale: int) -> tuple[dict, dict]:
-    """The D and X report tables {(u, v): RatFunc} of nonzero entries, read
-    off the t^2 terms (D) and the t^3 terms (-X).  Each entry sum
-    (n / scale) / f is formed once, in ints, over the product F of its
-    distinct f, as the integer quotient (sum n F / f) / (scale F): one
-    RatFunc, and so one reduction, per nonzero entry, none per term."""
-    parts = ({}, {})
-    for u, v, k, n, f in terms:
-        if k > 1 and n:
-            parts[k - 2].setdefault((u, v), []).append(((-1) ** k * n, f))
-
-    def entry(nfs):
-        big_f, cofactor = _over_distinct(f for _, f in nfs)
-        num = [0] * len(big_f)
-        for n, f in nfs:
-            for i, x in enumerate(cofactor[f]):
-                num[i] += n * x
-        return RatFunc._from_ints(num, [scale * x for x in big_f]) if any(num) else None
-
-    tables = ({key: entry(nfs) for key, nfs in part.items()} for part in parts)
-    return tuple({key: x for key, x in table.items() if x is not None} for table in tables)
+def _digraph_tables(cleared: dict, scale: int) -> tuple[dict, dict]:
+    """The D and X report tables {(u, v): RatFunc} of nonzero entries: the
+    t^2 part (D) and the t^3 part (-X) of each row cleared by
+    ``_vertex_det``, c / (scale r_u), one RatFunc per nonzero entry."""
+    tables = ({}, {})
+    for u, (ru, parts) in cleared.items():
+        den = [scale * x for x in ru]
+        for (v, k), c in parts.items():
+            if k > 1 and any(c):
+                tables[k - 2][u, v] = RatFunc._from_ints([(-1) ** k * x for x in c], den)
+    return tables
 
 
 @dataclass(frozen=True)
@@ -558,9 +565,9 @@ def ihara_digraph(d: Digraph, w: WeightAssignment) -> IharaDigraph:
     if d.mode is not GraphMode.GENERAL:
         raise GraphError("ihara_digraph requires a general-mode digraph")
     theta = _edge_matrix_data(d, w)
-    side, (blocks, fs, scale, a_map, terms) = _vertex_side(d, w)
+    side, (blocks, fs, scale, a_map, cleared) = _vertex_side(d, w)
     h, rhs, k = _identity(*side, _hashimoto(theta))
-    d_table, x_table = _digraph_tables(terms, scale)
+    d_table, x_table = _digraph_tables(cleared, scale)
     return IharaDigraph(
         pairs=tuple(PhiPair(*block) for block in blocks),
         f_factors=tuple(Poly(f) for f in fs),
@@ -596,23 +603,22 @@ def ihara_graph(g: Digraph, w: WeightAssignment) -> IharaGraph:
     """The vertex-sized determinant expression of a graph, from the blocks
     of ``_vertex_side``, one per edge with f = 1 - t^2.
 
-    D[u][u] is the sum of tau1(a ^ 1) tau2(a) over the arcs a leaving u,
-    that of the t^2 terms at u.  A row with no nonzero term is
-    the row (1 - t^2) e_u of I - t*A + t^2*(D - I) and adds no row to P
-    and no factor to R, so the vertex det is (1 - t^2)^(|V| - deg R / 2)
-    det P.
+    Every row with a nonzero term has one, as a nonzero A[u][v] comes with
+    the nonzero X term of an arc u -> v, so its r_u is 1 - t^2 and each
+    cofactor is 1: D[u][u], the sum of tau1(a ^ 1) tau2(a) over the arcs a
+    leaving u, is the t^2 part of cleared row u.  A row with no nonzero
+    term is the row (1 - t^2) e_u of I - t*A + t^2*(D - I) and adds no row
+    to P and no factor to R, so the vertex det is
+    (1 - t^2)^(|V| - rows of P) det P.
     """
     if g.mode is not GraphMode.SYMMETRIC:
         raise GraphError("ihara_graph requires the symmetric digraph of a graph")
     theta = _edge_matrix_data(g, w)
-    side, (_, _, scale, a_map, terms) = _vertex_side(g, w)
+    side, (_, _, scale, a_map, cleared) = _vertex_side(g, w)
     h, rhs, k = _identity(*side, _hashimoto(theta))
-    _, big_r, (k_vals, delta) = side
-    d_g = {}
-    for u, _, power, n, _ in terms:
-        if power == 2:
-            d_g[u, u] = d_g.get((u, u), 0) + n
-    rows_missing = g.vertex_count - (len(big_r) - 1) // 2
+    k_vals, delta = side[2]
+    d_g = {(u, u): parts[u, 2][0] for u, (_, parts) in cleared.items() if (u, 2) in parts}
+    rows_missing = g.vertex_count - len(cleared)
     return IharaGraph(
         a_g=_fractions(a_map, scale),
         d_g=_fractions(d_g, scale),

@@ -112,7 +112,7 @@ MUTANTS = (
     Mutant(
         "vertex-side-without-d",
         "zetawalk/zeta.py",
-        "                terms.append((x, x, 2, sum2 * sum1_other, f))\n",
+        "                add(x, x, 2, sum2 * sum1_other, f)\n",
         "",
         (
             "tests/test_zeta.py::test_ihara_graph_random_instances",
@@ -120,11 +120,83 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        # the digraph report's D and X entries read off the cleared rows
+        # with the sign of their power flipped: D printed as -D, X as -X
+        "digraph-table-sign-flip",
+        "zetawalk/zeta.py",
+        "[(-1) ** k * x for x in c]",
+        "[(-1) ** (k + 1) * x for x in c]",
+        ("tests/test_zeta.py::test_cancelling_pair_sums",),
+    ),
+    Mutant(
         "series-inv-no-c0",
         "zetawalk/algebra.py",
         "ys.append(-sum(map(mul, rest[:n], reversed(ys))) / c0)",
         "ys.append(-sum(map(mul, rest[:n], reversed(ys))))",
         ("tests/test_algebra.py::test_series_inverse_identity_exact",),
+    ),
+    # the RatFunc reduction: its gcd, the pseudo-remainders and the exact
+    # quotient, on which every digraph D and X table entry relies
+    Mutant(
+        "ratfunc-content-kept",
+        "zetawalk/algebra.py",
+        "    a, b = _primitive(a), _primitive(b)\n",
+        "",
+        (
+            "tests/test_algebra.py::test_ratfunc_canonical_form_unique",
+            "tests/test_algebra.py::test_ratfunc_cancels_high_degree_common_factors",
+        ),
+    ),
+    Mutant(
+        "ratfunc-loop-not-primitive",
+        "zetawalk/algebra.py",
+        "a, b = b, _primitive(_pseudo_remainder(a, b))",
+        "a, b = b, _pseudo_remainder(a, b)",
+        (
+            "tests/test_algebra.py::test_ratfunc_canonical_form_unique",
+            "tests/test_algebra.py::test_ratfunc_cancels_a_shared_single_root",
+        ),
+    ),
+    Mutant(
+        "ratfunc-gcd-one",
+        "zetawalk/algebra.py",
+        "g = _primitive_gcd(a, b)",
+        "g = [1]",
+        (
+            "tests/test_algebra.py::test_ratfunc_product_cancels",
+            "tests/test_algebra.py::test_ratfunc_canonical_form_unique",
+        ),
+    ),
+    Mutant(
+        # each step subtracts q * b one place too low; on the perturbed
+        # mismatch quotients the coefficients grow for minutes, so the
+        # small cases kill it
+        "ratfunc-pseudo-remainder-shifted",
+        "zetawalk/algebra.py",
+        "for i, y in enumerate(b[:-1], len(r) + 1 - len(b)):",
+        "for i, y in enumerate(b[:-1], len(r) - len(b)):",
+        (
+            "tests/test_algebra.py::test_ratfunc_product_cancels",
+            "tests/test_algebra.py::test_ratfunc_canonical_form_unique",
+        ),
+    ),
+    Mutant(
+        # only a gcd that does not divide shows it: the real gcd always does
+        "ratfunc-remainder-unchecked",
+        "zetawalk/algebra.py",
+        "    if any(r):\n        raise ValueError(f\"inexact",
+        "    if False:\n        raise ValueError(f\"inexact",
+        ("tests/test_algebra.py::test_ratfunc_refuses_a_gcd_that_does_not_divide",),
+    ),
+    Mutant(
+        "ratfunc-not-monic",
+        "zetawalk/algebra.py",
+        "        lead = b[-1]\n",
+        "        lead = 1\n",
+        (
+            "tests/test_algebra.py::test_ratfunc_canonical_form_unique",
+            "tests/test_algebra.py::test_ratfunc_with_a_constant_numerator_is_canonical",
+        ),
     ),
     Mutant(
         "transition-flip-on-the-diagonal",

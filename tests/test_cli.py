@@ -917,3 +917,46 @@ def test_cli_ten_thousand_vertices_with_one_arc(tmp_path, monkeypatch, text):
     assert sizes and max(sizes) <= 4
     code, out, err = run_cli("hashimoto", str(path))
     assert (code, err) == (0, "") and out.endswith("hashimoto 1\n")
+
+
+@pytest.mark.parametrize("kind", ["arc", "edge"], ids=["digraph", "graph"])
+def test_cli_ihara_refuses_more_vertices_than_its_report_takes(tmp_path, monkeypatch, kind):
+    # ihara prints every entry of its n x n tables, so above the limit it
+    # exits 2 before any table is built; verify takes the same instance
+    def unreachable(*args):
+        raise AssertionError("ihara built tables above its limit")
+
+    def instance(n):
+        path = tmp_path / f"{n}.zw"
+        path.write_text(f"mode {'digraph' if kind == 'arc' else 'graph'}\nvertices {n}\n{kind} 0 0 1\n", encoding="utf-8")
+        return str(path)
+
+    n = cli.MAX_IHARA_VERTICES + 1
+    for target in ("ihara_digraph", "ihara_graph"):
+        monkeypatch.setattr(cli, target, unreachable)
+    for fmt in ("text", "records"):
+        code, out, err = run_cli("ihara", instance(n), "--format", fmt)
+        assert (code, out) == (cli.EXIT_INPUT, "")
+        assert err == (
+            f"error: ihara takes at most {cli.MAX_IHARA_VERTICES} vertices, as its report prints every entry"
+            f" of its n x n tables; the instance has {n}\n"
+        )
+    monkeypatch.undo()
+    code, out, err = run_cli("verify", instance(n), "--order", "4")
+    assert (code, err) == (0, "") and out.endswith("overall agree\n")
+    # the limit is the last count taken, here lowered to keep the report small
+    monkeypatch.setattr(cli, "MAX_IHARA_VERTICES", 3)
+    assert [run_cli("ihara", instance(n))[0] for n in (3, 4)] == [cli.EXIT_OK, cli.EXIT_INPUT]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(verb, "a\0b") for verb, *_ in cli._EXACT_VERBS] + [("spectrum", "a\0b", "grover"), ("fixtures", "p3", "-o", "a\0b")],
+    ids=lambda args: args[0],
+)
+def test_cli_a_path_open_refuses_is_an_input_error(args):
+    # open raises ValueError, not OSError, for a path with a NUL byte; it is
+    # an unusable path, exit 2 with one error line, not an internal defect
+    code, out, err = run_cli(*args)
+    assert (code, out) == (cli.EXIT_INPUT, "")
+    assert err.count("\n") == 1 and err.startswith("error: cannot open 'a\\x00b': ")

@@ -1364,6 +1364,41 @@ def test_vertex_side_with_large_prime_denominators_matches_the_references(name):
         assert_digraph_side_matches(d, w)
 
 
+def test_each_materialized_row_is_cleared_once(monkeypatch):
+    # _vertex_det clears each row of P once, and the D and X tables read
+    # those cleared rows: one _over_distinct call per materialized row of
+    # an ihara call, none per table entry
+    calls, rows = [], []
+    real_over, real_det = zeta._over_distinct, zeta.det_poly_matrix
+
+    def over(fs):
+        calls.append(fs)
+        return real_over(fs)
+
+    def det(p, scale):
+        rows.append(len({key[0] for key in p}))
+        return real_det(p, scale)
+
+    monkeypatch.setattr(zeta, "_over_distinct", over)
+    monkeypatch.setattr(zeta, "det_poly_matrix", det)
+    rng = random.Random(4343)
+    cases = [(path.stem, load_instance(path)) for path in GOLDEN]
+    cases = [(name, instance_digraph(inst), inst) for name, inst in cases]
+    cases = [(name, d, instance_weights(inst, d)) for name, d, inst in cases]
+    for i in range(20):
+        d = repeated_f_digraph(rng)
+        cases.append((f"repeated-f-{i}", d, random_weights(rng, d)))
+    tables = 0
+    for name, d, w in cases:
+        calls.clear()
+        rows.clear()
+        res = (ihara_graph if d.mode is GraphMode.SYMMETRIC else ihara_digraph)(d, w)
+        assert len(rows) == 1 and len(calls) == rows[0], name
+        if d.mode is GraphMode.GENERAL:
+            tables += len(res.d_ul) + len(res.x_ul)
+    assert tables > 50
+
+
 def test_the_vertex_side_makes_no_fraction(monkeypatch):
     # on every golden and large instance the vertex side, and the identity
     # check on a match, run in ints: zeta makes no Fraction for them
