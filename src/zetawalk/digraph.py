@@ -24,11 +24,15 @@ Fredricksen-Kessler-Maiorana prenecklace walk (Ruskey, Savage and Wang,
 "Generating necklaces", 1992) on the nonzero pattern of a square matrix,
 iteratively, on an explicit stack.  It lists the words up to a bound it
 is given and adds the longer ones into one total per length.  The
-``SUMMED_LENGTHS`` = 3 lengths after its longest prefix list no word and
-push no frame: for each such prefix, bisects into per-arc suffix sums give
-the total product of its Lyndon closings at each of the three lengths.
-The prefix is max_len - 3 arcs long, but never shorter than the listed
-lengths or than 2 arcs, and summed lengths past max_len are dropped.
+``SUMMED_LENGTHS`` = 5 lengths after its longest prefix list no word and
+push no frame: per start arc s, five tables T_0..T_4 of suffix sums over
+the successor lists, each built from the one before, total the closings
+of the words that start a new period at each letter, and each summed
+length's total is a short sum of their entries, weighted by the prefix's
+kept-period letters and by the constants K_2..K_4 of the tails that
+return to s (the recurrence is in ``lyndon_cycles``).
+The prefix is max_len - 5 arcs long, but never shorter than the listed
+lengths or than 4 arcs, and summed lengths past max_len are dropped.
 ``zeta``'s Euler product runs it on the integer theta matrix, where a cycle
 whose product is 0 is never reached, and lists only the lengths up to half
 its order.  ``iter_prime_cycles`` runs it on the 0/1 arc-adjacency matrix
@@ -48,7 +52,7 @@ from itertools import accumulate
 
 # the number of lengths after ``lyndon_cycles``'s longest prefix that it
 # sums by lookups, without a frame for their prefixes
-SUMMED_LENGTHS = 3
+SUMMED_LENGTHS = 5
 
 
 class GraphMode(Enum):
@@ -229,58 +233,58 @@ def lyndon_cycles(m: list[list[int]], max_len: int, listed: int):
     such a prenecklace, so the walk reaches each one exactly once while it
     follows nonzero entries only.  The product of the prefix is carried
     down the walk, which runs on an explicit stack: a frame per prefix
-    shorter than stop = max(max_len - 3, listed, min(2, max_len)).  A
+    shorter than stop = max(max_len - 5, listed, min(4, max_len)).  A
     Lyndon word longer than ``listed`` is added to its length's total where
     the walk closes it.
 
-    The SUMMED_LENGTHS = 3 lengths after a prefix of length stop are
-    summed, not walked; those past max_len are dropped.  Per start arc
-    s = w[0], closing[a][i] is the total of m[a][y] m[y][s] over the
-    successors y of a from succ[a][i] on (suffix sums over each ascending
-    successor list); g[y] = closing[y][bisect_right(succ[y], s)] is the
-    total of y's closings at two more letters after y starts a new period,
-    two[a][i] the total of m[a][y] g[y] over the same successors,
-    h[y] = two[y][bisect_right(succ[y], s)] and three[a][i] the total of
-    m[a][y] h[y].  Take a prefix w of length stop with period q, ending at
-    arc x, with low = w[stop - q] and i = bisect_right(succ[x], low):
+    The SUMMED_LENGTHS = 5 lengths after a prefix of length stop are
+    summed, not walked; those past max_len are dropped, and at
+    stop = max_len none is summed.  After a new period the next letter y
+    compares with w[0] = s: y > s starts a new period again and y == s
+    keeps it.  Per start arc s, with e_0[y] = m[y][s]:
 
-    * a successor y > low starts a new period: the Lyndon words of length
-      stop + 1 total closing[x][i], those of length stop + 2 through such
-      a y total two[x][i], and those of length stop + 3 three[x][i] when z
-      after y starts a new period too;
-    * z == s after such a y keeps period stop + 1, and w + y + s then
-      closes on the u > w[1] only: closing[x][i] after_s with
-      after_s = closing[s][bisect_right(succ[s], w[1])], fixed once the
-      second letter is placed;
-    * y == low, when it is a successor, keeps period q, and w + low then
-      closes at stop + 2 on the z > c2 only, with
-      c2 = (w + low)[stop + 1 - q]: m[x][low] closing[low][j] with
-      j = bisect_right(succ[low], c2), and at stop + 3 through such a z
-      m[x][low] two[low][j];
-    * z == c2 keeps period q again, and w + low + c2 closes at stop + 3 on
-      the u > c3 only, c3 = (w + low + c2)[stop + 2 - q]:
-      m[x][low] m[low][c2] closing[c2][bisect_right(succ[c2], c3)].
+    * T_j[a][i], for j = 0..4, is the total of m[a][y] e_j[y] over the
+      successors y of a from succ[a][i] on (suffix sums over each ascending
+      successor list), and e_(j+1)[y] = T_j[y][bisect_right(succ[y], s)].
+      T_j[a][i] totals the closings of the words that leave a by such a y
+      and start a new period at each of their j further letters; the
+      closing step into s is also the step into a tail that restarts at s.
+    * K_l totals the l-letter tails that start with s just after a new
+      period and end a Lyndon word, with K_0 = 1 and K_1 = 0.  With
+      j_k = bisect_right(succ[w[k-1]], w[k]), K_2 = T_0[s][j_1],
+      K_3 = T_1[s][j_1] + m[s][w1] T_0[w1][j_2] and
+      K_4 = T_2[s][j_1] + K_2^2 + m[s][w1] T_1[w1][j_2]
+      + m[s][w1] m[w1][w2] T_0[w2][j_3]; each is set when its last letter
+      is placed, and stop >= 4 places w[1..3] before any summed prefix.
+    * A summed prefix of period q, ending at x with product pv, keeps its
+      period through c_i = w[stop - q + i]: b_0 = x, kappa_0 = 1,
+      kappa_(i+1) = kappa_i m[b_i][c_i] and b_(i+1) = c_i, until kappa is
+      0.  u_n = sum over i <= n of
+      kappa_i T_(n-i)[b_i][bisect_right(succ[b_i], c_i)] totals the closings
+      at stop + n + 1 of the words whose first new period after the prefix
+      is followed by new periods only.
+    * The Lyndon words of length stop + l total pv times the sum over j of
+      K_j u_(l-1-j): a word's first s after its first new period starts its
+      tail.
 
-    c2 and c3 are read off the buffer after low and c2 are written into
-    it, so periods 1 and 2 need no case of their own.  The root prefix s
-    has length 1 and is always a frame: stop is at least 2 when max_len
-    is, and at max_len 1 the root's children cannot close in time, so the
-    loop at s is all there is.
+    Each c_i is read off the buffer after c_(i-1) is written into it, so
+    short periods need no case of their own.  The root prefix s has length
+    1 and is always a frame: stop is at least 2 when max_len is, and at
+    max_len 1 the root's children cannot close in time.
     """
     if max_len < 1:
         raise GraphError("cycle length bound must be >= 1")
     if not 0 <= listed <= max_len:
         raise GraphError(f"cannot list lengths up to {listed}: listed must be in 0..{max_len}")
     # ascending successor ids, so bisect finds the first x >= w[t - p] and
-    # the first y > low
+    # the first y > c_i
     succ = [[b for b, v in enumerate(row) if v] for row in m]
     entries = [[(b, v) for b, v in enumerate(row) if v] for row in m]
     preds = predecessors(succ)
-    # a prefix this long is summed, not pushed; the root prefix s has
-    # length 1, so the summed prefix is at least 2 long
-    stop = max(max_len - SUMMED_LENGTHS, listed, min(2, max_len))
-    word = [0] * (max_len + 2)  # a summed prefix writes up to word[stop + 1]
-    totals = [0] * (max_len + SUMMED_LENGTHS + 1)  # lengths past max_len are dropped
+    # a prefix this long is summed, not pushed; K_2..K_4 read w[1..3]
+    stop = max(max_len - SUMMED_LENGTHS, listed, min(4, max_len))
+    word = [0] * (stop + SUMMED_LENGTHS - 1)  # a summed prefix writes up to word[stop + 3]
+    totals = [0] * (stop + SUMMED_LENGTHS + 1)  # lengths past max_len are dropped
     zeros = [0] * (len(m) + 1)  # the table row of an arc that cannot close in time
     for s, row in enumerate(m):
         word[0] = s
@@ -291,25 +295,30 @@ def lyndon_cycles(m: list[list[int]], max_len: int, listed: int):
                 totals[1] += row[s]
         # the letters of a Lyndon word that starts at s are all >= s; a
         # prefix of length t + 1 ending at x closes within max_len only if
-        # t + dist[x] <= max_len, so a summed prefix ends at dist <= 4, and
+        # t + dist[x] <= max_len, so a summed prefix ends at dist <= 6, and
         # no word starts at s if s does not return to itself
         dist = steps_to(preds, s, max_len)
         if dist[s] > max_len:
             continue
-        near = [a for a in range(s, len(m)) if dist[a] <= SUMMED_LENGTHS + 1]
-        closing = [zeros] * len(m)
-        g = [0] * len(m)
-        for a in near:
-            closing[a] = _suffix_sums([v * m[y][s] for y, v in entries[a]])
-            g[a] = closing[a][bisect_right(succ[a], s)]
-        two = [zeros] * len(m)
-        h = [0] * len(m)
-        for a in near:
-            two[a] = _suffix_sums([v * g[y] for y, v in entries[a]])
-            h[a] = two[a][bisect_right(succ[a], s)]
-        three = [zeros] * len(m)
-        for a in near:
-            three[a] = _suffix_sums([v * h[y] for y, v in entries[a]])
+        # each near arc with its entries backwards, for suffix sums, and the
+        # index of its first successor above s
+        near = [
+            (a, entries[a][::-1], bisect_right(succ[a], s))
+            for a in range(s, len(m))
+            if dist[a] <= SUMMED_LENGTHS + 1
+        ]
+        tables = []
+        e = [r[s] for r in m]
+        for _ in range(SUMMED_LENGTHS):
+            table, e_next = [zeros] * len(m), [0] * len(m)
+            for a, rev, i in near:
+                sums = list(accumulate([v * e[y] for y, v in rev], initial=0))
+                sums.reverse()
+                table[a] = sums
+                e_next[a] = sums[i]
+            tables.append(table)
+            e = e_next
+        t0, t1, t2, t3, t4 = tables
         stack = [(1, 1, 1, iter(entries[s][bisect_left(succ[s], s):]))]
         while stack:
             t, p, prod, branch = stack[-1]
@@ -318,8 +327,15 @@ def lyndon_cycles(m: list[list[int]], max_len: int, listed: int):
                 if t + dist[x] > max_len:
                     continue
                 word[t] = x
-                if t == 1:  # w + y + s closes on the u > w[1] only
-                    after_s = closing[s][bisect_right(succ[s], x)]
+                if t == 1:  # K_2..K_4, the tails that restart at s, read w[1..3]
+                    w1, j1 = x, bisect_right(succ[s], x)
+                    k2 = t0[s][j1]
+                elif t == 2:
+                    w2, j2 = x, bisect_right(succ[w1], x)
+                    k3 = t1[s][j1] + m[s][w1] * t0[w1][j2]
+                elif t == 3:
+                    j3 = bisect_right(succ[w2], x)
+                    k4 = t2[s][j1] + k2 * k2 + m[s][w1] * t1[w1][j2] + m[s][w1] * m[w1][w2] * t0[w2][j3]
                 pv = prod * v
                 if x == lower:
                     q = p
@@ -335,36 +351,50 @@ def lyndon_cycles(m: list[list[int]], max_len: int, listed: int):
                     i = bisect_left(succ[x], word[t + 1 - q])
                     stack.append((t + 1, q, pv, iter(entries[x][i:])))
                     break
-                low = word[stop - q]
-                i = bisect_right(succ[x], low)
-                at1 = closing[x][i]
-                at2 = two[x][i]
-                at3 = three[x][i] + at1 * after_s
-                c = m[x][low]
-                if c:  # y == low keeps period q
-                    word[stop] = low
-                    c2 = word[stop + 1 - q]
-                    j = bisect_right(succ[low], c2)
-                    at2 += c * closing[low][j]
-                    at3 += c * two[low][j]
-                    c *= m[low][c2]
-                    if c:  # and so does c2 after it
-                        word[stop + 1] = c2
-                        c3 = word[stop + 2 - q]
-                        at3 += c * closing[c2][bisect_right(succ[c2], c3)]
-                totals[stop + 1] += pv * at1
-                totals[stop + 2] += pv * at2
-                totals[stop + 3] += pv * at3
+                if stop == max_len:
+                    continue
+                c0 = word[stop - q]
+                i = bisect_right(succ[x], c0)
+                u0, u1, u2, u3, u4 = t0[x][i], t1[x][i], t2[x][i], t3[x][i], t4[x][i]
+                c = m[x][c0]
+                if c:  # c0 keeps period q
+                    word[stop] = c0
+                    c1 = word[stop + 1 - q]
+                    i = bisect_right(succ[c0], c1)
+                    u1 += c * t0[c0][i]
+                    u2 += c * t1[c0][i]
+                    u3 += c * t2[c0][i]
+                    u4 += c * t3[c0][i]
+                    c *= m[c0][c1]
+                    if c:  # and so does c1 after it
+                        word[stop + 1] = c1
+                        c2 = word[stop + 2 - q]
+                        i = bisect_right(succ[c1], c2)
+                        u2 += c * t0[c1][i]
+                        u3 += c * t1[c1][i]
+                        u4 += c * t2[c1][i]
+                        c *= m[c1][c2]
+                        if c:  # and c2
+                            word[stop + 2] = c2
+                            c3 = word[stop + 3 - q]
+                            i = bisect_right(succ[c2], c3)
+                            u3 += c * t0[c2][i]
+                            u4 += c * t1[c2][i]
+                            c *= m[c2][c3]
+                            if c:  # and c3
+                                word[stop + 3] = c3
+                                c4 = word[stop + 4 - q]
+                                u4 += c * t0[c3][bisect_right(succ[c3], c4)]
+                totals[stop + 1] += pv * u0
+                totals[stop + 2] += pv * u1
+                totals[stop + 3] += pv * (u2 + k2 * u0)
+                totals[stop + 4] += pv * (u3 + k2 * u1 + k3 * u0)
+                totals[stop + 5] += pv * (u4 + k2 * u2 + k3 * u1 + k4 * u0)
             else:
                 stack.pop()
     for k in range(listed + 1, max_len + 1):
         if totals[k]:
             yield None, k, totals[k]
-
-
-def _suffix_sums(values: list[int]) -> list[int]:
-    """sums[i] = values[i] + values[i + 1] + ..., with sums[len(values)] = 0."""
-    return list(accumulate(reversed(values), initial=0))[::-1]
 
 
 def iter_prime_cycles(d: Digraph, max_len: int):
@@ -374,8 +404,7 @@ def iter_prime_cycles(d: Digraph, max_len: int):
     which for a class that is not a proper power is a Lyndon word over the
     arc ids: ``lyndon_cycles`` on the 0/1 arc-adjacency matrix, listing
     every length up to max_len.  Its summed prefix is then max_len long,
-    its frames stop at length max_len - 1, and the lengths it sums are all
-    past max_len and dropped.
+    its frames stop at length max_len - 1, and it sums no length.
     """
     for word, k, _ in lyndon_cycles(arc_adjacency(d), max_len, max_len):
         yield tuple(word[:k])

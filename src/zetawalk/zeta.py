@@ -64,9 +64,9 @@ on the vertex side.  ``ihara_digraph`` and ``ihara_graph`` report
 ``agree`` and alone build report tables, {(u, v): value} maps of nonzero
 entries, the only place a vertex-side Fraction is made: those of A (both
 modes) and of a graph's D hold Fractions.  Both read D off the rows that
-``_vertex_det`` cleared, and a digraph's X too: each of its D and X
-entries is the t^2 or t^3 part of cleared row u over S r_u, one RatFunc
-of two integer polynomials.
+``_vertex_det`` cleared: a digraph's D entry is the t^2 part of cleared
+row u over S r_u, one RatFunc of two integer polynomials.  A digraph's X
+entry has one term, from one block, and is that term over S f.
 
 The series routes run in Python ints, on P.  A length-k term of a path
 route, closed paths for N_k or prime cycles for the Euler product, then
@@ -96,8 +96,8 @@ of length k <= order/2 only.  Past order/2 the cross terms of the factors
 have degree above the order, so the product of those factors is
 1 + sum_k C_k t^k, with C_k the total of c over the cycles of length k;
 the walk lists the cycles up to order/2 only and yields one C_k for each
-longer length, the last three of them (fewer below order 5) summed by
-lookups after a prefix of max(order - 3, order/2, 2) arcs (``_euler``).
+longer length, the last five of them (fewer below order 9) summed by
+lookups after a prefix of max(order - 5, order/2, 4) arcs (``_euler``).
 The exponential's recurrence n f_n = sum_k D^k N_k f_(n-k) divides exactly
 on the power sums of the integer matrix P; a remainder shows a wrong
 enumeration and raises ConsistencyError.
@@ -334,8 +334,8 @@ def _euler(theta, order: int) -> list[int]:
     C_k the total of c over the cycles of length k: the walk lists only the
     cycles of length <= order/2 and adds up the longer ones itself, one C_k
     per length, and acc is multiplied by that sum once at the end.  It
-    walks the prefixes shorter than max(order - 3, order/2, 2) and reads
-    the totals of the up to three lengths after them off suffix sums.
+    walks the prefixes shorter than max(order - 5, order/2, 4) and reads
+    the totals of the up to five lengths after them off suffix sums.
     """
     im = theta[1]
     half = order // 2
@@ -441,10 +441,11 @@ def _identity(num, den, kd, hk) -> tuple[Poly, RatFunc, int | None]:
 def _vertex_side(d: Digraph, w: WeightAssignment):
     """The vertex side (prod_f, R, det P) of prod_f * det(I - t*A + t^2*D - t^3*X)
     and the parts the Ihara reports read: the blocks (u, v, out, back), their
-    f, the scale S, A as {(u, v): n}, zero sums included, and the rows
-    cleared by ``_vertex_det``.  Each nonzero term goes straight to its row
-    u as (v, k, n, f): those of -A at t^1, of D at t^2 and of -X at t^3,
-    the last two divided by their block's f; every n stands for n / S.
+    f, the scale S, A as {(u, v): n}, zero sums included, the rows of
+    terms and the rows cleared by ``_vertex_det``.  Each nonzero term goes
+    straight to its row u as (v, k, n, f): those of -A at t^1, of D at t^2
+    and of -X at t^3, the last two divided by their block's f; every n
+    stands for n / S.
 
     The blocks are those of the inverse relation: a digraph's phi pairs, out
     holding the arcs u -> v and back the arcs v -> u, or a graph's edges,
@@ -498,7 +499,7 @@ def _vertex_side(d: Digraph, w: WeightAssignment):
         fs.append(f)
     scale = s1 * s2
     big_r, det_p, cleared = _vertex_det(rows, scale)
-    return (_product(fs), big_r, det_p), (blocks, fs, scale, a_map, cleared)
+    return (_product(fs), big_r, det_p), (blocks, fs, scale, a_map, rows, cleared)
 
 
 def _fractions(table: dict, scale: int) -> dict:
@@ -507,17 +508,24 @@ def _fractions(table: dict, scale: int) -> dict:
     return {key: Fraction(n, scale) for key, n in table.items() if n}
 
 
-def _digraph_tables(cleared: dict, scale: int) -> tuple[dict, dict]:
-    """The D and X report tables {(u, v): RatFunc} of nonzero entries: the
-    t^2 part (D) and the t^3 part (-X) of each row cleared by
-    ``_vertex_det``, c / (scale r_u), one RatFunc per nonzero entry."""
-    tables = ({}, {})
+def _digraph_tables(rows: dict, cleared: dict, scale: int) -> tuple[dict, dict]:
+    """The D and X report tables {(u, v): RatFunc} of nonzero entries.  D
+    is the t^2 part of each row cleared by ``_vertex_det``, c / (scale r_u).
+    An X entry is the one t^3 term (v, 3, n, f) of row u, made by one block,
+    so it is -n / (scale f), over that block's own factor."""
+    d_table = {}
     for u, (ru, parts) in cleared.items():
         den = [scale * x for x in ru]
         for (v, k), c in parts.items():
-            if k > 1 and any(c):
-                tables[k - 2][u, v] = RatFunc._from_ints([(-1) ** k * x for x in c], den)
-    return tables
+            if k == 2 and any(c):
+                d_table[u, v] = RatFunc._from_ints(c, den)
+    x_table = {
+        (u, v): RatFunc._from_ints([-n], [scale * x for x in f])
+        for u, terms in rows.items()
+        for v, k, n, f in terms
+        if k == 3
+    }
+    return d_table, x_table
 
 
 @dataclass(frozen=True)
@@ -565,9 +573,9 @@ def ihara_digraph(d: Digraph, w: WeightAssignment) -> IharaDigraph:
     if d.mode is not GraphMode.GENERAL:
         raise GraphError("ihara_digraph requires a general-mode digraph")
     theta = _edge_matrix_data(d, w)
-    side, (blocks, fs, scale, a_map, cleared) = _vertex_side(d, w)
+    side, (blocks, fs, scale, a_map, rows, cleared) = _vertex_side(d, w)
     h, rhs, k = _identity(*side, _hashimoto(theta))
-    d_table, x_table = _digraph_tables(cleared, scale)
+    d_table, x_table = _digraph_tables(rows, cleared, scale)
     return IharaDigraph(
         pairs=tuple(PhiPair(*block) for block in blocks),
         f_factors=tuple(Poly(f) for f in fs),
@@ -614,7 +622,7 @@ def ihara_graph(g: Digraph, w: WeightAssignment) -> IharaGraph:
     if g.mode is not GraphMode.SYMMETRIC:
         raise GraphError("ihara_graph requires the symmetric digraph of a graph")
     theta = _edge_matrix_data(g, w)
-    side, (_, _, scale, a_map, cleared) = _vertex_side(g, w)
+    side, (_, _, scale, a_map, _, cleared) = _vertex_side(g, w)
     h, rhs, k = _identity(*side, _hashimoto(theta))
     k_vals, delta = side[2]
     d_g = {(u, u): parts[u, 2][0] for u, (_, parts) in cleared.items() if (u, 2) in parts}

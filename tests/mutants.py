@@ -72,15 +72,15 @@ MUTANTS = (
     Mutant(
         "summed-lengths-plus-one",
         "zetawalk/digraph.py",
-        "SUMMED_LENGTHS = 3\n",
-        "SUMMED_LENGTHS = 4\n",
+        "SUMMED_LENGTHS = 5\n",
+        "SUMMED_LENGTHS = 6\n",
         ("tests/test_zeta.py::test_euler_matches_the_hashimoto_inverse_at_orders_1_to_12",),
     ),
     Mutant(
         "summed-lengths-minus-one",
         "zetawalk/digraph.py",
-        "SUMMED_LENGTHS = 3\n",
-        "SUMMED_LENGTHS = 2\n",
+        "SUMMED_LENGTHS = 5\n",
+        "SUMMED_LENGTHS = 4\n",
         ("tests/test_digraph.py::test_lyndon_walk_matches_brute_force_words_and_totals",),
     ),
     Mutant(
@@ -88,9 +88,29 @@ MUTANTS = (
         # the frame count shows it
         "walk-sums-no-length",
         "zetawalk/digraph.py",
-        "stop = max(max_len - SUMMED_LENGTHS, listed, min(2, max_len))",
-        "stop = max(max_len, listed, min(2, max_len))",
+        "stop = max(max_len - SUMMED_LENGTHS, listed, min(4, max_len))",
+        "stop = max(max_len, listed, min(4, max_len))",
         ("tests/test_digraph.py::test_lyndon_walk_pushes_no_frame_for_the_summed_lengths",),
+    ),
+    Mutant(
+        # a tail s u s u' (u, u' > w[1]) is two tails of two letters, which
+        # neither fixture has at unit weights
+        "k4-without-k2-squared",
+        "zetawalk/digraph.py",
+        " + k2 * k2",
+        "",
+        ("tests/test_digraph.py::test_lyndon_walk_matches_brute_force_words_and_totals",),
+    ),
+    Mutant(
+        # the fourth letter kept at period q, c3, never starts a new one
+        "kept-period-fourth-step-dropped",
+        "zetawalk/digraph.py",
+        "u4 += c * t0[c3][bisect_right(succ[c3], c4)]",
+        "u4 += 0",
+        (
+            "tests/test_digraph.py::test_lyndon_walk_matches_brute_force_words_and_totals",
+            "tests/test_zeta.py::test_euler_matches_the_hashimoto_inverse_at_orders_1_to_12",
+        ),
     ),
     Mutant(
         "exp-division-unchecked",
@@ -120,12 +140,12 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        # the digraph report's D and X entries read off the cleared rows
-        # with the sign of their power flipped: D printed as -D, X as -X
+        # the digraph report's X entries made from their one term with
+        # its sign flipped: X printed as -X
         "digraph-table-sign-flip",
         "zetawalk/zeta.py",
-        "[(-1) ** k * x for x in c]",
-        "[(-1) ** (k + 1) * x for x in c]",
+        "RatFunc._from_ints([-n], ",
+        "RatFunc._from_ints([n], ",
         ("tests/test_zeta.py::test_cancelling_pair_sums",),
     ),
     Mutant(

@@ -365,39 +365,89 @@ def euler_verdicts(d, order):
 
 # Mutants of the walk's summed leaf, each with the first power of t at
 # which it breaks the Euler product on paper-graph, by order.  The summed
-# prefix is stop = max(order - 3, order // 2, 2) long, so a term at length
+# prefix is stop = max(order - 5, order // 2, 4) long, so a term at length
 # stop + j shows at t^(stop + j) once that is within the order; the orders
 # left out are those where it is past the order or vanishes on paper-graph.
+# Paper-graph has no non-backtracking closed path of two arcs, so K_2 and
+# the w[2] term of K_3 vanish there; the brute-force walk test checks them.
 LEAF_MUTANTS = {
     # after y starts a new period, a closing z == s keeps it, so the word
-    # is not Lyndon: g[y] holds the closings z > s
+    # is not Lyndon: e_(j+1)[y] holds the closings z > s
     "new-period-closing-bound-s": (
-        "closing[a][bisect_right(succ[a], s)]",
-        "closing[a][bisect_left(succ[a], s)]",
-        {4: 4, 5: 4, 6: 5, 7: 6},
+        "bisect_right(succ[a], s)",
+        "bisect_left(succ[a], s)",
+        {6: 6, 7: 6, 8: 6, 9: 6, 10: 7, 11: 8, 12: 9},
     ),
-    # and the same at one more letter, for three[a]
+    # and the same for the e_j of T_2, T_3 and T_4 alone
+    "new-period-two-bound-s": (
+        "e_next[a] = sums[i]",
+        "e_next[a] = sums[bisect_left(succ[a], s) if len(tables) == 1 else i]",
+        {7: 7, 8: 7, 9: 7, 10: 8, 11: 9, 12: 10},
+    ),
     "new-period-three-bound-s": (
-        "two[a][bisect_right(succ[a], s)]",
-        "two[a][bisect_left(succ[a], s)]",
-        {5: 5, 7: 7},
+        "e_next[a] = sums[i]",
+        "e_next[a] = sums[bisect_left(succ[a], s) if len(tables) == 2 else i]",
+        {8: 8, 9: 8, 10: 9, 11: 10, 12: 11},
     ),
-    # the summed prefix starts a new period on y > low only
-    "new-period-bound-low": ("bisect_right(succ[x], low)", "bisect_left(succ[x], low)", {3: 3, 4: 3, 5: 3, 6: 4, 7: 5}),
-    # w + y + s keeps period stop + 1, so it closes on z > w[1], not z > s
-    "new-period-then-s-bound-w1": ("bisect_right(succ[s], x)", "bisect_right(succ[s], s)", {5: 5, 7: 7}),
-    # y == low keeps period q, and the word then closes only on z > c2
-    "kept-period-bound": ("bisect_right(succ[low], c2)", "bisect_left(succ[low], c2)", {4: 4, 5: 4, 6: 5, 7: 6}),
-    "kept-period-bound-s": ("bisect_right(succ[low], c2)", "bisect_right(succ[low], s)", {4: 4, 5: 4, 6: 5, 7: 6}),
-    # and after low, c2 it closes only on z > c3
-    "kept-period-twice-bound-s": ("bisect_right(succ[c2], c3)", "bisect_right(succ[c2], s)", {6: 6, 7: 7}),
+    "new-period-four-bound-s": (
+        "e_next[a] = sums[i]",
+        "e_next[a] = sums[bisect_left(succ[a], s) if len(tables) == 3 else i]",
+        {9: 9, 10: 10, 11: 11, 12: 12},
+    ),
+    # the summed prefix starts a new period on y > c0 only
+    "new-period-bound-c0": (
+        "bisect_right(succ[x], c0)",
+        "bisect_left(succ[x], c0)",
+        {5: 5, 6: 5, 7: 5, 8: 5, 9: 5, 10: 6, 11: 7, 12: 8},
+    ),
+    # a tail that restarts at s keeps the period through w[1], so it starts
+    # a new one on u > w[1], not u > s: K_2, K_3 and K_4 read j_1
+    "tail-bound-w1": (
+        "bisect_right(succ[s], x)",
+        "bisect_right(succ[s], s)",
+        {7: 7, 8: 7, 9: 7, 10: 8, 11: 9, 12: 10},
+    ),
+    # and then through w[2] and w[3], for K_3 and K_4
+    "tail-bound-w2": ("bisect_right(succ[w1], x)", "bisect_right(succ[w1], s)", {8: 8, 9: 8, 10: 9, 11: 10, 12: 11}),
+    "tail-bound-w3": ("bisect_right(succ[w2], x)", "bisect_right(succ[w2], s)", {9: 9, 10: 10, 11: 11, 12: 12}),
+    # a term dropped from K_3 or from K_4
+    "k3-without-t1": ("k3 = t1[s][j1] + ", "k3 = ", {8: 8, 9: 8, 10: 9, 11: 10, 12: 11}),
+    "k4-without-w1-t1": (" + m[s][w1] * t1[w1][j2]", "", {9: 9, 10: 10, 11: 11, 12: 12}),
+    "k4-without-w2-t0": (" + m[s][w1] * m[w1][w2] * t0[w2][j3]", "", {10: 10, 11: 11, 12: 12}),
+    # c0 == x's next letter keeps period q, and the word then starts a new
+    # one only on y > c1
+    "kept-period-bound": (
+        "bisect_right(succ[c0], c1)",
+        "bisect_left(succ[c0], c1)",
+        {6: 6, 7: 6, 8: 6, 9: 6, 10: 7, 11: 8, 12: 9},
+    ),
+    "kept-period-bound-s": (
+        "bisect_right(succ[c0], c1)",
+        "bisect_right(succ[c0], s)",
+        {6: 6, 7: 6, 8: 6, 9: 6, 10: 7, 11: 8, 12: 9},
+    ),
+    # and after c0, c1 only on y > c2, then on y > c3 and y > c4
+    "kept-period-twice-bound-s": (
+        "bisect_right(succ[c1], c2)",
+        "bisect_right(succ[c1], s)",
+        {7: 7, 8: 7, 9: 7, 10: 8, 11: 9, 12: 10},
+    ),
+    "kept-period-third-bound-s": (
+        "bisect_right(succ[c2], c3)",
+        "bisect_right(succ[c2], s)",
+        {8: 8, 9: 8, 10: 9, 11: 10, 12: 11},
+    ),
+    "kept-period-fourth-bound-s": ("bisect_right(succ[c3], c4)", "bisect_right(succ[c3], s)", {9: 9, 10: 10, 11: 11, 12: 12}),
+    # the third and the fourth kept-period steps dropped
+    "kept-period-third-step-dropped": ("c *= m[c1][c2]", "c = 0", {8: 8, 9: 8, 10: 10, 11: 10, 12: 11}),
+    "kept-period-fourth-step-dropped": ("u4 += c * t0[c3][bisect_right(succ[c3], c4)]", "u4 += 0", {10: 10, 12: 12}),
 }
 
 
 @pytest.mark.parametrize(
     "mutant, order", [(mutant, order) for mutant, (_, _, first) in LEAF_MUTANTS.items() for order in first]
 )
-def test_summed_last_three_lengths_break_the_euler_product(monkeypatch, mutant, order):
+def test_summed_last_five_lengths_break_the_euler_product(monkeypatch, mutant, order):
     old, new, first = LEAF_MUTANTS[mutant]
     mutate(monkeypatch, "lyndon_cycles", old, new, module=digraph)
     assert euler_verdicts(fixture_digraph("paper-graph"), order) == [f"at t^{first[order]}"] * 2
@@ -491,7 +541,7 @@ def walk_totals(m, max_len):
 @pytest.mark.parametrize("path", GOLDEN, ids=lambda p: p.stem)
 def test_walk_totals_match_the_moebius_traces_on_goldens(path):
     # past the brute-force oracle's 8 arcs: at 13 and 14 the walk sums
-    # lengths 10-13 and 11-14 without a frame
+    # lengths 9-13 and 10-14 without a frame
     inst = load_instance(path)
     d = instance_digraph(inst)
     _, p = _edge_matrix_data(d, instance_weights(inst, d))
@@ -656,8 +706,8 @@ def test_series_routes_match_brute_force_on_random_instances():
 
 def test_euler_matches_the_hashimoto_inverse_at_orders_1_to_12():
     # the lengths the walk lists, totals and sums by lookup all move with
-    # the order, and up to order 5 the summed prefix is the shortest one,
-    # two arcs long, with summed lengths past the order dropped; the
+    # the order, and up to order 9 the summed prefix is the shortest one,
+    # four arcs long, with summed lengths past the order dropped; the
     # series inverse shares no code with the walk.  Six loops on one vertex
     # take seconds at order 12, so the graphs stay small.
     rng = random.Random(20261020)
