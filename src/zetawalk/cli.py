@@ -75,27 +75,25 @@ def exit_code_for_report(report: ZetaReport) -> int:
 
 
 class _Report:
-    """Accumulates either plain lines or key=value records."""
+    """The text report's lines; records swap "VERDICT name " for "verdict.name=", else the first space for "="."""
 
     def __init__(self, records: bool):
         self.records = records
         self.lines: list[str] = []
 
     def add(self, key: str, value) -> None:
-        if self.records:
-            self.lines.append(f"{key}={value}")
-        else:
-            self.lines.append(f"{key} {value}")
+        self.lines.append(f"{key} {value}")
 
     def verdict(self, name: str, agree: bool, detail=None) -> None:
         status = "agree" if agree else ("MISMATCH" + (f" {detail}" if detail else ""))
-        if self.records:
-            self.lines.append(f"verdict.{name}={status}")
-        else:
-            self.lines.append(f"VERDICT {name} {status}")
+        self.lines.append(f"VERDICT {name} {status}")
 
     def text(self) -> str:
-        return "\n".join(self.lines) + "\n"
+        lines = self.lines
+        if self.records:  # in place, so that a report of millions of lines is not held twice
+            for i, x in enumerate(lines):
+                lines[i] = ("verdict." + x[8:] if x.startswith("VERDICT ") else x).replace(" ", "=", 1)
+        return "\n".join(lines) + "\n"
 
 
 def _instance_header(ns, command: str, inst) -> _Report:
@@ -208,11 +206,11 @@ def cmd_exp(ns) -> tuple[str, int]:
     return rep.text(), EXIT_OK
 
 
-def _spectrum_lines(name: str, values, records: bool) -> list[str]:
+def _spectrum_lines(name: str, values) -> list[str]:
     """The report lines ``name[i]`` of ``values`` sorted by real, then
     imaginary part; a float prints with imaginary part +0.  printf-style
     %+.10f gives the digits of format spec +.10f at a lower cost per call."""
-    line = f"{name}[%d]{'=' if records else ' '}%+.10f%+.10fj"
+    line = f"{name}[%d] %+.10f%+.10fj"
     keys = sorted([(z.real, z.imag) for z in values])
     return [line % (i, re, im) for i, (re, im) in enumerate(keys)]
 
@@ -232,8 +230,8 @@ def cmd_spectrum(ns) -> tuple[str, int]:
         derived = szegedy_spectrum_via_factorization(g, inst.prob)
     direct = eigenvalues_numeric(u)
     rep.add("unitarity-defect", f"{unitarity_defect(u):.3e}")
-    rep.lines += _spectrum_lines("direct", direct, rep.records)
-    rep.lines += _spectrum_lines("derived", derived, rep.records)
+    rep.lines += _spectrum_lines("direct", direct)
+    rep.lines += _spectrum_lines("derived", derived)
     deviation = spectrum_deviation(direct, derived)
     rep.add("max-deviation", f"{deviation:.3e}")
     agree = deviation <= ns.tolerance

@@ -238,10 +238,10 @@ def lyndon_cycles(m: list[list[int]], max_len: int, listed: int):
     the walk closes it.
 
     The SUMMED_LENGTHS = 5 lengths after a prefix of length stop are
-    summed, not walked; those past max_len are dropped, and at
-    stop = max_len none is summed.  After a new period the next letter y
-    compares with w[0] = s: y > s starts a new period again and y == s
-    keeps it.  Per start arc s, with e_0[y] = m[y][s]:
+    summed, not walked; those past max_len are dropped, and a walk with
+    stop = max_len sums none and builds no table.  After a new period the
+    next letter y compares with w[0] = s: y > s starts a new period again
+    and y == s keeps it.  Per start arc s, with e_0[y] = m[y][s]:
 
     * T_j[a][i], for j = 0..4, is the total of m[a][y] e_j[y] over the
       successors y of a from succ[a][i] on (suffix sums over each ascending
@@ -285,7 +285,8 @@ def lyndon_cycles(m: list[list[int]], max_len: int, listed: int):
     stop = max(max_len - SUMMED_LENGTHS, listed, min(4, max_len))
     word = [0] * (stop + SUMMED_LENGTHS - 1)  # a summed prefix writes up to word[stop + 3]
     totals = [0] * (stop + SUMMED_LENGTHS + 1)  # lengths past max_len are dropped
-    zeros = [0] * (len(m) + 1)  # the table row of an arc that cannot close in time
+    zeros = [[0] * (len(m) + 1)] * len(m)  # the rows of arcs that cannot close in time
+    t0 = t1 = t2 = t3 = t4 = zeros  # all that a walk summing nothing reads: K_2..K_4 are 0
     for s, row in enumerate(m):
         word[0] = s
         if row[s]:
@@ -300,25 +301,26 @@ def lyndon_cycles(m: list[list[int]], max_len: int, listed: int):
         dist = steps_to(preds, s, max_len)
         if dist[s] > max_len:
             continue
-        # each near arc with its entries backwards, for suffix sums, and the
-        # index of its first successor above s
-        near = [
-            (a, entries[a][::-1], bisect_right(succ[a], s))
-            for a in range(s, len(m))
-            if dist[a] <= SUMMED_LENGTHS + 1
-        ]
-        tables = []
-        e = [r[s] for r in m]
-        for _ in range(SUMMED_LENGTHS):
-            table, e_next = [zeros] * len(m), [0] * len(m)
-            for a, rev, i in near:
-                sums = list(accumulate([v * e[y] for y, v in rev], initial=0))
-                sums.reverse()
-                table[a] = sums
-                e_next[a] = sums[i]
-            tables.append(table)
-            e = e_next
-        t0, t1, t2, t3, t4 = tables
+        if stop < max_len:
+            # each near arc with its entries backwards, for suffix sums, and
+            # the index of its first successor above s
+            near = [
+                (a, entries[a][::-1], bisect_right(succ[a], s))
+                for a in range(s, len(m))
+                if dist[a] <= SUMMED_LENGTHS + 1
+            ]
+            tables = []
+            e = [r[s] for r in m]
+            for _ in range(SUMMED_LENGTHS):
+                table, e_next = zeros.copy(), [0] * len(m)
+                for a, rev, i in near:
+                    sums = list(accumulate([v * e[y] for y, v in rev], initial=0))
+                    sums.reverse()
+                    table[a] = sums
+                    e_next[a] = sums[i]
+                tables.append(table)
+                e = e_next
+            t0, t1, t2, t3, t4 = tables
         stack = [(1, 1, 1, iter(entries[s][bisect_left(succ[s], s):]))]
         while stack:
             t, p, prod, branch = stack[-1]

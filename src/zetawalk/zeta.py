@@ -42,23 +42,24 @@ Every determinant here is read off one scalar kernel,
   an integer coefficient tuple, or None for the terms of A.  Each row is
   cleared once: r_u, the product of the distinct f of row u, and S clear
   it to an integer polynomial row, so P(t) = Q(t) / S has P(0) = I and
-  det(vertex matrix) = det(P) / R with R = prod_u r_u;
-  det(P) is that of I - t*C for the companion C of P
-  (``linalg.det_poly_matrix``).  A row with no term is a row of the
-  identity and is never materialized.
+  det(vertex matrix) = det(P) / prod_u r_u; det(P) is that of I - t*C for
+  the companion C of P (``linalg.det_poly_matrix``).  A row with no term
+  is a row of the identity and is never materialized.
 
 Every Ihara-style operation builds its vertex side without det(I - t*M),
-as (prod_f, R, det P) with prod_f and R integer polynomials of constant
-term 1, in both modes from the blocks of the inverse relation
-(``_vertex_side``).  The vertex side clears tau1 once to ints over s1, the
-lcm of its denominators, and tau2 over s2, and keeps A, the per-block tau
-sums and every term's coefficient as ints over S = s1 s2; it reads the
-weights itself, so a defect in the one theta builder shows as a
-Hashimoto-vs-Ihara mismatch.  One check, ``_identity``, compares
-prod_f * det P with det(I - t*M) * R as integer polynomials
+in both modes from the blocks of the inverse relation (``_vertex_side``),
+as (fs, factors, det P): the blocks' f and the distinct f of each cleared
+row, all of constant term 1.  The vertex side clears tau1 once to ints
+over s1, the lcm of its denominators, and tau2 over s2, and keeps A, the
+per-block tau sums and every term's coefficient as ints over S = s1 s2;
+it reads the weights itself, so a defect in the one theta builder shows
+as a Hashimoto-vs-Ihara mismatch.  One check, ``_identity``, cancels fs
+against factors, which for a graph leaves (1 - t^2)^(|E| - |V'|) on one
+side, V' the rows of P, and compares num * det P with det(I - t*M) * den,
+num and den the products of what is left, as integer polynomials
 cross-multiplied by their denominators.  On a match the reported
 right-hand side is det(I - t*M); a mismatch builds the reduced quotient
-prod_f * det P / R and names the first power of t at which the two sides
+num * det P / den and names the first power of t at which the two sides
 differ.  ``verify_expressions`` reports that power and makes no Fraction
 on the vertex side.  ``ihara_digraph`` and ``ihara_graph`` report
 ``agree`` and alone build report tables, {(u, v): value} maps of nonzero
@@ -105,13 +106,14 @@ enumeration and raises ConsistencyError.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat, zip_longest
 from math import lcm
 from operator import mul
 
-from .algebra import Poly, RatFunc, Series, _trim, as_fraction
+from .algebra import Poly, RatFunc, Series, _exact_quotient, _trim, as_fraction
 from .digraph import Digraph, GraphError, GraphMode, PhiPair, lyndon_cycles
 from .linalg import char_poly_rows, det_poly_matrix
 
@@ -372,23 +374,15 @@ def _product(polys) -> list[int]:
     return acc
 
 
-def _over_distinct(fs) -> tuple[list[int], dict]:
-    """(F, {f: F / f}): the product F of the distinct coefficient tuples f
-    in ``fs`` and the cofactor F / f of each, all integer polynomials,
-    each a plain product of the distinct f it covers."""
-    distinct = dict.fromkeys(fs)
-    return _product(distinct), {f: _product(g for g in distinct if g != f) for f in distinct}
-
-
-def _vertex_det(rows: dict, scale: int) -> tuple[list[int], tuple[list[int], int], dict]:
-    """(R, det P, cleared) with det(I + sum of terms) = det P / R.
+def _vertex_det(rows: dict, scale: int) -> tuple[list, tuple[list[int], int], dict]:
+    """(factors, det P, cleared): det(I + sum of terms) = det P / prod(factors).
 
     ``rows`` maps u to the nonzero terms (v, k, n, f) of row u: each adds
     (n / scale) t^k / f to entry (u, v), or (n / scale) t^k when f is None,
     for an int n and an integer coefficient tuple f.  Each row is cleared
-    once: r_u is the product of its distinct f, R = prod_u r_u, and P is the
-    vertex matrix with each row u multiplied by r_u, so that a term's
-    (n / scale) / f becomes n / scale times the cofactor r_u / f.
+    once: r_u is the product of its distinct f, which ``factors`` lists row
+    by row, and P is the vertex matrix with each row u multiplied by r_u, so
+    that a term's (n / scale) / f becomes n / scale times r_u / f.
     ``cleared`` maps u to (r_u, {(v, k): c}), c the integer polynomial
     sum n r_u / f over the terms of entry (u, v) at t^k: that part of the
     entry is t^k c / (scale r_u).  P times ``scale`` is the integer
@@ -396,10 +390,12 @@ def _vertex_det(rows: dict, scale: int) -> tuple[list[int], tuple[list[int], int
     ``det_poly_matrix``.  A row with no term keeps the row of the identity
     and is never materialized.
     """
-    big_r, q, cleared = [1], {}, {}
+    factors, q, cleared = [], {}, {}
     for u, terms in rows.items():
-        ru, cofactor = _over_distinct(f for *_, f in terms if f is not None)
-        big_r = _mul(big_r, ru)
+        distinct = dict.fromkeys(f for *_, f in terms if f is not None)
+        ru = _product(distinct)
+        cofactor = {f: _exact_quotient(ru, f) for f in distinct}
+        factors += distinct
         parts = {}
         for v, k, n, f in terms:
             mult = ru if f is None else cofactor[f]
@@ -415,21 +411,24 @@ def _vertex_det(rows: dict, scale: int) -> tuple[list[int], tuple[list[int], int
             for i, x in enumerate(part, k):
                 entry[i] += x
     q = {key: cs for key, cs in q.items() if _trim(cs) or key[0] == key[1]}
-    return big_r, det_poly_matrix(q, scale), cleared
+    return factors, det_poly_matrix(q, scale), cleared
 
 
-def _identity(num, den, kd, hk) -> tuple[Poly, RatFunc, int | None]:
-    """(h, rhs, k) for the vertex identity num * det P = h * den, where
-    kd = (K, Delta) gives det P = K / Delta and hk = (h, (H, Delta_h)),
+def _identity(fs, factors, kd, hk) -> tuple[Poly, RatFunc, int | None]:
+    """(h, rhs, k) for the vertex identity prod(fs) * det P = h * prod(factors),
+    where kd = (K, Delta) gives det P = K / Delta and hk = (h, (H, Delta_h)),
     from ``_hashimoto``, gives h = det(I - t*M) = H / Delta_h.
 
-    The identity is checked as the integer polynomial equation
+    The two factor multisets cancel first, leaving num of fs and den of
+    factors; the identity is checked as the integer polynomial equation
     num * K * Delta_h == H * den * Delta.  On a match rhs is h and k is
     None.  Otherwise rhs is the reduced quotient num * det P / den and k the
-    first power of t at which the two sides differ; num and den have
+    first power of t at which the two sides differ; every factor has
     constant term 1, so k is also the first nonzero coefficient of rhs - h.
     """
     (k_vals, delta), (h, (h_vals, h_delta)) = kd, hk
+    left, right = Counter(fs), Counter(factors)
+    num, den = _product((left - right).elements()), _product((right - left).elements())
     lhs = _trim(_mul(num, [x * h_delta for x in k_vals]))
     rhs = _trim(_mul(den, [x * delta for x in h_vals]))
     if lhs == rhs:
@@ -439,13 +438,13 @@ def _identity(num, den, kd, hk) -> tuple[Poly, RatFunc, int | None]:
 
 
 def _vertex_side(d: Digraph, w: WeightAssignment):
-    """The vertex side (prod_f, R, det P) of prod_f * det(I - t*A + t^2*D - t^3*X)
-    and the parts the Ihara reports read: the blocks (u, v, out, back), their
-    f, the scale S, A as {(u, v): n}, zero sums included, the rows of
-    terms and the rows cleared by ``_vertex_det``.  Each nonzero term goes
-    straight to its row u as (v, k, n, f): those of -A at t^1, of D at t^2
-    and of -X at t^3, the last two divided by their block's f; every n
-    stands for n / S.
+    """The vertex side (fs, factors, det P) of prod(fs) * det(I - t*A + t^2*D - t^3*X),
+    fs the blocks' f, and the parts the Ihara reports read: the blocks
+    (u, v, out, back), the scale S, A as {(u, v): n}, zero sums included,
+    the rows of terms and the rows cleared by ``_vertex_det``.  Each
+    nonzero term goes straight to its row u as (v, k, n, f): those of -A at
+    t^1, of D at t^2 and of -X at t^3, the last two divided by their
+    block's f; every n stands for n / S.
 
     The blocks are those of the inverse relation: a digraph's phi pairs, out
     holding the arcs u -> v and back the arcs v -> u, or a graph's edges,
@@ -498,8 +497,8 @@ def _vertex_side(d: Digraph, w: WeightAssignment):
                 add(x, y, 3, -n_back * sum2 * sum1, f)
         fs.append(f)
     scale = s1 * s2
-    big_r, det_p, cleared = _vertex_det(rows, scale)
-    return (_product(fs), big_r, det_p), (blocks, fs, scale, a_map, rows, cleared)
+    factors, det_p, cleared = _vertex_det(rows, scale)
+    return (fs, factors, det_p), (blocks, scale, a_map, rows, cleared)
 
 
 def _fractions(table: dict, scale: int) -> dict:
@@ -573,12 +572,12 @@ def ihara_digraph(d: Digraph, w: WeightAssignment) -> IharaDigraph:
     if d.mode is not GraphMode.GENERAL:
         raise GraphError("ihara_digraph requires a general-mode digraph")
     theta = _edge_matrix_data(d, w)
-    side, (blocks, fs, scale, a_map, rows, cleared) = _vertex_side(d, w)
+    side, (blocks, scale, a_map, rows, cleared) = _vertex_side(d, w)
     h, rhs, k = _identity(*side, _hashimoto(theta))
     d_table, x_table = _digraph_tables(rows, cleared, scale)
     return IharaDigraph(
         pairs=tuple(PhiPair(*block) for block in blocks),
-        f_factors=tuple(Poly(f) for f in fs),
+        f_factors=tuple(Poly(f) for f in side[0]),
         a=_fractions(a_map, scale),
         d_ul=d_table,
         x_ul=x_table,
@@ -616,13 +615,13 @@ def ihara_graph(g: Digraph, w: WeightAssignment) -> IharaGraph:
     cofactor is 1: D[u][u], the sum of tau1(a ^ 1) tau2(a) over the arcs a
     leaving u, is the t^2 part of cleared row u.  A row with no nonzero
     term is the row (1 - t^2) e_u of I - t*A + t^2*(D - I) and adds no row
-    to P and no factor to R, so the vertex det is
+    to P and no factor to clear, so the vertex det is
     (1 - t^2)^(|V| - rows of P) det P.
     """
     if g.mode is not GraphMode.SYMMETRIC:
         raise GraphError("ihara_graph requires the symmetric digraph of a graph")
     theta = _edge_matrix_data(g, w)
-    side, (_, _, scale, a_map, _, cleared) = _vertex_side(g, w)
+    side, (_, scale, a_map, _, cleared) = _vertex_side(g, w)
     h, rhs, k = _identity(*side, _hashimoto(theta))
     k_vals, delta = side[2]
     d_g = {(u, u): parts[u, 2][0] for u, (_, parts) in cleared.items() if (u, 2) in parts}

@@ -130,6 +130,18 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        # the blocks' factors uncancelled while the cleared rows' are: the
+        # factors both sides share multiply the left side alone
+        "identity-factors-not-cancelled",
+        "zetawalk/zeta.py",
+        "num, den = _product((left - right).elements()),",
+        "num, den = _product(left.elements()),",
+        (
+            "tests/test_zeta.py::test_ihara_graph_random_instances",
+            "tests/test_zeta.py::test_ihara_digraph_random_instances",
+        ),
+    ),
+    Mutant(
         "vertex-side-without-d",
         "zetawalk/zeta.py",
         "                add(x, x, 2, sum2 * sum1_other, f)\n",

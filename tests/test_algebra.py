@@ -162,7 +162,8 @@ def test_ratfunc_cancels_a_perturbed_mismatch_quotient(case):
     # quotient a mismatch report would print, with den a factor of both sides
     inst = parse_instance(large_instance(*case))
     d = instance_digraph(inst)
-    (num, den, (k_vals, delta)), _ = zeta._vertex_side(d, instance_weights(inst, d))
+    (fs, factors, (k_vals, delta)), _ = zeta._vertex_side(d, instance_weights(inst, d))
+    num, den = zeta._product(fs), zeta._product(factors)
     lhs = RING.from_list(num[::-1]) * RING.from_list(k_vals[::-1]) * (1 + 3 * T) * Fraction(1, delta)
     assert_cancelled_as_in_sympy(lhs, RING.from_list(den[::-1]) * (1 - 7 * T**2))
 

@@ -438,15 +438,24 @@ def random_spectrum(rng) -> list:
     return values
 
 
+def reported_spectrum_lines(name, values, records):
+    """``cli._spectrum_lines`` as a report in either format prints them,
+    after one header line."""
+    rep = cli._Report(records)
+    rep.add("walk", "grover")
+    rep.lines += cli._spectrum_lines(name, values)
+    return rep.text().splitlines()[1:]
+
+
 @pytest.mark.parametrize("records", [False, True], ids=["text", "records"])
 def test_spectrum_lines_match_the_reference_formatter(records):
     rng = random.Random(29)
     for _ in range(400):
         values = random_spectrum(rng)
-        assert cli._spectrum_lines("direct", values, records) == spectrum_report_lines("direct", values, records)
+        assert reported_spectrum_lines("direct", values, records) == spectrum_report_lines("direct", values, records)
     # equal keys print differently, so their input order must survive the sort
     values = [complex(0.0, 1.0), complex(-0.0, 1.0), -0.0, 0.0, complex(0.0, -0.0)]
-    assert cli._spectrum_lines("derived", values, records) == spectrum_report_lines("derived", values, records)
+    assert reported_spectrum_lines("derived", values, records) == spectrum_report_lines("derived", values, records)
 
 
 GOLDEN_GRAPHS = sorted(

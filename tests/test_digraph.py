@@ -1,11 +1,12 @@
 import bisect
+import itertools
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetawalk import digraph
+from zetawalk import digraph, zeta
 from zetawalk.digraph import (
     Digraph,
     GraphError,
@@ -341,6 +342,25 @@ def test_lyndon_walk_pushes_no_frame_for_the_summed_lengths(monkeypatch, max_len
     assert walk_output([[1]], max_len, 0) == ([], {1: 1})
     stop = max(max_len - 5, min(4, max_len))
     assert len(calls) == 1 + max(0, stop - 2)
+
+
+def test_only_a_walk_that_sums_lengths_builds_suffix_sum_tables(monkeypatch):
+    # iter_prime_cycles lists every length (stop == max_len), so it reads no
+    # suffix-sum table and builds none; the Euler walk at order 10 sums its
+    # last five lengths off them
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return itertools.accumulate(*args, **kwargs)
+
+    monkeypatch.setattr(digraph, "accumulate", counting)
+    d = fixture_digraph("paper-graph")
+    for max_len, words in ((6, 667), (8, 6952)):
+        assert len(prime_cycles(d, max_len)) == words
+    assert calls == []
+    zeta._euler(zeta._edge_matrix_data(d, zeta.WeightAssignment.from_maps(d)), 10)
+    assert calls
 
 
 @pytest.mark.parametrize("max_len, listed", [(5, -1), (4, 5), (1, 2)])

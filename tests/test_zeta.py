@@ -2,6 +2,7 @@ import inspect
 import math
 import random
 import textwrap
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -1415,21 +1416,21 @@ def test_vertex_side_with_large_prime_denominators_matches_the_references(name):
 
 
 def test_each_materialized_row_is_cleared_once(monkeypatch):
-    # _vertex_det clears each row of P once, and the D and X tables read
-    # those cleared rows: one _over_distinct call per materialized row of
-    # an ihara call, none per table entry
+    # _vertex_det clears each row of P once, one exact quotient r_u / f per
+    # distinct f of the row, and the D and X tables read those cleared
+    # rows: no quotient per table entry
     calls, rows = [], []
-    real_over, real_det = zeta._over_distinct, zeta.det_poly_matrix
+    real_quotient, real_det = zeta._exact_quotient, zeta.det_poly_matrix
 
-    def over(fs):
-        calls.append(fs)
-        return real_over(fs)
+    def quotient(a, g):
+        calls.append(g)
+        return real_quotient(a, g)
 
     def det(p, scale):
         rows.append(len({key[0] for key in p}))
         return real_det(p, scale)
 
-    monkeypatch.setattr(zeta, "_over_distinct", over)
+    monkeypatch.setattr(zeta, "_exact_quotient", quotient)
     monkeypatch.setattr(zeta, "det_poly_matrix", det)
     rng = random.Random(4343)
     cases = [(path.stem, load_instance(path)) for path in GOLDEN]
@@ -1438,15 +1439,74 @@ def test_each_materialized_row_is_cleared_once(monkeypatch):
     for i in range(20):
         d = repeated_f_digraph(rng)
         cases.append((f"repeated-f-{i}", d, random_weights(rng, d)))
-    tables = 0
+    tables = shared = 0
     for name, d, w in cases:
+        terms = zeta._vertex_side(d, w)[1][3]
+        distinct = [len({f for *_, f in row if f is not None}) for row in terms.values()]
         calls.clear()
         rows.clear()
         res = (ihara_graph if d.mode is GraphMode.SYMMETRIC else ihara_digraph)(d, w)
-        assert len(rows) == 1 and len(calls) == rows[0], name
+        assert rows == [len(terms)] and len(calls) == sum(distinct), name
+        shared += sum(n > 1 for n in distinct)
         if d.mode is GraphMode.GENERAL:
             tables += len(res.d_ul) + len(res.x_ul)
-    assert tables > 50
+    assert tables > 50 and shared > 5
+
+
+def test_the_identity_multiplies_only_the_factors_left_after_cancelling(monkeypatch):
+    # _identity cancels the blocks' factors against those that clear the
+    # rows of P and multiplies what is left of each: for a graph that is
+    # (1 - t^2)^(|E| - |V'|) on one side, V' the rows of P, and nothing on
+    # the other; in both modes the two sides share no factor
+    made, seen, rows, inside = [], [], [], [False]
+    real_product, real_identity, real_det = zeta._product, zeta._identity, zeta.det_poly_matrix
+
+    def product(polys):
+        polys = list(polys)
+        if inside[0]:
+            made.append(polys)
+        return real_product(polys)
+
+    def identity(fs, factors, *rest):
+        seen.append((fs, factors))
+        inside[0] = True
+        try:
+            return real_identity(fs, factors, *rest)
+        finally:
+            inside[0] = False
+
+    def det(p, scale):
+        rows.append(len({key[0] for key in p}))
+        return real_det(p, scale)
+
+    monkeypatch.setattr(zeta, "_product", product)
+    monkeypatch.setattr(zeta, "_identity", identity)
+    monkeypatch.setattr(zeta, "det_poly_matrix", det)
+    rng = random.Random(4545)
+    cases = [(path.stem, load_instance(path)) for path in GOLDEN]
+    cases = [(name, instance_digraph(inst), inst) for name, inst in cases]
+    cases = [(name, d, instance_weights(inst, d)) for name, d, inst in cases]
+    for i in range(30):
+        g = random_multigraph(rng, 5, 6)
+        cases.append((f"multigraph-{i}", g, random_weights(rng, g)))
+        d = repeated_f_digraph(rng)
+        cases.append((f"repeated-f-{i}", d, random_weights(rng, d)))
+    sides = set()
+    for name, d, w in cases:
+        made.clear()
+        seen.clear()
+        rows.clear()
+        graph = d.mode is GraphMode.SYMMETRIC
+        res = (ihara_graph if graph else ihara_digraph)(d, w)
+        assert res.agree and len(seen) == 1 and len(made) == 2, name
+        (fs, factors), (num, den) = seen[0], made
+        assert not set(num) & set(den), name
+        assert Counter(num) + Counter(factors) == Counter(den) + Counter(fs), name
+        if graph:
+            extra = d.edge_count - rows[0]
+            assert num == [(1, 0, -1)] * max(extra, 0) and den == [(1, 0, -1)] * max(-extra, 0), name
+            sides.add((extra > 0) - (extra < 0))
+    assert sides == {-1, 0, 1}
 
 
 def test_the_vertex_side_makes_no_fraction(monkeypatch):
