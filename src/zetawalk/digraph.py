@@ -23,16 +23,15 @@ ids that are closed paths, i.e. the Lyndon words of the arc graph.
 Fredricksen-Kessler-Maiorana prenecklace walk (Ruskey, Savage and Wang,
 "Generating necklaces", 1992) on the nonzero pattern of a square matrix,
 iteratively, on an explicit stack.  It lists the words up to a bound it
-is given and adds the longer ones into one total per length.  The
-``SUMMED_LENGTHS`` = 5 lengths after its longest prefix list no word and
-push no frame: per start arc s, five tables T_0..T_4 of suffix sums over
-the successor lists, each built from the one before, total the closings
-of the words that start a new period at each letter, and each summed
-length's total is a short sum of their entries, weighted by the prefix's
-kept-period letters and by the constants K_2..K_4 of the tails that
-return to s (the recurrence is in ``lyndon_cycles``).
-The prefix is max_len - 5 arcs long, but never shorter than the listed
-lengths or than 4 arcs, and summed lengths past max_len are dropped.
+is given and adds the longer ones into one total per length.  Its
+frames stop at half its bound, rounded up, or at the listed lengths when
+those are longer, and every longer length lists no word and pushes no
+frame: per start arc s, tables T_0..T_L of suffix sums over the successor
+lists, each built from the one before, total the closings of the words
+that start a new period at each letter, and each last frame sums its
+totals at the L longer lengths from their entries, in one loop over the
+letters its period keeps and one recurrence over the tails that return
+to s (the details are in ``lyndon_cycles``).
 ``zeta``'s Euler product runs it on the integer theta matrix, where a cycle
 whose product is 0 is never reached, and lists only the lengths up to half
 its order.  ``iter_prime_cycles`` runs it on the 0/1 arc-adjacency matrix
@@ -47,12 +46,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate
-
-
-# the number of lengths after ``lyndon_cycles``'s longest prefix that it
-# sums by lookups, without a frame for their prefixes
-SUMMED_LENGTHS = 5
 
 
 class GraphMode(Enum):
@@ -233,39 +226,46 @@ def lyndon_cycles(m: list[list[int]], max_len: int, listed: int):
     such a prenecklace, so the walk reaches each one exactly once while it
     follows nonzero entries only.  The product of the prefix is carried
     down the walk, which runs on an explicit stack: a frame per prefix
-    shorter than stop = max(max_len - 5, listed, min(4, max_len)).  A
-    Lyndon word longer than ``listed`` is added to its length's total where
-    the walk closes it.
+    shorter than stop = max((max_len + 1) // 2, listed, min(2, max_len)).
+    A Lyndon word longer than ``listed`` is added to its length's total
+    where the walk closes it.
 
-    The SUMMED_LENGTHS = 5 lengths after a prefix of length stop are
-    summed, not walked; those past max_len are dropped, and a walk with
-    stop = max_len sums none and builds no table.  After a new period the
-    next letter y compares with w[0] = s: y > s starts a new period again
-    and y == s keeps it.  Per start arc s, with e_0[y] = m[y][s]:
+    The L = max_len - stop lengths past stop are summed, not walked: a
+    frame of length stop - 1 lists or totals its children's closings and
+    sums every longer word through it; L = 0 builds no table.  After a new
+    period the next letter y compares with w[0] = s: y > s starts a new
+    period again and y == s keeps it.  Per start arc s, with e_0[y] = m[y][s]:
 
-    * T_j[a][i], for j = 0..4, is the total of m[a][y] e_j[y] over the
+    * T_j[a][i], for j = 0..L, is the total of m[a][y] e_j[y] over the
       successors y of a from succ[a][i] on (suffix sums over each ascending
       successor list), and e_(j+1)[y] = T_j[y][bisect_right(succ[y], s)].
       T_j[a][i] totals the closings of the words that leave a by such a y
       and start a new period at each of their j further letters; the
       closing step into s is also the step into a tail that restarts at s.
-    * K_l totals the l-letter tails that start with s just after a new
-      period and end a Lyndon word, with K_0 = 1 and K_1 = 0.  With
-      j_k = bisect_right(succ[w[k-1]], w[k]), K_2 = T_0[s][j_1],
-      K_3 = T_1[s][j_1] + m[s][w1] T_0[w1][j_2] and
-      K_4 = T_2[s][j_1] + K_2^2 + m[s][w1] T_1[w1][j_2]
-      + m[s][w1] m[w1][w2] T_0[w2][j_3]; each is set when its last letter
-      is placed, and stop >= 4 places w[1..3] before any summed prefix.
-    * A summed prefix of period q, ending at x with product pv, keeps its
-      period through c_i = w[stop - q + i]: b_0 = x, kappa_0 = 1,
-      kappa_(i+1) = kappa_i m[b_i][c_i] and b_(i+1) = c_i, until kappa is
-      0.  u_n = sum over i <= n of
-      kappa_i T_(n-i)[b_i][bisect_right(succ[b_i], c_i)] totals the closings
-      at stop + n + 1 of the words whose first new period after the prefix
-      is followed by new periods only.
-    * The Lyndon words of length stop + l total pv times the sum over j of
-      K_j u_(l-1-j): a word's first s after its first new period starts its
-      tail.
+    * A chain from b_0 = a, c_0 = w[r], kappa_0 = k keeps the period through
+      c_i = w[r + i], with kappa_(i+1) = kappa_i m[b_i][c_i] and b_(i+1) =
+      c_i, until kappa is 0: the sum over i <= n of kappa_i
+      T_(n-i)[b_i][bisect_right(succ[b_i], c_i)] totals the closings n + 1
+      letters on of the words whose first new period is followed by new
+      periods only.
+    * V_n is that sum at n - 1 for the chain from s along w[1..]: it totals
+      the tails of 1 + n letters that restart at s just after a new period,
+      start a new one after keeping the period through some w[1..i], and
+      close with new periods only (V_0 = 0).  Its term for w[t] is added
+      when a frame places w[t], for t <= min(L - 1, stop - 2).
+    * A frame of length stop - 1 and period p, with product prod, sums the
+      chain from w[stop - 2], c_i = w[stop - 1 - p + i] and prod: u_n for
+      n = 0..L totals the closings at stop + n of the words whose first new
+      period from w[stop - 1] on is followed by new periods only.  The
+      Lyndon words of length stop + n total y_n = u_n + sum over i of
+      V_i y_(n-1-i): a word is either such a word or a shorter one followed
+      by one more tail that restarts at s.
+    * A tail compares its letters with w[0..], and 2 stop >= max_len keeps
+      them inside the frame's prefix but for one: at max_len = 2 stop,
+      V_(L-1)'s last term reads w[stop - 1], the frame's child.  That term
+      makes the Lyndon word w[:stop-1] x w[:stop-1] x' of two children
+      x < x' that both close, with the product of their closings: the
+      children's loop adds those pairs, and V_(L-1) leaves the term out.
 
     Each c_i is read off the buffer after c_(i-1) is written into it, so
     short periods need no case of their own.  The root prefix s has length
@@ -281,12 +281,15 @@ def lyndon_cycles(m: list[list[int]], max_len: int, listed: int):
     succ = [[b for b, v in enumerate(row) if v] for row in m]
     entries = [[(b, v) for b, v in enumerate(row) if v] for row in m]
     preds = predecessors(succ)
-    # a prefix this long is summed, not pushed; K_2..K_4 read w[1..3]
-    stop = max(max_len - SUMMED_LENGTHS, listed, min(4, max_len))
-    word = [0] * (stop + SUMMED_LENGTHS - 1)  # a summed prefix writes up to word[stop + 3]
-    totals = [0] * (stop + SUMMED_LENGTHS + 1)  # lengths past max_len are dropped
-    zeros = [[0] * (len(m) + 1)] * len(m)  # the rows of arcs that cannot close in time
-    t0 = t1 = t2 = t3 = t4 = zeros  # all that a walk summing nothing reads: K_2..K_4 are 0
+    # a prefix this long is summed, not pushed; the root is always a frame
+    stop = max((max_len + 1) // 2, listed, min(2, max_len))
+    summed = max_len - stop
+    top = min(summed - 1, stop - 2)  # the last letter whose term V adds
+    word = [0] * max_len  # the frames' letters, then a chain's kept letters
+    totals = [0] * (max_len + 1)
+    vs = [[0] * summed for _ in range(top + 1)]  # V_0..V_(L-1) from w[0..t], by t
+    zero = [[0] * (len(m) + 1)] * (summed + 1)  # the tables of arcs too far from s
+    closed = 0  # the total of the closings at length stop in this frame so far
     for s, row in enumerate(m):
         word[0] = s
         if row[s]:
@@ -296,31 +299,30 @@ def lyndon_cycles(m: list[list[int]], max_len: int, listed: int):
                 totals[1] += row[s]
         # the letters of a Lyndon word that starts at s are all >= s; a
         # prefix of length t + 1 ending at x closes within max_len only if
-        # t + dist[x] <= max_len, so a summed prefix ends at dist <= 6, and
-        # no word starts at s if s does not return to itself
+        # t + dist[x] <= max_len, so a chain starts at dist <= L + 2, and no
+        # word starts at s if s does not return to itself
         dist = steps_to(preds, s, max_len)
         if dist[s] > max_len:
             continue
-        if stop < max_len:
+        if summed:
             # each near arc with its entries backwards, for suffix sums, and
             # the index of its first successor above s
-            near = [
-                (a, entries[a][::-1], bisect_right(succ[a], s))
-                for a in range(s, len(m))
-                if dist[a] <= SUMMED_LENGTHS + 1
-            ]
-            tables = []
+            near = [(a, entries[a][::-1], bisect_right(succ[a], s)) for a in range(s, len(m)) if dist[a] <= summed + 2]
+            tables = [zero] * len(m)
+            for a, _, _ in near:
+                tables[a] = []
             e = [r[s] for r in m]
-            for _ in range(SUMMED_LENGTHS):
-                table, e_next = zeros.copy(), [0] * len(m)
+            for _ in range(summed + 1):
+                e_next = [0] * len(m)
                 for a, rev, i in near:
-                    sums = list(accumulate([v * e[y] for y, v in rev], initial=0))
+                    sums, total = [0], 0
+                    for y, v in rev:
+                        total += v * e[y]
+                        sums.append(total)
                     sums.reverse()
-                    table[a] = sums
+                    tables[a].append(sums)
                     e_next[a] = sums[i]
-                tables.append(table)
                 e = e_next
-            t0, t1, t2, t3, t4 = tables
         stack = [(1, 1, 1, iter(entries[s][bisect_left(succ[s], s):]))]
         while stack:
             t, p, prod, branch = stack[-1]
@@ -329,15 +331,14 @@ def lyndon_cycles(m: list[list[int]], max_len: int, listed: int):
                 if t + dist[x] > max_len:
                     continue
                 word[t] = x
-                if t == 1:  # K_2..K_4, the tails that restart at s, read w[1..3]
-                    w1, j1 = x, bisect_right(succ[s], x)
-                    k2 = t0[s][j1]
-                elif t == 2:
-                    w2, j2 = x, bisect_right(succ[w1], x)
-                    k3 = t1[s][j1] + m[s][w1] * t0[w1][j2]
-                elif t == 3:
-                    j3 = bisect_right(succ[w2], x)
-                    k4 = t2[s][j1] + k2 * k2 + m[s][w1] * t1[w1][j2] + m[s][w1] * m[w1][w2] * t0[w2][j3]
+                if t <= top:  # V's term for w[t]: none if no successor of w[t-1] is above it
+                    b, vv = word[t - 1], vs[t - 1]
+                    i = bisect_right(succ[b], x)
+                    if i < len(succ[b]):
+                        vv = vv[:]
+                        for j, sums in enumerate(tables[b][: summed - t], t):
+                            vv[j] += prod * sums[i]
+                    vs[t] = vv
                 pv = prod * v
                 if x == lower:
                     q = p
@@ -345,55 +346,44 @@ def lyndon_cycles(m: list[list[int]], max_len: int, listed: int):
                     q = t + 1
                     c = m[x][s]
                     if c:
+                        c *= pv
                         if q <= listed:
-                            yield word, q, pv * c
+                            yield word, q, c
                         else:
-                            totals[q] += pv * c
+                            totals[q] += c
+                        if q == stop == summed:  # w[:t] x' w[:t] x for each earlier x'
+                            totals[max_len] += closed * c
+                            closed += c
                 if t + 1 < stop:
                     i = bisect_left(succ[x], word[t + 1 - q])
                     stack.append((t + 1, q, pv, iter(entries[x][i:])))
                     break
-                if stop == max_len:
-                    continue
-                c0 = word[stop - q]
-                i = bisect_right(succ[x], c0)
-                u0, u1, u2, u3, u4 = t0[x][i], t1[x][i], t2[x][i], t3[x][i], t4[x][i]
-                c = m[x][c0]
-                if c:  # c0 keeps period q
-                    word[stop] = c0
-                    c1 = word[stop + 1 - q]
-                    i = bisect_right(succ[c0], c1)
-                    u1 += c * t0[c0][i]
-                    u2 += c * t1[c0][i]
-                    u3 += c * t2[c0][i]
-                    u4 += c * t3[c0][i]
-                    c *= m[c0][c1]
-                    if c:  # and so does c1 after it
-                        word[stop + 1] = c1
-                        c2 = word[stop + 2 - q]
-                        i = bisect_right(succ[c1], c2)
-                        u2 += c * t0[c1][i]
-                        u3 += c * t1[c1][i]
-                        u4 += c * t2[c1][i]
-                        c *= m[c1][c2]
-                        if c:  # and c2
-                            word[stop + 2] = c2
-                            c3 = word[stop + 3 - q]
-                            i = bisect_right(succ[c2], c3)
-                            u3 += c * t0[c2][i]
-                            u4 += c * t1[c2][i]
-                            c *= m[c2][c3]
-                            if c:  # and c3
-                                word[stop + 3] = c3
-                                c4 = word[stop + 4 - q]
-                                u4 += c * t0[c3][bisect_right(succ[c3], c4)]
-                totals[stop + 1] += pv * u0
-                totals[stop + 2] += pv * u1
-                totals[stop + 3] += pv * (u2 + k2 * u0)
-                totals[stop + 4] += pv * (u3 + k2 * u1 + k3 * u0)
-                totals[stop + 5] += pv * (u4 + k2 * u2 + k3 * u1 + k4 * u0)
             else:
                 stack.pop()
+                closed = 0
+                if t + 1 < stop or not summed:
+                    continue
+                # the frame of length stop - 1 sums the chain from its last
+                # letter, which keeps period p through c_i = w[t - p + i]
+                u = [0] * (summed + 1)
+                b, c, kappa = word[t - 1], lower, prod
+                for n in range(summed + 1):
+                    i = bisect_right(succ[b], c)
+                    if i < len(succ[b]):  # else no successor of b starts a new period
+                        for j, sums in enumerate(tables[b][: summed + 1 - n], n):
+                            u[j] += kappa * sums[i]
+                    kappa *= m[b][c]
+                    if not kappa:
+                        break
+                    word[t + n] = b = c
+                    c = word[t + n + 1 - p]
+                # y_n = u_n + sum V_i y_(n-1-i), in place: the last tail that
+                # restarts at s has 1 + i letters
+                vv = vs[top]
+                for n in range(1, summed + 1):
+                    for i in range(1, n):
+                        u[n] += vv[i] * u[n - 1 - i]
+                    totals[stop + n] += u[n]
     for k in range(listed + 1, max_len + 1):
         if totals[k]:
             yield None, k, totals[k]
@@ -405,8 +395,8 @@ def iter_prime_cycles(d: Digraph, max_len: int):
     A representative is the lexicographically least rotation of its class,
     which for a class that is not a proper power is a Lyndon word over the
     arc ids: ``lyndon_cycles`` on the 0/1 arc-adjacency matrix, listing
-    every length up to max_len.  Its summed prefix is then max_len long,
-    its frames stop at length max_len - 1, and it sums no length.
+    every length up to max_len.  Its stop is then max_len, its frames stop
+    at length max_len - 1, and it sums no length.
     """
     for word, k, _ in lyndon_cycles(arc_adjacency(d), max_len, max_len):
         yield tuple(word[:k])

@@ -97,8 +97,8 @@ of length k <= order/2 only.  Past order/2 the cross terms of the factors
 have degree above the order, so the product of those factors is
 1 + sum_k C_k t^k, with C_k the total of c over the cycles of length k;
 the walk lists the cycles up to order/2 only and yields one C_k for each
-longer length, the last five of them (fewer below order 9) summed by
-lookups after a prefix of max(order - 5, order/2, 4) arcs (``_euler``).
+longer length, and it sums every length past (order + 1) // 2 by lookups
+after a prefix of that length, without a frame (``_euler``).
 The exponential's recurrence n f_n = sum_k D^k N_k f_(n-k) divides exactly
 on the power sums of the integer matrix P; a remainder shows a wrong
 enumeration and raises ConsistencyError.
@@ -106,7 +106,6 @@ enumeration and raises ConsistencyError.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat, zip_longest
@@ -336,8 +335,8 @@ def _euler(theta, order: int) -> list[int]:
     C_k the total of c over the cycles of length k: the walk lists only the
     cycles of length <= order/2 and adds up the longer ones itself, one C_k
     per length, and acc is multiplied by that sum once at the end.  It
-    walks the prefixes shorter than max(order - 5, order/2, 4) and reads
-    the totals of the up to five lengths after them off suffix sums.
+    walks the prefixes shorter than (order + 1) // 2 and reads the totals
+    of every longer length off suffix sums.
     """
     im = theta[1]
     half = order // 2
@@ -394,7 +393,8 @@ def _vertex_det(rows: dict, scale: int) -> tuple[list, tuple[list[int], int], di
     for u, terms in rows.items():
         distinct = dict.fromkeys(f for *_, f in terms if f is not None)
         ru = _product(distinct)
-        cofactor = {f: _exact_quotient(ru, f) for f in distinct}
+        # a row with one distinct factor, as every graph row is, has cofactor 1
+        cofactor = {f: _exact_quotient(ru, f) if len(distinct) > 1 else [1] for f in distinct}
         factors += distinct
         parts = {}
         for v, k, n, f in terms:
@@ -427,8 +427,13 @@ def _identity(fs, factors, kd, hk) -> tuple[Poly, RatFunc, int | None]:
     constant term 1, so k is also the first nonzero coefficient of rhs - h.
     """
     (k_vals, delta), (h, (h_vals, h_delta)) = kd, hk
-    left, right = Counter(fs), Counter(factors)
-    num, den = _product((left - right).elements()), _product((right - left).elements())
+    num, den = [], list(factors)
+    for f in fs:
+        if f in den:
+            den.remove(f)
+        else:
+            num.append(f)
+    num, den = _product(num), _product(den)
     lhs = _trim(_mul(num, [x * h_delta for x in k_vals]))
     rhs = _trim(_mul(den, [x * delta for x in h_vals]))
     if lhs == rhs:
@@ -626,11 +631,15 @@ def ihara_graph(g: Digraph, w: WeightAssignment) -> IharaGraph:
     k_vals, delta = side[2]
     d_g = {(u, u): parts[u, 2][0] for u, (_, parts) in cleared.items() if (u, 2) in parts}
     rows_missing = g.vertex_count - len(cleared)
+    # (1 - t^2)^n for n = rows_missing: c_(i+1) = -c_i (n - i) / (i + 1) at t^2i
+    prefactor = [1]
+    for i in range(rows_missing):
+        prefactor += [0, -prefactor[-1] * (rows_missing - i) // (i + 1)]
     return IharaGraph(
         a_g=_fractions(a_map, scale),
         d_g=_fractions(d_g, scale),
         prefactor_exponent=g.edge_count - g.vertex_count,
-        vertex_det=Poly._from_ints(_mul(_product([(1, 0, -1)] * rows_missing), k_vals), repeat(delta)),
+        vertex_det=Poly._from_ints(_mul(prefactor, k_vals), repeat(delta)),
         rhs=rhs,
         hashimoto=h,
         agree=k is None,

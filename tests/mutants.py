@@ -70,43 +70,47 @@ MUTANTS = (
         ("tests/test_linalg.py::test_kernel_skips_a_prime_that_divides_a_denominator",),
     ),
     Mutant(
-        "summed-lengths-plus-one",
+        # 2 stop < max_len at odd max_len: a tail past the summed prefix
+        # compares a letter that no frame has placed
+        "half-stop-one-below",
         "zetawalk/digraph.py",
-        "SUMMED_LENGTHS = 5\n",
-        "SUMMED_LENGTHS = 6\n",
+        "    stop = max((max_len + 1) // 2, listed, min(2, max_len))\n",
+        "    stop = max((max_len + 1) // 2 - 1, listed, min(2, max_len))\n",
         ("tests/test_zeta.py::test_euler_matches_the_hashimoto_inverse_at_orders_1_to_12",),
     ),
     Mutant(
-        "summed-lengths-minus-one",
+        # the same words and totals with one length more walked by frames:
+        # only the frame count shows it
+        "half-stop-one-above",
         "zetawalk/digraph.py",
-        "SUMMED_LENGTHS = 5\n",
-        "SUMMED_LENGTHS = 4\n",
-        ("tests/test_digraph.py::test_lyndon_walk_matches_brute_force_words_and_totals",),
+        "    stop = max((max_len + 1) // 2, listed, min(2, max_len))\n",
+        "    stop = max((max_len + 1) // 2 + 1, listed, min(2, max_len))\n",
+        ("tests/test_digraph.py::test_lyndon_walk_pushes_no_frame_for_the_summed_lengths",),
     ),
     Mutant(
         # the same words and totals, each length walked by a frame: only
         # the frame count shows it
         "walk-sums-no-length",
         "zetawalk/digraph.py",
-        "stop = max(max_len - SUMMED_LENGTHS, listed, min(4, max_len))",
-        "stop = max(max_len, listed, min(4, max_len))",
+        "    stop = max((max_len + 1) // 2, listed, min(2, max_len))\n",
+        "    stop = max_len\n",
         ("tests/test_digraph.py::test_lyndon_walk_pushes_no_frame_for_the_summed_lengths",),
     ),
     Mutant(
-        # a tail s u s u' (u, u' > w[1]) is two tails of two letters, which
-        # neither fixture has at unit weights
-        "k4-without-k2-squared",
+        # at most one tail that restarts at s: s u s u' (u, u' > w[1]) is
+        # two tails of two letters, which neither fixture has at unit weights
+        "restart-recurrence-without-product-terms",
         "zetawalk/digraph.py",
-        " + k2 * k2",
-        "",
+        "for i in range(1, n):\n                        u[n] += vv[i] * u[n - 1 - i]\n                    totals[stop + n] += u[n]\n",
+        "totals[stop + n] += u[n] + sum(vv[i] * u[n - 1 - i] for i in range(1, n))\n",
         ("tests/test_digraph.py::test_lyndon_walk_matches_brute_force_words_and_totals",),
     ),
     Mutant(
-        # the fourth letter kept at period q, c3, never starts a new one
-        "kept-period-fourth-step-dropped",
+        # the last letter kept at period p never starts a new one
+        "kept-period-chain-one-step-short",
         "zetawalk/digraph.py",
-        "u4 += c * t0[c3][bisect_right(succ[c3], c4)]",
-        "u4 += 0",
+        "                for n in range(summed + 1):\n",
+        "                for n in range(summed):\n",
         (
             "tests/test_digraph.py::test_lyndon_walk_matches_brute_force_words_and_totals",
             "tests/test_zeta.py::test_euler_matches_the_hashimoto_inverse_at_orders_1_to_12",
@@ -134,8 +138,8 @@ MUTANTS = (
         # factors both sides share multiply the left side alone
         "identity-factors-not-cancelled",
         "zetawalk/zeta.py",
-        "num, den = _product((left - right).elements()),",
-        "num, den = _product(left.elements()),",
+        "            den.remove(f)\n        else:\n            num.append(f)\n",
+        "            den.remove(f)\n        num.append(f)\n",
         (
             "tests/test_zeta.py::test_ihara_graph_random_instances",
             "tests/test_zeta.py::test_ihara_digraph_random_instances",

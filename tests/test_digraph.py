@@ -1,5 +1,4 @@
 import bisect
-import itertools
 from collections import Counter
 
 import pytest
@@ -296,21 +295,20 @@ def oracle_output(paths, listed):
 def test_lyndon_walk_matches_brute_force_words_and_totals(rng):
     # integer matrices with zeros and negative entries, so that totals can
     # cancel; every listed bound from 0 to max_len, so the summed prefix is
-    # 4 long (max_len <= 9), max_len - 5 long, or ``listed`` long, and
-    # summed lengths past max_len are dropped.  Up to 3 arcs max_len runs
-    # to 10, so that the fourth and fifth summed lengths, which read K_4
-    # and the fourth kept-period step, meet the oracle.  In the 5-cycle
-    # with a chord and a loop, arc 1 is four steps from arc 0; in the
-    # 7-cycle with a loop at arc 0 it is six steps, the farthest a summed
-    # prefix can end from its start arc, and the prefix 0001 reaches it.
+    # max_len / 2 or ``listed`` long and every number L of summed lengths
+    # from 0 to 6 meets the oracle.  Up to 2 arcs max_len runs to 12, where
+    # L = 6 sums tails that restart at s three times (s u s u' s u''); up to
+    # 3 arcs it runs to 10.  In the 5-cycle with a chord and a loop, arc 1
+    # is four steps from arc 0; in the 7-cycle with a loop at arc 0 it is
+    # six steps, and the prefix 0001 reaches it.
     five_cycle = [[0, 2, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, -1, 0], [0, 1, 0, 0, 3], [1, 0, 0, 0, -2]]
     seven_cycle = [[2 if a == b == 0 else int(b == (a + 1) % 7) for b in range(7)] for a in range(7)]
-    cases = [(m, max_len) for m in (five_cycle, seven_cycle) for max_len in range(1, 11)]
+    cases = [(m, max_len) for m in (five_cycle, seven_cycle) for max_len in range(1, 13)]
     for _ in range(150):
         n = rng.randint(1, 5)
         density = rng.random()
         m = [[rng.choice([-2, -1, 1, 2, 3]) if rng.random() < density else 0 for _ in range(n)] for _ in range(n)]
-        cases.append((m, rng.randint(1, 10 if n <= 3 else 8)))
+        cases.append((m, rng.randint(1, 12 if n <= 2 else 10 if n == 3 else 8)))
     for m, max_len in cases:
         paths = lyndon_closed_paths(m, max_len)
         for listed in range(max_len + 1):
@@ -329,8 +327,8 @@ def test_lyndon_walk_lists_lengths_up_to_max_len(max_len, listed):
 def test_lyndon_walk_pushes_no_frame_for_the_summed_lengths(monkeypatch, max_len):
     # on one loop the prefixes are 0, 00, 000, ...; the walk looks up one
     # bisect_left for the root and one per frame it pushes, and it pushes
-    # the prefixes shorter than stop = max(max_len - 5, min(4, max_len))
-    # only: the last SUMMED_LENGTHS = 5 lengths are summed from a prefix of
+    # the prefixes shorter than stop = max((max_len + 1) // 2, min(2,
+    # max_len)) only: every length past stop is summed from a prefix of
     # length stop
     calls = []
 
@@ -340,21 +338,23 @@ def test_lyndon_walk_pushes_no_frame_for_the_summed_lengths(monkeypatch, max_len
 
     monkeypatch.setattr(digraph, "bisect_left", counting)
     assert walk_output([[1]], max_len, 0) == ([], {1: 1})
-    stop = max(max_len - 5, min(4, max_len))
+    stop = max((max_len + 1) // 2, min(2, max_len))
     assert len(calls) == 1 + max(0, stop - 2)
 
 
 def test_only_a_walk_that_sums_lengths_builds_suffix_sum_tables(monkeypatch):
     # iter_prime_cycles lists every length (stop == max_len), so it reads no
-    # suffix-sum table and builds none; the Euler walk at order 10 sums its
-    # last five lengths off them
+    # suffix-sum table and builds none; the Euler walk at order 10 sums the
+    # five lengths past order/2 off them.  Only the summing bisects right:
+    # for the first successor above s of each arc a table row is built for,
+    # and for V's terms and the frames' chains, which read the rows
     calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return itertools.accumulate(*args, **kwargs)
+    def counting(a, x):
+        calls.append(x)
+        return bisect.bisect_right(a, x)
 
-    monkeypatch.setattr(digraph, "accumulate", counting)
+    monkeypatch.setattr(digraph, "bisect_right", counting)
     d = fixture_digraph("paper-graph")
     for max_len, words in ((6, 667), (8, 6952)):
         assert len(prime_cycles(d, max_len)) == words

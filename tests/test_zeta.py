@@ -364,91 +364,130 @@ def euler_verdicts(d, order):
     return [v.detail for v in verdicts if "euler" in v.name]
 
 
-# Mutants of the walk's summed leaf, each with the first power of t at
-# which it breaks the Euler product on paper-graph, by order.  The summed
-# prefix is stop = max(order - 5, order // 2, 4) long, so a term at length
-# stop + j shows at t^(stop + j) once that is within the order; the orders
-# left out are those where it is past the order or vanishes on paper-graph.
-# Paper-graph has no non-backtracking closed path of two arcs, so K_2 and
-# the w[2] term of K_3 vanish there; the brute-force walk test checks them.
+# Mutants of the walk's summed tail, each with the first power of t at
+# which it breaks the Euler product on paper-graph, by order.  The Euler
+# walk's frames stop at stop = (order + 1) // 2, and it sums every length
+# past stop, so a term at length stop + j shows at t^(stop + j); the
+# orders left out are those where the term is past the order or vanishes
+# on paper-graph.  Paper-graph has no non-backtracking closed path of two
+# arcs, so V_1 vanishes there; the brute-force walk test checks it.
 LEAF_MUTANTS = {
     # after y starts a new period, a closing z == s keeps it, so the word
     # is not Lyndon: e_(j+1)[y] holds the closings z > s
     "new-period-closing-bound-s": (
         "bisect_right(succ[a], s)",
         "bisect_left(succ[a], s)",
-        {6: 6, 7: 6, 8: 6, 9: 6, 10: 7, 11: 8, 12: 9},
+        {4: 4, 5: 4, 6: 4, 7: 5, 8: 5, 9: 6, 10: 6, 11: 7, 12: 7},
     ),
-    # and the same for the e_j of T_2, T_3 and T_4 alone
+    # and the same for the e_1, e_2 or e_3 alone, which T_1, T_2 or T_3 reads
     "new-period-two-bound-s": (
         "e_next[a] = sums[i]",
-        "e_next[a] = sums[bisect_left(succ[a], s) if len(tables) == 1 else i]",
-        {7: 7, 8: 7, 9: 7, 10: 8, 11: 9, 12: 10},
+        "e_next[a] = sums[bisect_left(succ[a], s) if len(tables[a]) == 1 else i]",
+        {4: 4, 5: 4, 6: 4, 7: 5, 8: 5, 9: 6, 10: 6, 11: 7, 12: 7},
     ),
     "new-period-three-bound-s": (
         "e_next[a] = sums[i]",
-        "e_next[a] = sums[bisect_left(succ[a], s) if len(tables) == 2 else i]",
-        {8: 8, 9: 8, 10: 9, 11: 10, 12: 11},
+        "e_next[a] = sums[bisect_left(succ[a], s) if len(tables[a]) == 2 else i]",
+        {4: 4, 5: 5, 6: 5, 7: 7, 8: 7, 9: 7, 10: 7, 11: 8, 12: 8},
     ),
     "new-period-four-bound-s": (
         "e_next[a] = sums[i]",
-        "e_next[a] = sums[bisect_left(succ[a], s) if len(tables) == 3 else i]",
-        {9: 9, 10: 10, 11: 11, 12: 12},
+        "e_next[a] = sums[bisect_left(succ[a], s) if len(tables[a]) == 3 else i]",
+        {6: 6, 7: 7, 8: 7, 9: 8, 10: 8, 11: 9, 12: 9},
     ),
-    # the summed prefix starts a new period on y > c0 only
-    "new-period-bound-c0": (
-        "bisect_right(succ[x], c0)",
-        "bisect_left(succ[x], c0)",
-        {5: 5, 6: 5, 7: 5, 8: 5, 9: 5, 10: 6, 11: 7, 12: 8},
+    # the frame's children start a new period on x > w[t - p] only
+    "frame-new-period-bound": (
+        "i = bisect_right(succ[b], c)",
+        "i = (bisect_left if n == 0 else bisect_right)(succ[b], c)",
+        {4: 4, 5: 4, 6: 4, 7: 5, 8: 5, 9: 6, 10: 6, 11: 7, 12: 7},
     ),
-    # a tail that restarts at s keeps the period through w[1], so it starts
-    # a new one on u > w[1], not u > s: K_2, K_3 and K_4 read j_1
-    "tail-bound-w1": (
-        "bisect_right(succ[s], x)",
-        "bisect_right(succ[s], s)",
-        {7: 7, 8: 7, 9: 7, 10: 8, 11: 9, 12: 10},
-    ),
-    # and then through w[2] and w[3], for K_3 and K_4
-    "tail-bound-w2": ("bisect_right(succ[w1], x)", "bisect_right(succ[w1], s)", {8: 8, 9: 8, 10: 9, 11: 10, 12: 11}),
-    "tail-bound-w3": ("bisect_right(succ[w2], x)", "bisect_right(succ[w2], s)", {9: 9, 10: 10, 11: 11, 12: 12}),
-    # a term dropped from K_3 or from K_4
-    "k3-without-t1": ("k3 = t1[s][j1] + ", "k3 = ", {8: 8, 9: 8, 10: 9, 11: 10, 12: 11}),
-    "k4-without-w1-t1": (" + m[s][w1] * t1[w1][j2]", "", {9: 9, 10: 10, 11: 11, 12: 12}),
-    "k4-without-w2-t0": (" + m[s][w1] * m[w1][w2] * t0[w2][j3]", "", {10: 10, 11: 11, 12: 12}),
-    # c0 == x's next letter keeps period q, and the word then starts a new
-    # one only on y > c1
+    # a letter c_i kept at period p is followed by a new period on y > c_(i+1)
     "kept-period-bound": (
-        "bisect_right(succ[c0], c1)",
-        "bisect_left(succ[c0], c1)",
-        {6: 6, 7: 6, 8: 6, 9: 6, 10: 7, 11: 8, 12: 9},
+        "i = bisect_right(succ[b], c)",
+        "i = (bisect_right if n == 0 else bisect_left)(succ[b], c)",
+        {3: 3, 4: 3, 5: 4, 6: 4, 7: 5, 8: 5, 9: 6, 10: 6, 11: 7, 12: 7},
     ),
+    # and not on y > s, at each of the chain's first four kept letters
     "kept-period-bound-s": (
-        "bisect_right(succ[c0], c1)",
-        "bisect_right(succ[c0], s)",
-        {6: 6, 7: 6, 8: 6, 9: 6, 10: 7, 11: 8, 12: 9},
+        "i = bisect_right(succ[b], c)",
+        "i = bisect_right(succ[b], s if n == 1 else c)",
+        {5: 4, 6: 4, 7: 5, 8: 5, 9: 6, 10: 6, 11: 7, 12: 7},
     ),
-    # and after c0, c1 only on y > c2, then on y > c3 and y > c4
     "kept-period-twice-bound-s": (
-        "bisect_right(succ[c1], c2)",
-        "bisect_right(succ[c1], s)",
-        {7: 7, 8: 7, 9: 7, 10: 8, 11: 9, 12: 10},
+        "i = bisect_right(succ[b], c)",
+        "i = bisect_right(succ[b], s if n == 2 else c)",
+        {7: 6, 8: 6, 9: 7, 10: 7, 11: 8, 12: 8},
     ),
     "kept-period-third-bound-s": (
-        "bisect_right(succ[c2], c3)",
-        "bisect_right(succ[c2], s)",
-        {8: 8, 9: 8, 10: 9, 11: 10, 12: 11},
+        "i = bisect_right(succ[b], c)",
+        "i = bisect_right(succ[b], s if n == 3 else c)",
+        {6: 6, 9: 8, 10: 8, 11: 9, 12: 9},
     ),
-    "kept-period-fourth-bound-s": ("bisect_right(succ[c3], c4)", "bisect_right(succ[c3], s)", {9: 9, 10: 10, 11: 11, 12: 12}),
-    # the third and the fourth kept-period steps dropped
-    "kept-period-third-step-dropped": ("c *= m[c1][c2]", "c = 0", {8: 8, 9: 8, 10: 10, 11: 10, 12: 11}),
-    "kept-period-fourth-step-dropped": ("u4 += c * t0[c3][bisect_right(succ[c3], c4)]", "u4 += 0", {10: 10, 12: 12}),
+    "kept-period-fourth-bound-s": (
+        "i = bisect_right(succ[b], c)",
+        "i = bisect_right(succ[b], s if n == 4 else c)",
+        {8: 8, 9: 9, 10: 9, 11: 10, 12: 10},
+    ),
+    # the third and the fourth kept letters dropped
+    "kept-period-third-step-dropped": (
+        "kappa *= m[b][c]",
+        "kappa *= m[b][c] if n != 2 else 0",
+        {8: 8, 9: 8, 10: 8, 11: 10, 12: 10},
+    ),
+    "kept-period-fourth-step-dropped": (
+        "kappa *= m[b][c]",
+        "kappa *= m[b][c] if n != 3 else 0",
+        {10: 10, 11: 10, 12: 10},
+    ),
+    # a tail that restarts at s keeps the period through w[1], so it starts
+    # a new one on u > w[1], not u > s; and then through w[2] and w[3]
+    "tail-bound-w1": (
+        "i = bisect_right(succ[b], x)",
+        "i = bisect_right(succ[b], s if t == 1 else x)",
+        {5: 5, 6: 5, 7: 7, 8: 7, 9: 7, 10: 7, 11: 8, 12: 8},
+    ),
+    "tail-bound-w2": (
+        "i = bisect_right(succ[b], x)",
+        "i = bisect_right(succ[b], s if t == 2 else x)",
+        {7: 7, 8: 7, 9: 8, 10: 8, 11: 9, 12: 9},
+    ),
+    "tail-bound-w3": (
+        "i = bisect_right(succ[b], x)",
+        "i = bisect_right(succ[b], s if t == 3 else x)",
+        {9: 9, 10: 9, 11: 10, 12: 10},
+    ),
+    # V's terms for w[1] past T_0, and all of them for w[2] or for w[3]
+    "tail-w1-t0-only": (
+        "enumerate(tables[b][: summed - t], t)",
+        "enumerate(tables[b][: summed - t if t != 1 else 1], t)",
+        {6: 6, 7: 7, 8: 7, 9: 8, 10: 8, 11: 9, 12: 9},
+    ),
+    "tail-w2-dropped": (
+        "enumerate(tables[b][: summed - t], t)",
+        "enumerate((tables[b] if t != 2 else zero)[: summed - t], t)",
+        {8: 8, 9: 9, 10: 9, 11: 10, 12: 10},
+    ),
+    "tail-w3-dropped": (
+        "enumerate(tables[b][: summed - t], t)",
+        "enumerate((tables[b] if t != 3 else zero)[: summed - t], t)",
+        {10: 10, 11: 10, 12: 10},
+    ),
+    # at most one tail that restarts at s: two need V_2 V_2 on paper-graph
+    "restart-recurrence-one-tail": (
+        "for i in range(1, n):\n                        u[n] += vv[i] * u[n - 1 - i]\n                    totals[stop + n] += u[n]\n",
+        "totals[stop + n] += u[n] + sum(vv[i] * u[n - 1 - i] for i in range(1, n))\n",
+        {12: 12},
+    ),
+    # the words w[:t] x' w[:t] x of two closing children x' < x, at
+    # max_len = 2 stop
+    "closing-pairs-dropped": ("totals[max_len] += closed * c", "totals[max_len] += 0", {8: 8, 10: 10, 12: 12}),
 }
 
 
 @pytest.mark.parametrize(
     "mutant, order", [(mutant, order) for mutant, (_, _, first) in LEAF_MUTANTS.items() for order in first]
 )
-def test_summed_last_five_lengths_break_the_euler_product(monkeypatch, mutant, order):
+def test_summed_lengths_break_the_euler_product(monkeypatch, mutant, order):
     old, new, first = LEAF_MUTANTS[mutant]
     mutate(monkeypatch, "lyndon_cycles", old, new, module=digraph)
     assert euler_verdicts(fixture_digraph("paper-graph"), order) == [f"at t^{first[order]}"] * 2
@@ -541,12 +580,12 @@ def walk_totals(m, max_len):
 
 @pytest.mark.parametrize("path", GOLDEN, ids=lambda p: p.stem)
 def test_walk_totals_match_the_moebius_traces_on_goldens(path):
-    # past the brute-force oracle's 8 arcs: at 13 and 14 the walk sums
-    # lengths 9-13 and 10-14 without a frame
+    # past the brute-force oracle's 8 arcs: at 13 to 16 the walk sums
+    # lengths 8-13, 8-14, 9-15 and 9-16 without a frame
     inst = load_instance(path)
     d = instance_digraph(inst)
     _, p = _edge_matrix_data(d, instance_weights(inst, d))
-    for max_len in (13, 14):
+    for max_len in (13, 14, 15, 16):
         assert walk_totals(p, max_len) == prime_cycle_totals(p, max_len)
 
 
@@ -707,9 +746,10 @@ def test_series_routes_match_brute_force_on_random_instances():
 
 def test_euler_matches_the_hashimoto_inverse_at_orders_1_to_12():
     # the lengths the walk lists, totals and sums by lookup all move with
-    # the order, and up to order 9 the summed prefix is the shortest one,
-    # four arcs long, with summed lengths past the order dropped; the
-    # series inverse shares no code with the walk.  Six loops on one vertex
+    # the order: the summed prefix is (order + 1) // 2 arcs long, but two
+    # at orders 2 to 4, and at even orders the two closings of one frame
+    # make words of the order's length; the series inverse shares no code
+    # with the walk.  Six loops on one vertex
     # take seconds at order 12, so the graphs stay small.
     rng = random.Random(20261020)
     for trial in range(80):
@@ -1417,8 +1457,9 @@ def test_vertex_side_with_large_prime_denominators_matches_the_references(name):
 
 def test_each_materialized_row_is_cleared_once(monkeypatch):
     # _vertex_det clears each row of P once, one exact quotient r_u / f per
-    # distinct f of the row, and the D and X tables read those cleared
-    # rows: no quotient per table entry
+    # distinct f of a row with two or more of them (a row with one has
+    # cofactor 1, as every graph row does), and the D and X tables read
+    # those cleared rows: no quotient per table entry
     calls, rows = [], []
     real_quotient, real_det = zeta._exact_quotient, zeta.det_poly_matrix
 
@@ -1446,11 +1487,32 @@ def test_each_materialized_row_is_cleared_once(monkeypatch):
         calls.clear()
         rows.clear()
         res = (ihara_graph if d.mode is GraphMode.SYMMETRIC else ihara_digraph)(d, w)
-        assert rows == [len(terms)] and len(calls) == sum(distinct), name
+        assert rows == [len(terms)] and len(calls) == sum(n for n in distinct if n > 1), name
         shared += sum(n > 1 for n in distinct)
         if d.mode is GraphMode.GENERAL:
             tables += len(res.d_ul) + len(res.x_ul)
     assert tables > 50 and shared > 5
+
+
+def test_graph_prefactor_equals_one_factor_per_missing_row():
+    # ihara_graph builds (1 - t^2)^(|V| - rows of P) from its binomial
+    # coefficients; the vertex det equals the product of one 1 - t^2 per
+    # row with no term, on a 1,000-vertex graph with one edge (998 such
+    # rows) and on every graph golden
+    graphs = [(symmetric_digraph(1000, [(0, 1)]), None)]
+    for path in GOLDEN:
+        inst = load_instance(path)
+        d = instance_digraph(inst)
+        if d.mode is GraphMode.SYMMETRIC:
+            graphs.append((d, instance_weights(inst, d)))
+    assert len(graphs) == 8
+    for g, w in graphs:
+        w = w or WeightAssignment.from_maps(g)
+        side, (_, _, _, _, cleared) = zeta._vertex_side(g, w)
+        k_vals, delta = side[2]
+        factors = [(1, 0, -1)] * (g.vertex_count - len(cleared))
+        expected = Poly._from_ints(zeta._mul(zeta._product(factors), k_vals), [delta] * (2 * len(factors) + len(k_vals)))
+        assert ihara_graph(g, w).vertex_det == expected
 
 
 def test_the_identity_multiplies_only_the_factors_left_after_cancelling(monkeypatch):
