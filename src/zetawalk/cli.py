@@ -4,7 +4,8 @@ Verbs: ``verify`` (all four expressions plus agreement verdicts), ``ihara``
 (the vertex determinant data), ``hashimoto``/``euler``/``exp`` (single
 expressions), ``spectrum`` (direct vs factorization-derived walk spectra),
 and ``fixtures`` (write a bundled instance).  Reports are byte-deterministic
-for the exact-arithmetic commands.
+for the exact-arithmetic commands.  argparse declares the grammar and writes
+help and errors; a plain argv is read off its declarations (``_read_plain``).
 
 Exit codes: 0 success / all agree, 1 mathematical mismatch, 2 input error
 (including a bad flag value, a path that cannot be opened, an ``ihara``
@@ -75,25 +76,24 @@ def exit_code_for_report(report: ZetaReport) -> int:
 
 
 class _Report:
-    """The text report's lines; records swap "VERDICT name " for "verdict.name=", else the first space for "="."""
+    """The report's lines, each written in its format as it is added: text
+    "key value" and "VERDICT name status", records "key=value" and
+    "verdict.name=status"."""
 
     def __init__(self, records: bool):
-        self.records = records
+        self.sep = "=" if records else " "
+        self.verdict_head = "verdict." if records else "VERDICT "
         self.lines: list[str] = []
 
     def add(self, key: str, value) -> None:
-        self.lines.append(f"{key} {value}")
+        self.lines.append(f"{key}{self.sep}{value}")
 
     def verdict(self, name: str, agree: bool, detail=None) -> None:
         status = "agree" if agree else ("MISMATCH" + (f" {detail}" if detail else ""))
-        self.lines.append(f"VERDICT {name} {status}")
+        self.lines.append(f"{self.verdict_head}{name}{self.sep}{status}")
 
     def text(self) -> str:
-        lines = self.lines
-        if self.records:  # in place, so that a report of millions of lines is not held twice
-            for i, x in enumerate(lines):
-                lines[i] = ("verdict." + x[8:] if x.startswith("VERDICT ") else x).replace(" ", "=", 1)
-        return "\n".join(lines) + "\n"
+        return "\n".join(self.lines) + "\n"
 
 
 def _instance_header(ns, command: str, inst) -> _Report:
@@ -206,11 +206,12 @@ def cmd_exp(ns) -> tuple[str, int]:
     return rep.text(), EXIT_OK
 
 
-def _spectrum_lines(name: str, values) -> list[str]:
+def _spectrum_lines(name: str, values, sep: str) -> list[str]:
     """The report lines ``name[i]`` of ``values`` sorted by real, then
-    imaginary part; a float prints with imaginary part +0.  printf-style
-    %+.10f gives the digits of format spec +.10f at a lower cost per call."""
-    line = f"{name}[%d] %+.10f%+.10fj"
+    imaginary part, with ``sep`` after the key; a float prints with
+    imaginary part +0.  printf-style %+.10f gives the digits of format spec
+    +.10f at a lower cost per call."""
+    line = f"{name}[%d]{sep}%+.10f%+.10fj"
     keys = sorted([(z.real, z.imag) for z in values])
     return [line % (i, re, im) for i, (re, im) in enumerate(keys)]
 
@@ -230,8 +231,8 @@ def cmd_spectrum(ns) -> tuple[str, int]:
         derived = szegedy_spectrum_via_factorization(g, inst.prob)
     direct = eigenvalues_numeric(u)
     rep.add("unitarity-defect", f"{unitarity_defect(u):.3e}")
-    rep.lines += _spectrum_lines("direct", direct)
-    rep.lines += _spectrum_lines("derived", derived)
+    rep.lines += _spectrum_lines("direct", direct, rep.sep)
+    rep.lines += _spectrum_lines("derived", derived, rep.sep)
     deviation = spectrum_deviation(direct, derived)
     rep.add("max-deviation", f"{deviation:.3e}")
     agree = deviation <= ns.tolerance
@@ -272,7 +273,11 @@ def _positive_int(value: str) -> int:
 
 
 def _positive_tolerance(value: str) -> float:
+    """A positive finite float, spelled in ASCII: float() alone would also
+    take "1_0", non-ASCII digits and surrounding whitespace."""
     try:
+        if "_" in value or not value.isascii() or value != value.strip():
+            raise ValueError(value)
         eps = float(value)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid tolerance {_quote(value)}") from None
@@ -327,8 +332,59 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _plain_verbs() -> dict:
+    """verb -> (positionals, {option string: action}, defaults), read off
+    ``build_parser()``'s declarations, where every argument but -h takes
+    one value."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    verbs = {}
+    for verb, p in sub.choices.items():
+        actions = [a for a in p._actions if a.default is not argparse.SUPPRESS]  # not -h
+        verbs[verb] = (
+            [a for a in actions if not a.option_strings],
+            {s: a for a in actions for s in a.option_strings},
+            {**{a.dest: a.default for a in actions}, **p._defaults, sub.dest: verb},
+        )
+    return verbs
+
+
+def _read_plain(argv: list[str]) -> argparse.Namespace | None:
+    """The Namespace ``build_parser().parse_args(argv)`` gives a plain argv,
+    else None.  A plain argv is a verb, its positionals in order, then
+    one-value options, each given at most once as ``--name value`` or
+    ``-o value``, where no token after the verb that fills an argument
+    starts with "-" and each passes its argument's type and choices.  Any
+    other argv is argparse's to parse, so that its help, usage and error
+    messages stay its own."""
+    verb = _plain_verbs().get(argv[0]) if argv else None
+    if verb is None:
+        return None
+    positionals, options, defaults = verb
+    n = len(positionals) + 1
+    if len(argv) < n or (len(argv) - n) % 2:
+        return None
+    slots = [*zip(positionals, argv[1:n]), *zip(map(options.get, argv[n::2]), argv[n + 1 :: 2])]
+    values = dict(defaults)
+    given = set()
+    for action, token in slots:
+        if action is None or action.dest in given or token.startswith("-"):
+            return None
+        given.add(action.dest)
+        try:
+            value = token if action.type is None else action.type(token)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    return argparse.Namespace(**values)
+
+
 def main(argv=None) -> int:
-    ns = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    ns = _read_plain(argv) or build_parser().parse_args(argv)
     try:
         text, code = ns.func(ns)
     except (ParseError, GraphError, WalkError, OSError) as exc:

@@ -241,6 +241,26 @@ MUTANTS = (
         "- ((out ^ 1) == rows)",
         ("tests/test_walk.py::test_single_edge_transition_matrix",),
     ),
+    Mutant(
+        # the plain-argv reader takes every value as its token: "--order 1_0"
+        # is read as the string "1_0", where argparse refuses it
+        "plain-reader-skips-type",
+        "zetawalk/cli.py",
+        "            value = token if action.type is None else action.type(token)\n",
+        "            value = token\n",
+        (
+            "tests/test_cli.py::test_plain_reader_declines_or_matches_argparse",
+            "tests/test_cli.py::test_cli_rejects_nonpositive_order[verify-1_0]",
+        ),
+    ),
+    Mutant(
+        # "--format json" is read, where argparse refuses a value outside choices
+        "plain-reader-skips-choices",
+        "zetawalk/cli.py",
+        "        if action.choices is not None and value not in action.choices:\n",
+        "        if False:\n",
+        ("tests/test_cli.py::test_plain_reader_declines_or_matches_argparse",),
+    ),
 )
 
 

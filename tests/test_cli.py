@@ -321,6 +321,85 @@ def test_cli_parser_declares_every_verb_as_before():
     assert {verb for verb, t in order_type.items() if t is cli._positive_int} == {"verify", "euler", "exp"}
 
 
+def parse_with_argparse(argv):
+    """vars() of build_parser().parse_args(argv), or its exit code when it exits."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli.build_parser().parse_args(argv))
+        except SystemExit as exc:
+            return exc.code
+
+
+VERBS = list(PARSER)
+# exact and abbreviated option names, "=" forms, help, "--", values good and
+# bad for each type and choice, a negative number and an empty string
+ARGV_TOKENS = VERBS + [
+    "f", "p3", "grover", "szegedy", "text", "records", "json", "10", "5", "0", "1_0", "-1", "",
+    "nan", "1e-9", "--order", "--ord", "--order=10", "--format", "--form", "--format=records",
+    "--tolerance", "--tol", "--tolerance=1e-9", "-o", "--output", "--out", "-op3.zw", "-h", "--help", "--",
+]
+
+
+# a declared option with a value its type or choices takes or refuses
+OPTION_PAIRS = [
+    (name, value)
+    for names, values in (
+        (("--order",), ("10", "5", "0", "1_0", "nan")),
+        (("--format",), ("text", "records", "json")),
+        (("--tolerance",), ("1e-9", "0", "1_0", "nan")),
+        (("-o", "--output"), ("p3.zw", "")),
+    )
+    for name in names
+    for value in values
+]
+
+
+def argv_near_plain(verb, positionals, options):
+    return [verb, *positionals, *(token for pair in options for token in pair)]
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    st.one_of(
+        # a verb, words, then (option, value) pairs: mostly plain, or nearly
+        st.builds(
+            argv_near_plain,
+            st.sampled_from(VERBS),
+            st.lists(st.sampled_from([t for t in ARGV_TOKENS if not t.startswith("-")]), min_size=1, max_size=2),
+            st.lists(st.sampled_from(OPTION_PAIRS), max_size=2, unique_by=lambda pair: pair[0]),
+        ),
+        st.lists(st.sampled_from(ARGV_TOKENS), max_size=7),
+    )
+)
+@example(["verify", "f", "--order", "1_0"])
+@example(["hashimoto", "f", "--format", "json"])
+@example(["spectrum", "f", "grover", "--tolerance", "nan"])
+@example(["verify", "f", "--order", "5", "--order", "10"])
+@example(["fixtures", "p3", "-o", "a.zw", "--output", "b.zw"])
+@example(["verify", "--order", "10", "f"])
+@example(["verify", "f", "--", "x"])
+def test_plain_reader_declines_or_matches_argparse(argv):
+    ns = cli._read_plain(argv)
+    assert ns is None or vars(ns) == parse_with_argparse(argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the console-script shapes of the CI workflow and perfbench/workloads.py
+        ["verify", "f", "--order", "10"],
+        ["ihara", "f"],
+        ["hashimoto", "f", "--format", "records"],
+        ["spectrum", "f", "grover", "--tolerance", "1e-9"],
+        ["fixtures", "p3", "-o", "p3.zw"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_the_workflow_and_benchmark_argv_shapes_are_plain(argv):
+    ns = cli._read_plain(argv)
+    assert ns is not None and vars(ns) == parse_with_argparse(argv)
+
+
 @pytest.mark.parametrize("verb", ["verify", "euler", "exp"])
 def test_cli_one_loop_at_order_1200(tmp_path, verb):
     # theta = tau1 * tau2 - 1 = 2 on the loop, so every expression is
@@ -443,7 +522,7 @@ def reported_spectrum_lines(name, values, records):
     after one header line."""
     rep = cli._Report(records)
     rep.add("walk", "grover")
-    rep.lines += cli._spectrum_lines(name, values)
+    rep.lines += cli._spectrum_lines(name, values, rep.sep)
     return rep.text().splitlines()[1:]
 
 
@@ -748,6 +827,9 @@ def test_cli_rejects_nonpositive_order(tmp_path, verb, order, message):
         ("nan", "tolerance must be a positive finite number"),
         ("inf", "tolerance must be a positive finite number"),
         ("abc", "invalid tolerance 'abc'"),
+        ("1_0", "invalid tolerance '1_0'"),
+        ("\u0661", "invalid tolerance '\u0661'"),
+        (" 1e-8", "invalid tolerance ' 1e-8'"),
         ("x" * 5000, f"invalid tolerance {'x' * 40!r}... (5000 characters)"),
     ]),
 )
