@@ -142,7 +142,9 @@ def cmd_verify(ns) -> tuple[str, int]:
 
 def _table_entries(rep: _Report, name: str, table: dict, n: int) -> None:
     """Every entry of an n x n table given by its nonzero {(i, j): value};
-    an absent entry prints as 0."""
+    an absent entry prints as 0.  Each line is written in the report's
+    format here, as ``_Report.add`` would write it."""
+    sep, lines = rep.sep, rep.lines
     for i in range(n):
         for j in range(n):
             x = table.get((i, j))
@@ -150,7 +152,7 @@ def _table_entries(rep: _Report, name: str, table: dict, n: int) -> None:
                 text = "0"
             else:
                 text = x.render() if hasattr(x, "render") else render_rational(x)
-            rep.add(f"{name}[{i}][{j}]", text)
+            lines.append(f"{name}[{i}][{j}]{sep}{text}")
 
 
 def cmd_ihara(ns) -> tuple[str, int]:
@@ -174,8 +176,10 @@ def cmd_ihara(ns) -> tuple[str, int]:
         _table_entries(rep, "A", data.a_g, d.vertex_count)
         _table_entries(rep, "D", data.d_g, d.vertex_count)
         rep.add("vertex-det", data.vertex_det.render())
-    rep.add("rhs", data.rhs.render())
-    rep.add("hashimoto", data.hashimoto.render())
+    # a matching rhs is det(I - t*M) itself, rendered once, as in cmd_verify
+    h = data.hashimoto.render()
+    rep.add("rhs", h if data.agree else data.rhs.render())
+    rep.add("hashimoto", h)
     rep.verdict("hashimoto-vs-ihara", data.agree)
     rep.add("overall", "agree" if data.agree else "MISMATCH")
     return rep.text(), EXIT_OK if data.agree else EXIT_MISMATCH

@@ -10,12 +10,14 @@ pass integer rows: ``zeta``'s Hashimoto matrix and every companion below.
   entries' reduced denominators and R_i = d_i * m_i.  With Delta =
   prod d_i, every Delta * c_k is an integer, because a principal minor of m
   on the rows S has a denominator dividing prod_{i in S} d_i.
-* Bound.  Delta * c_k is, up to sign, the sum over the row sets S of size
-  n - k of det R[S, S] * prod_{i not in S} d_i.  By Hadamard's inequality
-  |det R[S, S]| <= prod_{i in S} r_i with r_i = isqrt(|R_i|^2) + 1 > |R_i|,
-  so |Delta * c_k| is at most the coefficient of x^(n-k) in
-  prod_i (d_i + r_i x); B is the largest of those coefficients, in integers
-  only.  It never exceeds 2^n * prod_i max(r_i, d_i), the sum of them all.
+* Bound.  B = prod_i (d_i + r_i) with r_i = isqrt(|R_i|^2) + 1 > |R_i|.
+  Delta * c_k is, up to sign, the sum over the row sets S of size n - k of
+  det R[S, S] * prod_{i not in S} d_i, and by Hadamard's inequality
+  |det R[S, S]| <= prod_{i in S} r_i, so |Delta * c_k| is at most the
+  coefficient of x^(n-k) in prod_i (d_i + r_i x), whose n + 1 coefficients
+  sum to B.  B is thus at most log2(n + 1) bits above the largest of them,
+  and never exceeds 2^n * prod_i max(r_i, d_i).  One loop clears the rows
+  and multiplies up Delta and B, in integers only.
 * Primes.  30-bit primes, counting down from 2^30, each certified by
   trial division and found only when first needed, once per process.  The
   primes dividing Delta are skipped.
@@ -60,7 +62,7 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import count
-from math import gcd, isqrt, prod
+from math import gcd, isqrt
 from operator import itemgetter, mul
 
 
@@ -75,21 +77,28 @@ def char_poly_rows(rows: list[list[int]], dens: list[int]) -> tuple[list[int], i
     the charpoly of m = diag(1/d) R, for n integer rows R of length n and n
     positive d.
 
-    The rows are cleared to lowest terms, and Delta is the product of
-    their denominators.  The residues of Delta * c_k modulo products of
-    primes that do not divide Delta are combined by the Chinese remainder
-    theorem until the modulus exceeds 2B, B the bound of
-    ``_coefficient_bound``; the symmetric residues are then Delta * c_k
-    exactly (see the module docstring).  m^T has the same charpoly, so a
-    caller whose denominators sit in a few columns passes m^T
-    (``det_poly_matrix``).
+    One loop clears the rows to lowest terms and multiplies up Delta, the
+    product of their denominators, and the bound B.  The residues of
+    Delta * c_k modulo products of primes that do not divide Delta are
+    combined by the Chinese remainder theorem until the modulus exceeds 2B;
+    the symmetric residues are then Delta * c_k exactly (see the module
+    docstring).  m^T has the same charpoly, so a caller whose denominators
+    sit in a few columns passes m^T (``det_poly_matrix``).
     """
     n = len(rows)
     if len(dens) != n or any(len(row) != n for row in rows) or not all(d > 0 for d in dens):
         raise ValueError("char_poly_rows needs n rows of length n and n positive denominators")
-    rows, dens = _lowest_terms(rows, dens)
-    bound = _coefficient_bound(rows, dens)
-    delta = prod(dens)
+    cleared, cleared_dens = [], []
+    delta = bound = 1
+    for row, d in zip(rows, dens):
+        g = gcd(d, *row)
+        if g > 1:
+            row, d = [x // g for x in row], d // g
+        cleared.append(row)
+        cleared_dens.append(d)
+        delta *= d
+        bound *= d + isqrt(sum(map(mul, row, row))) + 1
+    rows, dens = cleared, cleared_dens
     limit = 2 * bound
     primes = (p for p in map(_kernel_prime, count()) if delta % p)
     values = [0] * (n + 1)
@@ -113,28 +122,6 @@ def _crt(values: list[int], modulus: int, residues: list[int], q: int) -> list[i
     and to ``residues`` mod ``q``, for coprime moduli."""
     inv = pow(modulus, -1, q)
     return [v + modulus * ((r - v) * inv % q) for v, r in zip(values, residues)]
-
-
-def _lowest_terms(rows: list[list[int]], dens: list[int]) -> tuple[list[list[int]], list[int]]:
-    """diag(1/d) R with each row's common factor divided out, so that d_i is
-    the lcm of the reduced denominators of row i."""
-    out, out_dens = [], []
-    for row, d in zip(rows, dens):
-        g = gcd(d, *row)
-        out.append([x // g for x in row] if g > 1 else row)
-        out_dens.append(d // g)
-    return out, out_dens
-
-
-def _coefficient_bound(rows: list[list[int]], dens: list[int]) -> int:
-    """B, the largest coefficient of prod_i (d_i + (isqrt(|R_i|^2) + 1) x),
-    which bounds |Delta * c_k| for every coefficient c_k of the charpoly
-    (the module docstring proves it)."""
-    poly = [1]
-    for row, d in zip(rows, dens):
-        r = isqrt(sum(map(mul, row, row))) + 1
-        poly = [a * d + b * r for a, b in zip(poly + [0], [0] + poly)]
-    return max(poly)
 
 
 def _char_poly_mod(rows: list[list[int]], dens: list[int], q: int) -> list[int]:

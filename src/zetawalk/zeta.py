@@ -64,10 +64,11 @@ differ.  ``verify_expressions`` reports that power and makes no Fraction
 on the vertex side.  ``ihara_digraph`` and ``ihara_graph`` report
 ``agree`` and alone build report tables, {(u, v): value} maps of nonzero
 entries, the only place a vertex-side Fraction is made: those of A (both
-modes) and of a graph's D hold Fractions.  Both read D off the rows that
-``_vertex_det`` cleared: a digraph's D entry is the t^2 part of cleared
-row u over S r_u, one RatFunc of two integer polynomials.  A digraph's X
-entry has one term, from one block, and is that term over S f.
+modes) and of a graph's D hold Fractions.  Both read D off what
+``_vertex_det`` keeps of the rows it cleared, r_u and the t^2 parts: a
+digraph's D entry is the t^2 part of cleared row u over S r_u, one RatFunc
+of two integer polynomials.  A digraph's X entry has one term, from one
+block, and is that term over S f.
 
 The series routes run in Python ints, on P.  A length-k term of a path
 route, closed paths for N_k or prime cycles for the Euler product, then
@@ -381,13 +382,14 @@ def _vertex_det(rows: dict, scale: int) -> tuple[list, tuple[list[int], int], di
     for an int n and an integer coefficient tuple f.  Each row is cleared
     once: r_u is the product of its distinct f, which ``factors`` lists row
     by row, and P is the vertex matrix with each row u multiplied by r_u, so
-    that a term's (n / scale) / f becomes n / scale times r_u / f.
-    ``cleared`` maps u to (r_u, {(v, k): c}), c the integer polynomial
-    sum n r_u / f over the terms of entry (u, v) at t^k: that part of the
-    entry is t^k c / (scale r_u).  P times ``scale`` is the integer
-    polynomial matrix Q, with Q(0) = scale * I; det P is (c, Delta) from
-    ``det_poly_matrix``.  A row with no term keeps the row of the identity
-    and is never materialized.
+    that a term's (n / scale) / f becomes n / scale times r_u / f.  Each
+    term is added once, so cleared, into its entry of the integer
+    polynomial matrix Q = scale * P, with Q(0) = scale * I; det P is
+    (c, Delta) from ``det_poly_matrix``.  ``cleared`` maps u to
+    (r_u, {v: c}), c the integer polynomial sum n r_u / f over the t^2
+    terms of entry (u, v), kept for the report tables alone: that part of
+    the entry is t^2 c / (scale r_u).  A row with no term keeps the row of
+    the identity and is never materialized.
     """
     factors, q, cleared = [], {}, {}
     for u, terms in rows.items():
@@ -396,20 +398,20 @@ def _vertex_det(rows: dict, scale: int) -> tuple[list, tuple[list[int], int], di
         # a row with one distinct factor, as every graph row is, has cofactor 1
         cofactor = {f: _exact_quotient(ru, f) if len(distinct) > 1 else [1] for f in distinct}
         factors += distinct
-        parts = {}
+        q[u, u] = [scale * x for x in ru]
+        t2 = {}
         for v, k, n, f in terms:
             mult = ru if f is None else cofactor[f]
-            part = parts.setdefault((v, k), [])
-            part += [0] * (len(mult) - len(part))
-            for i, x in enumerate(mult):
-                part[i] += n * x
-        cleared[u] = ru, parts
-        q[u, u] = [scale * x for x in ru]
-        for (v, k), part in parts.items():
             entry = q.setdefault((u, v), [])
-            entry += [0] * (k + len(part) - len(entry))
-            for i, x in enumerate(part, k):
-                entry[i] += x
+            entry += [0] * (k + len(mult) - len(entry))
+            for i, x in enumerate(mult, k):
+                entry[i] += n * x
+            if k == 2:
+                part = t2.setdefault(v, [])
+                part += [0] * (len(mult) - len(part))
+                for i, x in enumerate(mult):
+                    part[i] += n * x
+        cleared[u] = ru, t2
     q = {key: cs for key, cs in q.items() if _trim(cs) or key[0] == key[1]}
     return factors, det_poly_matrix(q, scale), cleared
 
@@ -518,10 +520,10 @@ def _digraph_tables(rows: dict, cleared: dict, scale: int) -> tuple[dict, dict]:
     An X entry is the one t^3 term (v, 3, n, f) of row u, made by one block,
     so it is -n / (scale f), over that block's own factor."""
     d_table = {}
-    for u, (ru, parts) in cleared.items():
+    for u, (ru, t2) in cleared.items():
         den = [scale * x for x in ru]
-        for (v, k), c in parts.items():
-            if k == 2 and any(c):
+        for v, c in t2.items():
+            if any(c):
                 d_table[u, v] = RatFunc._from_ints(c, den)
     x_table = {
         (u, v): RatFunc._from_ints([-n], [scale * x for x in f])
@@ -629,7 +631,7 @@ def ihara_graph(g: Digraph, w: WeightAssignment) -> IharaGraph:
     side, (_, scale, a_map, _, cleared) = _vertex_side(g, w)
     h, rhs, k = _identity(*side, _hashimoto(theta))
     k_vals, delta = side[2]
-    d_g = {(u, u): parts[u, 2][0] for u, (_, parts) in cleared.items() if (u, 2) in parts}
+    d_g = {(u, u): t2[u][0] for u, (_, t2) in cleared.items() if u in t2}
     rows_missing = g.vertex_count - len(cleared)
     # (1 - t^2)^n for n = rows_missing: c_(i+1) = -c_i (n - i) / (i + 1) at t^2i
     prefactor = [1]

@@ -42,15 +42,15 @@ MUTANTS = (
     Mutant(
         "coefficient-bound-halved",
         "zetawalk/linalg.py",
-        "    return max(poly)\n",
-        "    return max(poly) // 2\n",
+        "    limit = 2 * bound\n",
+        "    limit = bound\n",
         ("tests/test_linalg.py::test_coefficient_bound_holds_where_hadamard_is_tight",),
     ),
     Mutant(
         "hadamard-row-norm-off-by-one",
         "zetawalk/linalg.py",
-        "r = isqrt(sum(map(mul, row, row))) + 1",
-        "r = isqrt(sum(map(mul, row, row)))",
+        "bound *= d + isqrt(sum(map(mul, row, row))) + 1",
+        "bound *= d + isqrt(sum(map(mul, row, row)))",
         ("tests/test_linalg.py::test_coefficient_bound_holds_where_hadamard_is_tight",),
     ),
     Mutant(
@@ -156,6 +156,16 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        # the t^2 parts kept for the report tables summed without their
+        # cofactors r_u / f; det P still holds them: only a row with two
+        # distinct block factors shows it, in its D entry alone
+        "table-part-without-cofactor",
+        "zetawalk/zeta.py",
+        "                for i, x in enumerate(mult):\n                    part[i] += n * x\n",
+        "                part[0] += n\n",
+        ("tests/test_zeta.py::test_sparse_vertex_side_matches_the_references",),
+    ),
+    Mutant(
         # the digraph report's X entries made from their one term with
         # its sign flipped: X printed as -X
         "digraph-table-sign-flip",
@@ -240,6 +250,17 @@ MUTANTS = (
         "- (out == rows)",
         "- ((out ^ 1) == rows)",
         ("tests/test_walk.py::test_single_edge_transition_matrix",),
+    ),
+    Mutant(
+        # a disagreeing rhs printed as the hashimoto line's render
+        "ihara-rhs-shared-on-mismatch",
+        "zetawalk/cli.py",
+        'rep.add("rhs", h if data.agree else data.rhs.render())',
+        'rep.add("rhs", h)',
+        (
+            "tests/test_cli.py::test_ihara_prints_a_disagreeing_rhs_from_its_own_render[paper-digraph]",
+            "tests/test_cli.py::test_ihara_prints_a_disagreeing_rhs_from_its_own_render[paper-graph]",
+        ),
     ),
     Mutant(
         # the plain-argv reader takes every value as its token: "--order 1_0"

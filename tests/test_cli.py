@@ -34,6 +34,7 @@ from zetawalk.zeta import (
 
 from conftest import random_connected_graph, random_probability
 from oracles import spectrum_report_lines
+from test_zeta import perturb_vertex_det
 
 
 def run_cli(*args):
@@ -226,6 +227,24 @@ def test_verify_prints_each_disagreeing_value_from_its_own_render(tmp_path, monk
     assert lines["euler"] == report.euler.render() != lines["exponential"]
     assert lines["hashimoto-series"] == report.hashimoto_series.render() != lines["exponential"]
     assert lines["ihara"] == report.ihara_rhs.render() != lines["hashimoto"]
+
+
+@pytest.mark.parametrize("name", ["paper-digraph", "paper-graph"])
+def test_ihara_prints_a_disagreeing_rhs_from_its_own_render(tmp_path, monkeypatch, name):
+    # ihara prints the hashimoto line's render again for a matching rhs; a
+    # perturbed vertex det gives an rhs that disagrees, printed from its own
+    # render
+    perturb_vertex_det(monkeypatch, 1)
+    results = []
+    for verb in ("ihara_digraph", "ihara_graph"):
+        monkeypatch.setattr(cli, verb, lambda d, w, real=getattr(cli, verb): results.append(real(d, w)) or results[-1])
+    code, out, _ = run_cli("ihara", write_fixture(tmp_path, name))
+    assert code == 1
+    lines = dict(line.split(" ", 1) for line in out.splitlines() if not line.startswith("VERDICT"))
+    (data,) = results
+    assert not data.agree
+    assert lines["hashimoto"] == data.hashimoto.render()
+    assert lines["rhs"] == data.rhs.render() != lines["hashimoto"]
 
 
 @pytest.mark.parametrize(

@@ -36,6 +36,43 @@ def clear_rows(m: Matrix) -> tuple[list[list[int]], list[int]]:
     return rows, dens
 
 
+def lowest_terms(rows: list[list[int]], dens: list[int]) -> tuple[list[list[int]], list[int]]:
+    """diag(1/d) R with each row's common factor divided out, as the kernel
+    clears it first."""
+    gs = [math.gcd(d, *row) for row, d in zip(rows, dens)]
+    return [[x // g for x in row] for row, g in zip(rows, gs)], [d // g for d, g in zip(dens, gs)]
+
+
+def product_bound(rows: list[list[int]], dens: list[int]) -> int:
+    """B = prod_i (d_i + isqrt(|R_i|^2) + 1) for rows in lowest terms."""
+    return math.prod(d + math.isqrt(sum(x * x for x in row)) + 1 for row, d in zip(rows, dens))
+
+
+def kernel_limit_is(monkeypatch, rows: list[list[int]], dens: list[int], limit: int) -> bool:
+    """Whether ``char_poly_rows`` stops once its modulus exceeds ``limit``,
+    and not before.  Its kernel primes are replaced by the pairwise coprime
+    moduli x, x + 1, x (x + 1) + 1, ... (each the product of those before
+    it plus 1) and its passes by zeros, so that it takes x alone exactly
+    when x exceeds its own limit 2B: x = limit must not stop it, and
+    x = limit + 1 must.  A limit of at least Delta, as 2B is, keeps the
+    kernel from skipping x as a divisor of Delta."""
+    alone = []
+    for x in (limit, limit + 1):
+        moduli, passes = [x], []
+
+        def fake_prime(i):
+            while len(moduli) <= i:
+                moduli.append(math.prod(moduli) + 1)
+            return moduli[i]
+
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "_kernel_prime", fake_prime)
+            m.setattr(linalg, "_char_poly_mod", lambda r, d, q: passes.append(q) or [0] * (len(r) + 1))
+            char_poly_rows(rows, dens)
+        alone.append(passes == [x])
+    return alone == [False, True]
+
+
 def char_poly(m: Matrix) -> Poly:
     """det(lambda*I - m) of a square Fraction matrix, by ``char_poly_rows``."""
     values, delta = char_poly_rows(*clear_rows(m))
@@ -315,7 +352,7 @@ def primes_of(moduli: list[int]) -> list[int]:
 def clearing(m: Matrix) -> tuple[int, int]:
     """(Delta, B) for m cleared row by row."""
     rows, dens = clear_rows(m)
-    return math.prod(dens), linalg._coefficient_bound(rows, dens)
+    return math.prod(dens), product_bound(rows, dens)
 
 
 def primes_needed(m: Matrix) -> list[int]:
@@ -492,7 +529,7 @@ def hadamard_product_bound(rows: list[list[int]], dens: list[int]) -> int:
 
 
 @pytest.mark.parametrize("n", [2, 4, 8])
-def test_coefficient_bound_holds_where_hadamard_is_tight(n):
+def test_coefficient_bound_holds_where_hadamard_is_tight(n, monkeypatch):
     h = sylvester_hadamard(n)
     for m in (
         Matrix([[Fraction(x) for x in row] for row in h]),
@@ -504,36 +541,42 @@ def test_coefficient_bound_holds_where_hadamard_is_tight(n):
         assert chi == char_poly(m)
         # the bound holds for the row clearing of m and of m^T alike, and
         # Hadamard's inequality summed over the principal minors bounds each
-        # coefficient on its own
+        # coefficient on its own; the kernel's one bound is their sum
         for a in (m, transpose(m)):
             rows, dens = clear_rows(a)
-            delta, bound = math.prod(dens), linalg._coefficient_bound(rows, dens)
-            per_power = minor_sum_bounds(rows, dens)
-            assert bound == max(per_power) <= hadamard_product_bound(rows, dens)
+            delta, per_power = math.prod(dens), minor_sum_bounds(rows, dens)
+            bound = sum(per_power)
+            assert kernel_limit_is(monkeypatch, rows, dens, 2 * bound)
+            assert max(per_power) <= bound <= hadamard_product_bound(rows, dens)
             for k, c in enumerate(chi.coeffs):
                 assert (delta * c).denominator == 1 and abs(delta * c) <= per_power[n - k]
     # |det H| = n^(n/2) meets Hadamard's inequality with equality
     assert abs(det_bareiss(Matrix([[Fraction(x) for x in row] for row in h]))) == n ** (n // 2)
 
 
-def test_coefficient_bound_never_exceeds_the_product_bound(rng):
+def test_coefficient_bound_never_exceeds_the_product_bound(rng, monkeypatch):
     for n in range(9):
         for scale in (1, 10**6, 2**200):
             m = random_frac_matrix(rng, n, n)
             m = Matrix([[x * rng.randint(1, scale) for x in row] for row in m.data])
             for a in (m, transpose(m)):
                 rows, dens = clear_rows(a)
-                assert linalg._coefficient_bound(rows, dens) <= hadamard_product_bound(rows, dens)
+                bound = product_bound(rows, dens)
+                assert kernel_limit_is(monkeypatch, rows, dens, 2 * bound)
+                assert bound <= hadamard_product_bound(rows, dens)
                 if n <= 6:
-                    assert linalg._coefficient_bound(rows, dens) == max(minor_sum_bounds(rows, dens))
+                    # the sum of the per-power bounds, at most log2(n + 1)
+                    # bits above the largest of them
+                    per_power = minor_sum_bounds(rows, dens)
+                    assert max(per_power) <= bound == sum(per_power) <= (n + 1) * max(per_power)
 
 
 def orientation_primes(rows: list[list[int]], dens: list[int]) -> tuple[int, int]:
     """How many kernel primes char_poly_rows takes on the rows it is given,
     and how many it would take on their transpose."""
     counts = []
-    for r, d in (linalg._lowest_terms(rows, dens), transposed_rows(rows, dens)):
-        counts.append(len(primes_up_to(math.prod(d), 2 * linalg._coefficient_bound(r, d))))
+    for r, d in (lowest_terms(rows, dens), transposed_rows(rows, dens)):
+        counts.append(len(primes_up_to(math.prod(d), 2 * product_bound(r, d))))
     return counts[0], counts[1]
 
 
@@ -732,7 +775,7 @@ def test_det_poly_matrix_passes_the_cleared_transpose_of_the_dense_companion(rng
     for p, scale in cases:
         det_poly_matrix(p, scale)
         expected = transposed_rows(*dense_companion(p, scale))
-        assert linalg._lowest_terms(*calls.pop()) == linalg._lowest_terms(*expected)
+        assert lowest_terms(*calls.pop()) == lowest_terms(*expected)
 
 
 def test_companion_linearization_needs_identity_at_zero():
