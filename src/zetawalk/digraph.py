@@ -34,8 +34,9 @@ letters its period keeps and one recurrence over the tails that return
 to s (the details are in ``lyndon_cycles``).
 ``zeta``'s Euler product runs it on the integer theta matrix, where a cycle
 whose product is 0 is never reached, and lists only the lengths up to half
-its order.  ``iter_prime_cycles`` runs it on the 0/1 arc-adjacency matrix
-and lists every length.  Other closed paths are never listed: ``zeta``
+its order; a yielded total is one more factor of that product.
+``iter_prime_cycles`` runs it on the 0/1 arc-adjacency matrix and lists
+every length.  Other closed paths are never listed: ``zeta``
 sums their products on the theta matrix without walking them, and the
 brute-force enumeration the tests compare against is in
 ``tests/oracles.py``.

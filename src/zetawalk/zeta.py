@@ -65,10 +65,10 @@ on the vertex side.  ``ihara_digraph`` and ``ihara_graph`` report
 ``agree`` and alone build report tables, {(u, v): value} maps of nonzero
 entries, the only place a vertex-side Fraction is made: those of A (both
 modes) and of a graph's D hold Fractions.  Both read D off what
-``_vertex_det`` keeps of the rows it cleared, r_u and the t^2 parts: a
-digraph's D entry is the t^2 part of cleared row u over S r_u, one RatFunc
-of two integer polynomials.  A digraph's X entry has one term, from one
-block, and is that term over S f.
+``_vertex_det`` keeps of each row u it cleared, (r_u, c) with c the t^2
+part, which sits on the diagonal: a digraph's D[u][u] is c over S r_u,
+one RatFunc of two integer polynomials.  A digraph's X entry has one term,
+from one block, and is that term over S f.
 
 The series routes run in Python ints, on P.  A length-k term of a path
 route, closed paths for N_k or prime cycles for the Euler product, then
@@ -93,13 +93,12 @@ recurrence over the arcs above s, without listing one, and an integer
 recurrence turns the loops' totals into s's share of every N_k
 (``_n_k_enumerated_all``).  The prime-cycle walk
 (``digraph.lyndon_cycles``) follows the nonzero entries of P, those of M,
-only.  The Euler product multiplies in 1/(1 - c t^k) for the prime cycles
-of length k <= order/2 only.  Past order/2 the cross terms of the factors
-have degree above the order, so the product of those factors is
-1 + sum_k C_k t^k, with C_k the total of c over the cycles of length k;
-the walk lists the cycles up to order/2 only and yields one C_k for each
-longer length, and it sums every length past (order + 1) // 2 by lookups
-after a prefix of that length, without a frame (``_euler``).
+only.  It lists the prime cycles up to order/2 and yields one total C_k of
+c for each longer length k, summing every length past (order + 1) // 2 by
+lookups after a prefix of that length, without a frame.  The Euler
+product (``_euler``) multiplies in 1/(1 - c t^k) for each, a cycle or a
+total alike: past order/2 the cross terms of the factors have degree above
+the order, so one length's total is the product of its cycles' factors.
 The exponential's recurrence n f_n = sum_k D^k N_k f_(n-k) divides exactly
 on the power sums of the integer matrix P; a remainder shows a wrong
 enumeration and raises ConsistencyError.
@@ -329,29 +328,21 @@ def _euler(theta, order: int) -> list[int]:
     are the Lyndon closed paths of P's nonzero entries, those of M, so the
     walk skips every cycle whose product is 0.
 
-    A cycle of length k <= order/2 multiplies acc by 1/(1 - c t^k).  One of
-    length k > order/2 has the factor 1 + c t^k to ``order``, since c^2 t^2k
-    is past it, and every cross term between two such factors has degree
-    above ``order`` as well.  So their product is 1 + sum_k C_k t^k, with
-    C_k the total of c over the cycles of length k: the walk lists only the
-    cycles of length <= order/2 and adds up the longer ones itself, one C_k
-    per length, and acc is multiplied by that sum once at the end.  It
-    walks the prefixes shorter than (order + 1) // 2 and reads the totals
-    of every longer length off suffix sums.
+    Every (k, c) the walk yields, a cycle of length k <= order/2 or the
+    total C_k of the cycles of one length k > order/2, multiplies acc by
+    1/(1 - c t^k) in one in-place pass: acc[i] += c acc[i - k] for i = k
+    up to ``order``.  For 2k > order that pass reads acc[i - k] with
+    i - k < k only, still unchanged, so it multiplies by 1 + c t^k, which is
+    1/(1 - c t^k) to ``order``.  For a total that is the product of its
+    length's cycle factors: their cross terms, and those of two longer
+    lengths, have degree above ``order``.  The walk lists the cycles up to
+    order/2 only; it walks the prefixes shorter than (order + 1) // 2 and
+    reads the totals of every longer length off suffix sums.
     """
-    im = theta[1]
-    half = order // 2
     acc = [1] + [0] * order
-    totals = [0] * (order + 1)  # totals[k] = C_k for k > order/2
-    for _, k, c in lyndon_cycles(im, order, half):
-        if k > half:
-            totals[k] += c
-        else:
-            for i in range(k, order + 1):
-                acc[i] += acc[i - k] * c
-    # i - k <= order/2 below, so acc[i - k] is still the short cycles' product
-    for i in range(order, half, -1):
-        acc[i] += sum(map(mul, totals[half + 1 : i + 1], reversed(acc[: i - half])))
+    for _, k, c in lyndon_cycles(theta[1], order, order // 2):
+        for i in range(k, order + 1):
+            acc[i] += acc[i - k] * c
     return acc
 
 
@@ -385,11 +376,12 @@ def _vertex_det(rows: dict, scale: int) -> tuple[list, tuple[list[int], int], di
     that a term's (n / scale) / f becomes n / scale times r_u / f.  Each
     term is added once, so cleared, into its entry of the integer
     polynomial matrix Q = scale * P, with Q(0) = scale * I; det P is
-    (c, Delta) from ``det_poly_matrix``.  ``cleared`` maps u to
-    (r_u, {v: c}), c the integer polynomial sum n r_u / f over the t^2
-    terms of entry (u, v), kept for the report tables alone: that part of
-    the entry is t^2 c / (scale r_u).  A row with no term keeps the row of
-    the identity and is never materialized.
+    (K, Delta) from ``det_poly_matrix``.  ``cleared`` maps u to (r_u, c),
+    c the integer polynomial sum n r_u / f over the t^2 terms of row u, kept
+    for the report tables alone.  ``_vertex_side`` puts every t^2 term on
+    its row's diagonal, so that part of entry (u, u) is t^2 c / (scale r_u)
+    and no other entry has one.  A row with no term keeps the row of the
+    identity and is never materialized.
     """
     factors, q, cleared = [], {}, {}
     for u, terms in rows.items():
@@ -399,7 +391,7 @@ def _vertex_det(rows: dict, scale: int) -> tuple[list, tuple[list[int], int], di
         cofactor = {f: _exact_quotient(ru, f) if len(distinct) > 1 else [1] for f in distinct}
         factors += distinct
         q[u, u] = [scale * x for x in ru]
-        t2 = {}
+        t2 = []
         for v, k, n, f in terms:
             mult = ru if f is None else cofactor[f]
             entry = q.setdefault((u, v), [])
@@ -407,10 +399,9 @@ def _vertex_det(rows: dict, scale: int) -> tuple[list, tuple[list[int], int], di
             for i, x in enumerate(mult, k):
                 entry[i] += n * x
             if k == 2:
-                part = t2.setdefault(v, [])
-                part += [0] * (len(mult) - len(part))
+                t2 += [0] * (len(mult) - len(t2))
                 for i, x in enumerate(mult):
-                    part[i] += n * x
+                    t2[i] += n * x
         cleared[u] = ru, t2
     q = {key: cs for key, cs in q.items() if _trim(cs) or key[0] == key[1]}
     return factors, det_poly_matrix(q, scale), cleared
@@ -516,15 +507,11 @@ def _fractions(table: dict, scale: int) -> dict:
 
 def _digraph_tables(rows: dict, cleared: dict, scale: int) -> tuple[dict, dict]:
     """The D and X report tables {(u, v): RatFunc} of nonzero entries.  D
-    is the t^2 part of each row cleared by ``_vertex_det``, c / (scale r_u).
+    is diagonal: D[u][u] is the t^2 part of row u cleared by ``_vertex_det``,
+    c / (scale r_u) for cleared[u] = (r_u, c).
     An X entry is the one t^3 term (v, 3, n, f) of row u, made by one block,
     so it is -n / (scale f), over that block's own factor."""
-    d_table = {}
-    for u, (ru, t2) in cleared.items():
-        den = [scale * x for x in ru]
-        for v, c in t2.items():
-            if any(c):
-                d_table[u, v] = RatFunc._from_ints(c, den)
+    d_table = {(u, u): RatFunc._from_ints(c, [scale * x for x in ru]) for u, (ru, c) in cleared.items() if any(c)}
     x_table = {
         (u, v): RatFunc._from_ints([-n], [scale * x for x in f])
         for u, terms in rows.items()
@@ -631,7 +618,7 @@ def ihara_graph(g: Digraph, w: WeightAssignment) -> IharaGraph:
     side, (_, scale, a_map, _, cleared) = _vertex_side(g, w)
     h, rhs, k = _identity(*side, _hashimoto(theta))
     k_vals, delta = side[2]
-    d_g = {(u, u): t2[u][0] for u, (_, t2) in cleared.items() if u in t2}
+    d_g = {(u, u): c[0] for u, (_, c) in cleared.items() if c}
     rows_missing = g.vertex_count - len(cleared)
     # (1 - t^2)^n for n = rows_missing: c_(i+1) = -c_i (n - i) / (i + 1) at t^2i
     prefactor = [1]

@@ -117,6 +117,16 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        # each Euler factor's pass run from the top down: it reads
+        # acc[i - k] before the pass updates it, so a cycle of length
+        # k <= order/2 multiplies by 1 + c t^k, not 1/(1 - c t^k)
+        "euler-pass-descending",
+        "zetawalk/zeta.py",
+        "        for i in range(k, order + 1):\n",
+        "        for i in range(order, k - 1, -1):\n",
+        ("tests/test_zeta.py::test_euler_matches_the_hashimoto_inverse_at_orders_1_to_12",),
+    ),
+    Mutant(
         "exp-division-unchecked",
         "zetawalk/zeta.py",
         "        if r:\n            raise ConsistencyError(",
@@ -156,13 +166,13 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        # the t^2 parts kept for the report tables summed without their
-        # cofactors r_u / f; det P still holds them: only a row with two
-        # distinct block factors shows it, in its D entry alone
+        # a row's diagonal t^2 part, kept for the report tables, summed
+        # without its terms' cofactors r_u / f; det P still holds them: only
+        # a row with two distinct block factors shows it, in its D entry alone
         "table-part-without-cofactor",
         "zetawalk/zeta.py",
-        "                for i, x in enumerate(mult):\n                    part[i] += n * x\n",
-        "                part[0] += n\n",
+        "                for i, x in enumerate(mult):\n                    t2[i] += n * x\n",
+        "                t2[0] += n\n",
         ("tests/test_zeta.py::test_sparse_vertex_side_matches_the_references",),
     ),
     Mutant(

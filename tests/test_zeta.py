@@ -495,8 +495,10 @@ def test_summed_lengths_break_the_euler_product(monkeypatch, mutant, order):
 
 @pytest.mark.parametrize("order", [2, 3, 6, 7])
 def test_per_length_totals_at_half_the_order_break_the_euler_product(monkeypatch, order):
-    # totals in place of 1/(1 - c t^k) for k = order // 2 drop c^2 t^2k
-    # and the cross terms of two such cycles, at most ``order`` in degree
+    # the walk yields the total C_k of length k = order // 2, and _euler
+    # takes it as one factor 1/(1 - C_k t^k): as 2k <= order, that puts
+    # C_k^2 at t^2k, where the product of the cycles' own factors has the
+    # sum of c_i c_j over i <= j
     mutate(monkeypatch, "_euler", "order // 2", "order // 2 - 1")
     expected = f"at t^{2 * (order // 2)}"
     assert euler_verdicts(fixture_digraph("paper-graph"), order) == [expected] * 2
@@ -1492,6 +1494,26 @@ def test_each_materialized_row_is_cleared_once(monkeypatch):
         if d.mode is GraphMode.GENERAL:
             tables += len(res.d_ul) + len(res.x_ul)
     assert tables > 50 and shared > 5
+
+
+def test_every_t2_term_sits_on_its_rows_diagonal():
+    # _vertex_det keeps one t^2 part per cleared row, and the D tables read
+    # it as D[u][u], because _vertex_side puts each t^2 term (v, 2, n, f) of
+    # row u at v = u; a new kind of vertex-side term must keep that
+    rng = random.Random(4747)
+    cases = [(path.stem, load_instance(path)) for path in GOLDEN]
+    cases = [(name, instance_digraph(inst), inst) for name, inst in cases]
+    cases = [(name, d, instance_weights(inst, d)) for name, d, inst in cases]
+    for i in range(60):
+        d = (random_digraph, repeated_f_digraph, random_multigraph)[i % 3](rng)
+        cases.append((f"random-{i}", d, random_weights(rng, d)))
+    seen = Counter()
+    for name, d, w in cases:
+        rows = zeta._vertex_side(d, w)[1][3]
+        at = [(u, v) for u, terms in rows.items() for v, k, *_ in terms if k == 2]
+        assert all(u == v for u, v in at), name
+        seen[d.mode] += len(at)
+    assert min(seen[GraphMode.GENERAL], seen[GraphMode.SYMMETRIC]) > 50
 
 
 def test_graph_prefactor_equals_one_factor_per_missing_row():
