@@ -32,9 +32,9 @@ that start a new period at each letter, and each last frame sums its
 totals at the L longer lengths from their entries, in one loop over the
 letters its period keeps and one recurrence over the tails that return
 to s (the details are in ``lyndon_cycles``).
-``zeta``'s Euler product runs it on the integer theta matrix, where a cycle
+``zeta``'s Euler walk runs it on the integer theta matrix, where a cycle
 whose product is 0 is never reached, and lists only the lengths up to half
-its order; a yielded total is one more factor of that product.
+its order; a yielded total adds to the power sum at its length alone.
 ``iter_prime_cycles`` runs it on the 0/1 arc-adjacency matrix and lists
 every length.  Other closed paths are never listed: ``zeta``
 sums their products on the theta matrix without walking them, and the

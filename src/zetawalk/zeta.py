@@ -70,38 +70,36 @@ part, which sits on the diagonal: a digraph's D[u][u] is c over S r_u,
 one RatFunc of two integer polynomials.  A digraph's X entry has one term,
 from one block, and is that term over S f.
 
-The series routes run in Python ints, on P.  A length-k term of a path
-route, closed paths for N_k or prime cycles for the Euler product, then
-carries D^k.  The closed-path route returns the ints D^k N_k, the only N_k
-route of the library, and the exponential (``_exp_of_power_sums``) and the
-Euler product (``_euler``) are integer numerators f_n and acc_n over D^n,
-with D read once off (D, P).  ``verify`` compares them in ints: f_n with
-acc_n, and each with det(I - t*M) = sum_k H_k t^k / Delta by
-sum_j x_j D^(k-j) H_(k-j) = [k = 0] Delta for k <= order.  As h_0 = 1, the
-first k where that fails is the first power of t at which x differs from
-1/det(I - t*M).  Only a printed series is reduced, once by gcd, as the
-pairs (x, D^n): on agreement the report's Euler and Hashimoto series are
-the exponential itself, and the Euler ``Series`` and ``Series.inv`` of
-det(I - t*M) are built on a mismatch only.  Every other result here
-reaches its ``Poly``, ``Series`` or ``RatFunc`` through that class's
-internal constructor, as ints over positive denominators, so ``verify``
-(but for that inverse, which runs over Fractions), ``hashimoto``, ``exp``
-and ``euler`` build no Fraction.  The
-closed-path route counts each closed path from its least arc s.  It sums
-the first-return loops s -> x_1 -> ... -> s with every x_i > s by a vector
-recurrence over the arcs above s, without listing one, and an integer
-recurrence turns the loops' totals into s's share of every N_k
-(``_n_k_enumerated_all``).  The prime-cycle walk
-(``digraph.lyndon_cycles``) follows the nonzero entries of P, those of M,
-only.  It lists the prime cycles up to order/2 and yields one total C_k of
-c for each longer length k, summing every length past (order + 1) // 2 by
-lookups after a prefix of that length, without a frame.  The Euler
-product (``_euler``) multiplies in 1/(1 - c t^k) for each, a cycle or a
-total alike: past order/2 the cross terms of the factors have degree above
-the order, so one length's total is the product of its cycles' factors.
-The exponential's recurrence n f_n = sum_k D^k N_k f_(n-k) divides exactly
-on the power sums of the integer matrix P; a remainder shows a wrong
-enumeration and raises ConsistencyError.
+The series routes run in Python ints, on P, where a length-k term of a
+path route carries D^k, and both return power sums: the closed-path route
+(``_n_k_enumerated_all``) the ints x_k = D^k N_k, the only N_k route of
+the library, and the Euler walk (``_euler``) the ints q_j = D^j Q_j of the
+product's logarithm sum_j Q_j t^j / j, Q_j = sum_(k | j) k sum_(|X| = k)
+circ(X)^(j/k), which is N_j: each closed path is a power of one prime
+cycle, read from k rotations.  One recurrence, n f_n = sum_k x_k f_(n-k)
+(``_exp_of_power_sums``), turns power sums into the integer numerators
+f_n over D^n; it divides exactly on those of P, and on those of any
+product of factors 1/(1 - c t^k) with integer k and c, and a remainder
+raises ConsistencyError.  ``verify`` compares x_j with q_j, as once the
+lower sums agree, n times the two series' difference at t^n is
+x_n - q_n, and f with det(I - t*M) = sum_k H_k t^k / Delta by
+sum_j f_j D^(k-j) H_(k-j) = [k = 0] Delta for k <= order: as h_0 = 1, the
+first k where that fails is the first power of t at which the series
+differs from 1/det(I - t*M).  So a fault in the closed paths fails the
+exponential's two verdicts, one in the walk the Euler product's, and one
+in the recurrence the two with Hashimoto.  Only a printed series is
+reduced, once by gcd, as the pairs (f, D^n): on agreement the report's
+Euler and Hashimoto series are the exponential itself, and the Euler
+numerators, their ``Series`` and ``Series.inv`` of det(I - t*M) are built
+on a mismatch only.  Every other result here reaches its ``Poly``,
+``Series`` or ``RatFunc`` through that class's internal constructor, as
+ints over positive denominators, so ``verify`` (but for that inverse,
+which runs over Fractions), ``hashimoto``, ``exp`` and ``euler`` build no
+Fraction.  The closed-path route sums the closed paths by their least arc
+without listing one; the prime-cycle walk (``digraph.lyndon_cycles``)
+follows the nonzero entries of P, those of M, only, lists the prime
+cycles up to order/2 and yields one total C_k of c for each longer
+length k, summed by lookups without a frame.
 """
 
 from __future__ import annotations
@@ -289,12 +287,13 @@ def exponential_truncated(d: Digraph, w: WeightAssignment, order: int) -> Series
 
 def _exp_of_power_sums(xs: list[int], order: int) -> list[int]:
     """[f_n for n = 0..order], exp( sum_k N_k/k t^k ) = sum_n f_n t^n / D^n
-    for xs = [D^k N_k].
+    for xs = [D^k N_k], the closed paths' or the Euler walk's power sums.
 
-    The N_k are the power sums tr T^k of T = P / D, for the integer matrix
-    P, so the series is 1/det(I - u*P) at u = t/D, whose coefficients f_n
-    are integers.  Then n f_n = sum_{k=1..n} x_k f_{n-k} divides exactly;
-    a remainder raises ConsistencyError.
+    The first are tr T^k of T = P / D, for the integer matrix P, so the
+    series is 1/det(I - u*P) at u = t/D; the second make it a product of
+    factors 1/(1 - c u^k) with integer c.  Either way the f_n are integers,
+    and n f_n = sum_{k=1..n} x_k f_{n-k} divides exactly; a remainder
+    raises ConsistencyError.
     """
     fs = [1]
     for n in range(1, order + 1):
@@ -319,31 +318,25 @@ def euler_truncated(d: Digraph, w: WeightAssignment, order: int) -> Series:
     """Product over prime cycles of 1/(1 - circ(X) t^|X|), truncated."""
     _require_series_order(order)
     theta = _edge_matrix_data(d, w)
-    return _over_powers(_euler(theta, order), theta[0], order)
+    return _over_powers(_exp_of_power_sums(_euler(theta, order), order), theta[0], order)
 
 
 def _euler(theta, order: int) -> list[int]:
-    """The Euler product, accumulated as acc[i] = D^i * (coefficient i) over
-    the integer matrix P = D*T from ``_edge_matrix_data``.  The prime cycles
-    are the Lyndon closed paths of P's nonzero entries, those of M, so the
-    walk skips every cycle whose product is 0.
-
-    Every (k, c) the walk yields, a cycle of length k <= order/2 or the
-    total C_k of the cycles of one length k > order/2, multiplies acc by
-    1/(1 - c t^k) in one in-place pass: acc[i] += c acc[i - k] for i = k
-    up to ``order``.  For 2k > order that pass reads acc[i - k] with
-    i - k < k only, still unchanged, so it multiplies by 1 + c t^k, which is
-    1/(1 - c t^k) to ``order``.  For a total that is the product of its
-    length's cycle factors: their cross terms, and those of two longer
-    lengths, have degree above ``order``.  The walk lists the cycles up to
-    order/2 only; it walks the prefixes shorter than (order + 1) // 2 and
-    reads the totals of every longer length off suffix sums.
+    """[D^j Q_j for j = 1..order], the power sums of the Euler product's
+    logarithm sum_j Q_j t^j / j, for (D, P) from ``_edge_matrix_data``.
+    The walk follows P's nonzero entries, those of M, so it skips every
+    cycle whose product is 0.  As log 1/(1 - c t^k) = sum_m c^m t^(km) / m,
+    each (k, c) it yields adds k c^m at t^(km) for every km <= ``order``.
+    It lists the cycles up to order/2; past it a cycle adds k c at t^k
+    alone, so the total C_k of a longer length adds k C_k.
     """
-    acc = [1] + [0] * order
+    qs = [0] * (order + 1)
     for _, k, c in lyndon_cycles(theta[1], order, order // 2):
-        for i in range(k, order + 1):
-            acc[i] += acc[i - k] * c
-    return acc
+        p = c
+        for j in range(k, order + 1, k):
+            qs[j] += k * p
+            p *= c
+    return qs[1:]
 
 
 def _mul(a: list[int], b: list[int]) -> list[int]:
@@ -681,27 +674,29 @@ def _first_non_inverse(xs: list[int], scale: int, h_ints) -> int | None:
 def verify_expressions(d: Digraph, w: WeightAssignment, order: int) -> ZetaReport:
     """Compute all four expressions and compare them.
 
-    Series expressions are compared coefficientwise to ``order``, as the
-    integer numerators over D^n, Hashimoto and Ihara exactly as rational
-    functions.  The theta matrix (D, P) is built once and shared by the
-    power sums, the Euler product and Hashimoto; the vertex side reads tau1
-    and tau2 on its own.  On agreement the report's Euler and Hashimoto
-    series are the exponential, the one series reduced.
+    The exponential and Euler expressions are compared by their power sums
+    to ``order``, each with Hashimoto by its numerators over D^n, Hashimoto
+    and Ihara exactly as rational functions.  The theta matrix (D, P) is
+    built once and shared by both power sums and Hashimoto; the vertex side
+    reads tau1 and tau2 on its own.  On agreement the report's Euler and
+    Hashimoto series are the exponential, the one series reduced.
     """
     _require_series_order(order)
     theta = _edge_matrix_data(d, w)
     scale = theta[0]
-    fs = _exp_of_power_sums(_n_k_enumerated_all(theta, order), order)
-    acc = _euler(theta, order)
+    xs = _n_k_enumerated_all(theta, order)
+    fs = _exp_of_power_sums(xs, order)
+    qs = _euler(theta, order)
     side, _ = _vertex_side(d, w)
     hk = _hashimoto(theta)
     h, ihara_rhs, k = _identity(*side, hk)
-    k_euler = next((n for n, (f, a) in enumerate(zip(fs, acc)) if f != a), None)
+    k_euler = next((j for j, (x, q) in enumerate(zip(xs, qs), 1) if x != q), None)
     k_expo_h = _first_non_inverse(fs, scale, hk[1])
     expo = _over_powers(fs, scale, order)
     if k_euler is None:
         eul, k_euler_h = expo, k_expo_h
     else:
+        acc = _exp_of_power_sums(qs, order)
         eul, k_euler_h = _over_powers(acc, scale, order), _first_non_inverse(acc, scale, hk[1])
     if k_expo_h is None or k_euler_h is None:
         h_series = expo if k_expo_h is None else eul

@@ -117,14 +117,28 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        # each Euler factor's pass run from the top down: it reads
-        # acc[i - k] before the pass updates it, so a cycle of length
-        # k <= order/2 multiplies by 1 + c t^k, not 1/(1 - c t^k)
-        "euler-pass-descending",
+        # every power of a cycle's product folded in as c: a cycle of
+        # length k <= order/2 adds k c at t^(km), not k c^m
+        "euler-power-not-raised",
         "zetawalk/zeta.py",
-        "        for i in range(k, order + 1):\n",
-        "        for i in range(order, k - 1, -1):\n",
-        ("tests/test_zeta.py::test_euler_matches_the_hashimoto_inverse_at_orders_1_to_12",),
+        "            p *= c\n",
+        "",
+        (
+            "tests/test_zeta.py::test_euler_matches_the_hashimoto_inverse_at_orders_1_to_12",
+            "tests/test_zeta.py::test_exp_of_the_folded_power_sums_is_the_product_of_the_factors",
+        ),
+    ),
+    Mutant(
+        # each power sum without its rotations: c^m in place of k c^m,
+        # right for the loops alone
+        "euler-power-unweighted",
+        "zetawalk/zeta.py",
+        "qs[j] += k * p",
+        "qs[j] += p",
+        (
+            "tests/test_zeta.py::test_euler_matches_the_hashimoto_inverse_at_orders_1_to_12",
+            "tests/test_zeta.py::test_exp_of_the_folded_power_sums_is_the_product_of_the_factors",
+        ),
     ),
     Mutant(
         "exp-division-unchecked",

@@ -16,6 +16,7 @@ A*B == B*A == d*I for a nonzero polynomial d), brute-force closed paths
 and the prime-cycle representatives among them, the power sums N_k by
 traces of the theta matrix's powers, the per-length power
 sums of the prime cycles' products by Moebius inversion of traces, the
+product of Euler factors multiplied in one by one, the
 phi-grouped arc order, theta one entry at a time, the structural
 matrices, the walk matrices U and T built entry by entry with Fraction
 square roots, the dense unitarity residual, and the reports of ``Poly``,
@@ -523,6 +524,18 @@ def prime_cycle_totals(m: list[list[int]], max_len: int, power: int = 1) -> dict
         if s:
             totals[k] = Fraction(s, k)
     return totals
+
+
+def euler_product_numerators(pairs, order: int) -> list[int]:
+    """The coefficients of prod 1/(1 - c t^k) over the (k, c) in ``pairs``,
+    to ``order``: each factor multiplied in by one in-place pass
+    acc[i] += c acc[i - k], run upwards so that it reads the terms it has
+    already updated, with no logarithm and no division."""
+    acc = [1] + [0] * order
+    for k, c in pairs:
+        for i in range(k, order + 1):
+            acc[i] += acc[i - k] * c
+    return acc
 
 
 def n_k_trace_all(theta, upto: int) -> list[int]:

@@ -41,9 +41,9 @@ from conftest import random_digraph, random_multigraph, random_rational, random_
 from test_golden import LARGE, large_instance
 from oracles import (
     FIELD, RING, T, TF, Matrix, char_poly_exact, closed_paths, coeffs, det_bareiss,
-    det_one_minus_t_by_elimination, graph_vertex_det, ihara_digraph_tables, lift, mat_mul, mat_sub,
-    n_k_trace_all, pair_arcs, phi_grouped_arc_order, prime_cycle_representatives, prime_cycle_totals,
-    sato_expression, sato_matrices, structural_matrices, theta_value,
+    det_one_minus_t_by_elimination, euler_product_numerators, graph_vertex_det, ihara_digraph_tables,
+    lift, mat_mul, mat_sub, n_k_trace_all, pair_arcs, phi_grouped_arc_order, prime_cycle_representatives,
+    prime_cycle_totals, sato_expression, sato_matrices, structural_matrices, theta_value,
 )
 
 
@@ -496,9 +496,8 @@ def test_summed_lengths_break_the_euler_product(monkeypatch, mutant, order):
 @pytest.mark.parametrize("order", [2, 3, 6, 7])
 def test_per_length_totals_at_half_the_order_break_the_euler_product(monkeypatch, order):
     # the walk yields the total C_k of length k = order // 2, and _euler
-    # takes it as one factor 1/(1 - C_k t^k): as 2k <= order, that puts
-    # C_k^2 at t^2k, where the product of the cycles' own factors has the
-    # sum of c_i c_j over i <= j
+    # folds it in as one cycle's product: as 2k <= order, that adds
+    # k C_k^2 at t^2k, where the cycles' own power sums add k sum_i c_i^2
     mutate(monkeypatch, "_euler", "order // 2", "order // 2 - 1")
     expected = f"at t^{2 * (order // 2)}"
     assert euler_verdicts(fixture_digraph("paper-graph"), order) == [expected] * 2
@@ -673,11 +672,14 @@ def test_an_off_by_one_hadamard_power_fails_the_power_check(monkeypatch):
 def test_corrupted_exp_recurrence_breaks_exponential_vs_hashimoto(monkeypatch, old, new, first):
     # N_1 = 2 and N_2 = 6 on the paper graph: x_{k+1} in place of x_k
     # is wrong at t^1, and n f_n / (n - 1) at t^2; both still divide up to
-    # t^3, and past it the checked division refuses them
+    # t^3, and past it the checked division refuses them.  verify compares
+    # the exponential and the Euler product by their power sums, which the
+    # fault leaves alone, and the one recurrence makes both series wrong
     mutate(monkeypatch, "_exp_of_power_sums", old, new)
     details = verify_details("paper-graph", 3)
+    assert details["exponential-vs-euler"] is None
     assert details["exponential-vs-hashimoto"] == f"at t^{first}"
-    assert details["euler-vs-hashimoto"] is None
+    assert details["euler-vs-hashimoto"] == f"at t^{first}"
     with pytest.raises(ConsistencyError, match="non-integer exponential numerator"):
         verify_details("paper-graph", 10)
 
@@ -707,11 +709,8 @@ def prime_cycle_product(d, w, order):
     with the cycles read off the brute-force closed paths.  Coefficient i
     is accumulated as its integer numerator over L^i."""
     theta, scale = theta_table(d, w)
-    acc = [1] + [0] * order
-    for cycle in prime_cycle_representatives(d, order):
-        c, k = circular_product(theta, cycle), len(cycle)
-        for i in range(k, order + 1):
-            acc[i] += acc[i - k] * c
+    cycles = prime_cycle_representatives(d, order)
+    acc = euler_product_numerators([(len(x), circular_product(theta, x)) for x in cycles], order)
     return Series([Fraction(a, scale**i) for i, a in enumerate(acc)], order)
 
 
@@ -743,7 +742,8 @@ def test_series_routes_match_brute_force_on_random_instances():
         expected = brute_force_power_sums(d, w, upto)
         assert as_fractions(theta[0], _n_k_enumerated_all(theta, upto)) == expected
         assert as_fractions(theta[0], n_k_trace_all(theta, upto)) == expected
-        assert _over_powers(_euler(theta, upto), theta[0], upto) == prime_cycle_product(d, w, upto)
+        euler = _exp_of_power_sums(_euler(theta, upto), upto)
+        assert _over_powers(euler, theta[0], upto) == prime_cycle_product(d, w, upto)
 
 
 def test_euler_matches_the_hashimoto_inverse_at_orders_1_to_12():
@@ -762,7 +762,24 @@ def test_euler_matches_the_hashimoto_inverse_at_orders_1_to_12():
         theta = _edge_matrix_data(d, inverse_cancelling_weights(rng, d))
         h = _hashimoto(theta)[0]
         for order in range(1, 13):
-            assert _over_powers(_euler(theta, order), theta[0], order) == Series(h.coeffs, order).inv()
+            euler = _exp_of_power_sums(_euler(theta, order), order)
+            assert _over_powers(euler, theta[0], order) == Series(h.coeffs, order).inv()
+
+
+def test_exp_of_the_folded_power_sums_is_the_product_of_the_factors(monkeypatch):
+    # _euler folds each (k, c) the walk yields into power sums, k c^m at
+    # t^(km), and the exponential's recurrence must divide exactly on them
+    # for any integers k and c; the reference multiplies the factors in
+    rng = random.Random(20261021)
+    for _ in range(60):
+        pairs = [
+            (rng.randint(1, 9), rng.choice((0, 1, -1, rng.randint(-99, 99))))
+            for _ in range(rng.randint(0, 12))
+        ]
+        monkeypatch.setattr(zeta, "lyndon_cycles", lambda m, order, listed: ((None, k, c) for k, c in pairs))
+        for order in range(1, 17):
+            expected = euler_product_numerators(pairs, order)
+            assert _exp_of_power_sums(_euler((1, None), order), order) == expected
 
 
 @pytest.mark.parametrize("name", ["paper-digraph", "paper-graph"])
