@@ -20,11 +20,12 @@ the extreme mu, which are exactly +-1, with no tolerance search.  The CLI
 checks the spectrum against a direct eigensolve of U (the oracle): a real
 double-precision general eigensolve, which does not assume that U is
 orthogonal.  The two spectra are compared by their exact bottleneck
-distance, computed in numpy.  Neither check keeps a second n x n temporary
-beside U: the unitarity defect holds the Gram matrix and the deviation its
-distance matrix, each reduced _BLOCK rows at a time, so the working set is
-about 2 n^2 * 8 bytes for n arcs (10 MB at 800 arcs), besides the copy of U
-that LAPACK takes inside the eigensolve.
+distance, computed in numpy.  Beside U, the unitarity defect holds no n x n
+array, only _BLOCK-row blocks of its Gram matrix, and the deviation holds
+one distance matrix, filled _BLOCK rows at a time.  So a spectrum call
+holds at most two n x n float arrays at once, U and either the copy of U
+that LAPACK takes inside the eigensolve or the distance matrix: about
+2 n^2 * 8 bytes for n arcs (10 MB at 800 arcs).
 
 Every public walk function checks its graph, and each Szegedy function its
 probabilities, on each call.  The probabilities are checked in integers:
@@ -57,8 +58,8 @@ from .digraph import Digraph, GraphMode
 if TYPE_CHECKING:
     import numpy as np
 
-# Rows per step of the n x n elementwise passes in unitarity_defect and
-# spectrum_deviation: each step's temporary is _BLOCK x n, not n x n.
+# Rows per step of unitarity_defect's Gram products and spectrum_deviation's
+# distance pass: each step's temporary is _BLOCK x n, not n x n.
 _BLOCK = 64
 
 
@@ -223,12 +224,17 @@ def grover_transition(g: Digraph) -> np.ndarray:
 def unitarity_defect(u: np.ndarray) -> float:
     """max |U U* - I|, the unitarity residual of a square 2-D array.
 
-    For a real U, U* is the view U.T, and the identity is subtracted from
-    the product's diagonal in place, so no copy of U and no identity matrix
-    is built.  The product is the one n x n array made, and |.| is taken
-    _BLOCK rows at a time, so U and the product are the working set: about
-    2 n^2 * 8 bytes for a real n x n U (10 MB at 800 arcs).  Any array that
-    is not square and 2-D is refused with a ValueError that names its shape.
+    The Gram U U* is Hermitian, so its upper triangle holds every value of
+    |U U* - I|.  It is taken B = _BLOCK rows at a time: block i is
+    U[i:i+B] U[i:]^T, columns i onward only, with the identity subtracted
+    in place on the block's own diagonal.  For a complex U the block is
+    conj(U[i:i+B]) U[i:]^T, the entrywise conjugate of those Gram entries,
+    with the same absolute values; only the block's rows are conjugated.
+    No n x n array is made: beside U each step holds the block and its
+    |.| (0.8 MB for a real U at 800 arcs).  The blocks make about n^3 / 2
+    multiply-adds, as numpy's one symmetric update of U U^T does; blocks of
+    whole rows would make twice as many.  Any array that is not square and
+    2-D is refused with a ValueError that names its shape.
     """
     import numpy as np
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
@@ -236,9 +242,14 @@ def unitarity_defect(u: np.ndarray) -> float:
     n = u.shape[0]
     if n == 0:
         return 0.0
-    gram = u @ (u.conj().T if np.iscomplexobj(u) else u.T)
-    gram.flat[:: n + 1] -= 1.0
-    return float(np.max([np.abs(gram[i : i + _BLOCK]).max() for i in range(0, n, _BLOCK)]))
+    is_complex = np.iscomplexobj(u)
+    maxima = []
+    for i in range(0, n, _BLOCK):
+        rows = u[i : i + _BLOCK]
+        block = (rows.conj() if is_complex else rows) @ u[i:].T
+        block.flat[:: n - i + 1] -= 1.0
+        maxima.append(np.abs(block).max())
+    return float(np.max(maxima))
 
 
 def eigenvalues_numeric(m) -> list[complex]:

@@ -276,6 +276,16 @@ MUTANTS = (
         ("tests/test_walk.py::test_single_edge_transition_matrix",),
     ),
     Mutant(
+        # each row block's identity at the whole matrix's stride: past the
+        # first block the diagonal of U U* keeps its 1 (at n = _BLOCK + 1
+        # the second block is 1 x 1, so that size alone cannot kill this)
+        "unitarity-identity-stride",
+        "zetawalk/walk.py",
+        "        block.flat[:: n - i + 1] -= 1.0\n",
+        "        block.flat[:: n + 1] -= 1.0\n",
+        ("tests/test_walk.py::test_unitarity_defect_is_the_dense_residual[800]",),
+    ),
+    Mutant(
         # a disagreeing rhs printed as the hashimoto line's render
         "ihara-rhs-shared-on-mismatch",
         "zetawalk/cli.py",

@@ -665,11 +665,13 @@ def walk_transition(g: Digraph, probs: dict[int, Fraction]) -> np.ndarray:
 def unitarity_defect_dense(u: np.ndarray) -> float:
     """max |U U* - I| over the whole residual matrix at once.
 
-    U* is taken as the library takes it, the view u.T for real input (BLAS
-    may compute that product as a symmetric update, whose last bits differ
-    from a general product's), so the two agree bit for bit.
+    The Gram is one product: u @ u.T for real input, which numpy computes
+    as a symmetric update, and conj(u) @ u.T for complex input, the
+    entrywise conjugate of U U*, with the same absolute values.  Up to
+    ``walk._BLOCK`` rows the library makes this same product, bit for bit;
+    past that it sums the same products in row blocks, in another order.
     """
-    gram = u @ (u.conj().T if np.iscomplexobj(u) else u.T)
+    gram = (u.conj() if np.iscomplexobj(u) else u) @ u.T
     return float(np.max(np.abs(gram - np.eye(u.shape[0])), initial=0.0))
 
 

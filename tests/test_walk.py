@@ -91,11 +91,42 @@ def test_unitarity_defect_refuses_a_non_square_array(shape):
         unitarity_defect(np.ones(shape))
 
 
-@pytest.mark.parametrize("n", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 800])
+def _dyadic_cases(gen, n):
+    """Real and complex matrices with entries k/8, |k| <= 8 in each part, so
+    that every product and every sum of U U* is exact: the residual is the
+    same in any summation order.  Each pairs a matrix with its defect.
+
+    The background entries keep |k| <= 4, so each of its rows has a squared
+    norm near n/10 (n/5 complex).  Rows 1 and n - 1 equal to one row of unit
+    entries put the largest residual, n, at (1, n - 1), whose row and column
+    lie in different row blocks; row n - 1 alone of unit entries puts it, n - 1,
+    on the diagonal of the last block.
+    """
+    def draw():
+        return gen.integers(-4, 5, (n, n)) / 8
+
+    for back, units in (
+        (draw(), gen.choice([1.0, -1.0], n)),
+        (draw() + 1j * draw(), gen.choice([1.0, -1.0, 1j, -1j], n)),
+    ):
+        across = back.copy()
+        across[[1, -1]] = units
+        last = back.copy()
+        last[-1] = units
+        yield across, float(n)
+        yield last, float(n - 1)
+
+
+@pytest.mark.parametrize("n", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 800])
 def test_unitarity_defect_is_the_dense_residual(n):
     # An orthogonal or unitary Q (rounding-sized residual), Q with its last
     # row doubled (the largest residual in the last row block) and a random
-    # matrix, each real and complex.
+    # matrix, each real and complex.  Up to _BLOCK rows the library makes
+    # the oracle's one product, so the two agree bit for bit.  Past that it
+    # sums the same products block by block, in another order: the two
+    # agree within one rounding of an n-term dot product, n 2^-52 times the
+    # largest product of two row norms, plus one ulp of 1.  On dyadic input
+    # every order gives the same bits.
     gen = np.random.default_rng(n)
     for draw in (
         lambda: gen.standard_normal((n, n)),
@@ -105,7 +136,15 @@ def test_unitarity_defect_is_the_dense_residual(n):
         last = q.copy()
         last[-1:] *= 2.0
         for u in (q, last, draw()):
-            assert unitarity_defect(u) == unitarity_defect_dense(u)
+            got, dense = unitarity_defect(u), unitarity_defect_dense(u)
+            if n <= _BLOCK:
+                assert got == dense
+            else:
+                norm = np.linalg.norm(u, axis=1).max()
+                assert abs(got - dense) <= n * 2.0**-52 * norm**2 + 2.0**-52, (got, dense)
+    if n > _BLOCK:
+        for u, defect in _dyadic_cases(gen, n):
+            assert unitarity_defect(u) == unitarity_defect_dense(u) == defect
 
 
 def test_triangle_grover_spectrum_frozen():
@@ -396,10 +435,14 @@ def _traced_peak(f, *args) -> int:
         tracemalloc.stop()
 
 
-def test_unitarity_defect_holds_one_n_by_n_array():
+def test_unitarity_defect_holds_no_n_by_n_array():
+    # Each step holds a _BLOCK x n block of the Gram, its |.| and, for a
+    # complex U, the block's conjugated rows of U.
     n = 800
-    u = np.linalg.qr(np.random.default_rng(1).standard_normal((n, n)))[0]
-    assert _traced_peak(unitarity_defect, u) <= 1.25 * n * n * 8
+    gen = np.random.default_rng(1)
+    for u in (gen.standard_normal((n, n)), gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))):
+        q = np.linalg.qr(u)[0]
+        assert _traced_peak(unitarity_defect, q) < 4 * _BLOCK * n * 16
 
 
 def test_spectrum_deviation_holds_one_n_by_n_array_when_the_lower_bound_is_the_answer():
@@ -420,8 +463,8 @@ def test_spectrum_deviation_holds_two_n_by_n_arrays_on_a_mismatch():
 @pytest.mark.parametrize("walk", ["grover", "szegedy"])
 def test_spectrum_call_holds_u_and_one_more_n_by_n_array(tmp_path, rng, walk):
     # 200 vertices and 400 edges: U is 800 x 800, as in the largest
-    # walk-spectrum cases.  Beside U, the defect holds the Gram matrix and
-    # the deviation its distance matrix, never both.
+    # walk-spectrum cases.  Beside U, the deviation holds its distance
+    # matrix; the defect holds no n x n array, only _BLOCK-row blocks.
     g = random_walk_graph(rng, 200)
     n = g.arc_count
     assert n == 800
